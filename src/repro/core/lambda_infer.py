@@ -692,7 +692,7 @@ def materialize_fullgraph(
     ``slices`` contiguous ``(lo, hi)`` bounds over the sorted targets and
     returns one :class:`SliceResult` per bound (``None`` means that worker
     died; the slice is recomputed in-process — degrade, don't die).  The
-    :class:`~repro.system.shard_router.ShardWorkerPool` provides one via
+    :class:`~repro.system.shard_workers.ShardWorkerPool` provides one via
     ``lambda_materialize_executor``.  ``observer`` receives stage names
     (``"scores"``, each layer, ``"fused"``) as they complete.
     """

@@ -10,17 +10,16 @@ for HAG and the homogeneous GNNs alike.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import nn
-from ..eval.metrics import roc_auc_score
 from ..nn import Tensor
-from ..obs.profiling import NullProfiler, TrainProfiler
+from ..obs.profiling import TrainProfiler
 from .hag import prepare_aggregators
-from .trainer import TrainConfig, TrainResult, _weighted_bce
+from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
 __all__ = [
     "sample_khop_nodes",
@@ -406,102 +405,66 @@ def train_with_neighbor_sampling(
     the sampled subgraph nodes of every batch.
     """
     config = config or TrainConfig(batch_size=256)
-    config.validate()
-    profiler = profiler if profiler is not None else NullProfiler()
+    profiler, labels, train_idx, pos_weight = _prepare(
+        config, profiler, labels, train_idx
+    )
     if config.batch_size is None:
         raise ValueError("neighbor-sampled training requires a batch size")
     rng = np.random.default_rng(config.seed)
-    labels = np.asarray(labels, dtype=np.float64)
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-
-    train_labels = labels[train_idx]
-    n_pos = float(train_labels.sum())
-    n_neg = float(len(train_labels) - n_pos)
-    if config.pos_weight is not None:
-        pos_weight = config.pos_weight
-    elif n_pos > 0:
-        pos_weight = max(1.0, n_neg / n_pos)
-    else:
-        pos_weight = 1.0
-
     optimizer = nn.Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    result = TrainResult()
-    best_state = None
-    best_metric = -np.inf
-    stale = 0
 
-    # Validation is evaluated on its own (fanout-free) subgraph once per epoch.
-    if val_idx is not None and len(val_idx) > 0:
-        val_nodes = sample_khop_nodes(adjacencies, np.asarray(val_idx), hops, None)
-        val_adjacencies = prepare_aggregators(induced_adjacencies(adjacencies, val_nodes))
-        val_features = Tensor(features[val_nodes])
-        val_positions = np.arange(len(val_idx))
+    def epoch_step() -> float:
+        shuffled = rng.permutation(train_idx)
+        loss_sum = 0.0
+        for start in range(0, len(shuffled), config.batch_size):
+            batch = shuffled[start : start + config.batch_size]
+            with profiler.stage("sampling"):
+                nodes = sample_khop_nodes(adjacencies, batch, hops, fanout, rng)
+            with profiler.stage("induction"):
+                aggregators = prepare_aggregators(
+                    induced_adjacencies(adjacencies, nodes)
+                )
+            x = Tensor(features[nodes])
+            optimizer.zero_grad()
+            with profiler.stage("forward"):
+                logits = model.forward(x, aggregators)
+                batch_positions = np.arange(len(batch))
+                loss = nn.bce_with_logits(
+                    logits.index_select(batch_positions),
+                    labels[batch],
+                    pos_weight=pos_weight,
+                )
+            with profiler.stage("backward"):
+                loss.backward()
+            with profiler.stage("step"):
+                optimizer.step()
+            loss_sum += loss.item() * len(batch)
+            profiler.count_batch(len(nodes))
+        return loss_sum
 
-    for epoch in range(config.epochs):
-        with profiler.epoch(epoch):
-            model.train()
-            shuffled = rng.permutation(train_idx)
-            epoch_loss = 0.0
-            for start in range(0, len(shuffled), config.batch_size):
-                batch = shuffled[start : start + config.batch_size]
-                with profiler.stage("sampling"):
-                    nodes = sample_khop_nodes(adjacencies, batch, hops, fanout, rng)
-                with profiler.stage("induction"):
-                    aggregators = prepare_aggregators(
-                        induced_adjacencies(adjacencies, nodes)
-                    )
-                x = Tensor(features[nodes])
-                optimizer.zero_grad()
-                with profiler.stage("forward"):
-                    logits = model.forward(x, aggregators)
-                    batch_positions = np.arange(len(batch))
-                    loss = nn.bce_with_logits(
-                        logits.index_select(batch_positions),
-                        labels[batch],
-                        pos_weight=pos_weight,
-                    )
-                with profiler.stage("backward"):
-                    loss.backward()
-                with profiler.stage("step"):
-                    optimizer.step()
-                epoch_loss += loss.item() * len(batch)
-                profiler.count_batch(len(nodes))
-            epoch_loss /= len(train_idx)
-            result.train_losses.append(epoch_loss)
-            profiler.record_loss(epoch_loss)
+    return _run_protocol(
+        model, config, profiler, labels, train_idx, val_idx, pos_weight,
+        epoch_step, _subgraph_validator(model, adjacencies, features, val_idx, hops),
+    )
 
-            if val_idx is not None and len(val_idx) > 0:
-                with profiler.stage("validation"):
-                    model.eval()
-                    with nn.no_grad():
-                        val_logits = model.forward(
-                            val_features, val_adjacencies
-                        ).numpy()
-                    scores = val_logits[val_positions]
-                    val_labels = labels[val_idx]
-                    n_val_pos = int(val_labels.sum())
-                    if 0 < n_val_pos < len(val_labels):
-                        result.val_aucs.append(roc_auc_score(val_labels, scores))
-                    if n_val_pos >= 20 and len(val_labels) - n_val_pos >= 20:
-                        metric = result.val_aucs[-1]
-                    else:
-                        metric = -_weighted_bce(scores, val_labels, pos_weight)
-            else:
-                metric = -epoch_loss
 
-        if metric > best_metric + 1e-6:
-            best_metric = metric
-            result.best_epoch = epoch
-            best_state = model.state_dict()
-            stale = 0
-        else:
-            stale += 1
-            if epoch + 1 >= config.min_epochs and stale >= config.patience:
-                break
+def _subgraph_validator(
+    model: nn.Module,
+    adjacencies: Sequence[sp.spmatrix],
+    features: np.ndarray,
+    val_idx: np.ndarray | None,
+    hops: int,
+) -> Callable[[], np.ndarray] | None:
+    """``validate()`` of sampled training; ``None`` without validation nodes.
 
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    if result.val_aucs and result.best_epoch < len(result.val_aucs):
-        result.best_val_auc = result.val_aucs[result.best_epoch]
-    model.eval()
-    return result
+    Validation is evaluated on its own (fanout-free) subgraph, sampled and
+    induced once and reused every epoch; the validation nodes are the
+    subgraph's leading rows.
+    """
+    if val_idx is None or len(val_idx) == 0:
+        return None
+    val_nodes = sample_khop_nodes(adjacencies, np.asarray(val_idx), hops, None)
+    val_adjacencies = prepare_aggregators(induced_adjacencies(adjacencies, val_nodes))
+    val_features = Tensor(features[val_nodes])
+    val_positions = np.arange(len(val_idx))
+    return lambda: model.forward(val_features, val_adjacencies).numpy()[val_positions]

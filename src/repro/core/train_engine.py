@@ -22,8 +22,8 @@ trajectory *bit-identical*:
   ``prefetch`` stage of the :class:`~repro.obs.profiling.TrainProfiler`
   records only the time the compute loop actually *waited*, which is the
   overlap proof the benchmark asserts on.
-* **Multi-process data parallelism** — forked workers (the
-  ``ShardWorkerPool`` pattern, see
+* **Multi-process data parallelism** — forked workers (a
+  :class:`~repro.system.fork_pool.ForkPool`, see
   :mod:`repro.system.train_workers`) compute per-minibatch gradients off a
   :class:`~repro.network.shm.SharedSnapshotStore`-published segment holding
   the presampled CSRs and features.  Reduction is a **fixed-fold-order**
@@ -47,9 +47,9 @@ code path.
 
 Dropout restriction: module-local dropout rng streams advance per process,
 so cross-worker parity only holds for dropout-free models (HAG's default).
-``train_parallel`` refuses ``workers > 0`` when the model is carrying
-active dropout is not detectable generically, so this is documented rather
-than enforced; the parity tests pin the dropout-free case.
+``train_parallel(workers > 0)`` therefore raises ``ValueError`` when the
+model tree contains an ``nn.Dropout`` with ``p > 0`` — found by walking
+the module attributes the way ``Module._set_mode`` does.
 """
 
 from __future__ import annotations
@@ -66,13 +66,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import nn
-from ..eval.metrics import roc_auc_score
 from ..nn import Tensor
-from ..nn.sparse import csr_gather_rows
+from ..nn.sparse import csr_gather_rows, csr_interleave
 from ..obs.profiling import NullProfiler, TrainProfiler
 from .hag import prepare_aggregators
-from .minibatch import induced_adjacencies, sample_khop_nodes
-from .trainer import TrainConfig, TrainResult, _weighted_bce
+from .minibatch import _subgraph_validator, induced_adjacencies, sample_khop_nodes
+from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
 __all__ = [
     "PresampledGraph",
@@ -196,7 +195,7 @@ class PresampledGraph:
             np.cumsum(np.minimum(counts, fanout), out=out_indptr[1:])
             sel_indptr.append(out_indptr)
             sel_indices.append(indices[order])
-        all_indptr, all_indices = _interleave_csrs(n, sel_indptr, sel_indices)
+        all_indptr, all_indices = csr_interleave(n, sel_indptr, sel_indices)
         return cls(
             n=n,
             fanout=fanout,
@@ -331,38 +330,6 @@ class PresampledGraph:
             adj_indices=[arrays[f"adji:{i}"] for i in range(n_types)],
             adj_data=[arrays[f"adjd:{i}"] for i in range(n_types)],
         )
-
-
-def _interleave_csrs(
-    num_nodes: int,
-    indptrs: Sequence[np.ndarray],
-    indices: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-type CSRs into one node-major, type-inner CSR.
-
-    Row ``v`` of the output is type 0's row ``v``, then type 1's, etc.,
-    each in its stored order — the candidate order of one frontier node in
-    ``_expand_frontier``.  Built with a counting scatter: each entry's slot
-    is ``row_base + type_offset + position``, no sort needed.
-    """
-    per_type_counts = [np.diff(p) for p in indptrs]
-    total_counts = np.zeros(num_nodes, dtype=np.int64)
-    for counts in per_type_counts:
-        total_counts += counts
-    all_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(total_counts, out=all_indptr[1:])
-    all_indices = np.empty(int(all_indptr[-1]), dtype=np.int64)
-    type_offset = np.zeros(num_nodes, dtype=np.int64)
-    for counts, indptr, nbrs in zip(per_type_counts, indptrs, indices):
-        if len(nbrs) == 0:
-            continue
-        row_base = np.repeat(all_indptr[:-1] + type_offset, counts)
-        within = np.arange(len(nbrs), dtype=np.int64) - np.repeat(
-            indptr[:-1], counts
-        )
-        all_indices[row_base + within] = nbrs
-        type_offset += counts
-    return all_indptr, all_indices
 
 
 # ----------------------------------------------------------------------
@@ -576,24 +543,15 @@ def train_parallel(
     ``workers`` setting.
     """
     config = config or ParallelTrainConfig(batch_size=256)
-    config.validate()
-    profiler = profiler if profiler is not None else NullProfiler()
+    profiler, labels, train_idx, pos_weight = _prepare(
+        config, profiler, labels, train_idx
+    )
     if config.batch_size is None:
         raise ValueError("parallel training requires a batch size")
+    if config.workers > 0:
+        _refuse_active_dropout(model)
     csrs = [a.tocsr() for a in adjacencies]
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-
-    train_labels = labels[train_idx]
-    n_pos = float(train_labels.sum())
-    n_neg = float(len(train_labels) - n_pos)
-    if config.pos_weight is not None:
-        pos_weight = config.pos_weight
-    elif n_pos > 0:
-        pos_weight = max(1.0, n_neg / n_pos)
-    else:
-        pos_weight = 1.0
 
     params = model.parameters()
     optimizer = nn.Adam(params, lr=config.lr, weight_decay=config.weight_decay)
@@ -638,82 +596,55 @@ def train_parallel(
             worker_seeds=worker_seeds,
         )
 
-    result = TrainResult()
-    best_state: dict[str, np.ndarray] | None = None
-    best_metric = -np.inf
-    stale = 0
-
-    if val_idx is not None and len(val_idx) > 0:
-        val_nodes = sample_khop_nodes(csrs, np.asarray(val_idx), hops, None)
-        val_adjacencies = prepare_aggregators(induced_adjacencies(csrs, val_nodes))
-        val_features = Tensor(features[val_nodes])
-        val_positions = np.arange(len(val_idx))
+    def epoch_step() -> float:
+        shuffled = shuffle_rng.permutation(train_idx)
+        batches = [
+            shuffled[i : i + config.batch_size]
+            for i in range(0, len(shuffled), config.batch_size)
+        ]
+        if pool is not None:
+            return _pooled_epoch(
+                pool, model, params, optimizer, batches, config,
+                pos_weight, build, profiler,
+            )
+        return _inprocess_epoch(
+            model, params, optimizer, batches, config,
+            pos_weight, build, profiler,
+        )
 
     try:
-        for epoch in range(config.epochs):
-            with profiler.epoch(epoch):
-                model.train()
-                shuffled = shuffle_rng.permutation(train_idx)
-                batches = [
-                    shuffled[i : i + config.batch_size]
-                    for i in range(0, len(shuffled), config.batch_size)
-                ]
-                if pool is not None:
-                    epoch_loss = _pooled_epoch(
-                        pool, model, params, optimizer, batches, config,
-                        pos_weight, build, profiler,
-                    )
-                else:
-                    epoch_loss = _inprocess_epoch(
-                        model, params, optimizer, batches, config,
-                        pos_weight, build, profiler,
-                    )
-                epoch_loss /= len(train_idx)
-                result.train_losses.append(epoch_loss)
-                profiler.record_loss(epoch_loss)
-
-                if val_idx is not None and len(val_idx) > 0:
-                    with profiler.stage("validation"):
-                        model.eval()
-                        with nn.no_grad():
-                            val_logits = model.forward(
-                                val_features, val_adjacencies
-                            ).numpy()
-                        scores = val_logits[val_positions]
-                        val_labels = labels[val_idx]
-                        n_val_pos = int(val_labels.sum())
-                        if 0 < n_val_pos < len(val_labels):
-                            result.val_aucs.append(
-                                roc_auc_score(val_labels, scores)
-                            )
-                        if n_val_pos >= 20 and len(val_labels) - n_val_pos >= 20:
-                            metric = result.val_aucs[-1]
-                        else:
-                            metric = -_weighted_bce(scores, val_labels, pos_weight)
-                else:
-                    metric = -epoch_loss
-
-            if metric > best_metric + 1e-6:
-                best_metric = metric
-                result.best_epoch = epoch
-                best_state = model.state_dict()
-                stale = 0
-            else:
-                stale += 1
-                if epoch + 1 >= config.min_epochs and stale >= config.patience:
-                    break
+        return _run_protocol(
+            model, config, profiler, labels, train_idx, val_idx, pos_weight,
+            epoch_step, _subgraph_validator(model, csrs, features, val_idx, hops),
+        )
     finally:
         if pool is not None:
             pool.close()
         if store is not None:
             store.close()
 
-    if best_state is not None:
-        model.load_state_dict(best_state)
-    if result.val_aucs and result.best_epoch < len(result.val_aucs):
-        result.best_val_auc = result.val_aucs[result.best_epoch]
-    model.eval()
-    return result
+
+def _refuse_active_dropout(value: object) -> None:
+    """Raise when a module tree holds an ``nn.Dropout`` with ``p > 0``.
+
+    Walks module attributes (and lists / tuples / dicts of them) the way
+    ``Module._set_mode`` does.  Each forked worker would advance its own
+    copy of the dropout rng stream, so a batch's gradient would depend on
+    which process computed it.
+    """
+    if isinstance(value, nn.Dropout) and value.p > 0:
+        raise ValueError(
+            "train_parallel(workers>0) requires a dropout-free model: found "
+            f"Dropout(p={value.p}), whose rng stream advances per process and "
+            "breaks cross-worker parity"
+        )
+    if isinstance(value, nn.Module):
+        value = value.__dict__
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _refuse_active_dropout(item)
 
 
 def _apply_step(

@@ -111,12 +111,66 @@ def train_node_classifier(
         ``validation`` stage timings.
     """
     config = config or TrainConfig()
+    profiler, labels, train_idx, pos_weight = _prepare(
+        config, profiler, labels, train_idx
+    )
+    rng = np.random.default_rng(config.seed)
+    optimizer = nn.Adam(
+        model.parameters(), lr=config.lr, weight_decay=config.weight_decay
+    )
+    x = Tensor(features)
+
+    def epoch_step() -> float:
+        if config.batch_size is None:
+            batches = [train_idx]
+        else:
+            shuffled = rng.permutation(train_idx)
+            batches = [
+                shuffled[i : i + config.batch_size]
+                for i in range(0, len(shuffled), config.batch_size)
+            ]
+        loss_sum = 0.0
+        for batch in batches:
+            optimizer.zero_grad()
+            with profiler.stage("forward"):
+                logits = forward(x)
+                loss = nn.bce_with_logits(
+                    logits.index_select(batch), labels[batch], pos_weight=pos_weight
+                )
+            with profiler.stage("backward"):
+                loss.backward()
+            with profiler.stage("step"):
+                optimizer.step()
+            loss_sum += loss.item() * len(batch)
+            profiler.count_batch(len(batch))
+        return loss_sum
+
+    def validate() -> np.ndarray:
+        return forward(x).numpy()[val_idx]
+
+    has_val = val_idx is not None and len(val_idx) > 0
+    return _run_protocol(
+        model, config, profiler, labels, train_idx, val_idx, pos_weight,
+        epoch_step, validate if has_val else None,
+    )
+
+
+def _prepare(
+    config: TrainConfig,
+    profiler: TrainProfiler | None,
+    labels: np.ndarray,
+    train_idx: np.ndarray,
+) -> tuple[TrainProfiler | NullProfiler, np.ndarray, np.ndarray, float]:
+    """Validate ``config`` and normalize the inputs every loop shares.
+
+    Returns ``(profiler, labels, train_idx, pos_weight)`` — the positive
+    class weight is the configured one, else ``n_neg / n_pos`` over the
+    training labels (never below 1).
+    """
     config.validate()
     profiler = profiler if profiler is not None else NullProfiler()
-    rng = np.random.default_rng(config.seed)
     labels = np.asarray(labels, dtype=np.float64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
-
     train_labels = labels[train_idx]
     n_pos = float(train_labels.sum())
     n_neg = float(len(train_labels) - n_pos)
@@ -126,11 +180,28 @@ def train_node_classifier(
         pos_weight = max(1.0, n_neg / n_pos)
     else:
         pos_weight = 1.0
+    return profiler, labels, train_idx, pos_weight
 
-    optimizer = nn.Adam(
-        model.parameters(), lr=config.lr, weight_decay=config.weight_decay
-    )
-    x = Tensor(features)
+
+def _run_protocol(
+    model: nn.Module,
+    config: TrainConfig,
+    profiler: TrainProfiler | NullProfiler,
+    labels: np.ndarray,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray | None,
+    pos_weight: float,
+    epoch_step: Callable[[], float],
+    validate: Callable[[], np.ndarray] | None,
+) -> TrainResult:
+    """The one training protocol behind every public training function.
+
+    ``epoch_step()`` trains one epoch and returns the example-weighted
+    loss sum (divided by ``len(train_idx)`` here); ``validate()`` returns
+    eval-mode logits at ``val_idx`` (``None`` monitors the train loss).
+    Owns the per-epoch validation metric, early stopping, best-state
+    restoration and :class:`TrainResult` bookkeeping.
+    """
     result = TrainResult()
     best_state: dict[str, np.ndarray] | None = None
     best_metric = -np.inf
@@ -139,41 +210,19 @@ def train_node_classifier(
     for epoch in range(config.epochs):
         with profiler.epoch(epoch):
             model.train()
-            if config.batch_size is None:
-                batches = [train_idx]
-            else:
-                shuffled = rng.permutation(train_idx)
-                batches = [
-                    shuffled[i : i + config.batch_size]
-                    for i in range(0, len(shuffled), config.batch_size)
-                ]
-            epoch_loss = 0.0
-            for batch in batches:
-                optimizer.zero_grad()
-                with profiler.stage("forward"):
-                    logits = forward(x)
-                    loss = nn.bce_with_logits(
-                        logits.index_select(batch), labels[batch], pos_weight=pos_weight
-                    )
-                with profiler.stage("backward"):
-                    loss.backward()
-                with profiler.stage("step"):
-                    optimizer.step()
-                epoch_loss += loss.item() * len(batch)
-                profiler.count_batch(len(batch))
-            epoch_loss /= len(train_idx)
+            epoch_loss = epoch_step() / len(train_idx)
             result.train_losses.append(epoch_loss)
             profiler.record_loss(epoch_loss)
 
-            if val_idx is not None and len(val_idx) > 0:
+            if validate is not None:
                 with profiler.stage("validation"):
                     model.eval()
                     with nn.no_grad():
-                        val_logits = forward(x).numpy()[val_idx]
+                        scores = validate()
                     val_labels = labels[val_idx]
                     n_val_pos = int(val_labels.sum())
                     if 0 < n_val_pos < len(val_labels):
-                        result.val_aucs.append(roc_auc_score(val_labels, val_logits))
+                        result.val_aucs.append(roc_auc_score(val_labels, scores))
                     # Early-stop on validation AUC when the validation set
                     # carries enough positives for the AUC to be stable; tiny
                     # validation sets saturate AUC within an epoch or two, so
@@ -181,7 +230,7 @@ def train_node_classifier(
                     if n_val_pos >= 20 and len(val_labels) - n_val_pos >= 20:
                         metric = result.val_aucs[-1]
                     else:
-                        metric = -_weighted_bce(val_logits, val_labels, pos_weight)
+                        metric = -_weighted_bce(scores, val_labels, pos_weight)
             else:
                 metric = -epoch_loss
 

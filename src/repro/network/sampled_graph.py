@@ -28,7 +28,7 @@ bits come out of a single :class:`~repro.network.bn.BehaviorNetwork` or a
 :class:`~repro.network.sharding.ShardedBehaviorNetwork`.  The whole
 structure round-trips through flat numpy arrays
 (:meth:`~SampledGraph.to_payload`) for shared-memory publication to
-:class:`~repro.system.shard_router.ShardWorkerPool` workers.
+:class:`~repro.system.shard_workers.ShardWorkerPool` workers.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
-from ..nn.sparse import csr_gather_rows
+from ..nn.sparse import csr_gather_rows, csr_interleave
 from .sharding import ShardIndex, build_shard_index
 
 __all__ = ["SampledGraph", "build_sampled_graph"]
@@ -175,7 +175,7 @@ class SampledGraph:
             sel_indptr[btype] = indptr
             sel_nbr[btype] = np.ascontiguousarray(kept_nbr, dtype=np.int64)
 
-        all_indptr, all_nbr = _interleave_types(
+        all_indptr, all_nbr = csr_interleave(
             num_nodes, [sel_indptr[t] for t in index.types], [sel_nbr[t] for t in index.types]
         )
         return cls(
@@ -468,35 +468,6 @@ class SampledGraph:
             pair_hi_pos=np.asarray(arrays["pair_hi_pos"], dtype=np.int64),
             type_norm={t: np.asarray(arrays[f"norm:{t.value}"]) for t in types},
         )
-
-
-def _interleave_types(
-    num_nodes: int,
-    indptrs: Sequence[np.ndarray],
-    nbrs: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise concatenation of per-type CSRs in type order.
-
-    Row ``p`` of the output is ``type0's row p, type1's row p, ...`` —
-    the exact candidate enumeration order of one scalar BFS expansion.
-    """
-    if not indptrs:
-        return np.zeros(num_nodes + 1, dtype=np.int64), _EMPTY_I64
-    node_keys = np.concatenate(
-        [np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(p)) for p in indptrs]
-    )
-    type_keys = np.concatenate(
-        [np.full(int(p[-1]), i, dtype=np.int64) for i, p in enumerate(indptrs)]
-    )
-    seq_keys = np.concatenate(
-        [np.arange(int(p[-1]), dtype=np.int64) for p in indptrs]
-    )
-    order = np.lexsort((seq_keys, type_keys, node_keys))
-    all_nbr = np.concatenate(nbrs)[order] if len(order) else _EMPTY_I64
-    counts = np.bincount(node_keys, minlength=num_nodes).astype(np.int64)
-    all_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=all_indptr[1:])
-    return all_indptr, all_nbr
 
 
 def build_sampled_graph(bn, fanout: int | None) -> SampledGraph:

@@ -17,6 +17,8 @@ Two hot-path properties are guaranteed here (and pinned by tests via
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -28,6 +30,7 @@ __all__ = [
     "PreparedAggregator",
     "as_csr",
     "csr_gather_rows",
+    "csr_interleave",
     "transpose_conversion_count",
     "reset_transpose_conversion_count",
 ]
@@ -62,6 +65,40 @@ def csr_gather_rows(
     return out_indptr, gidx
 
 _TRANSPOSE_CONVERSIONS = 0
+
+
+def csr_interleave(
+    num_rows: int,
+    indptrs: Sequence[np.ndarray],
+    indices: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge per-type CSRs into one row-major, type-inner CSR.
+
+    Row ``v`` of the output is type 0's row ``v``, then type 1's, etc.,
+    each in its stored order — the candidate enumeration order of one
+    frontier node in a typed BFS expansion, so one :func:`csr_gather_rows`
+    per hop replays the whole frontier.  Built with a counting scatter:
+    each entry's slot is ``row_base + type_offset + position``, no sort
+    needed.
+    """
+    per_type_counts = [np.diff(p) for p in indptrs]
+    total_counts = np.zeros(num_rows, dtype=np.int64)
+    for counts in per_type_counts:
+        total_counts += counts
+    all_indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(total_counts, out=all_indptr[1:])
+    all_indices = np.empty(int(all_indptr[-1]), dtype=np.int64)
+    type_offset = np.zeros(num_rows, dtype=np.int64)
+    for counts, indptr, nbrs in zip(per_type_counts, indptrs, indices):
+        if len(nbrs) == 0:
+            continue
+        row_base = np.repeat(all_indptr[:-1] + type_offset, counts)
+        within = np.arange(len(nbrs), dtype=np.int64) - np.repeat(
+            indptr[:-1], counts
+        )
+        all_indices[row_base + within] = nbrs
+        type_offset += counts
+    return all_indptr, all_indices
 
 
 def transpose_conversion_count() -> int:

@@ -39,11 +39,11 @@ from .queue import (
     SimulatedWorkerPool,
 )
 from .service import PredictRequest, RequestContext, Sampler, Service
-from .shard_router import (
-    ShardRouter,
+from .fork_pool import ForkPool
+from .shard_router import ShardRouter, index_sample_batch
+from .shard_workers import (
     ShardWorkerPool,
     fullgraph_executor,
-    index_sample_batch,
     publish_materialize_inputs,
 )
 from .storage import InMemoryCache, LocalDatabase, ReplicatedStore, StorageError
@@ -75,6 +75,7 @@ __all__ = [
     "LambdaLayer",
     "LambdaHit",
     "DeltaSampler",
+    "ForkPool",
     "ShardRouter",
     "ShardWorkerPool",
     "fullgraph_executor",

@@ -6,10 +6,7 @@ defaults are the paper's deployed settings: decision threshold 0.85, a
 15 s per-request latency budget, bounded retries with a circuit breaker,
 and the scorecard/block-list fallback ladder armed.
 
-``deploy_turbo(dataset, config=TurboConfig(...))`` is the canonical call;
-the legacy keyword style (``deploy_turbo(dataset, threshold=..., ...)``)
-still works — the keywords are collected into a config for one release
-of backward compatibility.
+``deploy_turbo(dataset, config=TurboConfig(...))`` is the only call shape.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ simulated clock:
   prediction workers from queue-depth watermarks with a cooldown, over
   any pool exposing ``scale_to`` (the in-process
   :class:`SimulatedWorkerPool` here, or the forked
-  :class:`~repro.system.shard_router.ShardWorkerPool` — both satisfy the
+  :class:`~repro.system.shard_workers.ShardWorkerPool` — both satisfy the
   :class:`~repro.system.service.Service` protocol).
 
 Everything is traced and metered: each arrival opens a ``queued_request``
@@ -196,7 +196,7 @@ class SimulatedWorkerPool:
     for the batch's charged wall time.  Satisfies the
     :class:`~repro.system.service.Service` protocol so health checks and
     the :class:`Autoscaler` see the same surface as the real servers (and
-    as the forked :class:`~repro.system.shard_router.ShardWorkerPool`).
+    as the forked :class:`~repro.system.shard_workers.ShardWorkerPool`).
     """
 
     def __init__(

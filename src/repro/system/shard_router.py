@@ -1,4 +1,4 @@
-"""Cross-shard frontier exchange and multi-process serving for sharded BN.
+"""Cross-shard frontier exchange and index publication for sharded BN.
 
 Turns the union-frontier sampler of
 :func:`repro.network.sampling.computation_subgraphs_batch` into a
@@ -22,44 +22,34 @@ optional per-shard :class:`~repro.system.faults.CircuitBreaker`s — a dead
 shard degrades the batch to the surviving shards' partial frontier instead
 of raising), and the ``turbo.shard.*`` metrics.
 
-:class:`ShardWorkerPool` is the OS-level parallel half: worker *processes*
-attach the published segments zero-copy, rebuild the read-only index, and
-serve whole sampling / packed-HAG-inference sub-batches over a pipe —
-``sample``/``predict`` results are bit-identical to the parent's, and a
-crashed worker is detected and failed over in-process without losing the
-segment (the publisher owns unlink).
+The OS-level parallel half — forked workers that attach the published
+segments and serve sub-batches — is
+:class:`~repro.system.shard_workers.ShardWorkerPool`; this module is the
+sampling tier :mod:`repro.system.bn_server` imports and stays free of the
+model / lambda / materialization code the workers need.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.lambda_infer import HAGState, SliceResult, score_slice
 from ..datagen.behavior_types import BehaviorType
-from ..network.sampled_graph import SampledGraph
 from ..network.sampling import BatchSampleStats, ComputationSubgraph
 from ..network.sharding import ShardIndex, ShardedBehaviorNetwork, _shard_of_int
-from ..network.shm import SharedSnapshotStore, attach_segment
+from ..network.shm import SharedSnapshotStore
 from ..obs.tracing import current_span
 from .storage import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
     from .faults import CircuitBreaker, FaultInjector
+    from .shard_workers import ShardWorkerPool
 
-__all__ = [
-    "index_sample_batch",
-    "publish_materialize_inputs",
-    "fullgraph_executor",
-    "ShardRouter",
-    "ShardWorkerPool",
-]
+__all__ = ["index_sample_batch", "ShardRouter"]
 
 #: Selection key -> neighbour list; shared shape with the single-network
 #: sampler's ``selection_cache`` so the BN server can reuse one dict.
@@ -246,76 +236,6 @@ def index_sample_batch(
         partial=tuple(i for i in range(n_requests) if partial[i]),
     )
     return subgraphs, stats
-
-
-def publish_materialize_inputs(
-    store: SharedSnapshotStore,
-    name: str,
-    sampled: SampledGraph,
-    uids: np.ndarray,
-    context_rows: np.ndarray,
-    target_rows: np.ndarray,
-    *,
-    hops: int,
-    chunk: int = 256,
-    allowed_mask: np.ndarray | None = None,
-):
-    """Publish one full-graph sweep's worker inputs as a single segment.
-
-    The segment bundles the :class:`SampledGraph` payload (``sg:``-prefixed
-    arrays), the sorted target ``uids``, the per-graph-position raw context
-    feature rows, and the per-target raw transaction feature rows — all a
-    ``materialize`` worker command needs besides the model bundle.  Returns
-    the publish handle; pass ``handle.segment`` to
-    :meth:`ShardWorkerPool.materialize_attach`.
-    """
-    sg_arrays, sg_meta = sampled.to_payload()
-    arrays = {f"sg:{key}": value for key, value in sg_arrays.items()}
-    arrays["uids"] = np.asarray(uids, dtype=np.int64)
-    arrays["context_rows"] = np.asarray(context_rows, dtype=np.float64)
-    arrays["target_rows"] = np.asarray(target_rows, dtype=np.float64)
-    if allowed_mask is not None:
-        arrays["allowed_mask"] = allowed_mask.astype(np.uint8)
-    meta = {"sampled": sg_meta, "hops": int(hops), "chunk": int(chunk)}
-    return store.publish(name, arrays, meta, version=sampled.version)
-
-
-def fullgraph_executor(pool: "ShardWorkerPool"):
-    """Executor over a worker pool for ``materialize_fullgraph``.
-
-    Returns a callable mapping the sweep's ``(lo, hi)`` bounds to
-    :class:`SliceResult`s: bounds are assigned round-robin over the live
-    workers, all commands are pipelined before any result is collected
-    (workers score their slices concurrently), and a dead worker's slots
-    come back ``None`` — ``materialize_fullgraph`` recomputes those slices
-    in-process, so worker loss degrades throughput, never correctness.
-    The pool must have model and materialize inputs attached
-    (:meth:`ShardWorkerPool.materialize_attach`).
-    """
-
-    def executor(
-        bounds: Sequence[tuple[int, int]],
-    ) -> list[SliceResult | None]:
-        results: list[SliceResult | None] = [None] * len(bounds)
-        workers = [w for w in range(pool.n_workers) if pool.alive(w)]
-        if not workers:
-            return results
-        assigned: dict[int, list[int]] = {}
-        for i in range(len(bounds)):
-            assigned.setdefault(workers[i % len(workers)], []).append(i)
-        for worker_id, slots in assigned.items():
-            for i in slots:
-                if not pool.start(worker_id, "materialize", tuple(bounds[i])):
-                    break
-        for worker_id, slots in assigned.items():
-            for i in slots:
-                value = pool.finish(worker_id)
-                if value is None:
-                    break
-                results[i] = SliceResult.from_arrays(value)
-        return results
-
-    return executor
 
 
 class ShardRouter:
@@ -558,510 +478,3 @@ class ShardRouter:
         self._segments = []
         self._published_version = None
         self.store.close()
-
-
-# ----------------------------------------------------------------------
-# Worker processes
-# ----------------------------------------------------------------------
-def _worker_main(conn: Any, segments: list[str]) -> None:  # pragma: no cover
-    """Worker process loop: attach segments, serve sample/predict commands.
-
-    Covered by the pool round-trip tests, but excluded from coverage
-    accounting because it runs in a forked child.
-    """
-    attached = [attach_segment(name) for name in segments]
-
-    def rebuild() -> ShardIndex:
-        arrays: dict[str, np.ndarray] = {}
-        meta: dict[str, Any] = {}
-        for seg in attached:
-            arrays.update(seg.arrays)
-            if "types" in seg.meta:
-                meta = seg.meta
-        return ShardIndex.from_payload(arrays, meta)
-
-    index = rebuild()
-    bundle: dict[str, Any] | None = None
-    features_cache: dict[str, Any] = {}
-    lambda_state: HAGState | None = None
-    lambda_segment: Any = None
-    mat: dict[str, Any] | None = None
-    mat_segment: Any = None
-    while True:
-        try:
-            command, payload = conn.recv()
-        except (EOFError, OSError):
-            break
-        try:
-            if command == "ping":
-                conn.send(("ok", os.getpid()))
-            elif command == "attach":
-                for seg in attached:
-                    seg.close()
-                attached = [attach_segment(name) for name in payload]
-                for seg in features_cache.values():
-                    seg.close()
-                features_cache.clear()
-                index = rebuild()
-                conn.send(("ok", index.version))
-            elif command == "resolve":
-                keys, fanout = payload
-                conn.send(
-                    (
-                        "ok",
-                        [
-                            index.select_neighbors(node, BehaviorType(value), fanout)
-                            for node, value in keys
-                        ],
-                    )
-                )
-            elif command == "sample":
-                targets, hops, fanout, allowed = payload
-                subgraphs, stats = index_sample_batch(
-                    index, targets, hops=hops, fanout=fanout, allowed=allowed
-                )
-                conn.send(("ok", (subgraphs, stats)))
-            elif command == "model":
-                bundle = pickle.loads(payload)
-                conn.send(("ok", None))
-            elif command == "predict":
-                targets, hops, fanout, features = payload
-                if isinstance(features, str):
-                    if features not in features_cache:
-                        features_cache[features] = attach_segment(features)
-                    features = features_cache[features].arrays["features"]
-                subgraphs, stats = index_sample_batch(
-                    index, targets, hops=hops, fanout=fanout
-                )
-                if bundle is None:
-                    raise RuntimeError("no model loaded")
-                scaled = [
-                    bundle["scaler"].transform(
-                        features[np.asarray(sub.nodes, dtype=np.int64)]
-                    )
-                    for sub in subgraphs
-                ]
-                probabilities = bundle["model"].predict_subgraphs(
-                    subgraphs, scaled, edge_type_order=bundle["edge_type_order"]
-                )
-                conn.send(("ok", (list(probabilities), stats)))
-            elif command == "lambda_attach":
-                if lambda_segment is not None:
-                    lambda_segment.close()
-                lambda_segment = attach_segment(payload)
-                lambda_state = HAGState.from_arrays(lambda_segment.arrays)
-                conn.send(("ok", lambda_state.bn_version))
-            elif command == "lambda_lookup":
-                if lambda_state is None:
-                    raise RuntimeError("no lambda state attached")
-                scores: list[float | None] = []
-                for uid, txn_id, at in payload:
-                    hit = lambda_state.lookup(int(uid), int(txn_id), float(at))
-                    scores.append(None if hit is None else float(hit[0]))
-                conn.send(("ok", scores))
-            elif command == "materialize_attach":
-                # One published segment carries the whole sweep's inputs:
-                # the SampledGraph payload (``sg:`` prefix), the sorted
-                # target uids, per-position context feature rows, and
-                # per-target transaction feature rows.
-                if mat_segment is not None:
-                    mat_segment.close()
-                mat_segment = attach_segment(payload)
-                arrays = mat_segment.arrays
-                meta = mat_segment.meta
-                sampled = SampledGraph.from_payload(
-                    {
-                        key[3:]: value
-                        for key, value in arrays.items()
-                        if key.startswith("sg:")
-                    },
-                    meta["sampled"],
-                )
-                mat = {
-                    "sampled": sampled,
-                    "uids": np.asarray(arrays["uids"], dtype=np.int64),
-                    "context_rows": arrays["context_rows"],
-                    "target_rows": arrays["target_rows"],
-                    "allowed_mask": (
-                        np.asarray(arrays["allowed_mask"], dtype=bool)
-                        if "allowed_mask" in arrays
-                        else None
-                    ),
-                    "hops": int(meta["hops"]),
-                    "chunk": int(meta["chunk"]),
-                }
-                conn.send(("ok", sampled.version))
-            elif command == "materialize":
-                if mat is None:
-                    raise RuntimeError("no materialize inputs attached")
-                if bundle is None:
-                    raise RuntimeError("no model loaded")
-                lo, hi = payload
-                sampled = mat["sampled"]
-                context_rows = mat["context_rows"]
-                target_rows = mat["target_rows"]
-
-                def feature_fn(k: int, nodes: Any) -> np.ndarray:
-                    plist = sampled.positions_of(
-                        np.asarray(nodes, dtype=np.int64)
-                    )
-                    rows = context_rows[np.maximum(plist, 0)]
-                    rows[0] = target_rows[k]
-                    return rows
-
-                result = score_slice(
-                    bundle["model"],
-                    sampled,
-                    mat["uids"],
-                    np.arange(lo, hi, dtype=np.int64),
-                    feature_fn,
-                    hops=mat["hops"],
-                    edge_type_order=bundle["edge_type_order"],
-                    allowed_mask=mat["allowed_mask"],
-                    transform=bundle["scaler"].transform,
-                    chunk=mat["chunk"],
-                )
-                conn.send(("ok", result.to_arrays()))
-            elif command == "crash":
-                os._exit(13)
-            elif command == "stop":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("error", f"unknown command {command!r}"))
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            try:
-                conn.send(("error", repr(exc)))
-            except (BrokenPipeError, OSError):
-                break
-    # Drop index/feature/lambda views before closing the mappings, else
-    # close() hits BufferError and GC replays it noisily at interpreter exit.
-    index = None
-    lambda_state = None
-    mat = None
-    closing = list(attached) + list(features_cache.values())
-    if lambda_segment is not None:
-        closing.append(lambda_segment)
-    if mat_segment is not None:
-        closing.append(mat_segment)
-    for seg in closing:
-        seg.close()
-
-
-class ShardWorkerPool:
-    """A fleet of forked worker processes serving from shared segments.
-
-    Worker ``i`` is the serving replica for shard ``i % n_shards``; every
-    worker maps the *whole* published index read-only (it is one shared
-    segment set — per-shard memory cost is the mapping, not a copy), so any
-    worker can also serve whole sub-batches (``sample``/``predict``), which
-    is how the benchmark partitions request load across shards.  A dead
-    worker is detected on the next call and excluded; the caller falls back
-    in-process — the shared segments are owned by the publisher and survive
-    any worker crash.
-
-    The pool satisfies the :class:`~repro.system.service.Service` protocol
-    (``name``/``ping``/``stats``/``handle``) and is autoscaling-aware:
-    :meth:`scale_to` forks additional workers against the stored segment
-    set (re-sending the model payload) or retires workers from the tail,
-    so the :class:`~repro.system.queue.Autoscaler` can drive a forked pool
-    exactly like the in-process simulated one.
-    """
-
-    def __init__(
-        self,
-        segments: list[str],
-        n_workers: int,
-        model_payload: bytes | None = None,
-        timeout: float = 60.0,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.timeout = timeout
-        self._segments = list(segments)
-        self._model_payload = model_payload
-        self._workers: list[dict[str, Any]] = []
-        self._scale_ups = 0
-        self._scale_downs = 0
-        for _ in range(n_workers):
-            self._spawn_worker()
-
-    def _spawn_worker(self) -> int:
-        """Fork one worker against the stored segments; returns its id."""
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_main, args=(child_conn, list(self._segments)), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        self._workers.append({"process": process, "conn": parent_conn, "alive": True})
-        worker_id = len(self._workers) - 1
-        if self._model_payload is not None:
-            self.call(worker_id, "model", self._model_payload)
-        return worker_id
-
-    def _retire_worker(self) -> None:
-        """Stop and join the last worker in the pool."""
-        worker = self._workers.pop()
-        if worker["alive"]:
-            try:
-                worker["conn"].send(("stop", None))
-                worker["conn"].poll(self.timeout)
-            except (BrokenPipeError, OSError):
-                pass
-        worker["conn"].close()
-        worker["process"].join(timeout=5.0)
-        if worker["process"].is_alive():  # pragma: no cover - defensive
-            worker["process"].terminate()
-        worker["alive"] = False
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._workers)
-
-    # ------------------------------------------------------------------
-    # Service protocol + autoscaling surface
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """Stable component name (``Service`` protocol)."""
-        return "shard_worker_pool"
-
-    @property
-    def size(self) -> int:
-        """Workers currently able to serve (the autoscaler's pool size)."""
-        return self.alive_count()
-
-    def ping(self) -> float:
-        """Liveness probe; raises when no worker process can serve."""
-        from .storage import StorageError
-
-        for worker_id in range(self.n_workers):
-            if self.call(worker_id, "ping") is not None:
-                return 0.0
-        raise StorageError("no live shard workers in the pool")
-
-    def stats(self) -> dict[str, float]:
-        """Flat dict of pool counters (dashboard snapshot)."""
-        return {
-            "workers": float(self.n_workers),
-            "alive": float(self.alive_count()),
-            "scale_ups": float(self._scale_ups),
-            "scale_downs": float(self._scale_downs),
-        }
-
-    def handle(self, request: Any, span: Any = None) -> tuple[Any, float]:
-        """Serve one ``(worker_id, command, payload)`` round-trip.
-
-        Returns ``(value, 0.0)`` — worker round-trips are real wall time,
-        not charged simulated seconds, so nothing is added to a breakdown.
-        """
-        worker_id, command, payload = request
-        return self.call(worker_id, command, payload), 0.0
-
-    def scale_to(self, n: int, now: float = 0.0) -> int:
-        """Grow/shrink the pool to ``n`` live workers; returns the new size.
-
-        Growth forks fresh processes against the stored segment set (and
-        replays the model payload); shrinking retires workers from the
-        tail, which preserves the ``shard_id % n_workers`` routing of the
-        survivors.  ``now`` is accepted for interface parity with the
-        simulated pool (forked workers are usable as soon as the fork
-        returns).
-        """
-        if n < 1:
-            raise ValueError("cannot scale below one worker")
-        while self.alive_count() < n:
-            self._spawn_worker()
-            self._scale_ups += 1
-        while self.n_workers > n and self.alive_count() > n:
-            self._retire_worker()
-            self._scale_downs += 1
-        return self.alive_count()
-
-    def alive(self, worker_id: int) -> bool:
-        """Whether ``worker_id``'s process is still serving."""
-        return bool(self._workers[worker_id]["alive"])
-
-    def alive_count(self) -> int:
-        """Number of workers still serving."""
-        return sum(1 for worker in self._workers if worker["alive"])
-
-    def call(self, worker_id: int, command: str, payload: Any = None) -> Any:
-        """Round-trip one command; returns ``None`` when the worker is dead.
-
-        Death (pipe EOF, crash, timeout) is recorded so later calls skip
-        the worker; a worker-side exception is re-raised here.
-        """
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return None
-        conn = worker["conn"]
-        try:
-            conn.send((command, payload))
-            if not conn.poll(self.timeout):
-                raise EOFError("worker timed out")
-            status, value = conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
-            worker["alive"] = False
-            worker["process"].join(timeout=1.0)
-            return None
-        if status == "error":
-            raise RuntimeError(f"shard worker {worker_id} failed: {value}")
-        return value
-
-    def start(self, worker_id: int, command: str, payload: Any = None) -> bool:
-        """Send one command without waiting — pair with :meth:`finish`.
-
-        Splitting :meth:`call` lets a driver pipeline work across workers
-        (send to all, then collect), so slices score concurrently.  Returns
-        ``False`` when the worker is dead or the pipe broke on send.
-        """
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return False
-        try:
-            worker["conn"].send((command, payload))
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            worker["alive"] = False
-            worker["process"].join(timeout=1.0)
-            return False
-        return True
-
-    def finish(self, worker_id: int) -> Any:
-        """Collect one pending reply from :meth:`start` (None when dead)."""
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return None
-        conn = worker["conn"]
-        try:
-            if not conn.poll(self.timeout):
-                raise EOFError("worker timed out")
-            status, value = conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
-            worker["alive"] = False
-            worker["process"].join(timeout=1.0)
-            return None
-        if status == "error":
-            raise RuntimeError(f"shard worker {worker_id} failed: {value}")
-        return value
-
-    def materialize_attach(self, worker_id: int, segment: str) -> int | None:
-        """Attach one published full-graph sweep input segment zero-copy.
-
-        The segment comes from :func:`publish_materialize_inputs`.  Returns
-        the attached :class:`SampledGraph`'s BN version, or ``None`` when
-        the worker is dead.
-        """
-        return self.call(worker_id, "materialize_attach", str(segment))
-
-    def materialize_slice(self, worker_id: int, lo: int, hi: int) -> SliceResult | None:
-        """Score one ``[lo, hi)`` slice of the attached sweep's targets."""
-        value = self.call(worker_id, "materialize", (int(lo), int(hi)))
-        if value is None:
-            return None
-        return SliceResult.from_arrays(value)
-
-    def resolve(
-        self, shard_id: int, keys: list[tuple[int, BehaviorType]], fanout: int | None
-    ) -> list[list[int]] | None:
-        """Rank one shard's selection keys on its worker (None when dead)."""
-        worker_id = shard_id % self.n_workers
-        wire_keys = [(int(node), btype.value) for node, btype in keys]
-        return self.call(worker_id, "resolve", (wire_keys, fanout))
-
-    def sample(
-        self,
-        worker_id: int,
-        targets: Sequence[int],
-        hops: int = 2,
-        fanout: int | None = 25,
-        allowed: set[int] | None = None,
-    ) -> tuple[list[ComputationSubgraph], BatchSampleStats] | None:
-        """Sample a sub-batch on one worker (None when the worker is dead)."""
-        return self.call(
-            worker_id, "sample", ([int(t) for t in targets], hops, fanout, allowed)
-        )
-
-    def predict(
-        self,
-        worker_id: int,
-        targets: Sequence[int],
-        features: np.ndarray | str,
-        hops: int = 2,
-        fanout: int | None = 25,
-    ) -> tuple[list[float], BatchSampleStats] | None:
-        """Sample + packed HAG inference for a sub-batch on one worker.
-
-        ``features`` is a uid-indexed matrix, either inline or the name of
-        a published feature segment the worker attaches zero-copy.
-        """
-        return self.call(
-            worker_id, "predict", ([int(t) for t in targets], hops, fanout, features)
-        )
-
-    def lambda_attach(self, worker_id: int, segment: str) -> int | None:
-        """Attach one published lambda (cached HAG state) segment zero-copy.
-
-        Returns the attached state's BN version, or ``None`` when the
-        worker is dead.
-        """
-        return self.call(worker_id, "lambda_attach", str(segment))
-
-    def lambda_lookup(
-        self, worker_id: int, triples: Sequence[tuple[int, int, float]]
-    ) -> list[float | None] | None:
-        """Serve cached scores for ``(uid, txn_id, now)`` triples.
-
-        Each slot is the cached probability, or ``None`` when the triple
-        misses the attached state (uncovered uid or a different
-        transaction).  The whole call returns ``None`` when the worker is
-        dead; staleness gating stays with the parent's
-        :class:`~repro.system.lambda_layer.LambdaLayer`, which owns the
-        delta index.
-        """
-        wire = [(int(u), int(t), float(at)) for u, t, at in triples]
-        return self.call(worker_id, "lambda_lookup", wire)
-
-    def reattach(self, segments: list[str]) -> int:
-        """Point every live worker at a newly published segment set."""
-        updated = 0
-        for worker_id in range(self.n_workers):
-            if self.call(worker_id, "attach", list(segments)) is not None:
-                updated += 1
-        return updated
-
-    def crash(self, worker_id: int) -> None:
-        """Test hook: hard-kill one worker (``os._exit`` in the child)."""
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return
-        try:
-            worker["conn"].send(("crash", None))
-        except (BrokenPipeError, OSError):
-            pass
-        worker["process"].join(timeout=5.0)
-        worker["alive"] = False
-
-    def close(self) -> None:
-        """Stop every live worker and join the processes."""
-        for worker_id, worker in enumerate(self._workers):
-            if worker["alive"]:
-                try:
-                    self.call(worker_id, "stop")
-                except RuntimeError:  # pragma: no cover - defensive
-                    pass
-            worker["conn"].close()
-            worker["process"].join(timeout=5.0)
-            if worker["process"].is_alive():  # pragma: no cover - defensive
-                worker["process"].terminate()
-            worker["alive"] = False
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

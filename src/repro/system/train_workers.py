@@ -1,9 +1,9 @@
 """Forked gradient workers for the parallel training engine.
 
-Generalizes the :class:`~repro.system.shard_router.ShardWorkerPool`
-pattern (fork context, pipe command loop, death-on-next-call detection,
-``start``/``finish`` pipelining, a ``crash`` hook for failover tests) to
-training: each worker attaches the
+A :class:`~repro.system.fork_pool.ForkPool` (fork context, pipe command
+loop, death-on-next-call detection, ``start``/``finish`` pipelining, a
+``crash`` hook for failover tests) whose command table serves training:
+each worker attaches the
 :class:`~repro.network.shm.SharedSnapshotStore` segment published by
 :func:`publish_train_inputs` — the presampled CSRs
 (:class:`~repro.core.train_engine.PresampledGraph` payload), the feature
@@ -33,7 +33,6 @@ copies, no behavioural difference.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from typing import Any
@@ -45,7 +44,8 @@ from ..core.train_engine import (
     _batch_gradient,
     assemble_minibatch,
 )
-from ..network.shm import SegmentHandle, SharedSnapshotStore, attach_segment
+from ..network.shm import SegmentHandle, SharedSnapshotStore
+from .fork_pool import ForkPool, WorkerState
 
 __all__ = ["publish_train_inputs", "TrainWorkerPool"]
 
@@ -76,108 +76,86 @@ def publish_train_inputs(
     return store.publish("train-inputs", arrays, meta=meta, version=version)
 
 
-def _load_inputs(inputs: Any) -> tuple[Any, dict[str, np.ndarray], dict]:
-    """Resolve ``inputs`` to ``(segment_or_None, arrays, meta)``."""
+# ----------------------------------------------------------------------
+# Worker-side commands (run in the forked child)
+# ----------------------------------------------------------------------
+def _inputs(state: WorkerState, inputs: Any) -> None:
     if isinstance(inputs, str):
-        segment = attach_segment(inputs)
-        return segment, segment.arrays, segment.meta
-    arrays, meta = inputs  # in-process fallback: fork-inherited references
-    return None, arrays, meta
-
-
-def _train_worker_main(conn: Any, inputs: Any) -> None:  # pragma: no cover
-    """Worker process loop: rebuild inputs, serve gradient commands.
-
-    Covered by the pool round-trip tests, but excluded from coverage
-    accounting because it runs in a forked child.
-    """
-    segment, arrays, meta = _load_inputs(inputs)
-    presampled = PresampledGraph.from_payload(
-        {key[3:]: value for key, value in arrays.items() if key.startswith("pg:")},
-        meta["presample"],
+        (segment,) = state.attach("inputs", [inputs])
+        arrays, meta = segment.arrays, segment.meta
+    else:
+        arrays, meta = inputs  # in-process fallback: fork-inherited references
+    state.views.update(
+        presampled=PresampledGraph.from_payload(
+            {k[3:]: v for k, v in arrays.items() if k.startswith("pg:")},
+            meta["presample"],
+        ),
+        features=arrays["features"],
+        labels=arrays["labels"],
+        hops=int(meta["hops"]),
     )
-    features = arrays["features"]
-    labels = arrays["labels"]
-    hops = int(meta["hops"])
-    model = None
-    params: list = []
-    pos_weight = 1.0
-    rng = None  # seeded per worker; reserved for stochastic stages
-    while True:
-        try:
-            command, payload = conn.recv()
-        except (EOFError, OSError):
-            break
-        try:
-            if command == "ping":
-                conn.send(("ok", os.getpid()))
-            elif command == "model":
-                blob, seed = payload
-                bundle = pickle.loads(blob)
-                model = bundle["model"]
-                model.train()
-                params = model.parameters()
-                pos_weight = float(bundle["pos_weight"])
-                hops = int(bundle.get("hops", hops))
-                rng = np.random.default_rng(seed)
-                conn.send(("ok", len(params)))
-            elif command == "gradients":
-                if model is None:
-                    raise RuntimeError("no model loaded")
-                state, wire_batches = payload
-                started = time.perf_counter()
-                for param, array in zip(params, state):
-                    param.data = np.asarray(array, dtype=np.float64)
-                grads_out, losses, node_counts = [], [], []
-                for batch in wire_batches:
-                    mb = assemble_minibatch(
-                        presampled,
-                        features,
-                        labels,
-                        np.asarray(batch, dtype=np.int64),
-                        hops,
-                    )
-                    grads, loss = _batch_gradient(model, params, mb, pos_weight)
-                    grads_out.append(grads)
-                    losses.append(loss)
-                    node_counts.append(len(mb.nodes))
-                busy = time.perf_counter() - started
-                conn.send(("ok", (grads_out, losses, node_counts, busy)))
-            elif command == "crash":
-                os._exit(13)
-            elif command == "stop":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("error", f"unknown command {command!r}"))
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            try:
-                conn.send(("error", repr(exc)))
-            except (BrokenPipeError, OSError):
-                break
-    # Drop array views before closing the mapping, else close() hits
-    # BufferError and GC replays it noisily at interpreter exit.
-    presampled = None
-    features = None
-    labels = None
-    arrays = None
-    del rng
-    if segment is not None:
-        segment.close()
 
 
-class TrainWorkerPool:
+def _model(state: WorkerState, payload: tuple[bytes, int]) -> int:
+    blob, seed = payload
+    bundle = pickle.loads(blob)  # only what the parent itself serialized
+    model = bundle["model"]
+    model.train()
+    params = model.parameters()
+    state.views.update(
+        model=model,
+        params=params,
+        pos_weight=float(bundle["pos_weight"]),
+        hops=int(bundle.get("hops", state.views["hops"])),
+        # seeded per worker; reserved for stochastic stages
+        rng=np.random.default_rng(seed),
+    )
+    return len(params)
+
+
+def _gradients(state: WorkerState, payload: Any) -> tuple:
+    views = state.views
+    if "model" not in views:
+        raise RuntimeError("no model loaded")
+    param_state, wire_batches = payload
+    started = time.perf_counter()
+    model, params = views["model"], views["params"]
+    for param, array in zip(params, param_state):
+        param.data = np.asarray(array, dtype=np.float64)
+    grads_out, losses, node_counts = [], [], []
+    for batch in wire_batches:
+        mb = assemble_minibatch(
+            views["presampled"],
+            views["features"],
+            views["labels"],
+            np.asarray(batch, dtype=np.int64),
+            views["hops"],
+        )
+        grads, loss = _batch_gradient(model, params, mb, views["pos_weight"])
+        grads_out.append(grads)
+        losses.append(loss)
+        node_counts.append(len(mb.nodes))
+    busy = time.perf_counter() - started
+    return grads_out, losses, node_counts, busy
+
+
+_COMMANDS = {"inputs": _inputs, "model": _model, "gradients": _gradients}
+
+
+class TrainWorkerPool(ForkPool):
     """A fleet of forked gradient workers over one published input segment.
 
-    Worker lifecycle mirrors :class:`~repro.system.shard_router.ShardWorkerPool`:
-    fork context (the parent's imports and the fallback-mode input arrays
-    are inherited copy-on-write), daemon processes, pipe command loop,
-    death detected on the next call and reported as ``None`` so the engine
-    can fail the batches over to in-process computation.  The model payload
-    (plus a per-worker seed from the config's ``workers`` stream) is
-    replayed whenever a worker is spawned, so scaling up mid-run yields
-    workers indistinguishable from the originals.
+    The fork context means the parent's imports and the fallback-mode
+    input arrays are inherited copy-on-write; a dead worker comes back as
+    ``None`` so the engine can fail its batches over to in-process
+    computation.  The model payload (plus a per-worker seed from the
+    config's ``workers`` stream) is replayed whenever a worker is spawned,
+    so scaling up mid-run yields workers indistinguishable from the
+    originals.
     """
+
+    commands = _COMMANDS
+    label = "train worker"
 
     def __init__(
         self,
@@ -187,33 +165,15 @@ class TrainWorkerPool:
         worker_seeds: list[int] | None = None,
         timeout: float = 120.0,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.timeout = timeout
         self._inputs = inputs
         self._model_payload = model_payload
         self._worker_seeds = list(worker_seeds or [])
-        self._workers: list[dict[str, Any]] = []
-        for _ in range(n_workers):
-            self._spawn_worker()
+        super().__init__(n_workers, timeout)
 
-    def _spawn_worker(self) -> int:
-        """Fork one worker against the stored inputs; returns its id."""
-        import multiprocessing as mp
+    def _startup(self) -> tuple[str, Any]:
+        return "inputs", self._inputs
 
-        ctx = mp.get_context("fork")
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_train_worker_main,
-            args=(child_conn, self._inputs),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._workers.append(
-            {"process": process, "conn": parent_conn, "alive": True}
-        )
-        worker_id = len(self._workers) - 1
+    def _on_spawn(self, worker_id: int) -> None:
         if self._model_payload is not None:
             seed = (
                 self._worker_seeds[worker_id]
@@ -221,76 +181,6 @@ class TrainWorkerPool:
                 else worker_id
             )
             self.call(worker_id, "model", (self._model_payload, seed))
-        return worker_id
-
-    @property
-    def n_workers(self) -> int:
-        return len(self._workers)
-
-    def alive(self, worker_id: int) -> bool:
-        """Whether ``worker_id``'s process is still serving."""
-        return bool(self._workers[worker_id]["alive"])
-
-    def alive_count(self) -> int:
-        """Number of workers still serving."""
-        return sum(1 for worker in self._workers if worker["alive"])
-
-    # ------------------------------------------------------------------
-    # Command round-trips
-    # ------------------------------------------------------------------
-    def call(self, worker_id: int, command: str, payload: Any = None) -> Any:
-        """Round-trip one command; returns ``None`` when the worker is dead.
-
-        Death (pipe EOF, crash, timeout) is recorded so later calls skip
-        the worker; a worker-side exception is re-raised here.
-        """
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return None
-        conn = worker["conn"]
-        try:
-            conn.send((command, payload))
-            if not conn.poll(self.timeout):
-                raise EOFError("worker timed out")
-            status, value = conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
-            worker["alive"] = False
-            worker["process"].join(timeout=1.0)
-            return None
-        if status == "error":
-            raise RuntimeError(f"train worker {worker_id} failed: {value}")
-        return value
-
-    def start(self, worker_id: int, command: str, payload: Any = None) -> bool:
-        """Send one command without waiting — pair with :meth:`finish`."""
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return False
-        try:
-            worker["conn"].send((command, payload))
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            worker["alive"] = False
-            worker["process"].join(timeout=1.0)
-            return False
-        return True
-
-    def finish(self, worker_id: int) -> Any:
-        """Collect one pending reply from :meth:`start` (None when dead)."""
-        worker = self._workers[worker_id]
-        if not worker["alive"]:
-            return None
-        conn = worker["conn"]
-        try:
-            if not conn.poll(self.timeout):
-                raise EOFError("worker timed out")
-            status, value = conn.recv()
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
-            worker["alive"] = False
-            worker["process"].join(timeout=1.0)
-            return None
-        if status == "error":
-            raise RuntimeError(f"train worker {worker_id} failed: {value}")
-        return value
 
     # -- convenience wrappers (the engine's vocabulary) -----------------
     def gradients(
@@ -304,23 +194,3 @@ class TrainWorkerPool:
     ) -> bool:
         """Pipelined variant of :meth:`gradients` (collect with finish)."""
         return self.start(worker_id, "gradients", (state, batches))
-
-    def crash(self, worker_id: int) -> None:
-        """Hard-kill one worker (failover tests)."""
-        self.start(worker_id, "crash")
-        self._workers[worker_id]["process"].join(timeout=5.0)
-
-    def close(self) -> None:
-        """Stop every worker and join the processes."""
-        for worker in self._workers:
-            if worker["alive"]:
-                try:
-                    worker["conn"].send(("stop", None))
-                    worker["conn"].poll(self.timeout)
-                except (BrokenPipeError, OSError):
-                    pass
-            worker["conn"].close()
-            worker["process"].join(timeout=5.0)
-            if worker["process"].is_alive():  # pragma: no cover - defensive
-                worker["process"].terminate()
-            worker["alive"] = False

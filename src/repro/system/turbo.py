@@ -33,7 +33,6 @@ degradation level that served it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -71,51 +70,6 @@ _PIPELINE_STAGES = (
     ("feature_fetch", "features"),
     ("inference", "prediction"),
 )
-
-#: Legacy entry points that already warned this process (PR 3 deprecation
-#: endgame: each shim warns once, not per call).
-_LEGACY_WARNED: set[str] = set()
-
-
-def _warn_legacy(key: str, message: str, stacklevel: int) -> None:
-    """Emit one :class:`DeprecationWarning` per legacy entry point."""
-    if key in _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
-def _reset_legacy_warnings() -> None:
-    """Re-arm the once-per-process legacy warnings (test helper)."""
-    _LEGACY_WARNED.clear()
-
-
-def _coerce_legacy_predict(args: tuple, kwargs: dict) -> PredictRequest:
-    """The one legacy shim behind ``Turbo.predict``'s positional shapes.
-
-    Handles both deprecated call shapes — ``predict(txn, now=...)`` and
-    ``predict(uid, txn, now=...)`` — with a single once-per-process
-    :class:`DeprecationWarning`.  ``PredictRequest`` / ``handle_request``
-    are the documented entry points.
-    """
-    _warn_legacy(
-        "predict",
-        "positional Turbo.predict(...) shapes are deprecated; pass a "
-        "PredictRequest (or call Turbo.handle_request)",
-        stacklevel=5,
-    )
-    kwargs = dict(kwargs)
-    uid = None
-    if args and isinstance(args[0], (int, np.integer)):
-        uid = int(args[0])
-        args = args[1:]
-    txn = args[0] if args else kwargs.pop("txn")
-    now = args[1] if len(args) > 1 else kwargs.pop("now", None)
-    if len(args) > 2 or kwargs:
-        extra = sorted(kwargs) if kwargs else list(args[2:])
-        raise TypeError(f"unexpected predict() arguments: {extra}")
-    return PredictRequest(txn=txn, uid=uid, now=now)
-
 
 @dataclass(slots=True)
 class TurboResponse:
@@ -248,23 +202,24 @@ class Turbo:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def predict(self, *args: Any, **kwargs: Any) -> TurboResponse:
+    def predict(self, request: PredictRequest) -> TurboResponse:
         """Serve one detection request (Fig. 2's numbered flow).
 
-        Canonical call: ``predict(PredictRequest(txn=txn, now=...))``.  The
-        legacy positional shapes ``predict(txn, now=...)`` and
-        ``predict(uid, txn, now=...)`` still work (identical responses) but
-        emit a :class:`DeprecationWarning`; use :meth:`handle_request` for
-        a warning-free transaction-first entry point.
+        :meth:`handle_request` is the transaction-first entry point.
 
         Never raises on component failure: the graph path runs under the
         retry policy, circuit breaker and latency budget, and falls back to
         the scorecard/blocklist ladder when it cannot answer.
         """
-        return self._serve(self._coerce_request(args, kwargs))
+        if not isinstance(request, PredictRequest):
+            raise TypeError(
+                "predict takes a PredictRequest, got "
+                f"{type(request).__name__}"
+            )
+        return self._serve(request)
 
     def handle_request(self, txn: Transaction, now: float | None = None) -> TurboResponse:
-        """Transaction-first alias of :meth:`predict` (no deprecation noise)."""
+        """Transaction-first alias of :meth:`predict`."""
         return self._serve(PredictRequest(txn=txn, now=now))
 
     def predict_batch(self, requests: Sequence[PredictRequest]) -> list[TurboResponse]:
@@ -571,23 +526,6 @@ class Turbo:
         self.tracer.finish_trace(batch, wall)
         return responses
 
-    def _coerce_request(self, args: tuple, kwargs: dict) -> PredictRequest:
-        """Normalize ``predict`` input: the canonical request, or the shim.
-
-        ``predict(request)`` / ``predict(request=...)`` are canonical;
-        everything else is routed through the single legacy shim
-        (:func:`_coerce_legacy_predict`), which warns once per process.
-        """
-        if "request" in kwargs:
-            if args or len(kwargs) > 1:
-                raise TypeError("predict(request=...) takes no other arguments")
-            return kwargs["request"]
-        if args and isinstance(args[0], PredictRequest):
-            if len(args) > 1 or kwargs:
-                raise TypeError("predict(request) takes no other arguments")
-            return args[0]
-        return _coerce_legacy_predict(args, kwargs)
-
     def _serve(self, request: PredictRequest) -> TurboResponse:
         """Serve one normalized request and close its trace."""
         txn = request.txn
@@ -874,15 +812,11 @@ def deploy_turbo(
     config: TurboConfig | None = None,
     *,
     data: ExperimentData | None = None,
-    **legacy_kwargs: Any,
 ) -> tuple[Turbo, ExperimentData]:
     """Train HAG on ``dataset`` and stand up the full online system.
 
-    Canonical call: ``deploy_turbo(dataset, TurboConfig(...))``.  The
-    legacy keyword style (``deploy_turbo(dataset, threshold=..., ...)``)
-    still works — the keywords are collected into a
-    :class:`~repro.system.config.TurboConfig`; mixing both styles is an
-    error.
+    ``config`` defaults to the paper's deployed settings
+    (:class:`~repro.system.config.TurboConfig`).
 
     Returns ``(turbo, experiment_data)`` — the experiment bundle is exposed
     so benchmarks can score the same split online and offline.  The deployed
@@ -899,19 +833,7 @@ def deploy_turbo(
     :class:`~repro.system.storage.ReplicatedStore` (Section V's disaster
     backup).
     """
-    if config is not None and legacy_kwargs:
-        raise TypeError(
-            "pass either a TurboConfig or legacy keyword arguments, not both"
-        )
-    if config is None:
-        if legacy_kwargs:
-            _warn_legacy(
-                "deploy",
-                "deploy_turbo(**kwargs) is deprecated; pass a TurboConfig",
-                stacklevel=3,
-            )
-        config = TurboConfig(**legacy_kwargs)
-
+    config = config or TurboConfig()
     if data is None:
         data = prepare_experiment(
             dataset, windows=config.windows, seed=config.seed, include_stats=True

@@ -6,12 +6,17 @@ preparation) run once for the whole suite.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro.datagen import Dataset, GeneratorConfig, LeasingPlatformSimulator
 from repro.eval.runner import ExperimentData, prepare_experiment
 from repro.network import BehaviorNetwork, BNBuilder, FAST_WINDOWS
+from repro.network.shm import SharedSnapshotStore
 
 
 def tiny_generator_config(**overrides) -> GeneratorConfig:
@@ -56,3 +61,39 @@ def tiny_experiment_with_stats(
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def repro_segments() -> set[str]:
+    """Names of this package's shared-memory segments currently in /dev/shm."""
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+    except FileNotFoundError:  # no POSIX shm: stores fall back in-process
+        return set()
+
+
+def assert_no_leaks(segments_before: set[str]) -> None:
+    """No forked worker outlives its pool, no segment outlives its store.
+
+    A new segment is fine while a live :class:`SharedSnapshotStore` still
+    owns it (module-scoped deployments publish lazily); the scan for live
+    stores only runs when a new segment shows up.
+    """
+    children = multiprocessing.active_children()
+    assert not children, f"leaked worker processes: {children}"
+    if repro_segments() - segments_before:
+        owned = {
+            segment
+            for obj in gc.get_objects()
+            if isinstance(obj, SharedSnapshotStore)
+            for segment in obj.segments()
+        }
+        leaked = repro_segments() - segments_before - owned
+        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers_or_segments():
+    """Hygiene teardown on every test (ROADMAP item 4c)."""
+    before = repro_segments()
+    yield
+    assert_no_leaks(before)

@@ -4,13 +4,10 @@ Pins the PR 3 API-redesign satellites:
 
 * all four online servers satisfy the :class:`~repro.system.Service`
   protocol (``name`` / ``ping`` / ``stats`` / ``handle``);
-* ``Turbo.predict`` takes a frozen :class:`~repro.system.PredictRequest`;
-  the legacy positional shapes still work — behind one
-  once-per-process ``DeprecationWarning`` shim — and return identical
-  decisions;
-* ``deploy_turbo`` accepts a validated :class:`~repro.system.TurboConfig`
-  in place of loose kwargs (the kwargs style warns once), and rejects
-  mixing the two styles;
+* ``Turbo.predict`` takes a frozen :class:`~repro.system.PredictRequest`
+  and nothing else (the positional shapes are gone: ``TypeError``);
+* ``deploy_turbo`` takes a validated :class:`~repro.system.TurboConfig`,
+  not loose kwargs;
 * the active sampling tier satisfies the :class:`~repro.system.Sampler`
   protocol (PR 8's unification).
 """
@@ -29,7 +26,6 @@ from repro.system import (
     TurboConfig,
     deploy_turbo,
 )
-from repro.system.turbo import _reset_legacy_warnings
 
 pytestmark = pytest.mark.obs
 
@@ -129,32 +125,12 @@ class TestPredictShim:
             turbo.predict(PredictRequest(txn=txn, now=txn.audit_at))
             turbo.handle_request(txn, now=txn.audit_at)
 
-    def test_legacy_shapes_warn_once_and_match(self, deployed, turbo):
+    def test_positional_shapes_rejected(self, deployed, turbo):
         _, data = deployed
         txn = data.dataset.transactions[3]
-
-        canonical = turbo.predict(PredictRequest(txn=txn, now=txn.audit_at))
-        _reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            legacy_txn = turbo.predict(txn, now=txn.audit_at)
-        # The shim warns once per process, not per call: the second legacy
-        # call (even the other positional shape) stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            legacy_uid = turbo.predict(txn.uid, txn, txn.audit_at)
-
-        for legacy in (legacy_txn, legacy_uid):
-            assert legacy.probability == canonical.probability
-            assert legacy.blocked == canonical.blocked
-            assert legacy.uid == canonical.uid
-            assert legacy.txn_id == canonical.txn_id
-            assert legacy.degradation == canonical.degradation
-
-    def test_uid_first_shape_warns_after_reset(self, deployed, turbo):
-        _, data = deployed
-        txn = data.dataset.transactions[3]
-        _reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError, match="PredictRequest"):
+            turbo.predict(txn)
+        with pytest.raises(TypeError):
             turbo.predict(txn.uid, txn, txn.audit_at)
 
     def test_unexpected_kwargs_rejected(self, deployed, turbo):
@@ -192,18 +168,6 @@ class TestTurboConfig:
     def test_mixing_config_and_kwargs_rejected(self, tiny_dataset):
         with pytest.raises(TypeError):
             deploy_turbo(tiny_dataset, TurboConfig(), threshold=0.9)
-
-    def test_legacy_kwargs_warn_once(self, tiny_dataset):
-        _reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            deploy_turbo(
-                tiny_dataset, windows=FAST_WINDOWS, train_epochs=1, hidden=(4,)
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            deploy_turbo(
-                tiny_dataset, windows=FAST_WINDOWS, train_epochs=1, hidden=(4,)
-            )
 
     @pytest.mark.parametrize(
         "bad",
