@@ -2,45 +2,40 @@
 
 Scales the lambda batch tier to shard-relevant size (default 120 000 users,
 600 000 edge contributions streamed chunk-by-chunk via
-:mod:`repro.datagen.scale`, never materialized) and measures the PR-9
-materialization stack end to end.  Five sections, written to
-``BENCH_lambda_fullgraph.json`` in the repository root:
+:mod:`repro.datagen.scale`, never materialized) and measures the one
+materializer (:func:`~repro.core.lambda_infer.materialize`) end to end.
+Four sections, written to ``BENCH_lambda_fullgraph.json`` in the
+repository root:
 
 * ``fullgraph_sweep`` — one :class:`~repro.network.sampled_graph.SampledGraph`
-  build plus one :func:`~repro.core.lambda_infer.materialize_fullgraph`
-  sweep over every covered user (the gated configuration must cover
-  ≥ 100 000 users).  The sweep's scoring slices are executed one by one
-  and timed individually — exactly the work one
+  build plus one full pass (no prior) over every covered user (the gated
+  configuration must cover ≥ 100 000 users).  The headline figures are
+  absolute: ``single_process_s`` (sampled-graph build + the whole pass on
+  one core) and ``rows_per_s``.  The sweep's scoring slices are executed
+  one by one and timed individually — exactly the work one
   :class:`~repro.system.ShardWorkerPool` worker runs against the
-  shared-memory inputs — and combined as the **deployment clock**:
-  ``sampled-graph build + max(slice) + serial assemble`` (splice + layer
-  pass).  The container pins this harness to one CPU, so wall-clock
-  multi-process numbers would measure the scheduler, not the algorithm;
-  per-slice work timed individually and combined as ``max(slices)`` is
-  what 4 otherwise-idle cores execute (the same convention as
-  ``bench_sharding``).  The ``pool_sweep`` section proves the real forked
-  path bit-exact; the single-process wall clock is reported alongside;
-* ``replay_baseline`` — the legacy per-user union replay
-  (:func:`~repro.core.lambda_infer.materialize`) timed on a uniform target
-  sample and extrapolated linearly to the full population.  The replay is
-  the system the lambda tier actually ran before this change: one process,
-  one union-frontier batch against the live BN object — it cannot be
-  dispatched to pool workers, which hold shared-memory snapshots, not the
-  BN;
-* ``state_parity`` — the replay sample rerun through the full-graph path:
-  every :class:`~repro.core.lambda_infer.HAGState` array (scores, subgraph
-  CSR, every layer) must be **byte-identical**, and the big sweep's rows
-  for those targets must equal the replay's bits (chunk/slice invariance
-  at scale);
+  shared-memory inputs — and combined as the *modeled* **deployment
+  clock** ``deploy_s``: ``sampled-graph build + max(slice) + serial
+  assemble`` (splice + layer pass).  The container pins this harness to
+  one CPU, so wall-clock multi-process numbers would measure the
+  scheduler, not the algorithm; per-slice work timed individually and
+  combined as ``max(slices)`` is what 4 otherwise-idle cores execute (the
+  same convention as ``bench_sharding``).  The ``pool_sweep`` section
+  proves the real forked path bit-exact;
+* ``state_parity`` — a uniform target sample scored by the scalar serving
+  path (:func:`~repro.network.sampling.computation_subgraph` +
+  :meth:`~repro.core.hag.HAG.predict_subgraph`, one target at a time): the
+  big sweep's scores and subgraph rows for those targets must be
+  **byte-identical** (chunk/slice invariance at scale);
 * ``pool_sweep`` — the same sweep sharded across 4 forked workers over
   shared memory (:func:`~repro.system.publish_materialize_inputs` +
   :func:`~repro.system.fullgraph_executor`): byte-identical to the
   in-process sweep, and the :class:`SampledGraph` built off the 4-shard
   merged index is byte-identical to the single-network build;
-* ``incremental_refresh`` — a small random delta batch, then
-  :func:`~repro.core.lambda_infer.rematerialize` against the big sweep's
-  state: scores and subgraph CSR must be byte-equal a fresh full pass
-  while only the affected cone is recomputed.
+* ``incremental_refresh`` — a small random delta batch, then the same
+  function with the big sweep's state as its prior: scores and subgraph
+  CSR must be byte-equal a fresh full pass while only the affected cone
+  is recomputed (``incremental_s`` against ``fresh_fullpass_s``).
 
 Run it either way::
 
@@ -51,10 +46,7 @@ Acceptance gates (uniform contract via ``_shared.check_gates``; both modes
 exit nonzero when a gate regresses):
 
 * covered users ≥ 100 000 (``covered_scale`` = covered / 100 000 ≥ 1);
-* full-graph sweep deployment clock (sampled-graph build and the serial
-  assemble included, scoring sharded over 4 worker slices) ≥ 5× faster
-  than the linearly extrapolated single-process per-user replay;
-* replay-vs-fullgraph state parity == 1.0 (bit-for-bit);
+* sweep-vs-scalar-path state parity == 1.0 (bit-for-bit);
 * 4-worker pool sweep parity == 1.0 (bit-for-bit);
 * incremental work reduction ≥ 10× (covered rows / recomputed rows on the
   small delta);
@@ -80,11 +72,7 @@ import numpy as np
 import pytest
 
 from repro.core import HAG, materialize
-from repro.core.lambda_infer import (
-    materialize_fullgraph,
-    rematerialize,
-    score_slice,
-)
+from repro.core.lambda_infer import score_slice
 from repro.datagen import ScaleConfig, edge_stream
 from repro.features.pipeline import StandardScaler
 from repro.network import (
@@ -92,6 +80,7 @@ from repro.network import (
     ShardedBehaviorNetwork,
     build_sampled_graph,
 )
+from repro.network.sampling import computation_subgraph
 from repro.system import (
     ShardRouter,
     ShardWorkerPool,
@@ -189,37 +178,21 @@ class Sweep:
         targets = [int(t) for t in targets]
         return targets, [7 * t + 1 for t in targets], [self.now] * len(targets)
 
-    def fullgraph(self, targets, **kwargs):
-        uids, txn_ids, nows = self.ids(targets)
-        return materialize_fullgraph(
-            self.model, self.bn, uids, txn_ids, nows, self.feature_fn,
-            hops=HOPS, fanout=FANOUT, edge_type_order=self.types,
-            transform=self.scaler.transform, chunk=SCORE_CHUNK,
-            layer_features=self.rows(np.asarray(uids, dtype=np.int64)),
-            **kwargs,
-        )
-
-    def replay(self, targets):
-        uids, txn_ids, nows = self.ids(targets)
-        return materialize(
-            self.model, self.bn, uids, txn_ids, nows, self.feature_fn,
-            hops=HOPS, fanout=FANOUT, edge_type_order=self.types,
-            transform=self.scaler.transform, chunk=SCORE_CHUNK,
-            layer_features=self.rows(np.asarray(uids, dtype=np.int64)),
-        )
-
-    def incremental(self, prior, targets, sampled, touched):
+    def materialize(self, targets, **kwargs):
+        """One pass over ``targets``: full by default, a cone refresh when
+        ``prior`` / ``touched`` are passed."""
         uids, txn_ids, nows = self.ids(targets)
         target_arr = np.asarray(uids, dtype=np.int64)
 
         def layer_row_fn(rows):
             return self.rows(target_arr[np.asarray(rows, dtype=np.int64)])
 
-        return rematerialize(
-            self.model, self.bn, prior, uids, txn_ids, nows, self.feature_fn,
+        return materialize(
+            self.model, self.bn, uids, txn_ids, nows, self.feature_fn,
             hops=HOPS, fanout=FANOUT, edge_type_order=self.types,
             transform=self.scaler.transform, chunk=SCORE_CHUNK,
-            sampled=sampled, touched=touched, layer_row_fn=layer_row_fn,
+            layer_row_fn=layer_row_fn,
+            **kwargs,
         )
 
 
@@ -268,42 +241,27 @@ def state_mismatches(got, want) -> list[str]:
     ]
 
 
-def bench_replay_and_parity(sweep: Sweep, big_state, targets, deploy_s) -> dict:
-    """Time the legacy replay on a sample; pin bit-exactness both ways."""
+def bench_state_parity(sweep: Sweep, big_state, targets) -> dict:
+    """The big sweep's rows against the scalar serving path, bit for bit."""
     rng = np.random.default_rng(np.random.SeedSequence([sweep.config.seed, 7]))
     sample = np.sort(
         rng.choice(targets, size=min(REPLAY_SAMPLE, len(targets)), replace=False)
     )
-
-    start = time.perf_counter()
-    replay_state, replay_stats = sweep.replay(sample)
-    replay_s = time.perf_counter() - start
-    replay_est_s = replay_s * len(targets) / len(sample)
-
-    sample_state, sample_stats, _ = sweep.fullgraph(sample)
-    mismatched = state_mismatches(sample_state, replay_state)
-    assert sample_stats == replay_stats, "sample stats diverged from replay"
-
-    # The big sweep's rows for the sampled targets must carry the same bits
-    # (per-target scores are chunk/slice invariant by construction).
-    rows = np.searchsorted(big_state.node_ids, sample)
-    if big_state.scores[rows].tobytes() != replay_state.scores.tobytes():
-        mismatched.append("big-sweep scores")
-    for row, k in zip(rows, range(len(sample))):
-        lo, hi = big_state.subgraph_indptr[row], big_state.subgraph_indptr[row + 1]
-        slo, shi = replay_state.subgraph_indptr[k], replay_state.subgraph_indptr[k + 1]
-        big_nodes = big_state.subgraph_nodes[lo:hi]
-        if big_nodes.tobytes() != replay_state.subgraph_nodes[slo:shi].tobytes():
-            mismatched.append(f"big-sweep subgraph row {k}")
-            break
-
+    mismatched = []
+    for uid, row in zip(sample, np.searchsorted(big_state.node_ids, sample)):
+        subgraph = computation_subgraph(sweep.bn, int(uid), hops=HOPS, fanout=FANOUT)
+        score = sweep.model.predict_subgraph(
+            subgraph,
+            sweep.scaler.transform(sweep.feature_fn(None, subgraph.nodes)),
+            edge_type_order=sweep.types,
+        )
+        if big_state.scores[row] != score:
+            mismatched.append(f"score of uid {uid}")
+        if big_state.subgraph_of(row).tolist() != list(subgraph.nodes):
+            mismatched.append(f"subgraph row of uid {uid}")
     return {
         "sample": int(len(sample)),
-        "replay_sample_s": replay_s,
-        "replay_extrapolated_s": replay_est_s,
-        "fullgraph_deploy_s": deploy_s,
-        "speedup": replay_est_s / deploy_s,
-        "mismatched_arrays": mismatched,
+        "mismatched_arrays": mismatched[:8],
         "parity": 1.0 if not mismatched else 0.0,
     }
 
@@ -324,7 +282,7 @@ def bench_pool_sweep(sweep: Sweep, sharded, sampled, bundle, targets) -> dict:
         for name in base_arrays
     )
 
-    reference, reference_stats, _ = sweep.fullgraph(pool_targets, sampled=sampled)
+    reference, reference_stats, _ = sweep.materialize(pool_targets, sampled=sampled)
     payload = pickle.dumps(
         {
             "model": bundle["model"],
@@ -356,7 +314,7 @@ def bench_pool_sweep(sweep: Sweep, sharded, sampled, bundle, targets) -> dict:
                 f"worker attach versions {attached} != sampled v{sampled.version}"
             )
             start = time.perf_counter()
-            pooled, pooled_stats, mstats = sweep.fullgraph(
+            pooled, pooled_stats, mstats = sweep.materialize(
                 pool_targets,
                 sampled=sampled,
                 executor=fullgraph_executor(pool),
@@ -400,11 +358,13 @@ def bench_incremental(sweep: Sweep, prior, targets) -> dict:
 
     sampled = build_sampled_graph(sweep.bn, FANOUT)
     start = time.perf_counter()
-    fresh, _, _ = sweep.fullgraph(targets, sampled=sampled)
+    fresh, _, _ = sweep.materialize(targets, sampled=sampled)
     fresh_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    state, _, mstats = sweep.incremental(prior, targets, sampled, touched)
+    state, _, mstats = sweep.materialize(
+        targets, sampled=sampled, prior=prior, touched=touched
+    )
     incremental_s = time.perf_counter() - start
 
     mismatched = []
@@ -468,7 +428,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         sampled_s = time.perf_counter() - start
         slice_s: list[float] = []
         start = time.perf_counter()
-        big_state, _, big_mstats = sweep.fullgraph(
+        big_state, _, big_mstats = sweep.materialize(
             targets,
             sampled=sampled,
             executor=timed_slice_executor(sweep, sampled, targets, slice_s),
@@ -504,25 +464,17 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
             f"{big_mstats.edges_touched:,} induced entries)"
         )
 
-        replay = bench_replay_and_parity(sweep, big_state, targets, deploy_s)
-        sections["replay_baseline"] = {
-            k: replay[k]
-            for k in (
-                "sample", "replay_sample_s", "replay_extrapolated_s",
-                "fullgraph_deploy_s", "speedup",
+        sections["state_parity"] = bench_state_parity(sweep, big_state, targets)
+        emit(
+            "parity         {sample} sampled targets vs the scalar serving "
+            "path: {verdict}".format(
+                sample=sections["state_parity"]["sample"],
+                verdict=(
+                    "bit-exact"
+                    if sections["state_parity"]["parity"] == 1.0
+                    else sections["state_parity"]["mismatched_arrays"]
+                ),
             )
-        }
-        sections["state_parity"] = {
-            k: replay[k] for k in ("sample", "mismatched_arrays", "parity")
-        }
-        emit(
-            "replay         {sample} sampled targets in {replay_sample_s:.1f}s "
-            "-> {replay_extrapolated_s:.0f}s extrapolated "
-            "({speedup:.1f}x the full-sweep deployment clock)".format(**replay)
-        )
-        emit(
-            f"parity         replay vs full-graph: "
-            f"{'bit-exact' if replay['parity'] == 1.0 else replay['mismatched_arrays']}"
         )
 
         sections["pool_sweep"] = bench_pool_sweep(
@@ -572,8 +524,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
     }
     gates = [
         Gate("covered_scale", covered / COVERAGE_FLOOR, 1.0),
-        Gate("fullgraph_speedup", replay["speedup"], 5.0),
-        Gate("replay_state_parity", sections["state_parity"]["parity"], 1.0),
+        Gate("state_parity", sections["state_parity"]["parity"], 1.0),
         Gate("pool_sweep_parity", sections["pool_sweep"]["parity"], 1.0),
         Gate(
             "incremental_work_reduction",

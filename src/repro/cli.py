@@ -83,28 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     lam.add_argument(
         "--refresh",
         action="store_true",
-        help="trigger a second batch pass after the replay (incremental "
-        "when a valid prior state exists and --incremental is on)",
-    )
-    lam.add_argument(
-        "--full-graph",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="materialize via the global sampled-adjacency sweep "
-        "(--no-full-graph keeps the per-user union replay)",
-    )
-    lam.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="refreshes recompute only the delta's affected cone",
-    )
-    lam.add_argument(
-        "--parity",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="re-run the batch pass through the legacy per-user replay and "
-        "byte-compare the states (exit 1 on mismatch)",
+        help="trigger a second batch pass after the replay (recomputes "
+        "only the cone of what changed since the deploy pass)",
     )
     return parser
 
@@ -283,17 +263,12 @@ def cmd_lambda(args) -> int:
             seed=0,
             lambda_tier=True,
             lambda_staleness_budget=args.staleness_budget,
-            lambda_full_graph=args.full_graph,
-            lambda_incremental=args.incremental,
         ),
     )
     lam = turbo.lambda_layer
 
     def report_materialize(label: str) -> None:
         last = lam.last_materialize
-        if last is None:
-            print(f"{label}: per-user replay (no materialize stats)")
-            return
         print(
             f"{label}: mode={last.mode}  rows={last.rows_computed}/{last.total_rows}"
             f"  edges={last.edges_touched}  cone={last.cone_rows}"
@@ -340,26 +315,6 @@ def cmd_lambda(args) -> int:
         f"pending delta size={stats['delta_size']:.0f}"
     )
 
-    if args.parity and args.full_graph:
-        # Cross-check the sweep against the legacy per-user replay: both
-        # recompute every target at the same BN version, so the resulting
-        # states must match byte for byte.
-        reference = lam.state
-        lam.full_graph = False
-        lam.incremental = False
-        lam.run_batch_pass(turbo.clock.now())
-        lam.full_graph = True
-        lam.incremental = args.incremental
-        got, want = lam.state.to_arrays(), reference.to_arrays()
-        mismatched = sorted(
-            name
-            for name in want
-            if name not in got or got[name].tobytes() != want[name].tobytes()
-        )
-        if mismatched or got.keys() != want.keys():
-            print(f"parity check FAILED: mismatched arrays {mismatched}")
-            return 1
-        print(f"parity check OK: {len(want)} state arrays byte-identical")
     return 0
 
 

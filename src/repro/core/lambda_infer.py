@@ -13,22 +13,28 @@ This module is the batch layer's core: storage- and serving-agnostic.
   pass produces: exact replayed scores, the feature provenance that gates
   cache hits (which transaction/time each score was computed for), the
   sampled-subgraph membership CSR that prices staleness, and every SAO
-  tower's layer-``k`` hidden states from a full-graph pass
-  (:meth:`repro.core.hag.HAG.layer_states`).  Round-trips losslessly
-  through a flat ``dict[str, np.ndarray]`` (:meth:`HAGState.to_arrays` /
-  :meth:`HAGState.from_arrays`), which is exactly what
-  :class:`~repro.system.storage.LocalDatabase` checkpoints and
-  :class:`~repro.network.shm.SharedSnapshotStore` publishes.
+  tower's layer-``k`` hidden states over the target-induced graph.
+  Round-trips losslessly through a flat ``dict[str, np.ndarray]``
+  (:meth:`HAGState.to_arrays` / :meth:`HAGState.from_arrays`), which is
+  exactly what :class:`~repro.system.storage.LocalDatabase` checkpoints
+  and :class:`~repro.network.shm.SharedSnapshotStore` publishes; a payload
+  that does not describe a consistent state is rejected with
+  ``ValueError`` at that boundary.
 
-* :func:`materialize` — the full-graph batch pass.  Scores are an
-  **all-targets replay** of the exact serving path: the union-frontier
-  sampler (:func:`~repro.network.sampling.computation_subgraphs_batch`)
-  over every target, then the packed per-request-block forward
-  (:meth:`~repro.core.hag.HAG.predict_subgraphs`).  Both are pinned
-  bit-for-bit equal to the scalar path, so a cached score is *bit-exact*
-  with what the fresh sampled path would compute — a full-graph embedding
-  cache could not promise that, because the sampled path's aggregation is
-  row-normalized within each target's own fanout-truncated subgraph.
+* :func:`materialize` — the one batch pass.  It recomputes the *cone* of
+  its seeds (nodes touched since a ``prior`` state, targets whose feature
+  provenance moved, targets new to the sweep) and byte-copies every other
+  row from the prior; with no prior every target is a seed, the cone is
+  everything and the pass is a full sweep.  Scores replay the exact
+  serving path per target off one global
+  :class:`~repro.network.sampled_graph.SampledGraph` (InferTurbo-style,
+  PAPERS.md) through :func:`score_slice` — pinned bit-for-bit equal to
+  :func:`~repro.network.sampling.computation_subgraph` +
+  :meth:`~repro.core.hag.HAG.predict_subgraph`, so a cached score is
+  *bit-exact* with what the fresh sampled path would compute.  A
+  full-graph embedding cache could not promise that, because the sampled
+  path's aggregation is row-normalized within each target's own
+  fanout-truncated subgraph.
 
 The speed layer that serves from this state lives in
 :mod:`repro.system.lambda_layer`; staleness accounting rides on
@@ -45,15 +51,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import nn
-from ..nn import Tensor
-from ..nn.sparse import csr_gather_rows
+from ..nn.sparse import (
+    csr_gather_rows,
+    csr_gather_rows_with_counts,
+    sum_csr,
+    symmetric_csr,
+)
 from ..network.adjacency import typed_adjacency
 from ..network.sampled_graph import SampledGraph, build_sampled_graph
-from ..network.sampling import (
-    BatchSampleStats,
-    ComputationSubgraph,
-    computation_subgraphs_batch,
-)
+from ..network.sampling import BatchSampleStats
 from .hag import HAG, prepare_aggregators
 from .sao import neighbor_mean_matrix
 
@@ -62,15 +68,32 @@ __all__ = [
     "MaterializeStats",
     "SliceResult",
     "materialize",
-    "materialize_fullgraph",
-    "rematerialize",
     "score_slice",
 ]
 
 #: ``meta`` array layout of a serialized state (see :meth:`HAGState.to_arrays`).
 _META_LEN = 3
+#: The fixed arrays of a serialized state; layer arrays ride next to them.
+_COLUMNS = (
+    "meta",
+    "node_ids",
+    "scores",
+    "txn_ids",
+    "nows",
+    "subgraph_indptr",
+    "subgraph_nodes",
+)
 #: Prefix separating layer-state arrays from the fixed per-node columns.
 _LAYER_PREFIX = "state:"
+
+
+def _layer_names(model: HAG) -> list[str]:
+    """``HAGState.layers`` keys of ``model``'s layer pass, in pass order."""
+    return [
+        f"tower{t}.layer{k}"
+        for t in range(model.n_types)
+        for k in range(len(model.hidden))
+    ] + ["fused"]
 
 
 @dataclass(slots=True)
@@ -95,9 +118,14 @@ class HAGState:
       conservative superset of what could have changed the score, and
       exactly zero when no edges arrived.
 
-    ``layers`` holds the full-graph pass artifacts: every SAO tower's
+    ``layers`` holds the layer pass artifacts: every SAO tower's
     layer-``k`` hidden state and the fused (CFO) embedding, keyed
     ``tower{t}.layer{k}`` / ``fused``, one row per ``node_ids`` entry.
+
+    Construction validates that the columns describe one consistent state
+    (``ValueError`` naming the offending array otherwise) — a truncated or
+    corrupt checkpoint must not come back as a state whose empty subgraph
+    rows price every score at zero staleness.
     """
 
     bn_version: int
@@ -114,17 +142,37 @@ class HAGState:
 
     def __post_init__(self) -> None:
         n = len(self.node_ids)
-        if not len(self.scores) == len(self.txn_ids) == len(self.nows) == n:
-            raise ValueError("per-node columns must share one length")
-        if len(self.subgraph_indptr) != n + 1:
-            raise ValueError("subgraph_indptr must have num_nodes + 1 entries")
+        for name in ("scores", "txn_ids", "nows"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} must have one entry per node_ids entry")
         if n and np.any(np.diff(self.node_ids) <= 0):
             raise ValueError("node_ids must be strictly increasing")
+        indptr = self.subgraph_indptr
+        if len(indptr) != n + 1:
+            raise ValueError("subgraph_indptr must have num_nodes + 1 entries")
+        if int(indptr[0]) != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError("subgraph_indptr must start at 0 and never decrease")
+        if len(self.subgraph_nodes) != int(indptr[-1]):
+            raise ValueError(
+                "subgraph_nodes must hold exactly subgraph_indptr[-1] entries"
+            )
+        scores = np.asarray(self.scores, dtype=np.float64)
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails both
+            raise ValueError("scores must be probabilities in [0, 1]")
+        for name, value in self.layers.items():
+            if np.ndim(value) != 2 or len(value) != n:
+                raise ValueError(
+                    f"layer array {name!r} must have one row per node_ids entry"
+                )
 
     @property
     def num_nodes(self) -> int:
         """Targets covered by this state."""
         return len(self.node_ids)
+
+    def has_layers_of(self, model: HAG) -> bool:
+        """Whether ``layers`` holds every array ``model``'s layer pass writes."""
+        return all(name in self.layers for name in _layer_names(model))
 
     def position_of(self, uid: int) -> int | None:
         """Row of ``uid`` in the per-node columns (``None`` if uncovered)."""
@@ -203,7 +251,14 @@ class HAGState:
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "HAGState":
-        """Rebuild a state from :meth:`to_arrays` output (or a shm view)."""
+        """Rebuild a state from :meth:`to_arrays` output (or a shm view).
+
+        Raises ``ValueError`` when an array is missing or the arrays do
+        not describe a consistent state (see the class docstring).
+        """
+        missing = [name for name in _COLUMNS if name not in arrays]
+        if missing:
+            raise ValueError(f"HAGState payload lacks array(s) {missing}")
         meta = np.asarray(arrays["meta"], dtype=np.int64)
         if len(meta) != _META_LEN:
             raise ValueError("malformed HAGState meta array")
@@ -226,123 +281,18 @@ class HAGState:
         )
 
 
-def materialize(
-    model: HAG,
-    bn,
-    targets: Sequence[int],
-    txn_ids: Sequence[int],
-    nows: Sequence[float],
-    feature_fn: Callable[[int, Sequence[int]], np.ndarray],
-    *,
-    hops: int,
-    fanout: int | None,
-    edge_type_order: Sequence,
-    allowed: set[int] | None = None,
-    transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    selection_cache: dict | None = None,
-    chunk: int = 256,
-    layer_features: np.ndarray | None = None,
-) -> tuple[HAGState, BatchSampleStats]:
-    """One full-graph batch pass; returns ``(state, sample_stats)``.
-
-    ``targets`` / ``txn_ids`` / ``nows`` describe every node to precompute
-    (they are sorted together by node id).  ``feature_fn(k, nodes)``
-    returns the raw feature matrix for sorted-target ``k``'s subgraph
-    ``nodes`` — exactly what the feature module would assemble for a live
-    request on that transaction at that time; ``transform`` is the serving
-    scaler (applied here so the replay matches the prediction server
-    bit-for-bit).
-
-    Scoring replays the serving path per target — union-frontier sampling
-    (with the selection memoized per ``(node, type)`` across all targets)
-    and the packed per-request-block forward — in ``chunk``-sized slices
-    to bound peak memory; each slice is bit-exact per request regardless
-    of slicing.
-
-    ``layer_features`` (rows aligned with the sorted targets, already
-    scaled) additionally runs one full-graph
-    :meth:`~repro.core.hag.HAG.layer_states` pass over the induced
-    full-graph adjacency and stores every tower's layer-``k`` hidden state
-    plus the fused embedding in ``state.layers``.  ``None`` skips the
-    layer pass (scores alone are enough to serve).
-    """
-    if not len(targets) == len(txn_ids) == len(nows):
-        raise ValueError("targets, txn_ids and nows must share one length")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    node_ids = np.asarray(targets, dtype=np.int64)
-    if len(node_ids) != len(np.unique(node_ids)):
-        raise ValueError("targets must be unique")
-    order = np.argsort(node_ids, kind="stable")
-    node_ids = node_ids[order]
-    txn_arr = np.asarray(txn_ids, dtype=np.int64)[order]
-    now_arr = np.asarray(nows, dtype=np.float64)[order]
-
-    subgraphs, stats = computation_subgraphs_batch(
-        bn,
-        node_ids.tolist(),
-        hops=hops,
-        fanout=fanout,
-        allowed=allowed,
-        selection_cache=selection_cache,
-    )
-
-    n = len(subgraphs)
-    scores = np.zeros(n, dtype=np.float64)
-    for start in range(0, n, chunk):
-        block = subgraphs[start : start + chunk]
-        matrices = []
-        for offset, subgraph in enumerate(block):
-            matrix = feature_fn(start + offset, subgraph.nodes)
-            matrices.append(matrix if transform is None else transform(matrix))
-        probabilities = model.predict_subgraphs(
-            block, matrices, edge_type_order=edge_type_order
-        )
-        scores[start : start + len(block)] = probabilities
-
-    sizes = np.asarray([subgraph.num_nodes for subgraph in subgraphs], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    flat_nodes = (
-        np.concatenate(
-            [np.asarray(subgraph.nodes, dtype=np.int64) for subgraph in subgraphs]
-        )
-        if subgraphs
-        else np.empty(0, dtype=np.int64)
-    )
-
-    layers: dict[str, np.ndarray] = {}
-    if layer_features is not None and n:
-        layers = _layer_pass(
-            model, bn, node_ids, layer_features, edge_type_order, None
-        )
-
-    state = HAGState(
-        bn_version=int(bn.version),
-        hops=int(hops),
-        fanout=fanout,
-        node_ids=node_ids,
-        scores=scores,
-        txn_ids=txn_arr,
-        nows=now_arr,
-        subgraph_indptr=indptr,
-        subgraph_nodes=flat_nodes,
-        layers=layers,
-    )
-    return state, stats
-
-
 @dataclass(frozen=True, slots=True)
 class MaterializeStats:
-    """Work accounting for one :func:`materialize_fullgraph` /
-    :func:`rematerialize` call.
+    """Work accounting for one :func:`materialize` call.
 
-    ``rows_computed`` counts target scores actually recomputed (the full
-    pass recomputes all ``total_rows``; the incremental pass only the
-    affected cone).  ``edges_touched`` counts induced per-target adjacency
-    entries processed by the scoring replay.  ``cone_rows`` is the score
-    cone's size in target rows (equals ``total_rows`` on a full pass),
-    ``layer_rows`` the layer-state rows recomputed (0 when the layer pass
-    is skipped).  ``slices`` is how many executor slices scored the sweep.
+    ``mode`` is ``"full"`` for a pass without a prior state and
+    ``"incremental"`` for one with.  ``rows_computed`` counts target
+    scores actually recomputed (all ``total_rows`` without a prior, only
+    the affected cone with one).  ``edges_touched`` counts induced
+    per-target adjacency entries processed by the scoring replay.
+    ``cone_rows`` is the score cone's size in target rows, ``layer_rows``
+    the layer-state rows recomputed (0 when the layer pass is skipped).
+    ``slices`` is how many executor slices scored the sweep.
     """
 
     mode: str
@@ -361,7 +311,7 @@ class MaterializeStats:
 
 @dataclass(frozen=True, slots=True)
 class SliceResult:
-    """One contiguous slice of a full-graph scoring sweep.
+    """One :func:`score_slice` result — a contiguous slice of a sweep.
 
     Arrays are aligned with the slice's targets in sorted-target order:
     ``scores`` per target, ``indptr``/``flat_nodes`` the per-target sampled
@@ -406,41 +356,41 @@ def _score_packed_chunk(
 ) -> np.ndarray:
     """One packed forward over a chunk's pre-offset typed COO triples.
 
-    The CFO fast path of :func:`score_slice`: equivalent to stacking each
-    target's canonical per-type CSR block-diagonally
-    (:meth:`~repro.core.hag.HAG.predict_subgraphs`), but the conversion to
-    canonical CSR happens once per ``(chunk, type)``.  Bit-exact because
-    the triples carry no duplicate coordinates — construction is placement,
-    not summation — and every dense op downstream is row-local under
-    ``nn.row_blocks``.
+    Equivalent to stacking each target's canonical per-type CSR
+    block-diagonally (:meth:`~repro.core.hag.HAG.predict_subgraphs`), but
+    the conversion to canonical CSR happens once per ``(chunk, type)``
+    instead of once per ``(target, type)`` — the dominant cost of the
+    sweep.  Bit-exact because the triples carry no duplicate coordinates
+    (the incidence pairs are deduplicated and loop-free) — construction is
+    placement, not summation — and every dense op downstream is row-local
+    under ``nn.row_blocks``.  The CFO(-) ablation's single merged
+    adjacency is the :func:`~repro.nn.sparse.sum_csr` of those typed
+    matrices in the graph's type order (``parts``' key order), which is
+    what :meth:`ComputationSubgraph.merged
+    <repro.network.sampling.ComputationSubgraph.merged>` computes per
+    subgraph and is independent of the packing.
     """
     boundaries = np.concatenate(
         ([0], np.cumsum(np.asarray(sizes, dtype=np.int64)))
     )
     total = int(boundaries[-1])
-    packed = np.vstack(matrices)
-    adjacencies = []
-    for btype in edge_type_order:
+
+    def typed(btype) -> sp.csr_matrix:
         triples = parts.get(btype, ())
-        if triples:
-            iu = np.concatenate([t[0] for t in triples])
-            iv = np.concatenate([t[1] for t in triples])
-            w = np.concatenate([t[2] for t in triples])
-        else:
-            iu = iv = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.float64)
-        adjacencies.append(
-            sp.csr_matrix(
-                (
-                    np.concatenate([w, w]),
-                    (np.concatenate([iu, iv]), np.concatenate([iv, iu])),
-                ),
-                shape=(total, total),
-            )
+        if not triples:
+            return sp.csr_matrix((total, total))
+        return symmetric_csr(
+            *(np.concatenate([t[i] for t in triples]) for i in range(3)), total
         )
-    aggregators = prepare_aggregators(adjacencies)
+
+    if model.use_cfo:
+        adjacencies = [typed(btype) for btype in edge_type_order]
+    else:
+        adjacencies = [sum_csr([typed(btype) for btype in parts], total)]
     with nn.row_blocks(boundaries):
-        probabilities = model.predict_proba(packed, aggregators)
+        probabilities = model.predict_proba(
+            np.vstack(matrices), prepare_aggregators(adjacencies)
+        )
     return probabilities[boundaries[:-1]]
 
 
@@ -460,13 +410,14 @@ def score_slice(
     """Replay the per-target serving path for ``uids[indices]`` off the
     sampled-adjacency CSR.
 
-    Per-request semantics are identical to the union-frontier batch
-    sampler: same BFS discovery order over the same memoized selections,
-    same induced normalized adjacency bits, same packed per-request-block
-    forward — but each target costs O(its subgraph) instead of O(union
-    edge list), which is what makes the sweep scale.  ``feature_fn`` is
-    called with the *global* sorted-target index (``indices[k]``), exactly
-    like :func:`materialize` calls it.
+    Per-request semantics are identical to the scalar sampler
+    (:func:`~repro.network.sampling.computation_subgraph` +
+    :meth:`~repro.core.hag.HAG.predict_subgraph`): same BFS discovery
+    order over the same selections, same induced normalized adjacency
+    bits, same forward per request block — but each target costs
+    O(its subgraph) gathers and a ``chunk`` of targets shares one packed
+    forward, which is what makes the sweep scale.  ``feature_fn`` is
+    called with the *global* sorted-target index (``indices[k]``).
     """
     indices = np.asarray(indices, dtype=np.int64)
     n = len(indices)
@@ -477,79 +428,39 @@ def score_slice(
     node_arrays: list[np.ndarray] = []
     edges = 0
     expand_types = len(types) if hops >= 1 else 0
-    # CFO models take one block-diagonal aggregator per type, so the whole
-    # chunk's adjacency can be assembled as offset COO triples and converted
-    # to canonical CSR once per (chunk, type) instead of once per (target,
-    # type) — the dominant cost of the sweep.  Coordinates are unique (the
-    # incidence pairs are deduplicated and loop-free), so the canonical CSR
-    # is a pure placement of the same values with the same sorted-row
-    # structure :func:`_block_diag_csr` produces: every downstream row-local
-    # op sees identical bits.  The merged-adjacency (CFO-) path sums typed
-    # matrices per subgraph, where scipy's operand order matters; it keeps
-    # the per-target replay.
-    packed_types = bool(getattr(model, "use_cfo", False))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block: list[ComputationSubgraph] = []
         matrices: list[np.ndarray] = []
-        sizes_block: list[int] = []
-        parts_block: dict = {btype: [] for btype in types}
+        sizes: list[int] = []
+        parts: dict = {btype: [] for btype in types}
         offset = 0
         for k in range(start, stop):
             pos = int(positions[k])
-            uid = int(uids[indices[k]])
             if pos < 0:
                 plist = np.asarray([-1], dtype=np.int64)
-                nodes = np.asarray([uid], dtype=np.int64)
+                nodes = np.asarray([int(uids[indices[k]])], dtype=np.int64)
                 expanded[k] = 1 if expand_types else 0
             else:
                 plist, exp = sampled.subgraph_positions(pos, hops, allowed_mask)
                 nodes = sampled.node_ids[plist]
                 expanded[k] = exp if expand_types else 0
             entries = sampled.induced_entries(plist, types)
-            size = len(plist)
-            if packed_types:
-                for btype in types:
-                    iu, iv, w = entries[btype]
-                    edges += len(w)
-                    if len(w):
-                        # induced_entries reuses scratch: copy now.
-                        parts_block[btype].append(
-                            (iu + offset, iv + offset, w.copy())
-                        )
-                offset += size
-                sizes_block.append(size)
-            else:
-                adjacency: dict = {}
-                for btype in types:
-                    iu, iv, w = entries[btype]
-                    edges += len(w)
-                    adjacency[btype] = sp.csr_matrix(
-                        (
-                            np.concatenate([w, w]),
-                            (np.concatenate([iu, iv]), np.concatenate([iv, iu])),
-                        ),
-                        shape=(size, size),
-                    )
-                block.append(
-                    ComputationSubgraph(
-                        target=uid, nodes=nodes, adjacency=adjacency
-                    )
-                )
+            for btype in types:
+                iu, iv, w = entries[btype]
+                edges += len(w)
+                if len(w):
+                    # induced_entries reuses scratch: copy now.
+                    parts[btype].append((iu + offset, iv + offset, w.copy()))
+            offset += len(plist)
+            sizes.append(len(plist))
             matrix = feature_fn(int(indices[k]), nodes)
             matrices.append(matrix if transform is None else transform(matrix))
             node_arrays.append(nodes)
-        if packed_types:
-            scores[start:stop] = _score_packed_chunk(
-                model, matrices, sizes_block, parts_block, edge_type_order
-            )
-        else:
-            probabilities = model.predict_subgraphs(
-                block, matrices, edge_type_order=edge_type_order
-            )
-            scores[start:stop] = probabilities
-    sizes = np.asarray([len(a) for a in node_arrays], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        scores[start:stop] = _score_packed_chunk(
+            model, matrices, sizes, parts, edge_type_order
+        )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in node_arrays], out=indptr[1:])
     flat = (
         np.concatenate(node_arrays) if node_arrays else np.empty(0, dtype=np.int64)
     )
@@ -561,49 +472,17 @@ def score_slice(
 def _layer_adjacency(
     model: HAG, bn, node_ids: np.ndarray, edge_type_order: Sequence
 ) -> list[sp.csr_matrix]:
-    """Raw per-aggregator adjacency of the full-graph layer pass.
+    """Raw per-aggregator adjacency of the layer pass over the targets.
 
     One matrix per SAO tower: the induced normalized typed adjacencies in
-    ``edge_type_order``, or their sum for the CFO(-) single-tower ablation.
+    ``edge_type_order``, or — the CFO(-) ablation runs one tower on the
+    merged graph — their sum, so the layer pass matches its forward.
     """
     types = tuple(edge_type_order)
     adjacency = typed_adjacency(bn, node_ids.tolist(), types, normalize=True)
     if model.use_cfo:
         return [adjacency[t] for t in types]
-    # The CFO(-) ablation runs one tower on the merged graph; sum the
-    # typed matrices so the layer pass matches its forward.
-    merged = adjacency[types[0]]
-    for btype in types[1:]:
-        merged = merged + adjacency[btype]
-    return [merged.tocsr()]
-
-
-def _layer_pass(
-    model: HAG,
-    bn,
-    node_ids: np.ndarray,
-    layer_features: np.ndarray,
-    edge_type_order: Sequence,
-    observer: Callable[[str], None] | None,
-) -> dict[str, np.ndarray]:
-    """One full-graph :meth:`~repro.core.hag.HAG.layer_states` pass."""
-    if layer_features.shape[0] != len(node_ids):
-        raise ValueError("layer_features rows must align with sorted targets")
-    aggregators = prepare_aggregators(
-        _layer_adjacency(model, bn, node_ids, edge_type_order)
-    )
-    model.eval()
-    with nn.no_grad():
-        fused, states = model.layer_states(
-            Tensor(layer_features), aggregators, observer
-        )
-    model.train()
-    layers: dict[str, np.ndarray] = {}
-    for t, tower_states in enumerate(states):
-        for k, hidden in enumerate(tower_states):
-            layers[f"tower{t}.layer{k}"] = hidden.numpy()
-    layers["fused"] = fused.numpy()
-    return layers
+    return [sum_csr([adjacency[t] for t in types], len(node_ids))]
 
 
 def _sample_stats(
@@ -623,7 +502,7 @@ def _sample_stats(
     for r in results:
         expansions += int(r.expanded.sum()) * n_types
         if len(r.expanded):
-            gid_indptr, gidx = csr_gather_rows_with_counts(r.indptr, r.expanded)
+            _, gidx = csr_gather_rows_with_counts(r.indptr, r.expanded)
             expanded_parts.append(r.flat_nodes[gidx])
     unique_expanded = (
         int(len(np.unique(np.concatenate(expanded_parts)))) if expanded_parts else 0
@@ -637,26 +516,7 @@ def _sample_stats(
     )
 
 
-def csr_gather_rows_with_counts(
-    indptr: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the first ``counts[r]`` entries of every CSR row ``r``."""
-    starts = indptr[:-1]
-    counts = np.minimum(np.asarray(counts, dtype=np.int64), np.diff(indptr))
-    out_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_indptr[1:])
-    total = int(out_indptr[-1])
-    if not total:
-        return out_indptr, np.empty(0, dtype=np.int64)
-    gidx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_indptr[:-1], counts)
-        + np.repeat(starts, counts)
-    )
-    return out_indptr, gidx
-
-
-def materialize_fullgraph(
+def materialize(
     model: HAG,
     bn,
     targets: Sequence[int],
@@ -671,30 +531,60 @@ def materialize_fullgraph(
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
     sampled: SampledGraph | None = None,
     chunk: int = 256,
-    layer_features: np.ndarray | None = None,
+    prior: HAGState | None = None,
+    touched: Mapping[int, int] | None = None,
+    layer_row_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     executor: Callable[
         [Sequence[tuple[int, int]]], Sequence[SliceResult | None]
     ] | None = None,
     slices: int = 1,
     observer: Callable[[str], None] | None = None,
 ) -> tuple[HAGState, BatchSampleStats, MaterializeStats]:
-    """Full-graph batch pass off the global sampled-adjacency CSR.
+    """One batch pass: recompute the cone of the seeds, copy the rest.
 
-    Produces the same :class:`HAGState` contract as :func:`materialize` —
-    per-target scores bit-exact with the serving replay (pinned by tests
-    and the ``BENCH_lambda_fullgraph`` gates), identical layer-state
-    arrays from the same full-graph layer pass — but replaces the union
-    sampler's O(targets x union-edges) per-request masking with
-    O(sum subgraph size) gathers off the :class:`SampledGraph`, which is
-    what lets the sweep scale to millions of users.
+    ``targets`` / ``txn_ids`` / ``nows`` describe every node to precompute
+    (they are sorted together by node id).  ``feature_fn(k, nodes)``
+    returns the raw feature matrix for sorted-target ``k``'s subgraph
+    ``nodes`` — exactly what the feature module would assemble for a live
+    request on that transaction at that time; ``transform`` is the serving
+    scaler (applied here so the replay matches the prediction server
+    bit-for-bit).  ``sampled`` is the :class:`SampledGraph` of ``bn``'s
+    current version under ``fanout`` (built when omitted).
 
-    ``executor`` (optional) shards the scoring sweep: it receives the
-    ``slices`` contiguous ``(lo, hi)`` bounds over the sorted targets and
-    returns one :class:`SliceResult` per bound (``None`` means that worker
-    died; the slice is recomputed in-process — degrade, don't die).  The
-    :class:`~repro.system.shard_workers.ShardWorkerPool` provides one via
-    ``lambda_materialize_executor``.  ``observer`` receives stage names
-    (``"scores"``, each layer, ``"fused"``) as they complete.
+    **Seeds** are the nodes ``touched`` since ``prior`` was computed
+    (:meth:`~repro.network.bn.BehaviorNetwork.delta_touched`) plus every
+    target ``prior`` does not cover with the same transaction and as-of
+    time.  Without a ``prior`` every target is a seed, both cones are the
+    whole target set and the pass is a full sweep (``mode == "full"``).
+    ``prior`` must be the state of an *ancestor* version of ``bn`` under
+    the same ``hops`` / ``fanout`` (``ValueError`` otherwise, and when it
+    lacks the model's layer arrays while ``layer_row_fn`` asks for them).
+
+    * The **score cone** is every target that can reach a seed within
+      ``hops`` steps of the current selection graph (reverse BFS over
+      ``sampled``).  Those targets are rescored through
+      :func:`score_slice`; anything outside kept its selection rows,
+      induced adjacency (weights *and* degrees) and feature rows, so its
+      score and subgraph row are copied from ``prior`` bit-for-bit.
+    * The **layer cone** (only with ``layer_row_fn``, which returns the
+      scaled layer-0 feature rows of the given sorted-target rows) is every
+      target within SAO depth undirected hops of a seed over the
+      target-induced adjacency.  Those rows of every tower's layer-``k``
+      state and of the fused embedding are recomputed through
+      :meth:`~repro.core.hag.HAG.layer_states_rows`; all other rows are
+      byte copies of ``prior``.  Recomputed rows agree with a fresh full
+      pass to ``allclose(rtol=1e-9)`` only — dense GEMM reduction order
+      depends on the number of rows in the product.  Without
+      ``layer_row_fn`` the state carries scores only.
+
+    ``executor`` (optional) shards the scoring of a sweep whose cone is
+    the whole target range: it receives the ``slices`` contiguous
+    ``(lo, hi)`` bounds over the sorted targets and returns one
+    :class:`SliceResult` per bound (``None`` means that worker died; the
+    slice is recomputed in-process — degrade, don't die).
+    :func:`~repro.system.shard_workers.fullgraph_executor` provides one
+    over a worker pool.  ``observer`` receives stage names (``"scores"``,
+    each recomputed layer, ``"fused"``) as they complete.
     """
     if not len(targets) == len(txn_ids) == len(nows):
         raise ValueError("targets, txn_ids and nows must share one length")
@@ -707,6 +597,7 @@ def materialize_fullgraph(
     node_ids = node_ids[order]
     txn_arr = np.asarray(txn_ids, dtype=np.int64)[order]
     now_arr = np.asarray(nows, dtype=np.float64)[order]
+    n = len(node_ids)
 
     if sampled is None:
         sampled = build_sampled_graph(bn, fanout)
@@ -716,185 +607,39 @@ def materialize_fullgraph(
         raise ValueError("sampled graph fanout does not match the request")
     allowed_mask = sampled.allowed_mask(allowed)
 
-    n = len(node_ids)
-    if executor is not None and slices > 1 and n:
-        cuts = np.linspace(0, n, slices + 1).astype(np.int64)
-        bounds = [
-            (int(cuts[i]), int(cuts[i + 1]))
-            for i in range(slices)
-            if cuts[i] < cuts[i + 1]
-        ]
-    else:
-        bounds = [(0, n)]
-    results: list[SliceResult | None]
-    if executor is not None and len(bounds) > 1:
-        results = list(executor(bounds))
-    else:
-        results = [None] * len(bounds)
-    for i, (lo, hi) in enumerate(bounds):
-        if results[i] is None:
-            results[i] = score_slice(
-                model,
-                sampled,
-                node_ids,
-                np.arange(lo, hi, dtype=np.int64),
-                feature_fn,
-                hops=hops,
-                edge_type_order=edge_type_order,
-                allowed_mask=allowed_mask,
-                transform=transform,
-                chunk=chunk,
-            )
-    slice_results: list[SliceResult] = results  # type: ignore[assignment]
-    if observer is not None:
-        observer("scores")
+    want_layers = layer_row_fn is not None and n > 0
+    layer_names = _layer_names(model)
+    prior_layers: Mapping[str, np.ndarray] = {}
+    if prior is not None:
+        if int(prior.hops) != int(hops) or prior.fanout != fanout:
+            raise ValueError("prior state hops/fanout do not match the request")
+        if want_layers:
+            if not prior.has_layers_of(model):
+                raise ValueError("prior state lacks the model's layer arrays")
+            prior_layers = prior.layers
 
-    scores = (
-        np.concatenate([r.scores for r in slice_results])
-        if slice_results
-        else np.empty(0, dtype=np.float64)
-    )
-    flat_nodes = (
-        np.concatenate([r.flat_nodes for r in slice_results])
-        if slice_results
-        else np.empty(0, dtype=np.int64)
-    )
-    sizes_parts = [np.diff(r.indptr) for r in slice_results]
-    sizes = (
-        np.concatenate(sizes_parts) if sizes_parts else np.empty(0, dtype=np.int64)
-    )
-    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    stats = _sample_stats(slice_results, len(sampled.types), n)
-
-    layers: dict[str, np.ndarray] = {}
-    if layer_features is not None and n:
-        layers = _layer_pass(
-            model, bn, node_ids, layer_features, edge_type_order, observer
+    # --- seeds: targets the prior does not cover with this provenance -----
+    if prior is not None and prior.num_nodes:
+        prior_rows = np.minimum(
+            np.searchsorted(prior.node_ids, node_ids), prior.num_nodes - 1
         )
+        has_prior = prior.node_ids[prior_rows] == node_ids
+        target_seeds = (
+            ~has_prior
+            | (txn_arr != prior.txn_ids[prior_rows])
+            | (now_arr != prior.nows[prior_rows])
+        )
+    else:
+        prior_rows = np.zeros(n, dtype=np.int64)
+        has_prior = np.zeros(n, dtype=bool)
+        target_seeds = np.ones(n, dtype=bool)
 
-    state = HAGState(
-        bn_version=int(bn.version),
-        hops=int(hops),
-        fanout=fanout,
-        node_ids=node_ids,
-        scores=scores,
-        txn_ids=txn_arr,
-        nows=now_arr,
-        subgraph_indptr=indptr,
-        subgraph_nodes=flat_nodes,
-        layers=layers,
-    )
-    mstats = MaterializeStats(
-        mode="full",
-        total_rows=n,
-        rows_computed=n,
-        edges_touched=int(sum(r.edges for r in slice_results)),
-        cone_rows=n,
-        layer_rows=n if layers else 0,
-        slices=len(bounds),
-    )
-    return state, stats, mstats
-
-
-def rematerialize(
-    model: HAG,
-    bn,
-    prior: HAGState,
-    targets: Sequence[int],
-    txn_ids: Sequence[int],
-    nows: Sequence[float],
-    feature_fn: Callable[[int, Sequence[int]], np.ndarray],
-    *,
-    hops: int,
-    fanout: int | None,
-    edge_type_order: Sequence,
-    allowed: set[int] | None = None,
-    transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    sampled: SampledGraph | None = None,
-    chunk: int = 256,
-    touched: Mapping[int, int] | None = None,
-    layer_row_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    observer: Callable[[str], None] | None = None,
-) -> tuple[HAGState, BatchSampleStats, MaterializeStats]:
-    """Incremental batch pass: recompute only the delta's affected cone.
-
-    ``prior`` is the state of an *ancestor* version of ``bn`` computed with
-    the same ``hops``/``fanout``; ``touched`` is
-    :meth:`~repro.network.bn.BehaviorNetwork.delta_touched` accumulated
-    since that pass.  The affected cone is every target that can reach a
-    touched node within ``hops`` steps of the **current** selection graph
-    (reverse-BFS over :class:`SampledGraph`), plus targets whose feature
-    provenance changed (new transaction / as-of time) and targets new to
-    the sweep.  Anything outside the cone kept its selection rows, induced
-    adjacency (weights *and* degrees), and feature rows — so its cached
-    score and subgraph row are copied bit-for-bit.
-
-    Layer states are spliced the same way: rows within ``L`` undirected
-    hops of a seed (over the target-induced adjacency, ``L`` = SAO depth)
-    are recomputed through the rectangular
-    :meth:`~repro.core.hag.HAG.layer_states_rows` path — fed by
-    ``layer_row_fn(global_rows) -> scaled feature rows`` for the cone's
-    layer-0 inputs — and all other rows are byte-copies of ``prior``.
-    Raises ``ValueError`` when ``prior`` is not a valid ancestor
-    (hops/fanout mismatch, or missing layer arrays while the model expects
-    them) — callers fall back to :func:`materialize_fullgraph`.
-    """
-    if int(prior.hops) != int(hops) or prior.fanout != fanout:
-        raise ValueError("prior state hops/fanout do not match the request")
-    if not len(targets) == len(txn_ids) == len(nows):
-        raise ValueError("targets, txn_ids and nows must share one length")
-    node_ids = np.asarray(targets, dtype=np.int64)
-    if len(node_ids) != len(np.unique(node_ids)):
-        raise ValueError("targets must be unique")
-    order = np.argsort(node_ids, kind="stable")
-    node_ids = node_ids[order]
-    txn_arr = np.asarray(txn_ids, dtype=np.int64)[order]
-    now_arr = np.asarray(nows, dtype=np.float64)[order]
-    n = len(node_ids)
-
-    if sampled is None:
-        sampled = build_sampled_graph(bn, fanout)
-    if sampled.version != int(bn.version):
-        raise ValueError("sampled graph version does not match bn.version")
-    if sampled.fanout != fanout:
-        raise ValueError("sampled graph fanout does not match the request")
-    allowed_mask = sampled.allowed_mask(allowed)
-
-    want_layers = bool(prior.layers) and layer_row_fn is not None
-    if want_layers:
-        expected = [
-            f"tower{t}.layer{k}"
-            for t in range(model.n_types)
-            for k in range(len(model.hidden))
-        ] + ["fused"]
-        if any(name not in prior.layers for name in expected):
-            raise ValueError("prior state lacks the model's layer arrays")
-
-    # --- map new targets onto prior rows --------------------------------
-    prior_rows = np.searchsorted(prior.node_ids, node_ids)
-    prior_rows = np.minimum(prior_rows, max(prior.num_nodes - 1, 0))
-    has_prior = (
-        (prior.node_ids[prior_rows] == node_ids)
-        if prior.num_nodes
-        else np.zeros(n, dtype=bool)
-    )
-    provenance_changed = has_prior & (
-        (txn_arr != prior.txn_ids[prior_rows])
-        | (now_arr != prior.nows[prior_rows])
-    )
-    target_seeds = provenance_changed | ~has_prior
-
-    # --- affected cone over the current selection graph -----------------
-    touched = touched or {}
-    touched_uids = (
-        np.fromiter(touched.keys(), dtype=np.int64, count=len(touched))
-        if touched
-        else np.empty(0, dtype=np.int64)
-    )
+    # --- score cone over the current selection graph -----------------------
     target_positions = sampled.positions_of(node_ids)
+    registered = target_positions >= 0
     seed_positions = np.concatenate(
         [
-            sampled.positions_of(touched_uids),
+            sampled.positions_of(np.fromiter(touched or (), dtype=np.int64)),
             target_positions[target_seeds],
         ]
     )
@@ -902,126 +647,130 @@ def rematerialize(
     cone_mask = np.zeros(sampled.num_nodes, dtype=bool)
     if len(seed_positions):
         cone_mask[sampled.reverse_reachable(seed_positions, hops)] = True
-    affected = target_seeds | ((target_positions >= 0) & cone_mask[target_positions])
+    affected = target_seeds.copy()
+    affected[registered] |= cone_mask[target_positions[registered]]
     affected_idx = np.flatnonzero(affected)
+    keep_idx = np.flatnonzero(~affected)
 
-    result = score_slice(
-        model,
-        sampled,
-        node_ids,
-        affected_idx,
-        feature_fn,
-        hops=hops,
-        edge_type_order=edge_type_order,
-        allowed_mask=allowed_mask,
-        transform=transform,
-        chunk=chunk,
+    # The executor's wire format is contiguous bounds over the sorted
+    # targets, so it can only take a sweep whose cone is the whole range.
+    bounds = [(0, len(affected_idx))]
+    if executor is not None and slices > 1 and n and len(affected_idx) == n:
+        cuts = np.linspace(0, n, slices + 1).astype(np.int64)
+        bounds = [
+            (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi
+        ]
+    results: list[SliceResult | None] = (
+        list(executor(bounds)) if len(bounds) > 1 else [None]
     )
+    for i, (lo, hi) in enumerate(bounds):
+        if results[i] is None:
+            results[i] = score_slice(
+                model,
+                sampled,
+                node_ids,
+                affected_idx[lo:hi],
+                feature_fn,
+                hops=hops,
+                edge_type_order=edge_type_order,
+                allowed_mask=allowed_mask,
+                transform=transform,
+                chunk=chunk,
+            )
     if observer is not None:
         observer("scores")
 
-    # --- splice scores + subgraph CSR -----------------------------------
-    scores = np.zeros(n, dtype=np.float64)
-    keep_idx = np.flatnonzero(~affected)
-    if len(keep_idx) and not np.all(has_prior[keep_idx]):
-        raise ValueError("unaffected target missing from the prior state")
-    scores[keep_idx] = prior.scores[prior_rows[keep_idx]]
-    scores[affected_idx] = result.scores
-    sizes = np.zeros(n, dtype=np.int64)
-    sizes[affected_idx] = np.diff(result.indptr)
+    # --- splice scores + subgraph CSR --------------------------------------
     kept_prior = prior_rows[keep_idx]
-    sizes[keep_idx] = (
-        prior.subgraph_indptr[kept_prior + 1] - prior.subgraph_indptr[kept_prior]
-    )
-    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    scores = np.zeros(n, dtype=np.float64)
+    sizes = np.zeros(n, dtype=np.int64)
+    scores[affected_idx] = np.concatenate([r.scores for r in results])
+    sizes[affected_idx] = np.concatenate([np.diff(r.indptr) for r in results])
+    if len(keep_idx):
+        scores[keep_idx] = prior.scores[kept_prior]
+        sizes[keep_idx] = (
+            prior.subgraph_indptr[kept_prior + 1] - prior.subgraph_indptr[kept_prior]
+        )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
     flat_nodes = np.empty(int(indptr[-1]), dtype=np.int64)
-    _, gidx_a = csr_gather_rows(indptr, affected_idx)
-    flat_nodes[gidx_a] = result.flat_nodes
-    _, gidx_k = csr_gather_rows(indptr, keep_idx)
-    _, src_k = csr_gather_rows(prior.subgraph_indptr, kept_prior)
-    flat_nodes[gidx_k] = prior.subgraph_nodes[src_k]
-    stats = _sample_stats([result], len(sampled.types), len(affected_idx))
+    flat_nodes[csr_gather_rows(indptr, affected_idx)[1]] = np.concatenate(
+        [r.flat_nodes for r in results]
+    )
+    if len(keep_idx):
+        flat_nodes[csr_gather_rows(indptr, keep_idx)[1]] = prior.subgraph_nodes[
+            csr_gather_rows(prior.subgraph_indptr, kept_prior)[1]
+        ]
+    stats = _sample_stats(results, len(sampled.types), len(affected_idx))
 
-    # --- splice layer states --------------------------------------------
-    def mapped(name: str) -> np.ndarray:
-        """Prior layer array re-rowed onto the new target ordering."""
-        src = prior.layers[name]
-        out = np.zeros((n, src.shape[1]), dtype=src.dtype)
-        out[has_prior] = src[prior_rows[has_prior]]
-        return out
-
+    # --- splice layer states ------------------------------------------------
     layers: dict[str, np.ndarray] = {}
-    layer_rows = 0
-    if want_layers and n:
-        depth = len(model.hidden)
+    rows = np.empty(0, dtype=np.int64)
+    if want_layers:
+        # Layer cone: targets within SAO depth of a seed, walking only
+        # through other targets (the layer pass runs on the target-induced
+        # adjacency).  Seeds without a graph position have no neighbours
+        # but still need fresh (isolated) rows.
         member_mask = np.zeros(sampled.num_nodes, dtype=bool)
-        registered = target_positions >= 0
         member_mask[target_positions[registered]] = True
-        # graph position -> target row for registered targets
         row_of_position = np.full(sampled.num_nodes, -1, dtype=np.int64)
         row_of_position[target_positions[registered]] = np.flatnonzero(registered)
-        cone_positions = (
-            sampled.undirected_reachable(seed_positions, depth, member_mask)
-            if len(seed_positions)
-            else np.empty(0, dtype=np.int64)
-        )
-        rows_mask = np.zeros(n, dtype=bool)
-        rows_mask[row_of_position[cone_positions]] = True
-        # unregistered provenance-changed/new targets have no graph
-        # position but still need fresh (isolated) layer rows
-        rows_mask |= target_seeds & ~registered
+        rows_mask = target_seeds & ~registered
+        rows_mask[
+            row_of_position[
+                sampled.undirected_reachable(
+                    seed_positions, len(model.hidden), member_mask
+                )
+            ]
+        ] = True
         rows = np.flatnonzero(rows_mask)
-        layer_rows = len(rows)
+
+        def spliced(name: str, fresh: np.ndarray) -> np.ndarray:
+            """``fresh`` in the cone ``rows``, the prior's rows elsewhere."""
+            out = np.zeros((n, fresh.shape[1]), dtype=fresh.dtype)
+            if name in prior_layers:
+                out[has_prior] = prior_layers[name][prior_rows[has_prior]]
+            out[rows] = fresh
+            return out
 
         if len(rows):
-            mats = _layer_adjacency(model, bn, node_ids, edge_type_order)
-            rect_aggregators = [
-                nn.PreparedAggregator(neighbor_mean_matrix(m)[rows])
-                for m in mats
+            aggregators = [
+                nn.PreparedAggregator(neighbor_mean_matrix(matrix)[rows])
+                for matrix in _layer_adjacency(model, bn, node_ids, edge_type_order)
             ]
             need = np.zeros(n, dtype=bool)
             need[rows] = True
-            for agg in rect_aggregators:
-                need[np.unique(agg.matrix.indices)] = True
+            for aggregator in aggregators:
+                need[np.unique(aggregator.matrix.indices)] = True
             need_rows = np.flatnonzero(need)
             x_full = np.zeros((n, model.in_dim), dtype=np.float64)
             x_full[need_rows] = layer_row_fn(need_rows)
 
-            assembled = {
-                name: mapped(name) for name in prior.layers if name != "fused"
-            }
-
             def inputs_fn(t: int, k: int, fresh_prev: np.ndarray | None):
                 if k == 0:
                     return x_full
-                arr = assembled[f"tower{t}.layer{k - 1}"]
-                arr[rows] = fresh_prev
-                return arr
+                name = f"tower{t}.layer{k - 1}"
+                layers[name] = spliced(name, fresh_prev)
+                return layers[name]
 
             model.eval()
             with nn.no_grad():
                 fused, states = model.layer_states_rows(
-                    rows, inputs_fn, rect_aggregators, observer
+                    rows, inputs_fn, aggregators, observer
                 )
             model.train()
             for t, tower_states in enumerate(states):
-                for k, hidden in enumerate(tower_states):
-                    name = f"tower{t}.layer{k}"
-                    arr = assembled[name]
-                    arr[rows] = hidden.numpy()
-                    layers[name] = arr
-            fused_full = mapped("fused")
-            fused_full[rows] = fused.numpy()
-            layers["fused"] = fused_full
+                name = f"tower{t}.layer{len(tower_states) - 1}"
+                layers[name] = spliced(name, tower_states[-1].numpy())
+            layers["fused"] = spliced("fused", fused.numpy())
+            layers = {name: layers[name] for name in layer_names}
         else:
-            layers = {name: mapped(name) for name in prior.layers}
+            # Empty cone (only reachable with a prior): every row carries over.
+            layers = {
+                name: spliced(name, prior_layers[name][:0]) for name in layer_names
+            }
             if observer is not None:
                 observer("fused")
-    elif prior.layers and n:
-        # Scores-only refresh (no layer_row_fn): carry the prior arrays
-        # over, re-rowed onto the new target ordering (new targets get
-        # zero rows — they have no checkpointed layer state yet).
-        layers = {name: mapped(name) for name in prior.layers}
 
     state = HAGState(
         bn_version=int(bn.version),
@@ -1036,11 +785,12 @@ def rematerialize(
         layers=layers,
     )
     mstats = MaterializeStats(
-        mode="incremental",
+        mode="full" if prior is None else "incremental",
         total_rows=n,
         rows_computed=len(affected_idx),
-        edges_touched=result.edges,
+        edges_touched=int(sum(r.edges for r in results)),
         cone_rows=len(affected_idx),
-        layer_rows=layer_rows,
+        layer_rows=len(rows),
+        slices=len(bounds),
     )
     return state, stats, mstats

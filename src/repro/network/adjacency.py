@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
+from ..nn.sparse import symmetric_csr
 from .bn import BehaviorNetwork
 from .normalize import normalized_weight, type_weighted_degrees
 
@@ -87,13 +88,8 @@ def typed_adjacency(
     n = len(nodes)
     result: dict[BehaviorType, sp.csr_matrix] = {}
     for btype in types:
-        iu, iv, weights = _typed_entries(bn, lookup, btype, normalize)
-        result[btype] = sp.csr_matrix(
-            (
-                np.concatenate([weights, weights]),
-                (np.concatenate([iu, iv]), np.concatenate([iv, iu])),
-            ),
-            shape=(n, n),
+        result[btype] = symmetric_csr(
+            *_typed_entries(bn, lookup, btype, normalize), n
         )
     return result
 
@@ -124,12 +120,8 @@ def merged_adjacency(
         data.append(weights)
     if not data:
         return sp.csr_matrix((n, n))
-    iu = np.concatenate(rows)
-    iv = np.concatenate(cols)
-    w = np.concatenate(data)
-    return sp.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([iu, iv]), np.concatenate([iv, iu]))),
-        shape=(n, n),
+    return symmetric_csr(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(data), n
     )
 
 

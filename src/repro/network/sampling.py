@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
+from ..nn.sparse import sum_csr, symmetric_csr
 from .adjacency import _output_index, _typed_entries, merged_adjacency, typed_adjacency
 from .bn import BehaviorNetwork
 
@@ -23,6 +24,7 @@ __all__ = [
     "ComputationSubgraph",
     "computation_subgraph",
     "computation_subgraphs_batch",
+    "slice_union_subgraphs",
     "BatchSampleStats",
 ]
 
@@ -46,24 +48,11 @@ class ComputationSubgraph:
     def merged(self) -> sp.csr_matrix:
         """Sum the typed adjacencies into one homogeneous matrix.
 
-        Built from the concatenated COO triples of every type in one
-        construction (duplicate coordinates sum on conversion), instead of
-        accumulating ``total + matrix`` per type.
+        One construction over every type's entries, duplicates summed in
+        type order (:func:`~repro.nn.sparse.sum_csr`) — so the sum of a
+        subgraph is the same alone and inside a block-diagonal pack.
         """
-        n = len(self.nodes)
-        if not self.adjacency:
-            return sp.csr_matrix((n, n))
-        coos = [matrix.tocoo() for matrix in self.adjacency.values()]
-        return sp.csr_matrix(
-            (
-                np.concatenate([c.data for c in coos]),
-                (
-                    np.concatenate([c.row for c in coos]),
-                    np.concatenate([c.col for c in coos]),
-                ),
-            ),
-            shape=(n, n),
-        )
+        return sum_csr(list(self.adjacency.values()), len(self.nodes))
 
 
 def computation_subgraph(
@@ -227,33 +216,9 @@ def computation_subgraphs_batch(
         for btype in types
     }
 
-    subgraphs: list[ComputationSubgraph] = []
-    request_of_union = np.full(len(union_nodes), -1, dtype=np.int64)
-    for target, nodes in zip(targets, node_lists):
-        n = len(nodes)
-        positions = np.asarray([union_index[uid] for uid in nodes], dtype=np.int64)
-        request_of_union[positions] = np.arange(n, dtype=np.int64)
-        adjacency: dict[BehaviorType, sp.csr_matrix] = {}
-        for btype in types:
-            iu, iv, weights = typed_entries[btype]
-            riu = request_of_union[iu]
-            riv = request_of_union[iv]
-            keep = (riu >= 0) & (riv >= 0)
-            iu_kept, iv_kept, w_kept = riu[keep], riv[keep], weights[keep]
-            adjacency[btype] = sp.csr_matrix(
-                (
-                    np.concatenate([w_kept, w_kept]),
-                    (
-                        np.concatenate([iu_kept, iv_kept]),
-                        np.concatenate([iv_kept, iu_kept]),
-                    ),
-                ),
-                shape=(n, n),
-            )
-        request_of_union[positions] = -1
-        subgraphs.append(
-            ComputationSubgraph(target=target, nodes=nodes, adjacency=adjacency)
-        )
+    subgraphs = slice_union_subgraphs(
+        targets, node_lists, union_index, typed_entries
+    )
 
     stats = BatchSampleStats(
         requests=len(node_lists),
@@ -263,6 +228,42 @@ def computation_subgraphs_batch(
         unique_expansions=len(touched),
     )
     return subgraphs, stats
+
+
+def slice_union_subgraphs(
+    targets: Sequence[int],
+    node_lists: Sequence[list[int]],
+    union_index: dict[int, int],
+    typed_entries: dict[
+        BehaviorType, tuple[np.ndarray, np.ndarray, np.ndarray]
+    ],
+) -> list[ComputationSubgraph]:
+    """Cut every request's typed adjacency out of one union block.
+
+    ``typed_entries[btype]`` holds ``(iu, iv, w)`` indexed into the union
+    node list (``union_index`` maps uid to union row) in snapshot edge
+    order; a per-request membership mask therefore keeps exactly the entry
+    sequence the scalar ``typed_adjacency`` builds its CSR from, at
+    O(E_union) per request.  Shared by the single-network and the
+    shard-index batch samplers.
+    """
+    subgraphs: list[ComputationSubgraph] = []
+    request_of_union = np.full(len(union_index), -1, dtype=np.int64)
+    for target, nodes in zip(targets, node_lists):
+        n = len(nodes)
+        positions = np.asarray([union_index[uid] for uid in nodes], dtype=np.int64)
+        request_of_union[positions] = np.arange(n, dtype=np.int64)
+        adjacency: dict[BehaviorType, sp.csr_matrix] = {}
+        for btype, (iu, iv, weights) in typed_entries.items():
+            riu = request_of_union[iu]
+            riv = request_of_union[iv]
+            keep = (riu >= 0) & (riv >= 0)
+            adjacency[btype] = symmetric_csr(riu[keep], riv[keep], weights[keep], n)
+        request_of_union[positions] = -1
+        subgraphs.append(
+            ComputationSubgraph(target=target, nodes=nodes, adjacency=adjacency)
+        )
+    return subgraphs
 
 
 def _select_neighbors(

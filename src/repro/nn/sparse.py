@@ -30,10 +30,30 @@ __all__ = [
     "PreparedAggregator",
     "as_csr",
     "csr_gather_rows",
+    "csr_gather_rows_with_counts",
     "csr_interleave",
+    "symmetric_csr",
+    "sum_csr",
     "transpose_conversion_count",
     "reset_transpose_conversion_count",
 ]
+
+
+def _ragged_gather(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(out_indptr, gidx)`` gathering ``lengths[k]`` entries from ``starts[k]``."""
+    out_indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out_indptr[1:])
+    total = int(out_indptr[-1])
+    if not total:
+        return out_indptr, np.empty(0, dtype=np.int64)
+    gidx = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(out_indptr[:-1], lengths)
+        + np.repeat(starts, lengths)
+    )
+    return out_indptr, gidx
 
 
 def csr_gather_rows(
@@ -51,18 +71,55 @@ def csr_gather_rows(
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    out_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_indptr[1:])
-    total = int(out_indptr[-1])
-    if not total:
-        return out_indptr, np.empty(0, dtype=np.int64)
-    gidx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_indptr[:-1], lengths)
-        + np.repeat(starts, lengths)
+    return _ragged_gather(starts, indptr[rows + 1] - starts)
+
+
+def csr_gather_rows_with_counts(
+    indptr: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the first ``counts[r]`` entries of every CSR row ``r``."""
+    counts = np.minimum(np.asarray(counts, dtype=np.int64), np.diff(indptr))
+    return _ragged_gather(indptr[:-1], counts)
+
+
+def symmetric_csr(
+    iu: np.ndarray, iv: np.ndarray, w: np.ndarray, n: int
+) -> sp.csr_matrix:
+    """Symmetric ``(n, n)`` CSR holding ``w[k]`` at ``(iu[k], iv[k])`` and
+    ``(iv[k], iu[k])``.
+
+    The one spelling of the undirected-edge build: the adjacency exports,
+    both batch samplers and the lambda sweep all construct their matrices
+    here, so the bit-exactness suites compare the same construction fed
+    the same arrays in the same order.
+    """
+    return sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([iu, iv]), np.concatenate([iv, iu]))),
+        shape=(n, n),
     )
-    return out_indptr, gidx
+
+
+def sum_csr(matrices: Sequence[sp.spmatrix], n: int) -> sp.csr_matrix:
+    """Entry-wise sum of ``(n, n)`` sparse matrices, added left to right.
+
+    One COO construction over every matrix's entries.  The entries are
+    handed to scipy already in ``(row, col)`` order through a *stable*
+    sort, so a coordinate present in several matrices is summed in
+    matrix order.  Left unsorted, scipy orders duplicates with an
+    unstable per-row sort that it skips when the whole matrix happens to
+    be in order — the float sum of three or more duplicates would then
+    depend on which other rows share the matrix, and a block-diagonal
+    pack of subgraphs would not reproduce each subgraph's own sum.
+    """
+    if not len(matrices):
+        return sp.csr_matrix((n, n))
+    coos = [matrix.tocoo() for matrix in matrices]
+    row = np.concatenate([c.row for c in coos])
+    col = np.concatenate([c.col for c in coos])
+    data = np.concatenate([c.data for c in coos])
+    order = np.lexsort((col, row))
+    return sp.csr_matrix((data[order], (row[order], col[order])), shape=(n, n))
+
 
 _TRANSPOSE_CONVERSIONS = 0
 

@@ -37,11 +37,10 @@ class TurboConfig:
     (simulated seconds between automatic batch passes; ``None`` = manual
     refresh only), ``lambda_staleness_budget`` (maximum delta edge
     touches a served cached score may carry; 0 keeps cached serving
-    bit-exact), ``lambda_full_graph`` (materialize through the global
-    sampled-adjacency sweep instead of per-user union replay; ``None``
-    resolves to on) and ``lambda_incremental`` (refreshes recompute only
-    the delta's affected cone when a valid prior state exists; ``None``
-    resolves to on).  Resilience: ``retry_policy``, ``breaker`` and
+    bit-exact).  How a pass is computed is not configurable: the deploy
+    pass is a full sweep, refreshes recompute only the delta's cone
+    whenever the current state can be extended (``docs/LAMBDA.md``).
+    Resilience: ``retry_policy``, ``breaker`` and
     ``faults`` (``None`` creates deployment-local defaults), ``latency``
     (the latency model; ``None`` creates one from ``seed``).  Tracing:
     ``trace_max`` bounds retained traces (``None`` keeps all).
@@ -60,8 +59,6 @@ class TurboConfig:
     lambda_tier: bool = False
     lambda_refresh_period: float | None = None
     lambda_staleness_budget: int = 0
-    lambda_full_graph: bool | None = None
-    lambda_incremental: bool | None = None
     request_budget: float | None = 15.0
     with_fallbacks: bool = True
     retry_policy: RetryPolicy | None = None
@@ -94,8 +91,6 @@ class TurboConfig:
         if not self.lambda_tier and (
             self.lambda_refresh_period is not None
             or self.lambda_staleness_budget
-            or self.lambda_full_graph is not None
-            or self.lambda_incremental is not None
         ):
             raise ValueError("lambda_* knobs require lambda_tier=True")
         if not self.windows:

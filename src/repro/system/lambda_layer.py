@@ -1,7 +1,8 @@
 """Lambda-architecture speed layer: serve from precomputed state + deltas.
 
-The batch layer (:mod:`repro.core.lambda_infer`) periodically replays the
-exact serving path over every known user and checkpoints the resulting
+The batch layer (:func:`repro.core.lambda_infer.materialize`) periodically
+replays the exact serving path over every known user — or, on a refresh,
+over the cone of what changed — and checkpoints the resulting
 :class:`~repro.core.lambda_infer.HAGState`.  This module is the online
 half:
 
@@ -34,13 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..core.lambda_infer import (
-    HAGState,
-    MaterializeStats,
-    materialize,
-    materialize_fullgraph,
-    rematerialize,
-)
+from ..core.lambda_infer import HAGState, MaterializeStats, materialize
 from ..network.sampled_graph import SampledGraph, build_sampled_graph
 from ..network.sampling import BatchSampleStats
 from ..obs.tracing import Tracer
@@ -97,8 +92,6 @@ class LambdaLayer:
         staleness_budget: int = 0,
         store: "SharedSnapshotStore | None" = None,
         component: str = "lambda_layer",
-        full_graph: bool = True,
-        incremental: bool = True,
         executor: Callable | None = None,
         slices: int = 1,
     ) -> None:
@@ -114,8 +107,6 @@ class LambdaLayer:
         self.staleness_budget = staleness_budget
         self.store = store
         self.component = component
-        self.full_graph = full_graph
-        self.incremental = incremental
         self.executor = executor
         self.slices = slices
         self.metrics: "MetricsRegistry | None" = None
@@ -172,13 +163,12 @@ class LambdaLayer:
     def run_batch_pass(self, now: float) -> tuple[HAGState, BatchSampleStats]:
         """One full batch pass at simulated time ``now``.
 
-        Computes the exact serving-path score for every target — through
-        :func:`repro.core.lambda_infer.materialize_fullgraph` over the
-        version-pinned :class:`SampledGraph` by default, or the legacy
-        per-user union replay when ``full_graph`` is off — runs the
-        full-graph layer pass, checkpoints the state to storage, publishes
-        it to the snapshot store (when one is wired), and resets delta
-        tracking so staleness counts start from this pass.
+        Computes the exact serving-path score for every target
+        (:func:`repro.core.lambda_infer.materialize` without a prior, over
+        the version-pinned :class:`SampledGraph`), runs the layer pass,
+        checkpoints the state to storage, publishes it to the snapshot
+        store (when one is wired), and resets delta tracking so staleness
+        counts start from this pass.
 
         The pass is traced as one ``lambda_batch`` root span with a
         ``lambda_materialize`` child carrying per-stage children; its
@@ -186,24 +176,45 @@ class LambdaLayer:
         write) is metered under ``turbo.lambda.*`` but never billed to any
         request.
         """
-        return self._run_pass(now, incremental=False)
+        return self._run_pass(now, prior=None)
 
     def run_incremental_pass(self, now: float) -> tuple[HAGState, BatchSampleStats]:
         """Refresh the state by recomputing only the delta's affected cone.
 
-        Valid when the current state binds to the live BN with delta
-        tracking on; anything else (no prior, rebound network, an ancestor
-        the prior cannot extend) silently falls back to a full pass, so
-        the call always leaves a fresh state behind.  Work is O(affected):
-        only targets within ``hops`` of a touched node (plus targets whose
+        Extends the current state when it is a valid ancestor
+        (:meth:`_ancestor`); anything else runs a full pass, so the call
+        always leaves a fresh state behind.  Work is O(affected): only
+        targets within ``hops`` of a touched node (plus targets whose
         feature provenance changed) are rescored, and only layer rows
         within SAO depth of a seed are recomputed — everything else is a
         byte-copy of the prior state.
         """
-        return self._run_pass(now, incremental=True)
+        return self._run_pass(now, prior=self._ancestor())
+
+    def _ancestor(self) -> HAGState | None:
+        """The current state, if a cone refresh may extend it (else ``None``).
+
+        A valid ancestor was computed against the live BN *object* with
+        delta tracking on ever since (so ``delta_touched`` accounts for
+        every change between the two versions), under this layer's
+        ``hops`` / ``fanout``, and carries the model's layer arrays (the
+        splice copies untouched rows out of them).  Everything
+        :func:`~repro.core.lambda_infer.materialize` can still raise with
+        such a prior is a bug or a stale :class:`SampledGraph`, and
+        propagates.
+        """
+        state = self.state
+        bn = self.bn_server.bn
+        if state is None or self._bn is not bn or not bn.delta_tracking():
+            return None
+        if state.hops != self.hops or state.fanout != self.fanout:
+            return None
+        if not state.has_layers_of(self.prediction_server.model):
+            return None
+        return state
 
     def _run_pass(
-        self, now: float, *, incremental: bool
+        self, now: float, *, prior: HAGState | None
     ) -> tuple[HAGState, BatchSampleStats]:
         feature_manager = self.feature_server.feature_manager
         scaler = self.prediction_server.scaler
@@ -235,8 +246,8 @@ class LambdaLayer:
                 context_rows[uid] = row
             return row
 
-        # Subgraph sizes actually scored this pass (incremental passes
-        # score a subset; the deployment clock charges only that work).
+        # Subgraph sizes scored in this process (a cone refresh scores a
+        # subset; the deployment clock charges only that work).
         computed_sizes: list[int] = []
 
         def feature_fn(k: int, nodes) -> np.ndarray:
@@ -248,6 +259,11 @@ class LambdaLayer:
                 matrix_rows.append(context_row(uid))
             return np.stack(matrix_rows)
 
+        def layer_row_fn(idx: np.ndarray) -> np.ndarray:
+            return scaler.transform(
+                np.stack([context_row(targets[int(i)]) for i in idx])
+            )
+
         # Wall-clock stage marks from the materializer's observer; turned
         # into lambda_materialize child spans after the pass.
         marks: list[tuple[str, float]] = []
@@ -256,102 +272,33 @@ class LambdaLayer:
         def observer(name: str) -> None:
             marks.append((name, time.perf_counter()))
 
-        model = self.prediction_server.model
-        edge_type_order = self.prediction_server.edge_type_order
-        mstats: MaterializeStats | None = None
-        state: HAGState
-        stats: BatchSampleStats
-
-        use_incremental = (
-            incremental
-            and self.incremental
-            and self.state is not None
-            and self._bn is bn
-            and bn.delta_tracking()
+        state, stats, mstats = materialize(
+            self.prediction_server.model,
+            bn,
+            targets,
+            txn_ids,
+            nows,
+            feature_fn,
+            hops=self.hops,
+            fanout=self.fanout,
+            edge_type_order=self.prediction_server.edge_type_order,
+            allowed=self.allowed,
+            transform=scaler.transform,
+            sampled=self._sampled_graph(bn),
+            prior=prior,
+            touched=None if prior is None else self._delta_touched(),
+            layer_row_fn=layer_row_fn,
+            executor=self.executor,
+            slices=self.slices,
+            observer=observer,
         )
-        if use_incremental:
-
-            def layer_row_fn(idx: np.ndarray) -> np.ndarray:
-                return scaler.transform(
-                    np.stack([context_row(targets[int(i)]) for i in idx])
-                )
-
-            try:
-                state, stats, mstats = rematerialize(
-                    model,
-                    bn,
-                    self.state,
-                    targets,
-                    txn_ids,
-                    nows,
-                    feature_fn,
-                    hops=self.hops,
-                    fanout=self.fanout,
-                    edge_type_order=edge_type_order,
-                    allowed=self.allowed,
-                    transform=scaler.transform,
-                    sampled=self._sampled_graph(bn),
-                    touched=self._delta_touched(),
-                    layer_row_fn=layer_row_fn,
-                    observer=observer,
-                )
-            except ValueError:
-                # Prior is not a valid ancestor (hops/fanout drift, missing
-                # layer arrays) — degrade to the full sweep.
-                use_incremental = False
-                marks.clear()
-                computed_sizes.clear()
-
-        if not use_incremental:
-            layer_features = None
-            if targets:
-                layer_features = scaler.transform(
-                    np.stack([context_row(uid) for uid in targets])
-                )
-            if self.full_graph:
-                state, stats, mstats = materialize_fullgraph(
-                    model,
-                    bn,
-                    targets,
-                    txn_ids,
-                    nows,
-                    feature_fn,
-                    hops=self.hops,
-                    fanout=self.fanout,
-                    edge_type_order=edge_type_order,
-                    allowed=self.allowed,
-                    transform=scaler.transform,
-                    sampled=self._sampled_graph(bn),
-                    layer_features=layer_features,
-                    executor=self.executor,
-                    slices=self.slices,
-                    observer=observer,
-                )
-            else:
-                state, stats = materialize(
-                    model,
-                    bn,
-                    targets,
-                    txn_ids,
-                    nows,
-                    feature_fn,
-                    hops=self.hops,
-                    fanout=self.fanout,
-                    edge_type_order=edge_type_order,
-                    allowed=self.allowed,
-                    transform=scaler.transform,
-                    selection_cache=self.bn_server._batch_selection_cache(
-                        self.fanout
-                    ),
-                    layer_features=layer_features,
-                )
         wall_seconds = time.perf_counter() - wall_start
 
         arrays = state.to_arrays()
-        if mstats is not None and mstats.mode == "incremental":
+        if mstats.rows_computed < mstats.total_rows:
             charged_sizes = computed_sizes
         else:
-            # Full passes score every row; with a pool executor the
+            # A whole-range cone scores every row; with a pool executor the
             # features are assembled worker-side, so read the sizes off
             # the assembled state rather than the local feature_fn count.
             charged_sizes = [int(s) for s in np.diff(state.subgraph_indptr)]
@@ -375,7 +322,7 @@ class LambdaLayer:
         self.last_pass_at = now
         self.batch_passes += 1
         self.last_materialize = mstats
-        if mstats is not None and mstats.mode == "incremental":
+        if prior is not None:
             self.incremental_passes += 1
 
         if self.metrics is not None:
@@ -383,55 +330,53 @@ class LambdaLayer:
             self.metrics.histogram("turbo.lambda.batch_seconds").observe(charged)
             self.metrics.gauge("turbo.lambda.covered_nodes").set(state.num_nodes)
             self.metrics.gauge("turbo.lambda.bn_version").set(state.bn_version)
-            if mstats is not None:
-                self.metrics.counter("turbo.lambda.materialize.rows").inc(
-                    mstats.rows_computed
-                )
-                self.metrics.counter("turbo.lambda.materialize.edges").inc(
-                    mstats.edges_touched
-                )
-                self.metrics.histogram(
-                    "turbo.lambda.materialize.wall_seconds"
-                ).observe(wall_seconds)
-                self.metrics.histogram(
-                    "turbo.lambda.materialize.clock_seconds"
-                ).observe(charged)
-                self.metrics.histogram(
-                    "turbo.lambda.materialize.cone_rows"
-                ).observe(float(mstats.cone_rows))
+            self.metrics.counter("turbo.lambda.materialize.rows").inc(
+                mstats.rows_computed
+            )
+            self.metrics.counter("turbo.lambda.materialize.edges").inc(
+                mstats.edges_touched
+            )
+            self.metrics.histogram(
+                "turbo.lambda.materialize.wall_seconds"
+            ).observe(wall_seconds)
+            self.metrics.histogram(
+                "turbo.lambda.materialize.clock_seconds"
+            ).observe(charged)
+            self.metrics.histogram("turbo.lambda.materialize.cone_rows").observe(
+                float(mstats.cone_rows)
+            )
         if root is not None:
             root.annotate("bn_version", state.bn_version)
             root.annotate("covered_nodes", state.num_nodes)
             root.annotate("sampled_nodes", stats.sampled_nodes)
-            if mstats is not None:
-                mat_span = root.child("lambda_materialize", now)
-                mat_span.annotate("mode", mstats.mode)
-                mat_span.annotate("rows_computed", mstats.rows_computed)
-                mat_span.annotate("edges_touched", mstats.edges_touched)
-                mat_span.annotate("cone_rows", mstats.cone_rows)
-                mat_span.annotate("layer_rows", mstats.layer_rows)
-                mat_span.annotate("slices", mstats.slices)
-                previous_mark = wall_start
-                for stage, at_mark in marks:
-                    child = mat_span.child(stage, now)
-                    child.finish(at_mark - previous_mark)
-                    previous_mark = at_mark
-                mat_span.finish(wall_seconds)
+            mat_span = root.child("lambda_materialize", now)
+            mat_span.annotate("mode", mstats.mode)
+            mat_span.annotate("rows_computed", mstats.rows_computed)
+            mat_span.annotate("edges_touched", mstats.edges_touched)
+            mat_span.annotate("cone_rows", mstats.cone_rows)
+            mat_span.annotate("layer_rows", mstats.layer_rows)
+            mat_span.annotate("slices", mstats.slices)
+            previous_mark = wall_start
+            for stage, at_mark in marks:
+                child = mat_span.child(stage, now)
+                child.finish(at_mark - previous_mark)
+                previous_mark = at_mark
+            mat_span.finish(wall_seconds)
             self.tracer.finish_trace(root, charged)
         return state, stats
 
     def maybe_refresh(self, now: float) -> bool:
         """Run a batch pass when the refresh period elapsed; ``True`` if run.
 
-        Prefers the incremental path when a valid prior state exists for an
-        ancestor of the live BN (delta tracking intact); otherwise — first
-        pass, rebound network, or ``incremental`` off — runs a full sweep.
+        A cone refresh when the current state is a valid ancestor of the
+        live BN (:meth:`_ancestor`); otherwise — first pass, rebound
+        network — a full sweep.
         """
         if self.refresh_period is None:
             return False
         if self.last_pass_at is not None and now - self.last_pass_at < self.refresh_period:
             return False
-        self._run_pass(now, incremental=True)
+        self.run_incremental_pass(now)
         return True
 
     def load_checkpoint(self) -> HAGState | None:
@@ -440,12 +385,17 @@ class LambdaLayer:
         Installs it as the serving state only when it still matches the
         live BN version *and* delta tracking survived (otherwise staleness
         since the pass is unaccountable and serving it would be unsafe);
-        the deserialized state is returned either way.
+        the deserialized state is returned either way.  A payload
+        :meth:`HAGState.from_arrays` rejects (truncated or corrupt
+        checkpoint) is no checkpoint: ``None``, nothing installed.
         """
         rows, _seconds = self.database.query(_CHECKPOINT_TABLE, _CHECKPOINT_KEY)
         if not rows or rows[0] is None:
             return None
-        state = HAGState.from_arrays(rows[0])
+        try:
+            state = HAGState.from_arrays(rows[0])
+        except ValueError:
+            return None
         bn = self.bn_server.bn
         if state.bn_version == int(bn.version) and bn.delta_tracking():
             self.state = state

@@ -35,10 +35,13 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
-from ..network.sampling import BatchSampleStats, ComputationSubgraph
+from ..network.sampling import (
+    BatchSampleStats,
+    ComputationSubgraph,
+    slice_union_subgraphs,
+)
 from ..network.sharding import ShardIndex, ShardedBehaviorNetwork, _shard_of_int
 from ..network.shm import SharedSnapshotStore
 from ..obs.tracing import current_span
@@ -197,35 +200,9 @@ def index_sample_batch(
             if any(dead_row[union_index[uid]] for uid in nodes):
                 partial[i] = True
 
-    subgraphs: list[ComputationSubgraph] = []
-    request_of_union = np.full(len(union_nodes), -1, dtype=np.int64)
-    for target, nodes in zip(targets, selected_lists):
-        n = len(nodes)
-        node_positions = np.asarray(
-            [union_index[uid] for uid in nodes], dtype=np.int64
-        )
-        request_of_union[node_positions] = np.arange(n, dtype=np.int64)
-        adjacency: dict[BehaviorType, sp.csr_matrix] = {}
-        for btype in types:
-            iu, iv, weights = typed_entries[btype]
-            riu = request_of_union[iu]
-            riv = request_of_union[iv]
-            keep = (riu >= 0) & (riv >= 0)
-            iu_kept, iv_kept, w_kept = riu[keep], riv[keep], weights[keep]
-            adjacency[btype] = sp.csr_matrix(
-                (
-                    np.concatenate([w_kept, w_kept]),
-                    (
-                        np.concatenate([iu_kept, iv_kept]),
-                        np.concatenate([iv_kept, iu_kept]),
-                    ),
-                ),
-                shape=(n, n),
-            )
-        request_of_union[node_positions] = -1
-        subgraphs.append(
-            ComputationSubgraph(target=int(target), nodes=nodes, adjacency=adjacency)
-        )
+    subgraphs = slice_union_subgraphs(
+        [int(t) for t in targets], selected_lists, union_index, typed_entries
+    )
 
     stats = BatchSampleStats(
         requests=n_requests,

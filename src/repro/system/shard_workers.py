@@ -68,13 +68,14 @@ def publish_materialize_inputs(
 
 
 def fullgraph_executor(pool: "ShardWorkerPool"):
-    """Executor over a worker pool for ``materialize_fullgraph``.
+    """Executor over a worker pool for a full
+    :func:`~repro.core.lambda_infer.materialize` sweep.
 
     Returns a callable mapping the sweep's ``(lo, hi)`` bounds to
     :class:`SliceResult`s: bounds are assigned round-robin over the live
     workers, all commands are pipelined before any result is collected
     (workers score their slices concurrently), and a dead worker's slots
-    come back ``None`` — ``materialize_fullgraph`` recomputes those slices
+    come back ``None`` — ``materialize`` recomputes those slices
     in-process, so worker loss degrades throughput, never correctness.
     The pool must have model and materialize inputs attached
     (:meth:`ShardWorkerPool.materialize_attach`).

@@ -963,14 +963,6 @@ def deploy_turbo(
             refresh_period=config.lambda_refresh_period,
             staleness_budget=config.lambda_staleness_budget,
             store=router.store if router is not None else None,
-            full_graph=(
-                True if config.lambda_full_graph is None else config.lambda_full_graph
-            ),
-            incremental=(
-                True
-                if config.lambda_incremental is None
-                else config.lambda_incremental
-            ),
         )
         bn_server.set_sampler(DeltaSampler(lambda_layer, bn_server.sampler))
     turbo = Turbo(

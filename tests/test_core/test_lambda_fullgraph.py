@@ -1,21 +1,32 @@
-"""Full-graph and incremental materialization parity (lambda batch tier).
+"""The one materializer: full-pass and cone-refresh parity (lambda batch tier).
 
-Pinned contracts (see ``docs/LAMBDA.md`` — Full-graph materialization):
+Pinned contracts (see ``docs/LAMBDA.md`` — The materializer):
 
-* :func:`~repro.core.lambda_infer.materialize_fullgraph` produces a
-  :class:`~repro.core.lambda_infer.HAGState` **byte-identical** to the
-  legacy per-user union replay (:func:`~repro.core.lambda_infer.materialize`)
-  — scores, subgraph CSR, and every layer array — at any chunk size and
-  any slice split, with or without an executor (a dead executor slot is
-  recomputed in-process);
-* :func:`~repro.core.lambda_infer.rematerialize` recomputes only the
-  delta's affected cone: at zero delta the refreshed state is a byte copy
-  of the prior, under randomized delta batches the scores are byte-equal
-  to a fresh full pass while untouched layer rows are byte copies of the
-  prior (only ``layer_rows`` rows may differ), and provenance changes
-  (new transaction / as-of) force a recompute of exactly those targets;
-* an incompatible prior (hops/fanout drift, missing layer arrays) raises
-  ``ValueError`` so callers fall back to the full sweep.
+* :func:`~repro.core.lambda_infer.materialize` without a prior produces a
+  :class:`~repro.core.lambda_infer.HAGState` whose scores and subgraph
+  rows are **byte-identical** to the scalar serving path
+  (:func:`~repro.network.sampling.computation_subgraph` +
+  :meth:`~repro.core.hag.HAG.predict_subgraph` per target) and whose layer
+  arrays are byte-identical to :meth:`~repro.core.hag.HAG.layer_states`
+  over the target-induced adjacency — at any chunk size and any slice
+  split, with or without an executor (a dead executor slot is recomputed
+  in-process), for CFO and CFO(-) models alike;
+* with a prior it recomputes only the delta's affected cone: at zero delta
+  the refreshed state is a byte copy of the prior, under randomized delta
+  batches the scores are byte-equal to a fresh full pass while untouched
+  layer rows are byte copies of the prior (only ``layer_rows`` rows may
+  differ), and provenance changes (new transaction / as-of) force a
+  recompute of exactly those targets;
+* a prior that shares nothing with the request degenerates to the full
+  pass byte for byte; the executor is consulted only when the cone is the
+  whole target range; zero targets is an empty state;
+* an incompatible prior (hops/fanout drift, missing layer arrays) and a
+  stale :class:`~repro.network.sampled_graph.SampledGraph` raise
+  ``ValueError``.
+
+Every class runs twice: as written (CFO model) and through its ``NoCFO``
+subclass (the CFO(-) ablation, whose single merged tower takes the other
+branch of the packed scoring and of the layer adjacency).
 """
 
 from __future__ import annotations
@@ -23,15 +34,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import HAG, materialize
-from repro.core.lambda_infer import (
-    SliceResult,
-    materialize_fullgraph,
-    rematerialize,
-    score_slice,
-)
+from repro import nn
+from repro.core import HAG, materialize, prepare_aggregators
+from repro.core.lambda_infer import SliceResult, score_slice
 from repro.datagen import BehaviorType
-from repro.network import BehaviorNetwork, build_sampled_graph
+from repro.network import BehaviorNetwork, build_sampled_graph, typed_adjacency
+from repro.network.sampling import (
+    computation_subgraph,
+    computation_subgraphs_batch,
+)
 
 TYPES = (BehaviorType.DEVICE_ID, BehaviorType.IPV4, BehaviorType.WIFI_MAC)
 HOPS, FANOUT = 2, 6
@@ -72,15 +83,21 @@ def add_delta(bn, seed, count, n_users=140):
     return touched
 
 
-@pytest.fixture(scope="module")
-def setup():
+def build_model(n_types, use_cfo):
+    return HAG(
+        IN_DIM, n_types, np.random.default_rng(5),
+        hidden=(8, 4), cfo_out_dim=2, mlp_hidden=(4,), use_cfo=use_cfo,
+    )
+
+
+@pytest.fixture(scope="class")
+def setup(request):
+    """``(bn, model, features, types, targets)`` for the requesting class's
+    model shape (``USE_CFO``)."""
     bn = build_bn()
     types = tuple(sorted(bn.edge_types(), key=lambda t: t.value))
-    rng = np.random.default_rng(5)
-    model = HAG(
-        IN_DIM, len(types), rng, hidden=(8, 4), cfo_out_dim=2, mlp_hidden=(4,)
-    )
-    features = rng.normal(size=(200, IN_DIM))
+    model = build_model(len(types), request.cls.USE_CFO)
+    features = np.random.default_rng(7).normal(size=(200, IN_DIM))
     targets = sorted(int(t) for t in np.random.default_rng(6).choice(
         sorted(bn.nodes()), size=60, replace=False
     ))
@@ -91,26 +108,70 @@ def feature_fn_for(features):
     return lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)]
 
 
-def run_replay(setup_tuple, **kwargs):
+def run(setup_tuple, **kwargs):
+    """One :func:`materialize` call over the setup (full pass by default)."""
     bn, model, features, types, targets = setup_tuple
+    rows = np.asarray(targets, dtype=np.int64)
+    kwargs.setdefault("layer_row_fn", lambda idx: features[rows[idx]])
+    kwargs.setdefault("txn_ids", [10 * t for t in targets])
     return materialize(
-        model, bn, targets, [10 * t for t in targets], [float(t) for t in targets],
+        model, bn, targets, kwargs.pop("txn_ids"), [float(t) for t in targets],
         feature_fn_for(features),
-        hops=HOPS, fanout=FANOUT, edge_type_order=types,
-        layer_features=features[np.asarray(targets, dtype=np.int64)],
+        hops=kwargs.pop("hops", HOPS), fanout=FANOUT, edge_type_order=types,
         **kwargs,
     )
 
 
-def run_fullgraph(setup_tuple, **kwargs):
+def scalar_oracle(setup_tuple):
+    """What the serving path computes, one target at a time.
+
+    Scores and subgraph rows from ``computation_subgraph`` +
+    ``HAG.predict_subgraph``; layer arrays from ``HAG.layer_states`` over
+    the target-induced ``typed_adjacency``; sampling stats from the union
+    batch sampler the live server runs.
+    """
     bn, model, features, types, targets = setup_tuple
-    return materialize_fullgraph(
-        model, bn, targets, [10 * t for t in targets], [float(t) for t in targets],
-        feature_fn_for(features),
-        hops=HOPS, fanout=FANOUT, edge_type_order=types,
-        layer_features=features[np.asarray(targets, dtype=np.int64)],
-        **kwargs,
-    )
+    scores, nodes = [], []
+    for uid in targets:
+        subgraph = computation_subgraph(bn, uid, hops=HOPS, fanout=FANOUT)
+        scores.append(model.predict_subgraph(
+            subgraph,
+            features[np.asarray(subgraph.nodes, dtype=np.int64)],
+            edge_type_order=types,
+        ))
+        nodes.append(np.asarray(subgraph.nodes, dtype=np.int64))
+    adjacency = typed_adjacency(bn, targets, types, normalize=True)
+    matrices = [adjacency[t] for t in types]
+    if not model.use_cfo:
+        merged = matrices[0]
+        for matrix in matrices[1:]:
+            merged = merged + matrix
+        matrices = [merged.tocsr()]
+    model.eval()
+    with nn.no_grad():
+        fused, states = model.layer_states(
+            nn.Tensor(features[np.asarray(targets, dtype=np.int64)]),
+            prepare_aggregators(matrices),
+        )
+    model.train()
+    layers = {
+        f"tower{t}.layer{k}": hidden.numpy()
+        for t, tower in enumerate(states)
+        for k, hidden in enumerate(tower)
+    }
+    layers["fused"] = fused.numpy()
+    _, stats = computation_subgraphs_batch(bn, targets, hops=HOPS, fanout=FANOUT)
+    return np.asarray(scores), nodes, layers, stats
+
+
+def assert_matches_oracle(state, oracle):
+    scores, nodes, layers, _ = oracle
+    assert state.scores.tobytes() == scores.tobytes()
+    assert state.subgraph_nodes.tobytes() == np.concatenate(nodes).tobytes()
+    assert np.diff(state.subgraph_indptr).tolist() == [len(n) for n in nodes]
+    assert state.layers.keys() == layers.keys()
+    for name, want in layers.items():
+        assert state.layers[name].tobytes() == want.tobytes(), name
 
 
 def assert_states_bitexact(got, want):
@@ -121,20 +182,39 @@ def assert_states_bitexact(got, want):
 
 
 class TestFullGraphParity:
-    def test_bitexact_vs_replay(self, setup):
-        want, want_stats = run_replay(setup)
-        got, got_stats, mstats = run_fullgraph(setup)
-        assert_states_bitexact(got, want)
-        assert got_stats == want_stats
+    USE_CFO = True
+
+    @pytest.fixture(scope="class")
+    def oracle(self, setup):
+        return scalar_oracle(setup)
+
+    def test_bitexact_vs_replay(self, setup, oracle):
+        got, got_stats, mstats = run(setup)
+        assert_matches_oracle(got, oracle)
+        assert got_stats == oracle[3]
         assert mstats.mode == "full"
-        assert mstats.rows_computed == len(setup[4])
+        assert mstats.rows_computed == mstats.layer_rows == len(setup[4])
         assert mstats.edges_touched > 0
 
     @pytest.mark.parametrize("chunk", (1, 7, 256))
-    def test_chunking_does_not_change_bits(self, setup, chunk):
-        want, _, _ = run_fullgraph(setup)
-        got, _, _ = run_fullgraph(setup, chunk=chunk)
-        assert_states_bitexact(got, want)
+    def test_chunking_does_not_change_bits(self, setup, oracle, chunk):
+        got, _, _ = run(setup, chunk=chunk)
+        assert_matches_oracle(got, oracle)
+
+    def test_dense_multi_typed_pairs(self):
+        """Most pairs carry all three types and rows run past 16 entries:
+        the regime where the CFO(-) merge sums three duplicates per
+        coordinate, which must not depend on what shares the chunk."""
+        bn = build_bn(seed=3, n_users=40, n_edges=3000)
+        types = tuple(sorted(bn.edge_types(), key=lambda t: t.value))
+        local = (
+            bn, build_model(len(types), self.USE_CFO),
+            np.random.default_rng(7).normal(size=(40, IN_DIM)),
+            types, sorted(bn.nodes()),
+        )
+        oracle = scalar_oracle(local)
+        for chunk in (7, 256):
+            assert_matches_oracle(run(local, chunk=chunk)[0], oracle)
 
     def test_slices_and_dead_executor_slots(self, setup):
         """Executor results splice bit-exactly; dead (None) slots recompute."""
@@ -162,8 +242,8 @@ class TestFullGraphParity:
                 out.append(SliceResult.from_arrays(result.to_arrays()))
             return out
 
-        want, want_stats, _ = run_fullgraph(setup)
-        got, got_stats, mstats = run_fullgraph(
+        want, want_stats, _ = run(setup)
+        got, got_stats, mstats = run(
             setup, sampled=sampled, executor=executor, slices=5
         )
         assert_states_bitexact(got, want)
@@ -176,31 +256,36 @@ class TestFullGraphParity:
         sampled = build_sampled_graph(bn, FANOUT)
         other = build_bn(seed=9)
         with pytest.raises(ValueError):
-            materialize_fullgraph(
+            materialize(
                 model, other, targets[:4], [1, 2, 3, 4], [0.0] * 4,
                 feature_fn_for(features),
                 hops=HOPS, fanout=FANOUT, edge_type_order=types, sampled=sampled,
             )
 
+    def test_zero_targets(self, setup):
+        bn, model, features, types, _ = setup
+        consulted = []
+        state, stats, mstats = run(
+            (bn, model, features, types, []),
+            executor=consulted.append, slices=4,
+        )
+        assert state.num_nodes == 0 and state.layers == {}
+        assert state.subgraph_indptr.tolist() == [0]
+        assert stats.requests == stats.sampled_nodes == 0
+        assert mstats.rows_computed == mstats.layer_rows == 0
+        assert consulted == []
+
+
+class TestFullGraphParityNoCFO(TestFullGraphParity):
+    USE_CFO = False
+
 
 class TestIncremental:
-    def run_incremental(self, setup_tuple, prior, touched):
-        bn, model, features, types, targets = setup_tuple
-
-        def layer_row_fn(rows):
-            return features[np.asarray(targets, dtype=np.int64)[rows]]
-
-        return rematerialize(
-            model, bn, prior, targets,
-            [10 * t for t in targets], [float(t) for t in targets],
-            feature_fn_for(features),
-            hops=HOPS, fanout=FANOUT, edge_type_order=types,
-            touched=touched, layer_row_fn=layer_row_fn,
-        )
+    USE_CFO = True
 
     def test_zero_delta_is_byte_noop(self, setup):
-        prior, _, _ = run_fullgraph(setup)
-        state, _, mstats = self.run_incremental(setup, prior, {})
+        prior, _, _ = run(setup)
+        state, _, mstats = run(setup, prior=prior, touched={})
         assert mstats.mode == "incremental"
         assert mstats.rows_computed == 0
         assert mstats.layer_rows == 0
@@ -215,26 +300,30 @@ class TestIncremental:
         # whole target set, so the O(affected) claim is actually exercised.
         bn = build_bn(seed=delta_seed + 50, n_users=800, n_edges=800)
         types = tuple(sorted(bn.edge_types(), key=lambda t: t.value))
-        rng = np.random.default_rng(5)
-        model = HAG(
-            IN_DIM, len(types), rng, hidden=(8, 4), cfo_out_dim=2, mlp_hidden=(4,)
-        )
-        features = rng.normal(size=(900, IN_DIM))
+        model = build_model(len(types), self.USE_CFO)
+        features = np.random.default_rng(7).normal(size=(900, IN_DIM))
         targets = sorted(bn.nodes())[:300]
         local = (bn, model, features, types, targets)
 
-        prior, _, _ = run_fullgraph(local)
+        prior, _, _ = run(local)
         touched_uids = add_delta(bn, seed=delta_seed, count=2, n_users=800)
         touched = {uid: 1 for uid in touched_uids}
 
-        fresh, fresh_stats, _ = run_fullgraph(local)
-        state, _, mstats = self.run_incremental(local, prior, touched)
+        consulted = []
+        fresh, _, _ = run(local)
+        state, _, mstats = run(
+            local, prior=prior, touched=touched,
+            executor=consulted.append, slices=4,
+        )
 
         # Scores and subgraphs: byte-equal the fresh full pass everywhere.
         assert state.scores.tobytes() == fresh.scores.tobytes()
         assert state.subgraph_indptr.tobytes() == fresh.subgraph_indptr.tobytes()
         assert state.subgraph_nodes.tobytes() == fresh.subgraph_nodes.tobytes()
         assert 0 < mstats.rows_computed < len(targets)
+        # A partial cone is not a contiguous range: never handed to the
+        # executor, scored in-process as one slice.
+        assert consulted == [] and mstats.slices == 1
 
         # Layers: equal to fresh within numerics everywhere; rows that are
         # not byte copies of the prior are exactly the recomputed cone.
@@ -249,50 +338,51 @@ class TestIncremental:
         assert int(recomputed.sum()) <= mstats.layer_rows
 
     def test_provenance_change_recomputes_target(self, setup):
-        bn, model, features, types, targets = setup
-        prior, _, _ = run_fullgraph(setup)
-
-        def layer_row_fn(rows):
-            return features[np.asarray(targets, dtype=np.int64)[rows]]
-
+        targets = setup[4]
+        prior, _, _ = run(setup)
         txn_ids = [10 * t for t in targets]
         txn_ids[3] += 1  # one target has a newer transaction
-        state, _, mstats = rematerialize(
-            model, bn, prior, targets, txn_ids, [float(t) for t in targets],
-            feature_fn_for(features),
-            hops=HOPS, fanout=FANOUT, edge_type_order=types,
-            touched={}, layer_row_fn=layer_row_fn,
-        )
+        state, _, mstats = run(setup, prior=prior, touched={}, txn_ids=txn_ids)
         assert mstats.rows_computed >= 1
         assert state.txn_ids[3] == txn_ids[3]
         # The graph did not change, so the recomputed score matches the prior.
         assert state.scores.tobytes() == prior.scores.tobytes()
 
-    def test_hops_mismatch_rejected(self, setup):
+    def test_disjoint_prior_is_the_full_pass(self, setup):
+        """A prior covering none of the targets leaves nothing to copy: the
+        cone is everything, the executor is consulted, and the state is the
+        ``prior=None`` pass byte for byte."""
         bn, model, features, types, targets = setup
-        prior, _, _ = run_fullgraph(setup)
+        others = sorted(set(bn.nodes()) - set(targets))[:20]
+        prior, _, _ = run((bn, model, features, types, others))
+        calls = []
+
+        def executor(bounds):
+            calls.append(list(bounds))
+            return [None] * len(bounds)
+
+        want, want_stats, want_mstats = run(setup)
+        got, got_stats, mstats = run(
+            setup, prior=prior, touched={}, executor=executor, slices=3
+        )
+        assert_states_bitexact(got, want)
+        assert got_stats == want_stats
+        assert mstats.mode == "incremental"
+        assert mstats.rows_computed == want_mstats.rows_computed == len(targets)
+        assert mstats.layer_rows == len(targets)
+        assert len(calls) == 1 and len(calls[0]) == 3
+
+    def test_hops_mismatch_rejected(self, setup):
+        prior, _, _ = run(setup)
         with pytest.raises(ValueError):
-            rematerialize(
-                model, bn, prior, targets,
-                [10 * t for t in targets], [float(t) for t in targets],
-                feature_fn_for(features),
-                hops=HOPS + 1, fanout=FANOUT, edge_type_order=types,
-            )
+            run(setup, prior=prior, hops=HOPS + 1)
 
     def test_missing_layer_arrays_rejected(self, setup):
-        bn, model, features, types, targets = setup
-        prior, _, _ = run_fullgraph(setup)
+        prior, _, _ = run(setup)
         prior.layers.pop("fused")
-        try:
-            with pytest.raises(ValueError):
-                rematerialize(
-                    model, bn, prior, targets,
-                    [10 * t for t in targets], [float(t) for t in targets],
-                    feature_fn_for(features),
-                    hops=HOPS, fanout=FANOUT, edge_type_order=types,
-                    layer_row_fn=lambda rows: features[
-                        np.asarray(targets, dtype=np.int64)[rows]
-                    ],
-                )
-        finally:
-            prior.layers["fused"] = np.zeros((len(targets), 2))
+        with pytest.raises(ValueError):
+            run(setup, prior=prior)
+
+
+class TestIncrementalNoCFO(TestIncremental):
+    USE_CFO = False

@@ -6,8 +6,10 @@ Pins the lambda tentpole's core guarantees (PR 8):
   per-node columns, answers exact-provenance lookups, and prices
   staleness over the cached subgraph node sets;
 * ``to_arrays``/``from_arrays`` round-trip losslessly (including the
-  full-graph layer states), which is what both the storage checkpoint
-  and the shared-memory publication rely on;
+  layer states), which is what both the storage checkpoint and the
+  shared-memory publication rely on — and a payload that does not describe
+  one consistent state (:data:`CORRUPTIONS`) is a ``ValueError`` naming
+  the array, never a state that serves;
 * :func:`~repro.core.lambda_infer.materialize` replays the exact scalar
   serving path — cached scores are bit-for-bit what per-target sampling
   plus :meth:`~repro.core.hag.HAG.predict_subgraph` computes.
@@ -23,6 +25,35 @@ from repro.datagen import BehaviorType
 from repro.network.sampling import computation_subgraph
 
 TYPES = (BehaviorType.DEVICE_ID, BehaviorType.IPV4, BehaviorType.WIFI_MAC)
+
+
+def _drop(name):
+    return lambda arrays: arrays.pop(name)
+
+
+def _set(name, value):
+    return lambda arrays: arrays.__setitem__(name, value(arrays[name]))
+
+
+#: ``name -> (mutate(arrays), array the error must name)``: the ways a
+#: serialized state stops describing one consistent state.  Shared with the
+#: checkpoint and worker-attach boundary tests (``test_system/test_lambda``).
+CORRUPTIONS = {
+    "truncated_subgraph_nodes": (
+        _set("subgraph_nodes", lambda a: a[:-2]), "subgraph_nodes",
+    ),
+    "non_monotone_indptr": (
+        _set("subgraph_indptr", lambda a: np.concatenate([a[:1], a[2:0:-1], a[3:]])),
+        "subgraph_indptr",
+    ),
+    "short_layer_array": (_set("state:fused", lambda a: a[:-1]), "fused"),
+    "nan_score": (
+        _set("scores", lambda a: np.where(np.arange(len(a)) == 0, np.nan, a)),
+        "scores",
+    ),
+    "score_out_of_range": (_set("scores", lambda a: a + 1.0), "scores"),
+    "missing_array": (_drop("txn_ids"), "txn_ids"),
+}
 
 
 def small_state(layers: dict | None = None) -> HAGState:
@@ -138,6 +169,16 @@ class TestHAGState:
         with pytest.raises(ValueError):
             HAGState.from_arrays(arrays)
 
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_payload_rejected(self, corruption):
+        """A truncated/corrupt payload is a ValueError naming the array."""
+        mutate, named = CORRUPTIONS[corruption]
+        arrays = small_state(layers={"fused": np.zeros((3, 2))}).to_arrays()
+        HAGState.from_arrays(arrays)  # sane before the corruption
+        mutate(arrays)
+        with pytest.raises(ValueError, match=named):
+            HAGState.from_arrays(arrays)
+
 
 class TestMaterialize:
     @pytest.fixture(scope="class")
@@ -159,7 +200,7 @@ class TestMaterialize:
         txn_ids = [10 * uid for uid in targets]
         nows = [float(uid) for uid in targets]
 
-        state, stats = materialize(
+        state, stats, mstats = materialize(
             model,
             tiny_bn,
             targets,
@@ -173,6 +214,8 @@ class TestMaterialize:
         assert state.num_nodes == len(targets)
         assert stats.requests == len(targets)
         assert state.bn_version == int(tiny_bn.version)
+        assert mstats.mode == "full" and mstats.rows_computed == len(targets)
+        assert state.layers == {}  # no layer_row_fn: a scores-only state
 
         for uid in targets:
             position = state.position_of(uid)
@@ -193,11 +236,11 @@ class TestMaterialize:
         txn_ids = [1] * len(targets)
         nows = [0.0] * len(targets)
         fn = lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)]
-        one, _ = materialize(
+        one, _, _ = materialize(
             model, tiny_bn, targets, txn_ids, nows, fn,
             hops=2, fanout=10, edge_type_order=types, chunk=1,
         )
-        big, _ = materialize(
+        big, _, _ = materialize(
             model, tiny_bn, targets, txn_ids, nows, fn,
             hops=2, fanout=10, edge_type_order=types, chunk=256,
         )
@@ -207,11 +250,13 @@ class TestMaterialize:
         model, features, types = model_and_features
         targets = sorted(tiny_bn.nodes())[:8]
         fn = lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)]
-        state, _ = materialize(
+        rows = np.asarray(sorted(targets), dtype=np.int64)
+        state, _, mstats = materialize(
             model, tiny_bn, targets, [1] * 8, [0.0] * 8, fn,
             hops=2, fanout=10, edge_type_order=types,
-            layer_features=features[np.asarray(sorted(targets), dtype=np.int64)],
+            layer_row_fn=lambda idx: features[rows[idx]],
         )
+        assert mstats.layer_rows == len(targets)
         assert "fused" in state.layers
         assert state.layers["fused"].shape[0] == len(targets)
         # One hidden state per SAO layer per tower, rows aligned to targets.

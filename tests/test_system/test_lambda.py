@@ -7,7 +7,9 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
 * every lambda-served request is traced (a ``lambda_delta`` child span under
   the request root, tier annotated);
 * the batch-pass state checkpoints through the database and round-trips
-  losslessly (disaster recovery without a recompute);
+  losslessly (disaster recovery without a recompute); a truncated or
+  corrupt checkpoint is rejected at the checkpoint loader and at the
+  worker attach instead of being served;
 * delta edge touches beyond the staleness budget force fallthrough to the
   exact sampled path; raising the budget serves the stale score and prices
   it honestly in ``TurboResponse.staleness``;
@@ -18,7 +20,11 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
   untouched users stay bit-exact, touched users drift by less than the
   pinned envelope;
 * the forked :class:`~repro.system.ShardWorkerPool` can attach the
-  published lambda segment and serve cached lookups zero-copy.
+  published lambda segment and serve cached lookups zero-copy;
+* refreshes extend the current state only when it is a valid ancestor
+  (same BN object, delta tracking on, same hops/fanout, layer arrays
+  present) and run a full pass otherwise; errors past that predicate
+  propagate.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import pytest
 from repro.datagen import BehaviorLog, GeneratorConfig
 from repro.datagen.drift import generate_drift_scenario
 from repro.datagen.entities import HOUR
-from repro.network import FAST_WINDOWS
+from repro.network import FAST_WINDOWS, build_sampled_graph
 from repro.system import (
     DeltaSampler,
     LambdaLayer,
@@ -38,6 +44,8 @@ from repro.system import (
     TurboConfig,
     deploy_turbo,
 )
+
+from tests.test_core.test_lambda_infer import CORRUPTIONS
 
 pytestmark = pytest.mark.resilience
 
@@ -196,6 +204,31 @@ class TestCheckpoint:
         hit = rebuilt.lookup(uid, int(state.txn_ids[0]), float(state.nows[0]))
         assert hit is not None
         assert hit.score == float(state.scores[0])
+
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_checkpoint_is_not_installed(self, turbo, corruption):
+        """A rejected payload is no checkpoint: ``None``, nothing served."""
+        lam = turbo.lambda_layer
+        arrays = lam.state.to_arrays()
+        CORRUPTIONS[corruption][0](arrays)
+        rebuilt = LambdaLayer(
+            turbo.bn_server,
+            turbo.feature_server,
+            turbo.prediction_server,
+            lam.database,
+            hops=lam.hops,
+            fanout=lam.fanout,
+            allowed=lam.allowed,
+        )
+        good = lam.database.query("lambda_state", "hag_state")[0][0]
+        lam.database.put("lambda_state", "hag_state", arrays)
+        try:
+            assert rebuilt.load_checkpoint() is None
+            assert rebuilt.state is None
+        finally:
+            lam.database.put("lambda_state", "hag_state", good)
+        assert rebuilt.load_checkpoint() is not None
 
 
 class TestFaultSemantics:
@@ -412,6 +445,26 @@ class TestWorkerPoolLambda:
             assert scores[0] == float(state.scores[0])
             assert scores[1] is None
 
+    def test_corrupt_segment_is_rejected_at_attach(self, tiny_dataset):
+        """The worker reports a corrupt state through the error channel and
+        keeps serving; nothing is attached for lookups."""
+        turbo, _data = deploy_turbo(tiny_dataset, lambda_config(shards=2))
+        lam = turbo.lambda_layer
+        router = turbo.bn_server.router
+        router.ensure_published()
+        with ShardWorkerPool(router.segments, n_workers=1) as pool:
+            for name, (mutate, named) in sorted(CORRUPTIONS.items()):
+                arrays = lam.state.to_arrays()
+                mutate(arrays)
+                handle = router.store.publish(
+                    f"lambda-{name}", arrays, meta={}, version=lam.state.bn_version
+                )
+                with pytest.raises(RuntimeError, match=f"failed: .*{named}"):
+                    pool.lambda_attach(0, handle.segment)
+                with pytest.raises(RuntimeError, match="no lambda state attached"):
+                    pool.lambda_lookup(0, [(1, 1, 0.0)])
+            assert pool.lambda_attach(0, lam._segment.segment) == lam.state.bn_version
+
     def test_lookup_without_attach_is_an_error(self, tiny_dataset):
         turbo, _data = deploy_turbo(tiny_dataset, lambda_config(shards=2))
         router = turbo.bn_server.router
@@ -422,12 +475,11 @@ class TestWorkerPoolLambda:
 
 
 class TestIncrementalRefresh:
-    """Full-graph + incremental maybe_refresh (the PR-9 materialize tier)."""
+    """Full deploy pass + cone refreshes through the one materializer."""
 
     def test_deploy_pass_is_full_graph(self, lambda_deployed):
         turbo, _ = lambda_deployed
         lam = turbo.lambda_layer
-        assert lam.full_graph and lam.incremental
         assert lam.last_materialize is not None
         assert lam.last_materialize.mode == "full"
         assert lam.last_materialize.rows_computed == lam.state.num_nodes
@@ -445,26 +497,49 @@ class TestIncrementalRefresh:
         # Zero delta since the deploy pass: the refresh recomputes nothing.
         assert lam.last_materialize.rows_computed == 0
 
-    def test_incremental_off_runs_full_sweeps(self, tiny_dataset):
-        turbo, _data = deploy_turbo(
-            tiny_dataset,
-            lambda_config(lambda_refresh_period=50.0, lambda_incremental=False),
-        )
-        lam = turbo.lambda_layer
-        assert lam.maybe_refresh(lam.last_pass_at + 60.0)
-        assert lam.incremental_passes == 0
-        assert lam.last_materialize.mode == "full"
+    @pytest.fixture(scope="class")
+    def refreshable(self, tiny_dataset):
+        """One deployment for the ancestor-predicate cases: each leaves a
+        fresh, valid state behind."""
+        return deploy_turbo(tiny_dataset, lambda_config())[0]
 
-    def test_legacy_replay_config_still_serves(self, tiny_dataset):
-        turbo, data = deploy_turbo(
-            tiny_dataset,
-            lambda_config(lambda_full_graph=False, lambda_incremental=False),
-        )
-        lam = turbo.lambda_layer
-        assert lam.last_materialize is None  # replay path has no sweep stats
-        txn = covered_requests(turbo, data, count=1)[0]
-        response = turbo.handle_request(txn, now=txn.audit_at)
-        assert response.tier == "lambda"
+    @pytest.mark.parametrize(
+        "invalidate",
+        [
+            lambda lam: setattr(lam, "hops", lam.hops - 1),
+            lambda lam: setattr(lam, "fanout", lam.fanout - 1),
+            lambda lam: lam.state.layers.pop("fused"),
+            lambda lam: setattr(lam._bn, "_delta", None),
+        ],
+        ids=["hops", "fanout", "missing-layer", "tracking-off"],
+    )
+    def test_invalid_ancestor_runs_a_full_pass(self, refreshable, invalidate):
+        """A state the refresh cannot extend is not passed as the prior."""
+        lam = refreshable.lambda_layer
+        assert lam._ancestor() is lam.state
+        incremental_passes = lam.incremental_passes
+        invalidate(lam)
+        assert lam._ancestor() is None
+        lam.run_incremental_pass(refreshable.clock.now())
+        assert lam.last_materialize.mode == "full"
+        assert lam.incremental_passes == incremental_passes
+        assert lam.last_materialize.rows_computed == lam.state.num_nodes
+        # ... and the fresh state is a valid ancestor again.
+        assert lam._ancestor() is lam.state
+        lam.run_incremental_pass(refreshable.clock.now())
+        assert lam.last_materialize.mode == "incremental"
+
+    def test_stale_sampled_graph_propagates(self, refreshable, monkeypatch):
+        """Past the ancestor predicate nothing is swallowed: a SampledGraph
+        of another BN version is an error, not a silent full sweep."""
+        lam = refreshable.lambda_layer
+        stale = build_sampled_graph(lam._bn, lam.fanout)
+        stale.version -= 1
+        monkeypatch.setattr(lam, "_sampled_graph", lambda bn: stale)
+        passes = lam.batch_passes
+        with pytest.raises(ValueError, match="version"):
+            lam.run_incremental_pass(refreshable.clock.now())
+        assert lam.batch_passes == passes
 
     def test_incremental_refresh_after_delta_matches_full(self, tiny_dataset):
         turbo, _data = deploy_turbo(tiny_dataset, lambda_config())

@@ -324,7 +324,7 @@ class TestPoolMaterialize:
         import pickle
 
         from repro.core import HAG
-        from repro.core.lambda_infer import materialize_fullgraph
+        from repro.core.lambda_infer import materialize
         from repro.features.pipeline import StandardScaler
         from repro.network import build_sampled_graph
 
@@ -343,14 +343,14 @@ class TestPoolMaterialize:
             return features[np.asarray(nodes, dtype=np.int64)]
 
         def run(**kwargs):
-            return materialize_fullgraph(
+            return materialize(
                 model, bn, targets,
                 [10 * t for t in targets], [float(t) for t in targets],
                 feature_fn,
                 hops=2, fanout=5, edge_type_order=types,
                 transform=scaler.transform, sampled=sampled,
-                layer_features=scaler.transform(
-                    features[np.asarray(targets, dtype=np.int64)]
+                layer_row_fn=lambda rows: scaler.transform(
+                    features[np.asarray(targets, dtype=np.int64)[rows]]
                 ),
                 **kwargs,
             )
