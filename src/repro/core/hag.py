@@ -31,9 +31,10 @@ import scipy.sparse as sp
 
 from .. import nn
 from ..nn import Tensor
+from ..nn.sparse import row_mean_csr
 from ..network.sampling import ComputationSubgraph
 from .cfo import CFOLayer
-from .sao import SAOLayer, neighbor_mean_matrix
+from .sao import SAOLayer
 
 __all__ = ["HAG", "prepare_aggregators"]
 
@@ -79,13 +80,21 @@ def prepare_aggregators(
 ) -> list[nn.PreparedAggregator]:
     """Convert raw per-type adjacency matrices to Eq. 6 aggregators.
 
-    Each aggregator is wrapped in :class:`repro.nn.PreparedAggregator` so a
-    training run builds its CSR transpose at most once (and a forward-only
-    pass never builds it) — see ``docs/PERFORMANCE.md``.
+    All towers are normalised in one stacked pass
+    (:func:`~repro.nn.sparse.row_mean_csr`) and each result is wrapped in
+    :class:`repro.nn.PreparedAggregator`, so a training run builds its CSR
+    transpose at most once (and a forward-only pass never builds it) — see
+    ``docs/PERFORMANCE.md``.  The towers share one node set: a matrix that
+    is not square, or not of the first one's shape, is a ``ValueError``.
     """
     if sp.issparse(adjacencies):
         adjacencies = [adjacencies]
-    return [nn.PreparedAggregator(neighbor_mean_matrix(a)) for a in adjacencies]
+    adjacencies = [nn.as_csr(a) for a in adjacencies]
+    for k, matrix in enumerate(adjacencies):
+        n = adjacencies[0].shape[0]
+        if matrix.shape != (n, n):
+            raise ValueError(f"adjacency {k} has shape {matrix.shape}, not ({n}, {n})")
+    return [nn.PreparedAggregator(a) for a in row_mean_csr(adjacencies)]
 
 
 class HAG(nn.Module):
@@ -261,10 +270,8 @@ class HAG(nn.Module):
         batch layer's full-graph materialization) without re-running the
         towers.
         """
-        self.eval()
         with nn.no_grad():
             logits = self.head(Tensor(embedding)).flatten()
-        self.train()
         return 1.0 / (1.0 + np.exp(-logits.numpy()))
 
     def forward(
@@ -277,10 +284,8 @@ class HAG(nn.Module):
         self, x: np.ndarray, aggregators: Sequence[sp.csr_matrix]
     ) -> np.ndarray:
         """Fraud probabilities for every node (no autograd recording)."""
-        self.eval()
         with nn.no_grad():
             logits = self.forward(Tensor(x), aggregators)
-        self.train()
         return 1.0 / (1.0 + np.exp(-logits.numpy()))
 
     def predict_subgraph(

@@ -54,6 +54,7 @@ from .. import nn
 from ..nn.sparse import (
     csr_gather_rows,
     csr_gather_rows_with_counts,
+    row_mean_csr,
     sum_csr,
     symmetric_csr,
 )
@@ -61,7 +62,6 @@ from ..network.adjacency import typed_adjacency
 from ..network.sampled_graph import SampledGraph, build_sampled_graph
 from ..network.sampling import BatchSampleStats
 from .hag import HAG, prepare_aggregators
-from .sao import neighbor_mean_matrix
 
 __all__ = [
     "HAGState",
@@ -735,8 +735,10 @@ def materialize(
 
         if len(rows):
             aggregators = [
-                nn.PreparedAggregator(neighbor_mean_matrix(matrix)[rows])
-                for matrix in _layer_adjacency(model, bn, node_ids, edge_type_order)
+                nn.PreparedAggregator(mean[rows])
+                for mean in row_mean_csr(
+                    _layer_adjacency(model, bn, node_ids, edge_type_order)
+                )
             ]
             need = np.zeros(n, dtype=bool)
             need[rows] = True

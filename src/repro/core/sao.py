@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from .. import nn
 from ..nn import Tensor
+from ..nn.sparse import row_mean_csr
 
 __all__ = ["SAOLayer", "neighbor_mean_matrix"]
 
@@ -37,17 +38,11 @@ def neighbor_mean_matrix(
     weights — consistent with the paper's ``deg'`` definition in Section
     III-A — so every non-empty row sums to one.  Dividing by the neighbour
     count instead would shrink the already-normalized weights a second time
-    and starve the neighbourhood branch of gradient signal.
+    and starve the neighbourhood branch of gradient signal.  The one-matrix
+    case of :func:`~repro.nn.sparse.row_mean_csr`, which
+    :func:`~repro.core.hag.prepare_aggregators` runs over all towers at once.
     """
-    csr = nn.as_csr(adjacency)
-    weighted_degree = np.asarray(csr.sum(axis=1)).ravel()
-    inv = np.divide(
-        1.0,
-        weighted_degree,
-        out=np.zeros_like(weighted_degree),
-        where=weighted_degree > 0,
-    )
-    return (sp.diags(inv) @ csr).tocsr()
+    return row_mean_csr([adjacency])[0]
 
 
 class SAOLayer(nn.Module):

@@ -2,9 +2,10 @@
 
 The exports are the first leg of the BN→GNN hot path, so they run on the
 :class:`~repro.network.snapshot.BNSnapshot` arrays (one cached pass over the
-edge dict) instead of per-edge Python iteration.  The original per-edge
-implementations are retained as ``*_reference`` for the equivalence tests
-and the perf harness.
+edge dict) instead of per-edge Python iteration, and all edge types are
+built in one pass (:func:`~repro.nn.sparse.typed_symmetric_csr`).  The
+original per-edge implementations are retained as ``*_reference`` for the
+equivalence tests and the perf harness.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
-from ..nn.sparse import symmetric_csr
+from ..nn.sparse import row_mean_csr, symmetric_csr, typed_symmetric_csr
 from .bn import BehaviorNetwork
 from .normalize import normalized_weight, type_weighted_degrees
 
@@ -71,6 +72,16 @@ def _typed_entries(
     return iu[keep], iv[keep], weights[keep]
 
 
+def _stack_entries(
+    entries: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate per-type ``(iu, iv, w)`` into ``(iu, iv, w, type_code)``."""
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    iu, iv, weights = map(np.concatenate, zip(empty, *entries))
+    codes = np.repeat(np.arange(len(entries)), [len(e[0]) for e in entries])
+    return iu, iv, weights, codes
+
+
 def typed_adjacency(
     bn: BehaviorNetwork,
     nodes: Sequence[int],
@@ -85,13 +96,10 @@ def typed_adjacency(
     """
     lookup = _output_index(bn, nodes)
     types = tuple(edge_types) if edge_types is not None else tuple(sorted(bn.edge_types()))
-    n = len(nodes)
-    result: dict[BehaviorType, sp.csr_matrix] = {}
-    for btype in types:
-        result[btype] = symmetric_csr(
-            *_typed_entries(bn, lookup, btype, normalize), n
-        )
-    return result
+    stacked = _stack_entries(
+        [_typed_entries(bn, lookup, btype, normalize) for btype in types]
+    )
+    return dict(zip(types, typed_symmetric_csr(*stacked, len(types), len(nodes))))
 
 
 def merged_adjacency(
@@ -109,20 +117,10 @@ def merged_adjacency(
     """
     lookup = _output_index(bn, nodes)
     types = tuple(edge_types) if edge_types is not None else tuple(sorted(bn.edge_types()))
-    n = len(nodes)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for btype in types:
-        iu, iv, weights = _typed_entries(bn, lookup, btype, normalize)
-        rows.append(iu)
-        cols.append(iv)
-        data.append(weights)
-    if not data:
-        return sp.csr_matrix((n, n))
-    return symmetric_csr(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(data), n
+    iu, iv, weights, _ = _stack_entries(
+        [_typed_entries(bn, lookup, btype, normalize) for btype in types]
     )
+    return symmetric_csr(iu, iv, weights, len(nodes))
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +179,7 @@ def merged_adjacency_reference(
 
 def row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Random-walk normalization ``D^-1 A`` (rows sum to 1 where non-empty)."""
-    matrix = matrix.tocsr()
-    degree = np.asarray(matrix.sum(axis=1)).ravel()
-    inv = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
-    return sp.diags(inv) @ matrix
+    return row_mean_csr([matrix])[0]
 
 
 def gcn_normalize(matrix: sp.spmatrix, add_self_loops: bool = True) -> sp.csr_matrix:

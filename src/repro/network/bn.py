@@ -9,6 +9,7 @@ the timestamp of its last contribution (for TTL expiry, Section V: max TTL of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -235,6 +236,7 @@ class BehaviorNetwork:
         self._next_seq = 0
         self._version = 0
         self._snapshot: BNSnapshot | None = None
+        self._edge_types: tuple[int, frozenset[BehaviorType]] | None = None
         self._num_edges = 0
         # Expiry index: bucket id -> typed-edge keys whose ``last_update``
         # fell in that bucket when last touched.  Entries are lazy — a
@@ -611,11 +613,16 @@ class BehaviorNetwork:
         return len(self._edges)
 
     def edge_types(self) -> set[BehaviorType]:
-        """The set of edge types present in the network."""
-        types: set[BehaviorType] = set()
-        for records in self._edges.values():
-            types.update(records)
-        return types
+        """The set of edge types present in the network.
+
+        Scanned once per :attr:`version` (like :meth:`to_arrays`; the write
+        path pays nothing) and handed out as a fresh set each call.
+        """
+        cached = self._edge_types
+        if cached is None or cached[0] != self._version:
+            cached = (self._version, frozenset(chain.from_iterable(self._edges.values())))
+            self._edge_types = cached
+        return set(cached[1])
 
     def neighbors(self, uid: int, btype: BehaviorType | None = None) -> list[int]:
         """Neighbours of ``uid``; restricted to edge type ``btype`` if given."""

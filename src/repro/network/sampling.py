@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
-from ..nn.sparse import sum_csr, symmetric_csr
-from .adjacency import _output_index, _typed_entries, merged_adjacency, typed_adjacency
+from ..nn.sparse import sum_csr, typed_symmetric_csr
+from .adjacency import _output_index, _stack_entries, _typed_entries, typed_adjacency
 from .bn import BehaviorNetwork
 
 __all__ = [
@@ -153,7 +153,8 @@ def computation_subgraphs_batch(
       list through its own BFS bookkeeping;
     * adjacency extraction masks the snapshot's edge arrays once per type
       against the *union* node set (the O(E) part), then slices each
-      request's entries out of the union block with O(E_union) index maps.
+      request's entries out of the union block with O(E_union) index maps
+      and builds its ``|R|`` matrices as one type-stacked CSR.
 
     Weighted sampling (the scalar path's ``rng``) is intentionally not
     offered: random draws are per-request by construction and would defeat
@@ -208,9 +209,8 @@ def computation_subgraphs_batch(
                 union_index[uid] = len(union_nodes)
                 union_nodes.append(uid)
     union_lookup = _output_index(bn, union_nodes)
-    # Entries are indexed into the union node list and keep snapshot edge
-    # order; a per-request membership mask therefore reproduces exactly the
-    # entry sequence the scalar typed_adjacency builds its CSR from.
+    # Entries are indexed into the union node list; each request's CSRs are
+    # cut from them by a membership mask (slice_union_subgraphs).
     typed_entries = {
         btype: _typed_entries(bn, union_lookup, btype, normalize=True)
         for btype in types
@@ -241,27 +241,32 @@ def slice_union_subgraphs(
     """Cut every request's typed adjacency out of one union block.
 
     ``typed_entries[btype]`` holds ``(iu, iv, w)`` indexed into the union
-    node list (``union_index`` maps uid to union row) in snapshot edge
-    order; a per-request membership mask therefore keeps exactly the entry
-    sequence the scalar ``typed_adjacency`` builds its CSR from, at
-    O(E_union) per request.  Shared by the single-network and the
-    shard-index batch samplers.
+    node list (``union_index`` maps uid to union row).  The types are
+    stacked once per call; each request masks the stack to its own nodes
+    (O(E_union)) and builds all its matrices in one
+    :func:`~repro.nn.sparse.typed_symmetric_csr` pass, bit-identical to the
+    scalar ``typed_adjacency`` over the same nodes.  Shared by the
+    single-network and the shard-index batch samplers.
     """
+    types = list(typed_entries)
+    iu, iv, weights, codes = _stack_entries(list(typed_entries.values()))
     subgraphs: list[ComputationSubgraph] = []
     request_of_union = np.full(len(union_index), -1, dtype=np.int64)
     for target, nodes in zip(targets, node_lists):
         n = len(nodes)
         positions = np.asarray([union_index[uid] for uid in nodes], dtype=np.int64)
         request_of_union[positions] = np.arange(n, dtype=np.int64)
-        adjacency: dict[BehaviorType, sp.csr_matrix] = {}
-        for btype, (iu, iv, weights) in typed_entries.items():
-            riu = request_of_union[iu]
-            riv = request_of_union[iv]
-            keep = (riu >= 0) & (riv >= 0)
-            adjacency[btype] = symmetric_csr(riu[keep], riv[keep], weights[keep], n)
+        riu = request_of_union[iu]
+        riv = request_of_union[iv]
+        keep = (riu >= 0) & (riv >= 0)
+        matrices = typed_symmetric_csr(
+            riu[keep], riv[keep], weights[keep], codes[keep], len(types), n
+        )
         request_of_union[positions] = -1
         subgraphs.append(
-            ComputationSubgraph(target=target, nodes=nodes, adjacency=adjacency)
+            ComputationSubgraph(
+                target=target, nodes=nodes, adjacency=dict(zip(types, matrices))
+            )
         )
     return subgraphs
 

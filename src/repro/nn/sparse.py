@@ -13,6 +13,13 @@ Two hot-path properties are guaranteed here (and pinned by tests via
 * a :class:`PreparedAggregator` memoizes its transpose, so a training run
   converts each aggregator at most once no matter how many layers, batches,
   or epochs reuse it.
+
+The module is also the CSR toolbox of the BN→GNN path.  A request's ``|R|``
+typed adjacencies and ``|R|`` Eq. 6 aggregators are each built as one
+*type-stacked* CSR and sliced (:func:`typed_symmetric_csr`,
+:func:`row_mean_csr`), bit-identical to the per-matrix scipy pipelines
+frozen in ``tests/oracles/sparse.py`` — see "The request's adjacency
+pipeline" in ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ __all__ = [
     "csr_gather_rows_with_counts",
     "csr_interleave",
     "symmetric_csr",
+    "typed_symmetric_csr",
+    "row_mean_csr",
     "sum_csr",
     "transpose_conversion_count",
     "reset_transpose_conversion_count",
@@ -88,14 +97,132 @@ def symmetric_csr(
     """Symmetric ``(n, n)`` CSR holding ``w[k]`` at ``(iu[k], iv[k])`` and
     ``(iv[k], iu[k])``.
 
-    The one spelling of the undirected-edge build: the adjacency exports,
-    both batch samplers and the lambda sweep all construct their matrices
-    here, so the bit-exactness suites compare the same construction fed
-    the same arrays in the same order.
+    The scipy spelling of the undirected-edge build (duplicates summed):
+    the merged export and the lambda sweep's packed chunks construct here;
+    per-type exports and both batch samplers use the bit-identical
+    :func:`typed_symmetric_csr`.
     """
     return sp.csr_matrix(
         (np.concatenate([w, w]), (np.concatenate([iu, iv]), np.concatenate([iv, iu]))),
         shape=(n, n),
+    )
+
+
+def _split_stacked(
+    data: np.ndarray,
+    indices: np.ndarray,
+    counts: np.ndarray,
+    bounds: np.ndarray,
+    shapes: Sequence[tuple[int, int]],
+) -> list[sp.csr_matrix]:
+    """Cut a row-stacked CSR (``counts[r]`` entries in stacked row ``r``)
+    into one matrix per ``bounds`` interval, index dtype as scipy picks it."""
+    idx_dtype = sp.get_index_dtype(maxval=max([len(data), *map(max, shapes)]))
+    indices = indices.astype(idx_dtype, copy=False)
+    indptr = np.zeros(len(counts) + 1, dtype=idx_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    matrices = []
+    for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes):
+        start, stop = indptr[lo], indptr[hi]
+        block = (data[start:stop], indices[start:stop], indptr[lo : hi + 1] - start)
+        matrices.append(sp.csr_matrix(block, shape=shape))
+    return matrices
+
+
+def typed_symmetric_csr(
+    iu: np.ndarray,
+    iv: np.ndarray,
+    w: np.ndarray,
+    type_code: np.ndarray,
+    n_types: int,
+    n: int,
+) -> list[sp.csr_matrix]:
+    """:func:`symmetric_csr` of every edge type in one pass.
+
+    Matrix ``t`` of the result is bit-identical (``indptr``, ``indices``,
+    ``data``, dtypes) to ``symmetric_csr`` over the entries with
+    ``type_code == t``.  All types are built as one type-stacked CSR of
+    ``n_types * n`` rows — one sort of the key
+    ``(type * n + row) * n + col``, one ``bincount``/``cumsum`` — and each
+    matrix is a slice of the stacked arrays.  An ``(i, j)`` repeated within
+    a type (a self-loop included) is rejected: scipy would sum it in an
+    order it does not define.  Keys are therefore unique, so the order does
+    not depend on the sort algorithm.
+    """
+    w = np.asarray(w)
+    iu, iv, type_code = (np.asarray(a, dtype=np.int64) for a in (iu, iv, type_code))
+    if iu.ndim != 1 or not iu.shape == iv.shape == w.shape == type_code.shape:
+        raise ValueError("iu, iv, w and type_code must be 1-D and of equal length")
+    if len(iu) and not (0 <= min(iu.min(), iv.min()) and max(iu.max(), iv.max()) < n):
+        raise ValueError(f"node indices must lie in [0, {n})")
+    if len(iu) and not 0 <= type_code.min() <= type_code.max() < n_types:
+        raise ValueError(f"type_code must lie in [0, {n_types})")
+    stacked_row = np.concatenate([type_code * n + iu, type_code * n + iv])
+    col = np.concatenate([iv, iu])
+    key = stacked_row * n + col
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        raise ValueError("an (i, j) entry repeats within one edge type")
+    matrices = _split_stacked(
+        np.concatenate([w, w])[order],
+        col[order],
+        np.bincount(stacked_row, minlength=n_types * n),
+        np.arange(n_types + 1) * n,
+        [(n, n)] * n_types,
+    )
+    for matrix in matrices:
+        matrix.has_canonical_format = True
+    return matrices
+
+
+def row_mean_csr(matrices: Sequence[sp.spmatrix]) -> list[sp.csr_matrix]:
+    """``D^-1 A`` of every matrix in one pass (Eq. 6): the one row-normaliser.
+
+    Row ``v`` holds ``a_vu / sum_u a_vu``; a row whose sum is not positive
+    comes out empty.  Bit-identical — structure, values, dtypes, hence the
+    float summation order of every later ``A @ H`` — to the per-matrix
+    scipy product ``diags(inv) @ csr`` it replaced, which written down is:
+    row sums by ``np.add.reduceat`` at the non-empty rows' starts, each
+    entry ``inv[row] * data``, zero products not stored, and every row's
+    entries in **reversed** stored order (``csr_matmat`` emits its per-row
+    list back to front).  Here each step runs once over the concatenated
+    arrays.  ``csr_matmat`` also summed a column repeated within a row; the
+    stacked pass cannot, so that — and non-finite ``data`` — is a
+    ``ValueError`` naming the matrix's position.
+    """
+    matrices = [as_csr(matrix) for matrix in matrices]
+    if not matrices:
+        return []
+    bounds = np.cumsum([0] + [m.shape[0] for m in matrices])
+    width = max(m.shape[1] for m in matrices)
+    counts = np.concatenate([np.diff(m.indptr) for m in matrices])
+    data = np.concatenate([m.data[: m.indptr[-1]] for m in matrices])
+    indices = np.concatenate([m.indices[: m.indptr[-1]] for m in matrices])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    row = np.repeat(np.arange(len(counts)), counts)
+    key = np.sort(row * width + indices)
+    for bad, what in (
+        (row[~np.isfinite(data)], "non-finite data"),
+        (key[1:][key[1:] == key[:-1]] // width, "a column repeats within a row"),
+    ):
+        if len(bad):
+            position = np.searchsorted(bounds, bad[0], side="right") - 1
+            raise ValueError(f"matrix {position}: {what}")
+    nonempty = counts > 0
+    degree = np.zeros(len(counts), dtype=data.dtype)
+    degree[nonempty] = np.add.reduceat(data, starts[nonempty])
+    inv = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
+    reverse = (starts + ends - 1)[row] - np.arange(len(row))
+    data = (inv[row] * data)[reverse]
+    stored = data != 0
+    return _split_stacked(
+        data[stored],
+        indices[reverse][stored],
+        np.bincount(row[stored], minlength=len(counts)),
+        bounds,
+        [m.shape for m in matrices],
     )
 
 

@@ -1,0 +1,6 @@
+"""Frozen reference spellings the shipped kernels are compared against.
+
+``src/`` keeps one implementation per function (ROADMAP item 3); what a
+kernel replaced lives here, so the tests can go on saying "bit-identical
+to what scipy did".
+"""

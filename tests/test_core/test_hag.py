@@ -115,3 +115,65 @@ class TestInductivePrediction:
             subgraph, np.zeros((1, 3)), edge_type_order=types
         )
         assert 0.0 <= probability <= 1.0
+
+
+class TestPrepareAggregatorsBoundary:
+    """The stacked normaliser's preconditions are errors, not footnotes."""
+
+    def test_rejects_non_square_naming_position(self):
+        square, wide = sp.identity(3, format="csr"), sp.csr_matrix((3, 4))
+        with pytest.raises(ValueError, match=r"adjacency 1 has shape \(3, 4\), not \(3, 3\)"):
+            prepare_aggregators([square, wide])
+
+    def test_rejects_differing_shapes_naming_position(self):
+        adjs = random_adjacencies(4, 2, np.random.default_rng(0))
+        adjs.append(sp.identity(5, format="csr"))
+        with pytest.raises(ValueError, match=r"adjacency 2 has shape \(5, 5\), not \(4, 4\)"):
+            prepare_aggregators(adjs)
+
+    def test_rejects_duplicate_columns_naming_position(self):
+        good = random_adjacencies(3, 1, np.random.default_rng(0))[0]
+        repeated = sp.csr_matrix(
+            (np.ones(2), np.array([1, 1]), np.array([0, 2, 2, 2])), shape=(3, 3)
+        )
+        with pytest.raises(ValueError, match="matrix 1: a column repeats"):
+            prepare_aggregators([good, repeated])
+
+    def test_rejects_non_finite_data_naming_position(self):
+        adjs = random_adjacencies(5, 3, np.random.default_rng(1))
+        adjs[2].data[0] = np.nan
+        with pytest.raises(ValueError, match="matrix 2: non-finite data"):
+            prepare_aggregators(adjs)
+
+    def test_dense_input_is_still_a_type_error(self):
+        with pytest.raises(TypeError):
+            prepare_aggregators([np.eye(3)])
+
+
+class TestPredictionLeavesModeAlone:
+    """``predict_proba`` runs under ``no_grad``, where dropout is already the
+    identity: it neither needs nor touches the train/eval flag."""
+
+    def build(self):
+        rng = np.random.default_rng(0)
+        model = HAG(4, 2, rng, hidden=(8, 4), cfo_out_dim=2, mlp_hidden=(6,), dropout=0.5)
+        x = rng.normal(size=(6, 4))
+        return model, x, prepare_aggregators(random_adjacencies(6, 2, rng))
+
+    def test_same_prediction_in_either_mode(self):
+        model, x, aggs = self.build()
+        training = model.predict_proba(x, aggs)
+        model.eval()
+        assert np.array_equal(model.predict_proba(x, aggs), training)
+        embedding = np.random.default_rng(1).normal(size=(6, 4))
+        evaluated = model.head_proba(embedding)
+        model.train()
+        assert np.array_equal(model.head_proba(embedding), evaluated)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_mode_is_what_the_caller_left(self, training):
+        model, x, aggs = self.build()
+        model.train() if training else model.eval()
+        model.predict_proba(x, aggs)
+        model.head_proba(np.zeros((6, 4)))
+        assert model.training is training and model.head.training is training

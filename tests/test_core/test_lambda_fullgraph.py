@@ -196,6 +196,21 @@ class TestFullGraphParity:
         assert mstats.rows_computed == mstats.layer_rows == len(setup[4])
         assert mstats.edges_touched > 0
 
+    def test_scalar_packed_and_materialized_scores_agree(self, setup, oracle):
+        """``predict_subgraph`` == ``predict_subgraphs`` == ``materialize``,
+        bit for bit, on one graph — the three ways a score is computed."""
+        bn, model, features, types, targets = setup
+        subgraphs, _ = computation_subgraphs_batch(
+            bn, targets, hops=HOPS, fanout=FANOUT, edge_types=types
+        )
+        packed = model.predict_subgraphs(
+            subgraphs,
+            [features[np.asarray(s.nodes, dtype=np.int64)] for s in subgraphs],
+            edge_type_order=types,
+        )
+        assert np.asarray(packed).tobytes() == oracle[0].tobytes()
+        assert run(setup)[0].scores.tobytes() == oracle[0].tobytes()
+
     @pytest.mark.parametrize("chunk", (1, 7, 256))
     def test_chunking_does_not_change_bits(self, setup, oracle, chunk):
         got, _, _ = run(setup, chunk=chunk)

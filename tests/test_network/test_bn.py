@@ -100,6 +100,48 @@ class TestTTL:
         assert bn.num_edges() == 2
 
 
+class TestEdgeTypesMemo:
+    """``edge_types()`` is memoized on ``version``; a scan is the contract."""
+
+    @staticmethod
+    def scan(bn) -> set:
+        return {btype for _, _, btype, _ in bn.iter_edges()}
+
+    def test_matches_scan_through_mutations(self):
+        bn = BehaviorNetwork(ttl=10 * DAY)
+        assert bn.edge_types() == set()
+        bn.add_weights([1, 2], [2, 3], [DEV, DEV], [1.0, 1.0], [0.0, 0.0])
+        assert bn.edge_types() == self.scan(bn) == {DEV}
+        bn.add_weight(1, 3, IP, 1.0, 5 * DAY)
+        assert bn.edge_types() == self.scan(bn) == {DEV, IP}
+        assert bn.expire_edges(11 * DAY) == 2  # the last DEV edges go
+        assert bn.edge_types() == self.scan(bn) == {IP}
+        assert bn.expire_edges(16 * DAY) == 1
+        assert bn.edge_types() == self.scan(bn) == set()
+
+    def test_one_scan_per_version_and_callers_get_their_own_set(self):
+        bn = small_bn()
+        first = bn.edge_types()
+        memo = bn._edge_types
+        first.clear()
+        assert bn.edge_types() == {DEV, IP}
+        assert bn._edge_types is memo
+        bn.add_weight(4, 5, DEV, 1.0, 0.0)
+        bn.edge_types()
+        assert bn._edge_types is not memo
+
+    def test_sharded_union_of_shard_memos(self):
+        from repro.network import ShardedBehaviorNetwork
+
+        sharded = ShardedBehaviorNetwork.from_network(small_bn(), 3)
+        assert sharded.edge_types() == {DEV, IP}
+        sharded.edge_types().clear()
+        assert sharded.edge_types() == {DEV, IP}
+        assert sharded.expire_edges(10 * DAY + 151.0) == 1  # the IP edge (t=150)
+        scans = [self.scan(shard) for shard in sharded.shards]
+        assert sharded.edge_types() == set().union(*scans) == {DEV}
+
+
 class TestKhop:
     def test_khop_distances(self):
         bn = small_bn()
