@@ -422,10 +422,9 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value (subgradient sign(x))."""
-        sign = np.sign(self.data)
 
         def backward(g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
-            return [(self, g * sign)]
+            return [(self, g * np.sign(self.data))]
 
         return Tensor._make(np.abs(self.data), (self,), backward)
 
@@ -557,9 +556,9 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_z
-        soft = np.exp(out_data)
 
         def backward(g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
+            soft = np.exp(out_data)
             return [(self, g - soft * g.sum(axis=axis, keepdims=True))]
 
         return Tensor._make(out_data, (self,), backward)
@@ -576,10 +575,9 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         grads = []
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim

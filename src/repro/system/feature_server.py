@@ -29,13 +29,17 @@ __all__ = ["FeatureServer", "FeatureBatchStats"]
 
 @dataclass(frozen=True, slots=True)
 class FeatureBatchStats:
-    """Coalescing accounting for one ``features_for_batch`` call."""
+    """Coalescing accounting for one ``features_for_batch`` call.
+
+    ``row_cache_hits`` / ``computed_rows`` are *modeled-clock* figures (what
+    the ledger charged), not what the row store had to compute.
+    """
 
     requests: int  # requests that reached feature assembly
     node_touches: int  # feature rows requested across all requests
     unique_rows: int  # distinct rows actually backing those touches
-    row_cache_hits: int  # context rows served from the (uid, bucket) cache
-    computed_rows: int  # context rows computed fresh this batch
+    row_cache_hits: int  # context rows charged as a cache-get (ledger hit)
+    computed_rows: int  # context rows charged as a fresh assembly
 
     @property
     def coalescing(self) -> float:
@@ -49,6 +53,17 @@ class FeatureServer:
     Satisfies the :class:`~repro.system.service.Service` protocol:
     :attr:`name`, :meth:`ping`, :meth:`stats` and :meth:`handle` (the
     ``feature_fetch`` stage of a prediction request).
+
+    A *context* row is observed at the user's latest application, not at
+    the request, so it is the same bytes until :meth:`observe` /
+    :meth:`refresh` change that application.  The server owns one store of
+    them (``_row_cache``: ``uid -> raw row``, read-only, filled on first
+    use) behind :meth:`context_row`; scalar, batched and lambda assembly
+    all read it, and a request computes only its own target row.  The store
+    moves wall time only.  What a request is *charged* is decided beside it:
+    the scalar path charges every node, the batched path a cache-get for a
+    uid whose ``_row_ledger`` entry (``uid -> time bucket`` of the batch
+    that last charged it a fresh assembly) is the request's bucket.
     """
 
     def __init__(
@@ -73,13 +88,12 @@ class FeatureServer:
         self._latest_txn = {
             txn.uid: txn for txn in feature_manager.latest_transactions()
         }
-        # Feature-row cache for *context* rows, keyed per uid with the
-        # time bucket it was written in: ``floor(now / cache_ttl)``.  Context
-        # rows are observed at the user's latest application time, so a
-        # cached row is bit-identical to a recomputed one until the latest
-        # transaction changes (observe/refresh invalidate) — the bucket only
-        # bounds how long a row is reused, mirroring the log-cache TTL.
-        self._row_cache: dict[int, tuple[int, np.ndarray]] = {}
+        # Context-row store and the batched path's modeled ledger, whose bucket
+        # (``floor(now / cache_ttl)``) mirrors the log-cache TTL (class docstring).
+        self._row_cache: dict[int, np.ndarray] = {}
+        self._row_ledger: dict[int, int] = {}
+        self._zero_row = np.zeros(feature_manager.dim)
+        self._zero_row.flags.writeable = False
         self.row_cache_hits = 0
         self.row_cache_misses = 0
         self.refreshes = 0
@@ -100,6 +114,7 @@ class FeatureServer:
             if current is None or txn.created_at > current.created_at:
                 self._latest_txn[txn.uid] = txn
                 self._row_cache.pop(txn.uid, None)
+                self._row_ledger.pop(txn.uid, None)
                 updated += 1
         return updated
 
@@ -113,6 +128,7 @@ class FeatureServer:
             txn.uid: txn for txn in self.feature_manager.latest_transactions()
         }
         self._row_cache.clear()
+        self._row_ledger.clear()
         self.refreshes += 1
 
     def latest_transaction(self, uid: int) -> Transaction | None:
@@ -128,6 +144,26 @@ class FeatureServer:
         """Sorted uids with a latest application on record."""
         return sorted(self._latest_txn)
 
+    def context_row(self, uid: int) -> np.ndarray:
+        """The user's raw feature row as a *context* node (read-only).
+
+        Observed at their latest application; all zeros for a user with no
+        application on record.  Computed on first use, then served from the
+        store until :meth:`observe` / :meth:`refresh` drop it.
+        """
+        row = self._row_cache.get(uid)
+        if row is None:
+            txn = self._latest_txn.get(uid)
+            if txn is None:
+                return self._zero_row
+            row = self._store_row(uid, self.feature_manager.vector(txn))
+        return row
+
+    def _store_row(self, uid: int, row: np.ndarray) -> np.ndarray:
+        row.flags.writeable = False
+        self._row_cache[uid] = row
+        return row
+
     # ------------------------------------------------------------------
     # Service surface (see repro.system.service.Service)
     # ------------------------------------------------------------------
@@ -141,7 +177,12 @@ class FeatureServer:
         return self.faults.before_call(self.component) if self.faults else 0.0
 
     def stats(self) -> dict[str, float]:
-        """Feature-store counters (known users, feature dimensionality)."""
+        """Feature-store counters (known users, feature dimensionality).
+
+        ``row_cache_rows`` is the size of the real context-row store;
+        ``row_cache_hits`` / ``row_cache_misses`` count the batched path's
+        *modeled* cache-get vs fresh-assembly charges (the ledger).
+        """
         return {
             "known_users": float(len(self._latest_txn)),
             "feature_dim": float(self.feature_manager.dim),
@@ -179,12 +220,20 @@ class FeatureServer:
         """Feature rows for ``nodes`` (``nodes[0]`` is the request target).
 
         The target row uses the transaction under audit; context nodes use
-        their latest application.  Returns ``(matrix, seconds_charged)``.
+        their latest application, read from the context-row store — every
+        node is still *charged* as assembled on demand (``_charge_node``),
+        which is what Fig. 8a measures.  Returns ``(matrix, seconds_charged)``;
+        the matrix is the caller's to mutate.
 
-        Failure contract: raises :class:`~repro.system.storage.StorageError`
-        (or an injected fault) when the module, the cache mid-lookup, or the
-        database behind a cold cache cannot serve.
+        Failure contract: :class:`~repro.system.storage.StorageError` (or an
+        injected fault) when the module, the cache mid-lookup, or the database
+        behind a cold cache cannot serve; :class:`ValueError`, before any
+        charge, for empty ``nodes`` or a ``None`` ``target_txn``.
         """
+        if len(nodes) == 0:
+            raise ValueError("nodes must name at least the request target")
+        if target_txn is None:
+            raise ValueError("target_txn must be the transaction under audit")
         seconds = self.faults.before_call(self.component) if self.faults else 0.0
         seconds += self.latency.charge_network()
         if self.cache is None or not self.cache.available:
@@ -192,15 +241,12 @@ class FeatureServer:
             # dead database must fail the request instead of silently
             # charging latency for scans that never ran.
             seconds += self.database.ping()
-        rows: list[np.ndarray] = []
-        for position, uid in enumerate(nodes):
-            txn = target_txn if position == 0 else self._latest_txn.get(uid)
-            if txn is None:
-                rows.append(np.zeros(self.feature_manager.dim))
-                continue
-            as_of = now if position == 0 else None
-            rows.append(self.feature_manager.vector(txn, as_of=as_of))
-            seconds += self._charge_node(uid, now)
+        rows = [self.feature_manager.vector(target_txn, as_of=now)]
+        seconds += self._charge_node(nodes[0], now)
+        for uid in nodes[1:]:
+            rows.append(self.context_row(uid))
+            if uid in self._latest_txn:
+                seconds += self._charge_node(uid, now)
         return np.stack(rows), seconds
 
     def _charge_node(self, uid: int, now: float) -> float:
@@ -264,16 +310,23 @@ class FeatureServer:
         bit-for-bit what :meth:`features_for` returns per request: target
         rows are observed at the request's ``now``, context rows at the
         user's latest application — which makes context rows shareable, so
-        each unique context uid is charged and computed once per batch (or
-        served from the ``(uid, time-bucket)`` row cache for a cache-get),
-        and the ``X_s`` block for every row to compute comes from one
-        columnar pass.
+        each unique context uid is charged once per batch (a fresh assembly,
+        or a cache-get when the ledger has it in the request's time bucket)
+        and computed only when the context-row store lacks it; the ``X_s``
+        block for every row to compute comes from one columnar pass.
 
         Failure contract: storage faults poison only the request whose
         charging hit them; the per-request error is returned instead of
-        raised so the rest of the batch proceeds.
+        raised so the rest of the batch proceeds.  Malformed input raises
+        :class:`ValueError` before anything is charged.
         """
         n = len(node_lists)
+        if len(target_txns) != n:
+            raise ValueError("target_txns must hold one transaction per node list")
+        if len(nows) != n:
+            raise ValueError("nows must hold one time per node list")
+        if any(nodes is not None and len(nodes) == 0 for nodes in node_lists):
+            raise ValueError("node_lists entries must name at least the request target")
         matrices: list[np.ndarray | None] = [None] * n
         seconds = [0.0] * n
         errors: list[Exception | None] = [None] * n
@@ -294,10 +347,9 @@ class FeatureServer:
                         charge += self._charge_node(uid, nows[i])
                         charged.add(uid)
                         continue
-                    if self._latest_txn.get(uid) is None or uid in charged:
+                    if uid not in self._latest_txn or uid in charged:
                         continue
-                    cached = self._row_cache.get(uid)
-                    if cached is not None and cached[0] == self._bucket(nows[i]):
+                    if self._row_ledger.get(uid) == self._bucket(nows[i]):
                         charge += self.latency.charge_cache_get()
                         batch_hits += 1
                     else:
@@ -309,54 +361,44 @@ class FeatureServer:
             seconds[i] = charge
             alive.append(i)
 
-        # Row plan: first alive toucher of each context uid decides hit vs
-        # compute; cached rows are always bit-identical to a fresh compute
-        # (observe/refresh invalidate on any latest-transaction change).
-        plan: dict[int, str] = {}
-        bucket_of: dict[int, int] = {}
+        # The first alive toucher of each context uid books it in the ledger
+        # (modeled: hit vs fresh assembly); the store decides what is really
+        # computed — they differ when scalar or lambda assembly filled it first.
+        context_rows: dict[int, np.ndarray | None] = {}
+        booked: dict[int, int] = {}
         for i in alive:
             for uid in node_lists[i][1:]:
-                if uid in plan or self._latest_txn.get(uid) is None:
+                if uid in context_rows or uid not in self._latest_txn:
                     continue
                 bucket = self._bucket(nows[i])
-                cached = self._row_cache.get(uid)
-                plan[uid] = "hit" if cached is not None and cached[0] == bucket else "compute"
-                bucket_of[uid] = bucket
-        compute_uids = [uid for uid, decision in plan.items() if decision == "compute"]
+                if self._row_ledger.get(uid) != bucket:
+                    booked[uid] = bucket
+                context_rows[uid] = self._row_cache.get(uid)
+        missing = [uid for uid, row in context_rows.items() if row is None]
         self.row_cache_hits += batch_hits
-        self.row_cache_misses += len(compute_uids)
+        self.row_cache_misses += len(booked)
 
         batch_txns = [target_txns[i] for i in alive]
         batch_as_ofs: list[float | None] = [nows[i] for i in alive]
-        batch_txns.extend(self._latest_txn[uid] for uid in compute_uids)
-        batch_as_ofs.extend([None] * len(compute_uids))
+        batch_txns.extend(self._latest_txn[uid] for uid in missing)
+        batch_as_ofs.extend([None] * len(missing))
         rows = self.feature_manager.vector_batch(batch_txns, batch_as_ofs)
-        target_rows = dict(zip(alive, rows[: len(alive)]))
-        context_rows: dict[int, np.ndarray] = {}
-        for uid, row in zip(compute_uids, rows[len(alive):]):
-            context_rows[uid] = row
-            self._row_cache[uid] = (bucket_of[uid], row)
-        for uid, decision in plan.items():
-            if decision == "hit":
-                context_rows[uid] = self._row_cache[uid][1]
+        self._row_ledger.update(booked)
+        for uid, row in zip(missing, rows[len(alive):]):
+            context_rows[uid] = self._store_row(uid, row)
 
         touches = 0
-        for i in alive:
+        for i, target_row in zip(alive, rows):
             nodes = node_lists[i]
             touches += len(nodes)
-            request_rows = [target_rows[i]]
-            for uid in nodes[1:]:
-                row = context_rows.get(uid)
-                if row is None:
-                    request_rows.append(np.zeros(self.feature_manager.dim))
-                else:
-                    request_rows.append(row)
+            request_rows = [target_row]
+            request_rows.extend(context_rows.get(uid, self._zero_row) for uid in nodes[1:])
             matrices[i] = np.stack(request_rows)
         stats = FeatureBatchStats(
             requests=len(alive),
             node_touches=touches,
-            unique_rows=len(alive) + len(plan),
+            unique_rows=len(alive) + len(context_rows),
             row_cache_hits=batch_hits,
-            computed_rows=len(compute_uids),
+            computed_rows=len(booked),
         )
         return matrices, seconds, errors, stats

@@ -72,9 +72,11 @@ class LambdaLayer:
 
     ``hops`` / ``fanout`` / ``allowed`` mirror the deployment's sampling
     policy so the replayed scores are the ones the fresh path would
-    compute.  ``refresh_period`` (simulated seconds, ``None`` = manual
-    only) drives :meth:`maybe_refresh`; ``staleness_budget`` is the
-    maximum delta-touch count a served cached score may carry.
+    compute; context feature rows are read from (and left in) the feature
+    server's context-row store, shared with serving and earlier passes.
+    ``refresh_period`` (simulated seconds, ``None`` = manual only) drives
+    :meth:`maybe_refresh`; ``staleness_budget`` is the maximum delta-touch
+    count a served cached score may carry.
     """
 
     def __init__(
@@ -232,19 +234,8 @@ class LambdaLayer:
                 "lambda_batch", at=now, targets=len(targets)
             )
 
-        # Context feature rows are shared across subgraphs (they are
-        # observed at the user's latest application, not the request), so
-        # memoize them — bit-identical to per-request assembly.
-        context_rows: dict[int, np.ndarray] = {}
-        dim = feature_manager.dim
-
-        def context_row(uid: int) -> np.ndarray:
-            row = context_rows.get(uid)
-            if row is None:
-                txn = self.feature_server.latest_transaction(uid)
-                row = np.zeros(dim) if txn is None else feature_manager.vector(txn)
-                context_rows[uid] = row
-            return row
+        # Context rows come from the feature server's store (class docstring).
+        context_row = self.feature_server.context_row
 
         # Subgraph sizes scored in this process (a cone refresh scores a
         # subset; the deployment clock charges only that work).
@@ -255,8 +246,7 @@ class LambdaLayer:
             matrix_rows = [feature_manager.vector(
                 self.feature_server.latest_transaction(targets[k]), as_of=nows[k]
             )]
-            for uid in nodes[1:]:
-                matrix_rows.append(context_row(uid))
+            matrix_rows.extend(context_row(uid) for uid in nodes[1:])
             return np.stack(matrix_rows)
 
         def layer_row_fn(idx: np.ndarray) -> np.ndarray:

@@ -177,6 +177,22 @@ class TestCombinators:
         np.testing.assert_allclose(a.grad, np.full((2, 2), 2.0))
         np.testing.assert_allclose(b.grad, np.full((2, 3), 2.0))
 
+    def test_concat_forward_does_no_backward_bookkeeping(self, monkeypatch):
+        """Slice offsets are the backward's business: a forward computes none,
+        with or without a tape (inference runs 33 concats per request)."""
+        calls = []
+        real = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or real(*a, **k))
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        with no_grad():
+            frozen = concat([a, b], axis=1)
+        assert frozen.shape == (2, 5) and not frozen.requires_grad
+        out = concat([a, b], axis=1)
+        assert calls == []
+        out.sum().backward()
+        assert calls == [1]
+
     def test_stack_routes_grads(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)

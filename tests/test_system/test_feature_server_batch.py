@@ -162,3 +162,91 @@ class TestScanPricing:
         _, fast_seconds = fast.features_for(nodes, txn, now=txn.audit_at)
         _, slow_seconds = slow.features_for(nodes, txn, now=txn.audit_at)
         assert fast_seconds == slow_seconds
+
+
+class TestContextRowStore:
+    """The batched reader of the one context-row store (scalar reader:
+    ``test_feature_server.py``)."""
+
+    @pytest.fixture()
+    def batch_rows(self, monkeypatch):
+        """Rows computed per ``FeatureManager.vector_batch`` call."""
+        computed: list[int] = []
+        real = FeatureManager.vector_batch
+
+        def counted(self, transactions, as_ofs):
+            computed.append(len(transactions))
+            return real(self, transactions, as_ofs)
+
+        monkeypatch.setattr(FeatureManager, "vector_batch", counted)
+        return computed
+
+    def test_warm_batch_computes_only_target_rows(self, tiny_dataset, server, batch_rows):
+        node_lists, transactions, nows = batch_inputs(tiny_dataset)
+        contexts = len({uid for nodes in node_lists for uid in nodes[1:]})
+        server.features_for_batch(node_lists, transactions, nows)
+        # Another time bucket: the ledger charges fresh assemblies again, the
+        # store still has every row.
+        later = [now + 10 * server.cache_ttl for now in nows]
+        *_, stats = server.features_for_batch(node_lists, transactions, later)
+        assert batch_rows == [8 + contexts, 8]
+        assert stats.computed_rows == contexts and stats.row_cache_hits == 0
+
+    def test_store_warmed_by_scalar_path_is_not_a_ledger_hit(
+        self, tiny_dataset, server, batch_rows
+    ):
+        node_lists, transactions, nows = batch_inputs(tiny_dataset)
+        contexts = len({uid for nodes in node_lists for uid in nodes[1:]})
+        for nodes, txn, now in zip(node_lists, transactions, nows):
+            server.features_for(nodes, txn, now)
+        *_, stats = server.features_for_batch(node_lists, transactions, nows)
+        assert batch_rows == [8]  # real work: the target rows
+        assert stats.computed_rows == contexts  # modeled: charged as before
+        assert server.stats()["row_cache_misses"] == contexts
+
+    def test_bytes_across_observe_and_refresh(self, tiny_dataset, server, batch_rows):
+        node_lists, transactions, nows = batch_inputs(tiny_dataset)
+        manager = server.feature_manager
+        contexts = len({uid for nodes in node_lists for uid in nodes[1:]})
+
+        def batch():
+            del batch_rows[:]
+            matrices, *_ = server.features_for_batch(node_lists, transactions, nows)
+            for nodes, txn, now, matrix in zip(node_lists, transactions, nows, matrices):
+                rows = [manager.vector(txn, as_of=now)] + [
+                    manager.vector(server.latest_transaction(uid)) for uid in nodes[1:]
+                ]
+                np.testing.assert_array_equal(matrix, np.stack(rows))
+            matrices[0][:] = -1.0  # the caller's copy, not the store's rows
+            return batch_rows[0] - len(node_lists)
+
+        assert batch() == contexts
+        assert batch() == 0
+        old = server.latest_transaction(node_lists[0][1])
+        newer = replace(
+            old, txn_id=10**6, created_at=old.created_at + 3600.0,
+            item_value=old.item_value * 3,
+        )
+        server.observe([newer])
+        assert batch() == 1
+        server.observe([old])
+        assert batch() == 0
+        server.refresh()
+        assert batch() == contexts
+        assert all(not row.flags.writeable for row in server._row_cache.values())
+
+    @pytest.mark.parametrize("short", ["target_txns", "nows"])
+    def test_length_mismatch_is_a_value_error_before_any_charge(self, tiny_dataset, short):
+        latency = LatencyModel(seed=5)
+        manager = FeatureManager(tiny_dataset, include_stats=True)
+        server = FeatureServer(manager, latency, cache=InMemoryCache(latency))
+        node_lists, transactions, nows = batch_inputs(tiny_dataset)
+        before = latency._rng.bit_generator.state
+        with pytest.raises(ValueError, match=short):
+            if short == "nows":
+                server.features_for_batch(node_lists, transactions, nows[:-1])
+            else:
+                server.features_for_batch(node_lists, transactions + [transactions[0]], nows)
+        with pytest.raises(ValueError, match="node_lists"):
+            server.features_for_batch([[]] + node_lists[1:], transactions, nows)
+        assert latency._rng.bit_generator.state == before

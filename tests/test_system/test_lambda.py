@@ -29,6 +29,8 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -610,3 +612,99 @@ class TestIncrementalRefresh:
         assert "incremental_passes" in stats
         assert stats["materialize_rows"] >= 0
         assert stats["materialize_edges"] >= 0
+
+
+class TestContextRowStore:
+    """The lambda pass reads the feature server's context-row store (no
+    per-pass dict): rows serving or an earlier pass computed are not
+    computed again, and what it assembles is still fresh-row bytes."""
+
+    @pytest.fixture(scope="class")
+    def deployed(self, tiny_dataset):
+        return deploy_turbo(tiny_dataset, lambda_config())
+
+    @pytest.fixture()
+    def spied(self, deployed, monkeypatch):
+        """``(context-row computes, assembled matrices)`` of the passes run."""
+        import repro.system.lambda_layer as lambda_module
+        from repro.features import FeatureManager
+
+        turbo, data = deployed
+        real_vector = FeatureManager.vector
+        real_materialize = lambda_module.materialize
+        context_computes: list[int] = []
+        assembled: list[tuple[list[int], float, np.ndarray]] = []
+
+        def vector(self, txn, as_of=None):
+            if as_of is None:
+                context_computes.append(txn.uid)
+            return real_vector(self, txn, as_of)
+
+        def materialize(model, bn, targets, txn_ids, nows, feature_fn, **kwargs):
+            def recording(k, nodes):
+                matrix = feature_fn(k, nodes)
+                assembled.append(([int(u) for u in nodes], nows[k], matrix))
+                return matrix
+
+            return real_materialize(model, bn, targets, txn_ids, nows, recording, **kwargs)
+
+        monkeypatch.setattr(FeatureManager, "vector", vector)
+        monkeypatch.setattr(lambda_module, "materialize", materialize)
+
+        def check_bytes():
+            server, manager = turbo.feature_server, data.feature_manager
+            assert assembled
+            for nodes, now, matrix in assembled:
+                rows = [real_vector(manager, server.latest_transaction(nodes[0]), now)]
+                rows += [
+                    real_vector(manager, server.latest_transaction(uid)) for uid in nodes[1:]
+                ]
+                np.testing.assert_array_equal(matrix, np.stack(rows))
+            del assembled[:]
+
+        return turbo, context_computes, check_bytes
+
+    def test_passes_share_rows_across_observe_and_refresh(self, spied):
+        turbo, context_computes, check_bytes = spied
+        lam, server = turbo.lambda_layer, turbo.feature_server
+        now = turbo.clock.now()
+        covered = lam.state.num_nodes
+
+        lam.run_batch_pass(now)  # the deploy pass filled the store
+        assert context_computes == []
+        check_bytes()
+
+        uid = int(lam.state.node_ids[0])
+        old = server.latest_transaction(uid)
+        newer = replace(
+            old, txn_id=10**6, created_at=old.created_at + 3600.0,
+            item_value=old.item_value * 3,
+        )
+        assert server.observe([newer]) == 1
+        lam.run_batch_pass(now)
+        assert context_computes == [uid]  # a newer application: that row only
+        check_bytes()
+
+        del context_computes[:]
+        assert server.observe([old]) == 0
+        lam.run_batch_pass(now)
+        assert context_computes == []  # an older one: nothing
+        check_bytes()
+
+        server.observe([newer])  # refresh() rebuilds from the dataset: back to old
+        server.refresh()
+        lam.run_batch_pass(now)
+        assert sorted(context_computes) == sorted(int(u) for u in lam.state.node_ids)
+        assert lam.state.num_nodes == covered
+        check_bytes()
+
+    def test_serving_reads_the_rows_the_pass_left(self, spied, deployed):
+        turbo, context_computes, _ = spied
+        _, data = deployed
+        turbo.lambda_layer.run_batch_pass(turbo.clock.now())
+        del context_computes[:]
+        txn = covered_requests(turbo, data, count=1)[0]
+        # Off the cached as-of time: a lambda miss, served by the sampled path.
+        response = turbo.handle_request(txn, now=txn.audit_at + HOUR)
+        assert response.tier == "sampled"
+        assert context_computes == []
