@@ -1,22 +1,18 @@
-"""Parallel training engine perf harness: presampling + data-parallel workers.
+"""Sampled-training engine perf harness: in-process epoch + data-parallel workers.
 
 Trains a small HAG on a dense synthetic two-type behavior graph (average
-degree ≈ 15× the fanout, so per-epoch neighbour re-selection is the
-dominant assembly cost — the regime the presampling optimization targets)
-and measures the two speedups the engine ships:
+degree ≈ 15× the fanout, so the fanout selection is the dominant
+per-node cost — the regime presampling exists for) and reports two
+things about the one sampled epoch loop
+(:func:`~repro.core.train_engine.train_parallel`):
 
-* **presample** — the epoch-presampled path
-  (:class:`~repro.core.train_engine.PresampledGraph`: sample the k-hop
-  structure once per run, slice per-batch induced subgraphs from trimmed
-  incidence CSRs) against per-epoch resampling (``presample=False``:
-  ``sample_khop_nodes`` + ``induced_adjacencies`` per batch per epoch).
-  Both paths are the deterministic ``rng=None`` fanout policy, so their
-  optimizer trajectories are asserted **bit-identical** before anything
-  is gated.  The prefetch pipeline variant (``prefetch=True``) is
-  reported alongside: on this single-CPU container thread overlap cannot
-  reduce wall time, so its row documents the pipeline's bookkeeping cost,
-  and the per-stage profile shows where an extra core would overlap
-  (``prefetch`` wait ≈ assembly time hidden behind compute).
+* **in-process** — absolute wall-clock figures of the one in-process
+  configuration (presampled replay, prefetched assembly, gradients in the
+  parent): the once-per-run ``presample_build_s``, the ``best_epoch_s``
+  and the per-stage totals.  There is nothing to take a ratio against —
+  per-epoch resampling and the un-prefetched iterator are gone, and their
+  parity with this path lives in ``tests/test_core/test_train_engine.py``
+  — so this phase is reported, not gated.
 
 * **parallel** — per-minibatch gradients fanned out to forked
   :class:`~repro.system.train_workers.TrainWorkerPool` workers reading
@@ -32,7 +28,7 @@ and measures the two speedups the engine ships:
   the in-process engine — so the speedup compares the same float
   trajectory, not merely similar work.
 
-Each configuration trains ``EPOCHS`` epochs and is gated on its **best**
+Each configuration trains ``EPOCHS`` epochs and is reported on its **best**
 epoch (host-speed drift on a shared container can only slow an epoch
 down, never speed it up); cyclic GC is disabled while measuring, as in
 the other harnesses.
@@ -43,9 +39,8 @@ Run it either way::
     PYTHONPATH=src python benchmarks/bench_train_parallel.py
 
 Acceptance gates (uniform contract via ``_shared.check_gates``; both
-modes exit nonzero on regression): presampled epochs ≥ 2× per-epoch
-resampling; 4-worker deployment-clock epochs ≥ 3× single-worker; both
-parity checks exactly 1.0 (bit-exact).
+modes exit nonzero on regression): 4-worker deployment-clock epochs ≥ 3×
+single-worker; worker parity exactly 1.0 (bit-exact).
 
 Scale knobs (environment variables): ``REPRO_BENCH_TRAIN_NODES``,
 ``REPRO_BENCH_TRAIN_DEGREE``, ``REPRO_BENCH_TRAIN_EPOCHS``.
@@ -76,7 +71,7 @@ FEATURE_DIM = 6
 HOPS = 2
 FANOUT = 10
 TRAIN_FRACTION = 0.75
-#: phase A (in-process presample comparison) uses large batches — few,
+#: phase A (the in-process epoch) uses large batches — few,
 #: assembly-heavy steps; phase B (worker fan-out) uses small batches so a
 #: sync group divides evenly across 4 workers.
 BATCH_A = 1024
@@ -181,12 +176,9 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         f"in sync groups of {SYNC_B})"
     )
 
-    def config_a(**overrides) -> ParallelTrainConfig:
-        base = dict(
-            epochs=EPOCHS, batch_size=BATCH_A, min_epochs=1, patience=EPOCHS + 1
-        )
-        base.update(overrides)
-        return ParallelTrainConfig(**base)
+    config_a = ParallelTrainConfig(
+        epochs=EPOCHS, batch_size=BATCH_A, min_epochs=1, patience=EPOCHS + 1
+    )
 
     def config_b(**overrides) -> ParallelTrainConfig:
         base = dict(
@@ -206,19 +198,10 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
     gc.collect()
     gc.disable()
     try:
-        # Phase A — in-process epoch cost: per-epoch resampling vs the
-        # presampled slicer, plus the prefetch pipeline variant.
+        # Phase A — the in-process epoch, absolute figures.
         started = time.perf_counter()
-        legacy_state, legacy_prof = run_config(
-            problem, config_a(presample=False, prefetch=False)
-        )
-        pre_state, pre_prof = run_config(
-            problem, config_a(presample=True, prefetch=False)
-        )
-        pipe_state, pipe_prof = run_config(
-            problem, config_a(presample=True, prefetch=True)
-        )
-        emit(f"phase A (presample) measured in {time.perf_counter() - started:.1f}s")
+        _, inproc_prof = run_config(problem, config_a)
+        emit(f"phase A (in-process) measured in {time.perf_counter() - started:.1f}s")
 
         # Phase B — worker fan-out under the deployment clock, anchored
         # on an in-process run of the identical configuration.
@@ -232,39 +215,22 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         if gc_was_enabled:
             gc.enable()
 
-    # Parity before any gate: every variant must have walked the exact
-    # same float trajectory.
-    presample_parity = states_equal(legacy_state, pre_state) and states_equal(
-        pre_state, pipe_state
-    )
+    # Parity before any gate: every worker count must have walked the
+    # exact same float trajectory as the in-process anchor.
     parallel_parity = all(
         states_equal(anchor_state, state) for state, _ in pooled.values()
     )
-    emit(
-        f"parity: presample={'bit-exact' if presample_parity else 'DIVERGED'}  "
-        f"parallel={'bit-exact' if parallel_parity else 'DIVERGED'}"
-    )
+    emit(f"parity: parallel={'bit-exact' if parallel_parity else 'DIVERGED'}")
 
-    rows_a = {
-        "resample": profile_row(legacy_prof),
-        "presample": profile_row(pre_prof),
-        "presample_prefetch": profile_row(pipe_prof),
-    }
-    presample_speedup = (
-        rows_a["resample"]["best_epoch_s"] / rows_a["presample"]["best_epoch_s"]
-    )
-    presample_build_s = pre_prof.run_stages.get("presample", 0.0)
-    for name, row in rows_a.items():
-        stages = row["stage_totals_s"]
-        emit(
-            f"A {name:<18} best epoch {row['best_epoch_s']:.3f}s  "
-            f"(sampling {stages.get('sampling', 0.0):.3f}s, "
-            f"induction {stages.get('induction', 0.0):.3f}s, "
-            f"prefetch wait {stages.get('prefetch', 0.0):.3f}s)"
-        )
+    row_a = profile_row(inproc_prof)
+    presample_build_s = inproc_prof.run_stages.get("presample", 0.0)
+    stages = row_a["stage_totals_s"]
     emit(
-        f"A presample build {presample_build_s:.3f}s (once per run)  "
-        f"epoch speedup {presample_speedup:.2f}x"
+        f"A in-process  best epoch {row_a['best_epoch_s']:.3f}s  "
+        f"(sampling {stages.get('sampling', 0.0):.3f}s, "
+        f"induction {stages.get('induction', 0.0):.3f}s, "
+        f"prefetch wait {stages.get('prefetch', 0.0):.3f}s)  "
+        f"presample build {presample_build_s:.3f}s (once per run)"
     )
 
     rows_b = {0: profile_row(anchor_prof)}
@@ -298,18 +264,16 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         "hops": HOPS,
         "fanout": FANOUT,
         "epochs_per_config": EPOCHS,
-        "batch_size_presample": BATCH_A,
+        "batch_size_inprocess": BATCH_A,
         "batch_size_parallel": BATCH_B,
         "sync_batches_parallel": SYNC_B,
         "worker_counts": list(WORKER_COUNTS),
         "presample_build_s": presample_build_s,
-        "presample_phase": rows_a,
+        "inprocess_phase": row_a,
         "parallel_phase": {str(k): v for k, v in rows_b.items()},
     }
     gates = [
-        Gate("presample_epoch_speedup", presample_speedup, 2.0),
         Gate("parallel_epoch_speedup_4w", parallel_speedup_4w, 3.0),
-        Gate("presample_parity", 1.0 if presample_parity else 0.0, 1.0),
         Gate("parallel_parity", 1.0 if parallel_parity else 0.0, 1.0),
     ]
     check_gates(gates, result, result_path)

@@ -13,7 +13,6 @@ from .minibatch import (
     induced_adjacencies_reference,
     sample_khop_nodes,
     sample_khop_nodes_reference,
-    train_with_neighbor_sampling,
 )
 from .sao import SAOLayer, neighbor_mean_matrix
 from .train_engine import (
@@ -23,6 +22,7 @@ from .train_engine import (
     assemble_minibatch,
     fold_gradients,
     train_parallel,
+    train_with_neighbor_sampling,
 )
 from .trainer import TrainConfig, TrainResult, train_node_classifier
 

@@ -1,32 +1,26 @@
-"""Neighbor-sampled mini-batch training (the paper's batch-256 protocol).
+"""Neighbor sampling for mini-batch training (the paper's batch-256 protocol).
 
 Full-graph training touches every node each step; the deployment-faithful
 alternative — and the only one that scales past memory — is GraphSAGE-style
 neighbor sampling: each step draws a batch of target nodes, expands a
 fanout-capped k-hop frontier, and trains on the induced subgraph only.
-The paper trains with batch size 256; this module reproduces that protocol
-for HAG and the homogeneous GNNs alike.
+This module holds the two kernels of that protocol — the one-shot,
+rng-capable k-hop sampler and the one subgraph inducer; the epoch loop
+that drives them lives in :mod:`repro.core.train_engine`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-from .. import nn
-from ..nn import Tensor
-from ..obs.profiling import TrainProfiler
-from .hag import prepare_aggregators
-from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
 __all__ = [
     "sample_khop_nodes",
     "sample_khop_nodes_reference",
     "induced_adjacencies",
     "induced_adjacencies_reference",
-    "train_with_neighbor_sampling",
 ]
 
 
@@ -380,91 +374,3 @@ def induced_adjacencies_reference(
 ) -> list[sp.csr_matrix]:
     """Double fancy-index induction; kept to pin :func:`induced_adjacencies`."""
     return [a.tocsr()[np.ix_(nodes, nodes)].tocsr() for a in adjacencies]
-
-
-def train_with_neighbor_sampling(
-    model: nn.Module,
-    adjacencies: Sequence[sp.spmatrix],
-    features: np.ndarray,
-    labels: np.ndarray,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray | None = None,
-    config: TrainConfig | None = None,
-    hops: int = 2,
-    fanout: int | None = 10,
-    profiler: TrainProfiler | None = None,
-) -> TrainResult:
-    """Train a graph model on sampled batch subgraphs.
-
-    ``model.forward(x, aggregators)`` must accept a feature tensor and a
-    list of per-type aggregation matrices (HAG's interface; the homogeneous
-    baselines can be adapted with a single-element list).
-
-    ``profiler`` (optional :class:`~repro.obs.profiling.TrainProfiler`)
-    additionally times the ``sampling`` and ``induction`` stages and counts
-    the sampled subgraph nodes of every batch.
-    """
-    config = config or TrainConfig(batch_size=256)
-    profiler, labels, train_idx, pos_weight = _prepare(
-        config, profiler, labels, train_idx
-    )
-    if config.batch_size is None:
-        raise ValueError("neighbor-sampled training requires a batch size")
-    rng = np.random.default_rng(config.seed)
-    optimizer = nn.Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-
-    def epoch_step() -> float:
-        shuffled = rng.permutation(train_idx)
-        loss_sum = 0.0
-        for start in range(0, len(shuffled), config.batch_size):
-            batch = shuffled[start : start + config.batch_size]
-            with profiler.stage("sampling"):
-                nodes = sample_khop_nodes(adjacencies, batch, hops, fanout, rng)
-            with profiler.stage("induction"):
-                aggregators = prepare_aggregators(
-                    induced_adjacencies(adjacencies, nodes)
-                )
-            x = Tensor(features[nodes])
-            optimizer.zero_grad()
-            with profiler.stage("forward"):
-                logits = model.forward(x, aggregators)
-                batch_positions = np.arange(len(batch))
-                loss = nn.bce_with_logits(
-                    logits.index_select(batch_positions),
-                    labels[batch],
-                    pos_weight=pos_weight,
-                )
-            with profiler.stage("backward"):
-                loss.backward()
-            with profiler.stage("step"):
-                optimizer.step()
-            loss_sum += loss.item() * len(batch)
-            profiler.count_batch(len(nodes))
-        return loss_sum
-
-    return _run_protocol(
-        model, config, profiler, labels, train_idx, val_idx, pos_weight,
-        epoch_step, _subgraph_validator(model, adjacencies, features, val_idx, hops),
-    )
-
-
-def _subgraph_validator(
-    model: nn.Module,
-    adjacencies: Sequence[sp.spmatrix],
-    features: np.ndarray,
-    val_idx: np.ndarray | None,
-    hops: int,
-) -> Callable[[], np.ndarray] | None:
-    """``validate()`` of sampled training; ``None`` without validation nodes.
-
-    Validation is evaluated on its own (fanout-free) subgraph, sampled and
-    induced once and reused every epoch; the validation nodes are the
-    subgraph's leading rows.
-    """
-    if val_idx is None or len(val_idx) == 0:
-        return None
-    val_nodes = sample_khop_nodes(adjacencies, np.asarray(val_idx), hops, None)
-    val_adjacencies = prepare_aggregators(induced_adjacencies(adjacencies, val_nodes))
-    val_features = Tensor(features[val_nodes])
-    val_positions = np.arange(len(val_idx))
-    return lambda: model.forward(val_features, val_adjacencies).numpy()[val_positions]

@@ -1,27 +1,34 @@
-"""Parallel training engine: presampling, prefetch, data-parallel gradients.
+"""The sampled-training engine: one epoch loop, two entry points.
 
-:func:`~repro.core.minibatch.train_with_neighbor_sampling` re-runs
-``sample_khop_nodes`` + ``induced_adjacencies`` for every batch of every
-epoch, from the raw adjacency matrices, in the compute thread, in one
-process.  This module removes all four costs while keeping the float
-trajectory *bit-identical*:
+Both public sampled trainers run through one private driver
+(:func:`_train_sampled`): validated inputs, shuffled batches, a
+``build(batch) -> Minibatch`` seam, per-batch gradients
+(:func:`_batch_gradient`), a fixed-order fold and one optimizer step per
+sync group (:func:`_apply_step`), computed in-process or by forked
+workers.  The entry points differ only in the ``build`` closure they hand
+the driver:
 
-* **Epoch presampling** — :class:`PresampledGraph` builds the deterministic
-  fanout selection once per training run (per-type selection CSRs plus one
-  interleaved all-types CSR, the same incidence-CSR layout as
-  :class:`~repro.network.sampled_graph.SampledGraph`), then every minibatch
-  is a cheap BFS replay + induced slice over those CSRs.  Bit-exact against
-  the pinned references ``sample_khop_nodes(..., rng=None)`` /
-  ``induced_adjacencies`` — which also means presampling only supports the
-  deterministic (``rng=None``) fanout policy; weighted *random* fanout
-  draws depend on the rng stream position at each batch and cannot be
-  hoisted out of the epoch loop.
+* :func:`train_parallel` — **presampled top-k replay**: the deterministic
+  fanout policy (``rng=None``) is a pure function of the adjacency, so
+  :class:`PresampledGraph` selects once per run and every minibatch is a
+  BFS replay, in the parent or in a worker;
+* :func:`train_with_neighbor_sampling` — **per-batch weighted draws** from
+  ``sample_khop_nodes(..., rng)`` over the config's ``sample`` stream,
+  which depend on the stream position and so stay in the loop, in-process.
+
+Where no row exceeds the fanout the two builds — and therefore the two
+trained models — are bit-identical.
+
+Everything after the node set is shared: one ``nodes -> Minibatch``
+assembly (:func:`_minibatch_of` over the one inducer,
+:func:`~repro.core.minibatch.induced_adjacencies`) serves the parent, the
+workers and failover.
+
 * **Prefetch pipeline** — :class:`_Prefetcher` double-buffers minibatch
-  assembly (subgraph slicing + columnar feature gather) on a background
-  thread so batch ``t+1`` is built while batch ``t`` computes; the
+  assembly on a background thread so batch ``t+1`` is built while batch
+  ``t`` computes; always on (measured, docs/PERFORMANCE.md).  The
   ``prefetch`` stage of the :class:`~repro.obs.profiling.TrainProfiler`
-  records only the time the compute loop actually *waited*, which is the
-  overlap proof the benchmark asserts on.
+  records only the time the compute loop actually *waited*.
 * **Multi-process data parallelism** — forked workers (a
   :class:`~repro.system.fork_pool.ForkPool`, see
   :mod:`repro.system.train_workers`) compute per-minibatch gradients off a
@@ -43,7 +50,8 @@ batch before the cross-batch fold.  ``Tensor._accumulate`` would interleave
 the two sums if batches shared one autograd accumulation, so the engine
 always extracts per-batch gradient lists (:func:`_batch_gradient`) and
 folds them explicitly — the in-process and pooled paths share that exact
-code path.
+code path, and a 1-batch group folds to plain
+``zero_grad / backward / step``.
 
 Dropout restriction: module-local dropout rng streams advance per process,
 so cross-worker parity only holds for dropout-free models (HAG's default).
@@ -59,7 +67,8 @@ import pickle
 import queue
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,10 +76,10 @@ import scipy.sparse as sp
 
 from .. import nn
 from ..nn import Tensor
-from ..nn.sparse import csr_gather_rows, csr_interleave
+from ..nn.sparse import csr_gather_rows, csr_interleave, csr_topk_rows
 from ..obs.profiling import NullProfiler, TrainProfiler
 from .hag import prepare_aggregators
-from .minibatch import _subgraph_validator, induced_adjacencies, sample_khop_nodes
+from .minibatch import induced_adjacencies, sample_khop_nodes
 from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
 __all__ = [
@@ -80,27 +89,50 @@ __all__ = [
     "assemble_minibatch",
     "fold_gradients",
     "train_parallel",
+    "train_with_neighbor_sampling",
 ]
 
 _NULL = NullProfiler()
 
 
+def _check_graph(csrs: Sequence[sp.csr_matrix], fanout: int | None) -> int:
+    """Node count of square, same-shape adjacencies under a legal fanout."""
+    if not csrs:
+        raise ValueError("sampled training requires at least one adjacency")
+    n = csrs[0].shape[0]
+    if any(c.shape != (n, n) for c in csrs):
+        raise ValueError(
+            f"adjacencies must be square and same-shape, got {[c.shape for c in csrs]}"
+        )
+    if fanout is not None and fanout < 0:
+        raise ValueError("fanout must be non-negative or None")
+    return n
+
+
+def _check_indices(name: str, idx: np.ndarray, n: int) -> np.ndarray:
+    """``idx`` as int64 node indices, all inside ``[0, n)``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name} must lie in [0, {n})")
+    return idx
+
+
+@dataclass(slots=True, eq=False)
 class PresampledGraph:
-    """Epoch-invariant sampling structure: fanout selection + BFS CSRs.
+    """Epoch-invariant sampling structure: fanout selection + BFS CSR.
 
     Deterministic fanout selection (weight-descending, CSR-position
     tie-break — exactly ``sample_khop_nodes``'s ``rng=None`` policy) is a
     pure function of the adjacency, so it is computed **once** per training
     run instead of once per (batch, epoch):
 
-    * ``sel_*`` — per-type selection CSRs: row ``v`` holds the neighbours
-      that survive the fanout cap, in emission order (stored order for
-      small rows, selection-rank order for capped rows);
-    * ``all_*`` — the selection CSRs interleaved node-major/type-inner into
-      one CSR, so one :func:`~repro.nn.sparse.csr_gather_rows` call per hop
-      replays the whole frontier expansion;
-    * ``adj_*`` — the original adjacency CSR parts, referenced (not
-      copied) for the induced-subgraph slice, which is *not* fanout-capped.
+    * ``all_*`` — every type's fanout-capped rows
+      (:func:`~repro.nn.sparse.csr_topk_rows`) interleaved node-major /
+      type-inner into one CSR, so one
+      :func:`~repro.nn.sparse.csr_gather_rows` call per hop replays the
+      whole frontier expansion;
+    * ``adjacencies`` — the original CSRs, referenced (not copied) for the
+      induced-subgraph slice, which is *not* fanout-capped.
 
     The layout mirrors :class:`~repro.network.sampled_graph.SampledGraph`'s
     incidence CSRs (PR 9); this variant differs in keying directly off the
@@ -109,104 +141,35 @@ class PresampledGraph:
     references.
     """
 
-    __slots__ = (
-        "n",
-        "fanout",
-        "sel_indptr",
-        "sel_indices",
-        "all_indptr",
-        "all_indices",
-        "adj_indptr",
-        "adj_indices",
-        "adj_data",
-        "_seen",
-        "_stamp",
-        "_lookup",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        fanout: int | None,
-        sel_indptr: list[np.ndarray],
-        sel_indices: list[np.ndarray],
-        all_indptr: np.ndarray,
-        all_indices: np.ndarray,
-        adj_indptr: list[np.ndarray],
-        adj_indices: list[np.ndarray],
-        adj_data: list[np.ndarray],
-    ) -> None:
-        self.n = n
-        self.fanout = fanout
-        self.sel_indptr = sel_indptr
-        self.sel_indices = sel_indices
-        self.all_indptr = all_indptr
-        self.all_indices = all_indices
-        self.adj_indptr = adj_indptr
-        self.adj_indices = adj_indices
-        self.adj_data = adj_data
-        # Persistent scratch (allocated lazily, reset after each use) so the
-        # per-batch hot path allocates O(batch) not O(graph).
-        self._seen: np.ndarray | None = None
-        self._stamp: np.ndarray | None = None
-        self._lookup: np.ndarray | None = None
+    n: int
+    fanout: int | None
+    all_indptr: np.ndarray
+    all_indices: np.ndarray
+    adjacencies: list[sp.csr_matrix]
+    # Persistent scratch (allocated lazily, reset after each use) so the
+    # per-batch hot path allocates O(batch) not O(graph).
+    _seen: np.ndarray | None = field(default=None, init=False, repr=False)
+    _stamp: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(
         cls, adjacencies: Sequence[sp.spmatrix], fanout: int | None
     ) -> "PresampledGraph":
-        """Precompute the selection CSRs for ``adjacencies``."""
+        """Precompute the interleaved selection CSR for ``adjacencies``."""
         csrs = [a.tocsr() for a in adjacencies]
-        if not csrs:
-            raise ValueError("presampling requires at least one adjacency")
-        n = csrs[0].shape[0]
+        n = _check_graph(csrs, fanout)
         sel_indptr: list[np.ndarray] = []
         sel_indices: list[np.ndarray] = []
         for csr in csrs:
             indptr = np.asarray(csr.indptr, dtype=np.int64)
             indices = np.asarray(csr.indices, dtype=np.int64)
-            counts = np.diff(indptr)
-            if fanout == 0:
-                sel_indptr.append(np.zeros(n + 1, dtype=np.int64))
-                sel_indices.append(np.empty(0, dtype=np.int64))
-                continue
-            big = None if fanout is None else counts > fanout
-            if big is None or not big.any():
-                sel_indptr.append(indptr)
-                sel_indices.append(indices)
-                continue
-            total = int(indptr[-1])
-            rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-            starts = np.repeat(indptr[:-1], counts)
-            pos = np.arange(total, dtype=np.int64) - starts
-            # Within-row selection rank by (weight desc, position asc) —
-            # the rank[by_rank] trick works because lexsort's primary key
-            # keeps rows contiguous, so each row's sorted segment occupies
-            # its own indptr span.
-            by_rank = np.lexsort((pos, -csr.data, rows))
-            rank = np.empty(total, dtype=np.int64)
-            rank[by_rank] = np.arange(total, dtype=np.int64) - starts
-            big_entry = big[rows]
-            keep = np.flatnonzero(~big_entry | (rank < fanout))
-            # Capped rows emit in rank order, small rows in stored order.
-            key = np.where(big_entry, rank, pos)
-            order = keep[np.lexsort((key[keep], rows[keep]))]
-            out_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.minimum(counts, fanout), out=out_indptr[1:])
-            sel_indptr.append(out_indptr)
-            sel_indices.append(indices[order])
+            if fanout is not None:
+                indptr, order = csr_topk_rows(indptr, csr.data, fanout)
+                indices = indices[order]
+            sel_indptr.append(indptr)
+            sel_indices.append(indices)
         all_indptr, all_indices = csr_interleave(n, sel_indptr, sel_indices)
-        return cls(
-            n=n,
-            fanout=fanout,
-            sel_indptr=sel_indptr,
-            sel_indices=sel_indices,
-            all_indptr=all_indptr,
-            all_indices=all_indices,
-            adj_indptr=[np.asarray(c.indptr, dtype=np.int64) for c in csrs],
-            adj_indices=[np.asarray(c.indices, dtype=np.int64) for c in csrs],
-            adj_data=[np.asarray(c.data) for c in csrs],
-        )
+        return cls(n, fanout, all_indptr, all_indices, csrs)
 
     # ------------------------------------------------------------------
     # Per-batch replay (the hot path)
@@ -217,9 +180,12 @@ class PresampledGraph:
         One ``csr_gather_rows`` over the interleaved CSR replays a whole
         frontier expansion: the gather is frontier-node-major and each
         node's span is type-inner in selection order, exactly the candidate
-        order ``_expand_frontier`` emits.
+        order ``_expand_frontier`` emits.  Inputs are checked before the
+        persistent scratch is touched, so a rejected call leaves it clean.
         """
-        seeds = np.asarray(seeds, dtype=np.int64)
+        if hops < 0:
+            raise ValueError("hops must be non-negative")
+        seeds = _check_indices("seeds", seeds, self.n)
         if seeds.size == 0:
             return seeds.copy()
         _, first = np.unique(seeds, return_index=True)
@@ -257,38 +223,8 @@ class PresampledGraph:
         return out
 
     def induced(self, nodes: np.ndarray) -> list[sp.csr_matrix]:
-        """Induced sub-CSRs over the *original* adjacency (fanout-free).
-
-        Bit-exact (including within-row entry order) vs
-        ``induced_adjacencies``: a CSR row gather preserves stored order
-        and the boolean column filter preserves relative order, which are
-        the same two invariants the dump-column variant relies on.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        k = len(nodes)
-        lookup = self._lookup
-        if lookup is None:
-            lookup = self._lookup = np.full(self.n, -1, dtype=np.int32)
-        lookup[nodes] = np.arange(k, dtype=np.int32)
-        result: list[sp.csr_matrix] = []
-        for indptr, indices, data in zip(
-            self.adj_indptr, self.adj_indices, self.adj_data
-        ):
-            out_indptr, gidx = csr_gather_rows(indptr, nodes)
-            cols = lookup[indices[gidx]]
-            inside = cols >= 0
-            lens = np.diff(out_indptr)
-            row_of = np.repeat(np.arange(k, dtype=np.int64), lens)
-            kept_counts = np.bincount(row_of[inside], minlength=k)
-            sub_indptr = np.zeros(k + 1, dtype=np.int32)
-            np.cumsum(kept_counts, out=sub_indptr[1:])
-            sub = sp.csr_matrix((k, k))
-            sub.data = data[gidx][inside]
-            sub.indices = cols[inside]
-            sub.indptr = sub_indptr
-            result.append(sub)
-        lookup[nodes] = -1
-        return result
+        """Induced sub-CSRs over the *original* adjacency (fanout-free)."""
+        return induced_adjacencies(self.adjacencies, nodes)
 
     # ------------------------------------------------------------------
     # Shared-memory round trip (worker publication)
@@ -299,15 +235,13 @@ class PresampledGraph:
             "all_indptr": self.all_indptr,
             "all_indices": self.all_indices,
         }
-        for i in range(len(self.sel_indptr)):
-            arrays[f"selp:{i}"] = self.sel_indptr[i]
-            arrays[f"seli:{i}"] = self.sel_indices[i]
-            arrays[f"adjp:{i}"] = self.adj_indptr[i]
-            arrays[f"adji:{i}"] = self.adj_indices[i]
-            arrays[f"adjd:{i}"] = self.adj_data[i]
+        for i, csr in enumerate(self.adjacencies):
+            arrays[f"adjp:{i}"] = csr.indptr
+            arrays[f"adji:{i}"] = csr.indices
+            arrays[f"adjd:{i}"] = csr.data
         meta = {
             "n": int(self.n),
-            "n_types": len(self.sel_indptr),
+            "n_types": len(self.adjacencies),
             "fanout": -1 if self.fanout is None else int(self.fanout),
         }
         return arrays, meta
@@ -317,18 +251,23 @@ class PresampledGraph:
         cls, arrays: dict[str, np.ndarray], meta: dict
     ) -> "PresampledGraph":
         """Rebuild from a published segment's array views (zero copy)."""
-        n_types = int(meta["n_types"])
+        n = int(meta["n"])
         fanout = int(meta["fanout"])
+        adjacencies = []
+        for i in range(int(meta["n_types"])):
+            # Attribute assignment skips scipy's re-validation (and the
+            # index-dtype copy it may make) of arrays that left a CSR.
+            csr = sp.csr_matrix((n, n), dtype=arrays[f"adjd:{i}"].dtype)
+            csr.data = arrays[f"adjd:{i}"]
+            csr.indices = arrays[f"adji:{i}"]
+            csr.indptr = arrays[f"adjp:{i}"]
+            adjacencies.append(csr)
         return cls(
-            n=int(meta["n"]),
-            fanout=None if fanout < 0 else fanout,
-            sel_indptr=[arrays[f"selp:{i}"] for i in range(n_types)],
-            sel_indices=[arrays[f"seli:{i}"] for i in range(n_types)],
-            all_indptr=arrays["all_indptr"],
-            all_indices=arrays["all_indices"],
-            adj_indptr=[arrays[f"adjp:{i}"] for i in range(n_types)],
-            adj_indices=[arrays[f"adji:{i}"] for i in range(n_types)],
-            adj_data=[arrays[f"adjd:{i}"] for i in range(n_types)],
+            n,
+            None if fanout < 0 else fanout,
+            arrays["all_indptr"],
+            arrays["all_indices"],
+            adjacencies,
         )
 
 
@@ -346,6 +285,23 @@ class Minibatch:
     labels: np.ndarray
 
 
+def _minibatch_of(
+    adjacencies: Sequence[sp.csr_matrix],
+    features: np.ndarray,
+    labels: np.ndarray,
+    batch: np.ndarray,
+    nodes: np.ndarray,
+    profiler: TrainProfiler | NullProfiler = _NULL,
+) -> Minibatch:
+    """The one ``nodes -> Minibatch`` assembly: induce, wrap, gather."""
+    with profiler.stage("induction"):
+        aggregators = prepare_aggregators(induced_adjacencies(adjacencies, nodes))
+    with profiler.stage("gather"):
+        batch_features = features[nodes]
+        batch_labels = labels[batch]
+    return Minibatch(batch, nodes, aggregators, batch_features, batch_labels)
+
+
 def assemble_minibatch(
     pre: PresampledGraph,
     features: np.ndarray,
@@ -357,12 +313,7 @@ def assemble_minibatch(
     """Slice one batch's subgraph + features from the presampled structure."""
     with profiler.stage("sampling"):
         nodes = pre.sample(batch, hops)
-    with profiler.stage("induction"):
-        aggregators = prepare_aggregators(pre.induced(nodes))
-    with profiler.stage("gather"):
-        batch_features = features[nodes]
-        batch_labels = labels[batch]
-    return Minibatch(batch, nodes, aggregators, batch_features, batch_labels)
+    return _minibatch_of(pre.adjacencies, features, labels, batch, nodes, profiler)
 
 
 def _batch_gradient(
@@ -430,14 +381,16 @@ def fold_gradients(
 class _Prefetcher:
     """Double-buffered minibatch assembly on a daemon thread.
 
-    The bounded queue holds at most ``depth`` ready batches: batch ``t+1``
+    The bounded queue holds at most two ready batches: batch ``t+1``
     (and ``t+2``) assemble while batch ``t`` computes, but memory stays
     bounded.  Assembly stages (``sampling``/``induction``/``gather``) are
     recorded from the worker thread while compute stages tick on the main
     thread — the stage names are disjoint, so the profiler's per-name
     accumulation never races.  The main loop's blocking ``get`` is timed as
     the ``prefetch`` stage: when the pipeline overlaps well it is near
-    zero, and that is the number the benchmark asserts on.
+    zero.  The consumer owns the thread's lifetime: :meth:`close` (in a
+    ``finally``) leaves no thread behind even when the epoch raised
+    mid-way, so a later fork is never refused on its account.
     """
 
     _DONE = object()
@@ -447,11 +400,11 @@ class _Prefetcher:
         build: Callable[[np.ndarray], Minibatch],
         batches: Sequence[np.ndarray],
         profiler: TrainProfiler | NullProfiler,
-        depth: int = 2,
     ) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=max(1, depth))
+        self._queue: queue.Queue = queue.Queue(maxsize=2)
         self._error: BaseException | None = None
         self._profiler = profiler
+        self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, args=(build, list(batches)), daemon=True
         )
@@ -460,6 +413,8 @@ class _Prefetcher:
     def _run(self, build: Callable, batches: list) -> None:
         try:
             for batch in batches:
+                if self._stop.is_set():
+                    break
                 self._queue.put(build(batch))
         except BaseException as exc:  # propagate to the consuming thread
             self._error = exc
@@ -471,15 +426,23 @@ class _Prefetcher:
             with self._profiler.stage("prefetch"):
                 item = self._queue.get()
             if item is self._DONE:
-                self._thread.join()
                 if self._error is not None:
                     raise self._error
                 return
             yield item
 
+    def close(self) -> None:
+        """Signal stop, drain whatever the producer is parked on, join."""
+        self._stop.set()
+        while self._thread.is_alive():
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                self._thread.join(0.01)
+
 
 # ----------------------------------------------------------------------
-# Config + engine
+# Config + entry points
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class ParallelTrainConfig(TrainConfig):
@@ -492,10 +455,6 @@ class ParallelTrainConfig(TrainConfig):
     sync_batches: int = 1
     #: number of forked gradient workers; 0 computes in-process.
     workers: int = 0
-    #: double-buffer minibatch assembly on a background thread.
-    prefetch: bool = True
-    #: sample the k-hop structure once per run (vs per batch per epoch).
-    presample: bool = True
     #: dispatch to one worker at a time (measurement mode: lets the
     #: benchmark time each worker's busy span uncontended on a small CPU
     #: and combine them under the deployment clock, as bench_sharding does).
@@ -509,11 +468,6 @@ class ParallelTrainConfig(TrainConfig):
             raise ValueError("sync_batches must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.workers > 0 and not self.presample:
-            raise ValueError(
-                "multi-process training requires presample=True (workers "
-                "slice minibatches from the published presampled segment)"
-            )
 
 
 def train_parallel(
@@ -528,73 +482,128 @@ def train_parallel(
     fanout: int | None = 10,
     profiler: TrainProfiler | None = None,
 ) -> TrainResult:
-    """Drop-in parallel replacement for ``train_with_neighbor_sampling``.
+    """Sampled training under the deterministic (top-k) fanout policy.
 
-    Same protocol (shuffled batches, weighted BCE, per-epoch fanout-free
-    validation subgraph, AUC early stopping, best-state restore) with the
-    sampling hoisted out of the epoch loop, assembly prefetched, and
-    gradient computation optionally fanned out to forked workers.  The
-    fanout policy is deterministic (``rng=None``) — see the module
-    docstring for why weighted-random fanout cannot be presampled.
+    ``model.forward(x, aggregators)`` must accept a feature tensor and a
+    list of per-type aggregation matrices (HAG's interface; the homogeneous
+    baselines can be adapted with a single-element list).  The protocol is
+    shuffled batches, weighted BCE, a per-epoch fanout-free validation
+    subgraph, AUC early stopping and best-state restore; the fanout
+    selection is hoisted out of the epoch loop into one
+    :class:`PresampledGraph`, and gradient computation optionally fans out
+    to ``config.workers`` forked workers.
 
     Randomness is threaded from ``config.seed`` through
     :meth:`TrainConfig.streams`: batch shuffling consumes the ``shuffle``
     stream and nothing else, so the epoch schedule is identical for every
     ``workers`` setting.
     """
-    config = config or ParallelTrainConfig(batch_size=256)
+
+    def make_build(csrs, features, labels, sample_rng, profiler):
+        with profiler.stage("presample"):
+            pre = PresampledGraph.build(csrs, fanout)
+
+        def build(batch: np.ndarray) -> Minibatch:
+            return assemble_minibatch(pre, features, labels, batch, hops, profiler)
+
+        return build, pre
+
+    return _train_sampled(
+        model, adjacencies, features, labels, train_idx, val_idx,
+        config or ParallelTrainConfig(batch_size=256),
+        hops, fanout, profiler, make_build,
+    )
+
+
+def train_with_neighbor_sampling(
+    model: nn.Module,
+    adjacencies: Sequence[sp.spmatrix],
+    features: np.ndarray,
+    labels: np.ndarray,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray | None = None,
+    config: TrainConfig | None = None,
+    hops: int = 2,
+    fanout: int | None = 10,
+    profiler: TrainProfiler | None = None,
+) -> TrainResult:
+    """Sampled training with weighted *random* fanout draws.
+
+    :func:`train_parallel`'s protocol and driver, in-process with one
+    optimizer step per batch; only the node set differs.  Every batch
+    re-draws its oversized rows' neighbours from
+    ``sample_khop_nodes(..., rng)`` over the config's ``sample`` stream —
+    the draw depends on the stream position, so it cannot be presampled
+    or replayed by a forked worker, and only :class:`TrainConfig`'s own
+    fields of ``config`` are read.  Where no row exceeds ``fanout`` no
+    draw happens and the result is bit-identical to
+    ``train_parallel(sync_batches=1, workers=0)``.
+    """
+    config = config or TrainConfig(batch_size=256)
+
+    def make_build(csrs, features, labels, sample_rng, profiler):
+        def build(batch: np.ndarray) -> Minibatch:
+            with profiler.stage("sampling"):
+                nodes = sample_khop_nodes(csrs, batch, hops, fanout, sample_rng)
+            return _minibatch_of(csrs, features, labels, batch, nodes, profiler)
+
+        return build, None
+
+    return _train_sampled(
+        model, adjacencies, features, labels, train_idx, val_idx,
+        ParallelTrainConfig(
+            **{f.name: getattr(config, f.name) for f in fields(TrainConfig)}
+        ),
+        hops, fanout, profiler, make_build,
+    )
+
+
+def _train_sampled(
+    model: nn.Module,
+    adjacencies: Sequence[sp.spmatrix],
+    features: np.ndarray,
+    labels: np.ndarray,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray | None,
+    config: ParallelTrainConfig,
+    hops: int,
+    fanout: int | None,
+    profiler: TrainProfiler | None,
+    make_build: Callable,
+) -> TrainResult:
+    """The one sampled-training driver behind both public entry points.
+
+    Rejects malformed inputs with a ``ValueError`` before anything is
+    presampled, published or forked, then runs the shared protocol with an
+    epoch of shuffled batches dispatched in-process or to the worker pool.
+    ``make_build(csrs, features, labels, sample_rng, profiler)`` is an
+    entry point's whole contribution: it returns ``(build, presampled)``,
+    the ``batch -> Minibatch`` closure and the structure forked workers
+    replay it from (``None``: not replayable).
+    """
+    csrs = [a.tocsr() for a in adjacencies]
+    n = _check_graph(csrs, fanout)
+    if hops < 0:
+        raise ValueError("hops must be non-negative")
+    train_idx = _check_indices("train_idx", train_idx, n)
+    if val_idx is not None:
+        val_idx = _check_indices("val_idx", val_idx, n)
     profiler, labels, train_idx, pos_weight = _prepare(
         config, profiler, labels, train_idx
     )
     if config.batch_size is None:
-        raise ValueError("parallel training requires a batch size")
+        raise ValueError("sampled training requires a batch size")
     if config.workers > 0:
         _refuse_active_dropout(model)
-    csrs = [a.tocsr() for a in adjacencies]
     features = np.asarray(features, dtype=np.float64)
 
     params = model.parameters()
     optimizer = nn.Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     streams = config.streams()
     shuffle_rng = streams["shuffle"]
-
-    pre: PresampledGraph | None = None
-    if config.presample:
-        with profiler.stage("presample"):
-            pre = PresampledGraph.build(csrs, fanout)
-
-    def build(batch: np.ndarray) -> Minibatch:
-        if pre is not None:
-            return assemble_minibatch(pre, features, labels, batch, hops, profiler)
-        with profiler.stage("sampling"):
-            nodes = sample_khop_nodes(csrs, batch, hops, fanout, None)
-        with profiler.stage("induction"):
-            aggregators = prepare_aggregators(induced_adjacencies(csrs, nodes))
-        with profiler.stage("gather"):
-            batch_features = features[nodes]
-            batch_labels = labels[batch]
-        return Minibatch(batch, nodes, aggregators, batch_features, batch_labels)
+    build, presampled = make_build(csrs, features, labels, streams["sample"], profiler)
 
     pool = None
-    store = None
-    if config.workers > 0:
-        from ..network.shm import SharedSnapshotStore
-        from ..system.train_workers import TrainWorkerPool, publish_train_inputs
-
-        store = SharedSnapshotStore(prefix=f"repro-train-{os.getpid()}")
-        handle = publish_train_inputs(store, pre, features, labels, hops=hops)
-        inputs = handle.segment if handle.shared else (handle.arrays, handle.meta)
-        worker_seeds = [
-            int(s) for s in streams["workers"].integers(0, 2**63 - 1, config.workers)
-        ]
-        pool = TrainWorkerPool(
-            inputs,
-            config.workers,
-            model_payload=pickle.dumps(
-                {"model": model, "pos_weight": pos_weight, "hops": hops}
-            ),
-            worker_seeds=worker_seeds,
-        )
 
     def epoch_step() -> float:
         shuffled = shuffle_rng.permutation(train_idx)
@@ -612,16 +621,56 @@ def train_parallel(
             pos_weight, build, profiler,
         )
 
-    try:
+    with ExitStack() as cleanup:  # a refused fork still unlinks the segment
+        if config.workers > 0:
+            from ..network.shm import SharedSnapshotStore
+            from ..system.train_workers import TrainWorkerPool, publish_train_inputs
+
+            store = SharedSnapshotStore(prefix=f"repro-train-{os.getpid()}")
+            cleanup.callback(store.close)
+            handle = publish_train_inputs(
+                store, presampled, features, labels, hops=hops
+            )
+            inputs = handle.segment if handle.shared else (handle.arrays, handle.meta)
+            worker_seeds = [
+                int(s)
+                for s in streams["workers"].integers(0, 2**63 - 1, config.workers)
+            ]
+            pool = TrainWorkerPool(
+                inputs,
+                config.workers,
+                model_payload=pickle.dumps(
+                    {"model": model, "pos_weight": pos_weight}
+                ),
+                worker_seeds=worker_seeds,
+            )
+            cleanup.callback(pool.close)
         return _run_protocol(
             model, config, profiler, labels, train_idx, val_idx, pos_weight,
             epoch_step, _subgraph_validator(model, csrs, features, val_idx, hops),
         )
-    finally:
-        if pool is not None:
-            pool.close()
-        if store is not None:
-            store.close()
+
+
+def _subgraph_validator(
+    model: nn.Module,
+    adjacencies: Sequence[sp.spmatrix],
+    features: np.ndarray,
+    val_idx: np.ndarray | None,
+    hops: int,
+) -> Callable[[], np.ndarray] | None:
+    """``validate()`` of sampled training; ``None`` without validation nodes.
+
+    Validation is evaluated on its own (fanout-free) subgraph, sampled and
+    induced once and reused every epoch; the validation nodes are the
+    subgraph's leading rows.
+    """
+    if val_idx is None or len(val_idx) == 0:
+        return None
+    val_nodes = sample_khop_nodes(adjacencies, val_idx, hops, None)
+    val_adjacencies = prepare_aggregators(induced_adjacencies(adjacencies, val_nodes))
+    val_features = Tensor(features[val_nodes])
+    val_positions = np.arange(len(val_idx))
+    return lambda: model.forward(val_features, val_adjacencies).numpy()[val_positions]
 
 
 def _refuse_active_dropout(value: object) -> None:
@@ -675,20 +724,20 @@ def _inprocess_epoch(
     profiler: TrainProfiler | NullProfiler,
 ) -> float:
     """One epoch with gradients computed in the parent process."""
-    if config.prefetch:
-        iterator = iter(_Prefetcher(build, batches, profiler))
-    else:
-        iterator = (build(batch) for batch in batches)
     epoch_loss = 0.0
     pending: list[list[np.ndarray]] = []
-    for mb in iterator:
-        grads, loss = _batch_gradient(model, params, mb, pos_weight, profiler)
-        epoch_loss += loss * len(mb.batch)
-        profiler.count_batch(len(mb.nodes))
-        pending.append(grads)
-        if len(pending) == config.sync_batches:
-            _apply_step(optimizer, params, pending, profiler)
-            pending = []
+    prefetcher = _Prefetcher(build, batches, profiler)
+    try:
+        for mb in prefetcher:
+            grads, loss = _batch_gradient(model, params, mb, pos_weight, profiler)
+            epoch_loss += loss * len(mb.batch)
+            profiler.count_batch(len(mb.nodes))
+            pending.append(grads)
+            if len(pending) == config.sync_batches:
+                _apply_step(optimizer, params, pending, profiler)
+                pending = []
+    finally:
+        prefetcher.close()
     if pending:
         _apply_step(optimizer, params, pending, profiler)
     return epoch_loss

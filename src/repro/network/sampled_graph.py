@@ -39,7 +39,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
-from ..nn.sparse import csr_gather_rows, csr_interleave
+from ..nn.sparse import csr_gather_rows, csr_interleave, csr_topk_rows
 from .sharding import ShardIndex, build_shard_index
 
 __all__ = ["SampledGraph", "build_sampled_graph"]
@@ -144,34 +144,17 @@ class SampledGraph:
             dense_w = index.type_weights[btype]
             w_all = dense_w[pair_all] if len(pair_all) else np.empty(0)
             mask = w_all > 0.0
-            n_t = node_all[mask]
-            v_t = nbr_all[mask]
-            counts = np.bincount(n_t, minlength=num_nodes).astype(np.int64)
-            if fanout is None:
-                kept_counts = counts
-                kept_nbr = v_t
-            else:
-                # Per-node creation-order offset of each candidate, and its
-                # stable descending-weight rank; _select_neighbors keeps the
-                # creation order when the segment fits the fanout and the
-                # rank order (truncated) otherwise.
-                starts = np.zeros(num_nodes, dtype=np.int64)
-                if num_nodes:
-                    np.cumsum(counts[:-1], out=starts[1:])
-                seg_starts = np.repeat(starts, counts)
-                pos_in_seg = np.arange(len(n_t), dtype=np.int64) - seg_starts
-                w_t = w_all[mask]
-                by_rank = np.lexsort((pos_in_seg, -w_t, n_t))
-                rank = np.empty(len(n_t), dtype=np.int64)
-                rank[by_rank] = np.arange(len(n_t), dtype=np.int64) - seg_starts
-                truncated = (counts > fanout)[n_t]
-                key = np.where(truncated, rank, pos_in_seg)
-                keep = np.flatnonzero(~truncated | (rank < fanout))
-                final = keep[np.lexsort((key[keep], n_t[keep]))]
-                kept_counts = np.minimum(counts, fanout)
-                kept_nbr = v_t[final]
             indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-            np.cumsum(kept_counts, out=indptr[1:])
+            np.cumsum(
+                np.bincount(node_all[mask], minlength=num_nodes), out=indptr[1:]
+            )
+            kept_nbr = nbr_all[mask]
+            if fanout is not None:
+                # _select_neighbors keeps creation order when the segment
+                # fits the fanout and the stable descending-weight rank
+                # order (truncated) otherwise.
+                indptr, order = csr_topk_rows(indptr, w_all[mask], fanout)
+                kept_nbr = kept_nbr[order]
             sel_indptr[btype] = indptr
             sel_nbr[btype] = np.ascontiguousarray(kept_nbr, dtype=np.int64)
 

@@ -39,6 +39,7 @@ __all__ = [
     "csr_gather_rows",
     "csr_gather_rows_with_counts",
     "csr_interleave",
+    "csr_topk_rows",
     "symmetric_csr",
     "typed_symmetric_csr",
     "row_mean_csr",
@@ -283,6 +284,37 @@ def csr_interleave(
         all_indices[row_base + within] = nbrs
         type_offset += counts
     return all_indptr, all_indices
+
+
+def csr_topk_rows(
+    indptr: np.ndarray, weights: np.ndarray, fanout: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cap every CSR row at its ``fanout`` heaviest entries: the one
+    deterministic fanout rank-select.
+
+    Returns ``(out_indptr, order)`` where ``order`` indexes the CSR's value
+    arrays: capped row ``v`` is ``values[order[out_indptr[v]:out_indptr[v+1]]]``.
+    A row within the fanout keeps its stored order; an oversized row emits
+    ``np.argsort(-w, kind="stable")[:fanout]`` — weight descending, ties by
+    stored position — computed for all rows by one lexsort.  Each survivor's
+    slot is ``out_indptr[row] + rank``, so the emission order is a counting
+    scatter, not a second sort.
+    """
+    counts = np.diff(indptr)
+    total = int(indptr[-1])
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    pos = np.arange(total, dtype=np.int64) - np.repeat(indptr[:-1], counts)
+    # lexsort's primary key keeps each row's span in place, so the sorted
+    # entry at span offset ``pos`` has within-row rank ``pos``.
+    rank = np.empty(total, dtype=np.int64)
+    rank[np.lexsort((pos, -weights, rows))] = pos
+    key = np.where((counts > fanout)[rows], rank, pos)
+    keep = np.flatnonzero(key < fanout)
+    out_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.minimum(counts, fanout), out=out_indptr[1:])
+    order = np.empty(len(keep), dtype=np.int64)
+    order[out_indptr[rows[keep]] + key[keep]] = keep
+    return out_indptr, order
 
 
 def transpose_conversion_count() -> int:

@@ -2,8 +2,8 @@
 
 Unlike the online system — whose latency is *charged* against the
 simulated :class:`~repro.system.latency.LatencyModel` — offline training
-(``repro.core.trainer`` / ``repro.core.minibatch`` /
-``repro.core.train_engine``) runs real numpy work, so the profiler
+(``repro.core.trainer`` / ``repro.core.train_engine``) runs real numpy
+work, so the profiler
 measures real wall time via ``time.perf_counter``.
 
 Usage::
@@ -14,8 +14,8 @@ Usage::
 
 Each epoch produces an :class:`EpochProfile` with total seconds, the loss,
 per-stage timings (``forward``, ``backward``, ``step``, ``validation``;
-neighbor-sampled training adds ``sampling`` and ``induction``; the
-parallel engine adds ``presample``, ``gather``, ``prefetch``, ``reduce``,
+the sampled epoch loop adds ``sampling``, ``induction``, ``gather``,
+``prefetch``, ``reduce``, a run-level ``presample`` and, with workers,
 ``dispatch``, ``workers_busy`` and ``workers_critical``), the batch count,
 and the number of sampled subgraph nodes.  Totals are mirrored into an
 optional :class:`~repro.obs.metrics.MetricsRegistry` under the ``train.*``

@@ -106,7 +106,6 @@ def _model(state: WorkerState, payload: tuple[bytes, int]) -> int:
         model=model,
         params=params,
         pos_weight=float(bundle["pos_weight"]),
-        hops=int(bundle.get("hops", state.views["hops"])),
         # seeded per worker; reserved for stochastic stages
         rng=np.random.default_rng(seed),
     )

@@ -1,7 +1,7 @@
 """Tiny-scale smoke run of the parallel training benchmark harness.
 
 The full harness is a slow-marked test; this keeps its plumbing — both
-training phases, the bit-exactness parity verdicts, the deployment-clock
+training phases, the bit-exactness parity verdict, the deployment-clock
 arithmetic, the shared gate contract, JSON emission — covered by the fast
 tier.  Speedup *values* at toy scale are noise, so the perf gates'
 pass/fail outcome is deliberately not asserted here (parity excepted:
@@ -16,12 +16,7 @@ from pathlib import Path
 
 BENCHMARKS_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
-GATES = (
-    "presample_epoch_speedup",
-    "parallel_epoch_speedup_4w",
-    "presample_parity",
-    "parallel_parity",
-)
+GATES = ("parallel_epoch_speedup_4w", "parallel_parity")
 
 
 def test_train_parallel_harness_smoke(tmp_path, monkeypatch, capsys):
@@ -38,15 +33,13 @@ def test_train_parallel_harness_smoke(tmp_path, monkeypatch, capsys):
     result = bench.run_harness(result_path=result_path)
     capsys.readouterr()  # keep the harness banner out of the test output
 
-    # Both phases ran every configuration.
-    assert set(result["presample_phase"]) == {
-        "resample",
-        "presample",
-        "presample_prefetch",
-    }
+    # Phase A reports the in-process epoch in absolute terms; phase B
+    # ran every worker count.
+    assert result["presample_build_s"] > 0.0
+    assert result["inprocess_phase"]["best_epoch_s"] > 0.0
+    for stage in ("sampling", "induction", "prefetch", "forward", "backward"):
+        assert stage in result["inprocess_phase"]["stage_totals_s"], stage
     assert set(result["parallel_phase"]) == {"0", "1", "2", "4"}
-    for row in result["presample_phase"].values():
-        assert row["best_epoch_s"] > 0.0
     for workers, row in result["parallel_phase"].items():
         assert row["best_deploy_s"] > 0.0
         if workers != "0":
@@ -54,7 +47,6 @@ def test_train_parallel_harness_smoke(tmp_path, monkeypatch, capsys):
             assert stages["workers_busy"] >= stages["workers_critical"] > 0.0
 
     # Bit-exactness holds at any scale.
-    assert result["gates"]["presample_parity"]["value"] == 1.0
     assert result["gates"]["parallel_parity"]["value"] == 1.0
 
     # The shared gate contract attached its verdicts and wrote the JSON.

@@ -1,15 +1,17 @@
-"""Parallel training engine: presampling, prefetch, data-parallel parity.
+"""Sampled-training engine: presampling, one epoch loop, data-parallel parity.
 
-Three guarantees are pinned here:
+Four guarantees are pinned here:
 
 * **Presample bit-exactness** — :class:`PresampledGraph` replays the
   deterministic (``rng=None``) fanout policy exactly: ``sample`` matches
   ``sample_khop_nodes`` and ``induced`` matches ``induced_adjacencies``
   bit-for-bit, across fanouts, hop counts, ties and duplicate seeds.
+* **One loop** — :func:`train_with_neighbor_sampling` and
+  :func:`train_parallel` are each other's oracle: bit-identical trained
+  models wherever the fanout cap does not bind.
 * **Gradient parity** — the optimizer trajectory of
   :func:`train_parallel` is bit-identical across ``workers`` in
-  {0, 1, 2, 4}, with prefetch on or off, and with mid-run worker crashes
-  failed over to the parent.
+  {0, 1, 2, 4} and with mid-run worker crashes failed over to the parent.
 * **Seed threading** — every rng stream derives from ``TrainConfig.seed``
   via :meth:`TrainConfig.streams`; the stream traces are pinned so a
   change to the derivation (which would silently alter every trained
@@ -19,6 +21,7 @@ Three guarantees are pinned here:
 from __future__ import annotations
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -35,10 +38,12 @@ from repro.core import (
     induced_adjacencies,
     sample_khop_nodes,
     train_parallel,
+    train_with_neighbor_sampling,
 )
+from repro.core import train_engine
 from repro.core.train_engine import _batch_gradient, _inprocess_epoch, _pooled_epoch
 from repro.network.shm import SharedSnapshotStore
-from repro.obs.profiling import TrainProfiler
+from repro.obs.profiling import NullProfiler, TrainProfiler
 from repro.system.train_workers import TrainWorkerPool, publish_train_inputs
 from repro import nn
 
@@ -153,6 +158,38 @@ class TestPresampledGraph:
         assert np.array_equal(a, pre.sample(np.array([1, 2, 3]), 2))
         assert np.array_equal(b, pre.sample(np.array([50, 60]), 2))
 
+    @pytest.mark.parametrize(
+        "seeds, hops",
+        [([-1], 1), ([3, 100], 1), ([3, 4], -1)],
+        ids=["negative-seed", "seed-out-of-range", "negative-hops"],
+    )
+    def test_rejected_sample_leaves_scratch_clean(self, seeds, hops):
+        # A rejected call used to mark `_seen` first and raise second, so
+        # the next valid call silently lost nodes; hops=-1 returned the
+        # seeds where sample_khop_nodes raises.
+        adjacencies = random_adjacencies(100, density=4.0, seed=5)
+        pre = PresampledGraph.build(adjacencies, 3)
+        valid = np.arange(0, 99, 7)
+        expected = pre.sample(valid, 2)
+        assert 99 in expected  # the node a wrapped seed of -1 would mark
+        with pytest.raises(ValueError):
+            pre.sample(np.array(seeds), hops)
+        assert np.array_equal(pre.sample(valid, 2), expected)
+        assert np.array_equal(
+            expected, sample_khop_nodes(adjacencies, valid, 2, 3, None)
+        )
+
+    def test_build_rejects_malformed_inputs(self):
+        adjacencies = random_adjacencies(40, density=3.0)
+        with pytest.raises(ValueError, match="fanout"):
+            PresampledGraph.build(adjacencies, -1)
+        with pytest.raises(ValueError, match="at least one"):
+            PresampledGraph.build([], 3)
+        with pytest.raises(ValueError, match="same-shape"):
+            PresampledGraph.build([adjacencies[0], sp.csr_matrix((41, 41))], 3)
+        with pytest.raises(ValueError, match="square"):
+            PresampledGraph.build([sp.csr_matrix((40, 41))], 3)
+
 
 # ----------------------------------------------------------------------
 # Seed threading: one seed drives every stream, pinned
@@ -241,23 +278,52 @@ class TestTrainParallelParity:
         base.update(overrides)
         return ParallelTrainConfig(**base)
 
-    def test_presample_matches_per_epoch_resampling(self, problem, baseline_state):
+    @pytest.mark.parametrize("fanout", ["max-degree", None])
+    def test_entry_points_are_each_others_oracle(self, problem, fanout):
+        # One driver, two `build` closures: where the fanout cap never
+        # binds, weighted draws and the presampled top-k replay select the
+        # same nodes, so the two public trainers must agree bit for bit.
         adjacencies, features, labels, train_idx, val_idx = problem
-        model = make_model()
-        train_parallel(
-            model, adjacencies, features, labels, train_idx, val_idx,
-            config=self.config(presample=False), hops=2, fanout=5,
+        if fanout is not None:
+            fanout = max(int(np.diff(a.indptr).max()) for a in adjacencies)
+        base = dict(epochs=3, batch_size=64, seed=0, min_epochs=1, patience=50)
+        legacy = make_model()
+        legacy_result = train_with_neighbor_sampling(
+            legacy, adjacencies, features, labels, train_idx, val_idx,
+            config=TrainConfig(**base), hops=2, fanout=fanout,
         )
-        assert_states_equal(model.state_dict(), baseline_state)
+        engine = make_model()
+        engine_result = train_parallel(
+            engine, adjacencies, features, labels, train_idx, val_idx,
+            config=ParallelTrainConfig(**base, sync_batches=1, workers=0),
+            hops=2, fanout=fanout,
+        )
+        assert_states_equal(legacy.state_dict(), engine.state_dict())
+        assert legacy_result.train_losses == engine_result.train_losses
+        assert legacy_result.val_aucs == engine_result.val_aucs
 
-    def test_prefetch_off_matches(self, problem, baseline_state):
-        adjacencies, features, labels, train_idx, val_idx = problem
-        model = make_model()
+    def test_binding_fanout_draws_from_the_sample_stream(self, problem):
+        # Under a binding cap the legacy entry point draws (seeded by the
+        # config's `sample` stream): reproducible, and not the top-k model.
+        adjacencies, features, labels, train_idx, _ = problem
+        config = TrainConfig(epochs=2, batch_size=64, seed=0, min_epochs=1, patience=50)
+        states = []
+        for _ in range(2):
+            model = make_model()
+            train_with_neighbor_sampling(
+                model, adjacencies, features, labels, train_idx,
+                config=config, hops=2, fanout=2,
+            )
+            states.append(model.state_dict())
+        assert_states_equal(states[0], states[1])
+        topk = make_model()
         train_parallel(
-            model, adjacencies, features, labels, train_idx, val_idx,
-            config=self.config(prefetch=False), hops=2, fanout=5,
+            topk, adjacencies, features, labels, train_idx,
+            config=self.config(epochs=2, sync_batches=1), hops=2, fanout=2,
         )
-        assert_states_equal(model.state_dict(), baseline_state)
+        assert any(
+            not np.array_equal(states[0][k], topk.state_dict()[k]) for k in states[0]
+        )
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_bit_identical(self, problem, baseline_state, workers):
@@ -297,10 +363,7 @@ class TestTrainParallelParity:
         assert_states_equal(states[0], states[1])
 
     def test_matches_legacy_loop_losses(self, problem):
-        # The engine keeps the legacy protocol: with presample=False (same
-        # deterministic sampler) and a single-stream shuffle, losses track
-        # the reference loop's shape; here we just pin that training
-        # actually reduces the loss.
+        # Pin that training actually reduces the loss.
         adjacencies, features, labels, train_idx, _ = problem
         model = make_model()
         result = train_parallel(
@@ -326,7 +389,7 @@ class TestTrainWorkerPool:
 
     @staticmethod
     def payload(model) -> bytes:
-        return pickle.dumps({"model": model, "pos_weight": 2.0, "hops": 2})
+        return pickle.dumps({"model": model, "pos_weight": 2.0})
 
     def test_gradients_match_in_process_bits(self, published):
         pre, features, labels, train_idx, inputs = published
@@ -393,8 +456,6 @@ class TestTrainWorkerPool:
         def build(batch):
             return assemble_minibatch(pre, features, labels, batch, 2)
 
-        from repro.obs.profiling import NullProfiler
-
         reference = make_model(seed=4)
         ref_params = reference.parameters()
         ref_optimizer = nn.Adam(ref_params, lr=config.lr)
@@ -428,9 +489,13 @@ class TestConfigAndFold:
             ParallelTrainConfig(sync_batches=0).validate()
         with pytest.raises(ValueError, match="workers"):
             ParallelTrainConfig(workers=-1).validate()
-        with pytest.raises(ValueError, match="presample"):
-            ParallelTrainConfig(workers=2, presample=False).validate()
         ParallelTrainConfig(workers=2, sync_batches=4).validate()
+
+    @pytest.mark.parametrize("removed", ["presample", "prefetch"])
+    def test_removed_options_are_gone(self, removed):
+        # Presampling and prefetching are the path, not options.
+        with pytest.raises(TypeError, match=removed):
+            ParallelTrainConfig(**{removed: True})
 
     def test_base_validation_still_applies(self):
         with pytest.raises(ValueError, match="epochs"):
@@ -443,6 +508,34 @@ class TestConfigAndFold:
                 make_model(), adjacencies, features, labels, train_idx,
                 config=ParallelTrainConfig(batch_size=None),
             )
+
+    @pytest.mark.parametrize("train", [train_parallel, train_with_neighbor_sampling])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(hops=-1), "hops"),
+            (dict(fanout=-1), "fanout"),
+            (dict(adjacencies=[sp.csr_matrix((60, 60)), sp.csr_matrix((61, 61))]), "same-shape"),
+            (dict(train_idx=np.array([0, 60])), "train_idx"),
+            (dict(train_idx=np.array([-1, 3])), "train_idx"),
+            (dict(val_idx=np.array([5, 99])), "val_idx"),
+        ],
+        ids=["hops", "fanout", "shapes", "train-high", "train-negative", "val-high"],
+    )
+    def test_driver_rejects_malformed_inputs(self, train, bad, match, monkeypatch):
+        # Typed error at the driver entry, before any presample pass.
+        adjacencies, features, labels, train_idx, val_idx = make_problem(60)
+        kwargs = dict(
+            adjacencies=adjacencies, features=features, labels=labels,
+            train_idx=train_idx, val_idx=val_idx, hops=2, fanout=4,
+            config=ParallelTrainConfig(epochs=1, batch_size=16, workers=1),
+        )
+        kwargs.update(bad)
+        monkeypatch.setattr(
+            PresampledGraph, "build", lambda *a: pytest.fail("presampled")
+        )
+        with pytest.raises(ValueError, match=match):
+            train(make_model(), **kwargs)
 
     def test_fold_is_left_to_right_in_batch_order(self):
         rng = np.random.default_rng(0)
@@ -460,6 +553,52 @@ class TestConfigAndFold:
         folded = fold_gradients([[g]], 1.0)
         assert np.array_equal(folded[0], g)
         assert folded[0] is not g  # defensive copy
+
+
+class TestPrefetchLifetime:
+    def test_failed_epoch_leaves_no_thread_and_fork_still_works(self, monkeypatch):
+        # A consumer that raised mid-epoch used to leave the prefetch
+        # thread parked on its bounded queue forever, and the next
+        # train_parallel(workers>0) in the process was refused its fork.
+        adjacencies, features, labels, train_idx, _ = make_problem(120)
+        config = dict(epochs=1, batch_size=16, min_epochs=1, patience=50)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("boom on batch 2")
+            return _batch_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(train_engine, "_batch_gradient", failing)
+        with pytest.raises(RuntimeError, match="boom on batch 2"):
+            train_parallel(
+                make_model(), adjacencies, features, labels, train_idx,
+                config=ParallelTrainConfig(**config), hops=2, fanout=4,
+            )
+        monkeypatch.undo()
+        assert threading.enumerate() == [threading.main_thread()]
+        result = train_parallel(
+            make_model(), adjacencies, features, labels, train_idx,
+            config=ParallelTrainConfig(**config, workers=1), hops=2, fanout=4,
+        )
+        assert len(result.train_losses) == 1
+
+    def test_build_error_reaches_the_consumer(self):
+        adjacencies, features, labels, train_idx, _ = make_problem(60)
+        config = ParallelTrainConfig(epochs=1, batch_size=16, sync_batches=1)
+
+        def build(batch):
+            raise KeyError("assembly failed")
+
+        model = make_model()
+        params = model.parameters()
+        with pytest.raises(KeyError, match="assembly failed"):
+            _inprocess_epoch(
+                model, params, nn.Adam(params), [train_idx[:16]], config,
+                2.0, build, NullProfiler(),
+            )
+        assert threading.enumerate() == [threading.main_thread()]
 
 
 class TestProfilerAccounting:
