@@ -34,7 +34,6 @@ from repro.network import (
     computation_subgraphs_batch,
     shard_of,
 )
-from repro.system import index_sample_batch
 
 from _shared import SCALE, WINDOWS, emit, emit_header, once
 
@@ -104,7 +103,7 @@ def measure_at_scale(scale: float) -> dict[str, float]:
     # and one packed forward, amortized per request — bit-exact by contract.
     start = time.perf_counter()
     batch_subgraphs, _stats = computation_subgraphs_batch(
-        data.bn, uids, hops=2, fanout=10, allowed=allowed
+        data.bn.index(), uids, hops=2, fanout=10, allowed=allowed
     )
     batch_sample_s = time.perf_counter() - start
     batch_features = [
@@ -132,7 +131,7 @@ def measure_at_scale(scale: float) -> dict[str, float]:
             continue
         part_uids = [uids[i] for i in member]
         start = time.perf_counter()
-        part_subgraphs, _pstats = index_sample_batch(
+        part_subgraphs, _pstats = computation_subgraphs_batch(
             shard_index, part_uids, hops=2, fanout=10, allowed=allowed
         )
         part_features = [

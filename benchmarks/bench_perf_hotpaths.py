@@ -182,7 +182,7 @@ def bench_adjacency_export(bn: BehaviorNetwork) -> dict:
     nodes = bn.nodes()
 
     def vector_cold():
-        bn._snapshot = None  # force a rebuild: cold = snapshot + export
+        bn._index = None  # force a rebuild: cold = read index + snapshot + export
         typed_adjacency(bn, nodes, EDGE_TYPES)
 
     reference_s = best_of(lambda: typed_adjacency_reference(bn, nodes, EDGE_TYPES))

@@ -110,7 +110,7 @@ def ring_heavy_requests(turbo, count: int) -> list[PredictRequest]:
         latest, key=lambda uid: turbo.bn_server.bn.degree(uid), reverse=True
     )
     subgraphs, _stats = computation_subgraphs_batch(
-        turbo.bn_server.bn,
+        turbo.bn_server.bn.index(),
         candidates,
         hops=turbo.hops,
         fanout=turbo.fanout,
@@ -285,7 +285,7 @@ def bench_feature_assembly(turbo, requests) -> dict:
     nows = [r.now for r in requests[:BATCH_SIZE]]
     txns = [r.txn for r in requests[:BATCH_SIZE]]
     subgraphs, _stats = computation_subgraphs_batch(
-        turbo.bn_server.bn,
+        turbo.bn_server.bn.index(),
         uids,
         hops=turbo.hops,
         fanout=turbo.fanout,

@@ -93,7 +93,7 @@ from repro.network import (
     computation_subgraphs_batch,
     shard_of,
 )
-from repro.system import ShardRouter, ShardWorkerPool, index_sample_batch
+from repro.system import ShardRouter, ShardWorkerPool
 
 from _shared import Gate, check_gates, emit, emit_header
 
@@ -288,11 +288,12 @@ def ingest_paired(config: ScaleConfig, shard_counts) -> dict[int, tuple[object, 
 # ----------------------------------------------------------------------
 # Serve
 # ----------------------------------------------------------------------
-def serve_baseline(bn, config, targets, bundle, features) -> tuple[dict, dict]:
-    """Unsharded batched serving: one union-frontier sample + one forward."""
+def serve_baseline(bn, targets, bundle, features) -> tuple[dict, dict]:
+    """Unsharded batched serving: the same sampler over the one-block index
+    (memoized by the digest pass, like the sharded ones) + one forward."""
     start = time.perf_counter()
     subgraphs, _stats = computation_subgraphs_batch(
-        bn, targets, hops=HOPS, fanout=FANOUT, edge_types=config.edge_types
+        bn.index(), targets, hops=HOPS, fanout=FANOUT
     )
     scaled = [
         bundle["scaler"].transform(features[np.asarray(sg.nodes, dtype=np.int64)])
@@ -329,7 +330,7 @@ def serve_sharded(sbn, targets, bundle, features) -> tuple[dict, dict]:
             continue
         part_targets = [targets[i] for i in member]
         start = time.perf_counter()
-        part_subgraphs, _stats = index_sample_batch(
+        part_subgraphs, _stats = computation_subgraphs_batch(
             index, part_targets, hops=HOPS, fanout=FANOUT
         )
         scaled = [
@@ -474,7 +475,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
                 network = ingested[n_shards][0]
                 if n_shards == 1:
                     base_out, serve_row = serve_baseline(
-                        network, config, targets, bundle, features
+                        network, targets, bundle, features
                     )
                     if baseline is None:
                         baseline = base_out

@@ -27,7 +27,7 @@ from .sharding import (
     shard_of,
 )
 from .shm import AttachedSegment, SegmentHandle, SharedSnapshotStore, attach_segment
-from .snapshot import BNSnapshot, TypedEdgeArrays, build_snapshot
+from .snapshot import BNSnapshot, TypedEdgeArrays
 from .windows import FAST_WINDOWS, PAPER_WINDOWS, validate_windows
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "load_bn",
     "BNSnapshot",
     "TypedEdgeArrays",
-    "build_snapshot",
     "typed_adjacency",
     "merged_adjacency",
     "typed_adjacency_reference",

@@ -1,11 +1,16 @@
 """Export BN (sub)graphs as per-type sparse adjacency matrices for GNNs.
 
 The exports are the first leg of the BN→GNN hot path, so they run on the
-:class:`~repro.network.snapshot.BNSnapshot` arrays (one cached pass over the
-edge dict) instead of per-edge Python iteration, and all edge types are
-built in one pass (:func:`~repro.nn.sparse.typed_symmetric_csr`).  The
-original per-edge implementations are retained as ``*_reference`` for the
-equivalence tests and the perf harness.
+:class:`~repro.network.snapshot.BNSnapshot` arrays (``bn.to_arrays()``, the
+per-type view of the network's memoized read index) instead of per-edge
+Python iteration, and all edge types are built in one pass
+(:func:`~repro.nn.sparse.typed_symmetric_csr`).  This full-edge mask is the
+whole-graph export (training, ``typed_adjacency``) and the scalar
+sampler's induction; the serving tiers induce from the index's rows
+instead (:meth:`~repro.network.sharding.ShardIndex.induced_entries`,
+O(sum deg)) and are pinned bit-equal to it.  The original per-edge
+implementations are retained as ``*_reference`` for the equivalence tests
+and the perf harness.
 """
 
 from __future__ import annotations

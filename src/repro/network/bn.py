@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
@@ -18,7 +18,10 @@ import numpy as np
 from ..datagen.behavior_types import BehaviorType
 from ..datagen.entities import DAY
 from .segments import INT64_SAFE_SPAN, segment_fold_max, segment_fold_sum
-from .snapshot import BNSnapshot, build_snapshot
+from .snapshot import BNSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, sharding imports this module
+    from .sharding import ShardIndex
 
 __all__ = [
     "EdgeRecord",
@@ -235,7 +238,9 @@ class BehaviorNetwork:
         self._pair_seq: dict[tuple[int, int], int] = {}
         self._next_seq = 0
         self._version = 0
-        self._snapshot: BNSnapshot | None = None
+        # The one memoized flat view (``index()``); every array reader —
+        # ``to_arrays()`` included — goes through it.
+        self._index: ShardIndex | None = None
         self._edge_types: tuple[int, frozenset[BehaviorType]] | None = None
         self._num_edges = 0
         # Expiry index: bucket id -> typed-edge keys whose ``last_update``
@@ -248,9 +253,6 @@ class BehaviorNetwork:
         # mutation (scalar/columnar weight accumulation, TTL expiry) counts
         # one touch per typed edge per endpoint.  ``None`` means disabled.
         self._delta: dict[int, int] | None = None
-        # Memoized single-shard merged index (lambda full-graph sweep); the
-        # sharded facade has its own memoized ``index()``.
-        self._shard_index = None
 
     # ------------------------------------------------------------------
     # Delta tracking (lambda speed layer)
@@ -683,41 +685,38 @@ class BehaviorNetwork:
         """Mutation counter; bumps whenever the graph actually changes."""
         return self._version
 
-    def to_arrays(self) -> BNSnapshot:
-        """Export the network as flat typed numpy arrays (CSR-native form).
+    def index(self) -> ShardIndex:
+        """The network's read index — a one-block
+        :class:`~repro.network.sharding.ShardIndex` — memoized against
+        :attr:`version`.
 
-        The snapshot is memoized against :attr:`version` — repeated calls
+        This is the network's only memoized flat view: repeated calls
         between mutations return the same object, and any ``add_weight`` /
-        ``add_node`` / effective ``expire_edges`` invalidates the cache so
-        the next call rebuilds.  A whole ``add_weights`` batch bumps the
-        version once, so one window job costs at most one rebuild.  See
-        ``docs/PERFORMANCE.md`` for the contract and
-        :mod:`repro.network.snapshot` for the layout.
-        """
-        cached = self._snapshot
-        if cached is not None and cached.version == self._version:
-            return cached
-        snapshot = build_snapshot(self._edges, self._adjacency, self._version)
-        self._snapshot = snapshot
-        return snapshot
-
-    def shard_index(self):
-        """The merged :class:`~repro.network.sharding.ShardIndex` view of
-        this network as a single shard, memoized against :attr:`version`.
-
-        This is the flat-array form the lambda full-graph sweep builds its
-        :class:`~repro.network.sampled_graph.SampledGraph` from; a
+        ``add_node`` / effective ``expire_edges`` invalidates it so the
+        next call rebuilds.  A whole ``add_weights`` batch bumps the
+        version once, so one window job costs at most one rebuild.  The
+        batch sampler, :class:`~repro.network.sampled_graph.SampledGraph`
+        and :meth:`to_arrays` all read it; a
         :class:`~repro.network.sharding.ShardedBehaviorNetwork` provides
-        the same arrays through its own memoized ``index()``.
+        the same arrays through its own ``index()``.
         """
         from .sharding import build_shard_index
 
-        cached = self._shard_index
-        if cached is not None and cached.version == self._version:
-            return cached
-        index = build_shard_index([self], 1, self._version)
-        self._shard_index = index
-        return index
+        cached = self._index
+        if cached is None or cached.version != self._version:
+            cached = build_shard_index([self], 1, self._version)
+            self._index = cached
+        return cached
+
+    def to_arrays(self) -> BNSnapshot:
+        """Export the network as flat typed numpy arrays (CSR-native form).
+
+        The per-type edge-array view of :meth:`index`, memoized on it — so
+        it follows the index's caching contract.  See
+        ``docs/PERFORMANCE.md`` for the contract and
+        :mod:`repro.network.snapshot` for the layout.
+        """
+        return self.index().snapshot()
 
     def khop_neighborhood(
         self, uid: int, hops: int, allowed: set[int] | None = None

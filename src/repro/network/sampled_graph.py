@@ -2,8 +2,8 @@
 
 The serving path's fanout-limited top-k neighbour selection
 (:func:`repro.network.sampling._select_neighbors`) is a deterministic
-function of the graph state — PR 5's batch sampler already memoizes it per
-``(node, type)`` keyed on ``bn.version``.  This module materializes that
+function of the graph state — the batch sampler already memoizes it per
+``(node, type)`` for one read index.  This module materializes that
 observation as one flat structure per BN version: :class:`SampledGraph`
 holds, for **every** node at once,
 
@@ -14,16 +14,16 @@ holds, for **every** node at once,
 * the merged *incidence CSR* — every node's half-edges in pair-creation
   order with their global pair-table ids, which turns induced-adjacency
   extraction into O(sum degree) gathers with a reusable scratch array
-  (:meth:`SampledGraph.induced_entries`) instead of the per-batch O(E)
-  masking of the union path;
+  (:meth:`SampledGraph.induced_entries`) over one merged CSR with a
+  reusable scratch, where the batch sampler gathers per shard block;
 * reachability helpers for the lambda tier's incremental rematerialization:
   reverse-BFS over selection edges bounds which targets' sampled subgraphs
   can see a delta (*score cone*), BFS over the incidence restricted to the
   target set bounds which layer-state rows can change (*layer cone*).
 
-Construction is fully vectorized off the merged :class:`ShardIndex` (which
-is itself bit-exact against the unsharded network for shard counts
-{1, 2, 4, 8} — see ``network/sharding.py``), so the same ``SampledGraph``
+Construction is fully vectorized off the network's read index
+(``bn.index()``, a :class:`ShardIndex` whose bytes do not depend on the
+shard count — see ``network/sharding.py``), so the same ``SampledGraph``
 bits come out of a single :class:`~repro.network.bn.BehaviorNetwork` or a
 :class:`~repro.network.sharding.ShardedBehaviorNetwork`.  The whole
 structure round-trips through flat numpy arrays
@@ -40,7 +40,9 @@ import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
 from ..nn.sparse import csr_gather_rows, csr_interleave, csr_topk_rows
-from .sharding import ShardIndex, build_shard_index
+from .sampling import _check_fanout
+from .sharding import ShardIndex
+from .snapshot import positions_of
 
 __all__ = ["SampledGraph", "build_sampled_graph"]
 
@@ -113,6 +115,7 @@ class SampledGraph:
         the fanout, stable ``argsort(-weight)`` order truncated to
         ``fanout`` otherwise.
         """
+        _check_fanout(fanout)
         num_nodes = index.num_nodes
         node_parts: list[np.ndarray] = []
         nbr_parts: list[np.ndarray] = []
@@ -183,19 +186,11 @@ class SampledGraph:
     # ------------------------------------------------------------------
     def position_of(self, uid: int) -> int:
         """Position of ``uid`` in ``node_ids`` (-1 when not registered)."""
-        pos = int(np.searchsorted(self.node_ids, uid))
-        if pos < len(self.node_ids) and int(self.node_ids[pos]) == uid:
-            return pos
-        return -1
+        return int(positions_of(self.node_ids, uid))
 
     def positions_of(self, uids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`position_of` (-1 per unregistered uid)."""
-        uids = np.asarray(uids, dtype=np.int64)
-        pos = np.searchsorted(self.node_ids, uids)
-        pos = np.minimum(pos, max(len(self.node_ids) - 1, 0))
-        if not len(self.node_ids):
-            return np.full(len(uids), -1, dtype=np.int64)
-        return np.where(self.node_ids[pos] == uids, pos, -1)
+        return positions_of(self.node_ids, uids)
 
     def allowed_mask(self, allowed: set[int] | None) -> np.ndarray | None:
         """Dense position mask of an ``allowed`` uid set (``None`` passes)."""
@@ -456,14 +451,9 @@ class SampledGraph:
 def build_sampled_graph(bn, fanout: int | None) -> SampledGraph:
     """Build the :class:`SampledGraph` of ``bn``'s current version.
 
-    Accepts a plain :class:`~repro.network.bn.BehaviorNetwork` (merged as a
-    single-shard index) or a
-    :class:`~repro.network.sharding.ShardedBehaviorNetwork` (its memoized
-    merged index) — both produce identical bits for the same graph.
+    Reads ``bn.index()``, so a plain
+    :class:`~repro.network.bn.BehaviorNetwork` and a
+    :class:`~repro.network.sharding.ShardedBehaviorNetwork` produce
+    identical bits for the same graph.
     """
-    index_fn = getattr(bn, "index", None) or getattr(bn, "shard_index", None)
-    if index_fn is not None:
-        index = index_fn()
-    else:
-        index = build_shard_index([bn], 1, int(bn.version))
-    return SampledGraph.from_index(index, fanout)
+    return SampledGraph.from_index(bn.index(), fanout)

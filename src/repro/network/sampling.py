@@ -5,20 +5,29 @@ Turbo supports real-time detection by feeding HAG a *computation subgraph*
 compute the target's representation — instead of the entire BN (the
 GraphSAGE-style inductive setting).  The BN server samples ``G_v`` when a
 detection request arrives.
+
+Two samplers, one contract.  :func:`computation_subgraphs_batch` is what
+every serving tier runs: it reads the network's one flat read index
+(``bn.index()``), so an unsharded deployment is simply the one-block case
+of a sharded one.  Scalar :func:`computation_subgraph` stays on the dict
+walk and the snapshot mask: it is the rng-capable research sampler and the
+independent oracle the batch sampler is pinned bit-equal to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
 from ..nn.sparse import sum_csr, typed_symmetric_csr
-from .adjacency import _output_index, _stack_entries, _typed_entries, typed_adjacency
+from .adjacency import _stack_entries, typed_adjacency
 from .bn import BehaviorNetwork
+from .sharding import ShardIndex, _shard_of_int
+from .snapshot import positions_of
 
 __all__ = [
     "ComputationSubgraph",
@@ -89,6 +98,7 @@ def computation_subgraph(
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
+    _check_fanout(fanout)
     types = tuple(edge_types) if edge_types is not None else tuple(sorted(bn.edge_types()))
 
     selected: list[int] = [target]
@@ -123,7 +133,7 @@ class BatchSampleStats:
     expansions: int  # (node, type) frontier expansions requested
     unique_expansions: int  # distinct (node, type) pairs actually expanded
     #: Request indices served from an incomplete frontier because one or
-    #: more shards were down (always empty on the single-network path).
+    #: more shards were down (always empty on a plain network's one block).
     partial: tuple[int, ...] = ()
 
     @property
@@ -133,64 +143,122 @@ class BatchSampleStats:
 
 
 def computation_subgraphs_batch(
-    bn: BehaviorNetwork,
+    index: ShardIndex,
     targets: Sequence[int],
     hops: int = 2,
     fanout: int | None = 25,
     allowed: set[int] | None = None,
-    edge_types: Sequence[BehaviorType] | None = None,
     selection_cache: dict[tuple[int, BehaviorType], list[int]] | None = None,
+    resolve: Callable[[int, list[tuple[int, BehaviorType]]], list[list[int]] | None]
+    | None = None,
+    on_exchange: Callable[[int, dict[int, list], int], None] | None = None,
 ) -> tuple[list[ComputationSubgraph], BatchSampleStats]:
-    """Sample every target's ``G_v`` with the union frontier coalesced.
+    """Sample every target's ``G_v`` off a read index, frontiers in lockstep.
 
-    Returns subgraphs that are bit-for-bit what per-target
+    The one union-frontier sampler under every serving tier: ``index`` is
+    ``bn.index()`` of a plain network (one block) or of a sharded facade
+    (N blocks), or the copy a worker attached from shared memory.  Returns
+    subgraphs that are bit-for-bit what per-target
     :func:`computation_subgraph` calls produce — same node order, same CSR
     bits — but shares work across requests two ways:
 
     * neighbour selection is memoized per ``(node, type)``: deterministic
-      top-``fanout`` selection depends only on the node, so a hub expanded
-      by many requests is ranked once and each request replays the cached
-      list through its own BFS bookkeeping;
-    * adjacency extraction masks the snapshot's edge arrays once per type
-      against the *union* node set (the O(E) part), then slices each
-      request's entries out of the union block with O(E_union) index maps
-      and builds its ``|R|`` matrices as one type-stacked CSR.
+      top-``fanout`` selection depends only on the node, so each hop ranks
+      the batch's outstanding keys once, grouped by owner block (the
+      *frontier exchange*), and every request replays the cached lists
+      through its own BFS bookkeeping;
+    * adjacency extraction gathers the *union* node set's index rows once
+      (:meth:`ShardIndex.induced_entries`, O(sum deg) over precomputed
+      normalized weights), then slices each request's entries out of the
+      union block and builds its ``|R|`` matrices as one type-stacked CSR.
 
     Weighted sampling (the scalar path's ``rng``) is intentionally not
     offered: random draws are per-request by construction and would defeat
     the memoization; the serving path uses deterministic top-k.
 
     ``selection_cache`` lets a caller serving many batches against one
-    pinned BN version carry the per-``(node, type)`` rankings across calls
-    (the BN server does this keyed on ``bn.version``); entries are only
-    valid for the graph state and ``fanout`` they were ranked under, so the
+    index carry the rankings across calls (the BN server does); entries are
+    only valid for the index and ``fanout`` they were ranked under, so the
     owner must drop the dict when either changes.
+
+    ``resolve(block_id, keys)`` overrides in-process selection (worker
+    pools, fault gates); returning ``None`` marks the block's shard dead
+    for this batch — its keys select nothing, its adjacency rows are
+    dropped, affected requests are listed in ``stats.partial``, and dead
+    selections are **not** written to ``selection_cache`` (a recovered
+    shard must not serve stale emptiness).
+    ``on_exchange(hop, groups_by_block, lost_keys)`` observes each
+    exchange for metrics/spans.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    types = tuple(edge_types) if edge_types is not None else tuple(sorted(bn.edge_types()))
-
+    _check_fanout(fanout)
+    types = index.types
     if selection_cache is None:
         selection_cache = {}
+    targets = [int(t) for t in targets]
+    n_requests = len(targets)
+    selected_lists: list[list[int]] = [[t] for t in targets]
+    seen_sets: list[set[int]] = [{t} for t in targets]
+    frontiers: list[list[int]] = [[t] for t in targets]
+    dead_keys: set[tuple[int, BehaviorType]] = set()
+    dead_shards: set[int] = set()
+    partial = [False] * n_requests
     expansions = 0
     touched: set[tuple[int, BehaviorType]] = set()
-    node_lists: list[list[int]] = []
-    for target in targets:
-        selected: list[int] = [target]
-        seen: set[int] = {target}
-        frontier = [target]
-        for _ in range(hops):
+
+    for hop in range(hops):
+        pending: list[tuple[int, BehaviorType]] = []
+        pending_set: set[tuple[int, BehaviorType]] = set()
+        for frontier in frontiers:
+            for node in frontier:
+                for btype in types:
+                    key = (node, btype)
+                    if (
+                        key in selection_cache
+                        or key in pending_set
+                        or key in dead_keys
+                    ):
+                        continue
+                    pending_set.add(key)
+                    pending.append(key)
+        groups: dict[int, list[tuple[int, BehaviorType]]] = {}
+        for key in pending:
+            groups.setdefault(_shard_of_int(key[0], index.n_shards), []).append(key)
+        lost = 0
+        for shard_id in sorted(groups):
+            keys = groups[shard_id]
+            selections: list[list[int]] | None
+            if resolve is not None:
+                selections = resolve(shard_id, keys)
+            else:
+                selections = index.select_neighbors(keys, fanout)
+            if selections is None:
+                dead_keys.update(keys)
+                dead_shards.add(shard_id)
+                lost += len(keys)
+                continue
+            for key, neighbors in zip(keys, selections):
+                selection_cache[key] = neighbors
+        if on_exchange is not None and pending:
+            on_exchange(hop, groups, lost)
+
+        for i in range(n_requests):
+            frontier = frontiers[i]
+            if not frontier:
+                continue
+            selected = selected_lists[i]
+            seen = seen_sets[i]
             next_frontier: list[int] = []
             for node in frontier:
                 for btype in types:
                     expansions += 1
                     key = (node, btype)
                     touched.add(key)
-                    neighbors = selection_cache.get(key)
-                    if neighbors is None:
-                        neighbors = _select_neighbors(bn, node, btype, fanout, None)
-                        selection_cache[key] = neighbors
-                    for neighbor in neighbors:
+                    if key in dead_keys:
+                        partial[i] = True
+                        continue
+                    for neighbor in selection_cache[key]:
                         if neighbor in seen:
                             continue
                         if allowed is not None and neighbor not in allowed:
@@ -198,34 +266,46 @@ def computation_subgraphs_batch(
                         seen.add(neighbor)
                         selected.append(neighbor)
                         next_frontier.append(neighbor)
-            frontier = next_frontier
-        node_lists.append(selected)
+            frontiers[i] = next_frontier
 
     union_nodes: list[int] = []
     union_index: dict[int, int] = {}
-    for nodes in node_lists:
+    for nodes in selected_lists:
         for uid in nodes:
             if uid not in union_index:
                 union_index[uid] = len(union_nodes)
                 union_nodes.append(uid)
-    union_lookup = _output_index(bn, union_nodes)
-    # Entries are indexed into the union node list; each request's CSRs are
-    # cut from them by a membership mask (slice_union_subgraphs).
-    typed_entries = {
-        btype: _typed_entries(bn, union_lookup, btype, normalize=True)
-        for btype in types
-    }
+    positions = positions_of(index.node_ids, union_nodes)
+    live_shards = (
+        None
+        if not dead_shards
+        else [s for s in range(index.n_shards) if s not in dead_shards]
+    )
+    typed_entries = index.induced_entries(positions, types, live_shards)
+    if dead_shards:
+        # Adjacency rows owned by dead shards were dropped too — flag every
+        # request whose subgraph contains such a node.
+        owner = np.full(len(union_nodes), -1, dtype=np.int64)
+        inside = positions >= 0
+        owner[inside] = index.owner_of_pos[positions[inside]]
+        dead_row = np.isin(owner, list(dead_shards))
+        for i, nodes in enumerate(selected_lists):
+            if partial[i]:
+                continue
+            if any(dead_row[union_index[uid]] for uid in nodes):
+                partial[i] = True
 
     subgraphs = slice_union_subgraphs(
-        targets, node_lists, union_index, typed_entries
+        targets, selected_lists, union_index, typed_entries
     )
 
     stats = BatchSampleStats(
-        requests=len(node_lists),
-        sampled_nodes=sum(len(nodes) for nodes in node_lists),
+        requests=n_requests,
+        sampled_nodes=sum(len(nodes) for nodes in selected_lists),
         unique_nodes=len(union_nodes),
         expansions=expansions,
         unique_expansions=len(touched),
+        partial=tuple(i for i in range(n_requests) if partial[i]),
     )
     return subgraphs, stats
 
@@ -245,8 +325,7 @@ def slice_union_subgraphs(
     stacked once per call; each request masks the stack to its own nodes
     (O(E_union)) and builds all its matrices in one
     :func:`~repro.nn.sparse.typed_symmetric_csr` pass, bit-identical to the
-    scalar ``typed_adjacency`` over the same nodes.  Shared by the
-    single-network and the shard-index batch samplers.
+    scalar ``typed_adjacency`` over the same nodes.
     """
     types = list(typed_entries)
     iu, iv, weights, codes = _stack_entries(list(typed_entries.values()))
@@ -269,6 +348,12 @@ def slice_union_subgraphs(
             )
         )
     return subgraphs
+
+
+def _check_fanout(fanout: int | None) -> None:
+    """A negative cap would slice "all but the lightest" neighbours."""
+    if fanout is not None and fanout < 0:
+        raise ValueError("fanout must be non-negative or None")
 
 
 def _select_neighbors(

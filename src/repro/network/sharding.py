@@ -18,28 +18,36 @@ exchange*), which is exactly the read-only-snapshot serving split the
 deployment needs anyway (BRIGHT-style decoupling of graph access from
 scoring, PAPERS.md).
 
+Every array reader reads the index, sharded or not: a plain
+:class:`~repro.network.bn.BehaviorNetwork`'s own ``index()`` is
+:func:`build_shard_index` over one shard, and ``to_arrays()`` on either
+class is ``index().snapshot()``.
+
 Bit-exactness is the contract that makes all of this testable: the merged
-index reproduces, bit for bit, what the equivalent unsharded
-``BehaviorNetwork`` would expose —
+index holds the same bytes at every shard count (the per-shard blocks
+aside) and reproduces, bit for bit, what the network's dicts expose —
 
 * pair-creation order is reconstructed from per-pair sequence tags
   (``BehaviorNetwork`` stamps ``_pair_seq`` at creation; one ingest batch
   shares a tag and creates its pairs in ``(lo, hi)`` order, so sorting by
   ``(seq, lo, hi)`` is the global ``_edges`` insertion order);
-* per-type edge arrays, and therefore :class:`BNSnapshot` exports, match
-  the unsharded ``to_arrays()`` including ``np.add.at`` degree
-  accumulation order;
+* per-type edge arrays, and therefore :class:`BNSnapshot` exports, equal a
+  straight walk of ``iter_edges``, and the normalized weights equal
+  :func:`repro.network.adjacency._typed_entries`' including its
+  ``np.add.at`` degree accumulation order;
 * per-``(node, type)`` neighbour selection replays the exact
   creation-order neighbour lists and stable top-``fanout`` ranking of
   :func:`repro.network.sampling._select_neighbors`.
 
-``tests/test_network/test_sharding.py`` pins all three for shard counts
+``tests/test_network/test_sharding.py`` and
+``tests/test_system/test_sampler_tiers.py`` pin all three for shard counts
 {1, 2, 4, 8}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -52,7 +60,7 @@ from .bn import (
     WeightGroups,
     prepare_weight_groups,
 )
-from .snapshot import BNSnapshot, TypedEdgeArrays
+from .snapshot import BNSnapshot, TypedEdgeArrays, positions_of
 
 __all__ = [
     "shard_of",
@@ -116,11 +124,11 @@ class ShardBlock:
 
 @dataclass
 class ShardIndex:
-    """The published, merged, read-only view of a sharded BN.
+    """The merged, read-only flat view of a BN (one block when unsharded).
 
     The pair table (``pair_lo_pos``/``pair_hi_pos`` plus per-type dense
     weight columns) is in global pair-creation order, so per-type masks of
-    it reproduce the unsharded snapshot's edge arrays verbatim; the
+    it are the snapshot's edge arrays (:meth:`snapshot`); the
     per-shard :class:`ShardBlock` CSRs give each worker creation-order
     neighbour lists for the nodes it owns.  All fields are flat numpy
     arrays — :meth:`to_payload` / :meth:`from_payload` round-trip the whole
@@ -148,49 +156,38 @@ class ShardIndex:
     def num_pairs(self) -> int:
         return len(self.pair_lo_pos)
 
-    def position_of(self, uid: int) -> int:
-        """Snapshot position of ``uid`` (-1 when not registered)."""
-        pos = int(np.searchsorted(self.node_ids, uid))
-        if pos < len(self.node_ids) and int(self.node_ids[pos]) == uid:
-            return pos
-        return -1
-
-    def neighbors(self, uid: int, btype: BehaviorType | None = None) -> list[int]:
-        """Creation-order neighbour ids (``BehaviorNetwork.neighbors`` parity)."""
-        pos = self.position_of(uid)
-        if pos < 0:
-            return []
-        block = self.shards[int(self.owner_of_pos[pos])]
-        nbr, pid = block.row(pos)
-        if btype is None:
-            return self.node_ids[nbr].tolist()
-        weights = self.type_weights.get(btype)
-        if weights is None:
-            return []
-        return self.node_ids[nbr[weights[pid] > 0.0]].tolist()
-
     def select_neighbors(
-        self, uid: int, btype: BehaviorType, fanout: int | None
-    ) -> list[int]:
-        """Deterministic top-``fanout`` selection, bit-exact against
+        self, keys: Sequence[tuple[int, BehaviorType]], fanout: int | None
+    ) -> list[list[int]]:
+        """Deterministic top-``fanout`` selection for ``(uid, type)`` keys.
+
+        Each list is bit-exact against
         :func:`repro.network.sampling._select_neighbors` on the equivalent
-        unsharded network (same creation-order candidate list, same stable
-        ``argsort(-weights)`` ranking)."""
-        pos = self.position_of(uid)
-        if pos < 0:
-            return []
-        weights = self.type_weights.get(btype)
-        if weights is None:
-            return []
-        block = self.shards[int(self.owner_of_pos[pos])]
-        nbr, pid = block.row(pos)
-        w = weights[pid]
-        mask = w > 0.0
-        candidates = self.node_ids[nbr[mask]]
-        if fanout is None or len(candidates) <= fanout:
-            return candidates.tolist()
-        order = np.argsort(-w[mask], kind="stable")[:fanout]
-        return candidates[order].tolist()
+        network (same creation-order candidate list, same stable
+        ``argsort(-weights)`` ranking).  A frontier exchange asks for every
+        type of a node at once, so positions are looked up in one
+        vectorized call and a node's half-edge row is sliced once for all
+        its keys.
+        """
+        positions = positions_of(self.node_ids, [uid for uid, _ in keys]).tolist()
+        rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        selections: list[list[int]] = []
+        for (_, btype), pos in zip(keys, positions):
+            weights = self.type_weights.get(btype)
+            if pos < 0 or weights is None:
+                selections.append([])
+                continue
+            row = rows.get(pos)
+            if row is None:
+                row = rows[pos] = self.shards[int(self.owner_of_pos[pos])].row(pos)
+            nbr, pid = row
+            w = weights[pid]
+            mask = w > 0.0
+            candidates = self.node_ids[nbr[mask]]
+            if fanout is not None and len(candidates) > fanout:
+                candidates = candidates[np.argsort(-w[mask], kind="stable")[:fanout]]
+            selections.append(candidates.tolist())
+        return selections
 
     def induced_entries(
         self,
@@ -267,10 +264,11 @@ class ShardIndex:
         return out
 
     def snapshot(self) -> BNSnapshot:
-        """Merged :class:`BNSnapshot`, bit-exact against the unsharded
-        ``BehaviorNetwork.to_arrays()`` (same node order, same per-type edge
-        order, same weights — so the memoized degree accumulation inside the
-        snapshot replays identically too)."""
+        """The per-type edge-array view (what ``to_arrays()`` returns on
+        either network class), memoized: sorted node ids, and per type the
+        pairs carrying it in pair-creation order — so the degree
+        accumulation memoized inside the snapshot is partition-independent
+        too."""
         if self._snapshot is None:
             edges: dict[BehaviorType, TypedEdgeArrays] = {}
             for btype in self.types:
@@ -359,24 +357,19 @@ def _export_pair_table(
     columns carry 0.0 where the pair lacks the type (edge weights are
     strictly positive, so 0.0 unambiguously means "absent").
     """
-    count = len(bn._edges)
-    lo = np.empty(count, dtype=np.int64)
-    hi = np.empty(count, dtype=np.int64)
-    seq = np.empty(count, dtype=np.int64)
+    edges = bn._edges
+    count = len(edges)
+    # Pair-level columns at C speed; only the per-record scatter is a loop.
+    lo, hi = np.fromiter(chain.from_iterable(edges), np.int64, 2 * count).reshape(count, 2).T
+    seq = np.fromiter(map(bn._pair_seq.__getitem__, edges), np.int64, count)
     w_by: dict[BehaviorType, np.ndarray] = {}
     lu_by: dict[BehaviorType, np.ndarray] = {}
-    pair_seq = bn._pair_seq
-    for i, ((a, b), records) in enumerate(bn._edges.items()):
-        lo[i] = a
-        hi[i] = b
-        seq[i] = pair_seq[(a, b)]
+    for i, records in enumerate(edges.values()):
         for btype, record in records.items():
             w_col = w_by.get(btype)
             if w_col is None:
-                w_col = np.zeros(count)
-                w_by[btype] = w_col
-                lu_col = np.zeros(count)
-                lu_by[btype] = lu_col
+                w_col = w_by[btype] = np.zeros(count)
+                lu_col = lu_by[btype] = np.zeros(count)
             else:
                 lu_col = lu_by[btype]
             w_col[i] = record.weight
@@ -403,23 +396,17 @@ def build_shard_index(
     order = np.lexsort((hi, lo, seq))
     lo, hi = lo[order], hi[order]
     types = tuple(sorted(set().union(*(t[3].keys() for t in tables))))
-    type_weights: dict[BehaviorType, np.ndarray] = {}
-    type_last_update: dict[BehaviorType, np.ndarray] = {}
-    for btype in types:
-        w_parts = [
-            t[3].get(btype, None) for t in tables
+
+    def column(by_type: int, btype: BehaviorType) -> np.ndarray:
+        """One type's dense column over every shard, in merged pair order."""
+        parts = [
+            t[by_type][btype] if btype in t[by_type] else np.zeros(len(t[0]))
+            for t in tables
         ]
-        lu_parts = [t[4].get(btype, None) for t in tables]
-        w_parts = [
-            part if part is not None else np.zeros(len(t[0]))
-            for part, t in zip(w_parts, tables)
-        ]
-        lu_parts = [
-            part if part is not None else np.zeros(len(t[0]))
-            for part, t in zip(lu_parts, tables)
-        ]
-        type_weights[btype] = np.concatenate(w_parts)[order]
-        type_last_update[btype] = np.concatenate(lu_parts)[order]
+        return np.concatenate(parts)[order]
+
+    type_weights = {btype: column(3, btype) for btype in types}
+    type_last_update = {btype: column(4, btype) for btype in types}
 
     node_arrays = [
         np.fromiter(shard._adjacency.keys(), dtype=np.int64, count=len(shard._adjacency))
@@ -439,7 +426,7 @@ def build_shard_index(
         rows, cols, values = lo_pos[idx], hi_pos[idx], w[idx]
         # Replays BNSnapshot.weighted_degrees' two np.add.at passes over the
         # same arrays in the same order, so degrees (and the normalized
-        # weights below) match the unsharded export to the last ulp.
+        # weights below) match adjacency._typed_entries' to the last ulp.
         degrees = np.zeros(len(node_ids))
         np.add.at(degrees, rows, values)
         np.add.at(degrees, cols, values)

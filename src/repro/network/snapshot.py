@@ -3,15 +3,19 @@
 The BN's dict-of-dicts storage is the right shape for streaming mutation
 (O(1) typed-edge updates, O(deg) neighbour queries) but the wrong shape for
 the serving/training hot path, which wants whole-graph array operations:
-adjacency export, degree normalization, frontier sampling.  A
-:class:`BNSnapshot` bridges the two worlds — one pass over the edge dict
-produces flat, typed numpy arrays that every downstream consumer slices
-instead of re-iterating Python objects.
+adjacency export, degree normalization, frontier sampling.  The network's
+one memoized flat view is its read index
+(:class:`~repro.network.sharding.ShardIndex`, one pass over the edge
+dict); a :class:`BNSnapshot` is the per-type edge-array view *of that
+index* (:meth:`ShardIndex.snapshot`, a mask per type, no second walk) that
+adjacency exports slice instead of re-iterating Python objects.
 
 Caching contract (see ``docs/PERFORMANCE.md``):
 
-* :meth:`~repro.network.bn.BehaviorNetwork.to_arrays` memoizes the snapshot
-  against the network's mutation counter (``BehaviorNetwork.version``);
+* ``index()`` memoizes the read index against the network's mutation
+  counter (``BehaviorNetwork.version``), the index memoizes its snapshot,
+  and :meth:`~repro.network.bn.BehaviorNetwork.to_arrays` is
+  ``index().snapshot()`` — the same object until the next mutation;
 * every mutation (``add_weight``, ``add_node`` of a new node,
   ``expire_edges`` that removes anything) bumps the counter, so the next
   ``to_arrays()`` call rebuilds instead of stale-serving;
@@ -31,10 +35,22 @@ import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
 
-__all__ = ["TypedEdgeArrays", "BNSnapshot", "build_snapshot"]
+__all__ = ["TypedEdgeArrays", "BNSnapshot", "positions_of"]
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
+
+def positions_of(sorted_ids: np.ndarray, uids: np.ndarray | int) -> np.ndarray:
+    """Position of each uid in ``sorted_ids`` (-1 where it is absent).
+
+    The one uid -> position lookup under :class:`BNSnapshot`,
+    :class:`~repro.network.sharding.ShardIndex` and
+    :class:`~repro.network.sampled_graph.SampledGraph`, which share one
+    sorted ``node_ids`` position space; int64 out, shaped like ``uids``.
+    """
+    uids = np.asarray(uids, dtype=np.int64)
+    if not len(sorted_ids):
+        return np.full(uids.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_ids, uids), len(sorted_ids) - 1)
+    return np.where(sorted_ids[pos] == uids, pos, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,13 +105,7 @@ class BNSnapshot:
 
     def positions_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Map raw user ids to snapshot positions (-1 when not registered)."""
-        ids = np.asarray(node_ids, dtype=np.int64)
-        pos = np.searchsorted(self.node_ids, ids)
-        pos_clipped = np.minimum(pos, max(self.num_nodes - 1, 0))
-        if self.num_nodes == 0:
-            return np.full(ids.shape, -1, dtype=np.int64)
-        valid = self.node_ids[pos_clipped] == ids
-        return np.where(valid, pos_clipped, -1).astype(np.int64)
+        return positions_of(self.node_ids, node_ids)
 
     def weighted_degrees(self, btype: BehaviorType) -> np.ndarray:
         """Weighted degree per snapshot position (Section III-A's ``deg'_r``).
@@ -113,46 +123,3 @@ class BNSnapshot:
             np.add.at(degrees, arrays.cols, arrays.weights)
         self._degrees[btype] = degrees
         return degrees
-
-
-def build_snapshot(
-    edge_dict: dict, adjacency: dict, version: int = 0
-) -> BNSnapshot:
-    """Build a :class:`BNSnapshot` from BN internal storage in one pass.
-
-    ``edge_dict`` is ``{(u, v): {BehaviorType: EdgeRecord}}`` with ``u < v``;
-    ``adjacency`` supplies the registered node set (including isolated
-    nodes, which adjacency exports must still index).
-    """
-    node_ids = np.fromiter(adjacency.keys(), dtype=np.int64, count=len(adjacency))
-    node_ids.sort()
-
-    us: dict[BehaviorType, list[int]] = {}
-    vs: dict[BehaviorType, list[int]] = {}
-    ws: dict[BehaviorType, list[float]] = {}
-    ts: dict[BehaviorType, list[float]] = {}
-    for (u, v), records in edge_dict.items():
-        for btype, record in records.items():
-            bucket = us.get(btype)
-            if bucket is None:
-                us[btype] = [u]
-                vs[btype] = [v]
-                ws[btype] = [record.weight]
-                ts[btype] = [record.last_update]
-            else:
-                bucket.append(u)
-                vs[btype].append(v)
-                ws[btype].append(record.weight)
-                ts[btype].append(record.last_update)
-
-    edges: dict[BehaviorType, TypedEdgeArrays] = {}
-    for btype in us:
-        u_arr = np.asarray(us[btype], dtype=np.int64)
-        v_arr = np.asarray(vs[btype], dtype=np.int64)
-        edges[btype] = TypedEdgeArrays(
-            rows=np.searchsorted(node_ids, u_arr),
-            cols=np.searchsorted(node_ids, v_arr),
-            weights=np.asarray(ws[btype], dtype=np.float64),
-            last_update=np.asarray(ts[btype], dtype=np.float64),
-        )
-    return BNSnapshot(node_ids=node_ids, edges=edges, version=version)

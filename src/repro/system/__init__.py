@@ -40,7 +40,7 @@ from .queue import (
 )
 from .service import PredictRequest, RequestContext, Sampler, Service
 from .fork_pool import ForkPool
-from .shard_router import ShardRouter, index_sample_batch
+from .shard_router import ShardRouter
 from .shard_workers import (
     ShardWorkerPool,
     fullgraph_executor,
@@ -80,7 +80,6 @@ __all__ = [
     "ShardWorkerPool",
     "fullgraph_executor",
     "publish_materialize_inputs",
-    "index_sample_batch",
     "FeatureServer",
     "PredictionServer",
     "TrafficPattern",

@@ -21,10 +21,10 @@ from ..network.builder import BNBuilder
 from ..network.sampling import (
     BatchSampleStats,
     ComputationSubgraph,
-    computation_subgraph,
+    _check_fanout,
     computation_subgraphs_batch,
 )
-from ..network.sharding import ShardedBehaviorNetwork
+from ..network.sharding import ShardIndex, ShardedBehaviorNetwork
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, current_span
 from .latency import LatencyModel
@@ -45,9 +45,10 @@ class LocalSampler:
     alongside :class:`~repro.system.shard_router.ShardRouter` and
     :class:`~repro.system.lambda_layer.DeltaSampler` — so the serving
     paths can run ``self.sampler.sample_batch(...)`` uniformly instead of
-    branching on the deployment shape inline.  Samples straight off the
-    in-process network with the shared union-frontier batch sampler; no
-    probes, so the batch-level gate cost is always zero.
+    branching on the deployment shape inline.  Runs the one union-frontier
+    batch sampler over the in-process network's read index — the router's
+    call with one block, nothing to resolve remotely and no shard that can
+    be down; no probes, so the batch-level gate cost is always zero.
     """
 
     tier = "local"
@@ -66,8 +67,8 @@ class LocalSampler:
     ) -> tuple[list[ComputationSubgraph], BatchSampleStats, float]:
         """Batch-sample every target's ``G_v``; ``(subgraphs, stats, 0.0)``."""
         subgraphs, stats = computation_subgraphs_batch(
-            self._server.bn,
-            list(targets),
+            self._server.bn.index(),
+            targets,
             hops=hops,
             fanout=fanout,
             allowed=allowed,
@@ -127,9 +128,10 @@ class BNServer:
         self._last_ttl_sweep = 0.0
         self.jobs_run = 0
         # Per-(node, type) neighbour rankings carried across micro-batches;
-        # only valid for one (bn.version, fanout) pair, dropped on change.
+        # only valid for the (read index, fanout) they were ranked from,
+        # dropped when either changes.
         self._selection_cache: dict = {}
-        self._selection_state: tuple[int, int | None] | None = None
+        self._selection_state: tuple[ShardIndex, int | None] | None = None
         # Whether the most recent scalar sample was served from a frontier
         # missing a downed shard (handle() copies it onto the context).
         self._last_sample_partial = False
@@ -365,10 +367,18 @@ class BNServer:
     # Serving
     # ------------------------------------------------------------------
     def _batch_selection_cache(self, fanout: int | None) -> dict:
-        """The per-(node, type) ranking cache for the current BN version."""
-        selection_state = (self.bn.version, fanout)
-        if self._selection_state != selection_state:
-            self._selection_state = selection_state
+        """The per-(node, type) ranking cache for the current read index.
+
+        Keyed on the index *object*, not ``bn.version``: indices are
+        memoized per network per version, so identity is exact, and two
+        networks at the same version (``server.bn = other``) do not share
+        rankings.  The state tuple keeps the index alive, so its identity
+        cannot be reused while the cache is.
+        """
+        state = self._selection_state
+        index = self.bn.index()
+        if state is None or state[0] is not index or state[1] != fanout:
+            self._selection_state = (index, fanout)
             self._selection_cache = {}
         return self._selection_cache
 
@@ -379,7 +389,6 @@ class BNServer:
         hops: int = 2,
         fanout: int | None = 25,
         allowed: set[int] | None = None,
-        rng: np.random.Generator | None = None,
     ) -> tuple[ComputationSubgraph, float]:
         """Sample ``G_uid``; returns ``(subgraph, seconds)``.
 
@@ -390,33 +399,28 @@ class BNServer:
         Failure contract: raises :class:`~repro.system.storage.StorageError`
         (or an injected fault) when the server, the cache mid-lookup, or the
         database behind a cold cache cannot serve — the Turbo orchestrator
-        owns the retry/degrade decision.  On a sharded server the
-        deterministic (``rng=None``) path runs through the shard router: a
-        downed *shard* does not raise but serves the surviving frontier and
-        latches :attr:`_last_sample_partial` for :meth:`handle`.
+        owns the retry/degrade decision.  On a sharded server a downed
+        *shard* does not raise but serves the surviving frontier and
+        latches :attr:`_last_sample_partial` for :meth:`handle`.  A
+        negative ``fanout`` is a ``ValueError`` before anything is gated,
+        registered, cached or charged.
         """
+        _check_fanout(fanout)
         seconds = self.faults.before_call(self.component) if self.faults else 0.0
         self._last_sample_partial = False
         if uid not in self.bn:
             self.bn.add_node(uid)
-        if rng is not None:
-            # Weighted sampling is a research-only path; it bypasses the
-            # tier machinery and samples the in-process network directly.
-            subgraph = computation_subgraph(
-                self.bn, uid, hops=hops, fanout=fanout, allowed=allowed, rng=rng
-            )
-        else:
-            sampled, batch_stats, gate_seconds = self.sampler.sample_batch(
-                [uid],
-                hops=hops,
-                fanout=fanout,
-                allowed=allowed,
-                selection_cache=self._batch_selection_cache(fanout),
-                now=now,
-            )
-            subgraph = sampled[0]
-            seconds += gate_seconds
-            self._last_sample_partial = bool(batch_stats.partial)
+        sampled, batch_stats, gate_seconds = self.sampler.sample_batch(
+            [uid],
+            hops=hops,
+            fanout=fanout,
+            allowed=allowed,
+            selection_cache=self._batch_selection_cache(fanout),
+            now=now,
+        )
+        subgraph = sampled[0]
+        seconds += gate_seconds
+        self._last_sample_partial = bool(batch_stats.partial)
         seconds += self.latency.charge_network()
         use_cache = self.cache is not None and self.cache.available
         if not use_cache:
@@ -454,7 +458,7 @@ class BNServer:
 
         Subgraphs are bit-for-bit what per-request :meth:`sample` calls
         produce (missing targets are registered up front; the batch then
-        runs against one pinned snapshot version).  Adjacency lookups are
+        runs against one pinned read index).  Adjacency lookups are
         charged once per *unique* node in the batch, attributed to the
         first request that touches it — the coalescing economics the union
         sampler makes real.
@@ -464,8 +468,10 @@ class BNServer:
         request's nodes marks only that request failed (its error is
         returned, not raised), so one poisoned request degrades without
         failing the batch.  Weighted (rng) sampling is not offered; the
-        batched path is deterministic top-k only.
+        batched path is deterministic top-k only.  A negative ``fanout``
+        raises ``ValueError`` up front, as in :meth:`sample`.
         """
+        _check_fanout(fanout)
         n = len(uids)
         subgraphs: list[ComputationSubgraph | None] = [None] * n
         seconds = [0.0] * n

@@ -101,7 +101,7 @@ class Sampler(Protocol):
     frontier) and ``gate_seconds`` is batch-level probe cost charged to the
     first request.  ``selection_cache`` carries per-``(node, type)``
     neighbour rankings across batches; it is only valid for one
-    ``(bn.version, fanout)`` pair and the owner must drop it when either
+    ``(read index, fanout)`` pair and the owner must drop it when either
     changes.
     """
 

@@ -1,18 +1,19 @@
-"""Cross-shard frontier exchange and index publication for sharded BN.
+"""Index publication and shard-aware serving for the sharded BN.
 
-Turns the union-frontier sampler of
-:func:`repro.network.sampling.computation_subgraphs_batch` into a
-shard-aware protocol (ROADMAP item 1, InferTurbo-style gather/apply/scatter
-over a partitioned graph):
+The sampler itself is
+:func:`repro.network.sampling.computation_subgraphs_batch` — the same
+function the unsharded tier calls; a sharded deployment differs only in
+what it passes as ``resolve`` / ``on_exchange`` (ROADMAP item 1,
+InferTurbo-style gather/apply/scatter over a partitioned graph):
 
 * each hop, the not-yet-ranked ``(node, type)`` keys of the whole batch are
   deduplicated and split by owner shard (the *frontier exchange*);
-* each shard ranks/selects its own nodes' neighbours from the published
-  :class:`~repro.network.sharding.ShardIndex` (the same memoized
-  deterministic top-``fanout`` selection the single-network sampler uses);
-* the router merges the per-shard selections back into every request's BFS
-  bookkeeping — bit-exact against the single-network sampler, pinned by
-  ``tests/test_network/test_sharding.py``.
+* ``resolve`` decides who ranks a shard's keys: a dead shard answers
+  ``None`` (partial serving), a worker pool ranks them in the shard's
+  process, otherwise the router ranks them in-process from the published
+  :class:`~repro.network.sharding.ShardIndex`;
+* ``on_exchange`` is where the ``turbo.shard.frontier.*`` series and span
+  events are emitted.
 
 :class:`ShardRouter` owns publication (index → shared-memory segments via
 :class:`~repro.network.shm.SharedSnapshotStore`, versioned and retired on
@@ -32,15 +33,12 @@ model / lambda / materialization code the workers need.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from ..datagen.behavior_types import BehaviorType
 from ..network.sampling import (
     BatchSampleStats,
     ComputationSubgraph,
-    slice_union_subgraphs,
+    computation_subgraphs_batch,
 )
 from ..network.sharding import ShardIndex, ShardedBehaviorNetwork, _shard_of_int
 from ..network.shm import SharedSnapshotStore
@@ -52,167 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import CircuitBreaker, FaultInjector
     from .shard_workers import ShardWorkerPool
 
-__all__ = ["index_sample_batch", "ShardRouter"]
-
-#: Selection key -> neighbour list; shared shape with the single-network
-#: sampler's ``selection_cache`` so the BN server can reuse one dict.
-SelectionCache = dict
-
-
-def index_sample_batch(
-    index: ShardIndex,
-    targets: Sequence[int],
-    hops: int = 2,
-    fanout: int | None = 25,
-    allowed: set[int] | None = None,
-    selection_cache: SelectionCache | None = None,
-    resolve: Callable[[int, list[tuple[int, BehaviorType]]], list[list[int]] | None]
-    | None = None,
-    on_exchange: Callable[[int, dict[int, list], int], None] | None = None,
-) -> tuple[list[ComputationSubgraph], BatchSampleStats]:
-    """Sample every target's ``G_v`` from a published shard index.
-
-    Lockstep variant of ``computation_subgraphs_batch``: one frontier
-    exchange per hop ranks all outstanding ``(node, type)`` keys, then each
-    request replays its own BFS bookkeeping — selections are pure per key,
-    so the per-request node lists (and the CSR bits built from
-    :meth:`ShardIndex.induced_entries`) are bit-for-bit what the
-    single-network sampler produces.
-
-    ``resolve(shard_id, keys)`` overrides local selection (worker pools,
-    fault gates); returning ``None`` marks the shard dead for this batch —
-    its keys select nothing, affected requests are listed in
-    ``stats.partial``, and dead selections are **not** written to
-    ``selection_cache`` (a recovered shard must not serve stale emptiness).
-    ``on_exchange(hop, groups_by_shard, lost_keys)`` observes each
-    exchange for metrics/spans.
-    """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    types = index.types
-    if selection_cache is None:
-        selection_cache = {}
-    n_requests = len(targets)
-    selected_lists: list[list[int]] = [[int(t)] for t in targets]
-    seen_sets: list[set[int]] = [{int(t)} for t in targets]
-    frontiers: list[list[int]] = [[int(t)] for t in targets]
-    dead_keys: set[tuple[int, BehaviorType]] = set()
-    dead_shards: set[int] = set()
-    partial = [False] * n_requests
-    expansions = 0
-    touched: set[tuple[int, BehaviorType]] = set()
-
-    for hop in range(hops):
-        pending: list[tuple[int, BehaviorType]] = []
-        pending_set: set[tuple[int, BehaviorType]] = set()
-        for frontier in frontiers:
-            for node in frontier:
-                for btype in types:
-                    key = (node, btype)
-                    if (
-                        key in selection_cache
-                        or key in pending_set
-                        or key in dead_keys
-                    ):
-                        continue
-                    pending_set.add(key)
-                    pending.append(key)
-        groups: dict[int, list[tuple[int, BehaviorType]]] = {}
-        for key in pending:
-            groups.setdefault(_shard_of_int(key[0], index.n_shards), []).append(key)
-        lost = 0
-        for shard_id in sorted(groups):
-            keys = groups[shard_id]
-            selections: list[list[int]] | None
-            if resolve is not None:
-                selections = resolve(shard_id, keys)
-            else:
-                selections = [
-                    index.select_neighbors(node, btype, fanout)
-                    for node, btype in keys
-                ]
-            if selections is None:
-                dead_keys.update(keys)
-                dead_shards.add(shard_id)
-                lost += len(keys)
-                continue
-            for key, neighbors in zip(keys, selections):
-                selection_cache[key] = neighbors
-        if on_exchange is not None and pending:
-            on_exchange(hop, groups, lost)
-
-        for i in range(n_requests):
-            frontier = frontiers[i]
-            if not frontier:
-                continue
-            selected = selected_lists[i]
-            seen = seen_sets[i]
-            next_frontier: list[int] = []
-            for node in frontier:
-                for btype in types:
-                    expansions += 1
-                    key = (node, btype)
-                    touched.add(key)
-                    if key in dead_keys:
-                        partial[i] = True
-                        continue
-                    for neighbor in selection_cache[key]:
-                        if neighbor in seen:
-                            continue
-                        if allowed is not None and neighbor not in allowed:
-                            continue
-                        seen.add(neighbor)
-                        selected.append(neighbor)
-                        next_frontier.append(neighbor)
-            frontiers[i] = next_frontier
-
-    union_nodes: list[int] = []
-    union_index: dict[int, int] = {}
-    for nodes in selected_lists:
-        for uid in nodes:
-            if uid not in union_index:
-                union_index[uid] = len(union_nodes)
-                union_nodes.append(uid)
-    ids = np.asarray(union_nodes, dtype=np.int64)
-    positions = np.searchsorted(index.node_ids, ids)
-    clipped = np.minimum(positions, max(index.num_nodes - 1, 0))
-    if index.num_nodes:
-        valid = index.node_ids[clipped] == ids
-        positions = np.where(valid, clipped, -1).astype(np.int64)
-    else:
-        positions = np.full(ids.shape, -1, dtype=np.int64)
-    live_shards = (
-        None
-        if not dead_shards
-        else [s for s in range(index.n_shards) if s not in dead_shards]
-    )
-    typed_entries = index.induced_entries(positions, types, live_shards)
-    if dead_shards:
-        # Adjacency rows owned by dead shards were dropped too — flag every
-        # request whose subgraph contains such a node.
-        owner = np.full(len(union_nodes), -1, dtype=np.int64)
-        inside = positions >= 0
-        owner[inside] = index.owner_of_pos[positions[inside]]
-        dead_row = np.isin(owner, list(dead_shards))
-        for i, nodes in enumerate(selected_lists):
-            if partial[i]:
-                continue
-            if any(dead_row[union_index[uid]] for uid in nodes):
-                partial[i] = True
-
-    subgraphs = slice_union_subgraphs(
-        [int(t) for t in targets], selected_lists, union_index, typed_entries
-    )
-
-    stats = BatchSampleStats(
-        requests=n_requests,
-        sampled_nodes=sum(len(nodes) for nodes in selected_lists),
-        unique_nodes=len(union_nodes),
-        expansions=expansions,
-        unique_expansions=len(touched),
-        partial=tuple(i for i in range(n_requests) if partial[i]),
-    )
-    return subgraphs, stats
+__all__ = ["ShardRouter"]
 
 
 class ShardRouter:
@@ -364,14 +202,14 @@ class ShardRouter:
         hops: int = 2,
         fanout: int | None = 25,
         allowed: set[int] | None = None,
-        selection_cache: SelectionCache | None = None,
+        selection_cache: dict | None = None,
         now: float = 0.0,
         pool: "ShardWorkerPool | None" = None,
     ) -> tuple[list[ComputationSubgraph], BatchSampleStats, float]:
         """Frontier-exchange batch sampling; ``(subgraphs, stats, gate_s)``.
 
-        Bit-exact against ``computation_subgraphs_batch`` on the equivalent
-        unsharded network while every shard is healthy; with dead shards the
+        Bit-exact against the same sampler over the equivalent unsharded
+        network's index while every shard is healthy; with dead shards the
         surviving frontier is served and ``stats.partial`` lists the
         affected request indices.  When ``pool`` is given, selection for a
         shard's keys is delegated to a worker process (falling back
@@ -405,10 +243,7 @@ class ShardRouter:
                     if selections is not None:
                         return selections
                     self._inc("turbo.shard.worker_failover")
-                return [
-                    index.select_neighbors(node, btype, fanout)
-                    for node, btype in keys
-                ]
+                return index.select_neighbors(keys, fanout)
 
         span = current_span()
 
@@ -429,7 +264,7 @@ class ShardRouter:
                     lost=lost,
                 )
 
-        subgraphs, stats = index_sample_batch(
+        subgraphs, stats = computation_subgraphs_batch(
             index,
             targets,
             hops=hops,

@@ -25,11 +25,14 @@ import numpy as np
 from ..core.lambda_infer import HAGState, SliceResult, score_slice
 from ..datagen.behavior_types import BehaviorType
 from ..network.sampled_graph import SampledGraph
-from ..network.sampling import BatchSampleStats, ComputationSubgraph
+from ..network.sampling import (
+    BatchSampleStats,
+    ComputationSubgraph,
+    computation_subgraphs_batch,
+)
 from ..network.sharding import ShardIndex
 from ..network.shm import SharedSnapshotStore
 from .fork_pool import ForkPool, WorkerState
-from .shard_router import index_sample_batch
 from .storage import StorageError
 
 __all__ = ["publish_materialize_inputs", "fullgraph_executor", "ShardWorkerPool"]
@@ -129,16 +132,14 @@ def _attach(state: WorkerState, segments: list[str]) -> int:
 
 def _resolve(state: WorkerState, payload: Any) -> list[list[int]]:
     keys, fanout = payload
-    index = state.views["index"]
-    return [
-        index.select_neighbors(node, BehaviorType(value), fanout)
-        for node, value in keys
-    ]
+    return state.views["index"].select_neighbors(
+        [(node, BehaviorType(value)) for node, value in keys], fanout
+    )
 
 
 def _sample(state: WorkerState, payload: Any) -> tuple:
     targets, hops, fanout, allowed = payload
-    return index_sample_batch(
+    return computation_subgraphs_batch(
         state.views["index"], targets, hops=hops, fanout=fanout, allowed=allowed
     )
 
@@ -163,7 +164,7 @@ def _predict(state: WorkerState, payload: Any) -> tuple:
             (segment,) = state.attach(features, [features])
             cache[features] = segment.arrays["features"]
         features = cache[features]
-    subgraphs, stats = index_sample_batch(
+    subgraphs, stats = computation_subgraphs_batch(
         state.views["index"], targets, hops=hops, fanout=fanout
     )
     bundle = _bundle(state)

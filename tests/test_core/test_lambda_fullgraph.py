@@ -160,7 +160,9 @@ def scalar_oracle(setup_tuple):
         for k, hidden in enumerate(tower)
     }
     layers["fused"] = fused.numpy()
-    _, stats = computation_subgraphs_batch(bn, targets, hops=HOPS, fanout=FANOUT)
+    _, stats = computation_subgraphs_batch(
+        bn.index(), targets, hops=HOPS, fanout=FANOUT
+    )
     return np.asarray(scores), nodes, layers, stats
 
 
@@ -201,7 +203,7 @@ class TestFullGraphParity:
         bit for bit, on one graph — the three ways a score is computed."""
         bn, model, features, types, targets = setup
         subgraphs, _ = computation_subgraphs_batch(
-            bn, targets, hops=HOPS, fanout=FANOUT, edge_types=types
+            bn.index(), targets, hops=HOPS, fanout=FANOUT
         )
         packed = model.predict_subgraphs(
             subgraphs,

@@ -9,8 +9,8 @@ Pinned contracts:
   byte-identical across shard counts {1, 2, 4, 8} to the single-network
   build (the sweep's inputs cannot depend on the partitioning);
 * per-target BFS over the CSR reproduces the scalar sampler's node
-  discovery order, and the induced typed adjacency matches the
-  union-masking batch path bit for bit;
+  discovery order and its typed adjacency bit for bit — pinned with every
+  other sampling tier in ``test_system/test_sampler_tiers.py``;
 * shared-memory payload round-trips losslessly;
 * ``reverse_reachable`` is a sound cone: it contains every node whose
   forward selection BFS meets a seed within the hop budget.
@@ -20,19 +20,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.datagen import BehaviorType
 from repro.network import (
     BehaviorNetwork,
     ShardedBehaviorNetwork,
     build_sampled_graph,
-    computation_subgraphs_batch,
 )
 from repro.network.sampled_graph import SampledGraph
 from repro.network.sampling import _select_neighbors
 
-from .test_sharding import SHARD_COUNTS, TYPES, build_pair, contribution_batches
+from .test_sharding import SHARD_COUNTS, build_pair, contribution_batches
 
 pytestmark = pytest.mark.sharding
 
@@ -75,42 +73,6 @@ class TestSelectionParity:
 
 
 class TestBFSAndInducedParity:
-    @pytest.mark.parametrize("fanout", (3, 8))
-    def test_subgraphs_match_batch_sampler(self, graph_pairs, fanout):
-        bn, _ = graph_pairs[1]
-        sampled = build_sampled_graph(bn, fanout)
-        rng = np.random.default_rng(3)
-        targets = [int(t) for t in rng.choice(150, size=24, replace=False)]
-        want, _stats = computation_subgraphs_batch(
-            bn, targets, hops=2, fanout=fanout, edge_types=TYPES
-        )
-        for target, want_sub in zip(targets, want):
-            pos = sampled.position_of(target)
-            assert pos >= 0
-            positions, _expanded = sampled.subgraph_positions(
-                pos, 2, sampled.allowed_mask(None)
-            )
-            nodes = [int(u) for u in sampled.node_ids[positions]]
-            assert nodes == list(want_sub.nodes)
-            entries = sampled.induced_entries(positions, sampled.types)
-            for btype in sampled.types:
-                want_csr = want_sub.adjacency[btype]
-                iu, iv, w = entries[btype]
-                # induced_entries yields one (lo, hi) triple per edge in
-                # snapshot order; symmetrizing through the same CSR
-                # construction as score_slice must reproduce the batch
-                # sampler's matrix bit for bit.
-                got_csr = sp.csr_matrix(
-                    (
-                        np.concatenate([w, w]),
-                        (np.concatenate([iu, iv]), np.concatenate([iv, iu])),
-                    ),
-                    shape=want_csr.shape,
-                )
-                assert got_csr.indptr.tobytes() == want_csr.indptr.tobytes()
-                assert got_csr.indices.tobytes() == want_csr.indices.tobytes()
-                assert got_csr.data.tobytes() == want_csr.data.tobytes()
-
     def test_missing_target_position(self, graph_pairs):
         bn, _ = graph_pairs[1]
         sampled = build_sampled_graph(bn, 5)

@@ -1,4 +1,11 @@
-"""Coalesced batch sampling parity: bit-for-bit the scalar subgraphs."""
+"""Coalesced batch sampling parity: bit-for-bit the scalar subgraphs.
+
+``scalar_subgraphs`` / ``assert_subgraph_equal`` are the oracle every
+sampling tier is tested against (``test_system/test_sampler_tiers.py``,
+the sharding and router suites): per-target scalar
+:func:`computation_subgraph`, the dict-walk sampler that shares no code
+with the index-reading batch sampler.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +35,14 @@ def ring_bn(rng: np.random.Generator, n_users: int = 60, n_hubs: int = 4):
     return bn
 
 
+def scalar_subgraphs(bn, targets, hops=2, fanout=25, allowed=None):
+    """Per-target scalar oracle subgraphs (``bn`` may be a sharded facade)."""
+    return [
+        computation_subgraph(bn, int(t), hops=hops, fanout=fanout, allowed=allowed)
+        for t in targets
+    ]
+
+
 def assert_subgraph_equal(got, want):
     assert got.target == want.target
     assert got.nodes == want.nodes  # identical BFS order, not just same set
@@ -46,7 +61,9 @@ class TestBatchSamplingParity:
     def test_bitexact_vs_scalar(self, rng, fanout):
         bn = ring_bn(rng)
         targets = [int(u) for u in rng.integers(0, 60, size=24)]
-        batched, stats = computation_subgraphs_batch(bn, targets, hops=2, fanout=fanout)
+        batched, stats = computation_subgraphs_batch(
+            bn.index(), targets, hops=2, fanout=fanout
+        )
         assert len(batched) == len(targets)
         for target, subgraph in zip(targets, batched):
             assert_subgraph_equal(
@@ -59,7 +76,7 @@ class TestBatchSamplingParity:
         allowed = set(range(0, 60, 2)) | set(range(1000, 1004))
         targets = [0, 2, 4, 0]  # duplicates included
         batched, _stats = computation_subgraphs_batch(
-            bn, targets, hops=2, fanout=5, allowed=allowed
+            bn.index(), targets, hops=2, fanout=5, allowed=allowed
         )
         for target, subgraph in zip(targets, batched):
             assert_subgraph_equal(
@@ -70,7 +87,9 @@ class TestBatchSamplingParity:
     def test_isolated_and_duplicate_targets(self, rng):
         bn = ring_bn(rng)
         bn.add_node(99999)
-        batched, stats = computation_subgraphs_batch(bn, [99999, 99999, 0], hops=2)
+        batched, stats = computation_subgraphs_batch(
+            bn.index(), [99999, 99999, 0], hops=2
+        )
         assert batched[0].nodes == [99999]
         assert batched[1].nodes == [99999]
         assert batched[0] is not batched[1]
@@ -78,10 +97,10 @@ class TestBatchSamplingParity:
 
     def test_negative_hops_rejected(self):
         with pytest.raises(ValueError):
-            computation_subgraphs_batch(BehaviorNetwork(), [0], hops=-1)
+            computation_subgraphs_batch(BehaviorNetwork().index(), [0], hops=-1)
 
     def test_empty_batch(self):
-        subgraphs, stats = computation_subgraphs_batch(BehaviorNetwork(), [])
+        subgraphs, stats = computation_subgraphs_batch(BehaviorNetwork().index(), [])
         assert subgraphs == []
         assert stats.requests == 0
         assert stats.coalescing == 0.0
@@ -91,7 +110,9 @@ class TestCoalescingAccounting:
     def test_overlap_is_coalesced(self, rng):
         bn = ring_bn(rng)
         targets = list(range(20))  # dense hub overlap
-        _subgraphs, stats = computation_subgraphs_batch(bn, targets, hops=2, fanout=25)
+        _subgraphs, stats = computation_subgraphs_batch(
+            bn.index(), targets, hops=2, fanout=25
+        )
         assert stats.coalescing > 1.5  # shared hubs counted once
         assert stats.unique_expansions < stats.expansions
         assert stats.unique_nodes <= stats.sampled_nodes
@@ -100,5 +121,5 @@ class TestCoalescingAccounting:
         bn = BehaviorNetwork()
         bn.add_weight(0, 1, DEV, 1.0, 0.0)
         bn.add_weight(10, 11, DEV, 1.0, 0.0)
-        _subgraphs, stats = computation_subgraphs_batch(bn, [0, 10], hops=2)
+        _subgraphs, stats = computation_subgraphs_batch(bn.index(), [0, 10], hops=2)
         assert stats.coalescing == 1.0

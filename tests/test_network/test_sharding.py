@@ -4,8 +4,9 @@ Every test here compares a :class:`ShardedBehaviorNetwork` against the
 plain single-network :class:`BehaviorNetwork` fed the *same* mutation
 stream, and requires bit-for-bit identity — same node order, same
 per-type edge order, same weights and timestamps in the merged export,
-and identical sampled subgraphs (node lists and CSR bits) at every shard
-count.  The sweep covers shard counts {1, 2, 4, 8}, shuffled ingest
+and sampled subgraphs off the merged index (node lists and CSR bits)
+identical to the scalar dict-walk sampler on the plain network at every
+shard count.  The sweep covers shard counts {1, 2, 4, 8}, shuffled ingest
 orderings, facade construction from an existing network, resharding, and
 TTL expiry.
 """
@@ -22,9 +23,8 @@ from repro.network import (
     computation_subgraphs_batch,
     shard_of,
 )
-from repro.system import index_sample_batch
 
-from .test_sampling_batch import assert_subgraph_equal
+from .test_sampling_batch import assert_subgraph_equal, scalar_subgraphs
 
 pytestmark = pytest.mark.sharding
 
@@ -71,20 +71,17 @@ def assert_export_bitexact(bn: BehaviorNetwork, sharded: ShardedBehaviorNetwork)
 
 
 def assert_sampling_bitexact(bn, sharded, targets, fanout=5):
-    """Frontier sampling off the shard index equals the single-network path."""
-    want, want_stats = computation_subgraphs_batch(
-        bn, targets, hops=2, fanout=fanout, edge_types=TYPES
-    )
-    got, got_stats = index_sample_batch(
+    """Frontier sampling off the merged index equals the scalar oracle."""
+    got, stats = computation_subgraphs_batch(
         sharded.index(), targets, hops=2, fanout=fanout
     )
-    for want_sub, got_sub in zip(want, got):
+    want = scalar_subgraphs(bn, targets, hops=2, fanout=fanout)
+    for want_sub, got_sub in zip(want, got, strict=True):
         assert_subgraph_equal(got_sub, want_sub)
-    assert got_stats.requests == want_stats.requests
-    assert got_stats.sampled_nodes == want_stats.sampled_nodes
-    assert got_stats.unique_nodes == want_stats.unique_nodes
-    assert got_stats.expansions == want_stats.expansions
-    assert got_stats.partial == ()
+    assert stats.requests == len(targets)
+    assert stats.sampled_nodes == sum(len(sub.nodes) for sub in want)
+    assert stats.unique_nodes == len({uid for sub in want for uid in sub.nodes})
+    assert stats.partial == ()
 
 
 class TestShardOf:
@@ -212,3 +209,77 @@ class TestShardedTTL:
         index = sharded.index()
         assert index.version == sharded.version
         assert sharded.index() is index  # memoized until the next barrier
+
+
+class TestReadIndex:
+    """The one memoized flat view: what it holds and when it is rebuilt."""
+
+    @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+    def test_snapshot_equals_a_straight_edge_walk(self, rng, n_shards):
+        """``to_arrays()`` against the dicts it was flattened from, per type."""
+        bn, sharded = build_pair(contribution_batches(rng), n_shards, ttl=2.5 * 3600.0)
+        assert bn.expire_edges(5.0 * 3600.0) == sharded.expire_edges(5.0 * 3600.0) > 0
+        for network in (bn, sharded):
+            snapshot = network.to_arrays()
+            assert snapshot is network.index().snapshot()
+            assert snapshot.version == network.version
+            assert snapshot.node_ids.tolist() == sorted(network.nodes())
+            assert set(snapshot.edges) == network.edge_types()
+            for btype, arrays in snapshot.edges.items():
+                walk = list(network.iter_edges(btype))
+                assert snapshot.node_ids[arrays.rows].tolist() == [e[0] for e in walk]
+                assert snapshot.node_ids[arrays.cols].tolist() == [e[1] for e in walk]
+                assert arrays.weights.tolist() == [e[3].weight for e in walk]
+                assert arrays.last_update.tolist() == [e[3].last_update for e in walk]
+
+    def test_index_memoized_until_the_next_effective_mutation(self, rng):
+        bn, _ = build_pair(contribution_batches(rng, n_batches=2), 1, ttl=3600.0)
+        index = bn.index()
+        assert index.version == bn.version and index.n_shards == 1
+        bn.add_node(int(index.node_ids[0]))  # already registered
+        assert bn.expire_edges(now=0.0) == 0  # nothing old enough
+        assert bn.index() is index
+        bn.add_weight(0, 1, TYPES[0], 1.0, 3600.0)
+        rebuilt = bn.index()
+        assert rebuilt is not index and rebuilt.version == bn.version
+        assert bn.index() is rebuilt
+
+    def test_index_bytes_equal_across_shard_counts(self, rng):
+        """Everything but the per-shard blocks is partition-independent, and
+        the blocks together list every node's neighbours in creation order."""
+        batches = contribution_batches(rng)
+        bn, _ = build_pair(batches, 1)
+        want, want_meta = bn.index().to_payload()
+        for n_shards in SHARD_COUNTS:
+            index = build_pair(batches, n_shards)[1].index()
+            got, got_meta = index.to_payload()
+            assert got_meta == {**want_meta, "n_shards": n_shards}
+            for name, array in want.items():
+                if name.startswith("blk") or name == "owner_of_pos":
+                    continue
+                assert got[name].tobytes() == array.tobytes(), name
+            keys = [(uid, btype) for uid in bn.nodes() for btype in TYPES]
+            assert index.select_neighbors(keys, None) == [
+                bn.neighbors(uid, btype) for uid, btype in keys
+            ]
+
+    def test_one_uid_to_position_lookup(self, rng):
+        """Snapshot, sampler and sampled graph share ``snapshot.positions_of``."""
+        from repro.network import build_sampled_graph
+        from repro.network.snapshot import positions_of
+
+        ids = np.array([2, 5, 7, 9], dtype=np.int64)
+        got = positions_of(ids, [9, 2, 4, 2, 100, -1])  # unknown and duplicate uids
+        assert got.dtype == np.int64 and got.tolist() == [3, 0, -1, 0, -1, -1]
+        assert positions_of(ids, 7).shape == () and int(positions_of(ids, 7)) == 2
+        empty = positions_of(np.empty(0, dtype=np.int64), [1, 2])
+        assert empty.dtype == np.int64 and empty.tolist() == [-1, -1]
+        assert positions_of(ids, []).shape == (0,)
+
+        bn, _ = build_pair(contribution_batches(rng, n_batches=1), 1)
+        sampled = build_sampled_graph(bn, 5)
+        uids = np.array([3, 10**9, 3, 0], dtype=np.int64)
+        want = positions_of(bn.index().node_ids, uids)
+        np.testing.assert_array_equal(bn.to_arrays().positions_of(uids), want)
+        np.testing.assert_array_equal(sampled.positions_of(uids), want)
+        assert [sampled.position_of(int(u)) for u in uids] == want.tolist()

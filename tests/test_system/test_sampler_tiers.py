@@ -1,0 +1,264 @@
+"""Every sampling tier against the scalar oracle, once.
+
+All serving tiers run one function —
+:func:`repro.network.sampling.computation_subgraphs_batch` over a read
+index — so comparing them with each other would compare a function with
+itself.  The independent implementation is scalar
+:func:`~repro.network.sampling.computation_subgraph` (dict walk + snapshot
+mask); this module pins each tier to it on one graph: same node order,
+same CSR bits, at a binding, a loose and no fanout, with an ``allowed``
+filter, duplicate targets and an isolated target.
+
+Also here, because they are properties of the tier set rather than of one
+tier: the three call sites are the same function object, the selection
+cache does not survive a BN swap, and a negative ``fanout`` is a typed
+error at every sampler entry point.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.datagen import DAY, HOUR
+from repro.network import (
+    BNBuilder,
+    BehaviorNetwork,
+    build_sampled_graph,
+    computation_subgraph,
+    computation_subgraphs_batch,
+)
+from repro.network.adjacency import _stack_entries
+from repro.network.sampled_graph import SampledGraph
+from repro.network.sampling import ComputationSubgraph
+from repro.nn.sparse import typed_symmetric_csr
+from repro.system import (
+    BNServer,
+    LatencyModel,
+    ShardRouter,
+    ShardWorkerPool,
+    bn_server,
+    shard_router,
+    shard_workers,
+)
+
+from tests.test_network.test_sampling_batch import (
+    assert_subgraph_equal,
+    scalar_subgraphs,
+)
+from tests.test_network.test_sharding import (
+    SHARD_COUNTS,
+    TYPES,
+    build_pair,
+    contribution_batches,
+)
+
+pytestmark = pytest.mark.sharding
+
+DEV = TYPES[0]
+ISOLATED = 99_999
+#: duplicates (7 twice), the isolated node, and spread-out ordinary users.
+TARGETS = [7, 31, 7, ISOLATED, 100, 150, 3, 199]
+ALLOWED = set(range(0, 200, 2)) | {ISOLATED}
+TIERS = ["local", *(f"router{n}" for n in SHARD_COUNTS), "worker", "sampled_graph"]
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    """The same mutation stream as a plain BN and as {1, 2, 4, 8}-shard facades."""
+    batches = contribution_batches(np.random.default_rng(7))
+    pairs = {n: build_pair(batches, n) for n in SHARD_COUNTS}
+    for bn, sharded in pairs.values():
+        bn.add_node(ISOLATED)
+        sharded.add_node(ISOLATED)
+    return pairs
+
+
+def make_server() -> BNServer:
+    return BNServer(BNBuilder(windows=(HOUR, DAY)), LatencyModel(jitter_sigma=0.0, seed=0))
+
+
+def sample_tier(tier, graphs, fanout, allowed):
+    """``(subgraphs, stats-or-None)`` of ``TARGETS`` from one tier."""
+    if tier == "local":
+        server = make_server()
+        server.bn = graphs[1][0]
+        assert server.sampler.tier == "local"
+        subgraphs, stats, gate_s = server.sampler.sample_batch(
+            TARGETS, hops=2, fanout=fanout, allowed=allowed
+        )
+        assert gate_s == 0.0
+        return subgraphs, stats
+    if tier.startswith("router"):
+        router = ShardRouter(graphs[int(tier[len("router"):])][1])
+        try:
+            subgraphs, stats, _ = router.sample_batch(
+                TARGETS, hops=2, fanout=fanout, allowed=allowed
+            )
+        finally:
+            router.close()
+        return subgraphs, stats
+    if tier == "worker":
+        router = ShardRouter(graphs[2][1])
+        try:
+            router.ensure_published()
+            with ShardWorkerPool(router.segments, n_workers=1) as pool:
+                out = pool.sample(0, TARGETS, hops=2, fanout=fanout, allowed=allowed)
+        finally:
+            router.close()
+        assert out is not None
+        return out
+    sampled = build_sampled_graph(graphs[1][0], fanout)
+    mask = sampled.allowed_mask(allowed)
+    subgraphs = []
+    for target in TARGETS:
+        positions, _expanded = sampled.subgraph_positions(
+            sampled.position_of(target), 2, mask
+        )
+        entries = sampled.induced_entries(positions, sampled.types)
+        matrices = typed_symmetric_csr(
+            *_stack_entries([entries[t] for t in sampled.types]),
+            len(sampled.types),
+            len(positions),
+        )
+        subgraphs.append(
+            ComputationSubgraph(
+                target=target,
+                nodes=sampled.node_ids[positions].tolist(),
+                adjacency=dict(zip(sampled.types, matrices)),
+            )
+        )
+    return subgraphs, None
+
+
+@pytest.mark.parametrize("fanout", [3, 25, None])
+@pytest.mark.parametrize("tier", TIERS)
+def test_tier_matches_scalar_oracle(graphs, tier, fanout):
+    bn = graphs[1][0]
+    for allowed in (None, ALLOWED):
+        want = scalar_subgraphs(bn, TARGETS, hops=2, fanout=fanout, allowed=allowed)
+        got, stats = sample_tier(tier, graphs, fanout, allowed)
+        for want_sub, got_sub in zip(want, got, strict=True):
+            assert_subgraph_equal(got_sub, want_sub)
+        assert got[0] is not got[2]  # duplicate targets get their own subgraph
+        assert got[3].nodes == [ISOLATED]
+        if stats is None:
+            continue
+        # Every expanded frontier node is within hops - 1 of its target, and
+        # BFS discovery order is prefix-stable, so the scalar sampler counts
+        # the batch's expansions too.
+        inner = scalar_subgraphs(bn, TARGETS, hops=1, fanout=fanout, allowed=allowed)
+        assert stats.requests == len(TARGETS)
+        assert stats.sampled_nodes == sum(len(sub.nodes) for sub in want)
+        assert stats.unique_nodes == len({u for sub in want for u in sub.nodes})
+        assert stats.expansions == len(TYPES) * sum(len(sub.nodes) for sub in inner)
+        assert stats.partial == ()
+
+
+def test_one_sampler_under_every_tier():
+    """Local tier, router and worker commands call the same function object."""
+    assert bn_server.computation_subgraphs_batch is computation_subgraphs_batch
+    assert shard_router.computation_subgraphs_batch is computation_subgraphs_batch
+    assert shard_workers.computation_subgraphs_batch is computation_subgraphs_batch
+    for module in (shard_router, shard_workers):
+        assert not hasattr(module, "index_sample_batch")
+
+
+class TestSelectionCacheFollowsTheIndex:
+    def test_bn_swap_does_not_serve_the_old_networks_selection(self):
+        """``server.bn = other`` at an equal version must re-rank."""
+        a, b = BehaviorNetwork(), BehaviorNetwork()
+        a.add_node(1)
+        a.add_weight(1, 2, DEV, 1.0, 0.0)  # nodes + one edge: version 2
+        b.add_node(1)
+        b.add_weight(1, 3, DEV, 1.0, 0.0)
+        assert a.version == b.version
+        server = make_server()
+        server.bn = a
+        assert server.sample(1)[0].nodes == [1, 2]
+        server.bn = b
+        assert server.sample(1)[0].nodes == [1, 3]
+        assert server.sample_batch([1], [0.0])[0][0].nodes == [1, 3]
+
+    def test_cache_kept_while_index_and_fanout_hold(self, graphs):
+        server = make_server()
+        server.bn = graphs[1][0]
+        server.sample(7, fanout=5)
+        cache = server._batch_selection_cache(5)
+        assert cache and server._batch_selection_cache(5) is cache
+        assert server._batch_selection_cache(6) is not cache
+
+
+class TestNegativeFanoutRejected:
+    """``fanout=-1`` used to slice "all but the lightest neighbour"."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["scalar", "batch", "from_index", "server_sample", "server_sample_batch"],
+    )
+    def test_typed_error_at_every_entry_point(self, graphs, entry):
+        bn = graphs[1][0]
+        server = make_server()
+        server.bn = bn
+        calls = {
+            "scalar": lambda: computation_subgraph(bn, 7, fanout=-1),
+            "batch": lambda: computation_subgraphs_batch(bn.index(), [7], fanout=-1),
+            "from_index": lambda: SampledGraph.from_index(bn.index(), -1),
+            "server_sample": lambda: server.sample(7, fanout=-1),
+            "server_sample_batch": lambda: server.sample_batch([7], [0.0], fanout=-1),
+        }
+        with pytest.raises(ValueError, match="fanout must be non-negative or None"):
+            calls[entry]()
+
+    def test_rejection_leaves_the_server_untouched(self, graphs):
+        class CountingGate:
+            calls = 0
+
+            def before_call(self, component, now=None):
+                self.calls += 1
+                return 0.0
+
+        def observed(server):
+            return (
+                server.bn.version,
+                server._selection_state,
+                dict(server._selection_cache),
+                copy.deepcopy(server.latency._rng.bit_generator.state),
+                server.faults.calls,
+            )
+
+        server = BNServer(
+            BNBuilder(windows=(HOUR, DAY)),
+            LatencyModel(jitter_sigma=0.3, seed=0),
+            faults=CountingGate(),
+        )
+        server.bn = copy.deepcopy(graphs[1][0])
+        server.sample(7, fanout=5)  # warm a cache the rejection must keep
+        unknown = 123_456
+        before = observed(server)
+        for call in (
+            lambda: server.sample(unknown, fanout=-1),
+            lambda: server.sample_batch([unknown, 7], [0.0, 0.0], fanout=-1),
+        ):
+            with pytest.raises(ValueError):
+                call()
+        assert unknown not in server.bn
+        assert observed(server) == before
+
+
+class TestRemovedCapabilities:
+    def test_removed_parameters_raise_type_error(self, graphs):
+        bn = graphs[1][0]
+        server = make_server()
+        server.bn = bn
+        with pytest.raises(TypeError):
+            server.sample(7, rng=np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            computation_subgraphs_batch(bn.index(), [7], edge_types=TYPES)
+
+    def test_one_memoized_view_per_network(self):
+        bn = BehaviorNetwork()
+        assert not hasattr(bn, "shard_index")
+        assert not hasattr(bn, "_snapshot") and not hasattr(bn, "_shard_index")

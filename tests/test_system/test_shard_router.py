@@ -2,8 +2,8 @@
 
 Covers the system half of the sharding tentpole:
 
-* :meth:`ShardRouter.sample_batch` is bit-exact vs the single-network
-  batched sampler and emits the ``turbo.shard.*`` series;
+* :meth:`ShardRouter.sample_batch` is bit-exact vs the scalar sampler on
+  the unsharded network and emits the ``turbo.shard.*`` series;
 * a crashed shard degrades sampling to the surviving frontier (requests
   flagged partial, nothing raises, breaker opens) and recovery restores
   bit-exact full serving;
@@ -26,7 +26,6 @@ from repro.network import (
     BNBuilder,
     BehaviorNetwork,
     ShardedBehaviorNetwork,
-    computation_subgraphs_batch,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.system import (
@@ -41,7 +40,10 @@ from repro.system import (
     deploy_turbo,
 )
 
-from tests.test_network.test_sampling_batch import assert_subgraph_equal
+from tests.test_network.test_sampling_batch import (
+    assert_subgraph_equal,
+    scalar_subgraphs,
+)
 from tests.test_network.test_sharding import TYPES, contribution_batches, build_pair
 
 pytestmark = pytest.mark.sharding
@@ -64,9 +66,7 @@ class TestRouterSampling:
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
         try:
             got, stats, gate_s = router.sample_batch(targets, hops=2, fanout=5)
-            want, _ = computation_subgraphs_batch(
-                bn, targets, hops=2, fanout=5, edge_types=TYPES
-            )
+            want = scalar_subgraphs(bn, targets, fanout=5)
             for want_sub, got_sub in zip(want, got):
                 assert_subgraph_equal(got_sub, want_sub)
             assert stats.partial == ()
@@ -111,9 +111,7 @@ class TestShardLoss:
             assert counters["turbo.shard.down"] >= 1
             assert counters["turbo.shard.partial_requests"] == len(stats.partial)
             # Intact requests are still bit-exact vs the healthy sampler.
-            want, _ = computation_subgraphs_batch(
-                bn, targets, hops=2, fanout=5, edge_types=TYPES
-            )
+            want = scalar_subgraphs(bn, targets, fanout=5)
             for i, (want_sub, got_sub) in enumerate(zip(want, got)):
                 if i not in stats.partial:
                     assert_subgraph_equal(got_sub, want_sub)
@@ -134,9 +132,7 @@ class TestShardLoss:
                 breaker.reset()
             got, stats, _ = router.sample_batch(targets, fanout=5, now=2.0)
             assert stats.partial == ()
-            want, _ = computation_subgraphs_batch(
-                bn, targets, hops=2, fanout=5, edge_types=TYPES
-            )
+            want = scalar_subgraphs(bn, targets, fanout=5)
             for want_sub, got_sub in zip(want, got):
                 assert_subgraph_equal(got_sub, want_sub)  # no stale emptiness
         finally:
@@ -155,9 +151,7 @@ class TestWorkerPool:
             out = pool.sample(0, targets, hops=2, fanout=5)
             assert out is not None
             got, stats = out
-            want, _ = computation_subgraphs_batch(
-                bn, targets, hops=2, fanout=5, edge_types=TYPES
-            )
+            want = scalar_subgraphs(bn, targets, fanout=5)
             for want_sub, got_sub in zip(want, got):
                 assert_subgraph_equal(got_sub, want_sub)
             assert stats.partial == ()
@@ -191,9 +185,7 @@ class TestWorkerPool:
             assert pool.reattach(router.segments) == 1
             out = pool.sample(0, [int(u[0])], fanout=5)
             assert out is not None
-            want, _ = computation_subgraphs_batch(
-                sharded, [int(u[0])], hops=2, fanout=5, edge_types=TYPES
-            )
+            want = scalar_subgraphs(sharded, [int(u[0])], fanout=5)
             assert_subgraph_equal(out[0][0], want[0])
             assert index.version == sharded.version
         finally:
