@@ -14,6 +14,14 @@ Two entry points:
   window.  Running every window's jobs over a time range is equivalent to the
   batch build over the same logs, which a test verifies.
 
+The online path reads logs from a :class:`LogTable`: each log is validated
+and encoded **once**, when it arrives, into ``(uid, key, timestamp)``
+columns whose ``key`` interns the log's ``(type, value)``, and a window job
+receives a slice of those columns (:class:`LogColumns`) — no per-log Python
+and no string sort in the job.  ``BehaviorLog`` objects handed to
+:meth:`BNBuilder.run_window_job` or :meth:`BNBuilder.replay` go through the
+same encoder into the same kernel.
+
 Every vectorized write path keeps a pinned ``*_reference`` twin — the
 original per-pair Python loops (:meth:`BNBuilder.build_reference`,
 :meth:`BNBuilder.run_window_job_reference`,
@@ -31,18 +39,28 @@ quadratically (a public Wi-Fi can connect thousands of users within a day).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
-from typing import Iterable, Sequence
+from math import inf, isfinite
+from operator import index
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ..datagen.behavior_types import EDGE_TYPES, BehaviorType
 from ..datagen.entities import BehaviorLog
 from .bn import DEFAULT_EDGE_TTL, BehaviorNetwork
-from .segments import segment_arange, segment_fold_max, segment_fold_sum, sorted_unique_pairs, sorted_unique_triples
+from .segments import (
+    boundaries,
+    segment_arange,
+    segment_fold_max,
+    segment_fold_sum,
+    sorted_unique_pairs,
+    sorted_unique_triples,
+)
 from .windows import PAPER_WINDOWS, validate_windows
 
-__all__ = ["BNBuilder"]
+__all__ = ["BNBuilder", "LogColumns", "LogTable"]
 
 
 def _pair_indices(
@@ -67,6 +85,112 @@ def _pair_indices(
         np.arange(len(counts), dtype=np.int64), counts * (counts - 1) // 2
     )
     return first, second, group
+
+
+class LogColumns(NamedTuple):
+    """Encoded edge-type logs of one epoch, in log order (see :class:`LogTable`)."""
+
+    uids: list[int]
+    keys: list[int]
+
+
+class LogTable:
+    """Edge-type logs as ``(uid, key, timestamp)`` columns, encoded once.
+
+    ``key`` is ``value id * |edge types| + type code``: two held rows have
+    equal keys exactly when they share ``(type, value)`` — equality is all
+    a window job asks of a value — and ``key % |edge types|`` is the type
+    code.  Value ids come from an intern map that :meth:`compact` cuts back
+    to the values of the rows still held, so the map does not grow with the
+    values ever seen.  Rows stay in arrival order; a table filled in
+    timestamp order (the BN server's) reads an epoch with :meth:`columns`
+    and forgets what no job can read with :meth:`prune`.
+    """
+
+    def __init__(self, edge_types: Sequence[BehaviorType]) -> None:
+        self.uids: list[int] = []
+        self.keys: list[int] = []
+        self.times: list[float] = []
+        #: timestamp of the last log of the last ordered batch, edge type or not.
+        self.watermark = -inf
+        #: the intern map, value -> id; ids are never reused (``_next_id``).
+        self.ids: dict[str, int] = {}
+        self._next_id = 0
+        self._edge_types = edge_types
+        self._type_index = {t: i for i, t in enumerate(edge_types)}
+
+    def encode(self, logs: Iterable[BehaviorLog], ordered: bool = False) -> "LogTable":
+        """Validate ``logs``; their edge-type rows as a new table for :meth:`extend`.
+
+        The one per-log pass of the write path.  Nothing of ``self`` is
+        modified (values it has not seen are interned in the returned
+        batch), so a rejected batch leaves no trace: ``ValueError`` for a
+        non-finite timestamp, a uid outside int64 or — with ``ordered`` — a
+        timestamp below the one before it or :attr:`watermark`;
+        ``TypeError`` for a non-integer uid or a non-``str`` value.
+        """
+        batch = LogTable(self._edge_types)
+        uids, keys, times = batch.uids, batch.keys, batch.times
+        known, fresh, type_index = self.ids, batch.ids, self._type_index
+        base, n_types = self._next_id, len(type_index)
+        last = self.watermark
+        for log in logs:
+            t, value, uid = log.timestamp, log.value, index(log.uid)
+            if not isfinite(t):
+                raise ValueError(f"log timestamp {t!r} is not finite")
+            if ordered:
+                if t < last:
+                    raise ValueError("logs must arrive in timestamp order")
+                last = t
+            if not isinstance(value, str):
+                raise TypeError(f"log value {value!r} is not a str")
+            if not -(2**63) <= uid < 2**63:
+                raise ValueError(f"log uid {uid} does not fit int64")
+            code = type_index.get(log.btype)
+            if code is None:
+                continue
+            vid = known.get(value)
+            if vid is None:
+                vid = fresh.setdefault(value, base + len(fresh))
+            uids.append(uid)
+            keys.append(vid * n_types + code)
+            times.append(t)
+        batch.watermark = last
+        return batch
+
+    def extend(self, batch: "LogTable") -> None:
+        """Append a batch :meth:`encode` returned (and nothing else did since)."""
+        self.uids += batch.uids
+        self.keys += batch.keys
+        self.times += batch.times
+        self.ids.update(batch.ids)
+        self._next_id += len(batch.ids)
+        self.watermark = batch.watermark
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three columns as ``(int64, int64, float64)`` arrays."""
+        return (
+            np.asarray(self.uids, dtype=np.int64),
+            np.asarray(self.keys, dtype=np.int64),
+            np.asarray(self.times, dtype=np.float64),
+        )
+
+    def columns(self, after: float, until: float) -> LogColumns:
+        """Rows with ``after < timestamp <= until`` of a timestamp-ordered table."""
+        lo, hi = bisect_right(self.times, after), bisect_right(self.times, until)
+        return LogColumns(self.uids[lo:hi], self.keys[lo:hi])
+
+    def prune(self, cutoff: float) -> None:
+        """Drop the rows at or before ``cutoff`` of a timestamp-ordered table."""
+        drop = bisect_right(self.times, cutoff)
+        if drop:
+            del self.uids[:drop], self.keys[:drop], self.times[:drop]
+
+    def compact(self) -> None:
+        """Forget every interned value no held row uses."""
+        n_types = len(self._type_index)
+        live = {key // n_types for key in self.keys}
+        self.ids = {value: vid for value, vid in self.ids.items() if vid in live}
 
 
 class BNBuilder:
@@ -109,7 +233,6 @@ class BNBuilder:
         self.ttl = ttl
         self.origin = origin
         self.weighting = weighting
-        self._type_index = {t: i for i, t in enumerate(self.edge_types)}
 
     def _share(self, group_size: int) -> float:
         return 1.0 / group_size if self.weighting == "inverse" else 1.0
@@ -281,17 +404,21 @@ class BNBuilder:
     def run_window_job(
         self,
         bn: BehaviorNetwork,
-        logs: Iterable[BehaviorLog],
+        logs: Iterable[BehaviorLog] | LogColumns,
         window: float,
         job_end: float,
     ) -> int:
         """Process the epoch ``(job_end - window, job_end]`` of one window.
 
         This is the periodic job the BN server schedules (hourly for the
-        1-hour window, daily for the 1-day window, ...).  Logs outside the
-        epoch are ignored.  Returns the number of pair contributions added.
+        1-hour window, daily for the 1-day window, ...).  Returns the number
+        of pair contributions added.
 
-        Vectorized: the epoch's logs collapse to one
+        ``logs`` is either the epoch's rows of a :class:`LogTable` (the
+        server and :meth:`replay` — already encoded, already cut to the
+        epoch) or ``BehaviorLog`` objects, which are validated and encoded
+        with a throw-away table and cut to the epoch here (edge types
+        only).  Both meet in one kernel: the epoch collapses to one
         :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch (one
         snapshot-version bump), with contributions streamed in the exact
         order :meth:`run_window_job_reference` issues its ``add_weight``
@@ -300,55 +427,42 @@ class BNBuilder:
         """
         if window not in self.windows:
             raise ValueError(f"window {window} is not one of the builder's windows")
-        lo = job_end - window
-        type_index = self._type_index
-        uids: list[int] = []
-        codes: list[int] = []
-        values: list[str] = []
-        for log in logs:
-            code = type_index.get(log.btype)
-            if code is None or not lo < log.timestamp <= job_end:
-                continue
-            uids.append(log.uid)
-            codes.append(code)
-            values.append(log.value)
-        if not uids:
-            return 0
-        uid_arr = np.asarray(uids, dtype=np.int64)
+        if not isinstance(logs, LogColumns):
+            uids, keys, times = LogTable(self.edge_types).encode(logs).arrays()
+            epoch = (times > job_end - window) & (times <= job_end)
+            logs = LogColumns(uids[epoch].tolist(), keys[epoch].tolist())
+        uids, keys = logs
         # Register nodes in first-occurrence order, like the reference's
         # per-log add_node calls (repeats there are version no-ops).
-        _, first_seen = np.unique(uid_arr, return_index=True)
-        for idx in np.sort(first_seen):
-            bn.add_node(int(uid_arr[idx]))
-
-        # Groups are distinct (btype, value) keys ranked by first
-        # occurrence — the reference's dict-insertion iteration order.
-        value_codes = self._encode_values(values)
-        value_span = int(value_codes.max()) + 1
-        combo = np.asarray(codes, dtype=np.int64) * value_span + value_codes
-        uniq, first_idx, inverse = np.unique(
-            combo, return_index=True, return_inverse=True
+        for uid in dict.fromkeys(uids):
+            bn.add_node(uid)
+        if len(set(zip(keys, uids))) == len(set(keys)):
+            return 0  # no key was used by two users (or no log at all)
+        # One stable sort: distinct (key, uid) members grouped per key, uids
+        # ascending, each with the log position it first occurred at.
+        g_key, g_uid, g_first = sorted_unique_pairs(
+            np.asarray(keys, dtype=np.int64),
+            np.asarray(uids, dtype=np.int64),
+            return_index=True,
         )
-        rank = np.empty(len(uniq), dtype=np.int64)
-        fo_order = np.argsort(first_idx, kind="stable")
-        rank[fo_order] = np.arange(len(uniq), dtype=np.int64)
-        type_codes_fo = (uniq // value_span)[fo_order]
-
-        u0 = int(uid_arr.min())
-        g_gid, g_uid = sorted_unique_pairs(rank[inverse], uid_arr - u0)
-        starts = np.flatnonzero(np.r_[True, g_gid[1:] != g_gid[:-1]])
-        counts = np.diff(np.r_[starts, len(g_gid)])
-        eligible = (counts >= 2) & (counts <= self.max_clique_size)
-        sel_starts = starts[eligible]
-        sel_counts = counts[eligible]
-        if not len(sel_counts):
+        starts = np.flatnonzero(boundaries(g_key))
+        counts = np.empty_like(starts)
+        counts[:-1], counts[-1] = starts[1:], len(g_key)
+        counts -= starts
+        eligible = np.flatnonzero((counts >= 2) & (counts <= self.max_clique_size))
+        if not len(eligible):
             return 0
+        # Groups run in order of their key's first occurrence in the logs —
+        # the reference's dict-insertion order — which is the smallest first
+        # position among the group's members.
+        first_seen = np.minimum.reduceat(g_first, starts)[eligible]
+        eligible = eligible[np.argsort(first_seen)]
+        sel_starts, sel_counts = starts[eligible], counts[eligible]
 
-        pool = g_uid[np.repeat(sel_starts, sel_counts) + segment_arange(sel_counts)] + u0
+        pool = g_uid[np.repeat(sel_starts, sel_counts) + segment_arange(sel_counts)]
         first, second, group = _pair_indices(sel_counts)
         share = self._group_shares(sel_counts)
-        pair_codes = type_codes_fo[g_gid[sel_starts]][group]
-        contributions = len(first)
+        pair_codes = (g_key[sel_starts] % len(self.edge_types))[group]
         # job_end passes as a scalar: every contribution of the epoch shares
         # it, so add_weights skips the per-row timestamp reduction.
         bn.add_weights(
@@ -359,7 +473,7 @@ class BNBuilder:
             job_end,
             btype_table=self.edge_types,
         )
-        return contributions
+        return len(first)
 
     def replay(
         self,
@@ -372,41 +486,31 @@ class BNBuilder:
 
         Equivalent to :meth:`build` restricted to logs in closed epochs, but
         exercising the online job path, including TTL expiry at the end.
-        Epoch bucketing is one ``np.floor`` + stable argsort per window over
-        a timestamp array hoisted out of the loop (the log list is scanned
-        for timestamps exactly once).
+        The logs are validated and encoded once; every window then buckets
+        the encoded rows with one ``np.floor`` + stable argsort and hands
+        each epoch's rows to :meth:`run_window_job` as column slices.
         """
         if bn is None:
             bn = BehaviorNetwork(ttl=self.ttl)
-        logs = list(logs)
-        if not logs:
-            if expire:
-                bn.expire_edges(until)
-            return bn
-        ts = np.fromiter(
-            (log.timestamp for log in logs), dtype=np.float64, count=len(logs)
-        )
-        t_min = float(ts.min())
-        log_arr = np.empty(len(logs), dtype=object)
-        log_arr[:] = logs
+        uids, keys, ts = LogTable(self.edge_types).encode(logs).arrays()
         for window in self.windows:
-            first = int(np.floor((t_min - self.origin) / window))
-            last = int(np.floor((until - self.origin) / window))
             epochs = np.floor((ts - self.origin) / window).astype(np.int64)
-            mask = (epochs >= first) & (epochs < last)
-            if not mask.any():
+            ends = self.origin + (epochs + 1) * window
+            last = int(np.floor((until - self.origin) / window))
+            # A log on an epoch boundary is in no job's half-open epoch here
+            # (as in replay_reference): floor buckets it after the boundary.
+            rows = np.flatnonzero((epochs < last) & (ts > ends - window) & (ts <= ends))
+            if not len(rows):
                 continue
-            sel_order = np.argsort(epochs[mask], kind="stable")
-            sel_eps = epochs[mask][sel_order]
-            sel_logs = log_arr[mask][sel_order]
-            bounds = np.r_[
-                np.flatnonzero(np.r_[True, sel_eps[1:] != sel_eps[:-1]]), len(sel_eps)
-            ]
-            for k in range(len(bounds) - 1):
-                start = bounds[k]
-                job_end = self.origin + (int(sel_eps[start]) + 1) * window
+            rows = rows[np.argsort(epochs[rows], kind="stable")]
+            bounds = np.flatnonzero(np.r_[True, np.diff(epochs[rows]) != 0, True])
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                epoch = rows[start:stop]
                 self.run_window_job(
-                    bn, list(sel_logs[start : bounds[k + 1]]), window, job_end
+                    bn,
+                    LogColumns(uids[epoch].tolist(), keys[epoch].tolist()),
+                    window,
+                    float(ends[epoch[0]]),
                 )
         if expire:
             bn.expire_edges(until)

@@ -14,10 +14,13 @@ that fully in numpy:
   pinned Python loops, which is what keeps the batched write path bit-exact
   (see ``docs/PERFORMANCE.md``);
 * :func:`sorted_unique_pairs` / :func:`sorted_unique_triples` —
-  lexicographically sorted distinct rows.  The fast path packs columns into
-  one int64 composite key; when the span product would overflow int64 they
-  fall back to a stable ``lexsort`` + boundary-mask dedup, so adversarially
-  large uid/value/epoch spans stay correct instead of silently wrapping.
+  lexicographically sorted distinct rows (the pairs optionally with each
+  row's first position, which is what ranks a window job's groups by first
+  occurrence).  The fast path packs columns into one int64 composite key;
+  when the span product would overflow int64 they fall back to a stable
+  ``lexsort``, so adversarially large uid/value/epoch spans stay correct
+  instead of silently wrapping.  :func:`boundaries` is the run-start mask
+  both dedup on.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "segment_arange",
     "segment_fold_sum",
     "segment_fold_max",
+    "boundaries",
     "sorted_unique_pairs",
     "sorted_unique_triples",
 ]
@@ -99,31 +103,43 @@ def segment_fold_max(
     return np.maximum.reduceat(values, np.asarray(starts, dtype=np.int64))
 
 
-def _dedup_sorted(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """Drop consecutive duplicate rows from lexicographically sorted columns."""
-    first = columns[0]
-    keep = np.zeros(len(first), dtype=bool)
-    keep[0] = True
-    for column in columns:
-        keep[1:] |= column[1:] != column[:-1]
-    return [column[keep] for column in columns]
+def boundaries(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows that differ from the row before them (row 0 always).
+
+    On lexicographically sorted, non-empty columns: the first row of every
+    run of equal rows.
+    """
+    mask = np.empty(len(columns[0]), dtype=bool)
+    mask[0] = True
+    np.not_equal(columns[0][1:], columns[0][:-1], out=mask[1:])
+    for column in columns[1:]:
+        mask[1:] |= column[1:] != column[:-1]
+    return mask
 
 
-def sorted_unique_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sorted_unique_pairs(
+    a: np.ndarray, b: np.ndarray, return_index: bool = False
+) -> tuple[np.ndarray, ...]:
     """Distinct ``(a, b)`` rows sorted lexicographically (``a`` major).
 
-    Both columns must be non-negative int64.  Uses the packed composite key
-    ``a * span_b + b`` when it provably fits int64; otherwise falls back to
-    a stable ``lexsort`` + boundary dedup (same output, no wraparound).
+    With ``return_index`` a third array gives the position each distinct row
+    first occurs at.  One stable sort: of the packed composite key
+    ``(a - min a) * span_b + (b - min b)`` when it provably fits int64,
+    otherwise a ``lexsort`` of the columns (same order, no wraparound).
     """
     if len(a) == 0:
-        return a, b
-    span_b = int(b.max()) + 1
-    if (int(a.max()) + 1) * span_b < _INT64_SAFE:
-        combo = np.unique(a * span_b + b)
-        return combo // span_b, combo % span_b
-    order = np.lexsort((b, a))
-    return tuple(_dedup_sorted([a[order], b[order]]))
+        return (a, b, a) if return_index else (a, b)
+    a0, b0 = int(a.min()), int(b.min())
+    span_b = int(b.max()) - b0 + 1
+    if (int(a.max()) - a0 + 1) * span_b < _INT64_SAFE:
+        order = np.argsort((a - a0) * span_b + (b - b0), kind="stable")
+    else:
+        order = np.lexsort((b, a))
+    sa, sb = a[order], b[order]
+    keep = boundaries(sa, sb)
+    if return_index:
+        return sa[keep], sb[keep], order[keep]
+    return sa[keep], sb[keep]
 
 
 def sorted_unique_triples(
@@ -144,4 +160,6 @@ def sorted_unique_triples(
         bc = combo % (span_b * span_c)
         return combo // (span_b * span_c), bc // span_c, bc % span_c
     order = np.lexsort((c, b, a))
-    return tuple(_dedup_sorted([a[order], b[order], c[order]]))
+    sa, sb, sc = a[order], b[order], c[order]
+    keep = boundaries(sa, sb, sc)
+    return sa[keep], sb[keep], sc[keep]

@@ -5,19 +5,25 @@ per time window builds the edges of each just-closed epoch (jobs with shorter
 windows run more frequently); a TTL sweep prevents unbounded growth; and
 detection requests are served by sampling the target's k-hop computation
 subgraph.  All storage access is charged through the latency model.
+
+The write path keeps one bounded log table
+(:class:`~repro.network.builder.LogTable`): ``ingest`` validates and encodes
+each log once, window jobs read column slices of it, rows leave when no
+pending job can read them (``now - max(windows)``), and on the TTL sweep the
+persisted ``"logs"`` rows older than ``ttl + max(windows)`` are retired and
+the table's intern map is cut back to its live rows — nothing ``ingest`` or
+``run_due_jobs`` touches grows with uptime at a steady input rate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from ..datagen.entities import DAY, BehaviorLog
 from ..network.bn import BehaviorNetwork
-from ..network.builder import BNBuilder
+from ..network.builder import BNBuilder, LogTable
 from ..network.sampling import (
     BatchSampleStats,
     ComputationSubgraph,
@@ -122,8 +128,9 @@ class BNServer:
         # None means pick by deployment shape (router when sharded).
         self._sampler: "Sampler | None" = None
         self.ttl_sweep_interval = ttl_sweep_interval
-        self._logs: list[BehaviorLog] = []
-        self._log_times: list[float] = []
+        # The one log table of the write path: what ingest encoded and a
+        # pending window job can still read (see repro.network.builder).
+        self._table = LogTable(builder.edge_types)
         self._next_epoch: dict[float, int] = {w: 0 for w in builder.windows}
         self._last_ttl_sweep = 0.0
         self.jobs_run = 0
@@ -218,25 +225,20 @@ class BNServer:
     def ingest(self, logs: Sequence[BehaviorLog]) -> float:
         """Receive new logs (must be non-decreasing in time across calls).
 
-        The order check is vectorized and all-or-nothing: one out-of-order
-        log rejects the whole batch before anything is buffered or
-        persisted.
+        One pass validates and encodes the batch, then it is persisted,
+        then its edge-type rows join the log table (other types are
+        persisted and advance the order watermark; no job reads them).
+        All-or-nothing: a malformed or out-of-order log (``ValueError`` /
+        ``TypeError``, see :meth:`~repro.network.builder.LogTable.encode`)
+        or a storage fault raises with table, watermark, counters and
+        database rows as they were, and nothing charged by this server —
+        the same batch can be offered again.
         """
-        seconds = 0.0
         if not logs:
-            return seconds
-        times = np.fromiter(
-            (log.timestamp for log in logs), dtype=np.float64, count=len(logs)
-        )
-        if (self._log_times and times[0] < self._log_times[-1]) or np.any(
-            times[1:] < times[:-1]
-        ):
-            raise ValueError("logs must arrive in timestamp order")
-        self._logs.extend(logs)
-        self._log_times.extend(times.tolist())
-        seconds += self.database.insert_many(
-            "logs", ((log.uid, log) for log in logs)
-        )
+            return 0.0
+        batch = self._table.encode(logs, ordered=True)
+        seconds = self.database.insert_many("logs", ((log.uid, log) for log in logs))
+        self._table.extend(batch)
         self._count("bn.ingest.logs", len(logs))
         return seconds
 
@@ -256,10 +258,8 @@ class BNServer:
             epoch = self._next_epoch[window]
             while self.builder.origin + (epoch + 1) * window <= now:
                 job_end = self.builder.origin + (epoch + 1) * window
-                lo = bisect_left(self._log_times, job_end - window)
-                hi = bisect_right(self._log_times, job_end)
                 contributions = self.builder.run_window_job(
-                    self.bn, self._logs[lo:hi], window, job_end
+                    self.bn, self._table.columns(job_end - window, job_end), window, job_end
                 )
                 contributions_total += contributions
                 seconds += self.latency.charge_db_write(max(1, contributions))
@@ -273,11 +273,23 @@ class BNServer:
             if self.sharded:
                 self._count("bn.shard.ingest.jobs", jobs)
                 self._count("bn.shard.ingest.contributions", contributions_total)
+        # Every pending job of window ``w`` ends after ``now`` and reads
+        # ``(job_end - w, job_end]``: rows at or before ``now - max(W)`` can
+        # never contribute again.
+        self._table.prune(now - max(self.builder.windows))
 
         if now - self._last_ttl_sweep >= self.ttl_sweep_interval:
             removed = self.bn.expire_edges(now)
             seconds += self.latency.charge_db_write(max(1, removed))
             self._last_ttl_sweep = now
+            # Maintenance riding the sweep — no modeled time, no rng, and a
+            # store that is down catches up next time: persisted logs older
+            # than the edge TTL plus the longest window have no reader left
+            # (their edges expired; the feature server's cold path prices
+            # the retained history), and the table re-interns its live rows.
+            horizon = now - (self.builder.ttl + max(self.builder.windows))
+            self.database.retire("logs", attrgetter("timestamp"), horizon)
+            self._table.compact()
             if removed:
                 self._count("bn.ingest.expired_edges", removed)
                 if self.sharded:
@@ -296,23 +308,8 @@ class BNServer:
                     if shard_rows:
                         self._count(f"bn.shard.ingest.shard{s}.rows", shard_rows)
 
-        self._prune_logs(now)
         self._observe("bn.ingest.maintenance_seconds", seconds)
         return jobs, seconds
-
-    def _prune_logs(self, now: float) -> None:
-        """Drop buffered logs no future window job can read.
-
-        Every pending job for window ``w`` has ``job_end > now`` and reads
-        ``(job_end - w, job_end]``, so logs at or before ``now - max(W)``
-        can never contribute again; keeping them would grow the in-memory
-        buffer without bound (the persisted copy lives in the database).
-        """
-        cutoff = now - max(self.builder.windows)
-        drop = bisect_right(self._log_times, cutoff)
-        if drop:
-            del self._logs[:drop]
-            del self._log_times[:drop]
 
     # ------------------------------------------------------------------
     # Service surface (see repro.system.service.Service)
@@ -327,10 +324,14 @@ class BNServer:
         return self.faults.before_call(self.component) if self.faults else 0.0
 
     def stats(self) -> dict[str, float]:
-        """BN maintenance counters (jobs, buffered logs, graph size)."""
+        """BN maintenance counters (jobs, buffered logs, graph size).
+
+        ``logs_buffered`` counts the log-table rows pending window jobs can
+        still read; logs of non-edge types are persisted, never buffered.
+        """
         out = {
             "jobs_run": float(self.jobs_run),
-            "logs_buffered": float(len(self._logs)),
+            "logs_buffered": float(len(self._table.keys)),
             "bn_nodes": float(self.bn.num_nodes()),
             "bn_edges": float(self.bn.num_edges()),
         }

@@ -16,8 +16,9 @@ result.  See ``docs/RESILIENCE.md`` for the failure-mode contracts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
 
 from ..obs.tracing import current_span
 from .latency import LatencyModel
@@ -138,6 +139,30 @@ class LocalDatabase:
         _stamp("db.queries")
         total_rows = sum(len(rows) for rows in tbl.values())
         return list(tbl.items()), self.latency.charge_db_query(total_rows) + extra
+
+    def retire(self, table: str, stamp: Callable[[Any], float], cutoff: float) -> int:
+        """Drop every row with ``stamp(row) <= cutoff``; returns how many.
+
+        Retention maintenance, not a request: it charges no latency, passes
+        no fault gate (so draws from no rng) and is skipped — returning 0,
+        to be caught up by the next call — while the instance is not
+        :attr:`available`.  Each key's rows must be in ``stamp`` order
+        (arrival order, for a timestamp), so the retired ones are a prefix;
+        a key left without rows is removed.
+        """
+        if not self.available:
+            return 0
+        tbl = self._tables.get(table, {})
+        dropped = 0
+        for key in [key for key, rows in tbl.items() if rows and stamp(rows[0]) <= cutoff]:
+            rows = tbl[key]
+            prefix = bisect_right(rows, cutoff, key=stamp)
+            dropped += prefix
+            if prefix == len(rows):
+                del tbl[key]
+            else:
+                del rows[:prefix]
+        return dropped
 
     def crash(self) -> None:
         """Simulate an instance crash: requests fail until recovery."""
@@ -340,6 +365,14 @@ class ReplicatedStore:
             items, seconds = self.replica.scan(table)
             return items, seconds + self.latency.charge_network()
         raise StorageError("no database replica available for read")
+
+    def retire(self, table: str, stamp: Callable[[Any], float], cutoff: float) -> int:
+        """Retention on every node that is up (see ``LocalDatabase.retire``);
+        a node that is down catches up on the next call.  Returns the
+        primary's count."""
+        dropped = self.primary.retire(table, stamp, cutoff)
+        self.replica.retire(table, stamp, cutoff)
+        return dropped
 
     def promote_replica(self) -> None:
         """Primary-and-replica switch after a crash.

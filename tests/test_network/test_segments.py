@@ -111,3 +111,33 @@ class TestSortedUnique:
         ga, gb = sorted_unique_pairs(a, b)
         expected = sorted(set(zip(a.tolist(), b.tolist())))
         assert list(zip(ga.tolist(), gb.tolist())) == expected
+
+    @pytest.mark.parametrize("offset", [0, 2**61], ids=["packed", "lexsort"])
+    def test_pairs_return_index_is_the_first_occurrence(self, offset, monkeypatch):
+        """Both sort paths: negative columns welcome, duplicates keep their
+        earliest position, and the wide case really takes the fallback."""
+        import repro.network.segments as segments
+
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            segments.np, "lexsort", lambda keys: calls.append(1) or lexsort(keys)
+        )
+        rng = np.random.default_rng(5)
+        a = rng.integers(-3, 4, size=200)
+        b = rng.integers(-4, 5, size=200) * (offset // 4 + 1)
+        ga, gb, first = sorted_unique_pairs(a, b, return_index=True)
+        rows = list(zip(a.tolist(), b.tolist()))
+        assert list(zip(ga.tolist(), gb.tolist())) == sorted(set(rows))
+        assert first.tolist() == [rows.index(row) for row in sorted(set(rows))]
+        assert bool(calls) == bool(offset)
+        plain = sorted_unique_pairs(a, b)
+        assert len(plain) == 2 and np.array_equal(plain[0], ga) and np.array_equal(plain[1], gb)
+
+    def test_boundaries_marks_the_first_row_of_every_run(self):
+        from repro.network.segments import boundaries
+
+        a = np.array([1, 1, 1, 2, 2, 5])
+        b = np.array([0, 0, 3, 3, 3, 3])
+        assert boundaries(a).tolist() == [True, False, False, True, False, True]
+        assert boundaries(a, b).tolist() == [True, False, True, True, False, True]
