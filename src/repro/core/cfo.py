@@ -23,8 +23,36 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
+from ..nn.tensor import softmax, stacked_matmul
 
-__all__ = ["CFOLayer"]
+__all__ = ["CFOLayer", "cfo_forward_stacked"]
+
+
+def cfo_forward_stacked(
+    type_embeddings: np.ndarray,
+    w_att: Sequence[np.ndarray],
+    v_att: Sequence[np.ndarray],
+    m_trans: Sequence[np.ndarray],
+) -> np.ndarray:
+    """:meth:`CFOLayer.forward` on ndarrays: ``(|R|, n, d_k)`` tower-stacked
+    embeddings in, ``(n, d_m * |R|)`` out, the loop's op order and bits.
+
+    The loop over ``r`` stays: batching it (one ``(r, n, |R|, d_a)``
+    intermediate) measured no faster on a request — its cost is ``tanh`` of
+    ``|R|² · n · d_a`` values either way — and holds ``|R|`` times the memory,
+    ``|R|²`` times a tower's, which a packed chunk or a validation graph
+    cannot afford.  Only ``M_r``, the one product with rows on its left, runs
+    per request block.
+    """
+    h = np.ascontiguousarray(type_embeddings.transpose(1, 0, 2))  # (n, |R|, d_k)
+    fused = []
+    for w_r, v_r, m_r in zip(w_att, v_att, m_trans):
+        projected = np.matmul(h, w_r)
+        np.tanh(projected, out=projected)
+        alpha = softmax(np.matmul(projected, v_r))
+        mixed = (alpha[..., None] * h).sum(axis=1)
+        fused.append(stacked_matmul(mixed, m_r))
+    return np.concatenate(fused, axis=1)
 
 
 class CFOLayer(nn.Module):

@@ -18,8 +18,13 @@ Ablation switches map onto Table V:
 * both false → Both(-).
 
 HAG is inductive: ``forward`` takes whatever adjacency it is given, so
-prediction on a sampled computation subgraph uses exactly the same code path
-as training on the full BN.
+prediction on a sampled computation subgraph computes exactly what training
+on the full BN does.  The forward has two spellings: while autograd records,
+the per-type tape forward (``Tensor`` ops, one tower at a time) — the
+definition, and the only path that trains; under ``no_grad``, the same float
+operations on ndarrays (``sao_combine_stacked``: all towers in one batched
+kernel; ``cfo_forward_stacked``) over the request's type-stacked CSR, pinned bit-equal to the tape by
+``tests/test_core/test_hag_kernels.py``.
 """
 
 from __future__ import annotations
@@ -31,48 +36,13 @@ import scipy.sparse as sp
 
 from .. import nn
 from ..nn import Tensor
-from ..nn.sparse import row_mean_csr
+from ..nn.sparse import StackedCSR, row_mean_csr
+from ..nn.tensor import stacked_matmul
 from ..network.sampling import ComputationSubgraph
-from .cfo import CFOLayer
-from .sao import SAOLayer
+from .cfo import CFOLayer, cfo_forward_stacked
+from .sao import SAOLayer, sao_combine_stacked
 
 __all__ = ["HAG", "prepare_aggregators"]
-
-
-def _block_diag_csr(
-    blocks: Sequence[sp.csr_matrix | None], sizes: Sequence[int]
-) -> sp.csr_matrix:
-    """Block-diagonal CSR assembled by direct index concatenation.
-
-    Equivalent to ``sp.block_diag(blocks, format="csr")`` for square CSR
-    blocks — same indptr/indices/data, hence bit-identical downstream row
-    reductions — but without the COO round-trip, and ``None`` entries stand
-    in for all-zero blocks so callers never materialize empty matrices.
-    """
-    total = int(sum(sizes))
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    indices_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    row = 0
-    offset = 0
-    nnz = 0
-    for block, n in zip(blocks, sizes):
-        if block is not None and block.nnz:
-            indptr[row + 1 : row + n + 1] = nnz + block.indptr[1:]
-            indices_parts.append(block.indices.astype(np.int64) + offset)
-            data_parts.append(block.data)
-            nnz += int(block.indptr[-1])
-        else:
-            indptr[row + 1 : row + n + 1] = nnz
-        row += n
-        offset += n
-    indices = (
-        np.concatenate(indices_parts)
-        if indices_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    data = np.concatenate(data_parts) if data_parts else np.empty(0)
-    return sp.csr_matrix((data, indices, indptr), shape=(total, total))
 
 
 def prepare_aggregators(
@@ -164,6 +134,13 @@ class HAG(nn.Module):
             self.cfo = None
             head_in = hidden[-1]
         self.head = nn.MLP(head_in, mlp_hidden, 1, rng, dropout=dropout)
+        #: ``[parameters, stack]`` per tower-indexed group (:meth:`_stacked_weights`).
+        self._weights: list[list] | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the weight stacks: copies would arrive disconnected
+        from the parameters, which pickle as arrays of their own."""
+        return {**self.__dict__, "_weights": None}
 
     # ------------------------------------------------------------------
     # Forward
@@ -265,28 +242,135 @@ class HAG(nn.Module):
     def head_proba(self, embedding: np.ndarray) -> np.ndarray:
         """Fraud probabilities from an already-fused node representation.
 
-        The inference-only counterpart of ``head``: scores nodes whose
-        fused embeddings were precomputed by a batch pass (the lambda
-        batch layer's full-graph materialization) without re-running the
-        towers.
+        Scores nodes whose fused embeddings were precomputed by a batch pass
+        (the lambda batch layer's full-graph materialization) without
+        re-running the towers.
         """
-        with nn.no_grad():
-            logits = self.head(Tensor(embedding)).flatten()
-        return 1.0 / (1.0 + np.exp(-logits.numpy()))
+        logits = self._head_logits(np.asarray(embedding, dtype=np.float64))
+        return 1.0 / (1.0 + np.exp(-logits))
 
     def forward(
-        self, x: Tensor, aggregators: Sequence[sp.csr_matrix]
+        self, x: Tensor, aggregators: Sequence[sp.csr_matrix] | StackedCSR
     ) -> Tensor:
-        """Fraud logits, shape ``(n,)``."""
-        return self.head(self.embeddings(x, aggregators)).flatten()
+        """Fraud logits, shape ``(n,)``, from one Eq. 6 matrix per tower (under
+        ``no_grad`` also their :class:`~repro.nn.sparse.StackedCSR`).
+
+        Two spellings of one computation.  While autograd records it is the
+        per-type tape forward (:meth:`embeddings`, then the head) — the
+        definition.  Under ``no_grad`` nothing needs a graph, so the same
+        float operations run on ndarrays with every tower in one batched
+        kernel (:meth:`_forward_stacked`), bit for bit the same logits, and
+        they are the only ``Tensor`` made.
+        """
+        if nn.is_grad_enabled():
+            return self.head(self.embeddings(x, aggregators)).flatten()
+        return Tensor(self._forward_stacked(x.data, aggregators))
+
+    def _stacked_weights(self) -> list[np.ndarray]:
+        """Every SAO parameter group as one ``(T, ...)`` array: layer ``k``'s
+        ``W_ls, b_ls, W_ln, b_ln[, W_s, W_n, p]`` (discovery order), layer
+        after layer.
+
+        A stack cannot go stale because it is the storage: each
+        ``param.data`` is rebound to its slice, so an in-place optimizer step
+        writes through.  Whatever rebinds ``param.data`` instead (SGD,
+        ``load_state_dict``, a worker's parameter push, unpickling) breaks
+        ``data.base is stack``, and that stack is rebuilt here.
+        """
+        if self._weights is None:
+            self._weights = [
+                [list(group), None]
+                for depth in zip(*self.towers)
+                for group in zip(*(layer.parameters() for layer in depth))
+            ]
+        for entry in self._weights:
+            params, stack = entry
+            if stack is None or any(param.data.base is not stack for param in params):
+                entry[1] = stack = np.stack([param.data for param in params])
+                for param, view in zip(params, stack):
+                    param.data = view
+        return [stack for _, stack in self._weights]
+
+    def _head_logits(self, h: np.ndarray) -> np.ndarray:
+        """The MLP head on ndarrays (dropout is the identity off the tape)."""
+        for layer in self.head.hidden_layers:
+            h = stacked_matmul(h, layer.weight.data) + layer.bias.data
+            h = h * (h > 0)
+        head = self.head.head
+        return (stacked_matmul(h, head.weight.data) + head.bias.data).reshape(-1)
+
+    def _forward_stacked(
+        self, x: np.ndarray, aggregators: Sequence[sp.csr_matrix] | StackedCSR
+    ) -> np.ndarray:
+        """The tape-free forward: logits ``(n,)`` from features ``(n, d)``.
+
+        Activations are ``(T, n, d)``, all towers' rows in one array: layer
+        1 aggregates with one ``(T·n, n) @ X`` sparse product, later layers
+        with one block-diagonal ``(T·n, T·n)`` product over the same row
+        entries, every SAO dense product is batched over ``T``.  That is
+        ``|R|`` times the per-type working set — right for a request or a
+        packed chunk of them, not for the whole-graph layer pass, which
+        stays on :meth:`layer_states`.
+        """
+        if not isinstance(aggregators, StackedCSR):
+            aggregators = StackedCSR.from_matrices(aggregators)
+        n, towers = x.shape[0], self.n_types
+        if len(aggregators.shapes) != towers:
+            raise ValueError(
+                f"expected {towers} aggregators, got {len(aggregators.shapes)}"
+            )
+        if any(shape != (n, n) for shape in aggregators.shapes):
+            raise ValueError(f"aggregators {aggregators.shapes} are not all ({n}, {n})")
+        weights = self._stacked_weights()
+        per_layer = 7 if self.use_sao else 4
+        h = x
+        for k, layer in enumerate(self.towers[0]):
+            aggregator = aggregators.matrix(block_diagonal=k > 0)
+            h_neigh = (aggregator @ h.reshape(-1, h.shape[-1])).reshape(towers, n, -1)
+            h = sao_combine_stacked(
+                h, h_neigh, weights[k * per_layer : (k + 1) * per_layer], layer.activation
+            )
+        if self.cfo is None:
+            return self._head_logits(h[0])
+        groups = (self.cfo.w_att, self.cfo.v_att, self.cfo.m_trans)
+        fused = cfo_forward_stacked(h, *([p.data for p in group] for group in groups))
+        return self._head_logits(fused)
 
     def predict_proba(
-        self, x: np.ndarray, aggregators: Sequence[sp.csr_matrix]
+        self, x: np.ndarray, aggregators: Sequence[sp.csr_matrix] | StackedCSR
     ) -> np.ndarray:
         """Fraud probabilities for every node (no autograd recording)."""
         with nn.no_grad():
             logits = self.forward(Tensor(x), aggregators)
         return 1.0 / (1.0 + np.exp(-logits.numpy()))
+
+    def _request_aggregators(
+        self,
+        subgraphs: Sequence[ComputationSubgraph],
+        edge_type_order: Sequence | None,
+    ) -> StackedCSR:
+        """The Eq. 6 aggregators of a pack of requests, stacked in tower order.
+
+        Each subgraph's type-stacked adjacency goes in as it is: one gather
+        re-orders its blocks to ``edge_type_order`` (a type the subgraph does
+        not have is an empty block; ``None`` means the subgraph's own types,
+        sorted) and places the requests down each tower's diagonal, one
+        :meth:`~repro.nn.sparse.StackedCSR.row_mean` normalises every row.
+        CFO(-) packs the one-block stack of each ``merged()``.
+        """
+        stacks, blocks = [], []
+        for subgraph in subgraphs:
+            if self.use_cfo:
+                types, stack = subgraph.typed_stack()
+                block_of = {btype: k for k, btype in enumerate(types)}
+                order = sorted(types) if edge_type_order is None else edge_type_order
+                blocks.append([block_of.get(btype, -1) for btype in order])
+            else:
+                stack = StackedCSR.from_matrices([subgraph.merged()])
+                blocks.append([0])
+            stacks.append(stack)
+        sizes = [subgraph.num_nodes for subgraph in subgraphs]
+        return StackedCSR.block_diagonal(stacks, blocks, sizes).row_mean()
 
     def predict_subgraph(
         self,
@@ -298,21 +382,14 @@ class HAG(nn.Module):
 
         ``features`` holds one row per ``subgraph.nodes`` entry;
         ``edge_type_order`` fixes the adjacency ordering so it matches the
-        towers the model was trained with.
+        towers the model was trained with.  A non-finite feature is a
+        ``ValueError``: it would otherwise come back as a ``nan`` score.
         """
         if features.shape[0] != subgraph.num_nodes:
             raise ValueError("feature rows must align with subgraph nodes")
-        if self.use_cfo:
-            if edge_type_order is None:
-                edge_type_order = sorted(subgraph.adjacency)
-            n = subgraph.num_nodes
-            empty = sp.csr_matrix((n, n))
-            adjacencies = [
-                subgraph.adjacency.get(btype, empty) for btype in edge_type_order
-            ]
-        else:
-            adjacencies = [subgraph.merged()]
-        aggregators = prepare_aggregators(adjacencies)
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite (found nan or inf)")
+        aggregators = self._request_aggregators([subgraph], edge_type_order)
         return float(self.predict_proba(features, aggregators)[0])
 
     def predict_subgraphs(
@@ -324,18 +401,20 @@ class HAG(nn.Module):
         """Batched inductive prediction: one packed forward, bit-exact per request.
 
         ``features[i]`` holds one row per ``subgraphs[i].nodes`` entry.  The
-        per-request node blocks are stacked row-wise, the per-type adjacencies
-        become block-diagonal aggregators, and the whole batch runs through the
-        same ``forward`` as :meth:`predict_subgraph` exactly once.  Aggregation,
-        nonlinearities, softmax and the CFO's stacked 3-D matmuls are row-local,
-        so they run genuinely packed; dense 2-D matmuls are evaluated per
-        request block under :class:`repro.nn.row_blocks`, making each returned
-        probability bit-for-bit the value :meth:`predict_subgraph` would
-        compute for that subgraph alone.
+        per-request node blocks are stacked row-wise, the requests'
+        type-stacked adjacencies are packed block-diagonally per tower, and
+        the whole batch runs through the same ``forward`` as
+        :meth:`predict_subgraph` exactly once.  Aggregation, nonlinearities,
+        softmax and the CFO's per-node matmuls are row-local, so they run
+        genuinely packed; dense products with rows on the left are evaluated
+        per request block under :class:`repro.nn.row_blocks`, making each
+        returned probability bit-for-bit the value :meth:`predict_subgraph`
+        would compute for that subgraph alone.
 
         ``edge_type_order`` is required when the model uses CFO: the scalar
         path's per-subgraph default (``sorted(subgraph.adjacency)``) is not
-        well defined for a shared packed pass.
+        well defined for a shared packed pass.  A non-finite feature is a
+        ``ValueError`` naming the request's position.
         """
         if len(subgraphs) != len(features):
             raise ValueError("one feature matrix per subgraph is required")
@@ -344,28 +423,18 @@ class HAG(nn.Module):
         for subgraph, rows in zip(subgraphs, features):
             if rows.shape[0] != subgraph.num_nodes:
                 raise ValueError("feature rows must align with subgraph nodes")
+        if self.use_cfo and edge_type_order is None:
+            raise ValueError("edge_type_order is required for batched CFO inference")
         sizes = [subgraph.num_nodes for subgraph in subgraphs]
         boundaries = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         packed = np.vstack(features)
-        if self.use_cfo:
-            if edge_type_order is None:
-                raise ValueError(
-                    "edge_type_order is required for batched CFO inference"
-                )
-            adjacencies = [
-                _block_diag_csr(
-                    [subgraph.adjacency.get(btype) for subgraph in subgraphs],
-                    sizes,
-                )
-                for btype in edge_type_order
-            ]
-        else:
-            adjacencies = [
-                _block_diag_csr(
-                    [subgraph.merged() for subgraph in subgraphs], sizes
-                )
-            ]
-        aggregators = prepare_aggregators(adjacencies)
+        if not np.isfinite(packed).all():
+            row = np.flatnonzero(~np.isfinite(packed).all(axis=1))[0]
+            position = int(np.searchsorted(boundaries, row, side="right")) - 1
+            raise ValueError(
+                f"features must be finite (found nan or inf in request {position})"
+            )
+        aggregators = self._request_aggregators(subgraphs, edge_type_order)
         with nn.row_blocks(boundaries):
             probabilities = self.predict_proba(packed, aggregators)
         return [float(p) for p in probabilities[boundaries[:-1]]]

@@ -52,6 +52,7 @@ import scipy.sparse as sp
 
 from .. import nn
 from ..nn.sparse import (
+    StackedCSR,
     csr_gather_rows,
     csr_gather_rows_with_counts,
     row_mean_csr,
@@ -61,7 +62,7 @@ from ..nn.sparse import (
 from ..network.adjacency import typed_adjacency
 from ..network.sampled_graph import SampledGraph, build_sampled_graph
 from ..network.sampling import BatchSampleStats
-from .hag import HAG, prepare_aggregators
+from .hag import HAG
 
 __all__ = [
     "HAGState",
@@ -389,7 +390,7 @@ def _score_packed_chunk(
         adjacencies = [sum_csr([typed(btype) for btype in parts], total)]
     with nn.row_blocks(boundaries):
         probabilities = model.predict_proba(
-            np.vstack(matrices), prepare_aggregators(adjacencies)
+            np.vstack(matrices), StackedCSR.from_matrices(adjacencies).row_mean()
         )
     return probabilities[boundaries[:-1]]
 

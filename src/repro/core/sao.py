@@ -19,14 +19,17 @@ ablation of Table V.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import scipy.sparse as sp
 
 from .. import nn
 from ..nn import Tensor
 from ..nn.sparse import row_mean_csr
+from ..nn.tensor import softmax, stacked_matmul
 
-__all__ = ["SAOLayer", "neighbor_mean_matrix"]
+__all__ = ["SAOLayer", "neighbor_mean_matrix", "sao_combine_stacked"]
 
 
 def neighbor_mean_matrix(
@@ -43,6 +46,47 @@ def neighbor_mean_matrix(
     :func:`~repro.core.hag.prepare_aggregators` runs over all towers at once.
     """
     return row_mean_csr([adjacency])[0]
+
+
+def sao_combine_stacked(
+    h: np.ndarray,
+    h_neigh: np.ndarray,
+    weights: Sequence[np.ndarray],
+    activation: bool = True,
+) -> np.ndarray:
+    """:meth:`SAOLayer.combine` of ``T`` towers at once, on ndarrays.
+
+    ``h`` is ``(T, n, d)`` (or ``(n, d)``, one input shared by every tower),
+    ``h_neigh`` ``(T, n, d)``, ``weights`` the towers' parameters stacked on
+    a leading axis: ``W_ls, b_ls, W_ln, b_ln`` and, with the gate,
+    ``W_s, W_n, p``.  Slice ``t`` of the result carries the bits of tower
+    ``t``'s ``combine``: every dense product is that tower's BLAS call
+    (:func:`~repro.nn.tensor.stacked_matmul`), the rest is elementwise or a
+    last-axis reduction (``tanh`` runs once per projection, not once per
+    concatenation — the same values).
+    """
+    w_self, b_self, w_neigh, b_neigh, *gate = weights
+    z_self = stacked_matmul(h, w_self) + b_self[:, None, :]
+    z_neigh = stacked_matmul(h_neigh, w_neigh) + b_neigh[:, None, :]
+    if gate:
+        att_self, att_neigh, p = gate
+        proj_self = stacked_matmul(h, att_self)
+        proj_neigh = stacked_matmul(h_neigh, att_neigh)
+        np.tanh(proj_self, out=proj_self)
+        np.tanh(proj_neigh, out=proj_neigh)
+        p = p[:, :, None]
+        scores = np.concatenate(
+            [
+                stacked_matmul(np.concatenate([proj_self, proj_self], axis=-1), p),
+                stacked_matmul(np.concatenate([proj_neigh, proj_self], axis=-1), p),
+            ],
+            axis=-1,
+        )
+        alphas = softmax(scores)
+        out = alphas[..., :1] * z_self + alphas[..., 1:] * z_neigh
+    else:
+        out = z_self + z_neigh
+    return out * (out > 0) if activation else out
 
 
 class SAOLayer(nn.Module):

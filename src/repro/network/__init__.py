@@ -3,7 +3,6 @@
 from .adjacency import (
     gcn_normalize,
     merged_adjacency,
-    merged_adjacency_reference,
     row_normalize,
     typed_adjacency,
     typed_adjacency_reference,
@@ -42,7 +41,6 @@ __all__ = [
     "typed_adjacency",
     "merged_adjacency",
     "typed_adjacency_reference",
-    "merged_adjacency_reference",
     "row_normalize",
     "gcn_normalize",
     "normalized_weight",

@@ -9,8 +9,8 @@ whole-graph export (training, ``typed_adjacency``) and the scalar
 sampler's induction; the serving tiers induce from the index's rows
 instead (:meth:`~repro.network.sharding.ShardIndex.induced_entries`,
 O(sum deg)) and are pinned bit-equal to it.  The original per-edge
-implementations are retained as ``*_reference`` for the equivalence tests
-and the perf harness.
+typed export is retained as ``typed_adjacency_reference`` for the
+equivalence tests and the perf harness.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "typed_adjacency",
     "merged_adjacency",
     "typed_adjacency_reference",
-    "merged_adjacency_reference",
     "row_normalize",
     "gcn_normalize",
 ]
@@ -165,21 +164,6 @@ def typed_adjacency_reference(
             (np.asarray(weights), (rows, cols)), shape=(n, n)
         )
     return result
-
-
-def merged_adjacency_reference(
-    bn: BehaviorNetwork,
-    nodes: Sequence[int],
-    edge_types: Sequence[BehaviorType] | None = None,
-    normalize: bool = True,
-) -> sp.csr_matrix:
-    """Per-type accumulation merge; kept to pin :func:`merged_adjacency`."""
-    typed = typed_adjacency_reference(bn, nodes, edge_types, normalize)
-    n = len(nodes)
-    total = sp.csr_matrix((n, n))
-    for matrix in typed.values():
-        total = total + matrix
-    return total.tocsr()
 
 
 def row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:

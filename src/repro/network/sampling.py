@@ -12,18 +12,22 @@ every serving tier runs: it reads the network's one flat read index
 of a sharded one.  Scalar :func:`computation_subgraph` stays on the dict
 walk and the snapshot mask: it is the rng-capable research sampler and the
 independent oracle the batch sampler is pinned bit-equal to.
+
+A :class:`ComputationSubgraph` carries its ``|R|`` adjacencies as the one
+type-stacked CSR the batch sampler builds (HAG's inference consumes it as
+it is); the per-type scipy matrices are split off it only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
-from ..nn.sparse import sum_csr, typed_symmetric_csr
+from ..nn.sparse import StackedCSR, stacked_symmetric_csr, sum_csr
 from .adjacency import _stack_entries, typed_adjacency
 from .bn import BehaviorNetwork
 from .sharding import ShardIndex, _shard_of_int
@@ -38,21 +42,53 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
 class ComputationSubgraph:
     """A sampled k-hop neighbourhood around ``target``.
 
-    ``nodes[0]`` is always the target; ``adjacency`` holds per-type
-    normalized CSR matrices indexed consistently with ``nodes``.
+    ``nodes[0]`` is always the target.  The per-type normalized adjacencies,
+    indexed consistently with ``nodes``, live in one of two forms: the
+    serving samplers hand over the type-stacked CSR they built (``types`` +
+    ``stacked``) and ``adjacency`` — the same matrices as a dict of canonical
+    scipy CSRs, bit for bit — is split off it on first access; a subgraph
+    built from an ``adjacency`` dict keeps the dict, and
+    :meth:`typed_stack` stacks it by concatenation.
     """
 
-    target: int
-    nodes: list[int]
-    adjacency: dict[BehaviorType, sp.csr_matrix] = field(default_factory=dict)
+    __slots__ = ("target", "nodes", "_types", "_stacked", "_adjacency")
+
+    def __init__(
+        self,
+        target: int,
+        nodes: list[int],
+        adjacency: dict[BehaviorType, sp.csr_matrix] | None = None,
+        *,
+        types: Sequence[BehaviorType] = (),
+        stacked: StackedCSR | None = None,
+    ) -> None:
+        self.target = target
+        self.nodes = nodes
+        self._types = tuple(types)
+        self._stacked = stacked
+        self._adjacency = {} if adjacency is None and stacked is None else adjacency
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def adjacency(self) -> dict[BehaviorType, sp.csr_matrix]:
+        """Per-type adjacency matrices (split off the stack on first access)."""
+        if self._adjacency is None:
+            self._adjacency = dict(zip(self._types, self._stacked.split()))
+        return self._adjacency
+
+    def typed_stack(self) -> tuple[tuple[BehaviorType, ...], StackedCSR]:
+        """``(types, stack)``: block ``k`` of the stack is ``types[k]``'s adjacency."""
+        if self._stacked is not None:
+            return self._types, self._stacked
+        return tuple(self._adjacency), StackedCSR.from_matrices(
+            list(self._adjacency.values())
+        )
 
     def merged(self) -> sp.csr_matrix:
         """Sum the typed adjacencies into one homogeneous matrix.
@@ -323,9 +359,10 @@ def slice_union_subgraphs(
     ``typed_entries[btype]`` holds ``(iu, iv, w)`` indexed into the union
     node list (``union_index`` maps uid to union row).  The types are
     stacked once per call; each request masks the stack to its own nodes
-    (O(E_union)) and builds all its matrices in one
-    :func:`~repro.nn.sparse.typed_symmetric_csr` pass, bit-identical to the
-    scalar ``typed_adjacency`` over the same nodes.
+    (O(E_union)) and builds all its matrices as one
+    :func:`~repro.nn.sparse.stacked_symmetric_csr`, which it keeps stacked
+    — bit-identical, once split, to the scalar ``typed_adjacency`` over the
+    same nodes.
     """
     types = list(typed_entries)
     iu, iv, weights, codes = _stack_entries(list(typed_entries.values()))
@@ -338,14 +375,12 @@ def slice_union_subgraphs(
         riu = request_of_union[iu]
         riv = request_of_union[iv]
         keep = (riu >= 0) & (riv >= 0)
-        matrices = typed_symmetric_csr(
+        stacked = stacked_symmetric_csr(
             riu[keep], riv[keep], weights[keep], codes[keep], len(types), n
         )
         request_of_union[positions] = -1
         subgraphs.append(
-            ComputationSubgraph(
-                target=target, nodes=nodes, adjacency=dict(zip(types, matrices))
-            )
+            ComputationSubgraph(target=target, nodes=nodes, types=types, stacked=stacked)
         )
     return subgraphs
 

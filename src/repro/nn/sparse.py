@@ -15,15 +15,19 @@ Two hot-path properties are guaranteed here (and pinned by tests via
   or epochs reuse it.
 
 The module is also the CSR toolbox of the BN→GNN path.  A request's ``|R|``
-typed adjacencies and ``|R|`` Eq. 6 aggregators are each built as one
-*type-stacked* CSR and sliced (:func:`typed_symmetric_csr`,
-:func:`row_mean_csr`), bit-identical to the per-matrix scipy pipelines
-frozen in ``tests/oracles/sparse.py`` — see "The request's adjacency
-pipeline" in ``docs/PERFORMANCE.md``.
+typed adjacencies are one *type-stacked* CSR (:class:`StackedCSR`) from the
+sampler to the last SAO layer: built by :func:`stacked_symmetric_csr`,
+packed into tower order by :meth:`StackedCSR.block_diagonal`, normalised by
+:meth:`StackedCSR.row_mean` and multiplied as one matrix
+(:meth:`StackedCSR.matrix`).  :func:`typed_symmetric_csr` and
+:func:`row_mean_csr` are ``split()`` of the same builders, bit-identical to
+the per-matrix scipy pipelines frozen in ``tests/oracles/sparse.py`` — see
+"The request's adjacency pipeline" in ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +45,8 @@ __all__ = [
     "csr_interleave",
     "csr_topk_rows",
     "symmetric_csr",
+    "StackedCSR",
+    "stacked_symmetric_csr",
     "typed_symmetric_csr",
     "row_mean_csr",
     "sum_csr",
@@ -49,12 +55,21 @@ __all__ = [
 ]
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows holding ``counts[r]`` entries each."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 def _ragged_gather(
     starts: np.ndarray, lengths: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(out_indptr, gidx)`` gathering ``lengths[k]`` entries from ``starts[k]``."""
-    out_indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_indptr[1:])
+    out_indptr = _indptr(lengths)
     total = int(out_indptr[-1])
     if not total:
         return out_indptr, np.empty(0, dtype=np.int64)
@@ -109,46 +124,196 @@ def symmetric_csr(
     )
 
 
-def _split_stacked(
-    data: np.ndarray,
-    indices: np.ndarray,
-    counts: np.ndarray,
-    bounds: np.ndarray,
-    shapes: Sequence[tuple[int, int]],
-) -> list[sp.csr_matrix]:
-    """Cut a row-stacked CSR (``counts[r]`` entries in stacked row ``r``)
-    into one matrix per ``bounds`` interval, index dtype as scipy picks it."""
-    idx_dtype = sp.get_index_dtype(maxval=max([len(data), *map(max, shapes)]))
-    indices = indices.astype(idx_dtype, copy=False)
-    indptr = np.zeros(len(counts) + 1, dtype=idx_dtype)
-    np.cumsum(counts, out=indptr[1:])
-    matrices = []
-    for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes):
-        start, stop = indptr[lo], indptr[hi]
-        block = (data[start:stop], indices[start:stop], indptr[lo : hi + 1] - start)
-        matrices.append(sp.csr_matrix(block, shape=shape))
-    return matrices
+@dataclass(slots=True)
+class StackedCSR:
+    """Several CSR matrices held as one: their rows stacked, their arrays shared.
+
+    Block ``k`` is a ``shapes[k]`` matrix whose rows are the stacked rows
+    ``bounds[k]:bounds[k + 1]``; ``data`` / ``indices`` / ``indptr`` are one
+    CSR over all stacked rows, column numbers local to each block.  A
+    request's ``|R|`` typed adjacencies are built (:func:`stacked_symmetric_csr`),
+    packed (:meth:`block_diagonal`), normalised (:meth:`row_mean`) and
+    multiplied (:meth:`matrix`) in this form; :meth:`split` yields the
+    per-block scipy matrices.  ``canonical`` records that every row's
+    columns are sorted and unique: :meth:`split` passes it on to scipy,
+    :meth:`row_mean` checks it without a sort.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shapes: list[tuple[int, int]]
+    canonical: bool = False
+
+    @property
+    def bounds(self) -> np.ndarray:
+        return np.cumsum([0] + [rows for rows, _ in self.shapes])
+
+    @classmethod
+    def from_matrices(cls, matrices: Sequence[sp.spmatrix]) -> "StackedCSR":
+        """Stack scipy matrices by concatenation, stored order kept."""
+        matrices = [as_csr(matrix) for matrix in matrices]
+        if not matrices:
+            return cls(np.empty(0), np.empty(0, np.int64), np.zeros(1, np.int64), [])
+        return cls(
+            np.concatenate([m.data[: m.indptr[-1]] for m in matrices]),
+            np.concatenate([m.indices[: m.indptr[-1]] for m in matrices]),
+            _indptr(np.concatenate([np.diff(m.indptr) for m in matrices])),
+            [m.shape for m in matrices],
+        )
+
+    @classmethod
+    def block_diagonal(
+        cls,
+        stacks: Sequence["StackedCSR"],
+        blocks: Sequence[Sequence[int]],
+        sizes: Sequence[int],
+    ) -> "StackedCSR":
+        """Pack requests block-diagonally, one output block per tower.
+
+        ``stacks[i]`` holds request ``i``'s ``(sizes[i], sizes[i])`` blocks
+        and ``blocks[i][t]`` names the one that tower ``t`` reads (``-1``:
+        none, an empty block).  Output block ``t`` is the ``(N, N)``
+        block-diagonal matrix of the requests' choices, ``N = sum(sizes)``.
+        A block's entries are contiguous in its stack, so the pack is a
+        concatenation of slices — every row's entries in their stored
+        order — and for one request it is the re-ordering to tower order.
+        """
+        towers = len(blocks[0])
+        total = sum(sizes)
+        no_entries = np.zeros(max(sizes, default=0), dtype=np.int64)
+        data, indices, counts, shifts, lengths = [], [], [], [], []
+        sources = []
+        offset = 0
+        for stack, n in zip(stacks, sizes):
+            if any(shape != (n, n) for shape in stack.shapes):
+                raise ValueError(f"adjacency blocks {stack.shapes} are not all ({n}, {n})")
+            first_entry = stack.indptr[::n].tolist() if n else [0] * (len(stack.shapes) + 1)
+            sources.append((stack, n, offset, first_entry, np.diff(stack.indptr)))
+            offset += n
+        for t in range(towers):
+            for chosen, (stack, n, offset, first_entry, row_counts) in zip(blocks, sources):
+                block = chosen[t]
+                if block < 0:
+                    counts.append(no_entries[:n])
+                    continue
+                lo, hi = first_entry[block], first_entry[block + 1]
+                data.append(stack.data[lo:hi])
+                indices.append(stack.indices[lo:hi])
+                counts.append(row_counts[block * n : (block + 1) * n])
+                shifts.append(offset)
+                lengths.append(hi - lo)
+        return cls(
+            np.concatenate([np.empty(0), *data]),
+            np.concatenate([np.empty(0, np.int64), *indices]) + np.repeat(shifts, lengths),
+            _indptr(np.concatenate([no_entries[:0], *counts])),
+            [(total, total)] * towers,
+            all(stack.canonical for stack in stacks),
+        )
+
+    def split(self) -> list[sp.csr_matrix]:
+        """One scipy CSR per block, index dtype as scipy picks it."""
+        sizes = [len(self.data), *(max(shape) for shape in self.shapes)]
+        idx_dtype = sp.get_index_dtype(maxval=max(sizes))
+        indices = self.indices.astype(idx_dtype, copy=False)
+        indptr = self.indptr.astype(idx_dtype, copy=False)
+        matrices, bounds = [], self.bounds
+        for lo, hi, shape in zip(bounds[:-1], bounds[1:], self.shapes):
+            start, stop = indptr[lo], indptr[hi]
+            block = (self.data[start:stop], indices[start:stop], indptr[lo : hi + 1] - start)
+            matrices.append(sp.csr_matrix(block, shape=shape))
+            if self.canonical:
+                matrices[-1].has_canonical_format = True
+        return matrices
+
+    def matrix(self, block_diagonal: bool = False) -> sp.csr_matrix:
+        """All stacked rows as one scipy CSR: the blocks one above the other
+        (they must share a width), or down the diagonal.
+
+        ``csr @ dense`` sums each row's stored entries in stored order
+        whatever the other rows hold, so row ``bounds[k] + v`` of the
+        product carries the bits of row ``v`` of block ``k``'s own product.
+        """
+        widths = [cols for _, cols in self.shapes]
+        indices = self.indices
+        if block_diagonal:
+            first_col = np.cumsum(widths) - widths
+            indices = indices + np.repeat(first_col, np.diff(self.indptr[self.bounds]))
+        elif len(set(widths)) > 1:
+            raise ValueError(f"blocks of widths {widths} cannot share columns")
+        width = sum(widths) if block_diagonal else max(widths, default=0)
+        # handed over in the index dtype scipy would pick, it is not re-checked
+        idx_dtype = np.int32 if max(len(self.data), width) <= _INT32_MAX else np.int64
+        arrays = (self.data, indices.astype(idx_dtype), self.indptr.astype(idx_dtype))
+        return sp.csr_matrix(arrays, shape=(len(self.indptr) - 1, width))
+
+    def row_mean(self) -> "StackedCSR":
+        """``D^-1 A`` of every block in one pass (Eq. 6): the one row-normaliser.
+
+        Row ``v`` holds ``a_vu / sum_u a_vu``; a row whose sum is not
+        positive comes out empty.  Bit-identical — structure, values, hence
+        the float summation order of every later ``A @ H`` — to the
+        per-matrix scipy product ``diags(inv) @ csr`` it replaced, which
+        written down is: row sums by ``np.add.reduceat`` at the non-empty
+        rows' starts, each entry ``inv[row] * data``, zero products not
+        stored, and every row's entries in **reversed** stored order
+        (``csr_matmat`` emits its per-row list back to front).  Here each
+        step runs once over the stacked arrays.  ``csr_matmat`` also summed
+        a column repeated within a row; the stacked pass cannot, so that —
+        and non-finite ``data`` — is a ``ValueError`` naming the block.
+        """
+        indptr, data, indices = self.indptr, self.data, self.indices
+        starts, ends = indptr[:-1], indptr[1:]
+        counts = ends - starts
+        width = max((cols for _, cols in self.shapes), default=0)
+        row = np.repeat(np.arange(len(counts)), counts)
+        key = row * width + indices
+        if not self.canonical:
+            key.sort()
+
+        def reject(stacked_row: int, what: str) -> None:
+            position = np.searchsorted(self.bounds, stacked_row, side="right") - 1
+            raise ValueError(f"matrix {position}: {what}")
+
+        finite = np.isfinite(data)
+        if not finite.all():
+            reject(row[~finite][0], "non-finite data")
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            reject(key[1:][repeated][0] // width, "a column repeats within a row")
+        nonempty = counts > 0
+        degree = np.zeros(len(counts), dtype=data.dtype)
+        degree[nonempty] = np.add.reduceat(data, starts[nonempty])
+        inv = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
+        reverse = (starts + ends - 1)[row] - np.arange(len(row))
+        data = (inv[row] * data)[reverse]
+        stored = data != 0
+        return StackedCSR(
+            data[stored],
+            indices[reverse][stored],
+            _indptr(np.bincount(row[stored], minlength=len(counts))),
+            self.shapes,
+        )
 
 
-def typed_symmetric_csr(
+def stacked_symmetric_csr(
     iu: np.ndarray,
     iv: np.ndarray,
     w: np.ndarray,
     type_code: np.ndarray,
     n_types: int,
     n: int,
-) -> list[sp.csr_matrix]:
-    """:func:`symmetric_csr` of every edge type in one pass.
+) -> StackedCSR:
+    """:func:`symmetric_csr` of every edge type in one pass, kept stacked.
 
-    Matrix ``t`` of the result is bit-identical (``indptr``, ``indices``,
-    ``data``, dtypes) to ``symmetric_csr`` over the entries with
-    ``type_code == t``.  All types are built as one type-stacked CSR of
-    ``n_types * n`` rows — one sort of the key
-    ``(type * n + row) * n + col``, one ``bincount``/``cumsum`` — and each
-    matrix is a slice of the stacked arrays.  An ``(i, j)`` repeated within
-    a type (a self-loop included) is rejected: scipy would sum it in an
-    order it does not define.  Keys are therefore unique, so the order does
-    not depend on the sort algorithm.
+    Block ``t`` is bit-identical (``indptr``, ``indices``, ``data``,
+    dtypes once :meth:`~StackedCSR.split`) to ``symmetric_csr`` over the
+    entries with ``type_code == t``.  All types are built as one
+    type-stacked CSR of ``n_types * n`` rows — one sort of the key
+    ``(type * n + row) * n + col``, one ``bincount``.  An ``(i, j)``
+    repeated within a type (a self-loop included) is rejected: scipy would
+    sum it in an order it does not define.  Keys are therefore unique, so
+    the order does not depend on the sort algorithm.
     """
     w = np.asarray(w)
     iu, iv, type_code = (np.asarray(a, dtype=np.int64) for a in (iu, iv, type_code))
@@ -165,66 +330,32 @@ def typed_symmetric_csr(
     key = key[order]
     if (key[1:] == key[:-1]).any():
         raise ValueError("an (i, j) entry repeats within one edge type")
-    matrices = _split_stacked(
+    return StackedCSR(
         np.concatenate([w, w])[order],
         col[order],
-        np.bincount(stacked_row, minlength=n_types * n),
-        np.arange(n_types + 1) * n,
+        _indptr(np.bincount(stacked_row, minlength=n_types * n)),
         [(n, n)] * n_types,
+        canonical=True,
     )
-    for matrix in matrices:
-        matrix.has_canonical_format = True
-    return matrices
+
+
+def typed_symmetric_csr(
+    iu: np.ndarray,
+    iv: np.ndarray,
+    w: np.ndarray,
+    type_code: np.ndarray,
+    n_types: int,
+    n: int,
+) -> list[sp.csr_matrix]:
+    """:func:`stacked_symmetric_csr` as one canonical scipy matrix per type."""
+    return stacked_symmetric_csr(iu, iv, w, type_code, n_types, n).split()
 
 
 def row_mean_csr(matrices: Sequence[sp.spmatrix]) -> list[sp.csr_matrix]:
-    """``D^-1 A`` of every matrix in one pass (Eq. 6): the one row-normaliser.
-
-    Row ``v`` holds ``a_vu / sum_u a_vu``; a row whose sum is not positive
-    comes out empty.  Bit-identical — structure, values, dtypes, hence the
-    float summation order of every later ``A @ H`` — to the per-matrix
-    scipy product ``diags(inv) @ csr`` it replaced, which written down is:
-    row sums by ``np.add.reduceat`` at the non-empty rows' starts, each
-    entry ``inv[row] * data``, zero products not stored, and every row's
-    entries in **reversed** stored order (``csr_matmat`` emits its per-row
-    list back to front).  Here each step runs once over the concatenated
-    arrays.  ``csr_matmat`` also summed a column repeated within a row; the
-    stacked pass cannot, so that — and non-finite ``data`` — is a
-    ``ValueError`` naming the matrix's position.
-    """
-    matrices = [as_csr(matrix) for matrix in matrices]
-    if not matrices:
+    """:meth:`StackedCSR.row_mean` of scipy matrices, one result per matrix."""
+    if not len(matrices):
         return []
-    bounds = np.cumsum([0] + [m.shape[0] for m in matrices])
-    width = max(m.shape[1] for m in matrices)
-    counts = np.concatenate([np.diff(m.indptr) for m in matrices])
-    data = np.concatenate([m.data[: m.indptr[-1]] for m in matrices])
-    indices = np.concatenate([m.indices[: m.indptr[-1]] for m in matrices])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    row = np.repeat(np.arange(len(counts)), counts)
-    key = np.sort(row * width + indices)
-    for bad, what in (
-        (row[~np.isfinite(data)], "non-finite data"),
-        (key[1:][key[1:] == key[:-1]] // width, "a column repeats within a row"),
-    ):
-        if len(bad):
-            position = np.searchsorted(bounds, bad[0], side="right") - 1
-            raise ValueError(f"matrix {position}: {what}")
-    nonempty = counts > 0
-    degree = np.zeros(len(counts), dtype=data.dtype)
-    degree[nonempty] = np.add.reduceat(data, starts[nonempty])
-    inv = np.divide(1.0, degree, out=np.zeros_like(degree), where=degree > 0)
-    reverse = (starts + ends - 1)[row] - np.arange(len(row))
-    data = (inv[row] * data)[reverse]
-    stored = data != 0
-    return _split_stacked(
-        data[stored],
-        indices[reverse][stored],
-        np.bincount(row[stored], minlength=len(counts)),
-        bounds,
-        [m.shape for m in matrices],
-    )
+    return StackedCSR.from_matrices(matrices).row_mean().split()
 
 
 def sum_csr(matrices: Sequence[sp.spmatrix], n: int) -> sp.csr_matrix:
@@ -270,8 +401,7 @@ def csr_interleave(
     total_counts = np.zeros(num_rows, dtype=np.int64)
     for counts in per_type_counts:
         total_counts += counts
-    all_indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(total_counts, out=all_indptr[1:])
+    all_indptr = _indptr(total_counts)
     all_indices = np.empty(int(all_indptr[-1]), dtype=np.int64)
     type_offset = np.zeros(num_rows, dtype=np.int64)
     for counts, indptr, nbrs in zip(per_type_counts, indptrs, indices):
@@ -310,8 +440,7 @@ def csr_topk_rows(
     rank[np.lexsort((pos, -weights, rows))] = pos
     key = np.where((counts > fanout)[rows], rank, pos)
     keep = np.flatnonzero(key < fanout)
-    out_indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(np.minimum(counts, fanout), out=out_indptr[1:])
+    out_indptr = _indptr(np.minimum(counts, fanout))
     order = np.empty(len(keep), dtype=np.int64)
     order[out_indptr[rows[keep]] + key[keep]] = keep
     return out_indptr, order

@@ -24,6 +24,8 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "row_blocks",
+    "softmax",
+    "stacked_matmul",
 ]
 
 _GRAD_ENABLED = True
@@ -102,6 +104,31 @@ def _blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for start, stop in zip(bounds[:-1], bounds[1:]):
         out[start:stop] = a[start:stop] @ b
     return out
+
+
+def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b)`` with rows on axis ``-2``, per active row block.
+
+    The rank-polymorphic :func:`_blocked_matmul` of the tape-free forward:
+    ``a`` is ``(..., N, d)`` (leading axes stack towers, not rows) and ``b``
+    ``(..., d, k)``.  Batched ``matmul`` makes one BLAS call per
+    leading-axis slice on the 2-D operands a per-tower ``a[t][s:e] @ b[t]``
+    passes, so every slice of the result carries that product's bits.
+    """
+    bounds = _ROW_BLOCKS
+    if bounds is None or a.shape[-2] != bounds[-1]:
+        return np.matmul(a, b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty((*lead, a.shape[-2], b.shape[-1]), dtype=np.result_type(a, b))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        out[..., start:stop, :] = np.matmul(a[..., start:stop, :], b)
+    return out
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of an ndarray along ``axis``."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -541,9 +568,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable softmax along ``axis``."""
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+        out_data = softmax(self.data, axis)
 
         def backward(g: np.ndarray) -> list[tuple[Tensor, np.ndarray]]:
             dot = (g * out_data).sum(axis=axis, keepdims=True)

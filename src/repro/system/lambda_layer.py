@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from ..core.lambda_infer import HAGState, MaterializeStats, materialize
-from ..network.sampled_graph import SampledGraph, build_sampled_graph
+from ..network.sampled_graph import SampledGraph
 from ..network.sampling import BatchSampleStats
 from ..obs.tracing import Tracer
 
@@ -117,7 +117,7 @@ class LambdaLayer:
         self.batch_passes = 0
         self.incremental_passes = 0
         self.last_materialize: MaterializeStats | None = None
-        self._sampled: SampledGraph | None = None
+        self._sampled: tuple[Any, SampledGraph] | None = None
         self.hits = 0
         self.misses = {"uncovered": 0, "stale": 0, "unbound": 0}
         self.fallthrough_requests = 0
@@ -150,17 +150,19 @@ class LambdaLayer:
         return rows
 
     def _sampled_graph(self, bn) -> SampledGraph:
-        """The deployment's :class:`SampledGraph`, memoized per BN version."""
+        """The deployment's :class:`SampledGraph`, memoized per read index.
+
+        Keyed on the index *object* it was built from (indices are memoized
+        per network per version, so identity is exact), not ``bn.version``:
+        two networks at the same version (``server.bn = other``) do not
+        share a graph.  The cached tuple keeps the index alive, so its
+        identity cannot be reused while the graph is.
+        """
+        index = bn.index()
         cached = self._sampled
-        if (
-            cached is not None
-            and cached.version == int(bn.version)
-            and cached.fanout == self.fanout
-        ):
-            return cached
-        sampled = build_sampled_graph(bn, self.fanout)
-        self._sampled = sampled
-        return sampled
+        if cached is None or cached[0] is not index or cached[1].fanout != self.fanout:
+            cached = self._sampled = (index, SampledGraph.from_index(index, self.fanout))
+        return cached[1]
 
     def run_batch_pass(self, now: float) -> tuple[HAGState, BatchSampleStats]:
         """One full batch pass at simulated time ``now``.

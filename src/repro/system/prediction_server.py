@@ -84,7 +84,11 @@ class PredictionServer:
     def predict(
         self, subgraph: ComputationSubgraph, features: np.ndarray
     ) -> tuple[float, float]:
-        """Fraud probability for the subgraph target; ``(probability, seconds)``."""
+        """Fraud probability for the subgraph target; ``(probability, seconds)``.
+
+        A non-finite feature is the model's ``ValueError``, raised before
+        anything is charged or counted, not a ``nan`` served as a decision.
+        """
         if features.shape[0] != subgraph.num_nodes:
             raise ValueError("feature rows must align with subgraph nodes")
         extra = self.faults.before_call(self.component) if self.faults else 0.0
@@ -108,7 +112,8 @@ class PredictionServer:
         forward cost is amortized across the batch by the latency model.
         The caller runs the per-request fault gate (``ping``) and passes the
         charged extras through ``gate_extras`` so they land in the same
-        latency slot as the scalar path's.
+        latency slot as the scalar path's.  A non-finite feature is a
+        ``ValueError`` naming the request's position.
         """
         if len(subgraphs) != len(features):
             raise ValueError("one feature matrix per subgraph is required")

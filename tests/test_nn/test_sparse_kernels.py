@@ -17,8 +17,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hag import _block_diag_csr
-from repro.nn.sparse import row_mean_csr, typed_symmetric_csr
+from repro.nn.sparse import StackedCSR, row_mean_csr, typed_symmetric_csr
 from tests.oracles.sparse import (
     assert_same_csr,
     row_mean_csr_oracle,
@@ -157,7 +156,8 @@ class TestRowMeanCsr:
             typed_symmetric_csr(*typed_entries(seed + k, n, 3, density))
             for k, n in enumerate(sizes)
         ]
-        packed = [_block_diag_csr(blocks, sizes) for blocks in zip(*per_request)]
+        stacks = [StackedCSR.from_matrices(matrices) for matrices in per_request]
+        packed = StackedCSR.block_diagonal(stacks, [range(3)] * 8, sizes).split()
         assert_normalised_like_oracle(packed, seed)
         # ... and each request's block of the pack is its own normalisation
         offsets = np.concatenate(([0], np.cumsum(sizes)))

@@ -1,0 +1,69 @@
+"""Exact work counts of a warm request: decided without a clock.
+
+A warm ``Turbo.predict`` used to make 407 ``Tensor`` objects (8 edge types
+x 2 SAO layers x ~20 autograd ops, then 8 CFO heads) and 16
+``scipy.sparse.csr_matrix`` objects (the sampler's and the normaliser's
+splits) on the bench deployment.  With the tape-free forward it makes two
+of each — the input and the logits; the stacked aggregator and its
+block-diagonal form — whatever the number of edge types, layers or nodes.
+Host-independent integers: the ceilings are asserted, the figures printed.
+"""
+
+from __future__ import annotations
+
+import scipy.sparse as sp
+
+from repro.network import FAST_WINDOWS
+from repro.nn import Tensor
+from repro.system import PredictRequest, TurboConfig, deploy_turbo
+
+
+def counted(cls, counts, key):
+    """Wrap ``cls.__init__`` to count constructions; returns the undo."""
+    inherited = "__init__" not in vars(cls)
+    original = cls.__init__
+
+    def init(self, *args, **kwargs):
+        counts[key] += 1
+        original(self, *args, **kwargs)
+
+    cls.__init__ = init
+
+    def undo():
+        if inherited:
+            del cls.__init__
+        else:
+            cls.__init__ = original
+
+    return undo
+
+
+def test_warm_request_constructs_two_tensors_and_two_csr_matrices(tiny_dataset):
+    turbo, data = deploy_turbo(
+        tiny_dataset,
+        TurboConfig(windows=FAST_WINDOWS, train_epochs=1, hidden=(8, 4), seed=0),
+    )
+    requests = [
+        PredictRequest(txn=txn, now=txn.audit_at) for txn in data.dataset.transactions[:20]
+    ]
+    expected = [turbo.predict(request).probability for request in requests]  # warm
+
+    counts = {"tensor": 0, "csr": 0}
+    undo = [counted(Tensor, counts, "tensor"), counted(sp.csr_matrix, counts, "csr")]
+    try:
+        served = [turbo.predict(request) for request in requests]
+    finally:
+        for restore in undo:
+            restore()
+    assert "__init__" not in vars(sp.csr_matrix) and Tensor.__init__.__name__ == "__init__"
+
+    assert [response.probability for response in served] == expected
+    assert all(r.degradation == "full" and r.tier == "sampled" for r in served)
+    per_request = {key: value / len(requests) for key, value in counts.items()}
+    print(
+        f"\nwarm Turbo.predict: {per_request['tensor']:g} Tensor and "
+        f"{per_request['csr']:g} csr_matrix constructions per request "
+        f"({len(turbo.prediction_server.edge_type_order)} edge types)"
+    )
+    assert per_request["tensor"] <= 2
+    assert per_request["csr"] <= 2
