@@ -88,6 +88,10 @@ class FeatureManager:
     def dim(self) -> int:
         return len(self.feature_names)
 
+    def knows(self, uid: int) -> bool:
+        """Can a feature row be built for ``uid`` (is it a dataset user)?"""
+        return uid in self._users
+
     def vector(self, txn: Transaction, as_of: float | None = None) -> np.ndarray:
         """Raw (unscaled) feature vector for one application.
 

@@ -42,6 +42,15 @@ aside) and reproduces, bit for bit, what the network's dicts expose —
 ``tests/test_network/test_sharding.py`` and
 ``tests/test_system/test_sampler_tiers.py`` pin all three for shard counts
 {1, 2, 4, 8}.
+
+What is *not* state: the order in which a shard's own network registered
+its nodes (the key order of its ``_adjacency``).  A routed batch reaches a
+shard as a sub-batch sorted by ``(lo, hi)``, so that order depends on the
+shard count and on which entrance of the window job ran; nothing reads it —
+the index sorts the node ids, :meth:`ShardedBehaviorNetwork.nodes` sorts,
+``num_nodes`` builds a set — and tests compare a shard's nodes as a set.
+The registration order of an *unsharded* network stays state (it is what
+``from_network`` replays).
 """
 
 from __future__ import annotations

@@ -383,6 +383,42 @@ class BNServer:
             self._selection_cache = {}
         return self._selection_cache
 
+    def _charge_adjacency(
+        self, seconds: float, nodes: Sequence[int], now: float, charged: set[int]
+    ) -> float:
+        """Charge one request's adjacency reads onto its running ``seconds``.
+
+        One network round trip, then one lookup per node not yet in
+        ``charged`` (the micro-batch's first-toucher ledger; a scalar
+        request brings an empty one).  Terms are added to the caller's
+        total one by one — charged seconds are pinned bit for bit, and
+        ``gate + (a + b)`` is not ``(gate + a) + b`` once a latency fault
+        made the gate non-zero.  Raises the cache's or database's
+        :class:`~repro.system.storage.StorageError` mid-walk.
+        """
+        seconds += self.latency.charge_network()
+        use_cache = self.cache is not None and self.cache.available
+        if not use_cache:
+            # The degraded (no-cache) path reads edge lists straight from
+            # the database — a dead database must surface here, not charge
+            # phantom latency for reads that could never have happened.
+            seconds += self.database.ping()
+        for node in nodes:
+            if node in charged:
+                continue
+            charged.add(node)
+            if use_cache:
+                _value, hit, cost = self.cache.get(("adj", node), now)
+                seconds += cost + self.latency.charge_sample_node()
+                if not hit:
+                    _rows, query_cost = self.database.query("edges", node)
+                    seconds += query_cost
+                    seconds += self.cache.set(("adj", node), True, now)
+            else:
+                degree = self.bn.degree(node)
+                seconds += self.latency.charge_db_query(max(1, degree))
+        return seconds
+
     def sample(
         self,
         uid: int,
@@ -422,24 +458,7 @@ class BNServer:
         subgraph = sampled[0]
         seconds += gate_seconds
         self._last_sample_partial = bool(batch_stats.partial)
-        seconds += self.latency.charge_network()
-        use_cache = self.cache is not None and self.cache.available
-        if not use_cache:
-            # The degraded (no-cache) path reads edge lists straight from
-            # the database — a dead database must surface here, not charge
-            # phantom latency for reads that could never have happened.
-            seconds += self.database.ping()
-        for node in subgraph.nodes:
-            if use_cache:
-                _value, hit, cost = self.cache.get(("adj", node), now)
-                seconds += cost + self.latency.charge_sample_node()
-                if not hit:
-                    _rows, query_cost = self.database.query("edges", node)
-                    seconds += query_cost
-                    seconds += self.cache.set(("adj", node), True, now)
-            else:
-                degree = self.bn.degree(node)
-                seconds += self.latency.charge_db_query(max(1, degree))
+        seconds = self._charge_adjacency(seconds, subgraph.nodes, now, set())
         return subgraph, seconds
 
     def sample_batch(
@@ -507,30 +526,12 @@ class BNServer:
             gates[alive[0]] += gate_seconds
         charged: set[int] = set()
         for k, i in enumerate(alive):
-            subgraph = sampled[k]
-            charge = gates[i]
             try:
-                charge += self.latency.charge_network()
-                use_cache = self.cache is not None and self.cache.available
-                if not use_cache:
-                    charge += self.database.ping()
-                for node in subgraph.nodes:
-                    if node in charged:
-                        continue
-                    charged.add(node)
-                    if use_cache:
-                        _value, hit, cost = self.cache.get(("adj", node), nows[i])
-                        charge += cost + self.latency.charge_sample_node()
-                        if not hit:
-                            _rows, query_cost = self.database.query("edges", node)
-                            charge += query_cost
-                            charge += self.cache.set(("adj", node), True, nows[i])
-                    else:
-                        degree = self.bn.degree(node)
-                        charge += self.latency.charge_db_query(max(1, degree))
+                seconds[i] = self._charge_adjacency(
+                    gates[i], sampled[k].nodes, nows[i], charged
+                )
             except StorageError as exc:
                 errors[i] = exc
                 continue
-            subgraphs[i] = subgraph
-            seconds[i] = charge
+            subgraphs[i] = sampled[k]
         return subgraphs, seconds, errors, stats

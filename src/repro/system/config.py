@@ -43,7 +43,9 @@ class TurboConfig:
     Resilience: ``retry_policy``, ``breaker`` and
     ``faults`` (``None`` creates deployment-local defaults), ``latency``
     (the latency model; ``None`` creates one from ``seed``).  Tracing:
-    ``trace_max`` bounds retained traces (``None`` keeps all).
+    ``trace_max`` bounds what the deployment retains per request — the
+    tracer's finished traces and ``Turbo.responses``, whose entries pin
+    their span trees — oldest dropped first (``None`` keeps all).
     """
 
     windows: Sequence[float] = tuple(FAST_WINDOWS)

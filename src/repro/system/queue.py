@@ -395,11 +395,15 @@ class QueueFrontend:
 
         Interleaves arrival events with dispatch events in simulated-time
         order, then drains the queue; returns this run's records in
-        completion order (also appended to :attr:`records`).
+        completion order (also appended to :attr:`records`).  An
+        out-of-order trace or an arrival for a user the deployment does
+        not know is a ``ValueError`` before anything is offered or queued.
         """
         for earlier, later in zip(arrivals, arrivals[1:]):
             if later.at < earlier.at:
                 raise ValueError("arrivals must be nondecreasing in time")
+        for position, arrival in enumerate(arrivals):
+            self.turbo._check_known(arrival.txn.uid, arrival.uid, ("arrival", position))
         first = len(self.records)
         i, n = 0, len(arrivals)
         while i < n or self.queue.depth:
@@ -535,53 +539,40 @@ class QueueFrontend:
 
         The decision is bit-for-bit what :meth:`FallbackStack.decide`
         returns for the transaction (pinned by
-        ``tests/test_system/test_queue_degradation.py``); the charge is
-        the same ``charge_fallback`` the degraded in-pipeline path pays.
+        ``tests/test_system/test_queue_degradation.py``) and the charge is
+        the same ``charge_fallback``: both come from the one
+        :meth:`Turbo._degrade` the in-pipeline path uses, and the response
+        is retained and counted by the one :meth:`Turbo._record`.  What is
+        the front's own: the wait, the ``outcome`` tag, and a root whose
+        duration includes the wait.
         """
         from .turbo import TurboResponse  # local import avoids a module cycle
 
-        turbo = self.turbo
         wait = now - item.enqueued_at
         item.wait_span.finish(wait)
-        fallback_span = item.root.child("fallback", at=now)
-        charge = turbo.prediction_server.latency.charge_fallback()
-        breakdown = LatencyBreakdown(prediction=charge)
-        if turbo.fallbacks is None:
-            level, probability, blocked = "reject", 1.0, True
-        else:
-            decision = turbo.fallbacks.decide(item.arrival.txn)
-            level, probability, blocked = (
-                decision.level,
-                decision.probability,
-                decision.blocked,
-            )
-        fallback_span.annotate("level", level)
-        fallback_span.finish(charge)
         root = item.root
+        breakdown = LatencyBreakdown()
+        level, probability, blocked = self.turbo._degrade(
+            item.arrival.txn, breakdown, root=root, now=now
+        )
         root.annotate("outcome", outcome)
         root.annotate("queue_wait", wait)
         root.annotate("probability", probability)
         root.annotate("blocked", blocked)
         root.annotate_tree("degradation", level)
         root.annotate_tree("degradation_reason", outcome)
-        turbo.tracer.finish_trace(root, wait + charge)
         response = TurboResponse(
             uid=item.arrival.uid,
             txn_id=item.arrival.txn.txn_id,
             probability=probability,
             blocked=blocked,
             breakdown=breakdown,
-            subgraph_size=0,
             timestamp=item.arrival.at,
             degradation=level,
             degradation_reason=outcome,
-            retries=0,
             span=root,
         )
-        turbo.responses.append(response)
-        turbo.monitor.record_request(
-            breakdown, blocked=blocked, subgraph_size=0, degradation=level, retries=0
-        )
+        self.turbo._record(response, queued=wait)
         self._shed.inc()
         (self._shed_admission if outcome == "shed_admission" else self._shed_deadline).inc()
         self.records.append(
@@ -589,7 +580,7 @@ class QueueFrontend:
                 arrival=item.arrival,
                 outcome=outcome,
                 queue_wait=wait,
-                completed_at=now + charge,
+                completed_at=now + breakdown.total,
                 response=response,
                 root=root,
             )

@@ -11,6 +11,17 @@ A prediction request for application ``tau`` of user ``u``:
 Each step's latency is charged against the latency model and reported in the
 response, which is what the Fig. 8a / Section V benchmarks aggregate.
 
+One request lifecycle (DESIGN.md §5): a request in flight is one
+:class:`_Flight`, and scalar :meth:`Turbo.predict`, batched
+:meth:`Turbo.predict_batch` and the queue front's shed path share the four
+steps around the stages — ``_open`` (trace root, serve time, budget),
+``_admit`` (speed-layer lookup, then the breaker), ``_settle`` (fallback
+ladder for an unanswered flight, tags, root annotations, the response) and
+``_record`` (close the trace, retain, count).  Only the stage *runners*
+differ: ``_traced_stage`` retries one request, ``_coalesced_stage`` runs a
+stage once for a micro-batch and never retries.  Malformed input (not a
+``PredictRequest``, an unknown user) is refused before ``_open``.
+
 Observability (PR 3, ``docs/OBSERVABILITY.md``): every request produces one
 closed trace — a span tree ``request -> bn_sample / feature_fetch /
 inference`` (plus ``fallback`` when degraded) whose durations are the
@@ -34,6 +45,7 @@ degradation level that served it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -48,7 +60,7 @@ from ..eval.runner import ExperimentData, prepare_experiment
 from ..features.pipeline import StandardScaler
 from ..obs.metrics import MetricsRegistry
 from ..obs.profiling import TrainProfiler
-from ..obs.tracing import Span, Tracer, use_span
+from ..obs.tracing import Span, TraceContext, Tracer, use_span
 from .bn_server import BNServer
 from .clock import SimulatedClock
 from .config import TurboConfig
@@ -64,12 +76,39 @@ from .storage import InMemoryCache, LocalDatabase, ReplicatedStore, StorageError
 
 __all__ = ["TurboResponse", "Turbo", "deploy_turbo"]
 
-#: (span name, breakdown slot) of the graph-path pipeline stages, in order.
+
+#: The graph-path pipeline stages, in order: span name, breakdown slot, the
+#: flight field the stage fills, and what its span says about that value
+#: (``Service.handle`` writes it under the scalar runner, the coalesced
+#: runner writes it itself).
 _PIPELINE_STAGES = (
-    ("bn_sample", "sampling"),
-    ("feature_fetch", "features"),
-    ("inference", "prediction"),
+    ("bn_sample", "sampling", "subgraph", "subgraph_size", attrgetter("num_nodes")),
+    ("feature_fetch", "features", "features", "feature_rows", len),
+    ("inference", "prediction", "probability", "probability", None),
 )
+
+
+@dataclass(slots=True)
+class _Flight(RequestContext):
+    """One request in flight: its pipeline state plus its lifecycle state.
+
+    *Is* the :class:`~repro.system.service.RequestContext` the scalar
+    stages' ``Service.handle`` reads and writes (subgraph, features,
+    probability, ``attributes["shard_partial"]``), so nothing is copied
+    across; the coalesced runner fills the same fields.  A flight whose
+    ``probability`` is still ``None`` when it is settled was answered by
+    neither HAG nor the speed layer and goes down the fallback ladder.
+    """
+
+    budget: float | None = None
+    root: Span | None = None
+    breakdown: LatencyBreakdown = field(default_factory=LatencyBreakdown)
+    #: why the graph path was abandoned ("" while it has not been).
+    reason: str = ""
+    retries: int = 0
+    tier: str = "sampled"
+    staleness: int = 0
+
 
 @dataclass(slots=True)
 class TurboResponse:
@@ -209,7 +248,11 @@ class Turbo:
 
         Never raises on component failure: the graph path runs under the
         retry policy, circuit breaker and latency budget, and falls back to
-        the scorecard/blocklist ladder when it cannot answer.
+        the scorecard/blocklist ladder when it cannot answer.  Malformed
+        input is not a component failure: anything but a
+        :class:`PredictRequest` is a ``TypeError`` and a user the feature
+        module does not know a ``ValueError``, both before any span is
+        opened, any node registered or anything charged.
         """
         if not isinstance(request, PredictRequest):
             raise TypeError(
@@ -234,6 +277,11 @@ class Turbo:
         charged to the first request that touches it, which is where the
         batched path's latency win comes from.
 
+        The lifecycle is :meth:`predict`'s — every request is opened,
+        admitted, settled and recorded by the same four methods, in request
+        order — around one :meth:`_coalesced_stage` run three times where
+        the scalar path runs its retrying stage loop.
+
         Tracing: the batch opens one ``batch`` root whose children are the
         three *coalesced* stage spans; every request still closes its own
         ``request`` root (parented under the batch unless the request
@@ -247,271 +295,89 @@ class Turbo:
         budgets are enforced after every stage.  The batched path does not
         retry — a transient storage fault degrades the request instead of
         replaying it (``retries`` is always 0 in batched responses).
+        Malformed input refuses the whole batch up front (``TypeError`` /
+        ``ValueError`` naming the request's position), before anything is
+        opened, registered or charged.
 
         The simulated clock advances once, by the slowest request's total
         (the batch's wall time), instead of by the per-request sum.
         """
-        for request in requests:
+        for position, request in enumerate(requests):
             if not isinstance(request, PredictRequest):
                 raise TypeError(
                     "predict_batch takes PredictRequest instances, got "
                     f"{type(request).__name__}"
                 )
+            self._check_known(request.txn.uid, request.uid, ("request", position))
         if not requests:
             return []
-        n = len(requests)
         nows = [self.clock.now() if r.now is None else r.now for r in requests]
-        budgets = [
-            self.request_budget if r.budget is None else r.budget for r in requests
+        batch = self.tracer.start_trace("batch", at=min(nows), size=len(requests))
+        flights = [
+            self._open(request, now, request.trace or batch.context())
+            for request, now in zip(requests, nows)
         ]
-        breakdowns = [LatencyBreakdown() for _ in range(n)]
-        batch = self.tracer.start_trace("batch", at=min(nows), size=n)
-        roots = [
-            self.tracer.start_trace(
-                "request",
-                at=nows[i],
-                parent=requests[i].trace or batch.context(),
-                uid=requests[i].uid,
-                txn_id=requests[i].txn.txn_id,
-            )
-            for i in range(n)
-        ]
-        reasons = [""] * n
-        probabilities: list[float | None] = [None] * n
-        sizes = [0] * n
-        subgraphs: list[Any] = [None] * n
-        features: list[np.ndarray | None] = [None] * n
-        tiers = ["sampled"] * n
-        stalenesses = [0] * n
-
-        def fail(i: int, span: Span, charged: float, error: str, reason: str) -> None:
-            """Close a failed stage span the way the scalar path does."""
-            span.annotate("error", error)
-            span.finish(charged)
-            reasons[i] = reason
-            self.breaker.record_failure()
-
-        def stage_start(indices: list[int]) -> float:
-            return min(nows[i] + breakdowns[i].total for i in indices)
-
         if self.lambda_layer is not None:
             self.lambda_layer.maybe_refresh(min(nows))
-        alive: list[int] = []
-        for i in range(n):
-            if self.lambda_layer is not None:
-                # Speed-layer pre-scan: cache hits are served before the
-                # pipeline runs, so they never reach the sampling stage —
-                # everything the sampler sees below is fallthrough work.
-                hit = self.lambda_layer.lookup(
-                    requests[i].uid, requests[i].txn.txn_id, nows[i]
-                )
-                if hit is not None:
-                    span = roots[i].child("lambda_delta", at=nows[i])
-                    charge = self.prediction_server.latency.charge_cache_get()
-                    breakdowns[i].prediction += charge
-                    span.annotate("staleness", hit.staleness)
-                    span.annotate("probability", hit.score)
-                    span.finish(charge)
-                    probabilities[i] = hit.score
-                    tiers[i] = "lambda"
-                    stalenesses[i] = hit.staleness
-                    continue
-            if self.breaker.allow():
-                alive.append(i)
-            else:
-                reasons[i] = "circuit_open"
-                roots[i].add_event("breaker.open", at=nows[i])
+        # Speed-layer hits are settled below without entering a stage, so
+        # everything the sampler sees is fallthrough work.
+        alive = [flight for flight in flights if self._admit(flight)]
 
-        sample_stats = feature_stats = None
-        shard_partial: set[int] = set()
-        registry = self.metrics
-        # --- stage 1: coalesced bn_sample --------------------------------
-        if alive:
-            stage_span = batch.child("bn_sample", at=stage_start(alive))
-            spans = {
-                i: roots[i].child("bn_sample", at=nows[i] + breakdowns[i].total)
-                for i in alive
-            }
-            with use_span(stage_span):
-                sampled, stage_seconds, stage_errors, sample_stats = (
-                    self.bn_server.sample_batch(
-                        [requests[i].uid for i in alive],
-                        [nows[i] for i in alive],
-                        hops=self.hops,
-                        fanout=self.fanout,
-                        allowed=self.allowed_nodes,
-                    )
-                )
-            # Requests sampled while a BN shard was down: still served by
-            # HAG below, but tagged "partial" at finalize.
-            shard_partial = {alive[k] for k in sample_stats.partial}
-            still: list[int] = []
-            for k, i in enumerate(alive):
-                span = spans[i]
-                error = stage_errors[k]
-                if error is not None:
-                    self.monitor.record_error(type(error).__name__)
-                    fail(i, span, 0.0, type(error).__name__, "graph_path_down")
-                    continue
-                span.annotate("subgraph_size", sampled[k].num_nodes)
-                breakdowns[i].sampling += stage_seconds[k]
-                if budgets[i] is not None and breakdowns[i].total > budgets[i]:
-                    fail(i, span, stage_seconds[k], "BudgetExceeded", "over_budget")
-                    continue
-                subgraphs[i] = sampled[k]
-                span.finish(stage_seconds[k])
-                still.append(i)
-            stage_span.annotate("requests", len(alive))
-            stage_span.annotate("coalescing", sample_stats.coalescing)
-            stage_span.finish(sum(stage_seconds))
-            alive = still
-
-        # --- stage 2: columnar feature_fetch -----------------------------
-        if alive:
-            stage_span = batch.child("feature_fetch", at=stage_start(alive))
-            spans = {
-                i: roots[i].child("feature_fetch", at=nows[i] + breakdowns[i].total)
-                for i in alive
-            }
-            with use_span(stage_span):
-                matrices, stage_seconds, stage_errors, feature_stats = (
-                    self.feature_server.features_for_batch(
-                        [subgraphs[i].nodes for i in alive],
-                        [requests[i].txn for i in alive],
-                        [nows[i] for i in alive],
-                    )
-                )
-            still = []
-            for k, i in enumerate(alive):
-                span = spans[i]
-                error = stage_errors[k]
-                if error is not None:
-                    self.monitor.record_error(type(error).__name__)
-                    fail(i, span, 0.0, type(error).__name__, "graph_path_down")
-                    continue
-                span.annotate("feature_rows", int(matrices[k].shape[0]))
-                breakdowns[i].features += stage_seconds[k]
-                if budgets[i] is not None and breakdowns[i].total > budgets[i]:
-                    fail(i, span, stage_seconds[k], "BudgetExceeded", "over_budget")
-                    continue
-                features[i] = matrices[k]
-                span.finish(stage_seconds[k])
-                still.append(i)
-            stage_span.annotate("requests", len(alive))
-            stage_span.annotate("coalescing", feature_stats.coalescing)
-            stage_span.finish(sum(stage_seconds))
-            alive = still
-
-        # --- stage 3: packed inference -----------------------------------
-        if alive:
-            stage_span = batch.child("inference", at=stage_start(alive))
-            spans = {
-                i: roots[i].child("inference", at=nows[i] + breakdowns[i].total)
-                for i in alive
-            }
-            gate_extras: list[float] = []
-            survivors: list[int] = []
-            for i in alive:
-                # The per-request fault gate the scalar ``predict`` runs
-                # inside the server; batched, the orchestrator runs it so a
-                # poisoned request drops out before the packed forward.
-                try:
-                    with use_span(spans[i]):
-                        extra = self.prediction_server.ping()
-                except StorageError as exc:
-                    self.monitor.record_error(type(exc).__name__)
-                    fail(i, spans[i], 0.0, type(exc).__name__, "graph_path_down")
-                    continue
-                gate_extras.append(extra)
-                survivors.append(i)
-            stage_seconds = []
-            if survivors:
-                with use_span(stage_span):
-                    stage_probs, stage_seconds = self.prediction_server.predict_batch(
-                        [subgraphs[i] for i in survivors],
-                        [features[i] for i in survivors],
-                        gate_extras,
-                    )
-                for k, i in enumerate(survivors):
-                    span = spans[i]
-                    span.annotate("probability", stage_probs[k])
-                    breakdowns[i].prediction += stage_seconds[k]
-                    if budgets[i] is not None and breakdowns[i].total > budgets[i]:
-                        fail(i, span, stage_seconds[k], "BudgetExceeded", "over_budget")
-                        continue
-                    probabilities[i] = stage_probs[k]
-                    sizes[i] = subgraphs[i].num_nodes
-                    span.finish(stage_seconds[k])
-                    self.breaker.record_success()
-            stage_span.annotate("requests", len(alive))
-            stage_span.finish(sum(stage_seconds))
-
-        # --- finalize: degrade failures, close traces, record telemetry --
-        responses: list[TurboResponse] = []
-        for i in range(n):
-            breakdown = breakdowns[i]
-            probability = probabilities[i]
-            degradation = "full"
-            if probability is None:
-                degradation, probability, blocked = self._degrade(
-                    requests[i].txn, breakdown, root=roots[i], now=nows[i]
-                )
-            else:
-                blocked = probability >= self.threshold
-                if i in shard_partial:
-                    degradation = "partial"
-                    reasons[i] = "shard_down"
-            root = roots[i]
-            root.annotate("probability", probability)
-            root.annotate("blocked", blocked)
-            root.annotate("retries", 0)
-            root.annotate("degradation", degradation)
-            root.annotate("tier", tiers[i])
-            if degradation != "full":
-                root.annotate_tree("degradation", degradation)
-                root.annotate_tree("degradation_reason", reasons[i])
-            responses.append(
-                TurboResponse(
-                    uid=requests[i].uid,
-                    txn_id=requests[i].txn.txn_id,
-                    probability=probability,
-                    blocked=blocked,
-                    breakdown=breakdown,
-                    subgraph_size=sizes[i],
-                    timestamp=nows[i],
-                    degradation=degradation,
-                    degradation_reason=reasons[i],
-                    retries=0,
-                    span=root,
-                    tier=tiers[i],
-                    staleness=stalenesses[i],
-                )
+        def sample(entered: list[_Flight], _extras: None):
+            return self.bn_server.sample_batch(
+                [flight.request.uid for flight in entered],
+                [flight.now for flight in entered],
+                hops=self.hops,
+                fanout=self.fanout,
+                allowed=self.allowed_nodes,
             )
 
-        wall = max(breakdown.total for breakdown in breakdowns)
+        def fetch(entered: list[_Flight], _extras: None):
+            return self.feature_server.features_for_batch(
+                [flight.subgraph.nodes for flight in entered],
+                [flight.request.txn for flight in entered],
+                [flight.now for flight in entered],
+            )
+
+        def infer(entered: list[_Flight], gate_extras: list[float]):
+            probabilities, seconds = self.prediction_server.predict_batch(
+                [flight.subgraph for flight in entered],
+                [flight.features for flight in entered],
+                gate_extras,
+            )
+            return probabilities, seconds, [None] * len(entered), None
+
+        bn_sample, feature_fetch, inference = _PIPELINE_STAGES
+        sampling = alive
+        alive, sample_stats = self._coalesced_stage(batch, bn_sample, alive, sample)
+        if sample_stats is not None:
+            # Sampled while a BN shard was down: still served by HAG, but
+            # tagged "partial" when settled.
+            for k in sample_stats.partial:
+                sampling[k].attributes["shard_partial"] = True
+        alive, feature_stats = self._coalesced_stage(batch, feature_fetch, alive, fetch)
+        # The per-request fault gate the scalar ``predict`` runs inside the
+        # server; batched, the orchestrator runs it so a poisoned request
+        # drops out before the packed forward.
+        self._coalesced_stage(
+            batch, inference, alive, infer, gate=self.prediction_server.ping
+        )
+
+        responses = [self._settle(flight) for flight in flights]
+        wall = max(response.breakdown.total for response in responses)
         self.clock.advance(wall)
-        for i, response in enumerate(responses):
-            self.tracer.finish_trace(response.span, breakdowns[i].total)
-            self.responses.append(response)
-            self.monitor.record_request(
-                breakdowns[i],
-                blocked=response.blocked,
-                subgraph_size=response.subgraph_size,
-                degradation=response.degradation,
-                retries=0,
-            )
-            registry.histogram("turbo.batch.latency.sampling").observe(
-                breakdowns[i].sampling
-            )
-            registry.histogram("turbo.batch.latency.features").observe(
-                breakdowns[i].features
-            )
+        registry = self.metrics
+        for response in responses:
+            self._record(response)
+            breakdown = response.breakdown
+            registry.histogram("turbo.batch.latency.sampling").observe(breakdown.sampling)
+            registry.histogram("turbo.batch.latency.features").observe(breakdown.features)
             registry.histogram("turbo.batch.latency.prediction").observe(
-                breakdowns[i].prediction
+                breakdown.prediction
             )
         registry.counter("turbo.batch.batches").inc()
-        registry.counter("turbo.batch.requests").inc(n)
-        registry.histogram("turbo.batch.size").observe(float(n))
+        registry.counter("turbo.batch.requests").inc(len(requests))
+        registry.histogram("turbo.batch.size").observe(float(len(requests)))
         batch.annotate("wall", wall)
         if sample_stats is not None:
             registry.histogram("turbo.batch.coalescing").observe(
@@ -528,117 +394,251 @@ class Turbo:
 
     def _serve(self, request: PredictRequest) -> TurboResponse:
         """Serve one normalized request and close its trace."""
-        txn = request.txn
-        now = self.clock.now() if request.now is None else request.now
-        budget = self.request_budget if request.budget is None else request.budget
-        breakdown = LatencyBreakdown()
-        root = self.tracer.start_trace(
-            "request", at=now, parent=request.trace, uid=request.uid, txn_id=txn.txn_id
+        self._check_known(request.txn.uid, request.uid)
+        flight = self._open(
+            request,
+            self.clock.now() if request.now is None else request.now,
+            request.trace,
         )
-        ctx = RequestContext(
+        if self.lambda_layer is not None:
+            self.lambda_layer.maybe_refresh(flight.now)
+        if self._admit(flight):
+            try:
+                for stage_name, slot, *_ in _PIPELINE_STAGES:
+                    flight.retries += self._traced_stage(flight, stage_name, slot)
+                self.breaker.record_success()
+            except (BudgetExceeded, StorageError) as exc:
+                self.breaker.record_failure()
+                flight.probability = None  # the last stage may have stored one
+                flight.reason = (
+                    "over_budget" if isinstance(exc, BudgetExceeded) else "graph_path_down"
+                )
+        response = self._settle(flight)
+        self.clock.advance(response.breakdown.total)
+        self._record(response)
+        return response
+
+    # ------------------------------------------------------------------
+    # The request lifecycle: open -> admit -> (stages) -> settle -> record
+    # ------------------------------------------------------------------
+    def _check_known(
+        self, txn_uid: int, uid: int, where: tuple[str, int] | None = None
+    ) -> None:
+        """Refuse a user the feature module cannot describe (``ValueError``).
+
+        Every entrance — scalar, batched, the queue front — checks before
+        :meth:`_open`: a refused request has opened no span, registered no
+        BN node, charged nothing and not touched the breaker.  ``where``
+        names the offender's place in a batch, e.g. ``("request", 3)``.
+        """
+        knows = self.feature_server.feature_manager.knows
+        for unknown in (txn_uid, uid) if uid != txn_uid else (txn_uid,):
+            if not knows(unknown):
+                place = "" if where is None else f" ({where[0]} {where[1]})"
+                raise ValueError(f"unknown user {unknown}{place}")
+
+    def _open(
+        self, request: PredictRequest, now: float, parent: TraceContext | None
+    ) -> _Flight:
+        """Open the ``request`` root at ``now`` and resolve the budget."""
+        return _Flight(
             request=request,
             now=now,
             hops=self.hops,
             fanout=self.fanout,
             allowed=self.allowed_nodes,
+            budget=self.request_budget if request.budget is None else request.budget,
+            root=self.tracer.start_trace(
+                "request",
+                at=now,
+                parent=parent,
+                uid=request.uid,
+                txn_id=request.txn.txn_id,
+            ),
         )
-        retries = 0
-        degradation = "full"
-        reason = ""
-        probability: float | None = None
-        blocked = False
-        subgraph_size = 0
-        tier = "sampled"
-        staleness = 0
 
-        hit = None
+    def _admit(self, flight: _Flight) -> bool:
+        """Speed layer, then breaker: may this flight run the graph path?
+
+        A cached batch-pass score covering this exact ``(txn, now)`` within
+        the staleness budget answers the flight for one in-memory read —
+        the breaker guards the graph path, so an open breaker does not
+        block cached serving.  A flight the breaker denies stays unanswered
+        for :meth:`_settle` to degrade.
+        """
         if self.lambda_layer is not None:
-            self.lambda_layer.maybe_refresh(now)
-            hit = self.lambda_layer.lookup(request.uid, txn.txn_id, now)
-        if hit is not None:
-            # Speed layer: the cached batch-pass score covers this exact
-            # (txn, now) within the staleness budget — serve it for one
-            # in-memory read, no graph path at all.  The breaker guards the
-            # graph path, so an open breaker does not block cached serving.
-            tier = "lambda"
-            staleness = hit.staleness
-            span = root.child("lambda_delta", at=now)
-            charge = self.prediction_server.latency.charge_cache_get()
-            breakdown.prediction += charge
-            span.annotate("staleness", staleness)
-            span.annotate("probability", hit.score)
-            span.finish(charge)
-            probability = hit.score
-            blocked = probability >= self.threshold
-        elif self.breaker.allow():
-            try:
-                for stage_name, slot in _PIPELINE_STAGES:
-                    retries += self._traced_stage(
-                        root, breakdown, stage_name, slot, ctx, budget
-                    )
-                probability = ctx.probability
-                subgraph_size = ctx.subgraph.num_nodes
-                blocked = probability >= self.threshold
-                self.breaker.record_success()
-            except BudgetExceeded:
-                self.breaker.record_failure()
-                probability = None
-                reason = "over_budget"
-            except StorageError:
-                self.breaker.record_failure()
-                probability = None
-                reason = "graph_path_down"
-        else:
-            reason = "circuit_open"
-            root.add_event("breaker.open", at=now)
+            hit = self.lambda_layer.lookup(
+                flight.request.uid, flight.request.txn.txn_id, flight.now
+            )
+            if hit is not None:
+                span = flight.root.child("lambda_delta", at=flight.now)
+                charge = self.prediction_server.latency.charge_cache_get()
+                flight.breakdown.prediction += charge
+                span.annotate("staleness", hit.staleness)
+                span.annotate("probability", hit.score)
+                span.finish(charge)
+                flight.probability = hit.score
+                flight.tier = "lambda"
+                flight.staleness = hit.staleness
+                return False
+        if self.breaker.allow():
+            return True
+        flight.reason = "circuit_open"
+        flight.root.add_event("breaker.open", at=flight.now)
+        return False
 
+    def _settle(self, flight: _Flight) -> TurboResponse:
+        """Degrade the flight if nothing answered it, tag it, annotate its
+        root and build the response (:meth:`_record` closes the root)."""
+        probability = flight.probability
+        degradation = "full"
+        subgraph_size = 0
         if probability is None:
             degradation, probability, blocked = self._degrade(
-                txn, breakdown, root=root, now=now
+                flight.request.txn, flight.breakdown, root=flight.root, now=flight.now
             )
-        elif ctx.attributes.get("shard_partial"):
-            # Served by HAG, but the subgraph was sampled with a BN shard
-            # down — surviving-frontier answer, tagged not degraded-away.
-            degradation = "partial"
-            reason = "shard_down"
-
+        else:
+            blocked = probability >= self.threshold
+            if flight.subgraph is not None:
+                subgraph_size = flight.subgraph.num_nodes
+            if flight.attributes.get("shard_partial"):
+                # Served by HAG, but the subgraph was sampled with a BN shard
+                # down — surviving-frontier answer, tagged not degraded-away.
+                degradation = "partial"
+                flight.reason = "shard_down"
+        root = flight.root
         root.annotate("probability", probability)
         root.annotate("blocked", blocked)
-        root.annotate("retries", retries)
+        root.annotate("retries", flight.retries)
         root.annotate("degradation", degradation)
-        root.annotate("tier", tier)
+        root.annotate("tier", flight.tier)
         if degradation != "full":
             # Satellite contract: every span of a degraded request carries
             # the level and reason, so any subtree slice explains itself.
             root.annotate_tree("degradation", degradation)
-            root.annotate_tree("degradation_reason", reason)
-
-        self.clock.advance(breakdown.total)
-        self.tracer.finish_trace(root, breakdown.total)
-        response = TurboResponse(
-            uid=request.uid,
-            txn_id=txn.txn_id,
+            root.annotate_tree("degradation_reason", flight.reason)
+        return TurboResponse(
+            uid=flight.request.uid,
+            txn_id=flight.request.txn.txn_id,
             probability=probability,
             blocked=blocked,
-            breakdown=breakdown,
+            breakdown=flight.breakdown,
             subgraph_size=subgraph_size,
-            timestamp=now,
+            timestamp=flight.now,
             degradation=degradation,
-            degradation_reason=reason,
-            retries=retries,
+            degradation_reason=flight.reason,
+            retries=flight.retries,
             span=root,
-            tier=tier,
-            staleness=staleness,
+            tier=flight.tier,
+            staleness=flight.staleness,
         )
+
+    def _record(self, response: TurboResponse, queued: float = 0.0) -> None:
+        """Close the response's trace, retain it and count it.
+
+        ``queued`` is the wait a shed request's root includes.  Retention
+        follows the tracer's rule: under ``trace_max`` the oldest responses
+        go too — each pins its span tree.
+        """
+        self.tracer.finish_trace(response.span, queued + response.breakdown.total)
         self.responses.append(response)
+        bound = self.tracer.max_traces
+        if bound is not None and len(self.responses) > bound:
+            del self.responses[: len(self.responses) - bound]
         self.monitor.record_request(
-            breakdown,
-            blocked=blocked,
-            subgraph_size=subgraph_size,
-            degradation=degradation,
-            retries=retries,
+            response.breakdown,
+            blocked=response.blocked,
+            subgraph_size=response.subgraph_size,
+            degradation=response.degradation,
+            retries=response.retries,
         )
-        return response
+
+    def _fail(
+        self, flight: _Flight, span: Span, fault: Exception | None, charged: float = 0.0
+    ) -> None:
+        """Close a failed coalesced stage span the way the scalar path does.
+
+        ``fault`` is the storage error that poisoned the flight (counted in
+        the monitor), or ``None`` when what it was ``charged`` blew its budget.
+        """
+        error, flight.reason = "BudgetExceeded", "over_budget"
+        if fault is not None:
+            error, flight.reason = type(fault).__name__, "graph_path_down"
+            self.monitor.record_error(error)
+        span.annotate("error", error)
+        span.finish(charged)
+        self.breaker.record_failure()
+
+    def _coalesced_stage(
+        self,
+        batch: Span,
+        stage: tuple,
+        alive: list[_Flight],
+        call: Callable,
+        gate: Callable[[], float] | None = None,
+    ) -> tuple[list[_Flight], Any]:
+        """Run one pipeline stage once for every flight in ``alive``.
+
+        Opens the stage span, then one child per flight; runs the optional
+        per-flight fault ``gate`` as a pre-pass (its failures reach the
+        breaker before any verdict of the stage); makes the one coalesced
+        ``call(entered, gate_extras) -> (values, seconds, errors, stats)``;
+        then per flight, in order: an error degrades it, else its seconds
+        are charged, its budget enforced and the value stored — and once a
+        flight holds a probability HAG has served it, so the breaker hears
+        the success there, interleaved with the failures.  Never retries.
+        Returns the survivors and the call's coalescing stats.
+        """
+        if not alive:
+            return alive, None
+        name, slot, field, note, describe = stage
+        stage_span = batch.child(
+            name, at=min(flight.now + flight.breakdown.total for flight in alive)
+        )
+        spans = [
+            flight.root.child(name, at=flight.now + flight.breakdown.total)
+            for flight in alive
+        ]
+        entered, extras = alive, None
+        if gate is not None:
+            entered, passed, extras = [], [], []
+            for flight, span in zip(alive, spans):
+                try:
+                    with use_span(span):
+                        extras.append(gate())
+                except StorageError as exc:
+                    self._fail(flight, span, exc)
+                    continue
+                entered.append(flight)
+                passed.append(span)
+            spans = passed
+        values, seconds, errors, stats = [], [], [], None
+        if entered:
+            with use_span(stage_span):
+                values, seconds, errors, stats = call(entered, extras)
+        survivors = []
+        for flight, span, value, charged, error in zip(
+            entered, spans, values, seconds, errors
+        ):
+            if error is not None:
+                self._fail(flight, span, error)
+                continue
+            span.annotate(note, value if describe is None else describe(value))
+            breakdown = flight.breakdown
+            setattr(breakdown, slot, getattr(breakdown, slot) + charged)
+            if flight.budget is not None and breakdown.total > flight.budget:
+                self._fail(flight, span, None, charged)
+                continue
+            setattr(flight, field, value)
+            span.finish(charged)
+            if flight.probability is not None:
+                self.breaker.record_success()
+            survivors.append(flight)
+        stage_span.annotate("requests", len(alive))
+        if stats is not None:
+            stage_span.annotate("coalescing", stats.coalescing)
+        stage_span.finish(sum(seconds))
+        return survivors, stats
 
     def _stage_service(self, stage_name: str) -> Service:
         """The service that owns a pipeline stage's span name."""
@@ -648,15 +648,7 @@ class Turbo:
             "inference": self.prediction_server,
         }[stage_name]
 
-    def _traced_stage(
-        self,
-        root: Span,
-        breakdown: LatencyBreakdown,
-        stage_name: str,
-        slot: str,
-        ctx: RequestContext,
-        budget: float | None,
-    ) -> int:
+    def _traced_stage(self, flight: _Flight, stage_name: str, slot: str) -> int:
         """Run one pipeline stage inside its own child span.
 
         The span's duration is the breakdown slot's delta across the stage
@@ -668,15 +660,16 @@ class Turbo:
         exception propagates.
         """
         service = self._stage_service(stage_name)
-        span = root.child(stage_name, at=ctx.now + breakdown.total)
+        breakdown = flight.breakdown
+        span = flight.root.child(stage_name, at=flight.now + breakdown.total)
         before = getattr(breakdown, slot)
         try:
             with use_span(span):
                 _value, stage_retries = self._run_stage(
                     breakdown,
                     slot,
-                    lambda: service.handle(ctx, span),
-                    budget=budget,
+                    lambda: service.handle(flight, span),
+                    flight.budget,
                 )
         except (BudgetExceeded, StorageError) as exc:
             span.annotate("error", type(exc).__name__)
@@ -692,20 +685,18 @@ class Turbo:
         breakdown: LatencyBreakdown,
         stage: str,
         call: Callable[[], tuple],
-        budget: float | None = None,
+        budget: float | None,
     ):
         """Run one pipeline stage under the retry policy and latency budget.
 
         Successful seconds and retry backoff are both charged to the
         stage's slot in ``breakdown``; each caught storage fault is counted
-        in the monitor.  ``budget`` is the effective per-request budget
-        (``None`` falls back to the deployment default).  Raises the final
+        in the monitor.  ``budget`` is the flight's effective budget
+        (``None`` = unbounded).  Raises the final
         :class:`StorageError` once retries are exhausted, or
         :class:`BudgetExceeded` when the accumulated request latency
         (including a pending backoff) blows the budget.
         """
-        if budget is None:
-            budget = self.request_budget
         policy = self.retry_policy
         retries = 0
         attempt = 0
@@ -735,11 +726,7 @@ class Turbo:
             return value, retries
 
     def _degrade(
-        self,
-        txn: Transaction,
-        breakdown: LatencyBreakdown,
-        root: Span | None = None,
-        now: float = 0.0,
+        self, txn: Transaction, breakdown: LatencyBreakdown, root: Span, now: float
     ) -> tuple[str, float, bool]:
         """Serve the request from the fallback ladder; returns (level, p, blocked).
 
@@ -747,7 +734,7 @@ class Turbo:
         prediction slot so the ``fallback`` span's duration is exactly the
         charged seconds (bit-for-bit table reproduction).
         """
-        span = root.child("fallback", at=now + breakdown.total) if root is not None else None
+        span = root.child("fallback", at=now + breakdown.total)
         charge = self.prediction_server.latency.charge_fallback()
         breakdown.prediction += charge
         if self.fallbacks is None:
@@ -760,9 +747,8 @@ class Turbo:
                 decision.probability,
                 decision.blocked,
             )
-        if span is not None:
-            span.annotate("level", level)
-            span.finish(charge)
+        span.annotate("level", level)
+        span.finish(charge)
         return level, probability, blocked
 
     # ------------------------------------------------------------------
