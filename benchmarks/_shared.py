@@ -76,8 +76,7 @@ def check_gates(
 ) -> bool:
     """Evaluate acceptance gates, attach them to ``result``, write the JSON.
 
-    The uniform regression contract for every gated perf benchmark
-    (``bench_perf_hotpaths``, ``bench_bn_ingest``):
+    The uniform regression contract for every gated perf benchmark:
 
     * the previously committed ``result_path`` (if any) is loaded so each
       gated ratio prints its delta against the last run;

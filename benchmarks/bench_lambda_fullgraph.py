@@ -99,7 +99,6 @@ DELTA_EDGES = int(os.environ.get("REPRO_BENCH_LFG_DELTA_EDGES", "8"))
 HOPS = 2
 FANOUT = 10
 FEATURE_DIM = 6
-SCORE_CHUNK = 512
 POOL_WORKERS = 4
 POOL_SLICES = 8
 #: the sweep must cover at least this many users for the gated run
@@ -190,7 +189,7 @@ class Sweep:
         return materialize(
             self.model, self.bn, uids, txn_ids, nows, self.feature_fn,
             hops=HOPS, fanout=FANOUT, edge_type_order=self.types,
-            transform=self.scaler.transform, chunk=SCORE_CHUNK,
+            transform=self.scaler.transform,
             layer_row_fn=layer_row_fn,
             **kwargs,
         )
@@ -220,7 +219,6 @@ def timed_slice_executor(sweep: Sweep, sampled, targets, slice_s: list[float]):
                     sweep.feature_fn,
                     hops=HOPS, edge_type_order=sweep.types,
                     allowed_mask=mask, transform=sweep.scaler.transform,
-                    chunk=SCORE_CHUNK,
                 )
             )
             slice_s.append(time.perf_counter() - start)
@@ -301,7 +299,6 @@ def bench_pool_sweep(sweep: Sweep, sharded, sampled, bundle, targets) -> dict:
             sweep.features[sampled.node_ids],
             sweep.features[pool_targets.astype(np.int64)],
             hops=HOPS,
-            chunk=SCORE_CHUNK,
         )
         with ShardWorkerPool(
             router.segments, n_workers=POOL_WORKERS, model_payload=payload
@@ -518,7 +515,6 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         "n_edges": config.n_edges,
         "hops": HOPS,
         "fanout": FANOUT,
-        "score_chunk": SCORE_CHUNK,
         "coverage_floor": COVERAGE_FLOOR,
         "sections": sections,
     }

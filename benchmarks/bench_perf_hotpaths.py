@@ -20,8 +20,8 @@ Run it either way::
     pytest -m slow benchmarks/bench_perf_hotpaths.py      # as a slow test
     PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py   # as a script
 
-Acceptance gates run through the uniform ``_shared.check_gates`` contract
-(shared with ``bench_bn_ingest``): each gated ratio prints its delta
+Acceptance gates run through the uniform ``_shared.check_gates`` contract:
+each gated ratio prints its delta
 against the previously committed JSON and both modes exit nonzero when any
 gate regresses — the ≥5× aggregate pipeline and ≥2× epoch targets plus
 not-slower floors on every other vectorized path.  Scale knobs:

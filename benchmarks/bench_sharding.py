@@ -5,12 +5,11 @@ Scales the Behavior Network to shard-relevant size (default 10⁶ users,
 sweeps shard counts, measuring the two paths the sharding layer
 parallelizes:
 
-* **ingest** — every chunk is routed by owner shard
-  (:meth:`~repro.network.sharding.ShardedBehaviorNetwork.route_weights`)
-  and the router tier also runs the stateless batch preparation
+* **ingest** — the router tier runs the stateless batch preparation
   (:func:`~repro.network.bn.prepare_weight_groups`: canonicalize, group,
-  segment-fold, box keys) for every owner, so each shard's apply is only
-  the state-mutation walk over its disjoint dict partition.  A deployment
+  segment-fold, box keys) once per chunk and hands every owner shard its
+  segments (:meth:`~repro.network.bn.WeightGroups.take`), so each shard's
+  apply is only the state-mutation walk over its disjoint dict partition.  A deployment
   pipelines the two tiers: the router streams prepared groups into
   per-shard queues while every shard drains its own queue on its own
   core — the cross-shard version barrier is a metadata bump once all

@@ -2,16 +2,16 @@
 
 from .blocklist import Blocklist
 from .blp import BLPClassifier, BLPFeatureExtractor
-from .deeptrax import DeepTraxEmbedder, build_bipartite
-from .deepwalk import DeepWalk, SkipGramEmbedder, random_walks
+from .deeptrax import DeepTraxEmbedder
+from .deepwalk import DeepWalk, SkipGramEmbedder
 from .dnn import DNNClassifier
-from .fallback import DEGRADATION_LADDER, FallbackDecision, FallbackStack
+from .fallback import FallbackStack
 from .gat import GAT, GATLayer, gat_edges
 from .gbdt import GradientBoostingClassifier, RegressionTree
 from .gcn import GCN, gcn_aggregator
 from .graphsage import GraphSAGE, SAGELayer, sage_aggregator
 from .logistic import LogisticRegression
-from .registry import GNN_SIZES, METHODS, get_method, hag_method, method_names
+from .registry import METHODS, get_method, hag_method, method_names
 from .scorecard import Scorecard, ScorecardRule, default_scorecard
 from .svm import LinearSVM
 
@@ -32,19 +32,14 @@ __all__ = [
     "BLPClassifier",
     "BLPFeatureExtractor",
     "DeepTraxEmbedder",
-    "build_bipartite",
     "DeepWalk",
     "SkipGramEmbedder",
-    "random_walks",
     "Scorecard",
     "ScorecardRule",
     "default_scorecard",
     "Blocklist",
     "FallbackStack",
-    "FallbackDecision",
-    "DEGRADATION_LADDER",
     "METHODS",
-    "GNN_SIZES",
     "method_names",
     "get_method",
     "hag_method",

@@ -23,7 +23,7 @@ from ..datagen.behavior_types import EDGE_TYPES, BehaviorType
 from ..datagen.entities import BehaviorLog
 from .gbdt import GradientBoostingClassifier
 
-__all__ = ["BLPFeatureExtractor", "BLPClassifier", "BLP_FEATURE_NAMES"]
+__all__ = ["BLPFeatureExtractor", "BLPClassifier"]
 
 BLP_FEATURE_NAMES: tuple[str, ...] = (
     "entity_count",

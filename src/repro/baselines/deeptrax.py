@@ -18,7 +18,7 @@ from ..datagen.behavior_types import EDGE_TYPES, BehaviorType
 from ..datagen.entities import BehaviorLog
 from .deepwalk import SkipGramEmbedder
 
-__all__ = ["DeepTraxEmbedder", "build_bipartite"]
+__all__ = ["DeepTraxEmbedder"]
 
 
 def build_bipartite(

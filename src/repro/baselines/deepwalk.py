@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["random_walks", "SkipGramEmbedder", "DeepWalk"]
+__all__ = ["SkipGramEmbedder", "DeepWalk"]
 
 
 def random_walks(

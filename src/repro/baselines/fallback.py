@@ -29,7 +29,7 @@ from ..datagen.entities import BehaviorLog, Transaction, User
 from .blocklist import Blocklist
 from .scorecard import Scorecard
 
-__all__ = ["FallbackDecision", "FallbackStack", "DEGRADATION_LADDER"]
+__all__ = ["FallbackStack"]
 
 #: fidelity order of the degradation ladder (most to least capable).
 DEGRADATION_LADDER = ("full", "scorecard", "blocklist", "reject")

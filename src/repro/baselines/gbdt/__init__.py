@@ -1,6 +1,6 @@
 """Gradient boosted trees (stand-in for LightGBM)."""
 
 from .boosting import GradientBoostingClassifier
-from .tree import RegressionTree, TreeNode
+from .tree import RegressionTree
 
-__all__ = ["GradientBoostingClassifier", "RegressionTree", "TreeNode"]
+__all__ = ["GradientBoostingClassifier", "RegressionTree"]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RegressionTree", "TreeNode"]
+__all__ = ["RegressionTree"]
 
 
 @dataclass(slots=True)

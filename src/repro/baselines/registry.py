@@ -24,7 +24,7 @@ from .graphsage import GraphSAGE, sage_aggregator
 from .logistic import LogisticRegression
 from .svm import LinearSVM
 
-__all__ = ["METHODS", "GNN_SIZES", "method_names", "get_method", "hag_method"]
+__all__ = ["METHODS", "method_names", "get_method", "hag_method"]
 
 #: Shared GNN architecture settings.  ``paper`` matches Section VI-A
 #: (hidden 128/64, MLP 32, attention 64); ``small`` is the default used by

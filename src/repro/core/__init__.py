@@ -16,11 +16,9 @@ from .minibatch import (
 )
 from .sao import SAOLayer, neighbor_mean_matrix
 from .train_engine import (
-    Minibatch,
     ParallelTrainConfig,
     PresampledGraph,
     assemble_minibatch,
-    fold_gradients,
     train_parallel,
     train_with_neighbor_sampling,
 )
@@ -46,9 +44,7 @@ __all__ = [
     "induced_adjacencies_reference",
     "train_with_neighbor_sampling",
     "PresampledGraph",
-    "Minibatch",
     "ParallelTrainConfig",
     "assemble_minibatch",
-    "fold_gradients",
     "train_parallel",
 ]

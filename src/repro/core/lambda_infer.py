@@ -86,6 +86,11 @@ _COLUMNS = (
 )
 #: Prefix separating layer-state arrays from the fixed per-node columns.
 _LAYER_PREFIX = "state:"
+#: Targets that share one packed forward in :func:`score_slice`.  Scores do
+#: not depend on it (dense products run per request block under
+#: ``nn.row_blocks``), so a larger pack buys no larger GEMM, only a larger
+#: block-diagonal adjacency: 32 measured fastest (``docs/PERFORMANCE.md``).
+SCORE_CHUNK = 32
 
 
 def _layer_names(model: HAG) -> list[str]:
@@ -304,11 +309,6 @@ class MaterializeStats:
     layer_rows: int
     slices: int = 1
 
-    @property
-    def work_fraction(self) -> float:
-        """Recomputed share of the covered rows (1.0 on a full pass)."""
-        return self.rows_computed / max(1, self.total_rows)
-
 
 @dataclass(frozen=True, slots=True)
 class SliceResult:
@@ -406,7 +406,6 @@ def score_slice(
     edge_type_order: Sequence,
     allowed_mask: np.ndarray | None,
     transform: Callable[[np.ndarray], np.ndarray] | None,
-    chunk: int,
 ) -> SliceResult:
     """Replay the per-target serving path for ``uids[indices]`` off the
     sampled-adjacency CSR.
@@ -416,7 +415,7 @@ def score_slice(
     :meth:`~repro.core.hag.HAG.predict_subgraph`): same BFS discovery
     order over the same selections, same induced normalized adjacency
     bits, same forward per request block — but each target costs
-    O(its subgraph) gathers and a ``chunk`` of targets shares one packed
+    O(its subgraph) gathers and :data:`SCORE_CHUNK` targets share one packed
     forward, which is what makes the sweep scale.  ``feature_fn`` is
     called with the *global* sorted-target index (``indices[k]``).
     """
@@ -429,8 +428,8 @@ def score_slice(
     node_arrays: list[np.ndarray] = []
     edges = 0
     expand_types = len(types) if hops >= 1 else 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, SCORE_CHUNK):
+        stop = min(start + SCORE_CHUNK, n)
         matrices: list[np.ndarray] = []
         sizes: list[int] = []
         parts: dict = {btype: [] for btype in types}
@@ -531,7 +530,6 @@ def materialize(
     allowed: set[int] | None = None,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
     sampled: SampledGraph | None = None,
-    chunk: int = 256,
     prior: HAGState | None = None,
     touched: Mapping[int, int] | None = None,
     layer_row_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -589,8 +587,6 @@ def materialize(
     """
     if not len(targets) == len(txn_ids) == len(nows):
         raise ValueError("targets, txn_ids and nows must share one length")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     node_ids = np.asarray(targets, dtype=np.int64)
     if len(node_ids) != len(np.unique(node_ids)):
         raise ValueError("targets must be unique")
@@ -676,7 +672,6 @@ def materialize(
                 edge_type_order=edge_type_order,
                 allowed_mask=allowed_mask,
                 transform=transform,
-                chunk=chunk,
             )
     if observer is not None:
         observer("scores")
@@ -756,12 +751,10 @@ def materialize(
                 layers[name] = spliced(name, fresh_prev)
                 return layers[name]
 
-            model.eval()
             with nn.no_grad():
                 fused, states = model.layer_states_rows(
                     rows, inputs_fn, aggregators, observer
                 )
-            model.train()
             for t, tower_states in enumerate(states):
                 name = f"tower{t}.layer{len(tower_states) - 1}"
                 layers[name] = spliced(name, tower_states[-1].numpy())

@@ -84,10 +84,8 @@ from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
 __all__ = [
     "PresampledGraph",
-    "Minibatch",
     "ParallelTrainConfig",
     "assemble_minibatch",
-    "fold_gradients",
     "train_parallel",
     "train_with_neighbor_sampling",
 ]

@@ -11,17 +11,15 @@ from .behavior_types import (
     BehaviorType,
 )
 from .config import GeneratorConfig
-from .entities import DAY, HOUR, MINUTE, SECOND, BehaviorLog, Dataset, Transaction, User
-from .datasets import DatasetStatistics, dataset_statistics, make_d1, make_d2
+from .entities import DAY, HOUR, BehaviorLog, Dataset, Transaction, User
+from .datasets import dataset_statistics, make_d1, make_d2
 from .drift import (
-    DriftPeriod,
-    DriftScenario,
     FraudBurst,
     fraud_burst_schedule,
     generate_drift_scenario,
 )
-from .generator import LeasingPlatformSimulator, UserPersona
-from .scale import EdgeChunk, ScaleConfig, edge_stream, sample_targets
+from .generator import LeasingPlatformSimulator
+from .scale import ScaleConfig, edge_stream, sample_targets
 
 __all__ = [
     "BehaviorType",
@@ -30,26 +28,19 @@ __all__ = [
     "PROBABILISTIC_TYPES",
     "GeneratorConfig",
     "LeasingPlatformSimulator",
-    "UserPersona",
     "User",
     "Transaction",
     "BehaviorLog",
     "Dataset",
-    "DatasetStatistics",
     "dataset_statistics",
     "make_d1",
     "make_d2",
     "ScaleConfig",
-    "EdgeChunk",
     "edge_stream",
     "sample_targets",
-    "DriftPeriod",
-    "DriftScenario",
     "FraudBurst",
     "fraud_burst_schedule",
     "generate_drift_scenario",
-    "SECOND",
-    "MINUTE",
     "HOUR",
     "DAY",
 ]

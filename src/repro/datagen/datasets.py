@@ -15,7 +15,7 @@ from .config import GeneratorConfig
 from .entities import Dataset
 from .generator import LeasingPlatformSimulator
 
-__all__ = ["make_d1", "make_d2", "DatasetStatistics", "dataset_statistics"]
+__all__ = ["make_d1", "make_d2", "dataset_statistics"]
 
 
 def make_d1(scale: float = 1.0, seed: int = 7, **overrides) -> Dataset:

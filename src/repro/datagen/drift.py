@@ -18,8 +18,6 @@ from .entities import Dataset
 from .generator import LeasingPlatformSimulator
 
 __all__ = [
-    "DriftPeriod",
-    "DriftScenario",
     "FraudBurst",
     "generate_drift_scenario",
     "fraud_burst_schedule",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .behavior_types import BehaviorType
 
-__all__ = ["User", "Transaction", "BehaviorLog", "SECOND", "MINUTE", "HOUR", "DAY"]
+__all__ = ["User", "Transaction", "BehaviorLog", "HOUR", "DAY"]
 
 SECOND = 1.0
 MINUTE = 60.0

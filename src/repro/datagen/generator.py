@@ -30,7 +30,7 @@ from .behavior_types import BehaviorType
 from .config import GeneratorConfig
 from .entities import DAY, HOUR, BehaviorLog, Dataset, Transaction, User
 
-__all__ = ["LeasingPlatformSimulator", "UserPersona"]
+__all__ = ["LeasingPlatformSimulator"]
 
 
 @dataclass(slots=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .behavior_types import BehaviorType
 
-__all__ = ["ScaleConfig", "EdgeChunk", "edge_stream", "sample_targets"]
+__all__ = ["ScaleConfig", "edge_stream", "sample_targets"]
 
 _DAY = 86_400.0
 

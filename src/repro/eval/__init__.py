@@ -11,7 +11,7 @@ from .metrics import (
     roc_auc_score,
     roc_curve,
 )
-from .calibration import OperatingPoint, threshold_for_fbeta, threshold_for_precision
+from .calibration import threshold_for_fbeta, threshold_for_precision
 from .runner import (
     ExperimentData,
     MethodResult,
@@ -19,7 +19,7 @@ from .runner import (
     repeat_method,
     run_method,
 )
-from .splits import UidSplit, split_by_uid
+from .splits import split_by_uid
 
 __all__ = [
     "precision_score",
@@ -31,9 +31,7 @@ __all__ = [
     "confusion",
     "ClassificationReport",
     "classification_report",
-    "UidSplit",
     "split_by_uid",
-    "OperatingPoint",
     "threshold_for_precision",
     "threshold_for_fbeta",
     "ExperimentData",

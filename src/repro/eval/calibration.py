@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import _validate
 
-__all__ = ["OperatingPoint", "threshold_for_precision", "threshold_for_fbeta"]
+__all__ = ["threshold_for_precision", "threshold_for_fbeta"]
 
 
 @dataclass(slots=True)

@@ -24,7 +24,6 @@ from ..datagen.entities import DAY, Dataset
 from ..network.bn import BehaviorNetwork
 
 __all__ = [
-    "TimeBurstSummary",
     "time_burst_summary",
     "temporal_aggregation_intervals",
     "hop_fraud_ratios",

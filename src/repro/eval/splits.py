@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["UidSplit", "split_by_uid"]
+__all__ = ["split_by_uid"]
 
 
 @dataclass(slots=True)

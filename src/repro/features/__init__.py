@@ -1,23 +1,21 @@
 """Feature management: profile (X_u), transaction (X_tau), behavior (X_s)."""
 
-from .pipeline import FeatureManager, LabeledMatrix, StandardScaler
-from .profile import N_OCCUPATIONS, PROFILE_FEATURE_NAMES, profile_features
+from .pipeline import FeatureManager, StandardScaler
+from .profile import PROFILE_FEATURE_NAMES, profile_features
 from .statistical import (
     STAT_WINDOWS,
     UserLogIndex,
     statistical_feature_names,
     statistical_features,
 )
-from .streaming import StreamingAggregator, UserWindowState
+from .streaming import StreamingAggregator
 from .transaction import TRANSACTION_FEATURE_NAMES, transaction_features
 
 __all__ = [
     "FeatureManager",
-    "LabeledMatrix",
     "StandardScaler",
     "profile_features",
     "PROFILE_FEATURE_NAMES",
-    "N_OCCUPATIONS",
     "transaction_features",
     "TRANSACTION_FEATURE_NAMES",
     "statistical_features",
@@ -25,5 +23,4 @@ __all__ = [
     "UserLogIndex",
     "STAT_WINDOWS",
     "StreamingAggregator",
-    "UserWindowState",
 ]

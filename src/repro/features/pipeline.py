@@ -23,7 +23,7 @@ from .statistical import (
 )
 from .transaction import TRANSACTION_FEATURE_NAMES, transaction_features
 
-__all__ = ["FeatureManager", "StandardScaler", "LabeledMatrix"]
+__all__ = ["FeatureManager", "StandardScaler"]
 
 
 class StandardScaler:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..datagen.entities import DAY, User
 
-__all__ = ["PROFILE_FEATURE_NAMES", "profile_features", "N_OCCUPATIONS"]
+__all__ = ["PROFILE_FEATURE_NAMES", "profile_features"]
 
 N_OCCUPATIONS = 8
 

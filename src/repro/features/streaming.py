@@ -23,7 +23,7 @@ from ..datagen.behavior_types import BehaviorType
 from ..datagen.entities import DAY, HOUR, BehaviorLog
 from .statistical import STAT_WINDOWS, _DISTINCT_TYPES, statistical_feature_names
 
-__all__ = ["StreamingAggregator", "UserWindowState"]
+__all__ = ["StreamingAggregator"]
 
 
 class UserWindowState:

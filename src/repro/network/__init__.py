@@ -19,7 +19,6 @@ from .sampling import (
 )
 from .sampled_graph import SampledGraph, build_sampled_graph
 from .sharding import (
-    ShardBlock,
     ShardIndex,
     ShardedBehaviorNetwork,
     build_shard_index,
@@ -52,7 +51,6 @@ __all__ = [
     "shard_of",
     "SampledGraph",
     "build_sampled_graph",
-    "ShardBlock",
     "ShardIndex",
     "ShardedBehaviorNetwork",
     "build_shard_index",

@@ -61,8 +61,9 @@ class WeightGroups:
     folds, key boxing).  Applying it with
     :meth:`BehaviorNetwork.apply_weight_groups` is bit-for-bit the original
     ``add_weights``.  The split exists so a sharded deployment's router tier
-    can run the preparation for every owner shard off the shard workers'
-    critical path (see :mod:`repro.network.sharding`).
+    can prepare a batch once, off the shard workers' critical path, and hand
+    each owner shard its segments (:meth:`take`; see
+    :mod:`repro.network.sharding`).
     """
 
     n: int  # contributions in the batch
@@ -76,6 +77,33 @@ class WeightGroups:
     ts_scalar: float  # shared stamp when ``latest`` is None
     latest: list[float] | None  # per-segment max timestamp (None: scalar ts)
     bucket_ids: list[int] | None  # per-segment expiry bucket (None: scalar ts)
+
+    def take(self, segments: np.ndarray) -> "WeightGroups":
+        """The sub-batch made of ``segments`` (ascending segment indices).
+
+        Segments are in ``(lo, hi, type)`` order and everything but ``n`` is
+        per segment, so the selection is what preparing only those pairs'
+        rows would have produced (``w_s`` is shared; ``starts`` index it).
+        """
+        picked = segments.tolist()
+
+        def pick(column: list | None) -> list | None:
+            return None if column is None else [column[k] for k in picked]
+
+        lengths = self.lengths[segments]
+        return WeightGroups(
+            n=int(lengths.sum()),
+            w_s=self.w_s,
+            starts=self.starts[segments],
+            lengths=lengths,
+            key_lo=pick(self.key_lo),
+            key_hi=pick(self.key_hi),
+            key_types=pick(self.key_types),
+            totals=pick(self.totals),
+            ts_scalar=self.ts_scalar,
+            latest=pick(self.latest),
+            bucket_ids=pick(self.bucket_ids),
+        )
 
 
 def prepare_weight_groups(

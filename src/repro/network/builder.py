@@ -22,14 +22,13 @@ and no string sort in the job.  ``BehaviorLog`` objects handed to
 :meth:`BNBuilder.run_window_job` or :meth:`BNBuilder.replay` go through the
 same encoder into the same kernel.
 
-Every vectorized write path keeps a pinned ``*_reference`` twin — the
-original per-pair Python loops (:meth:`BNBuilder.build_reference`,
-:meth:`BNBuilder.run_window_job_reference`,
-:meth:`BNBuilder.replay_reference`) — and the test tree asserts
-**bit-exact** parity: identical edge sets, weights, and timestamps, down to
-the last ulp.  The sequential segment folds that reproduce the loops'
-IEEE-754 accumulation order live in :mod:`repro.network.segments`, as does
-the overflow-guarded composite keying shared by both paths.
+The per-pair Python loops these paths replaced are the test tree's oracle
+(``tests/oracles/bn_builder.py``: ``build_reference``,
+``run_window_job_reference``, ``replay_reference``), pinned **bit-exact**:
+identical edge sets, weights, and timestamps, down to the last ulp.  The
+sequential segment folds that reproduce the loops' IEEE-754 accumulation
+order live in :mod:`repro.network.segments`, as does the overflow-guarded
+composite keying.
 
 Engineering bound: groups larger than ``max_clique_size`` distinct users are
 skipped.  Their pairwise weight would be at most ``1/max_clique_size`` —
@@ -40,7 +39,6 @@ quadratically (a public Wi-Fi can connect thousands of users within a day).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from math import inf, isfinite
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
@@ -60,7 +58,7 @@ from .segments import (
 )
 from .windows import PAPER_WINDOWS, validate_windows
 
-__all__ = ["BNBuilder", "LogColumns", "LogTable"]
+__all__ = ["BNBuilder", "LogTable"]
 
 
 def _pair_indices(
@@ -234,17 +232,14 @@ class BNBuilder:
         self.origin = origin
         self.weighting = weighting
 
-    def _share(self, group_size: int) -> float:
-        return 1.0 / group_size if self.weighting == "inverse" else 1.0
-
     def _group_shares(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_share` — per-group pair weight."""
+        """Per-group pair weight under the builder's weighting rule."""
         if self.weighting == "inverse":
             return 1.0 / counts.astype(np.float64)
         return np.ones(len(counts), dtype=np.float64)
 
     # ------------------------------------------------------------------
-    # Shared grouping (vectorized and reference paths)
+    # Shared grouping (every entry point, and the test oracle)
     # ------------------------------------------------------------------
     def _window_groups(
         self,
@@ -421,7 +416,7 @@ class BNBuilder:
         only).  Both meet in one kernel: the epoch collapses to one
         :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch (one
         snapshot-version bump), with contributions streamed in the exact
-        order :meth:`run_window_job_reference` issues its ``add_weight``
+        order the scalar reference loop issues its ``add_weight``
         calls — groups in first-occurrence order, members ascending — so
         the resulting network state is bit-identical.
         """
@@ -498,7 +493,7 @@ class BNBuilder:
             ends = self.origin + (epochs + 1) * window
             last = int(np.floor((until - self.origin) / window))
             # A log on an epoch boundary is in no job's half-open epoch here
-            # (as in replay_reference): floor buckets it after the boundary.
+            # (as in the reference replay): floor buckets it after the boundary.
             rows = np.flatnonzero((epochs < last) & (ts > ends - window) & (ts <= ends))
             if not len(rows):
                 continue
@@ -514,130 +509,4 @@ class BNBuilder:
                 )
         if expire:
             bn.expire_edges(until)
-        return bn
-
-    # ------------------------------------------------------------------
-    # Pinned reference implementations (parity tests & benchmarks only)
-    # ------------------------------------------------------------------
-    def build_reference(
-        self, logs: Iterable[BehaviorLog], bn: BehaviorNetwork | None = None
-    ) -> BehaviorNetwork:
-        """Pinned loop twin of :meth:`build` (original per-pair Python)."""
-        if bn is None:
-            bn = BehaviorNetwork(ttl=self.ttl)
-        for btype, (uids, values, times) in self._bucket_by_type(logs, bn).items():
-            if not uids:
-                continue
-            self._build_type_reference(bn, btype, uids, values, times)
-        return bn
-
-    def _build_type_reference(
-        self,
-        bn: BehaviorNetwork,
-        btype: BehaviorType,
-        uids: list[int],
-        values: list[str],
-        times: list[float],
-    ) -> None:
-        """Original dict accumulation: scalar ``add_weight`` per pair."""
-        uid_arr = np.asarray(uids, dtype=np.int64)
-        time_arr = np.asarray(times, dtype=np.float64)
-        value_codes = self._encode_values(values)
-
-        # pair -> [accumulated weight, latest contribution time]
-        accum: dict[tuple[int, int], list[float]] = defaultdict(lambda: [0.0, 0.0])
-        for window in self.windows:
-            self._accumulate_window_reference(
-                accum, window, uid_arr, value_codes, time_arr
-            )
-        for (u, v), (weight, ts) in accum.items():
-            bn.add_weight(u, v, btype, weight, ts)
-
-    def _accumulate_window_reference(
-        self,
-        accum: dict[tuple[int, int], list[float]],
-        window: float,
-        uid_arr: np.ndarray,
-        value_codes: np.ndarray,
-        time_arr: np.ndarray,
-    ) -> None:
-        """Original nested ``for i / for j`` pair loops over one window."""
-        members, starts, counts, epochs = self._window_groups(
-            window, uid_arr, value_codes, time_arr
-        )
-        eligible = (counts >= 2) & (counts <= self.max_clique_size)
-        for start, count, epoch in zip(
-            starts[eligible], counts[eligible], epochs[eligible]
-        ):
-            users = members[start : start + count]
-            epoch_end = self.origin + (int(epoch) + 1) * window
-            share = self._share(int(count))
-            for i in range(count):
-                u = int(users[i])
-                for j in range(i + 1, count):
-                    entry = accum[(u, int(users[j]))]
-                    entry[0] += share
-                    entry[1] = max(entry[1], epoch_end)
-
-    def run_window_job_reference(
-        self,
-        bn: BehaviorNetwork,
-        logs: Iterable[BehaviorLog],
-        window: float,
-        job_end: float,
-    ) -> int:
-        """Pinned loop twin of :meth:`run_window_job` (scalar mutations)."""
-        if window not in self.windows:
-            raise ValueError(f"window {window} is not one of the builder's windows")
-        lo = job_end - window
-        groups: dict[tuple[BehaviorType, str], set[int]] = defaultdict(set)
-        for log in logs:
-            if log.btype not in self.edge_types:
-                continue
-            if not lo < log.timestamp <= job_end:
-                continue
-            bn.add_node(log.uid)
-            groups[(log.btype, log.value)].add(log.uid)
-
-        contributions = 0
-        for (btype, _value), users in groups.items():
-            n = len(users)
-            if n < 2 or n > self.max_clique_size:
-                continue
-            share = self._share(n)
-            members = sorted(users)
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    bn.add_weight(u, v, btype, share, job_end)
-                    contributions += 1
-        return contributions
-
-    def replay_reference(
-        self,
-        logs: Sequence[BehaviorLog],
-        until: float,
-        bn: BehaviorNetwork | None = None,
-        expire: bool = True,
-    ) -> BehaviorNetwork:
-        """Pinned twin of :meth:`replay`: per-log bucketing, scalar jobs,
-        full-scan expiry."""
-        if bn is None:
-            bn = BehaviorNetwork(ttl=self.ttl)
-        for window in self.windows:
-            first = (
-                int(np.floor((min(l.timestamp for l in logs) - self.origin) / window))
-                if logs
-                else 0
-            )
-            last = int(np.floor((until - self.origin) / window))
-            buckets: dict[int, list[BehaviorLog]] = defaultdict(list)
-            for log in logs:
-                epoch = int(np.floor((log.timestamp - self.origin) / window))
-                if first <= epoch < last:
-                    buckets[epoch].append(log)
-            for epoch, epoch_logs in sorted(buckets.items()):
-                job_end = self.origin + (epoch + 1) * window
-                self.run_window_job_reference(bn, epoch_logs, window, job_end)
-        if expire:
-            bn._expire_edges_scan(until)
         return bn

@@ -95,11 +95,6 @@ class SampledGraph:
     def num_pairs(self) -> int:
         return len(self.pair_lo_pos)
 
-    @property
-    def num_selected_edges(self) -> int:
-        """Total selection half-edges across all types."""
-        return int(self.all_indptr[-1]) if len(self.all_indptr) else 0
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

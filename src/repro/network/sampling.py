@@ -37,7 +37,6 @@ __all__ = [
     "ComputationSubgraph",
     "computation_subgraph",
     "computation_subgraphs_batch",
-    "slice_union_subgraphs",
     "BatchSampleStats",
 ]
 

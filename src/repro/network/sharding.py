@@ -62,18 +62,11 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
-from .bn import (
-    DEFAULT_EDGE_TTL,
-    BehaviorNetwork,
-    EdgeRecord,
-    WeightGroups,
-    prepare_weight_groups,
-)
+from .bn import DEFAULT_EDGE_TTL, BehaviorNetwork, EdgeRecord, prepare_weight_groups
 from .snapshot import BNSnapshot, TypedEdgeArrays, positions_of
 
 __all__ = [
     "shard_of",
-    "ShardBlock",
     "ShardIndex",
     "build_shard_index",
     "ShardedBehaviorNetwork",
@@ -531,85 +524,6 @@ class ShardedBehaviorNetwork:
         self._next_seq = max(self._next_seq, seq + 1)
         return seq
 
-    def route_weights(
-        self,
-        u: Sequence[int] | np.ndarray,
-        v: Sequence[int] | np.ndarray,
-        btypes: BehaviorType | Sequence[BehaviorType] | np.ndarray,
-        weights: Sequence[float] | np.ndarray,
-        timestamps: Sequence[float] | np.ndarray,
-        btype_table: Sequence[BehaviorType] | None = None,
-    ) -> tuple[list[dict[str, Any] | None], int, int]:
-        """Split one mutation batch into per-shard ``add_weights`` kwargs.
-
-        Validates all-or-nothing up front (so no shard is mutated when a
-        later row is bad), then masks every column by the owner of
-        ``min(u, v)``.  Returns ``(per_shard_kwargs, cross_shard_rows,
-        total_rows)``; entry ``s`` is ``None`` when shard ``s`` receives no
-        rows.  ``cross_shard_rows`` counts rows whose two endpoints hash to
-        different owners — the half-edges the publish-time exchange will
-        mirror.  Exposed separately from :meth:`add_weights` so benchmarks
-        can time each shard's apply on its own.
-        """
-        u_arr = np.asarray(u, dtype=np.int64)
-        v_arr = np.asarray(v, dtype=np.int64)
-        w_arr = np.asarray(weights, dtype=np.float64)
-        n = len(u_arr)
-        if not len(v_arr) == len(w_arr) == n:
-            raise ValueError("add_weights columns must share one length")
-        scalar_ts = np.ndim(timestamps) == 0
-        ts_arr = None if scalar_ts else np.asarray(timestamps, dtype=np.float64)
-        if ts_arr is not None and len(ts_arr) != n:
-            raise ValueError("add_weights columns must share one length")
-        single_type = isinstance(btypes, BehaviorType)
-        if single_type:
-            codes = None
-            table: list[BehaviorType] | None = None
-        elif btype_table is not None:
-            codes = np.asarray(btypes, dtype=np.int64)
-            table = list(btype_table)
-            if len(codes) != n:
-                raise ValueError("add_weights columns must share one length")
-            if len(codes) and (
-                int(codes.min()) < 0 or int(codes.max()) >= len(table)
-            ):
-                raise ValueError("add_weights type codes out of btype_table range")
-        else:
-            type_list = list(btypes)
-            if len(type_list) != n:
-                raise ValueError("add_weights columns must share one length")
-            type_ids: dict[BehaviorType, int] = {}
-            codes = np.fromiter(
-                (type_ids.setdefault(t, len(type_ids)) for t in type_list),
-                dtype=np.int64,
-                count=n,
-            )
-            table = list(type_ids)
-        if n == 0:
-            return [None] * self.n_shards, 0, 0
-        if np.any(w_arr <= 0):
-            raise ValueError("edge weight contributions must be positive")
-        if np.any(u_arr == v_arr):
-            raise ValueError("self-loops are not part of BN")
-        lo = np.minimum(u_arr, v_arr)
-        hi = np.maximum(u_arr, v_arr)
-        owner = shard_of(lo, self.n_shards)
-        cross = int(np.count_nonzero(owner != shard_of(hi, self.n_shards)))
-        routed: list[dict[str, Any] | None] = [None] * self.n_shards
-        for s in range(self.n_shards):
-            mask = owner == s
-            if not mask.any():
-                continue
-            routed[s] = {
-                "u": u_arr[mask],
-                "v": v_arr[mask],
-                "btypes": btypes if single_type else codes[mask],
-                "weights": w_arr[mask],
-                "timestamps": timestamps if scalar_ts else ts_arr[mask],
-                "btype_table": None if single_type else table,
-            }
-        return routed, cross, n
-
     # ------------------------------------------------------------------
     # Mutation (BehaviorNetwork surface)
     # ------------------------------------------------------------------
@@ -653,42 +567,35 @@ class ShardedBehaviorNetwork:
         one shard as an order-preserving subsequence of the batch, and all
         shards stamp created pairs with the same global sequence tag.
         """
-        routed, cross, n = self.route_weights(
-            u, v, btypes, weights, timestamps, btype_table
+        # The router tier runs the stateless preparation (validate,
+        # canonicalize, group, segment-fold, box keys) once for the batch and
+        # hands every owner its segments, so a shard's apply is only the
+        # state-mutation walk.  In the multi-process deployment this
+        # preparation pipelines with the previous batch's shard applies — it
+        # stays off the shard workers' critical path.
+        groups = prepare_weight_groups(
+            u,
+            v,
+            btypes,
+            weights,
+            timestamps,
+            btype_table,
+            expiry_width=self.shards[0]._expiry_width,
         )
-        if n == 0:
+        if groups is None:
             return 0
-        # The router tier runs the stateless preparation (canonicalize,
-        # group, segment-fold, box keys) for every owner up front, so each
-        # shard's apply is only the state-mutation walk.  In the
-        # multi-process deployment this preparation pipelines with the
-        # previous batch's shard applies — it stays off the shard workers'
-        # critical path.
-        grouped: list[tuple[int, WeightGroups, int]] = []
-        for s, kwargs in enumerate(routed):
-            if kwargs is None:
-                continue
-            groups = prepare_weight_groups(
-                kwargs["u"],
-                kwargs["v"],
-                kwargs["btypes"],
-                kwargs["weights"],
-                kwargs["timestamps"],
-                kwargs["btype_table"],
-                expiry_width=self.shards[s]._expiry_width,
-            )
-            if groups is None:
-                continue
-            grouped.append((s, groups, len(kwargs["u"])))
+        owner = shard_of(groups.key_lo, self.n_shards)
+        cross = owner != shard_of(groups.key_hi, self.n_shards)
         batch_seq = self.claim_seq(seq)
-        for s, groups, shard_rows in grouped:
-            self.shards[s].apply_weight_groups(groups, seq=batch_seq)
-            self._shard_rows[s] += shard_rows
+        for s in np.unique(owner).tolist():
+            sub = groups.take(np.flatnonzero(owner == s))
+            self.shards[s].apply_weight_groups(sub, seq=batch_seq)
+            self._shard_rows[s] += sub.n
         self._stats["batches"] += 1
-        self._stats["rows"] += n
-        self._stats["cross_shard"] += cross
+        self._stats["rows"] += groups.n
+        self._stats["cross_shard"] += int(groups.lengths[cross].sum())
         self._version += 1
-        return n
+        return groups.n
 
     def add_node(self, uid: int) -> None:
         """Register a node on its owner shard."""
@@ -864,28 +771,6 @@ class ShardedBehaviorNetwork:
     def to_arrays(self) -> BNSnapshot:
         """Merged snapshot (bit-exact vs the unsharded ``to_arrays``)."""
         return self.index().snapshot()
-
-    def khop_neighborhood(
-        self, uid: int, hops: int, allowed: set[int] | None = None
-    ) -> dict[int, int]:
-        """Node -> hop distance map (``BehaviorNetwork`` parity incl. BFS
-        discovery order, via creation-order neighbour lists)."""
-        if hops < 0:
-            raise ValueError("hops must be non-negative")
-        distances = {uid: 0}
-        frontier = [uid]
-        for depth in range(1, hops + 1):
-            next_frontier: list[int] = []
-            for node in frontier:
-                for neighbor in self.neighbors(node):
-                    if neighbor in distances:
-                        continue
-                    if allowed is not None and neighbor not in allowed:
-                        continue
-                    distances[neighbor] = depth
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return distances
 
     # ------------------------------------------------------------------
     # Construction / rebalancing

@@ -12,9 +12,9 @@ the offline replacement.  It provides:
 """
 
 from .init import kaiming_uniform, normal, xavier_normal, xavier_uniform, zeros
-from .layers import MLP, Dropout, Linear, Module, ModuleList, Sequential
+from .layers import MLP, Dropout, Linear, Module, ModuleList
 from .losses import bce_with_logits, hinge_loss, mse_loss
-from .optim import SGD, Adam, Optimizer
+from .optim import SGD, Adam
 from .sparse import (
     PreparedAggregator,
     as_csr,
@@ -53,10 +53,8 @@ __all__ = [
     "Linear",
     "MLP",
     "Dropout",
-    "Sequential",
     "SGD",
     "Adam",
-    "Optimizer",
     "bce_with_logits",
     "hinge_loss",
     "mse_loss",

@@ -9,7 +9,7 @@ import numpy as np
 from . import init
 from .tensor import Tensor, addmm, is_grad_enabled
 
-__all__ = ["Module", "Linear", "MLP", "Dropout", "Sequential", "ModuleList"]
+__all__ = ["Module", "Linear", "MLP", "Dropout", "ModuleList"]
 
 
 class Module:
@@ -180,19 +180,6 @@ class Dropout(Module):
             return x
         mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
         return x * Tensor(mask)
-
-
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self.steps = ModuleList(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.steps:
-            x = module(x)
-        return x
 
 
 class MLP(Module):

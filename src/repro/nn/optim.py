@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["SGD", "Adam"]
 
 
 class Optimizer:
@@ -89,10 +89,11 @@ class Adam(Optimizer):
 
         The update is computed entirely in preallocated scratch buffers —
         zero per-parameter temporaries.  Every fused ufunc call performs the
-        same elementwise operation sequence as :meth:`_step_reference` (only
-        the output buffer differs, and scalar multiplication order, which
-        IEEE-754 rounds identically), so the two are bit-exact; the test
-        suite pins that equivalence.
+        same elementwise operation sequence as the one-temporary-per-line
+        update it replaced (``tests/oracles/optim.py``; only the output
+        buffer differs, and scalar multiplication order, which IEEE-754
+        rounds identically), so the two are bit-exact; the test suite pins
+        that equivalence.
         """
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
@@ -123,28 +124,3 @@ class Adam(Optimizer):
             num *= self.lr
             np.divide(num, den, out=num)
             param.data -= num
-
-    def _step_reference(self) -> None:
-        """The pre-fusion update, one temporary per line — kept verbatim.
-
-        This is the update :meth:`step` replaced with in-place arithmetic;
-        the optimizer tests run both against identical parameter clones and
-        assert bit-identical trajectories, so any future edit to ``step``
-        that changes the float sequence fails loudly.
-        """
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

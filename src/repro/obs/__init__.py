@@ -27,11 +27,10 @@ from .export import (
     latency_table_from_spans,
     load_spans_jsonl,
     rebuild_trees,
-    span_to_dict,
     write_spans_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profiling import EpochProfile, NullProfiler, TrainProfiler
+from .profiling import NullProfiler, TrainProfiler
 from .tracing import (
     Span,
     TraceContext,
@@ -56,8 +55,6 @@ __all__ = [
     "MetricsRegistry",
     "TrainProfiler",
     "NullProfiler",
-    "EpochProfile",
-    "span_to_dict",
     "write_spans_jsonl",
     "load_spans_jsonl",
     "rebuild_trees",

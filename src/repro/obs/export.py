@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 from .tracing import Span
 
 __all__ = [
-    "span_to_dict",
     "write_spans_jsonl",
     "load_spans_jsonl",
     "rebuild_trees",

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
-__all__ = ["EpochProfile", "TrainProfiler", "NullProfiler"]
+__all__ = ["TrainProfiler", "NullProfiler"]
 
 
 @dataclass(slots=True)

@@ -1,6 +1,6 @@
 """The Turbo online system: servers, storage, latency simulation, A/B test."""
 
-from .abtest import ABTestResult, run_ab_test
+from .abtest import run_ab_test
 from .bn_server import BNServer
 from .clock import SimulatedClock
 from .config import TurboConfig
@@ -8,7 +8,6 @@ from .faults import (
     BudgetExceeded,
     CircuitBreaker,
     CrashWindow,
-    FaultEvent,
     FaultInjector,
     InjectedFault,
     RetryPolicy,
@@ -16,10 +15,9 @@ from .faults import (
 )
 from .bn_server import LocalSampler
 from .feature_server import FeatureServer
-from .lambda_layer import DeltaSampler, LambdaHit, LambdaLayer
+from .lambda_layer import DeltaSampler, LambdaLayer
 from .latency import LatencyBreakdown, LatencyModel
 from .loadgen import (
-    DEFAULT_PRIORITY_CLASSES,
     Arrival,
     BurstWindow,
     OpenLoopLoadGenerator,
@@ -27,15 +25,13 @@ from .loadgen import (
     TrafficPattern,
     bursts_from_drift,
 )
-from .model_management import ModelManager, ModelVersion
+from .model_management import ModelManager
 from .monitoring import LatencyHistogram, SystemMonitor
 from .prediction_server import PredictionServer
 from .queue import (
     Autoscaler,
     QueueConfig,
     QueueFrontend,
-    QueueRecord,
-    RequestQueue,
     SimulatedWorkerPool,
 )
 from .service import PredictRequest, RequestContext, Sampler, Service
@@ -64,7 +60,6 @@ __all__ = [
     "StorageError",
     "FaultInjector",
     "InjectedFault",
-    "FaultEvent",
     "CrashWindow",
     "RetryPolicy",
     "CircuitBreaker",
@@ -73,7 +68,6 @@ __all__ = [
     "BNServer",
     "LocalSampler",
     "LambdaLayer",
-    "LambdaHit",
     "DeltaSampler",
     "ForkPool",
     "ShardRouter",
@@ -85,23 +79,18 @@ __all__ = [
     "TrafficPattern",
     "BurstWindow",
     "PriorityClass",
-    "DEFAULT_PRIORITY_CLASSES",
     "Arrival",
     "OpenLoopLoadGenerator",
     "bursts_from_drift",
     "QueueConfig",
-    "QueueRecord",
-    "RequestQueue",
     "SimulatedWorkerPool",
     "Autoscaler",
     "QueueFrontend",
     "ModelManager",
-    "ModelVersion",
     "SystemMonitor",
     "LatencyHistogram",
     "Turbo",
     "TurboResponse",
     "deploy_turbo",
-    "ABTestResult",
     "run_ab_test",
 ]

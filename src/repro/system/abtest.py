@@ -20,7 +20,7 @@ from ..baselines.scorecard import Scorecard
 from ..datagen.entities import Dataset, Transaction
 from .turbo import Turbo
 
-__all__ = ["ABTestResult", "run_ab_test"]
+__all__ = ["run_ab_test"]
 
 
 @dataclass(slots=True)

@@ -41,7 +41,6 @@ from .storage import StorageError
 __all__ = [
     "InjectedFault",
     "BudgetExceeded",
-    "FaultEvent",
     "CrashWindow",
     "FaultInjector",
     "RetryPolicy",
@@ -186,11 +185,6 @@ class FaultInjector:
             self._plans.clear()
         else:
             self._plans.pop(component, None)
-
-    def reset_trace(self) -> None:
-        """Forget recorded events and counters (plans stay scheduled)."""
-        self.trace.clear()
-        self.injected.clear()
 
     # ------------------------------------------------------------------
     # Interrogation

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .faults import FaultInjector
     from .service import RequestContext
 
-__all__ = ["FeatureServer", "FeatureBatchStats"]
+__all__ = ["FeatureServer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,10 +281,6 @@ class FeatureServer:
     def _count_logs(self, uid: int, now: float) -> int:
         """History length that prices the ``X_s`` scan — bisect, no slice."""
         return self.feature_manager.log_index.count_before(uid, now)
-
-    def _count_logs_reference(self, uid: int, now: float) -> int:
-        """Pinned pre-fix counting: materializes the full log slice."""
-        return len(self.feature_manager.log_index.logs_before(uid, now))
 
     # ------------------------------------------------------------------
     # Batched serving

@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from .service import Sampler
     from .storage import LocalDatabase
 
-__all__ = ["DeltaSampler", "LambdaHit", "LambdaLayer"]
+__all__ = ["DeltaSampler", "LambdaLayer"]
 
 #: Storage coordinates of the batch-layer checkpoint.
 _CHECKPOINT_TABLE = "lambda_state"

@@ -40,7 +40,6 @@ from ..datagen.entities import Transaction
 __all__ = [
     "BurstWindow",
     "PriorityClass",
-    "DEFAULT_PRIORITY_CLASSES",
     "TrafficPattern",
     "Arrival",
     "OpenLoopLoadGenerator",

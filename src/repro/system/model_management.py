@@ -15,7 +15,7 @@ import numpy as np
 from ..core.hag import HAG
 from ..obs.tracing import Span
 
-__all__ = ["ModelVersion", "ModelManager"]
+__all__ = ["ModelManager"]
 
 
 @dataclass(slots=True)

@@ -58,8 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 __all__ = [
     "QueueConfig",
-    "QueueRecord",
-    "RequestQueue",
     "SimulatedWorkerPool",
     "Autoscaler",
     "QueueFrontend",

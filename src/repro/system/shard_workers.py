@@ -47,7 +47,6 @@ def publish_materialize_inputs(
     target_rows: np.ndarray,
     *,
     hops: int,
-    chunk: int = 256,
     allowed_mask: np.ndarray | None = None,
 ):
     """Publish one full-graph sweep's worker inputs as a single segment.
@@ -66,7 +65,7 @@ def publish_materialize_inputs(
     arrays["target_rows"] = np.asarray(target_rows, dtype=np.float64)
     if allowed_mask is not None:
         arrays["allowed_mask"] = allowed_mask.astype(np.uint8)
-    meta = {"sampled": sg_meta, "hops": int(hops), "chunk": int(chunk)}
+    meta = {"sampled": sg_meta, "hops": int(hops)}
     return store.publish(name, arrays, meta, version=sampled.version)
 
 
@@ -219,7 +218,6 @@ def _materialize_attach(state: WorkerState, segment: str) -> int:
             else None
         ),
         "hops": int(meta["hops"]),
-        "chunk": int(meta["chunk"]),
     }
     return sampled.version
 
@@ -250,7 +248,6 @@ def _materialize(state: WorkerState, bounds: tuple[int, int]) -> dict:
         edge_type_order=bundle["edge_type_order"],
         allowed_mask=mat["allowed_mask"],
         transform=bundle["scaler"].transform,
-        chunk=mat["chunk"],
     )
     return result.to_arrays()
 

@@ -280,10 +280,6 @@ class InMemoryCache:
         """Bring the cache back online (empty)."""
         self._up = True
 
-    def _ensure_up(self) -> None:
-        if not self._up:
-            raise StorageError("cache instance is down")
-
 
 @dataclass
 class ReplicatedStore:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import DeepTraxEmbedder, build_bipartite
+from repro.baselines import DeepTraxEmbedder
+from repro.baselines.deeptrax import build_bipartite
 from repro.datagen import BehaviorLog, BehaviorType
 
 DEV = BehaviorType.DEVICE_ID

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import DeepWalk, SkipGramEmbedder, random_walks
+from repro.baselines import DeepWalk, SkipGramEmbedder
+from repro.baselines.deepwalk import random_walks
 
 
 class TestRandomWalks:

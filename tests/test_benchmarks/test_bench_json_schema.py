@@ -28,8 +28,6 @@ REQUIRED_RESULTS = (
     "BENCH_lambda.json",
     "BENCH_lambda_fullgraph.json",
     "BENCH_loadtest.json",
-    "BENCH_serving_batch.json",
-    "BENCH_sharding.json",
     "BENCH_train_parallel.json",
 )
 

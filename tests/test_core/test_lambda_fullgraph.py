@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import HAG, materialize, prepare_aggregators
+from repro.core import HAG, lambda_infer, materialize, prepare_aggregators
 from repro.core.lambda_infer import SliceResult, score_slice
 from repro.datagen import BehaviorType
 from repro.network import BehaviorNetwork, build_sampled_graph, typed_adjacency
@@ -214,11 +214,12 @@ class TestFullGraphParity:
         assert run(setup)[0].scores.tobytes() == oracle[0].tobytes()
 
     @pytest.mark.parametrize("chunk", (1, 7, 256))
-    def test_chunking_does_not_change_bits(self, setup, oracle, chunk):
-        got, _, _ = run(setup, chunk=chunk)
+    def test_chunking_does_not_change_bits(self, setup, oracle, chunk, monkeypatch):
+        monkeypatch.setattr(lambda_infer, "SCORE_CHUNK", chunk)
+        got, _, _ = run(setup)
         assert_matches_oracle(got, oracle)
 
-    def test_dense_multi_typed_pairs(self):
+    def test_dense_multi_typed_pairs(self, monkeypatch):
         """Most pairs carry all three types and rows run past 16 entries:
         the regime where the CFO(-) merge sums three duplicates per
         coordinate, which must not depend on what shares the chunk."""
@@ -231,7 +232,8 @@ class TestFullGraphParity:
         )
         oracle = scalar_oracle(local)
         for chunk in (7, 256):
-            assert_matches_oracle(run(local, chunk=chunk)[0], oracle)
+            monkeypatch.setattr(lambda_infer, "SCORE_CHUNK", chunk)
+            assert_matches_oracle(run(local)[0], oracle)
 
     def test_slices_and_dead_executor_slots(self, setup):
         """Executor results splice bit-exactly; dead (None) slots recompute."""
@@ -254,7 +256,7 @@ class TestFullGraphParity:
                     feature_fn_for(features),
                     hops=HOPS, edge_type_order=types,
                     allowed_mask=sampled.allowed_mask(None),
-                    transform=None, chunk=256,
+                    transform=None,
                 )
                 out.append(SliceResult.from_arrays(result.to_arrays()))
             return out

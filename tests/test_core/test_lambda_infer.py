@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import HAG, HAGState, materialize
+from repro.core import HAG, HAGState, lambda_infer, materialize
 from repro.datagen import BehaviorType
 from repro.network.sampling import computation_subgraph
 
@@ -230,19 +230,21 @@ class TestMaterialize:
                 state.subgraph_of(position), np.asarray(subgraph.nodes)
             )
 
-    def test_chunking_does_not_change_bits(self, tiny_bn, model_and_features):
+    def test_chunking_does_not_change_bits(self, tiny_bn, model_and_features, monkeypatch):
         model, features, types = model_and_features
         targets = sorted(tiny_bn.nodes())[:9]
         txn_ids = [1] * len(targets)
         nows = [0.0] * len(targets)
         fn = lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)]
+        monkeypatch.setattr(lambda_infer, "SCORE_CHUNK", 1)
         one, _, _ = materialize(
             model, tiny_bn, targets, txn_ids, nows, fn,
-            hops=2, fanout=10, edge_type_order=types, chunk=1,
+            hops=2, fanout=10, edge_type_order=types,
         )
+        monkeypatch.setattr(lambda_infer, "SCORE_CHUNK", 256)
         big, _, _ = materialize(
             model, tiny_bn, targets, txn_ids, nows, fn,
-            hops=2, fanout=10, edge_type_order=types, chunk=256,
+            hops=2, fanout=10, edge_type_order=types,
         )
         np.testing.assert_array_equal(one.scores, big.scores)
 

@@ -29,19 +29,22 @@ import scipy.sparse as sp
 
 from repro.core import (
     HAG,
-    Minibatch,
     ParallelTrainConfig,
     PresampledGraph,
     TrainConfig,
     assemble_minibatch,
-    fold_gradients,
     induced_adjacencies,
     sample_khop_nodes,
     train_parallel,
     train_with_neighbor_sampling,
 )
 from repro.core import train_engine
-from repro.core.train_engine import _batch_gradient, _inprocess_epoch, _pooled_epoch
+from repro.core.train_engine import (
+    _batch_gradient,
+    _inprocess_epoch,
+    _pooled_epoch,
+    fold_gradients,
+)
 from repro.network.shm import SharedSnapshotStore
 from repro.obs.profiling import NullProfiler, TrainProfiler
 from repro.system.train_workers import TrainWorkerPool, publish_train_inputs

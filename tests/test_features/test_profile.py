@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datagen import DAY, User
-from repro.features import N_OCCUPATIONS, PROFILE_FEATURE_NAMES, profile_features
+from repro.features import PROFILE_FEATURE_NAMES, profile_features
+from repro.features.profile import N_OCCUPATIONS
 
 
 class TestProfileFeatures:

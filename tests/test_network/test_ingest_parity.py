@@ -1,9 +1,9 @@
 """Bit-exact parity contracts for the vectorized BN write path.
 
-Every vectorized ingest component keeps a pinned ``*_reference`` twin (the
-original Python loops); these tests assert the two produce *identical*
-networks — same edge sets, bit-for-bit equal weights and timestamps — plus
-the batch-mutation contracts (single version bump, all-or-nothing
+Every vectorized ingest component has a pinned ``*_reference`` twin (the
+original Python loops, ``tests/oracles/bn_builder.py``); these tests assert
+the two produce *identical* networks — same edge sets, bit-for-bit equal
+weights and timestamps — plus the batch-mutation contracts (single version bump, all-or-nothing
 validation, O(1) edge counter) that the online system depends on.
 """
 
@@ -14,6 +14,11 @@ import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
 from repro.network import BehaviorNetwork, BNBuilder
+from tests.oracles.bn_builder import (
+    build_reference,
+    replay_reference,
+    run_window_job_reference,
+)
 
 TYPES = tuple(BehaviorType)[:3]
 WINDOWS = (HOUR, DAY)
@@ -54,7 +59,7 @@ def builder():
 class TestBuildParity:
     def test_build_bit_exact(self, builder, logs):
         vec = builder.build(logs)
-        ref = builder.build_reference(logs)
+        ref = build_reference(builder, logs)
         assert edge_state(vec) == edge_state(ref)
         assert sorted(vec.nodes()) == sorted(ref.nodes())
 
@@ -67,13 +72,13 @@ class TestBuildParity:
                     bn.add_weight(1, 2, TYPES[0], 0.125, 10.0)
                     bn.add_weight(3, 7, TYPES[1], 0.5, 20.0)
             n_vec = builder.run_window_job(vec, epoch_logs, HOUR, job_end=HOUR)
-            n_ref = builder.run_window_job_reference(ref, epoch_logs, HOUR, job_end=HOUR)
+            n_ref = run_window_job_reference(builder, ref, epoch_logs, HOUR, job_end=HOUR)
             assert n_vec == n_ref
             assert edge_state(vec) == edge_state(ref)
 
     def test_replay_bit_exact(self, builder, logs):
         vec = builder.replay(logs, until=3 * DAY)
-        ref = builder.replay_reference(logs, until=3 * DAY)
+        ref = replay_reference(builder, logs, until=3 * DAY)
         assert edge_state(vec) == edge_state(ref)
 
     def test_adversarial_uid_span_parity(self):
@@ -88,7 +93,7 @@ class TestBuildParity:
         ]
         builder = BNBuilder(windows=WINDOWS, edge_types=TYPES)
         assert edge_state(builder.build(logs)) == edge_state(
-            builder.build_reference(logs)
+            build_reference(builder, logs)
         )
 
     def test_negative_epoch_parity(self):
@@ -101,7 +106,7 @@ class TestBuildParity:
         ]
         builder = BNBuilder(windows=WINDOWS, edge_types=TYPES)
         assert edge_state(builder.build(logs)) == edge_state(
-            builder.build_reference(logs)
+            build_reference(builder, logs)
         )
 
 
@@ -222,11 +227,11 @@ class TestOrderingProperty:
             # Vectorized vs pinned reference: bit-exact on every ordering.
             build_vec = builder.build(shuffled)
             assert edge_state(build_vec) == edge_state(
-                builder.build_reference(shuffled)
+                build_reference(builder, shuffled)
             )
             replay_vec = builder.replay(shuffled, until=until)
             assert edge_state(replay_vec) == edge_state(
-                builder.replay_reference(shuffled, until=until)
+                replay_reference(builder, shuffled, until=until)
             )
             # Batch build is ordering-invariant outright (grouping sorts).
             assert edge_state(build_vec) == edge_state(baseline_build)

@@ -3,7 +3,8 @@
 ``BNBuilder.run_window_job`` is entered three ways: with ``BehaviorLog``
 objects (validated, encoded with a throw-away table, cut to the epoch), with
 the column slices a ``BNServer`` cuts from its own log table, and — as the
-oracle — through the scalar loops of ``run_window_job_reference``.
+oracle — through the scalar loops of ``run_window_job_reference``
+(``tests/oracles/bn_builder.py``).
 
 * objects ≡ server columns on **everything**: ``_edges`` and adjacency
   iteration order, ``_pair_seq``, weight bits, ``last_update``,
@@ -26,6 +27,7 @@ from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
 from repro.network import BehaviorNetwork, BNBuilder, ShardedBehaviorNetwork
 from repro.network.builder import LogColumns, LogTable
 from repro.system import BNServer, LatencyModel
+from tests.oracles.bn_builder import run_window_job_reference
 
 DEV, IMEI, IP = BehaviorType.DEVICE_ID, BehaviorType.IMEI, BehaviorType.IPV4
 TYPES = (DEV, IMEI, IP)
@@ -112,8 +114,8 @@ def assert_three_entrances(logs, ticks, shards=None, **builder_args):
                 next_epoch[window] += 1
                 job_end = next_epoch[window] * window
                 count = builder.run_window_job(objects, logs, window, job_end)
-                assert count == builder.run_window_job_reference(
-                    reference, logs, window, job_end
+                assert count == run_window_job_reference(
+                    builder, reference, logs, window, job_end
                 )
                 total += count
                 ran += 1
@@ -303,7 +305,7 @@ class TestWideSpansStayExact:
         ]
         vec, ref = BehaviorNetwork(), BehaviorNetwork()
         assert builder.run_window_job(vec, logs, HOUR, HOUR) == 6
-        assert builder.run_window_job_reference(ref, logs, HOUR, HOUR) == 6
+        assert run_window_job_reference(builder, ref, logs, HOUR, HOUR) == 6
         assert reference_bits(vec) == reference_bits(ref)
         # (3, 2**62) shares both values, each in a group of three.
         assert np.isclose(vec.weight(2**62, 3, DEV), 2 / 3)

@@ -139,23 +139,6 @@ class TestShardedParity:
         assert sharded.num_pairs() == bn.num_pairs()
         assert sharded.edge_types() == bn.edge_types()
 
-    def test_route_weights_covers_every_row(self, rng):
-        batches = contribution_batches(rng, n_batches=1)
-        sharded = ShardedBehaviorNetwork(4)
-        u, v, codes, weights, stamps = batches[0]
-        routed, cross, n = sharded.route_weights(
-            u, v, codes, weights, stamps, btype_table=TYPES
-        )
-        assert n == len(u)
-        assert sum(len(k["u"]) for k in routed if k is not None) == n
-        lo = np.minimum(u, v)
-        for s, kwargs in enumerate(routed):
-            if kwargs is None:
-                continue
-            owners = shard_of(np.minimum(kwargs["u"], kwargs["v"]), 4)
-            assert np.all(owners == s)
-        assert 0 <= cross <= n
-
     def test_route_stats_drain(self, rng):
         _bn, sharded = build_pair(contribution_batches(rng, n_batches=2), 2)
         stats = sharded.drain_route_stats()

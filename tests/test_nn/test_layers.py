@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Linear, Module, ModuleList, Sequential, Tensor
+from repro.nn import MLP, Dropout, Linear, Module, ModuleList, Tensor
 
 
 class TestLinear:
@@ -28,7 +28,7 @@ class TestLinear:
 
 class TestModuleMechanics:
     def test_nested_parameter_discovery(self, rng):
-        model = Sequential(Linear(4, 8, rng), Linear(8, 2, rng))
+        model = ModuleList([Linear(4, 8, rng), Linear(8, 2, rng)])
         assert len(model.parameters()) == 4
 
     def test_parameters_in_dict_and_list_attrs(self, rng):
@@ -41,11 +41,11 @@ class TestModuleMechanics:
         assert len(Custom().parameters()) == 4
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Dropout(0.5, rng), Linear(2, 2, rng))
+        model = ModuleList([Dropout(0.5, rng), Linear(2, 2, rng)])
         model.eval()
-        assert not model.steps[0].training
+        assert not model[0].training
         model.train()
-        assert model.steps[0].training
+        assert model[0].training
 
     def test_zero_grad_clears(self, rng):
         layer = Linear(3, 1, rng)

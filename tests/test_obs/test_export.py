@@ -9,9 +9,9 @@ from repro.obs import (
     latency_table_from_spans,
     load_spans_jsonl,
     rebuild_trees,
-    span_to_dict,
     write_spans_jsonl,
 )
+from repro.obs.export import span_to_dict
 
 pytestmark = pytest.mark.obs
 

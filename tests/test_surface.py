@@ -1,0 +1,67 @@
+"""The shipped surface checks itself (ROADMAP item 5).
+
+A name in a module's ``__all__`` must be referenced from ``src/`` outside
+its own module (package ``__init__`` re-exports do not count), or from
+``benchmarks/``, ``bench/`` or ``examples/``, or have a row in the tables of
+``docs/PAPER_MAP.md``'s "Surface kept for the paper" section.  An export
+that only ``tests/`` reach fails here.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
+#: the oracles ``benchmarks/bench_perf_hotpaths.py`` still times
+TIMED_REFERENCES = {
+    "typed_adjacency_reference",
+    "sample_khop_nodes_reference",
+    "induced_adjacencies_reference",
+}
+
+
+def words(paths) -> set[str]:
+    return {w for p in paths for w in re.findall(r"[A-Za-z_]\w*", p.read_text())}
+
+
+def exported(module: Path) -> list[str]:
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def test_every_export_is_reached_or_justified():
+    section = (ROOT / "docs" / "PAPER_MAP.md").read_text().split(
+        "## Surface kept for the paper", 1
+    )[1]
+    justified = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M))
+    outside = words(
+        p for d in ("benchmarks", "bench", "examples") for p in (ROOT / d).rglob("*.py")
+    )
+    by_module = {module: words([module]) for module in MODULES}
+    unreached = {
+        name
+        for module in MODULES
+        for name in exported(module)
+        if name not in outside
+        and not any(name in by_module[other] for other in MODULES if other != module)
+    }
+    assert unreached - justified == set(), "exported, reached only by tests"
+    assert justified - unreached == set(), "stale rows in docs/PAPER_MAP.md"
+
+
+def test_only_the_timed_oracles_ship():
+    shipped = {
+        node.name
+        for module in MODULES
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.endswith("_reference")
+    }
+    assert shipped == TIMED_REFERENCES

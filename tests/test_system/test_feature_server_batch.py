@@ -143,11 +143,12 @@ class TestLatestTransactionVisibility:
 
 class TestScanPricing:
     def test_count_matches_reference(self, tiny_dataset, server):
+        log_index = server.feature_manager.log_index
         nows = [t.audit_at for t in tiny_dataset.transactions[:10]]
         for uid in [u.uid for u in tiny_dataset.users[:20]]:
             for now in nows:
-                assert server._count_logs(uid, now) == server._count_logs_reference(
-                    uid, now
+                assert server._count_logs(uid, now) == len(
+                    log_index.logs_before(uid, now)
                 )
 
     def test_charged_seconds_identical_to_reference_counting(self, tiny_dataset):
@@ -156,7 +157,9 @@ class TestScanPricing:
         manager = FeatureManager(tiny_dataset, include_stats=True)
         fast = FeatureServer(manager, latency_a, cache=InMemoryCache(latency_a))
         slow = FeatureServer(manager, latency_b, cache=InMemoryCache(latency_b))
-        slow._count_logs = slow._count_logs_reference
+        slow._count_logs = lambda uid, now: len(
+            manager.log_index.logs_before(uid, now)
+        )
         txn = tiny_dataset.transactions[0]
         nodes = [txn.uid] + [u.uid for u in tiny_dataset.users[:5] if u.uid != txn.uid]
         _, fast_seconds = fast.features_for(nodes, txn, now=txn.audit_at)

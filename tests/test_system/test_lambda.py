@@ -543,6 +543,23 @@ class TestIncrementalRefresh:
             lam.run_incremental_pass(refreshable.clock.now())
         assert lam.batch_passes == passes
 
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_passes_leave_the_model_mode_alone(self, refreshable, mode):
+        """``model.training`` is the caller's: a full pass and a cone refresh
+        that both run the layer pass leave it as it was set."""
+        lam = refreshable.lambda_layer
+        model = lam.prediction_server.model
+        getattr(model, mode)()
+        now = refreshable.clock.now()
+        lam.run_batch_pass(now)
+        assert model.training is (mode == "train")
+        u, v = (int(uid) for uid in lam.state.node_ids[:2])
+        lam._bn.add_weight(u, v, sorted(lam._bn.edge_types())[0], 1.0, now)
+        lam.run_incremental_pass(now)
+        assert lam.last_materialize.mode == "incremental"
+        assert lam.last_materialize.layer_rows > 0
+        assert model.training is (mode == "train")
+
     def test_incremental_refresh_after_delta_matches_full(self, tiny_dataset):
         turbo, _data = deploy_turbo(tiny_dataset, lambda_config())
         lam = turbo.lambda_layer

@@ -360,7 +360,7 @@ class TestPoolMaterialize:
                 np.asarray(targets, dtype=np.int64),
                 features[sampled.node_ids],
                 features[np.asarray(targets, dtype=np.int64)],
-                hops=2, chunk=64,
+                hops=2,
             )
             yield router, handle, bundle, sampled, run
         finally:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import pytest
 
 from repro.network import FAST_WINDOWS
-from repro.obs import assert_all_traced, render_span_tree, span_to_dict
+from repro.obs import assert_all_traced, render_span_tree
+from repro.obs.export import span_to_dict
 from repro.system import TurboConfig, deploy_turbo
 
 pytestmark = [pytest.mark.resilience, pytest.mark.obs]
