@@ -325,8 +325,8 @@ class HAG(nn.Module):
         per_layer = 7 if self.use_sao else 4
         h = x
         for k, layer in enumerate(self.towers[0]):
-            aggregator = aggregators.matrix(block_diagonal=k > 0)
-            h_neigh = (aggregator @ h.reshape(-1, h.shape[-1])).reshape(towers, n, -1)
+            h_neigh = aggregators.matmul(h.reshape(-1, h.shape[-1]), block_diagonal=k > 0)
+            h_neigh = h_neigh.reshape(towers, n, -1)
             h = sao_combine_stacked(
                 h, h_neigh, weights[k * per_layer : (k + 1) * per_layer], layer.activation
             )

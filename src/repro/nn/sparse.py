@@ -19,7 +19,7 @@ typed adjacencies are one *type-stacked* CSR (:class:`StackedCSR`) from the
 sampler to the last SAO layer: built by :func:`stacked_symmetric_csr`,
 packed into tower order by :meth:`StackedCSR.block_diagonal`, normalised by
 :meth:`StackedCSR.row_mean` and multiplied as one matrix
-(:meth:`StackedCSR.matrix`).  :func:`typed_symmetric_csr` and
+(:meth:`StackedCSR.matmul`).  :func:`typed_symmetric_csr` and
 :func:`row_mean_csr` are ``split()`` of the same builders, bit-identical to
 the per-matrix scipy pipelines frozen in ``tests/oracles/sparse.py`` — see
 "The request's adjacency pipeline" in ``docs/PERFORMANCE.md``.
@@ -32,6 +32,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+# The kernel ``csr_matrix @ dense`` ends in.  Private to scipy: a release that
+# moves it must fail this import, not take another summation order silently.
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .tensor import Tensor, _blocked_matmul, _unbroadcast
 
@@ -133,7 +137,7 @@ class StackedCSR:
     CSR over all stacked rows, column numbers local to each block.  A
     request's ``|R|`` typed adjacencies are built (:func:`stacked_symmetric_csr`),
     packed (:meth:`block_diagonal`), normalised (:meth:`row_mean`) and
-    multiplied (:meth:`matrix`) in this form; :meth:`split` yields the
+    multiplied (:meth:`matmul`) in this form; :meth:`split` yields the
     per-block scipy matrices.  ``canonical`` records that every row's
     columns are sorted and unique: :meth:`split` passes it on to scipy,
     :meth:`row_mean` checks it without a sort.
@@ -226,26 +230,47 @@ class StackedCSR:
                 matrices[-1].has_canonical_format = True
         return matrices
 
-    def matrix(self, block_diagonal: bool = False) -> sp.csr_matrix:
-        """All stacked rows as one scipy CSR: the blocks one above the other
-        (they must share a width), or down the diagonal.
-
-        ``csr @ dense`` sums each row's stored entries in stored order
-        whatever the other rows hold, so row ``bounds[k] + v`` of the
-        product carries the bits of row ``v`` of block ``k``'s own product.
-        """
+    def _columns(self, block_diagonal: bool) -> tuple[np.ndarray, int]:
+        """Column numbers and width of all stacked rows taken as one matrix:
+        the blocks one above the other (they must share a width), or down
+        the diagonal."""
         widths = [cols for _, cols in self.shapes]
-        indices = self.indices
         if block_diagonal:
             first_col = np.cumsum(widths) - widths
-            indices = indices + np.repeat(first_col, np.diff(self.indptr[self.bounds]))
-        elif len(set(widths)) > 1:
+            shift = np.repeat(first_col, np.diff(self.indptr[self.bounds]))
+            return self.indices + shift, sum(widths)
+        if len(set(widths)) > 1:
             raise ValueError(f"blocks of widths {widths} cannot share columns")
-        width = sum(widths) if block_diagonal else max(widths, default=0)
+        return self.indices, max(widths, default=0)
+
+    def matrix(self, block_diagonal: bool = False) -> sp.csr_matrix:
+        """All stacked rows as one scipy CSR (see :meth:`_columns`), for a
+        caller that wants the scipy object; a product is :meth:`matmul`."""
+        indices, width = self._columns(block_diagonal)
         # handed over in the index dtype scipy would pick, it is not re-checked
         idx_dtype = np.int32 if max(len(self.data), width) <= _INT32_MAX else np.int64
         arrays = (self.data, indices.astype(idx_dtype), self.indptr.astype(idx_dtype))
         return sp.csr_matrix(arrays, shape=(len(self.indptr) - 1, width))
+
+    def matmul(self, dense: np.ndarray, block_diagonal: bool = False) -> np.ndarray:
+        """``matrix(block_diagonal) @ dense`` without the scipy object.
+
+        ``csr_matvecs`` sums each row's stored entries in stored order
+        whatever the other rows hold, so row ``bounds[k] + v`` of the product
+        carries the bits of row ``v`` of block ``k``'s own product.
+        """
+        indices, width = self._columns(block_diagonal)
+        if dense.ndim != 2 or dense.shape[0] != width:
+            raise ValueError(f"dimension mismatch: {width} columns @ {dense.shape}")
+        idx_dtype = np.result_type(indices, self.indptr)  # one index width for both
+        indptr = self.indptr.astype(idx_dtype, copy=False)
+        indices = indices.astype(idx_dtype, copy=False)
+        data = self.data.astype(np.float64, copy=False)
+        dense = np.ascontiguousarray(dense, dtype=np.float64)
+        rows, n_vecs = len(indptr) - 1, dense.shape[1]
+        out = np.zeros((rows, n_vecs))
+        csr_matvecs(rows, width, n_vecs, indptr, indices, data, dense.ravel(), out.ravel())
+        return out
 
     def row_mean(self) -> "StackedCSR":
         """``D^-1 A`` of every block in one pass (Eq. 6): the one row-normaliser.

@@ -35,7 +35,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, current_span
 from .latency import LatencyModel
 from .shard_router import ShardRouter
-from .storage import InMemoryCache, LocalDatabase, StorageError
+from .storage import InMemoryCache, LocalDatabase, StorageError, serving_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .faults import FaultInjector
@@ -390,33 +390,38 @@ class BNServer:
 
         One network round trip, then one lookup per node not yet in
         ``charged`` (the micro-batch's first-toucher ledger; a scalar
-        request brings an empty one).  Terms are added to the caller's
-        total one by one — charged seconds are pinned bit for bit, and
-        ``gate + (a + b)`` is not ``(gate + a) + b`` once a latency fault
-        made the gate non-zero.  Raises the cache's or database's
-        :class:`~repro.system.storage.StorageError` mid-walk.
+        request brings an empty one).  The walk plans — gates, store state
+        and span stamps where a scalar charge had them — and is priced
+        under one jitter draw, each term joining the caller's total as it
+        did: charged seconds are pinned bit for bit, and ``gate + (a + b)``
+        is not ``(gate + a) + b`` once a latency fault made the gate
+        non-zero.  Raises the cache's or database's
+        :class:`~repro.system.storage.StorageError` mid-walk, having drawn
+        for the ops that completed.
         """
-        seconds += self.latency.charge_network()
-        use_cache = self.cache is not None and self.cache.available
-        if not use_cache:
-            # The degraded (no-cache) path reads edge lists straight from
-            # the database — a dead database must surface here, not charge
-            # phantom latency for reads that could never have happened.
-            seconds += self.database.ping()
-        for node in nodes:
-            if node in charged:
-                continue
-            charged.add(node)
-            if use_cache:
-                _value, hit, cost = self.cache.get(("adj", node), now)
-                seconds += cost + self.latency.charge_sample_node()
+        latency = self.latency
+        terms = [[0.0, latency.network_rtt, 0.0]]
+        try:
+            # No cache: edge lists come straight from the database, and a dead
+            # one surfaces at the probe, not as phantom latency for reads
+            # that could never have happened.
+            cache = serving_cache(self.cache, self.database, terms)
+            for node in nodes:
+                if node in charged:
+                    continue
+                charged.add(node)
+                if cache is None:
+                    degree = self.bn.degree(node)
+                    terms.append([0.0, latency.db_query_cost(max(1, degree)), 0.0])
+                    continue
+                _value, hit, ops = cache.lookup(("adj", node), now)
+                terms.append([0.0, *ops, latency.sample_per_node, 0.0])
                 if not hit:
-                    _rows, query_cost = self.database.query("edges", node)
-                    seconds += query_cost
-                    seconds += self.cache.set(("adj", node), True, now)
-            else:
-                degree = self.bn.degree(node)
-                seconds += self.latency.charge_db_query(max(1, degree))
+                    _rows, ops = self.database.lookup("edges", node)
+                    terms.append([0.0, *ops])
+                    terms.append([0.0, *cache.store(("adj", node), True, now)])
+        finally:
+            seconds = latency.price(seconds, terms)
         return seconds
 
     def sample(

@@ -8,6 +8,8 @@ fast and deterministic.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["SimulatedClock"]
 
 
@@ -23,13 +25,15 @@ class SimulatedClock:
 
     def advance(self, seconds: float) -> float:
         """Advance time; returns the new now."""
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
+        if not 0 <= seconds < math.inf:  # also NaN: it would poison every later comparison
+            raise ValueError(f"cannot advance the clock by {seconds!r} seconds")
         self._now += seconds
         return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Jump forward to ``timestamp`` (no-op if already past it)."""
+        if not math.isfinite(timestamp):
+            raise ValueError(f"cannot advance the clock to {timestamp!r}")
         if timestamp > self._now:
             self._now = timestamp
         return self._now

@@ -18,7 +18,7 @@ from ..datagen.entities import Transaction
 from ..features.pipeline import FeatureManager
 from ..obs.tracing import Span
 from .latency import LatencyModel
-from .storage import InMemoryCache, LocalDatabase, StorageError
+from .storage import InMemoryCache, LocalDatabase, StorageError, serving_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .faults import FaultInjector
@@ -221,7 +221,7 @@ class FeatureServer:
 
         The target row uses the transaction under audit; context nodes use
         their latest application, read from the context-row store — every
-        node is still *charged* as assembled on demand (``_charge_node``),
+        node is still *charged* as assembled on demand (``_plan_node``),
         which is what Fig. 8a measures.  Returns ``(matrix, seconds_charged)``;
         the matrix is the caller's to mutate.
 
@@ -235,48 +235,48 @@ class FeatureServer:
         if target_txn is None:
             raise ValueError("target_txn must be the transaction under audit")
         seconds = self.faults.before_call(self.component) if self.faults else 0.0
-        seconds += self.latency.charge_network()
-        if self.cache is None or not self.cache.available:
-            # The on-demand X_s scan reads raw logs from the database; a
-            # dead database must fail the request instead of silently
-            # charging latency for scans that never ran.
-            seconds += self.database.ping()
-        rows = [self.feature_manager.vector(target_txn, as_of=now)]
-        seconds += self._charge_node(nodes[0], now)
-        for uid in nodes[1:]:
-            rows.append(self.context_row(uid))
-            if uid in self._latest_txn:
-                seconds += self._charge_node(uid, now)
+        terms = [[0.0, self.latency.network_rtt, 0.0]]
+        try:
+            cache = serving_cache(self.cache, self.database, terms)
+            rows = [self.feature_manager.vector(target_txn, as_of=now)]
+            self._plan_node(terms, nodes[0], now, cache)
+            for uid in nodes[1:]:
+                rows.append(self.context_row(uid))
+                if uid in self._latest_txn:
+                    self._plan_node(terms, uid, now, cache)
+        finally:
+            seconds = self.latency.price(seconds, terms)
         return np.stack(rows), seconds
 
-    def _charge_node(self, uid: int, now: float) -> float:
-        """Latency of assembling one node's features.
+    def _plan_node(
+        self, terms: list[list[float]], uid: int, now: float, cache: InMemoryCache | None
+    ) -> None:
+        """Plan the latency of assembling one node's features as one term.
 
         ``X_s`` is computed on demand in both modes (Jimi had no streaming
         aggregation); the cache moves the scan from disk-backed queries to
         in-memory log slices — the optimization that cut the average request
-        from 6.8 s to 0.8 s in Section V.
+        from 6.8 s to 0.8 s in Section V.  The term grows op by op, so a
+        walk cut short by a storage fault draws for exactly what ran.
         """
-        seconds = 0.0
+        latency = self.latency
         n_logs = self._count_logs(uid, now)
-        if self.cache is not None and self.cache.available:
-            # Profile + transaction rows come from the in-memory store; the
-            # statistics windows scan the cached log slice.
-            _value, hit, cost = self.cache.get(("logs", uid), now)
-            seconds += cost + self.latency.charge_cache_get()
-            if not hit:
-                _rows, query_cost = self.database.query("logs", uid)
-                seconds += query_cost
-                seconds += self.cache.set(("logs", uid), True, now, ttl=self.cache_ttl)
-            for _ in range(self.stat_windows):
-                seconds += self.latency.charge_mem_scan(n_logs)
-        else:
+        if cache is None:
             # Profile + transaction queries, then the expensive on-demand
             # statistics scan over the user's raw logs, window by window.
-            seconds += self.latency.charge_db_query(1) * 2
-            for _ in range(self.stat_windows):
-                seconds += self.latency.charge_db_query(max(1, n_logs))
-        return seconds
+            scan = [latency.db_query_cost(max(1, n_logs)), 0.0] * self.stat_windows
+            terms.append([0.0, 2 * latency.db_query_cost(1), 0.0, *scan])
+            return
+        # Profile + transaction rows come from the in-memory store; the
+        # statistics windows scan the cached log slice.
+        _value, hit, ops = cache.lookup(("logs", uid), now)
+        term = [0.0, *ops, latency.cache_get, 0.0]
+        terms.append(term)
+        if not hit:
+            _rows, ops = self.database.lookup("logs", uid)
+            term += ops
+            term += cache.store(("logs", uid), True, now, ttl=self.cache_ttl)
+        term += [latency.mem_scan_cost(n_logs), 0.0] * self.stat_windows
 
     def _count_logs(self, uid: int, now: float) -> int:
         """History length that prices the ``X_s`` scan — bisect, no slice."""
@@ -333,24 +333,26 @@ class FeatureServer:
             nodes = node_lists[i]
             if nodes is None:
                 continue
+            terms = [[0.0, self.latency.network_rtt, 0.0]]
             try:
                 charge = self.faults.before_call(self.component) if self.faults else 0.0
-                charge += self.latency.charge_network()
-                if self.cache is None or not self.cache.available:
-                    charge += self.database.ping()
-                for position, uid in enumerate(nodes):
-                    if position == 0:
-                        charge += self._charge_node(uid, nows[i])
+                try:
+                    cache = serving_cache(self.cache, self.database, terms)
+                    for position, uid in enumerate(nodes):
+                        if position == 0:
+                            self._plan_node(terms, uid, nows[i], cache)
+                            charged.add(uid)
+                            continue
+                        if uid not in self._latest_txn or uid in charged:
+                            continue
+                        if self._row_ledger.get(uid) == self._bucket(nows[i]):
+                            terms.append([0.0, self.latency.cache_get, 0.0])
+                            batch_hits += 1
+                        else:
+                            self._plan_node(terms, uid, nows[i], cache)
                         charged.add(uid)
-                        continue
-                    if uid not in self._latest_txn or uid in charged:
-                        continue
-                    if self._row_ledger.get(uid) == self._bucket(nows[i]):
-                        charge += self.latency.charge_cache_get()
-                        batch_hits += 1
-                    else:
-                        charge += self._charge_node(uid, nows[i])
-                    charged.add(uid)
+                finally:
+                    charge = self.latency.price(charge, terms)
             except StorageError as exc:
                 errors[i] = exc
                 continue

@@ -8,7 +8,8 @@ tail percentiles (p99/p999 in Section V).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +45,9 @@ class LatencyModel:
     _rng: np.random.Generator = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
+        for spec in fields(self):  # every cost and jitter_sigma; not seed, _rng
+            if spec.type == "float" and not 0.0 <= getattr(self, spec.name) < math.inf:
+                raise ValueError(f"{spec.name} must be finite and >= 0")
         self._rng = np.random.default_rng(self.seed)
 
     def _jitter(self) -> float:
@@ -51,9 +55,38 @@ class LatencyModel:
             return 1.0
         return float(self._rng.lognormal(0.0, self.jitter_sigma))
 
+    def jitters(self, k: int) -> list[float]:
+        """``k`` jitter factors from one draw; the stream moves exactly as
+        under ``k`` :meth:`_jitter` calls (pinned by ``test_clock_latency.py``)."""
+        if self.jitter_sigma <= 0:
+            return [1.0] * k
+        return self._rng.lognormal(0.0, self.jitter_sigma, size=k).tolist()
+
+    def price(self, seconds: float, terms: list[list[float]]) -> float:
+        """``seconds`` plus every term of a planned charge walk, one draw for all.
+
+        A term is ``[start, base, extra, base, extra, ...]``: ``start`` joins
+        flat (``0.0``, or a probe's spike), each op adds ``base * jitter +
+        extra`` left to right, then the term joins ``seconds`` — the nesting
+        of the scalar ``charge_*`` sums, so the result is theirs bit for bit.
+        """
+        jitter = self.jitters((sum(map(len, terms)) - len(terms)) // 2)
+        op = 0
+        for term in terms:
+            subtotal = term[0]
+            for k in range(1, len(term), 2):
+                subtotal += term[k] * jitter[op] + term[k + 1]
+                op += 1
+            seconds += subtotal
+        return seconds
+
+    def db_query_cost(self, rows: int = 1) -> float:
+        """Base (un-jittered) cost of one query touching ``rows`` rows."""
+        return self.db_query + self.db_row * max(0, rows)
+
     def charge_db_query(self, rows: int = 1) -> float:
         """Cost of one disk-backed query touching ``rows`` rows."""
-        return (self.db_query + self.db_row * max(0, rows)) * self._jitter()
+        return self.db_query_cost(rows) * self._jitter()
 
     def charge_db_write(self, rows: int = 1) -> float:
         """Cost of one disk-backed write of ``rows`` rows."""
@@ -63,17 +96,13 @@ class LatencyModel:
         """Cost of one in-memory cache read."""
         return self.cache_get * self._jitter()
 
-    def charge_cache_set(self) -> float:
-        """Cost of one in-memory cache write."""
-        return self.cache_set * self._jitter()
+    def mem_scan_cost(self, rows: int = 1) -> float:
+        """Base (un-jittered) cost of aggregating ``rows`` cached rows."""
+        return self.mem_scan_base + self.mem_row * max(0, rows)
 
     def charge_mem_scan(self, rows: int = 1) -> float:
         """Cost of aggregating ``rows`` cached rows in memory."""
-        return (self.mem_scan_base + self.mem_row * max(0, rows)) * self._jitter()
-
-    def charge_sample_node(self) -> float:
-        """Cost of assembling one sampled node's adjacency."""
-        return self.sample_per_node * self._jitter()
+        return self.mem_scan_cost(rows) * self._jitter()
 
     def charge_network(self) -> float:
         """Cost of one network round-trip."""

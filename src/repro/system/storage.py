@@ -45,6 +45,18 @@ class StorageError(RuntimeError):
     """Raised when no replica can serve a request."""
 
 
+def serving_cache(
+    cache: "InMemoryCache | None", database: "LocalDatabase", terms: list[list[float]]
+) -> "InMemoryCache | None":
+    """The cache a charge walk reads through; ``None`` sends it to the
+    database, probed first: the probe raises if that cannot serve, and its
+    injected spike joins ``terms`` flat (a probe never drew jitter)."""
+    if cache is not None and cache.available:
+        return cache
+    terms.append([database.ping()])
+    return None
+
+
 class LocalDatabase:
     """Disk-backed key-value/table store (MySQL stand-in).
 
@@ -123,13 +135,21 @@ class LocalDatabase:
         _stamp("db.writes")
         return self.latency.charge_db_write(1) + extra
 
-    def query(self, table: str, key: Hashable) -> tuple[list[Any], float]:
-        """Return ``(rows, seconds)``; rows is empty if the key is absent."""
+    def lookup(self, table: str, key: Hashable) -> tuple[list[Any], list[float]]:
+        """:meth:`query` without its latency draw — ``(rows, ops)``, the ops
+        ``[base, extra, ...]`` it would charge, for a term of
+        :meth:`~repro.system.latency.LatencyModel.price`: a serving walk
+        plans every read this way and draws all its jitter at once."""
         extra = self._gate()
         rows = self._table(table).get(key, [])
         self.query_count += 1
         _stamp("db.queries")
-        return rows, self.latency.charge_db_query(len(rows)) + extra
+        return rows, [self.latency.db_query_cost(len(rows)), extra]
+
+    def query(self, table: str, key: Hashable) -> tuple[list[Any], float]:
+        """Return ``(rows, seconds)``; rows is empty if the key is absent."""
+        rows, ops = self.lookup(table, key)
+        return rows, self.latency.price(0.0, [[0.0, *ops]])
 
     def scan(self, table: str) -> tuple[list[tuple[Hashable, list[Any]]], float]:
         """Full-table scan; returns ``(items, seconds)``."""
@@ -228,35 +248,43 @@ class InMemoryCache:
         """Liveness probe; raises when the cache cannot serve."""
         return self._gate()
 
-    def get(self, key: Hashable, now: float = 0.0) -> tuple[Any | None, bool, float]:
-        """Return ``(value, hit, seconds)``; raises ``StorageError`` when down."""
-        extra = self._gate()
-        seconds = self.latency.charge_cache_get() + extra
+    def lookup(self, key: Hashable, now: float = 0.0) -> tuple[Any | None, bool, list[float]]:
+        """:meth:`get` without its latency draw: ``(value, hit, ops)``, the
+        ops as in :meth:`LocalDatabase.lookup`."""
+        ops = [self.latency.cache_get, self._gate()]
         entry = self._store.get(key)
+        if entry is not None and entry[1] is not None and now > entry[1]:
+            del self._store[key]  # expired: swept, then a miss
+            entry = None
         if entry is None:
             self.misses += 1
             _stamp("cache.misses")
-            return None, False, seconds
-        value, expires = entry
-        if expires is not None and now > expires:
-            del self._store[key]
-            self.misses += 1
-            _stamp("cache.misses")
-            return None, False, seconds
+            return None, False, ops
         self.hits += 1
         _stamp("cache.hits")
-        return value, True, seconds
+        return entry[0], True, ops
 
-    def set(
+    def get(self, key: Hashable, now: float = 0.0) -> tuple[Any | None, bool, float]:
+        """Return ``(value, hit, seconds)``; raises ``StorageError`` when down."""
+        value, hit, ops = self.lookup(key, now)
+        return value, hit, self.latency.price(0.0, [[0.0, *ops]])
+
+    def store(
         self, key: Hashable, value: Any, now: float = 0.0, ttl: float | None = None
-    ) -> float:
-        """Store ``value`` under ``key`` (optionally with a TTL); returns seconds."""
+    ) -> list[float]:
+        """:meth:`set` without its latency draw; returns its ops."""
         extra = self._gate()
         ttl = ttl if ttl is not None else self.default_ttl
         expires = now + ttl if ttl is not None else None
         self._store[key] = (value, expires)
         _stamp("cache.sets")
-        return self.latency.charge_cache_set() + extra
+        return [self.latency.cache_set, extra]
+
+    def set(
+        self, key: Hashable, value: Any, now: float = 0.0, ttl: float | None = None
+    ) -> float:
+        """Store ``value`` under ``key`` (optionally with a TTL); returns seconds."""
+        return self.latency.price(0.0, [[0.0, *self.store(key, value, now, ttl)]])
 
     def invalidate(self, key: Hashable) -> None:
         """Remove one key if present."""
@@ -340,16 +368,22 @@ class ReplicatedStore:
         """Replace ``key`` on every available replica; returns charged seconds."""
         return self._write_all("put", table, key, value)
 
-    def query(self, table: str, key: Hashable) -> tuple[list[Any], float]:
-        """Read from the primary, failing over to the replica."""
+    def lookup(self, table: str, key: Hashable) -> tuple[list[Any], list[float]]:
+        """Read from the primary, failing over to the replica (one more op:
+        the extra round trip); ``(rows, ops)`` as :meth:`LocalDatabase.lookup`."""
         if self.primary.available:
-            return self.primary.query(table, key)
+            return self.primary.lookup(table, key)
         if self.replica.available:
             self.failovers += 1
             _stamp("db.failovers")
-            rows, seconds = self.replica.query(table, key)
-            return rows, seconds + self.latency.charge_network()
+            rows, ops = self.replica.lookup(table, key)
+            return rows, [*ops, self.latency.network_rtt, 0.0]
         raise StorageError("no database replica available for read")
+
+    def query(self, table: str, key: Hashable) -> tuple[list[Any], float]:
+        """:meth:`lookup`, priced."""
+        rows, ops = self.lookup(table, key)
+        return rows, self.latency.price(0.0, [[0.0, *ops]])
 
     def scan(self, table: str) -> tuple[list[tuple[Hashable, list[Any]]], float]:
         """Full-table scan with the same failover routing as :meth:`query`."""

@@ -7,6 +7,10 @@ per-matrix scipy constructions frozen in ``tests/oracles/sparse.py``:
 entries, rows with no entries, ``n = 1``, rows of degree zero, int32 and
 int64 index inputs, unsorted indices, a block-diagonal pack, and one
 matrix large enough for ``reduceat``'s blocked pairwise sum.
+``StackedCSR.matmul`` promises the bits of ``matrix() @ dense``; it reaches
+them through scipy's private ``csr_matvecs``, imported at module import
+(here and in ``repro.nn.sparse``) so that a scipy that moved the kernel
+fails loudly — there is no fallback branch.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csr_matvecs  # noqa: F401  (see the docstring)
 
 from repro.nn.sparse import StackedCSR, row_mean_csr, typed_symmetric_csr
 from tests.oracles.sparse import (
@@ -220,3 +225,63 @@ def test_million_entry_matrix():
     for actual, want in zip(row_mean_csr(built), row_mean_csr_oracle(expected)):
         assert_same_csr(actual, want)
         assert_same_product(actual, want)
+
+
+class TestStackedProduct:
+    """``StackedCSR.matmul`` carries the bits of ``matrix() @ dense``: the
+    request's two sparse products without a scipy object."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        n_blocks=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        index_dtype=st.sampled_from([np.int32, np.int64]),
+        block_diagonal=st.booleans(),
+        strided=st.booleans(),
+    )
+    def test_bits_of_the_scipy_product(
+        self, seed, n, n_blocks, density, index_dtype, block_diagonal, strided
+    ):
+        """Empty blocks (every third type), empty rows, one block, both
+        index widths — mixed with the int64 ``indptr`` too — and a
+        non-contiguous right-hand side."""
+        matrices = typed_symmetric_csr(*typed_entries(seed, n, n_blocks, density))
+        stacked = StackedCSR.from_matrices(matrices).row_mean()
+        stacked.indices = stacked.indices.astype(index_dtype)
+        rows = n * n_blocks if block_diagonal else n
+        dense = np.random.default_rng(seed).standard_normal((rows, 10))
+        dense = dense[:, ::2] if strided else dense[:, :5]
+        assert rows == 1 or not dense.flags.c_contiguous
+        product = stacked.matmul(dense, block_diagonal=block_diagonal)
+        expected = stacked.matrix(block_diagonal=block_diagonal) @ dense
+        assert product.dtype == expected.dtype and product.shape == expected.shape
+        assert np.array_equal(product, expected)
+        assert np.array_equal(dense, np.array(dense))  # the operand is not written
+
+    def test_no_blocks_and_no_columns(self):
+        empty = StackedCSR.from_matrices([])
+        assert empty.matmul(np.empty((0, 3))).shape == (0, 3)
+        blank = StackedCSR.from_matrices([sp.csr_matrix((4, 4))] * 2)
+        assert np.array_equal(blank.matmul(np.ones((4, 0))), np.empty((8, 0)))
+        assert np.array_equal(blank.matmul(np.ones((8, 2)), block_diagonal=True), np.zeros((8, 2)))
+
+    @pytest.mark.parametrize("block_diagonal", [False, True])
+    def test_width_mismatch_raises_as_scipy_did(self, block_diagonal):
+        stacked = StackedCSR.from_matrices(
+            [sp.random(4, 4, density=0.5, random_state=k, format="csr") for k in range(3)]
+        )
+        wrong = np.ones((12 if not block_diagonal else 4, 2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stacked.matrix(block_diagonal=block_diagonal) @ wrong
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stacked.matmul(wrong, block_diagonal=block_diagonal)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            stacked.matmul(np.ones(4), block_diagonal=False)  # a vector is not a block
+
+    def test_mixed_widths_cannot_share_columns(self):
+        ragged = StackedCSR.from_matrices([sp.csr_matrix((2, 3)), sp.csr_matrix((2, 5))])
+        with pytest.raises(ValueError, match="cannot share columns"):
+            ragged.matmul(np.ones((5, 1)))
+        assert ragged.matmul(np.ones((8, 1)), block_diagonal=True).shape == (4, 1)

@@ -246,43 +246,3 @@ class TestBatchFaultIsolation:
                 assert span.attributes["degradation"] == response.degradation
                 assert span.attributes["degradation_reason"] == "graph_path_down"
             assert response.span.find("fallback") is not None
-
-
-class TestSparseConstructionCount:
-    """A request builds its ``|R|`` typed adjacencies and ``|R|`` aggregators
-    and little else.  A count repeats exactly where a timing does not; it
-    is what keeps per-type scipy pipelines (32 constructions a request
-    before the stacked kernels) from creeping back."""
-
-    @staticmethod
-    def counted(monkeypatch):
-        import scipy.sparse as sp
-
-        calls = []
-        original = sp.csr_matrix.__init__
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(sp.csr_matrix, "__init__", counting)
-        return calls
-
-    def test_scalar_request(self, deployed, turbo, monkeypatch):
-        _, data = deployed
-        (request,) = requests_for(data, 3, 1)
-        warm = turbo.predict(request)
-        calls = self.counted(monkeypatch)
-        response = turbo.predict(request)
-        assert response.degradation == "full"
-        assert response.probability == warm.probability
-        assert 0 < len(calls) <= 2 * len(data.edge_types) + 4
-
-    def test_batch_of_eight(self, deployed, turbo, monkeypatch):
-        _, data = deployed
-        requests = requests_for(data, 0, 8)
-        turbo.predict_batch(requests)
-        calls = self.counted(monkeypatch)
-        responses = turbo.predict_batch(requests)
-        assert all(r.degradation == "full" for r in responses)
-        assert 0 < len(calls) <= len(data.edge_types) * (len(requests) + 2) + 4

@@ -4,9 +4,13 @@ A warm ``Turbo.predict`` used to make 407 ``Tensor`` objects (8 edge types
 x 2 SAO layers x ~20 autograd ops, then 8 CFO heads) and 16
 ``scipy.sparse.csr_matrix`` objects (the sampler's and the normaliser's
 splits) on the bench deployment.  With the tape-free forward it makes two
-of each — the input and the logits; the stacked aggregator and its
-block-diagonal form — whatever the number of edge types, layers or nodes.
-Host-independent integers: the ceilings are asserted, the figures printed.
+``Tensor`` objects — the input and the logits — and no ``csr_matrix`` at
+all (the stacked aggregator multiplies itself), whatever the number of edge
+types, layers or nodes.  It also made ~200 latency-rng calls, one per
+modeled storage op; a charge walk now plans its ops and draws their jitter
+at once, so a request makes three (the sampling walk, the feature walk, the
+forward).  Host-independent integers: the ceilings are asserted, the
+figures printed.
 
 Beside them, the request's Python-level calls (``sys.setprofile`` ``call``
 events: every Python function, method, property and generator entered) per
@@ -64,13 +68,25 @@ def python_calls(fn) -> int:
     return calls
 
 
-#: measured 1,503.3 and 771.8 on this deployment (1,496.3 and 763.5 before
-#: the shared request lifecycle); about 3 % of headroom.
-SCALAR_CALLS_CEILING = 1550
-BATCHED_CALLS_CEILING = 795
+#: measured 962.7 and 516.1 on this deployment (1,503.3 and 771.8
+#: while every storage op drew its own jitter and the product went through
+#: two scipy objects); about 3 % of headroom.
+SCALAR_CALLS_CEILING = 992
+BATCHED_CALLS_CEILING = 532
 
 
-def test_warm_request_constructs_two_tensors_and_two_csr_matrices(tiny_dataset):
+class CountedRng:
+    """``LatencyModel._rng`` with its ``lognormal`` calls counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def lognormal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.lognormal(*args, **kwargs)
+
+
+def test_warm_request_constructs_two_tensors_and_no_csr_matrix(tiny_dataset):
     turbo, data = deploy_turbo(
         tiny_dataset,
         TurboConfig(windows=FAST_WINDOWS, train_epochs=1, hidden=(8, 4), seed=0),
@@ -80,11 +96,15 @@ def test_warm_request_constructs_two_tensors_and_two_csr_matrices(tiny_dataset):
     ]
     expected = [turbo.predict(request).probability for request in requests]  # warm
 
-    counts = {"tensor": 0, "csr": 0}
+    counts = {"tensor": 0, "csr": 0, "batched csr": 0}
     undo = [counted(Tensor, counts, "tensor"), counted(sp.csr_matrix, counts, "csr")]
+    latency = turbo.prediction_server.latency
+    assert turbo.bn_server.latency is latency and turbo.feature_server.latency is latency
+    latency._rng = draws = CountedRng(latency._rng)
     try:
         served = [turbo.predict(request) for request in requests]
     finally:
+        latency._rng = draws.rng
         for restore in undo:
             restore()
     assert "__init__" not in vars(sp.csr_matrix) and Tensor.__init__.__name__ == "__init__"
@@ -94,15 +114,23 @@ def test_warm_request_constructs_two_tensors_and_two_csr_matrices(tiny_dataset):
     per_request = {key: value / len(requests) for key, value in counts.items()}
     print(
         f"\nwarm Turbo.predict: {per_request['tensor']:g} Tensor and "
-        f"{per_request['csr']:g} csr_matrix constructions per request "
+        f"{per_request['csr']:g} csr_matrix constructions, "
+        f"{draws.calls / len(requests):g} latency-rng calls per request "
         f"({len(turbo.prediction_server.edge_type_order)} edge types)"
     )
     assert per_request["tensor"] <= 2
-    assert per_request["csr"] <= 2
+    assert per_request["csr"] == 0
+    assert 0 < draws.calls <= 4 * len(requests)
 
     batches = [requests[k : k + 8] for k in range(0, 16, 8)]
     for batch in batches:  # warm the batched path's own ledger
         turbo.predict_batch(batch)
+    restore = counted(sp.csr_matrix, counts, "batched csr")
+    try:
+        assert all(r.degradation == "full" for b in batches for r in turbo.predict_batch(b))
+    finally:
+        restore()
+    assert counts["batched csr"] == 0
     scalar_calls = python_calls(lambda: [turbo.predict(r) for r in requests]) / len(requests)
     batched_calls = python_calls(lambda: [turbo.predict_batch(b) for b in batches]) / 16
     assert sys.getprofile() is None or sys.getprofile().__name__ != "count"
