@@ -384,7 +384,7 @@ def verify_process_pool(sbn, targets, bundle, features, baseline) -> dict:
     attach / predict plumbing end to end (its wall clock is not gated —
     one pinned CPU would time the scheduler, not the shards).
     """
-    router = ShardRouter(sbn, use_shm=True)
+    router = ShardRouter(sbn)
     pool = None
     try:
         index = router.ensure_published()

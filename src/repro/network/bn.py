@@ -8,11 +8,11 @@ the timestamp of its last contribution (for TTL expiry, Section V: max TTL of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
@@ -50,6 +50,16 @@ class EdgeRecord:
 
 def _key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _check_contribution(u: int, v: int, weight: float, timestamp: float) -> None:
+    """The scalar write boundary: one row of :func:`prepare_weight_groups`' checks."""
+    if u == v:
+        raise ValueError("self-loops are not part of BN")
+    if not 0.0 < weight < math.inf:
+        raise ValueError("edge weight contributions must be positive and finite")
+    if not math.isfinite(timestamp):
+        raise ValueError("edge timestamps must be finite")
 
 
 @dataclass(slots=True)
@@ -149,8 +159,10 @@ def prepare_weight_groups(
             raise ValueError("add_weights columns must share one length")
     if n == 0:
         return None
-    if np.any(w_arr <= 0):
-        raise ValueError("edge weight contributions must be positive")
+    if not np.all((w_arr > 0) & (w_arr < np.inf)):
+        raise ValueError("edge weight contributions must be positive and finite")
+    if not (math.isfinite(ts_scalar) if scalar_ts else np.all(np.isfinite(ts_arr))):
+        raise ValueError("edge timestamps must be finite")
     if bool(np.all(u_arr < v_arr)):
         # Canonical input (the pair enumerator emits u < v): no
         # self-loops possible and no per-row min/max needed.
@@ -342,10 +354,7 @@ class BehaviorNetwork:
         overrides the pair-creation sequence tag (sharded deployments pass
         one global value so shards agree on creation order).
         """
-        if u == v:
-            raise ValueError("self-loops are not part of BN")
-        if weight <= 0:
-            raise ValueError("edge weight contributions must be positive")
+        _check_contribution(u, v, weight, timestamp)
         key = _key(u, v)
         records = self._edges.get(key)
         if records is None:
@@ -675,10 +684,6 @@ class BehaviorNetwork:
         record = self._edges.get(_key(u, v), {}).get(btype)
         return record.weight if record is not None else 0.0
 
-    def total_weight(self, u: int, v: int) -> float:
-        """Sum of the pair's weights over all edge types."""
-        return sum(rec.weight for rec in self._edges.get(_key(u, v), {}).values())
-
     def weighted_degree(self, uid: int, btype: BehaviorType | None = None) -> float:
         """Sum of (typed) edge weights incident to ``uid``."""
         total = 0.0
@@ -745,42 +750,3 @@ class BehaviorNetwork:
         :mod:`repro.network.snapshot` for the layout.
         """
         return self.index().snapshot()
-
-    def khop_neighborhood(
-        self, uid: int, hops: int, allowed: set[int] | None = None
-    ) -> dict[int, int]:
-        """Map node -> hop distance for nodes within ``hops`` of ``uid``.
-
-        ``allowed`` restricts the traversal (the paper's computation subgraph
-        only includes nodes having transactions).
-        """
-        if hops < 0:
-            raise ValueError("hops must be non-negative")
-        distances = {uid: 0}
-        frontier = [uid]
-        for depth in range(1, hops + 1):
-            next_frontier: list[int] = []
-            for node in frontier:
-                for neighbor in self._adjacency.get(node, ()):
-                    if neighbor in distances:
-                        continue
-                    if allowed is not None and neighbor not in allowed:
-                        continue
-                    distances[neighbor] = depth
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return distances
-
-    def to_networkx(self, nodes: Iterable[int] | None = None) -> nx.MultiGraph:
-        """Export (a node-induced part of) BN as a networkx multigraph."""
-        graph = nx.MultiGraph()
-        keep = set(nodes) if nodes is not None else None
-        for uid in self._adjacency:
-            if keep is None or uid in keep:
-                graph.add_node(uid)
-        for (u, v), records in self._edges.items():
-            if keep is not None and (u not in keep or v not in keep):
-                continue
-            for t, record in records.items():
-                graph.add_edge(u, v, key=t.value, btype=t, weight=record.weight)
-        return graph

@@ -62,7 +62,13 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
-from .bn import DEFAULT_EDGE_TTL, BehaviorNetwork, EdgeRecord, prepare_weight_groups
+from .bn import (
+    DEFAULT_EDGE_TTL,
+    BehaviorNetwork,
+    EdgeRecord,
+    _check_contribution,
+    prepare_weight_groups,
+)
 from .snapshot import BNSnapshot, TypedEdgeArrays, positions_of
 
 __all__ = [
@@ -488,14 +494,18 @@ def build_shard_index(
 class ShardedBehaviorNetwork:
     """N hash-partitioned :class:`BehaviorNetwork` shards behind one facade.
 
-    Duck-types the ``BehaviorNetwork`` surface the ingest pipeline and the
-    servers use (``add_node``, ``add_weights``, ``expire_edges``,
-    membership, counts, ``to_arrays``), so ``BNBuilder.run_window_job`` and
-    ``BNServer`` run unchanged on top of it.  Mutations route by the owner
-    of the pair's ``lo`` endpoint and bump **one** facade version per batch
-    (the cross-shard version barrier); reads that need cross-shard order
-    (neighbour lists, snapshots, sampling) go through the memoized
-    :meth:`index`.
+    Copies this much of the ``BehaviorNetwork`` surface and no more — what
+    ``BNBuilder.run_window_job``, ``BNServer`` and the lambda layer call,
+    plus the scalar ``add_weight`` and ``iter_edges`` the parity oracles
+    replay: the writes ``add_weights`` / ``add_weight`` / ``add_node`` /
+    ``expire_edges``, the delta tracking of the lambda speed layer, and the
+    reads ``ttl``, ``version``, ``index`` / ``to_arrays``, membership,
+    ``nodes`` / ``num_nodes`` / ``num_edges`` (plus its ``num_edges_scan``
+    check), ``edge_types``, ``degree`` and ``iter_edges``.  Mutations route
+    by the owner of the pair's ``lo`` endpoint and bump **one** facade
+    version per batch (the cross-shard version barrier); reads that need
+    cross-shard order (neighbour lists, snapshots, sampling) go through the
+    memoized :meth:`index`.
     """
 
     def __init__(self, n_shards: int, ttl: float = DEFAULT_EDGE_TTL) -> None:
@@ -537,8 +547,7 @@ class ShardedBehaviorNetwork:
         seq: int | None = None,
     ) -> None:
         """Scalar contribution, routed to the owner of ``min(u, v)``."""
-        if u == v:
-            raise ValueError("self-loops are not part of BN")
+        _check_contribution(u, v, weight, timestamp)
         lo, hi = (u, v) if u < v else (v, u)
         owner = self.owner_of(lo)
         self.shards[owner].add_weight(
@@ -678,10 +687,6 @@ class ShardedBehaviorNetwork:
         """Full-scan edge count (diagnostic twin of :meth:`num_edges`)."""
         return sum(shard.num_edges_scan() for shard in self.shards)
 
-    def num_pairs(self) -> int:
-        """Distinct user pairs with at least one live edge."""
-        return sum(shard.num_pairs() for shard in self.shards)
-
     def edge_types(self) -> set[BehaviorType]:
         """Union of behavior types present on any shard."""
         types: set[BehaviorType] = set()
@@ -689,54 +694,11 @@ class ShardedBehaviorNetwork:
             types.update(shard.edge_types())
         return types
 
-    def edge(self, u: int, v: int) -> dict[BehaviorType, EdgeRecord]:
-        """Per-type records of pair ``(u, v)`` from its owner shard."""
-        return self.shards[self.owner_of(min(u, v))].edge(u, v)
-
-    def weight(self, u: int, v: int, btype: BehaviorType) -> float:
-        """Accumulated weight of ``(u, v)`` under ``btype`` (0.0 if absent)."""
-        return self.shards[self.owner_of(min(u, v))].weight(u, v, btype)
-
-    def total_weight(self, u: int, v: int) -> float:
-        """Sum of ``(u, v)``'s weights over every behavior type."""
-        return self.shards[self.owner_of(min(u, v))].total_weight(u, v)
-
     def degree(self, uid: int, btype: BehaviorType | None = None) -> int:
         """Neighbour count of ``uid`` (optionally restricted to one type)."""
         # A node's pairs are spread across shards (each stored once), so
         # the per-shard degrees are disjoint and sum exactly.
         return sum(shard.degree(uid, btype) for shard in self.shards)
-
-    def weighted_degree(self, uid: int, btype: BehaviorType | None = None) -> float:
-        """Sum of edge weights incident to ``uid``, bit-exact vs unsharded.
-
-        The addend multiset is identical either way (pairs are stored
-        once), but float addition is fold-order sensitive — so instead of
-        adding per-shard subtotals, replay the unsharded walk: neighbours
-        in global pair-creation order, each pair's records in insertion
-        order.
-        """
-        total = 0.0
-        for v in self.neighbors(uid):
-            lo = uid if uid < v else v
-            records = self.shards[self.owner_of(lo)].edge(uid, v)
-            if btype is None:
-                total += sum(rec.weight for rec in records.values())
-            elif btype in records:
-                total += records[btype].weight
-        return total
-
-    def neighbors(self, uid: int, btype: BehaviorType | None = None) -> list[int]:
-        """Creation-order neighbours, merged across shards by pair seq tag
-        (bit-exact ``BehaviorNetwork.neighbors`` parity without building the
-        full index)."""
-        tagged: list[tuple[int, int, int, int]] = []
-        for shard in self.shards:
-            for v in shard.neighbors(uid, btype):
-                key = (uid, v) if uid < v else (v, uid)
-                tagged.append((shard._pair_seq[key], key[0], key[1], v))
-        tagged.sort()
-        return [v for _, _, _, v in tagged]
 
     def iter_edges(
         self, btype: BehaviorType | None = None
@@ -773,7 +735,7 @@ class ShardedBehaviorNetwork:
         return self.index().snapshot()
 
     # ------------------------------------------------------------------
-    # Construction / rebalancing
+    # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_network(
@@ -799,26 +761,3 @@ class ShardedBehaviorNetwork:
         sharded._next_seq = len(bn._edges)
         sharded._version += 1
         return sharded
-
-    def reshard(self, n_shards: int) -> "ShardedBehaviorNetwork":
-        """Rebuild under a new shard count, preserving global pair order."""
-        out = ShardedBehaviorNetwork(n_shards, ttl=self.ttl)
-        for shard in self.shards:
-            for uid in shard._adjacency:
-                dst = out.shards[out.owner_of(uid)]
-                if uid not in dst._adjacency:
-                    dst.add_node(uid)
-        pairs: list[tuple[int, int, int, dict[BehaviorType, EdgeRecord]]] = []
-        for shard in self.shards:
-            for (a, b), records in shard._edges.items():
-                pairs.append((shard._pair_seq[(a, b)], a, b, records))
-        pairs.sort(key=lambda item: item[:3])
-        for rank, (_, a, b, records) in enumerate(pairs):
-            dst = out.shards[out.owner_of(a)]
-            for btype, record in records.items():
-                dst.add_weight(
-                    a, b, btype, record.weight, record.last_update, seq=rank
-                )
-        out._next_seq = len(pairs)
-        out._version += 1
-        return out

@@ -102,7 +102,6 @@ class BNServer:
         component: str = "bn_server",
         metrics: MetricsRegistry | None = None,
         shards: int = 1,
-        use_shm: bool = True,
     ) -> None:
         self.builder = builder
         self.latency = latency
@@ -121,7 +120,6 @@ class BNServer:
             if shards > 1
             else BehaviorNetwork(ttl=builder.ttl)
         )
-        self._use_shm = use_shm
         self._router: ShardRouter | None = None
         self._local_sampler: LocalSampler | None = None
         # Explicit tier override (e.g. the lambda layer's DeltaSampler);
@@ -175,7 +173,6 @@ class BNServer:
                 faults=self.faults,
                 metrics=self.metrics,
                 breakers={s: CircuitBreaker() for s in range(bn.n_shards)},
-                use_shm=self._use_shm,
             )
             self._router = router
         router.metrics = self.metrics

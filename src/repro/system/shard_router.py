@@ -8,9 +8,8 @@ InferTurbo-style gather/apply/scatter over a partitioned graph):
 
 * each hop, the not-yet-ranked ``(node, type)`` keys of the whole batch are
   deduplicated and split by owner shard (the *frontier exchange*);
-* ``resolve`` decides who ranks a shard's keys: a dead shard answers
-  ``None`` (partial serving), a worker pool ranks them in the shard's
-  process, otherwise the router ranks them in-process from the published
+* ``resolve`` answers ``None`` for a dead shard's keys (partial serving);
+  every live shard's keys are ranked in-process from the published
   :class:`~repro.network.sharding.ShardIndex`;
 * ``on_exchange`` is where the ``turbo.shard.frontier.*`` series and span
   events are emitted.
@@ -48,7 +47,6 @@ from .storage import StorageError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
     from .faults import CircuitBreaker, FaultInjector
-    from .shard_workers import ShardWorkerPool
 
 __all__ = ["ShardRouter"]
 
@@ -59,7 +57,7 @@ class ShardRouter:
     One router fronts one :class:`ShardedBehaviorNetwork`: it re-publishes
     the read index through a :class:`SharedSnapshotStore` whenever the
     facade version moves (retiring the previous segments), gates every
-    batch through the per-shard fault components ``{prefix}{i}``, and
+    batch through the per-shard fault components ``bn_shard{i}``, and
     degrades to the surviving shards' partial frontier when a shard is
     down.  ``metrics`` may be attached after construction (the Turbo
     orchestrator wires its registry in at deploy time).
@@ -74,25 +72,14 @@ class ShardRouter:
         faults: "FaultInjector | None" = None,
         metrics: "MetricsRegistry | None" = None,
         breakers: dict[int, "CircuitBreaker"] | None = None,
-        store: SharedSnapshotStore | None = None,
-        use_shm: bool = True,
-        component_prefix: str = "bn_shard",
     ) -> None:
         self.sharded = sharded
         self.faults = faults
         self.metrics = metrics
         self.breakers = dict(breakers or {})
-        self.store = store if store is not None else SharedSnapshotStore(use_shm=use_shm)
-        self.component_prefix = component_prefix
+        self.store = SharedSnapshotStore()
         self._published_version: int | None = None
         self._segments: list[str] = []
-
-    @property
-    def components(self) -> list[str]:
-        """Fault-injector addresses of the shards (``bn_shard0``, ...)."""
-        return [
-            f"{self.component_prefix}{s}" for s in range(self.sharded.n_shards)
-        ]
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -183,9 +170,7 @@ class ShardRouter:
                 continue
             if self.faults is not None:
                 try:
-                    gate_seconds += self.faults.before_call(
-                        f"{self.component_prefix}{s}", now=now
-                    )
+                    gate_seconds += self.faults.before_call(f"bn_shard{s}", now=now)
                 except StorageError:
                     dead.add(s)
                     if breaker is not None:
@@ -204,17 +189,13 @@ class ShardRouter:
         allowed: set[int] | None = None,
         selection_cache: dict | None = None,
         now: float = 0.0,
-        pool: "ShardWorkerPool | None" = None,
     ) -> tuple[list[ComputationSubgraph], BatchSampleStats, float]:
         """Frontier-exchange batch sampling; ``(subgraphs, stats, gate_s)``.
 
         Bit-exact against the same sampler over the equivalent unsharded
         network's index while every shard is healthy; with dead shards the
         surviving frontier is served and ``stats.partial`` lists the
-        affected request indices.  When ``pool`` is given, selection for a
-        shard's keys is delegated to a worker process (falling back
-        in-process if the worker died — worker loss is not data loss, the
-        segments outlive it).
+        affected request indices.
         """
         index = self.ensure_published()
         dead, gate_seconds = self.probe_shards(now=now)
@@ -233,16 +214,11 @@ class ShardRouter:
                 del selection_cache[key]
 
         resolve = None
-        if dead or pool is not None:
+        if dead:
 
             def resolve(shard_id: int, keys: list) -> list[list[int]] | None:
                 if shard_id in dead:
                     return None
-                if pool is not None:
-                    selections = pool.resolve(shard_id, keys, fanout)
-                    if selections is not None:
-                        return selections
-                    self._inc("turbo.shard.worker_failover")
                 return index.select_neighbors(keys, fanout)
 
         span = current_span()

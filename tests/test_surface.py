@@ -4,13 +4,17 @@ A name in a module's ``__all__`` must be referenced from ``src/`` outside
 its own module (package ``__init__`` re-exports do not count), or from
 ``benchmarks/``, ``bench/`` or ``examples/``, or have a row in the tables of
 ``docs/PAPER_MAP.md``'s "Surface kept for the paper" section.  An export
-that only ``tests/`` reach fails here.
+that only ``tests/`` reach fails here.  The runtime dependencies in
+``pyproject.toml`` are exactly the third-party packages ``src/`` imports.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +58,40 @@ def test_every_export_is_reached_or_justified():
     }
     assert unreached - justified == set(), "exported, reached only by tests"
     assert justified - unreached == set(), "stale rows in docs/PAPER_MAP.md"
+
+
+def third_party_imports() -> set[str]:
+    found = set()
+    for module in ROOT.joinpath("src").rglob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"repro"}
+
+
+def test_runtime_dependencies_are_exactly_what_src_imports():
+    block = re.search(
+        r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S
+    )
+    declared = set(re.findall(r'"([A-Za-z0-9_]+)', block.group(1)))
+    assert declared == third_party_imports()
+
+
+def test_importing_the_package_loads_no_networkx():
+    script = (
+        "import pkgutil, sys, repro, repro.cli\n"
+        "for info in pkgutil.iter_modules(repro.__path__, 'repro.'):\n"
+        "    if info.ispkg:\n"
+        "        __import__(info.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_only_the_timed_oracles_ship():

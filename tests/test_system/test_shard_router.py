@@ -8,8 +8,8 @@ Covers the system half of the sharding tentpole:
   flagged partial, nothing raises, breaker opens) and recovery restores
   bit-exact full serving;
 * :class:`ShardWorkerPool` serves sub-batches bit-identically from forked
-  processes over shared memory, survives worker crashes via in-process
-  failover, and leaks no segments;
+  processes over shared memory, reports a crashed worker dead, and leaks
+  no segments;
 * a sharded :class:`BNServer` mirrors ingest into ``bn.shard.ingest.*``;
 * ``deploy_turbo(..., shards=N)`` serves bit-for-bit what the unsharded
   deployment serves, and tags shard-down requests ``partial``.
@@ -141,8 +141,7 @@ class TestShardLoss:
 
 class TestWorkerPool:
     def test_worker_sample_bitexact_and_failover(self, rng):
-        registry = MetricsRegistry()
-        bn, _sharded, router = make_router(rng, n_shards=2, metrics=registry)
+        bn, _sharded, router = make_router(rng, n_shards=2)
         pool = None
         try:
             router.ensure_published()
@@ -156,36 +155,30 @@ class TestWorkerPool:
                 assert_subgraph_equal(got_sub, want_sub)
             assert stats.partial == ()
 
-            # Hard-kill one worker: pool reports it dead, the router falls
-            # back in-process and stays bit-exact.
+            # Hard-kill one worker: the pool reports it dead.
             pool.crash(0)
             assert pool.sample(0, targets) is None
             assert pool.alive_count() == 1
-            routed, r_stats, _ = router.sample_batch(targets, fanout=5, pool=pool)
-            for want_sub, got_sub in zip(want, routed):
-                assert_subgraph_equal(got_sub, want_sub)
-            assert r_stats.partial == ()
-            counters = registry.snapshot()["counters"]
-            assert counters["turbo.shard.worker_failover"] >= 1
         finally:
             if pool is not None:
                 pool.close()
             router.close()
 
     def test_reattach_after_republish(self, rng):
-        _bn, sharded, router = make_router(rng, n_shards=2)
+        bn, sharded, router = make_router(rng, n_shards=2)
         pool = None
         try:
             router.ensure_published()
             pool = ShardWorkerPool(router.segments, n_workers=1)
             batches = contribution_batches(rng, n_batches=1)
             u, v, codes, weights, stamps = batches[0]
-            sharded.add_weights(u, v, codes, weights, stamps, btype_table=TYPES)
+            for network in (bn, sharded):
+                network.add_weights(u, v, codes, weights, stamps, btype_table=TYPES)
             index = router.ensure_published()  # new version, old retired
             assert pool.reattach(router.segments) == 1
             out = pool.sample(0, [int(u[0])], fanout=5)
             assert out is not None
-            want = scalar_subgraphs(sharded, [int(u[0])], fanout=5)
+            want = scalar_subgraphs(bn, [int(u[0])], fanout=5)
             assert_subgraph_equal(out[0][0], want[0])
             assert index.version == sharded.version
         finally:
