@@ -15,13 +15,7 @@ from .minibatch import (
     sample_khop_nodes_reference,
 )
 from .sao import SAOLayer, neighbor_mean_matrix
-from .train_engine import (
-    ParallelTrainConfig,
-    PresampledGraph,
-    assemble_minibatch,
-    train_parallel,
-    train_with_neighbor_sampling,
-)
+from .train_engine import train_parallel, train_with_neighbor_sampling
 from .trainer import TrainConfig, TrainResult, train_node_classifier
 
 __all__ = [
@@ -43,8 +37,5 @@ __all__ = [
     "induced_adjacencies",
     "induced_adjacencies_reference",
     "train_with_neighbor_sampling",
-    "PresampledGraph",
-    "ParallelTrainConfig",
-    "assemble_minibatch",
     "train_parallel",
 ]

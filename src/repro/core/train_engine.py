@@ -2,73 +2,37 @@
 
 Both public sampled trainers run through one private driver
 (:func:`_train_sampled`): validated inputs, shuffled batches, a
-``build(batch) -> Minibatch`` seam, per-batch gradients
-(:func:`_batch_gradient`), a fixed-order fold and one optimizer step per
-sync group (:func:`_apply_step`), computed in-process or by forked
-workers.  The entry points differ only in the ``build`` closure they hand
-the driver:
+``build(batch) -> Minibatch`` seam and one forward → backward → optimizer
+step per batch (:func:`_train_step`), in one process — the paper trains
+HAG offline as one job.  The entry points differ only in the ``build``
+closure they hand the driver:
 
 * :func:`train_parallel` — **presampled top-k replay**: the deterministic
   fanout policy (``rng=None``) is a pure function of the adjacency, so
   :class:`PresampledGraph` selects once per run and every minibatch is a
-  BFS replay, in the parent or in a worker;
+  BFS replay;
 * :func:`train_with_neighbor_sampling` — **per-batch weighted draws** from
   ``sample_khop_nodes(..., rng)`` over the config's ``sample`` stream,
-  which depend on the stream position and so stay in the loop, in-process.
+  which depend on the stream position and so stay in the loop.
 
 Where no row exceeds the fanout the two builds — and therefore the two
 trained models — are bit-identical.
 
 Everything after the node set is shared: one ``nodes -> Minibatch``
 assembly (:func:`_minibatch_of` over the one inducer,
-:func:`~repro.core.minibatch.induced_adjacencies`) serves the parent, the
-workers and failover.
-
-* **Prefetch pipeline** — :class:`_Prefetcher` double-buffers minibatch
-  assembly on a background thread so batch ``t+1`` is built while batch
-  ``t`` computes; always on (measured, docs/PERFORMANCE.md).  The
-  ``prefetch`` stage of the :class:`~repro.obs.profiling.TrainProfiler`
-  records only the time the compute loop actually *waited*.
-* **Multi-process data parallelism** — forked workers (a
-  :class:`~repro.system.fork_pool.ForkPool`, see
-  :mod:`repro.system.train_workers`) compute per-minibatch gradients off a
-  :class:`~repro.network.shm.SharedSnapshotStore`-published segment holding
-  the presampled CSRs and features.  Reduction is a **fixed-fold-order**
-  sum: gradients are always folded left-to-right by *global batch index*
-  (:func:`fold_gradients`), never by worker arrival order, so same-seed
-  runs are bit-identical across worker counts {0, 1, 2, 4}.  Float
-  caveat, documented once here: bit-exactness across worker counts holds
-  because every worker computes over identically-shaped arrays; it is the
-  *fold order* that parallelism could perturb, and pinning it removes the
-  only degree of freedom.  (BLAS matmul is shape-dependent, but every
-  configuration computes the same per-batch matmuls — nothing is resharded
-  — so no allclose tolerance is needed anywhere in the parity suite.)
-
-Determinism further requires that a parameter consumed twice inside one
-batch's graph (SAO's attention vector ``p``) accumulates *within* the
-batch before the cross-batch fold.  ``Tensor._accumulate`` would interleave
-the two sums if batches shared one autograd accumulation, so the engine
-always extracts per-batch gradient lists (:func:`_batch_gradient`) and
-folds them explicitly — the in-process and pooled paths share that exact
-code path, and a 1-batch group folds to plain
-``zero_grad / backward / step``.
-
-Dropout restriction: module-local dropout rng streams advance per process,
-so cross-worker parity only holds for dropout-free models (HAG's default).
-``train_parallel(workers > 0)`` therefore raises ``ValueError`` when the
-model tree contains an ``nn.Dropout`` with ``p > 0`` — found by walking
-the module attributes the way ``Module._set_mode`` does.
+:func:`~repro.core.minibatch.induced_adjacencies`).  :class:`_Prefetcher`
+double-buffers that assembly on a background thread so batch ``t+1`` is
+built while batch ``t`` computes; it is always on (measured,
+docs/PERFORMANCE.md), and the ``prefetch`` stage of the
+:class:`~repro.obs.profiling.TrainProfiler` records only the time the
+compute loop actually *waited*.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import queue
 import threading
-import time
-from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,15 +46,7 @@ from .hag import prepare_aggregators
 from .minibatch import induced_adjacencies, sample_khop_nodes
 from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
-__all__ = [
-    "PresampledGraph",
-    "ParallelTrainConfig",
-    "assemble_minibatch",
-    "train_parallel",
-    "train_with_neighbor_sampling",
-]
-
-_NULL = NullProfiler()
+__all__ = ["train_parallel", "train_with_neighbor_sampling"]
 
 
 def _check_graph(csrs: Sequence[sp.csr_matrix], fanout: int | None) -> int:
@@ -224,50 +180,6 @@ class PresampledGraph:
         """Induced sub-CSRs over the *original* adjacency (fanout-free)."""
         return induced_adjacencies(self.adjacencies, nodes)
 
-    # ------------------------------------------------------------------
-    # Shared-memory round trip (worker publication)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        """``(arrays, meta)`` for ``SharedSnapshotStore.publish``."""
-        arrays: dict[str, np.ndarray] = {
-            "all_indptr": self.all_indptr,
-            "all_indices": self.all_indices,
-        }
-        for i, csr in enumerate(self.adjacencies):
-            arrays[f"adjp:{i}"] = csr.indptr
-            arrays[f"adji:{i}"] = csr.indices
-            arrays[f"adjd:{i}"] = csr.data
-        meta = {
-            "n": int(self.n),
-            "n_types": len(self.adjacencies),
-            "fanout": -1 if self.fanout is None else int(self.fanout),
-        }
-        return arrays, meta
-
-    @classmethod
-    def from_payload(
-        cls, arrays: dict[str, np.ndarray], meta: dict
-    ) -> "PresampledGraph":
-        """Rebuild from a published segment's array views (zero copy)."""
-        n = int(meta["n"])
-        fanout = int(meta["fanout"])
-        adjacencies = []
-        for i in range(int(meta["n_types"])):
-            # Attribute assignment skips scipy's re-validation (and the
-            # index-dtype copy it may make) of arrays that left a CSR.
-            csr = sp.csr_matrix((n, n), dtype=arrays[f"adjd:{i}"].dtype)
-            csr.data = arrays[f"adjd:{i}"]
-            csr.indices = arrays[f"adji:{i}"]
-            csr.indptr = arrays[f"adjp:{i}"]
-            adjacencies.append(csr)
-        return cls(
-            n,
-            None if fanout < 0 else fanout,
-            arrays["all_indptr"],
-            arrays["all_indices"],
-            adjacencies,
-        )
-
 
 # ----------------------------------------------------------------------
 # Minibatch assembly
@@ -289,7 +201,7 @@ def _minibatch_of(
     labels: np.ndarray,
     batch: np.ndarray,
     nodes: np.ndarray,
-    profiler: TrainProfiler | NullProfiler = _NULL,
+    profiler: TrainProfiler | NullProfiler,
 ) -> Minibatch:
     """The one ``nodes -> Minibatch`` assembly: induce, wrap, gather."""
     with profiler.stage("induction"):
@@ -300,36 +212,18 @@ def _minibatch_of(
     return Minibatch(batch, nodes, aggregators, batch_features, batch_labels)
 
 
-def assemble_minibatch(
-    pre: PresampledGraph,
-    features: np.ndarray,
-    labels: np.ndarray,
-    batch: np.ndarray,
-    hops: int,
-    profiler: TrainProfiler | NullProfiler = _NULL,
-) -> Minibatch:
-    """Slice one batch's subgraph + features from the presampled structure."""
-    with profiler.stage("sampling"):
-        nodes = pre.sample(batch, hops)
-    return _minibatch_of(pre.adjacencies, features, labels, batch, nodes, profiler)
-
-
-def _batch_gradient(
+def _train_step(
     model: nn.Module,
     params: Sequence[Tensor],
+    optimizer: nn.Adam,
     mb: Minibatch,
     pos_weight: float,
-    profiler: TrainProfiler | NullProfiler = _NULL,
-) -> tuple[list[np.ndarray], float]:
-    """Loss gradients of one minibatch at the current parameters.
+    profiler: TrainProfiler | NullProfiler,
+) -> float:
+    """Forward, backward and one optimizer step on one minibatch; the loss.
 
-    Gradients are *stolen* off the parameters (read, then reset to None) so
-    each batch's contribution is a standalone list.  A parameter used twice
-    in one graph (SAO's ``p``) accumulates intra-batch here, inside
-    ``backward`` — and the cross-batch sum happens only in
-    :func:`fold_gradients`, in global batch order.  Workers and the parent
-    both route through this function, which is what makes their float
-    output interchangeable bit-for-bit.
+    A parameter the batch's graph never reached steps on a zero gradient
+    rather than being skipped, so Adam's moments still decay for it.
     """
     x = Tensor(mb.features)
     with profiler.stage("forward"):
@@ -341,36 +235,13 @@ def _batch_gradient(
         )
     with profiler.stage("backward"):
         loss.backward()
-    grads: list[np.ndarray] = []
     for param in params:
-        grads.append(
-            param.grad if param.grad is not None else np.zeros_like(param.data)
-        )
-        param.grad = None
-    return grads, float(loss.item())
-
-
-def fold_gradients(
-    per_batch: Sequence[Sequence[np.ndarray]], scale: float
-) -> list[np.ndarray]:
-    """Left-to-right fold of per-batch gradient lists, then mean scaling.
-
-    The caller passes the lists in **global batch index** order — never in
-    worker completion order — so the summed float bits are invariant to the
-    worker count and to dispatch timing.  The fold mirrors
-    ``Tensor._accumulate`` (copy the first contribution, then repeated
-    ``a + g``), and ``scale == 1.0`` skips the multiply so a 1-batch group
-    reproduces plain single-batch training exactly.
-    """
-    folded = [
-        np.array(g, dtype=np.float64, copy=True) for g in per_batch[0]
-    ]
-    for grads in per_batch[1:]:
-        for i, g in enumerate(grads):
-            folded[i] = folded[i] + g
-    if scale != 1.0:
-        folded = [g * scale for g in folded]
-    return folded
+        if param.grad is None:
+            param.grad = np.zeros_like(param.data)
+    with profiler.stage("step"):
+        optimizer.step()
+    optimizer.zero_grad()
+    return float(loss.item())
 
 
 # ----------------------------------------------------------------------
@@ -440,34 +311,8 @@ class _Prefetcher:
 
 
 # ----------------------------------------------------------------------
-# Config + entry points
+# Entry points
 # ----------------------------------------------------------------------
-@dataclass(slots=True)
-class ParallelTrainConfig(TrainConfig):
-    """:class:`~repro.core.trainer.TrainConfig` plus the engine's knobs."""
-
-    #: gradients of this many consecutive batches are folded into one
-    #: optimizer step (synchronous data parallelism with accumulation).
-    #: The grouping is fixed by config — independent of ``workers`` — so
-    #: the optimizer trajectory never depends on the degree of parallelism.
-    sync_batches: int = 1
-    #: number of forked gradient workers; 0 computes in-process.
-    workers: int = 0
-    #: dispatch to one worker at a time (measurement mode: lets the
-    #: benchmark time each worker's busy span uncontended on a small CPU
-    #: and combine them under the deployment clock, as bench_sharding does).
-    serialize_dispatch: bool = False
-
-    def validate(self) -> None:
-        # Explicit base call: dataclass(slots=True) rebuilds the class, so
-        # zero-arg super() would see a stale __class__ cell.
-        TrainConfig.validate(self)
-        if self.sync_batches < 1:
-            raise ValueError("sync_batches must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-
-
 def train_parallel(
     model: nn.Module,
     adjacencies: Sequence[sp.spmatrix],
@@ -475,7 +320,7 @@ def train_parallel(
     labels: np.ndarray,
     train_idx: np.ndarray,
     val_idx: np.ndarray | None = None,
-    config: ParallelTrainConfig | None = None,
+    config: TrainConfig | None = None,
     hops: int = 2,
     fanout: int | None = 10,
     profiler: TrainProfiler | None = None,
@@ -488,13 +333,12 @@ def train_parallel(
     shuffled batches, weighted BCE, a per-epoch fanout-free validation
     subgraph, AUC early stopping and best-state restore; the fanout
     selection is hoisted out of the epoch loop into one
-    :class:`PresampledGraph`, and gradient computation optionally fans out
-    to ``config.workers`` forked workers.
+    :class:`PresampledGraph`, and each batch is a BFS replay over it.  The
+    name is historical: the loop runs in one process.
 
     Randomness is threaded from ``config.seed`` through
     :meth:`TrainConfig.streams`: batch shuffling consumes the ``shuffle``
-    stream and nothing else, so the epoch schedule is identical for every
-    ``workers`` setting.
+    stream and nothing else.
     """
 
     def make_build(csrs, features, labels, sample_rng, profiler):
@@ -502,13 +346,17 @@ def train_parallel(
             pre = PresampledGraph.build(csrs, fanout)
 
         def build(batch: np.ndarray) -> Minibatch:
-            return assemble_minibatch(pre, features, labels, batch, hops, profiler)
+            with profiler.stage("sampling"):
+                nodes = pre.sample(batch, hops)
+            return _minibatch_of(
+                pre.adjacencies, features, labels, batch, nodes, profiler
+            )
 
-        return build, pre
+        return build
 
     return _train_sampled(
         model, adjacencies, features, labels, train_idx, val_idx,
-        config or ParallelTrainConfig(batch_size=256),
+        config or TrainConfig(batch_size=256),
         hops, fanout, profiler, make_build,
     )
 
@@ -527,17 +375,13 @@ def train_with_neighbor_sampling(
 ) -> TrainResult:
     """Sampled training with weighted *random* fanout draws.
 
-    :func:`train_parallel`'s protocol and driver, in-process with one
-    optimizer step per batch; only the node set differs.  Every batch
-    re-draws its oversized rows' neighbours from
+    :func:`train_parallel`'s protocol and driver; only the node set
+    differs.  Every batch re-draws its oversized rows' neighbours from
     ``sample_khop_nodes(..., rng)`` over the config's ``sample`` stream —
-    the draw depends on the stream position, so it cannot be presampled
-    or replayed by a forked worker, and only :class:`TrainConfig`'s own
-    fields of ``config`` are read.  Where no row exceeds ``fanout`` no
-    draw happens and the result is bit-identical to
-    ``train_parallel(sync_batches=1, workers=0)``.
+    the draw depends on the stream position, so it cannot be presampled.
+    Where no row exceeds ``fanout`` no draw happens and the result is
+    bit-identical to :func:`train_parallel`.
     """
-    config = config or TrainConfig(batch_size=256)
 
     def make_build(csrs, features, labels, sample_rng, profiler):
         def build(batch: np.ndarray) -> Minibatch:
@@ -545,13 +389,11 @@ def train_with_neighbor_sampling(
                 nodes = sample_khop_nodes(csrs, batch, hops, fanout, sample_rng)
             return _minibatch_of(csrs, features, labels, batch, nodes, profiler)
 
-        return build, None
+        return build
 
     return _train_sampled(
         model, adjacencies, features, labels, train_idx, val_idx,
-        ParallelTrainConfig(
-            **{f.name: getattr(config, f.name) for f in fields(TrainConfig)}
-        ),
+        config or TrainConfig(batch_size=256),
         hops, fanout, profiler, make_build,
     )
 
@@ -563,7 +405,7 @@ def _train_sampled(
     labels: np.ndarray,
     train_idx: np.ndarray,
     val_idx: np.ndarray | None,
-    config: ParallelTrainConfig,
+    config: TrainConfig,
     hops: int,
     fanout: int | None,
     profiler: TrainProfiler | None,
@@ -572,12 +414,10 @@ def _train_sampled(
     """The one sampled-training driver behind both public entry points.
 
     Rejects malformed inputs with a ``ValueError`` before anything is
-    presampled, published or forked, then runs the shared protocol with an
-    epoch of shuffled batches dispatched in-process or to the worker pool.
-    ``make_build(csrs, features, labels, sample_rng, profiler)`` is an
-    entry point's whole contribution: it returns ``(build, presampled)``,
-    the ``batch -> Minibatch`` closure and the structure forked workers
-    replay it from (``None``: not replayable).
+    presampled, then runs the shared protocol with an epoch of shuffled
+    batches.  ``make_build(csrs, features, labels, sample_rng, profiler)``
+    is an entry point's whole contribution: it returns the
+    ``batch -> Minibatch`` closure.
     """
     csrs = [a.tocsr() for a in adjacencies]
     n = _check_graph(csrs, fanout)
@@ -587,21 +427,17 @@ def _train_sampled(
     if val_idx is not None:
         val_idx = _check_indices("val_idx", val_idx, n)
     profiler, labels, train_idx, pos_weight = _prepare(
-        config, profiler, labels, train_idx
+        config, profiler, features, labels, train_idx, val_idx
     )
     if config.batch_size is None:
         raise ValueError("sampled training requires a batch size")
-    if config.workers > 0:
-        _refuse_active_dropout(model)
     features = np.asarray(features, dtype=np.float64)
 
     params = model.parameters()
     optimizer = nn.Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     streams = config.streams()
     shuffle_rng = streams["shuffle"]
-    build, presampled = make_build(csrs, features, labels, streams["sample"], profiler)
-
-    pool = None
+    build = make_build(csrs, features, labels, streams["sample"], profiler)
 
     def epoch_step() -> float:
         shuffled = shuffle_rng.permutation(train_idx)
@@ -609,44 +445,21 @@ def _train_sampled(
             shuffled[i : i + config.batch_size]
             for i in range(0, len(shuffled), config.batch_size)
         ]
-        if pool is not None:
-            return _pooled_epoch(
-                pool, model, params, optimizer, batches, config,
-                pos_weight, build, profiler,
-            )
-        return _inprocess_epoch(
-            model, params, optimizer, batches, config,
-            pos_weight, build, profiler,
-        )
+        epoch_loss = 0.0
+        prefetcher = _Prefetcher(build, batches, profiler)
+        try:
+            for mb in prefetcher:
+                loss = _train_step(model, params, optimizer, mb, pos_weight, profiler)
+                epoch_loss += loss * len(mb.batch)
+                profiler.count_batch(len(mb.nodes))
+        finally:
+            prefetcher.close()
+        return epoch_loss
 
-    with ExitStack() as cleanup:  # a refused fork still unlinks the segment
-        if config.workers > 0:
-            from ..network.shm import SharedSnapshotStore
-            from ..system.train_workers import TrainWorkerPool, publish_train_inputs
-
-            store = SharedSnapshotStore(prefix=f"repro-train-{os.getpid()}")
-            cleanup.callback(store.close)
-            handle = publish_train_inputs(
-                store, presampled, features, labels, hops=hops
-            )
-            inputs = handle.segment if handle.shared else (handle.arrays, handle.meta)
-            worker_seeds = [
-                int(s)
-                for s in streams["workers"].integers(0, 2**63 - 1, config.workers)
-            ]
-            pool = TrainWorkerPool(
-                inputs,
-                config.workers,
-                model_payload=pickle.dumps(
-                    {"model": model, "pos_weight": pos_weight}
-                ),
-                worker_seeds=worker_seeds,
-            )
-            cleanup.callback(pool.close)
-        return _run_protocol(
-            model, config, profiler, labels, train_idx, val_idx, pos_weight,
-            epoch_step, _subgraph_validator(model, csrs, features, val_idx, hops),
-        )
+    return _run_protocol(
+        model, config, profiler, labels, train_idx, val_idx, pos_weight,
+        epoch_step, _subgraph_validator(model, csrs, features, val_idx, hops),
+    )
 
 
 def _subgraph_validator(
@@ -669,165 +482,3 @@ def _subgraph_validator(
     val_features = Tensor(features[val_nodes])
     val_positions = np.arange(len(val_idx))
     return lambda: model.forward(val_features, val_adjacencies).numpy()[val_positions]
-
-
-def _refuse_active_dropout(value: object) -> None:
-    """Raise when a module tree holds an ``nn.Dropout`` with ``p > 0``.
-
-    Walks module attributes (and lists / tuples / dicts of them) the way
-    ``Module._set_mode`` does.  Each forked worker would advance its own
-    copy of the dropout rng stream, so a batch's gradient would depend on
-    which process computed it.
-    """
-    if isinstance(value, nn.Dropout) and value.p > 0:
-        raise ValueError(
-            "train_parallel(workers>0) requires a dropout-free model: found "
-            f"Dropout(p={value.p}), whose rng stream advances per process and "
-            "breaks cross-worker parity"
-        )
-    if isinstance(value, nn.Module):
-        value = value.__dict__
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            _refuse_active_dropout(item)
-
-
-def _apply_step(
-    optimizer: nn.Adam,
-    params: Sequence[Tensor],
-    per_batch: list[list[np.ndarray]],
-    profiler: TrainProfiler | NullProfiler,
-) -> None:
-    """Fold one sync group's gradients (fixed order) and take one step."""
-    with profiler.stage("reduce"):
-        folded = fold_gradients(per_batch, 1.0 / len(per_batch))
-        for param, grad in zip(params, folded):
-            param.grad = grad
-    with profiler.stage("step"):
-        optimizer.step()
-    for param in params:
-        param.grad = None
-
-
-def _inprocess_epoch(
-    model: nn.Module,
-    params: Sequence[Tensor],
-    optimizer: nn.Adam,
-    batches: list[np.ndarray],
-    config: ParallelTrainConfig,
-    pos_weight: float,
-    build: Callable[[np.ndarray], Minibatch],
-    profiler: TrainProfiler | NullProfiler,
-) -> float:
-    """One epoch with gradients computed in the parent process."""
-    epoch_loss = 0.0
-    pending: list[list[np.ndarray]] = []
-    prefetcher = _Prefetcher(build, batches, profiler)
-    try:
-        for mb in prefetcher:
-            grads, loss = _batch_gradient(model, params, mb, pos_weight, profiler)
-            epoch_loss += loss * len(mb.batch)
-            profiler.count_batch(len(mb.nodes))
-            pending.append(grads)
-            if len(pending) == config.sync_batches:
-                _apply_step(optimizer, params, pending, profiler)
-                pending = []
-    finally:
-        prefetcher.close()
-    if pending:
-        _apply_step(optimizer, params, pending, profiler)
-    return epoch_loss
-
-
-def _pooled_epoch(
-    pool,
-    model: nn.Module,
-    params: Sequence[Tensor],
-    optimizer: nn.Adam,
-    batches: list[np.ndarray],
-    config: ParallelTrainConfig,
-    pos_weight: float,
-    build: Callable[[np.ndarray], Minibatch],
-    profiler: TrainProfiler | NullProfiler,
-) -> float:
-    """One epoch with per-batch gradients computed by the worker pool.
-
-    Each sync group's batches are assigned round-robin (batch ``i`` to
-    worker ``i % workers``) and the results are slotted back by global
-    batch index before :func:`_apply_step`, so the fold order — and hence
-    the float trajectory — is identical to the in-process path.  A worker
-    that died mid-group is failed over by recomputing its batches in the
-    parent at the same parameter state, which is bit-identical to what the
-    worker would have returned.
-
-    Stage accounting: ``dispatch`` is parent wall time spent sending state
-    and collecting results; ``workers_busy`` / ``workers_critical`` are the
-    sum / max of in-child busy spans per step — the deployment-clock inputs
-    (an epoch on a real multi-core host costs
-    ``wall - workers_busy + workers_critical``).
-    """
-    epoch_loss = 0.0
-    group_size = config.sync_batches
-    for start in range(0, len(batches), group_size):
-        group = batches[start : start + group_size]
-        state = [param.data for param in params]
-        n_workers = pool.n_workers
-        assignment = [
-            list(range(w, len(group), n_workers)) for w in range(n_workers)
-        ]
-        dispatch_started = time.perf_counter()
-        if config.serialize_dispatch:
-            raw = [
-                pool.gradients(w, state, [group[i] for i in idxs])
-                if idxs
-                else None
-                for w, idxs in enumerate(assignment)
-            ]
-        else:
-            started = [
-                bool(idxs)
-                and pool.start_gradients(w, state, [group[i] for i in idxs])
-                for w, idxs in enumerate(assignment)
-            ]
-            raw = [
-                pool.finish(w) if started[w] else None
-                for w in range(n_workers)
-            ]
-        profiler.add_stage_seconds(
-            "dispatch", time.perf_counter() - dispatch_started
-        )
-
-        results: list[tuple[list[np.ndarray], float, int] | None]
-        results = [None] * len(group)
-        busy_spans: list[float] = []
-        for w, idxs in enumerate(assignment):
-            if not idxs:
-                continue
-            value = raw[w]
-            if value is None:
-                # Worker died: recompute its share in the parent.  The
-                # parameters have not stepped since `state` was captured,
-                # so the recomputation is bit-identical.
-                for i in idxs:
-                    mb = build(group[i])
-                    grads, loss = _batch_gradient(
-                        model, params, mb, pos_weight, profiler
-                    )
-                    results[i] = (grads, loss, len(mb.nodes))
-                continue
-            w_grads, w_losses, w_nodes, busy = value
-            busy_spans.append(busy)
-            for j, i in enumerate(idxs):
-                results[i] = (w_grads[j], w_losses[j], w_nodes[j])
-        if busy_spans:
-            profiler.add_stage_seconds("workers_busy", sum(busy_spans))
-            profiler.add_stage_seconds("workers_critical", max(busy_spans))
-
-        for i, item in enumerate(results):
-            grads, loss, n_nodes = item
-            epoch_loss += loss * len(group[i])
-            profiler.count_batch(n_nodes)
-        _apply_step(optimizer, params, [item[0] for item in results], profiler)
-    return epoch_loss

@@ -7,6 +7,7 @@ nodes, early stopping on validation AUC and best-state restoration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,10 +42,24 @@ class TrainConfig:
         """Raise ``ValueError`` on inconsistent hyperparameters."""
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None")
+        if self.pos_weight is not None and not (
+            math.isfinite(self.pos_weight) and self.pos_weight > 0
+        ):
+            raise ValueError(
+                f"pos_weight must be None or finite and > 0, got {self.pos_weight}"
+            )
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.min_epochs < 0:
+            raise ValueError("min_epochs must be >= 0")
 
     def streams(self) -> dict[str, np.random.Generator]:
         """Named, independent rng streams, all derived from ``seed``.
@@ -53,15 +68,12 @@ class TrainConfig:
         independent, and keying them by *name* pins which consumer owns
         which stream: ``shuffle`` (epoch batch order), ``sample`` (weighted
         neighbour draws), ``init`` (weight initialization, for callers that
-        build the model from the config), ``workers`` (per-fork derived
-        seeds).  One seed therefore drives every source of randomness in a
-        training run, and consumers never share a stream — which is what
-        makes same-seed runs bit-identical regardless of how many worker
-        processes participate (workers get spawned seeds; they never
-        consume from the parent's streams).
+        build the model from the config).  One seed therefore drives every
+        source of randomness in a training run, and consumers never share
+        a stream.
         """
-        children = np.random.SeedSequence(self.seed).spawn(4)
-        names = ("shuffle", "sample", "init", "workers")
+        children = np.random.SeedSequence(self.seed).spawn(3)
+        names = ("shuffle", "sample", "init")
         return {
             name: np.random.default_rng(child)
             for name, child in zip(names, children)
@@ -112,7 +124,7 @@ def train_node_classifier(
     """
     config = config or TrainConfig()
     profiler, labels, train_idx, pos_weight = _prepare(
-        config, profiler, labels, train_idx
+        config, profiler, features, labels, train_idx, val_idx
     )
     rng = np.random.default_rng(config.seed)
     optimizer = nn.Adam(
@@ -158,19 +170,29 @@ def train_node_classifier(
 def _prepare(
     config: TrainConfig,
     profiler: TrainProfiler | None,
+    features: np.ndarray,
     labels: np.ndarray,
     train_idx: np.ndarray,
+    val_idx: np.ndarray | None,
 ) -> tuple[TrainProfiler | NullProfiler, np.ndarray, np.ndarray, float]:
-    """Validate ``config`` and normalize the inputs every loop shares.
+    """Validate ``config`` and the inputs every loop shares, then normalize.
 
-    Returns ``(profiler, labels, train_idx, pos_weight)`` — the positive
-    class weight is the configured one, else ``n_neg / n_pos`` over the
-    training labels (never below 1).
+    Raises ``ValueError`` for non-finite features and for labels outside
+    {0, 1} at ``train_idx`` / ``val_idx`` — either would train silently
+    into NaN parameters or a meaningless loss.  Returns ``(profiler,
+    labels, train_idx, pos_weight)`` — the positive class weight is the
+    configured one, else ``n_neg / n_pos`` over the training labels (never
+    below 1).
     """
     config.validate()
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     profiler = profiler if profiler is not None else NullProfiler()
     labels = np.asarray(labels, dtype=np.float64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
+    for name, idx in (("train_idx", train_idx), ("val_idx", val_idx)):
+        if idx is not None and not np.isin(labels[idx], (0.0, 1.0)).all():
+            raise ValueError(f"labels at {name} must be 0 or 1")
     train_labels = labels[train_idx]
     n_pos = float(train_labels.sum())
     n_neg = float(len(train_labels) - n_pos)

@@ -4,7 +4,7 @@ The paper trains its models with a deep-learning framework; this package is
 the offline replacement.  It provides:
 
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autodiff over numpy arrays;
-* :mod:`~repro.nn.layers` — ``Module``/``Linear``/``MLP``/``Dropout``;
+* :mod:`~repro.nn.layers` — ``Module``/``Linear``/``MLP`` (with dropout);
 * :mod:`~repro.nn.optim` — ``SGD`` and ``Adam``;
 * :mod:`~repro.nn.losses` — BCE-with-logits, hinge, MSE;
 * :func:`~repro.nn.sparse.spmm` — differentiable sparse @ dense products for
@@ -12,7 +12,7 @@ the offline replacement.  It provides:
 """
 
 from .init import kaiming_uniform, normal, xavier_normal, xavier_uniform, zeros
-from .layers import MLP, Dropout, Linear, Module, ModuleList
+from .layers import MLP, Linear, Module, ModuleList
 from .losses import bce_with_logits, hinge_loss, mse_loss
 from .optim import SGD, Adam
 from .sparse import (
@@ -52,7 +52,6 @@ __all__ = [
     "ModuleList",
     "Linear",
     "MLP",
-    "Dropout",
     "SGD",
     "Adam",
     "bce_with_logits",

@@ -9,7 +9,7 @@ import numpy as np
 from . import init
 from .tensor import Tensor, addmm, is_grad_enabled
 
-__all__ = ["Module", "Linear", "MLP", "Dropout", "ModuleList"]
+__all__ = ["Module", "Linear", "MLP", "ModuleList"]
 
 
 class Module:

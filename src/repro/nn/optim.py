@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -15,8 +16,8 @@ class Optimizer:
     """Base optimizer over a fixed parameter list."""
 
     def __init__(self, params: Sequence[Tensor], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
         self.params = list(params)
         self.lr = lr
 

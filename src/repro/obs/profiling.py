@@ -15,9 +15,8 @@ Usage::
 Each epoch produces an :class:`EpochProfile` with total seconds, the loss,
 per-stage timings (``forward``, ``backward``, ``step``, ``validation``;
 the sampled epoch loop adds ``sampling``, ``induction``, ``gather``,
-``prefetch``, ``reduce``, a run-level ``presample`` and, with workers,
-``dispatch``, ``workers_busy`` and ``workers_critical``), the batch count,
-and the number of sampled subgraph nodes.  Totals are mirrored into an
+``prefetch`` and a run-level ``presample``), the batch count, and the
+number of sampled subgraph nodes.  Totals are mirrored into an
 optional :class:`~repro.obs.metrics.MetricsRegistry` under the ``train.*``
 metric names documented in ``docs/OBSERVABILITY.md`` — per-epoch counters
 plus one ``train.stage_seconds.<stage>`` histogram per stage — and
@@ -80,9 +79,6 @@ class NullProfiler:
         """No-op stage scope."""
         return self._CTX
 
-    def add_stage_seconds(self, name: str, seconds: float) -> None:
-        """No-op externally-timed stage accumulator."""
-
     def count_batch(self, sampled_nodes: int = 0) -> None:
         """No-op batch counter."""
 
@@ -125,28 +121,20 @@ class TrainProfiler:
 
     @contextmanager
     def stage(self, name: str):
-        """Scope one stage; its wall time accumulates on the current epoch."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_stage_seconds(name, time.perf_counter() - started)
-
-    def add_stage_seconds(self, name: str, seconds: float) -> None:
-        """Accumulate externally-timed seconds onto the current epoch's stage.
-
-        The pooled training path times worker busy spans *in the child
-        process* and books them here (``workers_busy``/``workers_critical``)
-        — a context manager around the parent's dispatch could not see them.
+        """Scope one stage; its wall time accumulates on the current epoch.
 
         Outside an epoch scope the seconds land in :attr:`run_stages`
         (one-time setup work like the presample pass), still visible in
         :meth:`stage_totals` and :meth:`mirror_into`.
         """
-        stages = (
-            self._current.stages if self._current is not None else self.run_stages
-        )
-        stages[name] = stages.get(name, 0.0) + seconds
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            seconds = time.perf_counter() - started
+            profile = self._current
+            stages = profile.stages if profile is not None else self.run_stages
+            stages[name] = stages.get(name, 0.0) + seconds
 
     def count_batch(self, sampled_nodes: int = 0) -> None:
         """Count one mini-batch (and the nodes its sampled subgraph holds)."""

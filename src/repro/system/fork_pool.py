@@ -2,10 +2,10 @@
 
 The paper's Section V system is a set of long-lived server processes; the
 reproduction mirrors that with forked workers reading shared-memory
-snapshots.  Every such pool (:mod:`repro.system.shard_workers`,
-:mod:`repro.system.train_workers`) is a :class:`ForkPool` subclass that
-contributes a *command table* — a plain ``dict[str, handler]`` — and what
-to replay into a freshly forked worker.  The parent-side lifecycle
+snapshots.  Such a pool (today only :mod:`repro.system.shard_workers`) is
+a :class:`ForkPool` subclass that contributes a *command table* — a plain
+``dict[str, handler]`` — and what to replay into a freshly forked
+worker.  Training runs in one process.  The parent-side lifecycle
 (:class:`ForkPool`) and the child-side command loop and teardown
 (``_serve``, :class:`WorkerState`) live here, once.
 

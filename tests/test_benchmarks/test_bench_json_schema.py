@@ -1,9 +1,9 @@
 """Cross-benchmark schema pin: every committed BENCH_*.json speaks one contract.
 
-Every benchmark harness writes its result through ``_shared.check_gates``,
-so every committed ``BENCH_*.json`` must parse and carry the shared fields:
-a non-empty ``gates`` mapping whose rows hold numeric ``value``/``minimum``
-and a boolean ``passed`` consistent with them, plus a ``gates_met`` verdict
+Every gated benchmark harness writes its result through
+``_shared.check_gates``, so every committed ``BENCH_*.json`` must parse
+and carry the shared fields: a non-empty ``gates`` mapping whose rows
+hold numeric ``value``/``minimum`` and a boolean ``passed`` consistent with them, plus a ``gates_met`` verdict
 that is exactly the conjunction of the rows.  A bench that drifts off the
 contract (as ``bench_resilience`` once did with its bespoke ``all_ok``
 field) fails here before any dashboard or CI consumer trips over it.
@@ -28,7 +28,6 @@ REQUIRED_RESULTS = (
     "BENCH_lambda.json",
     "BENCH_lambda_fullgraph.json",
     "BENCH_loadtest.json",
-    "BENCH_train_parallel.json",
 )
 
 

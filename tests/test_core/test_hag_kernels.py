@@ -320,7 +320,7 @@ class TestStackedWeightsNeverStale:
         clone = pickle.loads(pickle.dumps(model))
         assert clone._weights is None
         assert np.array_equal(self.assert_forwards_agree(clone, x, aggregators), seen[-1])
-        # train_workers' parameter push: ``param.data = np.asarray(array)``
+        # a plain rebind: ``param.data = np.asarray(array)``
         for param in model.parameters():
             param.data = np.asarray(param.data * 1.5, dtype=np.float64)
         moved()

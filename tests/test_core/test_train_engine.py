@@ -1,4 +1,4 @@
-"""Sampled-training engine: presampling, one epoch loop, data-parallel parity.
+"""Sampled-training engine: presampling, one epoch loop, input boundaries.
 
 Four guarantees are pinned here:
 
@@ -9,9 +9,9 @@ Four guarantees are pinned here:
 * **One loop** — :func:`train_with_neighbor_sampling` and
   :func:`train_parallel` are each other's oracle: bit-identical trained
   models wherever the fanout cap does not bind.
-* **Gradient parity** — the optimizer trajectory of
-  :func:`train_parallel` is bit-identical across ``workers`` in
-  {0, 1, 2, 4} and with mid-run worker crashes failed over to the parent.
+* **Boundaries** — bad hyperparameters, graphs, indices, non-finite
+  features and non-binary labels raise ``ValueError`` before any
+  presample pass or optimizer step, in every trainer.
 * **Seed threading** — every rng stream derives from ``TrainConfig.seed``
   via :meth:`TrainConfig.streams`; the stream traces are pinned so a
   change to the derivation (which would silently alter every trained
@@ -20,7 +20,7 @@ Four guarantees are pinned here:
 
 from __future__ import annotations
 
-import pickle
+import os
 import threading
 
 import numpy as np
@@ -29,25 +29,18 @@ import scipy.sparse as sp
 
 from repro.core import (
     HAG,
-    ParallelTrainConfig,
-    PresampledGraph,
     TrainConfig,
-    assemble_minibatch,
     induced_adjacencies,
+    prepare_aggregators,
     sample_khop_nodes,
+    train_node_classifier,
     train_parallel,
     train_with_neighbor_sampling,
 )
 from repro.core import train_engine
-from repro.core.train_engine import (
-    _batch_gradient,
-    _inprocess_epoch,
-    _pooled_epoch,
-    fold_gradients,
-)
-from repro.network.shm import SharedSnapshotStore
-from repro.obs.profiling import NullProfiler, TrainProfiler
-from repro.system.train_workers import TrainWorkerPool, publish_train_inputs
+from repro.core.train_engine import PresampledGraph
+from repro.obs.profiling import TrainProfiler
+from repro.system import ForkPool
 from repro import nn
 
 N_TYPES = 2
@@ -138,19 +131,6 @@ class TestPresampledGraph:
         subs = pre.induced(empty)
         assert all(s.shape == (0, 0) for s in subs)
 
-    def test_payload_round_trip(self):
-        adjacencies = random_adjacencies(120, density=4.0, seed=3)
-        pre = PresampledGraph.build(adjacencies, 4)
-        arrays, meta = pre.to_payload()
-        clone = PresampledGraph.from_payload(arrays, meta)
-        seeds = np.arange(0, 120, 7)
-        assert np.array_equal(clone.sample(seeds, 2), pre.sample(seeds, 2))
-        nodes = pre.sample(seeds, 2)
-        for got, expected in zip(clone.induced(nodes), pre.induced(nodes)):
-            assert np.array_equal(got.indptr, expected.indptr)
-            assert np.array_equal(got.indices, expected.indices)
-            assert np.array_equal(got.data, expected.data)
-
     def test_scratch_reuse_is_clean(self):
         # Consecutive calls share scratch buffers; a dirty reset would
         # corrupt the second result.
@@ -206,7 +186,6 @@ class TestSeedThreading:
             "shuffle": [802, 942, 5, 316, 758],
             "sample": [662, 677, 352, 242, 78],
             "init": [656, 838, 462, 83, 997],
-            "workers": [892, 364, 310, 511, 145],
         }
         assert set(streams) == set(expected)
         for name, trace in expected.items():
@@ -228,7 +207,7 @@ class TestSeedThreading:
             model = make_model(seed=3)
             train_parallel(
                 model, adjacencies, features, labels, train_idx,
-                config=ParallelTrainConfig(
+                config=TrainConfig(
                     epochs=2, batch_size=48, seed=7, min_epochs=1, patience=50
                 ),
                 hops=2, fanout=4,
@@ -243,7 +222,7 @@ class TestSeedThreading:
             model = make_model(seed=3)
             train_parallel(
                 model, adjacencies, features, labels, train_idx,
-                config=ParallelTrainConfig(
+                config=TrainConfig(
                     epochs=2, batch_size=48, seed=seed, min_epochs=1, patience=50
                 ),
                 hops=2, fanout=4,
@@ -255,31 +234,18 @@ class TestSeedThreading:
 
 
 # ----------------------------------------------------------------------
-# Engine parity: bit-identical trajectories across every execution mode
+# Engine parity: the two entry points are each other's oracle
 # ----------------------------------------------------------------------
 class TestTrainParallelParity:
     @pytest.fixture(scope="class")
     def problem(self):
         return make_problem(200, seed=0)
 
-    @pytest.fixture(scope="class")
-    def baseline_state(self, problem):
-        adjacencies, features, labels, train_idx, val_idx = problem
-        model = make_model()
-        train_parallel(
-            model, adjacencies, features, labels, train_idx, val_idx,
-            config=self.config(), hops=2, fanout=5,
-        )
-        return model.state_dict()
-
     @staticmethod
-    def config(**overrides) -> ParallelTrainConfig:
-        base = dict(
-            epochs=3, batch_size=64, seed=0, min_epochs=1, patience=50,
-            sync_batches=2,
-        )
+    def config(**overrides) -> TrainConfig:
+        base = dict(epochs=3, batch_size=64, seed=0, min_epochs=1, patience=50)
         base.update(overrides)
-        return ParallelTrainConfig(**base)
+        return TrainConfig(**base)
 
     @pytest.mark.parametrize("fanout", ["max-degree", None])
     def test_entry_points_are_each_others_oracle(self, problem, fanout):
@@ -298,7 +264,7 @@ class TestTrainParallelParity:
         engine = make_model()
         engine_result = train_parallel(
             engine, adjacencies, features, labels, train_idx, val_idx,
-            config=ParallelTrainConfig(**base, sync_batches=1, workers=0),
+            config=TrainConfig(**base),
             hops=2, fanout=fanout,
         )
         assert_states_equal(legacy.state_dict(), engine.state_dict())
@@ -322,48 +288,11 @@ class TestTrainParallelParity:
         topk = make_model()
         train_parallel(
             topk, adjacencies, features, labels, train_idx,
-            config=self.config(epochs=2, sync_batches=1), hops=2, fanout=2,
+            config=self.config(epochs=2), hops=2, fanout=2,
         )
         assert any(
             not np.array_equal(states[0][k], topk.state_dict()[k]) for k in states[0]
         )
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_counts_bit_identical(self, problem, baseline_state, workers):
-        adjacencies, features, labels, train_idx, val_idx = problem
-        model = make_model()
-        result = train_parallel(
-            model, adjacencies, features, labels, train_idx, val_idx,
-            config=self.config(workers=workers), hops=2, fanout=5,
-        )
-        assert_states_equal(model.state_dict(), baseline_state)
-        assert len(result.train_losses) == 3
-
-    def test_serialized_dispatch_bit_identical(self, problem, baseline_state):
-        adjacencies, features, labels, train_idx, val_idx = problem
-        model = make_model()
-        train_parallel(
-            model, adjacencies, features, labels, train_idx, val_idx,
-            config=self.config(workers=2, serialize_dispatch=True),
-            hops=2, fanout=5,
-        )
-        assert_states_equal(model.state_dict(), baseline_state)
-
-    @pytest.mark.parametrize("sync_batches", [1, 3])
-    def test_sync_batches_parity_across_workers(self, problem, sync_batches):
-        # Different sync_batches change the trajectory (fewer, averaged
-        # steps) but the trajectory must still not depend on workers.
-        adjacencies, features, labels, train_idx, _ = problem
-        states = []
-        for workers in (0, 2):
-            model = make_model()
-            train_parallel(
-                model, adjacencies, features, labels, train_idx,
-                config=self.config(workers=workers, sync_batches=sync_batches),
-                hops=2, fanout=5,
-            )
-            states.append(model.state_dict())
-        assert_states_equal(states[0], states[1])
 
     def test_matches_legacy_loop_losses(self, problem):
         # Pin that training actually reduces the loss.
@@ -376,140 +305,55 @@ class TestTrainParallelParity:
         assert result.train_losses[-1] < result.train_losses[0]
 
 
-# ----------------------------------------------------------------------
-# Worker pool: round trips, fallback inputs, failover
-# ----------------------------------------------------------------------
-class TestTrainWorkerPool:
-    @pytest.fixture()
-    def published(self):
-        adjacencies, features, labels, train_idx, _ = make_problem(120, seed=2)
-        pre = PresampledGraph.build([a.tocsr() for a in adjacencies], 4)
-        store = SharedSnapshotStore(prefix="repro-test-train")
-        handle = publish_train_inputs(store, pre, features, labels, hops=2)
-        inputs = handle.segment if handle.shared else (handle.arrays, handle.meta)
-        yield pre, features, labels, train_idx, inputs
-        store.close()
-
-    @staticmethod
-    def payload(model) -> bytes:
-        return pickle.dumps({"model": model, "pos_weight": 2.0})
-
-    def test_gradients_match_in_process_bits(self, published):
-        pre, features, labels, train_idx, inputs = published
-        model = make_model(seed=1)
-        pool = TrainWorkerPool(inputs, 2, model_payload=self.payload(model))
-        try:
-            params = model.parameters()
-            batches = [train_idx[:32], train_idx[32:64]]
-            state = [p.data for p in params]
-            value = pool.gradients(0, state, batches)
-            assert value is not None
-            w_grads, w_losses, w_nodes, busy = value
-            assert busy > 0.0
-            for batch, grads, loss, nodes in zip(
-                batches, w_grads, w_losses, w_nodes
-            ):
-                mb = assemble_minibatch(pre, features, labels, batch, 2)
-                expected_grads, expected_loss = _batch_gradient(
-                    model, params, mb, 2.0
-                )
-                assert loss == expected_loss
-                assert nodes == len(mb.nodes)
-                for got, expected in zip(grads, expected_grads):
-                    assert np.array_equal(got, expected)
-        finally:
-            pool.close()
-
-    def test_dead_worker_reports_none(self, published):
-        *_, inputs = published
-        pool = TrainWorkerPool(inputs, 2, model_payload=self.payload(make_model()))
-        try:
-            pool.crash(0)
-            assert pool.gradients(0, [], []) is None
-            assert not pool.alive(0)
-            assert pool.alive(1)
-            assert pool.alive_count() == 1
-        finally:
-            pool.close()
-
-    def test_worker_error_raises(self, published):
-        *_, inputs = published
-        pool = TrainWorkerPool(inputs, 1)  # no model loaded
-        try:
-            with pytest.raises(RuntimeError, match="no model loaded"):
-                pool.gradients(0, [], [np.array([0, 1])])
-            assert pool.alive(0)  # errors are reported, not fatal
-        finally:
-            pool.close()
-
-    def test_failover_epoch_is_bit_identical(self, published):
-        # Crash one of two workers, run a pooled epoch, and compare the
-        # resulting parameters with a pure in-process epoch: the parent's
-        # recomputation of the dead worker's batches must be bit-exact.
-        pre, features, labels, train_idx, inputs = published
-        config = ParallelTrainConfig(
-            epochs=1, batch_size=32, sync_batches=2, workers=2,
-            min_epochs=1, patience=50,
-        )
-        batches = [
-            train_idx[i : i + config.batch_size]
-            for i in range(0, len(train_idx), config.batch_size)
-        ]
-
-        def build(batch):
-            return assemble_minibatch(pre, features, labels, batch, 2)
-
-        reference = make_model(seed=4)
-        ref_params = reference.parameters()
-        ref_optimizer = nn.Adam(ref_params, lr=config.lr)
-        ref_loss = _inprocess_epoch(
-            reference, ref_params, ref_optimizer, batches, config,
-            2.0, build, NullProfiler(),
-        )
-
-        model = make_model(seed=4)
-        params = model.parameters()
-        optimizer = nn.Adam(params, lr=config.lr)
-        pool = TrainWorkerPool(inputs, 2, model_payload=self.payload(model))
-        try:
-            pool.crash(1)
-            loss = _pooled_epoch(
-                pool, model, params, optimizer, batches, config,
-                2.0, build, NullProfiler(),
-            )
-        finally:
-            pool.close()
-        assert loss == ref_loss
-        assert_states_equal(model.state_dict(), reference.state_dict())
+def full_graph(model, adjacencies, features, labels, train_idx, val_idx, config, **_):
+    """:func:`train_node_classifier` behind the sampled trainers' signature."""
+    aggregators = prepare_aggregators(adjacencies)
+    return train_node_classifier(
+        model, lambda x: model.forward(x, aggregators),
+        features, labels, train_idx, val_idx, config,
+    )
 
 
 # ----------------------------------------------------------------------
-# Config validation, fold semantics, profiler accounting
+# Config and input validation, profiler accounting
 # ----------------------------------------------------------------------
 class TestConfigAndFold:
     def test_validate_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="sync_batches"):
-            ParallelTrainConfig(sync_batches=0).validate()
-        with pytest.raises(ValueError, match="workers"):
-            ParallelTrainConfig(workers=-1).validate()
-        ParallelTrainConfig(workers=2, sync_batches=4).validate()
+        nan, inf = float("nan"), float("inf")
+        for kwargs in (
+            dict(lr=nan), dict(lr=0.0), dict(lr=-1.0), dict(lr=inf),
+            dict(weight_decay=-0.1), dict(weight_decay=nan),
+            dict(pos_weight=nan), dict(pos_weight=0.0), dict(pos_weight=-2.0),
+            dict(min_epochs=-5),
+        ):
+            (name,) = kwargs
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**kwargs).validate()
+        for lr in (nan, inf):
+            with pytest.raises(ValueError, match="learning rate"):
+                nn.Adam([], lr=lr)
+        TrainConfig(weight_decay=0.0, pos_weight=3.0, min_epochs=0).validate()
 
-    @pytest.mark.parametrize("removed", ["presample", "prefetch"])
+    @pytest.mark.parametrize(
+        "removed",
+        ["presample", "prefetch", "workers", "serialize_dispatch", "sync_batches"],
+    )
     def test_removed_options_are_gone(self, removed):
-        # Presampling and prefetching are the path, not options.
+        # Presampling and prefetching are the path; training runs in one
+        # process with one step per batch.
         with pytest.raises(TypeError, match=removed):
-            ParallelTrainConfig(**{removed: True})
+            TrainConfig(**{removed: True})
 
     def test_base_validation_still_applies(self):
         with pytest.raises(ValueError, match="epochs"):
-            ParallelTrainConfig(epochs=0).validate()
+            TrainConfig(epochs=0).validate()
 
     def test_requires_batch_size(self):
         adjacencies, features, labels, train_idx, _ = make_problem(60)
         with pytest.raises(ValueError, match="batch size"):
             train_parallel(
                 make_model(), adjacencies, features, labels, train_idx,
-                config=ParallelTrainConfig(batch_size=None),
+                config=TrainConfig(batch_size=None),
             )
 
     @pytest.mark.parametrize("train", [train_parallel, train_with_neighbor_sampling])
@@ -531,7 +375,7 @@ class TestConfigAndFold:
         kwargs = dict(
             adjacencies=adjacencies, features=features, labels=labels,
             train_idx=train_idx, val_idx=val_idx, hops=2, fanout=4,
-            config=ParallelTrainConfig(epochs=1, batch_size=16, workers=1),
+            config=TrainConfig(epochs=1, batch_size=16),
         )
         kwargs.update(bad)
         monkeypatch.setattr(
@@ -540,66 +384,86 @@ class TestConfigAndFold:
         with pytest.raises(ValueError, match=match):
             train(make_model(), **kwargs)
 
-    def test_fold_is_left_to_right_in_batch_order(self):
-        rng = np.random.default_rng(0)
-        per_batch = [[rng.normal(size=(3, 2)), rng.normal(size=(4,))] for _ in range(4)]
-        folded = fold_gradients(per_batch, 0.25)
-        for i in range(2):
-            expected = per_batch[0][i].copy()
-            for grads in per_batch[1:]:
-                expected = expected + grads[i]
-            expected = expected * 0.25
-            assert np.array_equal(folded[i], expected)
-
-    def test_fold_scale_one_skips_multiply(self):
-        g = np.array([1.0, 2.0])
-        folded = fold_gradients([[g]], 1.0)
-        assert np.array_equal(folded[0], g)
-        assert folded[0] is not g  # defensive copy
+    @pytest.mark.parametrize(
+        "train",
+        [full_graph, train_parallel, train_with_neighbor_sampling],
+        ids=["train_node_classifier", "train_parallel", "train_with_neighbor_sampling"],
+    )
+    @pytest.mark.parametrize(
+        "bad", ["feature-nan", "feature-inf", "train-label-2", "val-label-nan"]
+    )
+    def test_trainers_reject_bad_features_and_labels(self, train, bad, monkeypatch):
+        # One NaN feature used to train into NaN parameters with
+        # best_epoch = -1, and a label of 2.0 trained silently.
+        adjacencies, features, labels, train_idx, val_idx = make_problem(60)
+        features, labels = features.copy(), labels.copy()
+        if bad == "feature-nan":
+            features[7, 3], match = np.nan, "features"
+        elif bad == "feature-inf":
+            features[11, 0], match = -np.inf, "features"
+        elif bad == "train-label-2":
+            labels[train_idx[5]], match = 2.0, "train_idx"
+        else:
+            labels[val_idx[2]], match = np.nan, "val_idx"
+        model = make_model()
+        before = model.state_dict()
+        monkeypatch.setattr(
+            PresampledGraph, "build", lambda *a: pytest.fail("presampled")
+        )
+        monkeypatch.setattr(nn.Adam, "step", lambda self: pytest.fail("stepped"))
+        with pytest.raises(ValueError, match=match):
+            train(
+                model, adjacencies, features, labels, train_idx, val_idx,
+                config=TrainConfig(epochs=1, batch_size=16), hops=2, fanout=4,
+            )
+        assert_states_equal(model.state_dict(), before)
 
 
 class TestPrefetchLifetime:
     def test_failed_epoch_leaves_no_thread_and_fork_still_works(self, monkeypatch):
         # A consumer that raised mid-epoch used to leave the prefetch
-        # thread parked on its bounded queue forever, and the next
-        # train_parallel(workers>0) in the process was refused its fork.
+        # thread parked on its bounded queue forever, and the next fork in
+        # the process was refused.
         adjacencies, features, labels, train_idx, _ = make_problem(120)
-        config = dict(epochs=1, batch_size=16, min_epochs=1, patience=50)
+        config = TrainConfig(epochs=1, batch_size=16, min_epochs=1, patience=50)
         calls = []
+        train_step = train_engine._train_step
 
         def failing(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
                 raise RuntimeError("boom on batch 2")
-            return _batch_gradient(*args, **kwargs)
+            return train_step(*args, **kwargs)
 
-        monkeypatch.setattr(train_engine, "_batch_gradient", failing)
+        monkeypatch.setattr(train_engine, "_train_step", failing)
         with pytest.raises(RuntimeError, match="boom on batch 2"):
             train_parallel(
                 make_model(), adjacencies, features, labels, train_idx,
-                config=ParallelTrainConfig(**config), hops=2, fanout=4,
+                config=config, hops=2, fanout=4,
             )
         monkeypatch.undo()
         assert threading.enumerate() == [threading.main_thread()]
-        result = train_parallel(
-            make_model(), adjacencies, features, labels, train_idx,
-            config=ParallelTrainConfig(**config, workers=1), hops=2, fanout=4,
-        )
-        assert len(result.train_losses) == 1
 
-    def test_build_error_reaches_the_consumer(self):
+        class Idle(ForkPool):
+            commands = {"idle": lambda state, payload: None}
+
+            def _startup(self):
+                return "idle", None
+
+        with Idle(1, timeout=30.0) as pool:
+            assert pool.call(0, "ping") not in (None, os.getpid())
+
+    def test_build_error_reaches_the_consumer(self, monkeypatch):
         adjacencies, features, labels, train_idx, _ = make_problem(60)
-        config = ParallelTrainConfig(epochs=1, batch_size=16, sync_batches=1)
 
-        def build(batch):
+        def build(*args):
             raise KeyError("assembly failed")
 
-        model = make_model()
-        params = model.parameters()
+        monkeypatch.setattr(train_engine, "_minibatch_of", build)
         with pytest.raises(KeyError, match="assembly failed"):
-            _inprocess_epoch(
-                model, params, nn.Adam(params), [train_idx[:16]], config,
-                2.0, build, NullProfiler(),
+            train_parallel(
+                make_model(), adjacencies, features, labels, train_idx,
+                config=TrainConfig(epochs=1, batch_size=16), hops=2, fanout=4,
             )
         assert threading.enumerate() == [threading.main_thread()]
 
@@ -610,7 +474,7 @@ class TestProfilerAccounting:
         profiler = TrainProfiler()
         train_parallel(
             make_model(), adjacencies, features, labels, train_idx, val_idx,
-            config=ParallelTrainConfig(
+            config=TrainConfig(
                 epochs=2, batch_size=48, min_epochs=1, patience=50
             ),
             hops=2, fanout=4, profiler=profiler,
@@ -618,28 +482,13 @@ class TestProfilerAccounting:
         totals = profiler.stage_totals()
         for stage in (
             "presample", "sampling", "induction", "gather", "prefetch",
-            "forward", "backward", "reduce", "step", "validation",
+            "forward", "backward", "step", "validation",
         ):
             assert stage in totals, stage
         expected_batches = -(-len(train_idx) // 48)
         assert len(profiler.epochs) == 2
         assert all(p.batches == expected_batches for p in profiler.epochs)
         assert all(p.sampled_nodes > 0 for p in profiler.epochs)
-
-    def test_pooled_stages_include_worker_clocks(self):
-        adjacencies, features, labels, train_idx, _ = make_problem(120)
-        profiler = TrainProfiler()
-        train_parallel(
-            make_model(), adjacencies, features, labels, train_idx,
-            config=ParallelTrainConfig(
-                epochs=1, batch_size=48, min_epochs=1, patience=50, workers=2
-            ),
-            hops=2, fanout=4, profiler=profiler,
-        )
-        totals = profiler.stage_totals()
-        for stage in ("dispatch", "workers_busy", "workers_critical"):
-            assert stage in totals, stage
-        assert totals["workers_busy"] >= totals["workers_critical"] > 0.0
 
     def test_mirror_into_prefixes_metrics(self):
         from repro.obs.metrics import MetricsRegistry
@@ -648,7 +497,7 @@ class TestProfilerAccounting:
         profiler = TrainProfiler()
         train_parallel(
             make_model(), adjacencies, features, labels, train_idx,
-            config=ParallelTrainConfig(
+            config=TrainConfig(
                 epochs=1, batch_size=48, min_epochs=1, patience=50
             ),
             hops=2, fanout=4, profiler=profiler,

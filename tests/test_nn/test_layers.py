@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Linear, Module, ModuleList, Tensor
+from repro.nn import MLP, Linear, Module, ModuleList, Tensor
+from repro.nn.layers import Dropout
 
 
 class TestLinear:

@@ -48,8 +48,9 @@ class TestSGD:
         assert abs(w.numpy()[0]) < 1.0
 
     def test_invalid_lr(self):
-        with pytest.raises(ValueError):
-            SGD([Tensor([1.0], requires_grad=True)], lr=0.0)
+        for lr in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SGD([Tensor([1.0], requires_grad=True)], lr=lr)
 
 
 class TestAdam:

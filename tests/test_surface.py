@@ -6,6 +6,8 @@ its own module (package ``__init__`` re-exports do not count), or from
 ``docs/PAPER_MAP.md``'s "Surface kept for the paper" section.  An export
 that only ``tests/`` reach fails here.  The runtime dependencies in
 ``pyproject.toml`` are exactly the third-party packages ``src/`` imports.
+Only ``system/fork_pool.py`` forks, and only ``network/shm.py`` maps
+shared memory.
 """
 
 from __future__ import annotations
@@ -92,6 +94,47 @@ def test_importing_the_package_loads_no_networkx():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def process_primitives(module: Path) -> set[str]:
+    """The forking and shared-memory primitives ``module``'s code uses."""
+    found = set()
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(
+                a.name for a in node.names if a.name.startswith("multiprocessing")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("multiprocessing"):
+                found.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "get_context"
+            or (node.attr == "fork" and getattr(node.value, "id", None) == "os")
+        ):
+            found.add(f"{getattr(node.value, 'id', '')}.{node.attr}")
+    return found
+
+
+def test_one_module_forks_and_one_maps_shared_memory():
+    pool, shm = "system/fork_pool.py", "network/shm.py"
+    owner = {
+        "multiprocessing": pool,
+        "multiprocessing.get_context": pool,
+        "os.fork": pool,
+        "multiprocessing.shared_memory": shm,
+        "multiprocessing.resource_tracker": shm,
+    }
+    src = ROOT / "src" / "repro"
+    uses = {
+        (primitive, module.relative_to(src).as_posix())
+        for module in src.rglob("*.py")
+        for primitive in process_primitives(module)
+    }
+    assert {(p, m) for p, m in uses if owner.get(p) != m} == set()
+    assert {
+        ("multiprocessing.get_context", pool),
+        ("multiprocessing.shared_memory", shm),
+    } <= uses
 
 
 def test_only_the_timed_oracles_ship():

@@ -11,8 +11,7 @@ both real pools inherit is pinned without their payloads:
 * ``start``/``finish`` pipeline across workers;
 * ``close()`` is idempotent and leaves no process or segment behind;
 * forking with another live thread is refused by name;
-* ``train_parallel(workers>0)`` refuses a model with active dropout;
-* the real pools define none of the lifecycle themselves.
+* the real pool defines none of the lifecycle itself.
 """
 
 from __future__ import annotations
@@ -24,18 +23,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import HAG
-from repro.core.train_engine import (
-    ParallelTrainConfig,
-    _refuse_active_dropout,
-    train_parallel,
-)
-from repro import nn
 from repro.network.shm import SharedSnapshotStore
 from repro.system import ForkPool, ShardWorkerPool
-from repro.system.train_workers import TrainWorkerPool
 from tests.conftest import assert_no_leaks, repro_segments
-from tests.test_core.test_train_engine import make_problem
 
 pytestmark = pytest.mark.sharding
 
@@ -161,29 +151,6 @@ class TestLifecycle:
 
     def test_real_pools_inherit_the_lifecycle(self):
         lifecycle = {"call", "start", "finish", "close", "crash", "_spawn_worker"}
-        for cls in (ShardWorkerPool, TrainWorkerPool):
-            assert issubclass(cls, ForkPool)
-            assert not lifecycle & set(vars(cls)), cls.__name__
+        assert issubclass(ShardWorkerPool, ForkPool)
+        assert not lifecycle & set(vars(ShardWorkerPool))
 
-
-class TestDropoutGuard:
-    def test_train_parallel_refuses_active_dropout_with_workers(self):
-        adjacencies, features, labels, train_idx, _ = make_problem(60)
-        model = HAG(
-            12, 2, np.random.default_rng(0), hidden=(4,), att_dim=2,
-            cfo_att_dim=2, cfo_out_dim=2, mlp_hidden=(4,), dropout=0.5,
-        )
-        with pytest.raises(ValueError, match="dropout-free"):
-            train_parallel(
-                model, adjacencies, features, labels, train_idx,
-                config=ParallelTrainConfig(epochs=1, batch_size=16, workers=1),
-            )
-
-    def test_walk_matches_set_mode(self):
-        rng = np.random.default_rng(0)
-        holder = nn.Module()
-        holder.blocks = {"a": [nn.Linear(2, 2, rng), (nn.Dropout(0.0, rng),)]}
-        _refuse_active_dropout(holder)  # p == 0 is inert
-        holder.blocks["a"][1][0].p = 0.1
-        with pytest.raises(ValueError, match=r"Dropout\(p=0.1\)"):
-            _refuse_active_dropout(holder)
