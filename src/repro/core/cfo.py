@@ -33,24 +33,34 @@ def cfo_forward_stacked(
     w_att: Sequence[np.ndarray],
     v_att: Sequence[np.ndarray],
     m_trans: Sequence[np.ndarray],
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """:meth:`CFOLayer.forward` on ndarrays: ``(|R|, n, d_k)`` tower-stacked
     embeddings in, ``(n, d_m * |R|)`` out, the loop's op order and bits.
 
-    The loop over ``r`` stays: batching it (one ``(r, n, |R|, d_a)``
-    intermediate) measured no faster on a request — its cost is ``tanh`` of
-    ``|R|² · n · d_a`` values either way — and holds ``|R|`` times the memory,
-    ``|R|²`` times a tower's, which a packed chunk or a validation graph
-    cannot afford.  Only ``M_r``, the one product with rows on its left, runs
-    per request block.
+    The node-wise attention (projection, ``tanh``, score, softmax, type mix)
+    runs only on ``rows`` (``None``: every row) — a request reads one node,
+    and this is ``tanh`` of ``|R|² · d_a`` values per node.  Its products are
+    per node, ``(|R|, d_k) @ (d_k, d_a)``, so a node's bits do not depend on
+    how many nodes are computed.  The mixes land in a zeroed ``(n, d_k)``
+    array and ``M_r`` — the one product with rows on its left — runs at the
+    full shape, per request block: a BLAS row's bits depend on the operand
+    shape, not on the other rows' values.  Rows outside ``rows`` come back
+    zero.  The loop over ``r`` stays: batching it needs a ``(b, |R|, |R|,
+    d_a)`` intermediate, which a full-graph call (every row of a validation
+    graph) cannot afford.
     """
-    h = np.ascontiguousarray(type_embeddings.transpose(1, 0, 2))  # (n, |R|, d_k)
+    n = type_embeddings.shape[1]
+    if rows is None:
+        rows = slice(None)
+    h = np.ascontiguousarray(type_embeddings[:, rows].transpose(1, 0, 2))  # (b, |R|, d_k)
+    mixed = np.zeros((n, h.shape[2]))
     fused = []
     for w_r, v_r, m_r in zip(w_att, v_att, m_trans):
         projected = np.matmul(h, w_r)
         np.tanh(projected, out=projected)
         alpha = softmax(np.matmul(projected, v_r))
-        mixed = (alpha[..., None] * h).sum(axis=1)
+        mixed[rows] = (alpha[..., None] * h).sum(axis=1)
         fused.append(stacked_matmul(mixed, m_r))
     return np.concatenate(fused, axis=1)
 

@@ -23,12 +23,20 @@ on the full BN does.  The forward has two spellings: while autograd records,
 the per-type tape forward (``Tensor`` ops, one tower at a time) — the
 definition, and the only path that trains; under ``no_grad``, the same float
 operations on ndarrays (``sao_combine_stacked``: all towers in one batched
-kernel; ``cfo_forward_stacked``) over the request's type-stacked CSR, pinned bit-equal to the tape by
-``tests/test_core/test_hag_kernels.py``.
+kernel; ``cfo_forward_stacked``) over the request's type-stacked CSR, pinned
+bit-equal to the tape by ``tests/test_core/test_hag_kernels.py``.
+
+The forward scores the ``rows`` its caller reads — a request's target, a
+pack's targets — and returns only their logits.  The towers still run on
+every node, because neighbour sums read them all; CFO's node-wise attention
+runs on ``rows`` alone, while ``M_r`` and the head keep the full shape,
+which is what keeps each logit's bits.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +51,8 @@ from .cfo import CFOLayer, cfo_forward_stacked
 from .sao import SAOLayer, sao_combine_stacked
 
 __all__ = ["HAG", "prepare_aggregators"]
+
+_DATA_BASE = operator.attrgetter("data.base")
 
 
 def prepare_aggregators(
@@ -250,21 +260,34 @@ class HAG(nn.Module):
         return 1.0 / (1.0 + np.exp(-logits))
 
     def forward(
-        self, x: Tensor, aggregators: Sequence[sp.csr_matrix] | StackedCSR
+        self,
+        x: Tensor,
+        aggregators: Sequence[sp.csr_matrix] | StackedCSR,
+        rows: Sequence[int] | np.ndarray | None = None,
     ) -> Tensor:
-        """Fraud logits, shape ``(n,)``, from one Eq. 6 matrix per tower (under
-        ``no_grad`` also their :class:`~repro.nn.sparse.StackedCSR`).
+        """Fraud logits of ``rows`` (``None``: all ``n``), from one Eq. 6
+        matrix per tower (under ``no_grad`` also their
+        :class:`~repro.nn.sparse.StackedCSR`).
 
         Two spellings of one computation.  While autograd records it is the
         per-type tape forward (:meth:`embeddings`, then the head) — the
-        definition.  Under ``no_grad`` nothing needs a graph, so the same
-        float operations run on ndarrays with every tower in one batched
-        kernel (:meth:`_forward_stacked`), bit for bit the same logits, and
-        they are the only ``Tensor`` made.
+        definition — indexed by ``rows``.  Under ``no_grad`` nothing needs a
+        graph, so the same float operations run on ndarrays with every tower
+        in one batched kernel (:meth:`_forward_stacked`), bit for bit the same
+        logits, and they are the only ``Tensor`` made.  ``rows`` that are not
+        a 1-D array of in-range integers are a ``ValueError``.
         """
+        if rows is not None:
+            rows = np.asarray(rows)
+            n = x.shape[0]
+            if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (
+                (rows >= 0) & (rows < n)
+            ).all():
+                raise ValueError(f"rows must be a 1-D integer array in [0, {n})")
         if nn.is_grad_enabled():
-            return self.head(self.embeddings(x, aggregators)).flatten()
-        return Tensor(self._forward_stacked(x.data, aggregators))
+            logits = self.head(self.embeddings(x, aggregators)).flatten()
+            return logits if rows is None else logits[rows]
+        return Tensor(self._forward_stacked(x.data, aggregators, rows))
 
     def _stacked_weights(self) -> list[np.ndarray]:
         """Every SAO parameter group as one ``(T, ...)`` array: layer ``k``'s
@@ -285,7 +308,9 @@ class HAG(nn.Module):
             ]
         for entry in self._weights:
             params, stack = entry
-            if stack is None or any(param.data.base is not stack for param in params):
+            # C-level all the way: no Python frame per parameter
+            bases = map(_DATA_BASE, params)
+            if stack is None or not all(map(operator.is_, bases, repeat(stack))):
                 entry[1] = stack = np.stack([param.data for param in params])
                 for param, view in zip(params, stack):
                     param.data = view
@@ -300,9 +325,13 @@ class HAG(nn.Module):
         return (stacked_matmul(h, head.weight.data) + head.bias.data).reshape(-1)
 
     def _forward_stacked(
-        self, x: np.ndarray, aggregators: Sequence[sp.csr_matrix] | StackedCSR
+        self,
+        x: np.ndarray,
+        aggregators: Sequence[sp.csr_matrix] | StackedCSR,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """The tape-free forward: logits ``(n,)`` from features ``(n, d)``.
+        """The tape-free forward: logits of ``rows`` (``None``: all ``n``)
+        from features ``(n, d)``.
 
         Activations are ``(T, n, d)``, all towers' rows in one array: layer
         1 aggregates with one ``(T·n, n) @ X`` sparse product, later layers
@@ -310,7 +339,10 @@ class HAG(nn.Module):
         entries, every SAO dense product is batched over ``T``.  That is
         ``|R|`` times the per-type working set — right for a request or a
         packed chunk of them, not for the whole-graph layer pass, which
-        stays on :meth:`layer_states`.
+        stays on :meth:`layer_states`.  The towers run on every row (the
+        last layer's neighbour sums read them all); only CFO's node-wise
+        attention is cut to ``rows``, and ``M_r`` and the head keep the
+        full shape, so every logit keeps the tape's bits.
         """
         if not isinstance(aggregators, StackedCSR):
             aggregators = StackedCSR.from_matrices(aggregators)
@@ -331,17 +363,23 @@ class HAG(nn.Module):
                 h, h_neigh, weights[k * per_layer : (k + 1) * per_layer], layer.activation
             )
         if self.cfo is None:
-            return self._head_logits(h[0])
-        groups = (self.cfo.w_att, self.cfo.v_att, self.cfo.m_trans)
-        fused = cfo_forward_stacked(h, *([p.data for p in group] for group in groups))
-        return self._head_logits(fused)
+            logits = self._head_logits(h[0])
+        else:
+            groups = (self.cfo.w_att, self.cfo.v_att, self.cfo.m_trans)
+            cfo_weights = ([p.data for p in group] for group in groups)
+            logits = self._head_logits(cfo_forward_stacked(h, *cfo_weights, rows))
+        return logits if rows is None else logits[rows]
 
     def predict_proba(
-        self, x: np.ndarray, aggregators: Sequence[sp.csr_matrix] | StackedCSR
+        self,
+        x: np.ndarray,
+        aggregators: Sequence[sp.csr_matrix] | StackedCSR,
+        rows: Sequence[int] | np.ndarray | None = None,
     ) -> np.ndarray:
-        """Fraud probabilities for every node (no autograd recording)."""
+        """Fraud probabilities of ``rows`` (``None``: every node), no autograd
+        recording."""
         with nn.no_grad():
-            logits = self.forward(Tensor(x), aggregators)
+            logits = self.forward(Tensor(x), aggregators, rows)
         return 1.0 / (1.0 + np.exp(-logits.numpy()))
 
     def _request_aggregators(
@@ -390,7 +428,7 @@ class HAG(nn.Module):
         if not np.isfinite(features).all():
             raise ValueError("features must be finite (found nan or inf)")
         aggregators = self._request_aggregators([subgraph], edge_type_order)
-        return float(self.predict_proba(features, aggregators)[0])
+        return float(self.predict_proba(features, aggregators, [0])[0])
 
     def predict_subgraphs(
         self,
@@ -436,5 +474,5 @@ class HAG(nn.Module):
             )
         aggregators = self._request_aggregators(subgraphs, edge_type_order)
         with nn.row_blocks(boundaries):
-            probabilities = self.predict_proba(packed, aggregators)
-        return [float(p) for p in probabilities[boundaries[:-1]]]
+            probabilities = self.predict_proba(packed, aggregators, boundaries[:-1])
+        return [float(p) for p in probabilities]

@@ -389,10 +389,11 @@ def _score_packed_chunk(
     else:
         adjacencies = [sum_csr([typed(btype) for btype in parts], total)]
     with nn.row_blocks(boundaries):
-        probabilities = model.predict_proba(
-            np.vstack(matrices), StackedCSR.from_matrices(adjacencies).row_mean()
+        return model.predict_proba(
+            np.vstack(matrices),
+            StackedCSR.from_matrices(adjacencies).row_mean(),
+            boundaries[:-1],
         )
-    return probabilities[boundaries[:-1]]
 
 
 def score_slice(

@@ -113,10 +113,14 @@ class PredictionServer:
         The caller runs the per-request fault gate (``ping``) and passes the
         charged extras through ``gate_extras`` so they land in the same
         latency slot as the scalar path's.  A non-finite feature is a
-        ``ValueError`` naming the request's position.
+        ``ValueError`` naming the request's position.  A ``gate_extras`` that
+        is not one per subgraph is a ``ValueError`` before anything is run,
+        drawn or counted.
         """
         if len(subgraphs) != len(features):
             raise ValueError("one feature matrix per subgraph is required")
+        if gate_extras is not None and len(gate_extras) != len(subgraphs):
+            raise ValueError("one gate extra per subgraph is required")
         scaled = [self.scaler.transform(matrix) for matrix in features]
         probabilities = self.model.predict_subgraphs(
             subgraphs, scaled, edge_type_order=self.edge_type_order

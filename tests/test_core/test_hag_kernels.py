@@ -7,15 +7,18 @@ between the two over random typed graphs (``n = 1``, an isolated target,
 empty types, every ablation, ``activation=False``), over what
 ``predict_subgraph(s)`` adds on top (a type the sampler does not have, a
 permuted ``edge_type_order``, packs of 1–8 requests under ``row_blocks``,
-subgraphs built from a dict and from the stacked form), the three
-numpy / scipy facts the equality rests on (``docs/PERFORMANCE.md``), the
-lazy ``ComputationSubgraph.adjacency`` against the frozen scipy oracle, and
-the stacked weights against everything that can rebind a parameter.
+subgraphs built from a dict and from the stacked form), ``forward(rows=)``
+against the full forward indexed, the numpy / scipy facts the equality
+rests on (``docs/PERFORMANCE.md``) — among them the two that let CFO's
+attention run on the read rows only — the lazy
+``ComputationSubgraph.adjacency`` against the frozen scipy oracle, and the
+stacked weights against everything that can rebind a parameter.
 """
 
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.core import HAG, prepare_aggregators
 from repro.network import ComputationSubgraph
 from repro.nn import Tensor
 from repro.nn.sparse import stacked_symmetric_csr
+from repro.nn.tensor import stacked_matmul
 from tests.oracles.sparse import assert_same_csr, typed_symmetric_csr_oracle
 
 TYPES = tuple(f"type{t}" for t in range(8))
@@ -241,6 +245,93 @@ class TestTheThreeFacts:
         for t in range(towers):
             e = np.exp(a[t] - a[t].max(axis=1, keepdims=True))
             assert np.array_equal(soft[t], e / e.sum(axis=1, keepdims=True))
+
+    # What computing CFO's attention for ``rows`` only rests on: the products
+    # that keep the full shape give a row the same bits whatever the other
+    # rows hold, and the ones cut to ``rows`` are per node.
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds, n=st.integers(1, 128), d=st.integers(1, 70), k=st.integers(1, 130),
+        blocked=st.booleans(),
+    )
+    def test_a_fixed_shape_product_row_ignores_the_other_rows(self, seed, n, d, k, blocked):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, d))
+        w = rng.standard_normal((d, k))
+        kept = np.unique(rng.integers(0, n, size=int(rng.integers(1, n + 1))))
+        zeroed = np.zeros_like(a)
+        zeroed[kept] = a[kept]
+        cuts = np.unique(rng.integers(1, n, size=int(rng.integers(0, 8)))) if n > 1 else []
+        blocks = nn.row_blocks(np.concatenate(([0], cuts, [n])).astype(np.int64))
+        with blocks if blocked else nullcontext():
+            full, mostly_zero = stacked_matmul(a, w), stacked_matmul(zeroed, w)
+        assert np.array_equal(full[kept], mostly_zero[kept])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds, n=st.integers(1, 128), n_types=st.sampled_from([1, 3, 8]),
+        d_k=st.integers(1, 70), d_a=st.integers(1, 70),
+    )
+    def test_cfo_per_node_products_ignore_the_node_count(self, seed, n, n_types, d_k, d_a):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((n, n_types, d_k))
+        w = rng.standard_normal((d_k, d_a))
+        v = rng.standard_normal(d_a)
+        rows = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        projected = np.tanh(np.matmul(h, w))
+        scores = np.matmul(projected, v)
+        alpha = rng.random((n, n_types))
+        mixed = (alpha[..., None] * h).sum(axis=1)
+        for picked in (rows, rows[:1]):  # among some nodes, and alone
+            part = np.ascontiguousarray(h[picked])
+            part_projected = np.tanh(np.matmul(part, w))
+            assert np.array_equal(part_projected, projected[picked])
+            assert np.array_equal(np.matmul(part_projected, v), scores[picked])
+            assert np.array_equal((alpha[picked][..., None] * part).sum(axis=1), mixed[picked])
+
+
+class TestRows:
+    """``forward(rows=...)`` is the full forward indexed by ``rows``, in both
+    spellings and bit for bit; anything but a 1-D in-range integer array is
+    refused."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=seeds, n=st.integers(1, 12), n_types=st.sampled_from([1, 3, 8]),
+        density=st.floats(0.0, 1.0), **ablations,
+    )
+    def test_rows_are_the_full_forward_indexed(self, seed, n, n_types, density, use_sao, use_cfo):
+        rng = np.random.default_rng(seed)
+        in_dim = int(rng.integers(1, 9))
+        model = make_model(rng, in_dim, n_types, use_sao, use_cfo)
+        stacked = stacked_symmetric_csr(*typed_entries(rng, n, model.n_types, density))
+        x = rng.normal(size=(n, in_dim))
+        aggregators = prepare_aggregators(stacked.split())
+        rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))  # repeats, any order
+        full, _ = both_forwards(model, x, aggregators)
+        assert np.array_equal(model.forward(Tensor(x), aggregators, rows).numpy(), full[rows])
+        with nn.no_grad():
+            assert np.array_equal(model.forward(Tensor(x), aggregators, rows).numpy(), full[rows])
+            assert np.array_equal(
+                model.forward(Tensor(x), stacked.row_mean(), list(rows)).numpy(), full[rows]
+            )
+        assert np.array_equal(
+            model.predict_proba(x, aggregators, rows), model.predict_proba(x, aggregators)[rows]
+        )
+
+    @pytest.mark.parametrize(
+        "rows", [[[0]], [0.0], [True], [-1], [4], np.array(0)],
+        ids=["2-D", "float", "bool", "negative", "past the end", "0-D"],
+    )
+    def test_rejects_rows_that_are_not_in_range_integers(self, rng, rows):
+        model = make_model(rng, 3, 3)
+        x = Tensor(rng.normal(size=(4, 3)))
+        aggregators = [sp.identity(4, format="csr")] * 3
+        with pytest.raises(ValueError, match=r"rows must be a 1-D integer array in \[0, 4\)"):
+            model.forward(x, aggregators, rows)
+        with nn.no_grad(), pytest.raises(ValueError, match="rows must be"):
+            model.forward(x, aggregators, rows)
 
 
 class TestLazyAdjacency:

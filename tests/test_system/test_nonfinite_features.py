@@ -7,6 +7,11 @@ raises ``ValueError("features must be finite ...")`` on the scaled (packed)
 matrix before the forward, the latency charge and ``requests_served``; the
 batched form names the request's position; ``Turbo.predict`` lets it
 propagate.
+
+A micro-batch whose ``gate_extras`` is not one per subgraph used to come
+back with fewer ``seconds`` than probabilities, after the forward, the
+jitter draw and the ``requests_served`` bump; it is refused the same way,
+before any of them.
 """
 
 from __future__ import annotations
@@ -96,3 +101,18 @@ class TestNonFiniteFeaturesAreRefused:
         with pytest.raises(ValueError, match="features must be finite"):
             turbo.predict(PredictRequest(txn=txn, now=txn.audit_at))
         assert turbo.prediction_server.requests_served == served
+
+
+class TestMisSizedGateExtras:
+    @pytest.mark.parametrize("extras", [[0.0, 0.0], [0.0] * 4, []], ids=["short", "long", "empty"])
+    def test_batch_predict_raises_before_the_forward(self, staged, monkeypatch, extras):
+        turbo, subgraphs, features = staged
+        server = turbo.prediction_server
+        before = server_state(server)
+        forwards = []
+        monkeypatch.setattr(
+            server.model, "predict_subgraphs", lambda *args, **kw: forwards.append(args)
+        )
+        with pytest.raises(ValueError, match="one gate extra per subgraph"):
+            server.predict_batch(subgraphs, features, gate_extras=extras)
+        assert server_state(server) == before and forwards == []

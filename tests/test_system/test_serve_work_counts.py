@@ -17,14 +17,22 @@ events: every Python function, method, property and generator entered) per
 warm ``Turbo.predict`` and per request of a warm ``predict_batch`` of 8 —
 the figure a serve PR quotes as "calls per request N → M" when the wall
 clock reads unresolved.  The counting pass is never timed.
+
+And the node rows whose CFO attention is evaluated: a request reads one
+probability, so the forward runs the node-wise attention on the target
+alone — one row per ``predict``, eight per ``predict_batch`` of 8 — while
+the towers still run on every node of the subgraph.
 """
 
 from __future__ import annotations
 
 import sys
 
+import pytest
 import scipy.sparse as sp
 
+import repro.core.cfo as cfo
+import repro.core.hag as hag
 from repro.network import FAST_WINDOWS
 from repro.nn import Tensor
 from repro.system import PredictRequest, TurboConfig, deploy_turbo
@@ -68,11 +76,12 @@ def python_calls(fn) -> int:
     return calls
 
 
-#: measured 962.7 and 516.1 on this deployment (1,503.3 and 771.8
-#: while every storage op drew its own jitter and the product went through
-#: two scipy objects); about 3 % of headroom.
-SCALAR_CALLS_CEILING = 992
-BATCHED_CALLS_CEILING = 532
+#: measured 838.8 and 500.6 on this deployment (962.7 and 516.1 while the
+#: stacked-weight staleness check entered a generator per parameter; 1,503.3
+#: and 771.8 while every storage op drew its own jitter and the product went
+#: through two scipy objects); about 3 % of headroom.
+SCALAR_CALLS_CEILING = 864
+BATCHED_CALLS_CEILING = 516
 
 
 class CountedRng:
@@ -86,7 +95,9 @@ class CountedRng:
         return self.rng.lognormal(*args, **kwargs)
 
 
-def test_warm_request_constructs_two_tensors_and_no_csr_matrix(tiny_dataset):
+@pytest.fixture(scope="module")
+def deployed(tiny_dataset):
+    """The tiny deployment and 20 requests, each served once (warm)."""
     turbo, data = deploy_turbo(
         tiny_dataset,
         TurboConfig(windows=FAST_WINDOWS, train_epochs=1, hidden=(8, 4), seed=0),
@@ -94,7 +105,11 @@ def test_warm_request_constructs_two_tensors_and_no_csr_matrix(tiny_dataset):
     requests = [
         PredictRequest(txn=txn, now=txn.audit_at) for txn in data.dataset.transactions[:20]
     ]
-    expected = [turbo.predict(request).probability for request in requests]  # warm
+    return turbo, requests, [turbo.predict(request).probability for request in requests]
+
+
+def test_warm_request_constructs_two_tensors_and_no_csr_matrix(deployed):
+    turbo, requests, expected = deployed
 
     counts = {"tensor": 0, "csr": 0, "batched csr": 0}
     undo = [counted(Tensor, counts, "tensor"), counted(sp.csr_matrix, counts, "csr")]
@@ -140,3 +155,39 @@ def test_warm_request_constructs_two_tensors_and_no_csr_matrix(tiny_dataset):
     )
     assert scalar_calls <= SCALAR_CALLS_CEILING
     assert batched_calls <= BATCHED_CALLS_CEILING
+
+
+def test_cfo_attention_runs_on_the_request_targets_only(deployed, monkeypatch):
+    turbo, requests, expected = deployed
+    towers = len(turbo.prediction_server.edge_type_order)
+    attention_rows, tower_rows = [], []
+    softmax, forward = cfo.softmax, hag.cfo_forward_stacked
+
+    def counted_softmax(scores, axis=-1):  # once per edge type, on the rows it attends
+        attention_rows.append(scores.shape[0])
+        return softmax(scores, axis)
+
+    def counted_forward(type_embeddings, *args):
+        tower_rows.append(type_embeddings.shape[1])
+        return forward(type_embeddings, *args)
+
+    monkeypatch.setattr(cfo, "softmax", counted_softmax)
+    monkeypatch.setattr(hag, "cfo_forward_stacked", counted_forward)
+
+    def per_call(serve, calls):
+        attention_rows.clear()
+        tower_rows.clear()
+        served = [response.probability for call in calls for response in serve(call)]
+        assert len(tower_rows) == len(calls)  # one forward per call
+        return served, sum(attention_rows) / towers / len(calls), sum(tower_rows) / len(calls)
+
+    scalar, scalar_rows, nodes = per_call(lambda r: [turbo.predict(r)], requests)
+    batches = [requests[k : k + 8] for k in range(0, 16, 8)]
+    batched, batched_rows, packed = per_call(turbo.predict_batch, batches)
+    print(
+        f"\nCFO attention rows: {scalar_rows:g} per Turbo.predict ({nodes:.1f} nodes), "
+        f"{batched_rows:g} per predict_batch of 8 ({packed:.1f} nodes)"
+    )
+    assert scalar == expected and batched == expected[:16]
+    assert scalar_rows == 1
+    assert batched_rows == 8
