@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,6 +281,12 @@ class BehaviorNetwork:
         # The one memoized flat view (``index()``); every array reader —
         # ``to_arrays()`` included — goes through it.
         self._index: ShardIndex | None = None
+        # Change log: the ``(lo, hi)`` pairs written since the index
+        # ``_log_base`` was built, so the next build re-reads only those.
+        # ``None`` once it holds as many pairs as the network has: the next
+        # build then reads every pair.
+        self._changed: set[tuple[int, int]] | None = set()
+        self._log_base: ShardIndex | None = None
         self._edge_types: tuple[int, frozenset[BehaviorType]] | None = None
         self._num_edges = 0
         # Expiry index: bucket id -> typed-edge keys whose ``last_update``
@@ -326,6 +332,14 @@ class BehaviorNetwork:
         delta = self._delta
         delta[a] = delta.get(a, 0) + 1
         delta[b] = delta.get(b, 0) + 1
+
+    def _log_changes(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Add written pairs to the change log, dropping it at ``num_pairs``."""
+        changed = self._changed
+        if changed is not None:
+            changed.update(pairs)
+            if len(changed) >= len(self._edges):
+                self._changed = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -373,6 +387,7 @@ class BehaviorNetwork:
         self._register_expiry(key, btype, record.last_update)
         if self._delta is not None:
             self._delta_touch_pair(key[0], key[1])
+        self._log_changes((key,))
         self._version += 1
 
     def add_weights(
@@ -518,6 +533,7 @@ class BehaviorNetwork:
         if self._delta is not None:
             for a, b in zip(key_lo, key_hi):
                 self._delta_touch_pair(a, b)
+        self._log_changes(zip(key_lo, key_hi))
         self._num_edges += created
         self._version += 1
         return n
@@ -546,8 +562,7 @@ class BehaviorNetwork:
         increase of the graph (Section V).  A sweep only visits the expiry
         index buckets whose time range lies at or before the cutoff, so its
         cost scales with the edges that *could* expire, not with the whole
-        graph; :meth:`_expire_edges_scan` keeps the original full scan as
-        the pinned parity reference.
+        graph.
         """
         cutoff = now - self.ttl
         width = self._expiry_width
@@ -555,6 +570,7 @@ class BehaviorNetwork:
         removed = 0
         edges = self._edges
         adjacency = self._adjacency
+        touched: list[tuple[int, int]] = []
         due = [bucket_id for bucket_id in self._expiry_buckets if bucket_id <= limit]
         for bucket_id in due:
             entries = self._expiry_buckets.pop(bucket_id)
@@ -574,6 +590,7 @@ class BehaviorNetwork:
                 if record.last_update < cutoff:
                     del records[btype]
                     removed += 1
+                    touched.append((a, b))
                     if self._delta is not None:
                         self._delta_touch_pair(a, b)
                     if not records:
@@ -587,35 +604,7 @@ class BehaviorNetwork:
                 self._expiry_buckets[bucket_id] = survivors
         self._num_edges -= removed
         if removed:
-            self._version += 1
-        return removed
-
-    def _expire_edges_scan(self, now: float) -> int:
-        """Pinned reference expiry: full scan over every typed edge.
-
-        Kept for the indexed-expiry parity tests and the ingest benchmark's
-        TTL-sweep comparison; behavior (removals, counters, version bump)
-        matches :meth:`expire_edges` exactly.
-        """
-        cutoff = now - self.ttl
-        removed = 0
-        dead_pairs: list[tuple[int, int]] = []
-        for pair, records in self._edges.items():
-            stale = [t for t, rec in records.items() if rec.last_update < cutoff]
-            for t in stale:
-                del records[t]
-                removed += 1
-                if self._delta is not None:
-                    self._delta_touch_pair(pair[0], pair[1])
-            if not records:
-                dead_pairs.append(pair)
-        for u, v in dead_pairs:
-            del self._edges[(u, v)]
-            self._pair_seq.pop((u, v), None)
-            self._adjacency[u].pop(v, None)
-            self._adjacency[v].pop(u, None)
-        self._num_edges -= removed
-        if removed:
+            self._log_changes(touched)
             self._version += 1
         return removed
 
@@ -726,7 +715,8 @@ class BehaviorNetwork:
         This is the network's only memoized flat view: repeated calls
         between mutations return the same object, and any ``add_weight`` /
         ``add_node`` / effective ``expire_edges`` invalidates it so the
-        next call rebuilds.  A whole ``add_weights`` batch bumps the
+        next call rebuilds — from the previous index, re-reading only the
+        pairs in the change log.  A whole ``add_weights`` batch bumps the
         version once, so one window job costs at most one rebuild.  The
         batch sampler, :class:`~repro.network.sampled_graph.SampledGraph`
         and :meth:`to_arrays` all read it; a
@@ -737,7 +727,7 @@ class BehaviorNetwork:
 
         cached = self._index
         if cached is None or cached.version != self._version:
-            cached = build_shard_index([self], 1, self._version)
+            cached = build_shard_index([self], 1, self._version, base=cached)
             self._index = cached
         return cached
 

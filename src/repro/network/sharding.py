@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Iterator, Sequence
+from typing import Any, Collection, Iterator, Sequence
 
 import numpy as np
 
@@ -141,6 +141,9 @@ class ShardIndex:
     neighbour lists for the nodes it owns.  All fields are flat numpy
     arrays — :meth:`to_payload` / :meth:`from_payload` round-trip the whole
     index through ``multiprocessing.shared_memory`` segments zero-copy.
+    An index built from a network is immutable: its arrays, and those of
+    its :meth:`snapshot`, are read-only, because the next version's index
+    copies its unchanged rows from them.
     """
 
     version: int
@@ -149,6 +152,7 @@ class ShardIndex:
     owner_of_pos: np.ndarray  # int64 owner shard per snapshot position
     pair_lo_pos: np.ndarray  # int64, len P
     pair_hi_pos: np.ndarray  # int64, len P
+    pair_seq: np.ndarray  # int64, len P: creation sequence tags (ascending)
     types: tuple[BehaviorType, ...]
     type_weights: dict[BehaviorType, np.ndarray]  # dense P raw weights
     type_norm_weights: dict[BehaviorType, np.ndarray]  # dense P normalized
@@ -283,10 +287,12 @@ class ShardIndex:
                 w = self.type_weights[btype]
                 idx = np.flatnonzero(w > 0.0)
                 edges[btype] = TypedEdgeArrays(
-                    rows=self.pair_lo_pos[idx],
-                    cols=self.pair_hi_pos[idx],
-                    weights=w[idx],
-                    last_update=self.type_last_update[btype][idx],
+                    *_frozen(
+                        self.pair_lo_pos[idx],
+                        self.pair_hi_pos[idx],
+                        w[idx],
+                        self.type_last_update[btype][idx],
+                    )
                 )
             self._snapshot = BNSnapshot(
                 node_ids=self.node_ids, edges=edges, version=self.version
@@ -303,6 +309,7 @@ class ShardIndex:
             "owner_of_pos": self.owner_of_pos,
             "pair_lo_pos": self.pair_lo_pos,
             "pair_hi_pos": self.pair_hi_pos,
+            "pair_seq": self.pair_seq,
         }
         for btype in self.types:
             arrays[f"w:{btype.value}"] = self.type_weights[btype]
@@ -334,6 +341,7 @@ class ShardIndex:
             owner_of_pos=arrays["owner_of_pos"],
             pair_lo_pos=arrays["pair_lo_pos"],
             pair_hi_pos=arrays["pair_hi_pos"],
+            pair_seq=arrays["pair_seq"],
             types=types,
             type_weights={t: arrays[f"w:{t.value}"] for t in types},
             type_norm_weights={t: arrays[f"wn:{t.value}"] for t in types},
@@ -350,29 +358,37 @@ class ShardIndex:
         )
 
 
-def _export_pair_table(
-    bn: BehaviorNetwork,
-) -> tuple[
+#: ``(lo, hi, seq, weight-by-type, last-update-by-type)`` rows of pairs.
+_PairTable = tuple[
     np.ndarray,
     np.ndarray,
     np.ndarray,
     dict[BehaviorType, np.ndarray],
     dict[BehaviorType, np.ndarray],
-]:
-    """One pass over a shard's edge dict -> (lo, hi, seq, w-by-type, lu-by-type).
+]
 
-    Rows come out in the shard's ``_edges`` insertion order; per-type dense
-    columns carry 0.0 where the pair lacks the type (edge weights are
-    strictly positive, so 0.0 unambiguously means "absent").
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _export_pair_table(bn: BehaviorNetwork, pairs: Collection[tuple[int, int]]) -> _PairTable:
+    """One pass over ``pairs`` of a shard's edge dict, rows in ``pairs`` order.
+
+    Per-type dense columns carry 0.0 where the pair lacks the type (edge
+    weights are strictly positive, so 0.0 unambiguously means "absent").
     """
     edges = bn._edges
-    count = len(edges)
+    count = len(pairs)
     # Pair-level columns at C speed; only the per-record scatter is a loop.
-    lo, hi = np.fromiter(chain.from_iterable(edges), np.int64, 2 * count).reshape(count, 2).T
-    seq = np.fromiter(map(bn._pair_seq.__getitem__, edges), np.int64, count)
+    lo, hi = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * count).reshape(count, 2).T
+    seq = np.fromiter(map(bn._pair_seq.__getitem__, pairs), np.int64, count)
     w_by: dict[BehaviorType, np.ndarray] = {}
     lu_by: dict[BehaviorType, np.ndarray] = {}
-    for i, records in enumerate(edges.values()):
+    for i, records in enumerate(map(edges.__getitem__, pairs)):
         for btype, record in records.items():
             w_col = w_by.get(btype)
             if w_col is None:
@@ -385,8 +401,30 @@ def _export_pair_table(
     return lo, hi, seq, w_by, lu_by
 
 
+def _unchanged_rows(base: ShardIndex, changed: set[tuple[int, int]]) -> _PairTable:
+    """``base``'s rows of the pairs not in ``changed``, as a pair table.
+
+    Types that no kept row carries are left out, as a walk leaves them out.
+    """
+    node_ids, n = base.node_ids, base.num_nodes
+    pairs = np.fromiter(chain.from_iterable(changed), np.int64, 2 * len(changed))
+    lo_pos, hi_pos = positions_of(node_ids, pairs.reshape(-1, 2).T)
+    known = (lo_pos >= 0) & (hi_pos >= 0)
+    keep = np.flatnonzero(
+        ~np.isin(base.pair_lo_pos * n + base.pair_hi_pos, lo_pos[known] * n + hi_pos[known])
+    )
+    w_by = {t: base.type_weights[t][keep] for t in base.types}
+    w_by = {t: w for t, w in w_by.items() if w.any()}
+    lu_by = {t: base.type_last_update[t][keep] for t in w_by}
+    lo_pos, hi_pos = base.pair_lo_pos[keep], base.pair_hi_pos[keep]
+    return node_ids[lo_pos], node_ids[hi_pos], base.pair_seq[keep], w_by, lu_by
+
+
 def build_shard_index(
-    shards: Sequence[BehaviorNetwork], n_shards: int, version: int
+    shards: Sequence[BehaviorNetwork],
+    n_shards: int,
+    version: int,
+    base: ShardIndex | None = None,
 ) -> ShardIndex:
     """Merge per-shard pair tables into one :class:`ShardIndex`.
 
@@ -396,13 +434,28 @@ def build_shard_index(
     and then redistributes *half-edges* to the owner of each endpoint, so
     every shard block can serve creation-order neighbour lists for all the
     nodes it owns, including those whose pairs live elsewhere.
+
+    A write changes few pairs, so the exported pairs are only those in the
+    shards' change logs when ``base`` is the index those logs were last
+    drained into; every other row is copied from ``base``, which is never
+    written.  The sort then places each row where a walk of every pair
+    would: a re-read pair that kept its tag keeps its place, a removed one
+    is gone, and one created (or re-created) since carries a newer tag.
+    Without such a base — a first build, a dropped log, a log drained into
+    another index — it is the same patch of an empty base in which every
+    pair changed.  Either way the logs are drained into the new index.
     """
-    tables = [_export_pair_table(shard) for shard in shards]
+    if base is not None and all(s._changed is not None and s._log_base is base for s in shards):
+        tables = [_unchanged_rows(base, set().union(*(s._changed for s in shards)))]
+        reads = [[pair for pair in s._changed if pair in s._edges] for s in shards]
+    else:
+        tables, reads = [], [s._edges for s in shards]
+    tables += [_export_pair_table(shard, pairs) for shard, pairs in zip(shards, reads)]
     lo = np.concatenate([t[0] for t in tables])
     hi = np.concatenate([t[1] for t in tables])
     seq = np.concatenate([t[2] for t in tables])
     order = np.lexsort((hi, lo, seq))
-    lo, hi = lo[order], hi[order]
+    lo, hi, seq = lo[order], hi[order], seq[order]
     types = tuple(sorted(set().union(*(t[3].keys() for t in tables))))
 
     def column(by_type: int, btype: BehaviorType) -> np.ndarray:
@@ -476,19 +529,24 @@ def build_shard_index(
                 pair_idx=np.ascontiguousarray(pair_half[start:end]),
             )
         )
-    return ShardIndex(
+    index = ShardIndex(
         version=version,
         n_shards=n_shards,
         node_ids=node_ids,
         owner_of_pos=owner_of_pos,
         pair_lo_pos=lo_pos,
         pair_hi_pos=hi_pos,
+        pair_seq=seq,
         types=types,
         type_weights=type_weights,
         type_norm_weights=type_norm,
         type_last_update=type_last_update,
         shards=blocks,
     )
+    _frozen(*index.to_payload()[0].values())
+    for shard in shards:
+        shard._changed, shard._log_base = set(), index
+    return index
 
 
 class ShardedBehaviorNetwork:
@@ -723,10 +781,13 @@ class ShardedBehaviorNetwork:
         return self._version
 
     def index(self) -> ShardIndex:
-        """The merged read index, memoized against :attr:`version`."""
+        """The merged read index, memoized against :attr:`version` and
+        patched from the last one with the shards' merged change logs."""
         cached = self._index
         if cached is None or cached.version != self._version:
-            cached = build_shard_index(self.shards, self.n_shards, self._version)
+            cached = build_shard_index(
+                self.shards, self.n_shards, self._version, base=cached
+            )
             self._index = cached
         return cached
 

@@ -18,13 +18,14 @@ Caching contract (see ``docs/PERFORMANCE.md``):
   ``index().snapshot()`` — the same object until the next mutation;
 * every mutation (``add_weight``, ``add_node`` of a new node,
   ``expire_edges`` that removes anything) bumps the counter, so the next
-  ``to_arrays()`` call rebuilds instead of stale-serving;
+  ``to_arrays()`` call rebuilds instead of stale-serving — re-reading only
+  the pairs written since the last build;
 * a whole ``add_weights`` batch — however many contributions — bumps the
   counter exactly once, which is what keeps snapshot churn at one rebuild
   per window job on the ingest path (see "BN ingestion" in
   ``docs/PERFORMANCE.md``);
 * snapshots are immutable value objects — mutating the BN never changes an
-  already-exported snapshot.
+  already-exported snapshot, and their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -121,5 +122,6 @@ class BNSnapshot:
         if arrays is not None and arrays.num_edges:
             np.add.at(degrees, arrays.rows, arrays.weights)
             np.add.at(degrees, arrays.cols, arrays.weights)
+        degrees.flags.writeable = False
         self._degrees[btype] = degrees
         return degrees

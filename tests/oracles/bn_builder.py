@@ -7,7 +7,9 @@ replay with full-scan expiry.  They are the definition of "right" for
 :meth:`~repro.network.builder.BNBuilder.build`,
 :meth:`~repro.network.builder.BNBuilder.run_window_job` and
 :meth:`~repro.network.builder.BNBuilder.replay`: identical edge sets,
-weights and timestamps, down to the last ulp.
+weights and timestamps, down to the last ulp.  The full-scan expiry,
+once ``BehaviorNetwork._expire_edges_scan``, is the twin of
+:meth:`~repro.network.bn.BehaviorNetwork.expire_edges`.
 """
 
 from __future__ import annotations
@@ -151,5 +153,36 @@ def replay_reference(
             job_end = builder.origin + (epoch + 1) * window
             run_window_job_reference(builder, bn, epoch_logs, window, job_end)
     if expire:
-        bn._expire_edges_scan(until)
+        expire_edges_scan(bn, until)
     return bn
+
+
+def expire_edges_scan(bn: BehaviorNetwork, now: float) -> int:
+    """Pinned twin of :meth:`BehaviorNetwork.expire_edges`: a full scan over
+    every typed edge instead of the expiry buckets.
+
+    Leaves the network as the indexed sweep does — removals, edge counter,
+    delta counts, change log and version bump.
+    """
+    cutoff = now - bn.ttl
+    touched: list[tuple[int, int]] = []
+    dead_pairs: list[tuple[int, int]] = []
+    for pair, records in bn._edges.items():
+        stale = [t for t, rec in records.items() if rec.last_update < cutoff]
+        for t in stale:
+            del records[t]
+            touched.append(pair)
+            if bn._delta is not None:
+                bn._delta_touch_pair(pair[0], pair[1])
+        if not records:
+            dead_pairs.append(pair)
+    for u, v in dead_pairs:
+        del bn._edges[(u, v)]
+        bn._pair_seq.pop((u, v), None)
+        bn._adjacency[u].pop(v, None)
+        bn._adjacency[v].pop(u, None)
+    bn._num_edges -= len(touched)
+    if touched:
+        bn._log_changes(touched)
+        bn._version += 1
+    return len(touched)

@@ -16,6 +16,7 @@ from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
 from repro.network import BehaviorNetwork, BNBuilder, ShardedBehaviorNetwork
 from tests.oracles.bn_builder import (
     build_reference,
+    expire_edges_scan,
     replay_reference,
     run_window_job_reference,
 )
@@ -219,9 +220,15 @@ class TestExpiryParity:
     def test_indexed_vs_scan_after_mixed_history(self, builder, logs):
         base = builder.replay(logs, until=3 * DAY, expire=False)
         indexed, scanned = copy.deepcopy(base), copy.deepcopy(base)
+        indexed.index(), scanned.index()  # both logs start empty
         for now in (3 * DAY, 3 * DAY + HOUR, 4 * DAY, 6 * DAY):
-            assert indexed.expire_edges(now) == scanned._expire_edges_scan(now)
+            assert indexed.expire_edges(now) == expire_edges_scan(scanned, now)
             assert edge_state(indexed) == edge_state(scanned)
+            assert indexed._changed == scanned._changed
+            want, got = scanned.index().to_payload()[0], indexed.index().to_payload()[0]
+            assert {k: a.tobytes() for k, a in got.items()} == {
+                k: a.tobytes() for k, a in want.items()
+            }
             assert indexed.num_edges() == indexed.num_edges_scan()
 
     def test_refreshed_edge_survives_sweep(self):

@@ -22,17 +22,25 @@ And the node rows whose CFO attention is evaluated: a request reads one
 probability, so the forward runs the node-wise attention on the target
 alone — one row per ``predict``, eight per ``predict_batch`` of 8 — while
 the towers still run on every node of the subgraph.
+
+And what a write costs the next read: the edge records ``index()`` reads
+from the network's dicts after a one-hour write are those of the pairs the
+write touched — the rest of the index is copied from the last one — where
+a build used to read every record.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import pytest
 import scipy.sparse as sp
 
 import repro.core.cfo as cfo
 import repro.core.hag as hag
+import repro.network.sharding as sharding
+from repro.datagen import DAY, HOUR
 from repro.network import FAST_WINDOWS
 from repro.nn import Tensor
 from repro.system import PredictRequest, TurboConfig, deploy_turbo
@@ -191,3 +199,59 @@ def test_cfo_attention_runs_on_the_request_targets_only(deployed, monkeypatch):
     assert scalar == expected and batched == expected[:16]
     assert scalar_rows == 1
     assert batched_rows == 8
+
+
+def edge_records(bn) -> dict:
+    """``(lo, hi) -> {type: (weight, last_update)}`` of every live pair."""
+    pairs: dict = {}
+    for u, v, btype, record in bn.iter_edges():
+        pairs.setdefault((u, v), {})[btype] = (record.weight, record.last_update)
+    return pairs
+
+
+def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, monkeypatch):
+    turbo, _ = deploy_turbo(
+        tiny_dataset, TurboConfig(windows=FAST_WINDOWS, train_epochs=1, hidden=(8, 4), seed=0)
+    )
+    server, end = turbo.bn_server, tiny_dataset.end_time
+    server.run_due_jobs(end)
+    bn = server.bn
+    bn.index()
+    before = edge_records(bn)
+    start = end - 2 * DAY  # an hour of the dataset's logs, replayed two days later
+    hour = [
+        replace(log, timestamp=log.timestamp + 2 * DAY)
+        for log in tiny_dataset.logs
+        if start < log.timestamp <= start + HOUR
+    ]
+    server.ingest(hour)
+    server.run_due_jobs(end + HOUR)
+    after = edge_records(bn)
+    touched = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+
+    read: list[int] = []
+    export = sharding._export_pair_table
+
+    def counted(shard, pairs):
+        read.append(sum(len(shard._edges[pair]) for pair in pairs))
+        return export(shard, pairs)
+
+    monkeypatch.setattr(sharding, "_export_pair_table", counted)
+    bn.index()
+    expected = sum(len(after[pair]) for pair in touched if pair in after)
+    print(
+        f"\nafter a one-hour write ({len(hour)} logs, {len(touched)} of "
+        f"{bn.num_pairs()} pairs touched): index() read {sum(read)} edge records "
+        f"from the dicts; a full walk reads every one, {bn.num_edges()}"
+    )
+    assert touched and sum(read) == expected < bn.num_edges()
+
+    # Written ten times over without a read, the log stops at num_pairs.
+    rows = list(bn.iter_edges())
+    for k in range(10):
+        bn.add_weights(
+            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+            [1.0] * len(rows), end + (2 + k) * HOUR,
+        )
+        assert len(bn._changed or ()) <= bn.num_pairs()
+    assert bn._changed is None
