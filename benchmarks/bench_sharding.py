@@ -7,9 +7,9 @@ parallelizes:
 
 * **ingest** — the router tier runs the stateless batch preparation
   (:func:`~repro.network.bn.prepare_weight_groups`: canonicalize, group,
-  segment-fold, box keys) once per chunk and hands every owner shard its
-  segments (:meth:`~repro.network.bn.WeightGroups.take`), so each shard's
-  apply is only the state-mutation walk over its disjoint dict partition.  A deployment
+  box keys) once per chunk and hands every owner shard its segments
+  (:meth:`~repro.network.bn.WeightGroups.take`), so each shard's apply is
+  only the state-mutation and fold walk over its disjoint dict partition.  A deployment
   pipelines the two tiers: the router streams prepared groups into
   per-shard queues while every shard drains its own queue on its own
   core — the cross-shard version barrier is a metadata bump once all

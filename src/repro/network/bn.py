@@ -17,7 +17,7 @@ import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
 from ..datagen.entities import DAY
-from .segments import INT64_SAFE_SPAN, segment_fold_max, segment_fold_sum
+from .segments import INT64_SAFE_SPAN
 from .snapshot import BNSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, sharding imports this module
@@ -64,26 +64,25 @@ def _check_contribution(u: int, v: int, weight: float, timestamp: float) -> None
 
 @dataclass(slots=True)
 class WeightGroups:
-    """One ``add_weights`` batch, validated, grouped and reduced per typed edge.
+    """One ``add_weights`` batch, validated and grouped per typed edge.
 
-    Produced by :func:`prepare_weight_groups` — the stateless half of batched
-    ingest (validation, lo/hi canonicalization, stable grouping, segment
-    folds, key boxing).  Applying it with
-    :meth:`BehaviorNetwork.apply_weight_groups` is bit-for-bit the original
-    ``add_weights``.  The split exists so a sharded deployment's router tier
-    can prepare a batch once, off the shard workers' critical path, and hand
-    each owner shard its segments (:meth:`take`; see
-    :mod:`repro.network.sharding`).
+    Produced by :func:`prepare_weight_groups` — the half of batched ingest
+    that reads no network state (validation, lo/hi canonicalization, stable
+    grouping, key boxing).  :meth:`BehaviorNetwork.apply_weight_groups`
+    folds each segment onto its record; the two together are bit-for-bit
+    the original ``add_weights``.  A
+    :class:`~repro.network.sharding.ShardedBehaviorNetwork` prepares a batch
+    once and hands each owner shard its segments (:meth:`take`), all in one
+    process.
     """
 
     n: int  # contributions in the batch
-    w_s: np.ndarray  # weights in grouped order
-    starts: np.ndarray  # segment starts into the grouped columns
-    lengths: np.ndarray  # segment lengths
+    w_s: list[float]  # weights in grouped order
+    starts: list[int]  # segment k is w_s[starts[k] : ends[k]]
+    ends: list[int]
     key_lo: list[int]  # per-segment pair lo
     key_hi: list[int]  # per-segment pair hi
     key_types: list[BehaviorType]  # per-segment behavior type
-    totals: list[float]  # per-segment left-to-right fold from a 0.0 seed
     ts_scalar: float  # shared stamp when ``latest`` is None
     latest: list[float] | None  # per-segment max timestamp (None: scalar ts)
     bucket_ids: list[int] | None  # per-segment expiry bucket (None: scalar ts)
@@ -91,25 +90,25 @@ class WeightGroups:
     def take(self, segments: np.ndarray) -> "WeightGroups":
         """The sub-batch made of ``segments`` (ascending segment indices).
 
-        Segments are in ``(lo, hi, type)`` order and everything but ``n`` is
-        per segment, so the selection is what preparing only those pairs'
-        rows would have produced (``w_s`` is shared; ``starts`` index it).
+        Segments are in ``(lo, hi, type)`` order and everything but ``n`` and
+        ``w_s`` is per segment, so the selection is what preparing only those
+        pairs' rows would have produced (``w_s`` is shared; ``starts`` and
+        ``ends`` index it).
         """
         picked = segments.tolist()
 
         def pick(column: list | None) -> list | None:
             return None if column is None else [column[k] for k in picked]
 
-        lengths = self.lengths[segments]
+        starts, ends = pick(self.starts), pick(self.ends)
         return WeightGroups(
-            n=int(lengths.sum()),
+            n=sum(ends) - sum(starts),
             w_s=self.w_s,
-            starts=self.starts[segments],
-            lengths=lengths,
+            starts=starts,
+            ends=ends,
             key_lo=pick(self.key_lo),
             key_hi=pick(self.key_hi),
             key_types=pick(self.key_types),
-            totals=pick(self.totals),
             ts_scalar=self.ts_scalar,
             latest=pick(self.latest),
             bucket_ids=pick(self.bucket_ids),
@@ -129,41 +128,40 @@ def prepare_weight_groups(
     """Validate and group one ``add_weights`` batch; ``None`` when empty.
 
     Pure function of the batch columns plus the target network's expiry
-    bucket width — no network state is read, so it can run on a different
-    process (the shard router) from the one that applies it.
+    bucket width — no network state is read.  Segments come out in
+    ``(lo, hi, type)`` order, each holding its typed edge's contributions
+    in array order (the grouping sort is stable); their weights are not
+    reduced here — the apply walk folds each segment onto its record.
     """
     u_arr = np.asarray(u, dtype=np.int64)
     v_arr = np.asarray(v, dtype=np.int64)
     w_arr = np.asarray(weights, dtype=np.float64)
-    scalar_ts = np.ndim(timestamps) == 0
-    ts_scalar = float(timestamps) if scalar_ts else 0.0
-    ts_arr = None if scalar_ts else np.asarray(timestamps, dtype=np.float64)
+    ts_arr = np.asarray(timestamps, dtype=np.float64)
+    scalar_ts = ts_arr.ndim == 0
+    ts_scalar = float(ts_arr) if scalar_ts else 0.0
     n = len(u_arr)
     if not len(v_arr) == len(w_arr) == n:
         raise ValueError("add_weights columns must share one length")
-    if ts_arr is not None and len(ts_arr) != n:
+    if not scalar_ts and len(ts_arr) != n:
         raise ValueError("add_weights columns must share one length")
     single_type = isinstance(btypes, BehaviorType)
     precoded = btype_table is not None and not single_type
     if precoded:
-        code_arr = np.asarray(btypes, dtype=np.int64)
-        if len(code_arr) != n:
+        codes = np.asarray(btypes, dtype=np.int64)
+        if len(codes) != n:
             raise ValueError("add_weights columns must share one length")
-        if len(code_arr) and (
-            int(code_arr.min()) < 0 or int(code_arr.max()) >= len(btype_table)
-        ):
-            raise ValueError("add_weights type codes out of btype_table range")
     elif not single_type:
         type_list = list(btypes)
         if len(type_list) != n:
             raise ValueError("add_weights columns must share one length")
     if n == 0:
         return None
-    if not np.all((w_arr > 0) & (w_arr < np.inf)):
+    # A NaN propagates through both reductions and fails the comparison.
+    if not 0.0 < np.minimum.reduce(w_arr) <= np.maximum.reduce(w_arr) < np.inf:
         raise ValueError("edge weight contributions must be positive and finite")
-    if not (math.isfinite(ts_scalar) if scalar_ts else np.all(np.isfinite(ts_arr))):
+    if not (math.isfinite(ts_scalar) if scalar_ts else np.isfinite(ts_arr).all()):
         raise ValueError("edge timestamps must be finite")
-    if bool(np.all(u_arr < v_arr)):
+    if np.logical_and.reduce(u_arr < v_arr):
         # Canonical input (the pair enumerator emits u < v): no
         # self-loops possible and no per-row min/max needed.
         lo, hi = u_arr, v_arr
@@ -183,7 +181,9 @@ def prepare_weight_groups(
     else:
         if precoded:
             decode = list(btype_table)
-            codes = code_arr
+            span_code = int(np.maximum.reduce(codes)) + 1
+            if np.minimum.reduce(codes) < 0 or span_code > len(decode):
+                raise ValueError("add_weights type codes out of btype_table range")
         else:
             type_ids: dict[BehaviorType, int] = {}
             codes = np.fromiter(
@@ -192,16 +192,16 @@ def prepare_weight_groups(
                 count=n,
             )
             decode = list(type_ids)
+            span_code = len(decode)
         # One packed int64 key sorts in a single stable (radix) pass
         # instead of three lexsort passes; fall back to lexsort when the
         # value spans could overflow the packing.
-        lo0, hi0 = int(lo.min()), int(hi.min())
-        span_hi = int(hi.max()) - hi0 + 1
-        span_code = int(codes.max()) + 1
-        span_lo = int(lo.max()) - lo0 + 1
+        lo0, hi0 = int(np.minimum.reduce(lo)), int(np.minimum.reduce(hi))
+        span_hi = int(np.maximum.reduce(hi)) - hi0 + 1
+        span_lo = int(np.maximum.reduce(lo)) - lo0 + 1
         if span_lo * span_hi * span_code < INT64_SAFE_SPAN:
             packed = ((lo - lo0) * span_hi + (hi - hi0)) * span_code + codes
-            order = np.argsort(packed, kind="stable")
+            order = packed.argsort(kind="stable")
             lo_s, hi_s, code_s = lo[order], hi[order], codes[order]
             packed_s = packed[order]
             boundary[1:] = packed_s[1:] != packed_s[:-1]
@@ -213,40 +213,35 @@ def prepare_weight_groups(
                 | (hi_s[1:] != hi_s[:-1])
                 | (code_s[1:] != code_s[:-1])
             )
-    w_s = w_arr[order]
-    starts = np.flatnonzero(boundary)
-    lengths = np.diff(np.append(starts, n))
+    starts = boundary.nonzero()[0]
+    bounds = starts.tolist()
+    ends = bounds[1:]
+    ends.append(n)
 
     key_lo = lo_s[starts].tolist()
     key_hi = hi_s[starts].tolist()
     if single_type:
-        key_types: list[BehaviorType] = [btypes] * len(starts)
+        key_types: list[BehaviorType] = [btypes] * len(bounds)
     else:
         key_types = [decode[c] for c in code_s[starts].tolist()]
 
-    # Reduce every segment as if its record started at weight 0.0 — exact
-    # for created records (``0.0 + x == x``); records that already exist
-    # are re-folded at apply time seeded with their current weight, which
-    # is the scalar path's accumulation order bit-for-bit.
-    totals = segment_fold_sum(w_s, starts, lengths).tolist()
     if scalar_ts:
         # Every contribution shares one stamp: the per-segment max is
         # that stamp, and every registration lands in one bucket.
         latest = None
         bucket_ids = None
     else:
-        latest_arr = segment_fold_max(ts_arr[order], starts, lengths)
+        latest_arr = np.maximum.reduceat(ts_arr[order], starts)  # max is exact
         latest = latest_arr.tolist()
         bucket_ids = (latest_arr // expiry_width).astype(np.int64).tolist()
     return WeightGroups(
         n=n,
-        w_s=w_s,
-        starts=starts,
-        lengths=lengths,
+        w_s=w_arr[order].tolist(),
+        starts=bounds,
+        ends=ends,
         key_lo=key_lo,
         key_hi=key_hi,
         key_types=key_types,
-        totals=totals,
         ts_scalar=ts_scalar,
         latest=latest,
         bucket_ids=bucket_ids,
@@ -439,20 +434,18 @@ class BehaviorNetwork:
         """Apply a prepared batch (see :func:`prepare_weight_groups`).
 
         The stateful half of :meth:`add_weights`: walks the batch's typed-edge
-        segments once, mutating the edge/adjacency/expiry maps, then re-folds
-        the segments whose record already existed seeded with the record's
-        current weight.  ``groups`` must have been prepared with this
-        network's expiry bucket width.  One version bump; returns the number
-        of contributions applied.
+        segments once, mutating the edge/adjacency/expiry maps and folding
+        each segment's contributions left to right onto its record's weight
+        (``0.0`` for a record the batch creates) — the scalar ``+=`` order,
+        bit for bit.  ``groups`` must have been prepared with this network's
+        expiry bucket width.  One version bump; returns the number of
+        contributions applied.
         """
         n = groups.n
         w_s = groups.w_s
-        starts = groups.starts
-        lengths = groups.lengths
         key_lo = groups.key_lo
         key_hi = groups.key_hi
         key_types = groups.key_types
-        totals = groups.totals
         scalar_ts = groups.latest is None
         ts_scalar = groups.ts_scalar
         latest = groups.latest
@@ -466,11 +459,10 @@ class BehaviorNetwork:
         # totally orders pair creation across batches.
         batch_seq = self._take_seq(seq)
         created = 0
-        warm_pos: list[int] = []
-        warm_records: list[EdgeRecord] = []
         reg_keys: list[tuple[int, int, BehaviorType]] = []
         reg_buckets: list[int] | None = None if scalar_ts else []
-        for k, (a, b, btype) in enumerate(zip(key_lo, key_hi, key_types)):
+        segments = zip(key_lo, key_hi, key_types, groups.starts, groups.ends)
+        for k, (a, b, btype, start, end) in enumerate(segments):
             records = edges.get((a, b))
             if records is None:
                 records = {}
@@ -488,12 +480,14 @@ class BehaviorNetwork:
                     neighbours[a] = None
             record = records.get(btype)
             stamp = ts_scalar if latest is None else latest[k]
+            weight = 0.0 if record is None else record.weight
+            for contribution in w_s[start:end]:
+                weight += contribution
             if record is None:
-                records[btype] = EdgeRecord(totals[k], stamp if stamp > 0.0 else 0.0)
+                records[btype] = EdgeRecord(weight, stamp if stamp > 0.0 else 0.0)
                 created += 1
             else:
-                warm_pos.append(k)
-                warm_records.append(record)
+                record.weight = weight
                 if stamp <= record.last_update:
                     # Recency unchanged: the record is already indexed under
                     # its current bucket, so skip re-registration.
@@ -520,16 +514,6 @@ class BehaviorNetwork:
                         entries = set()
                         expiry[bucket_id] = entries
                     entries.add(key3)
-        if warm_pos:
-            pos = np.asarray(warm_pos, dtype=np.int64)
-            seeds = np.fromiter(
-                (record.weight for record in warm_records),
-                dtype=np.float64,
-                count=len(pos),
-            )
-            refolded = segment_fold_sum(w_s, starts[pos], lengths[pos], seed=seeds)
-            for record, weight in zip(warm_records, refolded.tolist()):
-                record.weight = weight
         if self._delta is not None:
             for a, b in zip(key_lo, key_hi):
                 self._delta_touch_pair(a, b)

@@ -4,9 +4,9 @@ Two entry points:
 
 * :meth:`BNBuilder.build` — batch construction over a full log history,
   fully vectorized with numpy: group logs by ``(type, value, epoch)`` per
-  window, enumerate every user pair of every eligible group with
-  repeat/cumsum index arithmetic, reduce the contribution stream over
-  ``(u, v)`` keys, then apply one columnar
+  window, enumerate every user pair of every eligible group from one
+  triangular index (:meth:`BNBuilder._group_pairs`), reduce the
+  contribution stream over ``(u, v)`` keys, then apply one columnar
   :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch per behavior
   type (a single snapshot-version bump each).
 * :meth:`BNBuilder.run_window_job` — one periodic job of the online BN
@@ -59,30 +59,6 @@ from .segments import (
 from .windows import PAPER_WINDOWS, validate_windows
 
 __all__ = ["BNBuilder", "LogTable"]
-
-
-def _pair_indices(
-    counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ``i < j`` position pairs for concatenated groups of given sizes.
-
-    Returns ``(first, second, group)``: positions into the concatenated
-    member pool plus each pair's group index, in the same order the
-    reference's nested ``for i / for j`` loops visit them (group-major,
-    then ``i`` ascending, then ``j``).  Each member at local offset ``i``
-    of a ``c``-sized group leads ``c - 1 - i`` pairs, so the enumeration is
-    two repeat/cumsum ramps — no Python loop.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    local = segment_arange(counts)
-    lead = np.repeat(counts, counts) - 1 - local
-    total = int(counts.sum())
-    first = np.repeat(np.arange(total, dtype=np.int64), lead)
-    second = first + 1 + segment_arange(lead)
-    group = np.repeat(
-        np.arange(len(counts), dtype=np.int64), counts * (counts - 1) // 2
-    )
-    return first, second, group
 
 
 class LogColumns(NamedTuple):
@@ -231,12 +207,40 @@ class BNBuilder:
         self.ttl = ttl
         self.origin = origin
         self.weighting = weighting
+        # Offset pairs of the j-major triangular index (see _group_pairs).
+        self._triangle = np.empty((2, 0), dtype=np.int64)
 
     def _group_shares(self, counts: np.ndarray) -> np.ndarray:
         """Per-group pair weight under the builder's weighting rule."""
         if self.weighting == "inverse":
-            return 1.0 / counts.astype(np.float64)
+            return 1.0 / counts
         return np.ones(len(counts), dtype=np.float64)
+
+    def _group_pairs(
+        self, members: np.ndarray, starts: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every member pair of the groups ``members[s : s + c]``: ``(u, v, group)``.
+
+        A ``c``-member group takes the first ``c (c - 1) / 2`` entries of one
+        j-major triangular index of offset pairs — ``(0, 1), (0, 2), (1, 2),
+        (0, 3), …`` — held by the builder and grown to its largest group so
+        far.  Contract: groups come out in the order given, every pair once,
+        ``u`` at the lower offset (``u < v`` over ascending members), and
+        ``group`` indexes ``starts``.  Not contract: the order of the pairs
+        inside a group.  No network state sees it: a typed edge gets at most
+        one contribution per group, and ``add_weights`` groups a typed edge's
+        contributions stably, so they stay in group order.
+        """
+        npairs = counts * (counts - 1) // 2
+        ends = npairs.cumsum()
+        size = int(np.maximum.reduce(counts, initial=0))
+        if self._triangle.shape[1] < size * (size - 1) // 2:
+            ramp = np.arange(size)
+            self._triangle = np.stack([segment_arange(ramp), ramp.repeat(ramp)])
+        group = np.arange(len(counts)).repeat(npairs)
+        local = np.arange(ends[-1] if len(ends) else 0) - (ends - npairs)[group]
+        u, v = members[self._triangle[:, local] + starts[group]]
+        return u, v, group
 
     # ------------------------------------------------------------------
     # Shared grouping (every entry point, and the test oracle)
@@ -286,21 +290,19 @@ class BNBuilder:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One window's pair contribution stream ``(u, v, weight, ts)``.
 
-        Pairs are emitted in the reference loop order (sorted groups, then
-        ``i < j`` over each group's ascending members), with ``u < v``; the
-        timestamp of every pair in a group is the group's epoch end.
+        Groups are emitted in sorted order, each group's pairs by
+        :meth:`_group_pairs` with ``u < v``; the timestamp of every pair in
+        a group is the group's epoch end.
         """
         members, starts, counts, epochs = self._window_groups(
             window, uid_arr, value_codes, time_arr
         )
         eligible = (counts >= 2) & (counts <= self.max_clique_size)
-        sel_starts = starts[eligible]
         sel_counts = counts[eligible]
-        pool = members[np.repeat(sel_starts, sel_counts) + segment_arange(sel_counts)]
-        first, second, group = _pair_indices(sel_counts)
+        u, v, group = self._group_pairs(members, starts[eligible], sel_counts)
         share = self._group_shares(sel_counts)
         epoch_end = self.origin + (epochs[eligible] + 1) * window
-        return pool[first], pool[second], share[group], epoch_end[group]
+        return u, v, share[group], epoch_end[group]
 
     # ------------------------------------------------------------------
     # Batch construction
@@ -415,13 +417,16 @@ class BNBuilder:
         with a throw-away table and cut to the epoch here (edge types
         only).  Both meet in one kernel: the epoch collapses to one
         :meth:`~repro.network.bn.BehaviorNetwork.add_weights` batch (one
-        snapshot-version bump), with contributions streamed in the exact
-        order the scalar reference loop issues its ``add_weight``
-        calls — groups in first-occurrence order, members ascending — so
-        the resulting network state is bit-identical.
+        snapshot-version bump), with groups in the order the scalar
+        reference loop visits them — first occurrence — so every typed
+        edge's contributions arrive in the reference's order and the
+        resulting network state is bit-identical.  A non-finite ``job_end``
+        raises ``ValueError`` before anything is registered.
         """
         if window not in self.windows:
             raise ValueError(f"window {window} is not one of the builder's windows")
+        if not isfinite(job_end):
+            raise ValueError(f"job_end {job_end!r} is not finite")
         if not isinstance(logs, LogColumns):
             uids, keys, times = LogTable(self.edge_types).encode(logs).arrays()
             epoch = (times > job_end - window) & (times <= job_end)
@@ -440,35 +445,27 @@ class BNBuilder:
             np.asarray(uids, dtype=np.int64),
             return_index=True,
         )
-        starts = np.flatnonzero(boundaries(g_key))
+        starts = boundaries(g_key).nonzero()[0]
         counts = np.empty_like(starts)
         counts[:-1], counts[-1] = starts[1:], len(g_key)
         counts -= starts
-        eligible = np.flatnonzero((counts >= 2) & (counts <= self.max_clique_size))
+        eligible = ((counts >= 2) & (counts <= self.max_clique_size)).nonzero()[0]
         if not len(eligible):
             return 0
         # Groups run in order of their key's first occurrence in the logs —
         # the reference's dict-insertion order — which is the smallest first
         # position among the group's members.
         first_seen = np.minimum.reduceat(g_first, starts)[eligible]
-        eligible = eligible[np.argsort(first_seen)]
+        eligible = eligible[first_seen.argsort()]
         sel_starts, sel_counts = starts[eligible], counts[eligible]
 
-        pool = g_uid[np.repeat(sel_starts, sel_counts) + segment_arange(sel_counts)]
-        first, second, group = _pair_indices(sel_counts)
+        u, v, group = self._group_pairs(g_uid, sel_starts, sel_counts)
         share = self._group_shares(sel_counts)
         pair_codes = (g_key[sel_starts] % len(self.edge_types))[group]
         # job_end passes as a scalar: every contribution of the epoch shares
         # it, so add_weights skips the per-row timestamp reduction.
-        bn.add_weights(
-            pool[first],
-            pool[second],
-            pair_codes,
-            share[group],
-            job_end,
-            btype_table=self.edge_types,
-        )
-        return len(first)
+        bn.add_weights(u, v, pair_codes, share[group], job_end, btype_table=self.edge_types)
+        return len(u)
 
     def replay(
         self,

@@ -6,12 +6,13 @@ per ``(value, epoch)`` group, or per typed edge).  Three primitives keep
 that fully in numpy:
 
 * :func:`segment_arange` — per-segment ``0..len-1`` ramps via the
-  repeat/cumsum-offset trick, the building block of pair enumeration;
+  repeat/cumsum-offset trick, which lays out the pair enumeration's
+  triangular index;
 * :func:`segment_fold_sum` — a **sequential** left-to-right fold per
   segment.  ``np.add.reduceat`` uses pairwise summation internally, so its
   sums differ from the reference implementations' ``+=`` loops in the last
   ulp; this fold reproduces the exact IEEE-754 accumulation order of the
-  pinned Python loops, which is what keeps the batched write path bit-exact
+  pinned Python loops, which is what keeps the batch build bit-exact
   (see ``docs/PERFORMANCE.md``);
 * :func:`sorted_unique_pairs` / :func:`sorted_unique_triples` —
   lexicographically sorted distinct rows (the pairs optionally with each
@@ -62,16 +63,17 @@ def segment_arange(counts: np.ndarray) -> np.ndarray:
 
 
 def segment_fold_sum(
-    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seed: np.ndarray | None = None
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Left-to-right sequential sum of each segment (bit-exact vs ``+=``).
 
     ``values`` holds all segments back to back; segment ``k`` spans
-    ``values[starts[k] : starts[k] + lengths[k]]``.  With ``seed`` given,
-    segment ``k`` folds as ``((seed[k] + v0) + v1) + ...`` — exactly the
-    accumulation a reference loop performs onto an existing record weight.
-    Without a seed the fold starts at ``v0`` (identical to seeding with
-    ``0.0`` for finite values, since ``0.0 + x == x``).
+    ``values[starts[k] : starts[k] + lengths[k]]`` and folds as ``(v0 + v1)
+    + v2 ...`` — what a reference loop accumulating from ``0.0`` computes
+    for finite values, since ``0.0 + x == x``.  The batch build reduces its
+    whole contribution stream with it; a window job's batch folds each
+    segment onto its record in the apply walk instead
+    (:meth:`~repro.network.bn.BehaviorNetwork.apply_weight_groups`).
 
     Vectorized as rounds over segment positions: round ``r`` adds element
     ``r`` of every still-active segment, so total work is O(total values)
@@ -79,13 +81,8 @@ def segment_fold_sum(
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if seed is None:
-        out = values[starts].astype(np.float64, copy=True) if len(starts) else np.empty(0)
-        first_round = 1
-    else:
-        out = np.asarray(seed, dtype=np.float64).copy()
-        first_round = 0
-    round_index = first_round
+    out = values[starts].astype(np.float64, copy=True) if len(starts) else np.empty(0)
+    round_index = 1
     active = np.flatnonzero(lengths > round_index)
     while active.size:
         out[active] = out[active] + values[starts[active] + round_index]
@@ -129,10 +126,10 @@ def sorted_unique_pairs(
     """
     if len(a) == 0:
         return (a, b, a) if return_index else (a, b)
-    a0, b0 = int(a.min()), int(b.min())
-    span_b = int(b.max()) - b0 + 1
-    if (int(a.max()) - a0 + 1) * span_b < _INT64_SAFE:
-        order = np.argsort((a - a0) * span_b + (b - b0), kind="stable")
+    a0, b0 = int(np.minimum.reduce(a)), int(np.minimum.reduce(b))
+    span_b = int(np.maximum.reduce(b)) - b0 + 1
+    if (int(np.maximum.reduce(a)) - a0 + 1) * span_b < _INT64_SAFE:
+        order = ((a - a0) * span_b + (b - b0)).argsort(kind="stable")
     else:
         order = np.lexsort((b, a))
     sa, sb = a[order], b[order]

@@ -634,12 +634,9 @@ class ShardedBehaviorNetwork:
         one shard as an order-preserving subsequence of the batch, and all
         shards stamp created pairs with the same global sequence tag.
         """
-        # The router tier runs the stateless preparation (validate,
-        # canonicalize, group, segment-fold, box keys) once for the batch and
-        # hands every owner its segments, so a shard's apply is only the
-        # state-mutation walk.  In the multi-process deployment this
-        # preparation pipelines with the previous batch's shard applies — it
-        # stays off the shard workers' critical path.
+        # The stateless preparation (validate, canonicalize, group, box keys)
+        # runs once for the batch and every owner gets its segments, so a
+        # shard's apply is only its state-mutation and fold walk.
         groups = prepare_weight_groups(
             u,
             v,
@@ -660,7 +657,8 @@ class ShardedBehaviorNetwork:
             self._shard_rows[s] += sub.n
         self._stats["batches"] += 1
         self._stats["rows"] += groups.n
-        self._stats["cross_shard"] += int(groups.lengths[cross].sum())
+        lengths = np.subtract(groups.ends, groups.starts)
+        self._stats["cross_shard"] += int(lengths[cross].sum())
         self._version += 1
         return groups.n
 

@@ -18,6 +18,7 @@ the table's intern map is cut back to its live rows — nothing ``ingest`` or
 from __future__ import annotations
 
 from dataclasses import replace
+from math import isfinite
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -246,8 +247,11 @@ class BNServer:
         scheduler: the 1-hour window's job runs hourly, the 1-day window's
         daily, etc.  These jobs run in parallel to request serving, so their
         cost is *not* part of prediction latency — it is still charged so the
-        scalability study (Fig. 8b) can report it.
+        scalability study (Fig. 8b) can report it.  A non-finite ``now``
+        raises ``ValueError`` before anything runs or is pruned.
         """
+        if not isfinite(now):
+            raise ValueError(f"now {now!r} is not finite")
         jobs = 0
         seconds = 0.0
         contributions_total = 0

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
@@ -156,6 +158,39 @@ def test_property_weights_symmetric_and_positive(uids, times):
     for u, v, t, record in bn.iter_edges():
         assert record.weight > 0
         assert bn.weight(v, u, t) == pytest.approx(record.weight)
+
+
+@st.composite
+def group_selections(draw):
+    """Groups of 0…100 members back to back, and a selection of them in any order."""
+    sizes = draw(st.lists(st.integers(0, 100), max_size=6))
+    chosen = draw(st.permutations(range(len(sizes))))
+    return sizes, chosen[: draw(st.integers(0, len(sizes)))]
+
+
+#: one builder for every example: its triangular index grows and is reused.
+PAIRS = BNBuilder()
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=([100, 2], [1, 0]))
+@example(case=([3, 5], []))
+@given(case=group_selections())
+def test_property_group_pairs_are_each_groups_combinations(case):
+    sizes, chosen = case
+    rng = np.random.default_rng(len(sizes))
+    members = np.cumsum(rng.integers(1, 5, size=sum(sizes)))  # ascending, distinct
+    counts = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    pick = np.array(chosen, dtype=np.int64)
+    u, v, group = PAIRS._group_pairs(members, starts[pick], counts[pick])
+    assert len(u) == len(v) == len(group) == sum(c * (c - 1) // 2 for c in counts[pick])
+    assert np.all(np.diff(group) >= 0)  # groups come out in the order given
+    for g, k in enumerate(chosen):
+        mine = group == g
+        pairs = set(zip(u[mine].tolist(), v[mine].tolist()))
+        assert len(pairs) == int(mine.sum())
+        assert pairs == set(combinations(members[starts[k] : starts[k] + sizes[k]].tolist(), 2))
 
 
 @settings(max_examples=20, deadline=None)

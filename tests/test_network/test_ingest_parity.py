@@ -113,24 +113,42 @@ class TestBuildParity:
 
 class TestAddWeightsContract:
     def test_scalar_loop_vs_one_batch(self):
-        """One batch with duplicate typed edges == the scalar call sequence."""
+        """One batch with duplicate typed edges == the scalar call sequence.
+
+        Cold (every record created by the batch) and warm (the batch applied
+        again onto the records it created), on both network classes; once
+        with rows spread over many typed edges and once with 60 typed edges
+        of 1–64 contributions each, rows shuffled.
+        """
         rng = np.random.default_rng(9)
         n = 1500
-        u = rng.integers(0, 40, size=n)
-        v = rng.integers(40, 80, size=n)
-        w = rng.uniform(0.01, 1.0, size=n)
-        ts = rng.uniform(0.0, 1e6, size=n)
-        codes = rng.integers(0, len(TYPES), size=n)
-        scalar, batch, precoded = (
-            BehaviorNetwork(),
-            BehaviorNetwork(),
-            BehaviorNetwork(),
-        )
-        for i in range(n):
-            scalar.add_weight(int(u[i]), int(v[i]), TYPES[codes[i]], float(w[i]), float(ts[i]))
-        batch.add_weights(u, v, [TYPES[c] for c in codes], w, ts)
-        precoded.add_weights(u, v, codes, w, ts, btype_table=TYPES)
-        assert edge_state(scalar) == edge_state(batch) == edge_state(precoded)
+        edges = 60
+        rows = rng.permutation(np.repeat(np.arange(edges), rng.integers(1, 65, size=edges)))
+        inputs = [
+            (
+                rng.integers(0, 40, size=n),
+                rng.integers(40, 80, size=n),
+                rng.integers(0, len(TYPES), size=n),
+            ),
+            (
+                rng.integers(0, 40, size=edges)[rows],
+                rng.integers(40, 80, size=edges)[rows],
+                rng.integers(0, len(TYPES), size=edges)[rows],
+            ),
+        ]
+        for u, v, codes in inputs:
+            for make in (BehaviorNetwork, lambda: ShardedBehaviorNetwork(2)):
+                scalar, batch, precoded = make(), make(), make()
+                for _ in ("cold", "warm"):
+                    w = rng.uniform(0.01, 1.0, size=len(u))
+                    ts = rng.uniform(0.0, 1e6, size=len(u))
+                    for i in range(len(u)):
+                        scalar.add_weight(
+                            int(u[i]), int(v[i]), TYPES[codes[i]], float(w[i]), float(ts[i])
+                        )
+                    batch.add_weights(u, v, [TYPES[c] for c in codes], w, ts)
+                    precoded.add_weights(u, v, codes, w, ts, btype_table=TYPES)
+                    assert edge_state(scalar) == edge_state(batch) == edge_state(precoded)
 
     def test_scalar_timestamp_broadcast(self):
         """A scalar timestamp applies to every contribution, bit-exactly."""

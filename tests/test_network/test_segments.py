@@ -42,17 +42,6 @@ class TestSegmentFoldSum:
                 acc += x
             assert out[k] == acc  # bit-for-bit
 
-    def test_seeded_fold(self):
-        values = np.array([0.1, 0.2, 0.7, 0.05])
-        out = segment_fold_sum(
-            values,
-            np.array([0, 2]),
-            np.array([2, 2]),
-            seed=np.array([10.0, 0.5]),
-        )
-        assert out[0] == ((10.0 + 0.1) + 0.2)
-        assert out[1] == ((0.5 + 0.7) + 0.05)
-
     def test_empty(self):
         out = segment_fold_sum(
             np.array([]), np.array([], dtype=np.int64), np.array([], dtype=np.int64)

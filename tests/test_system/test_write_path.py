@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
-from repro.network import BNBuilder
+from repro.network import BehaviorNetwork, BNBuilder
+from repro.network.builder import LogColumns
 from repro.obs import MetricsRegistry
 from repro.system import (
     BNServer,
@@ -148,6 +149,27 @@ class TestIngestBoundary:
         server.ingest([BehaviorLog(np.int64(1), DEV, "d", 5.0), BehaviorLog(2, DEV, "d", 6.0)])
         server.run_due_jobs(HOUR)
         assert server.bn.weight(1, 2, DEV) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteClock:
+    def test_run_due_jobs_refuses_it_with_state_unchanged(self, bad):
+        server = make_server()
+        server.ingest(pair(10.0))
+        server.run_due_jobs(20.0)  # no epoch has closed: the rows stay held
+        before = (server_state(server), server.jobs_run, dict(server._next_epoch))
+        with pytest.raises(ValueError):
+            server.run_due_jobs(bad)
+        assert (server_state(server), server.jobs_run, dict(server._next_epoch)) == before
+        assert server.run_due_jobs(HOUR)[0] == 1
+        assert server.bn.weight(1, 2, DEV) == pytest.approx(0.5)
+
+    def test_window_job_refuses_it_before_registering_a_node(self, bad):
+        builder, bn = BNBuilder(windows=(HOUR,)), BehaviorNetwork()
+        key = 7 * len(builder.edge_types)  # one shared (type, value)
+        with pytest.raises(ValueError):
+            builder.run_window_job(bn, LogColumns([1, 2], [key, key]), HOUR, bad)
+        assert (bn.version, bn.num_nodes()) == (0, 0)
 
 
 # ----------------------------------------------------------------------
