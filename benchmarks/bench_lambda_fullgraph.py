@@ -12,26 +12,23 @@ repository root:
   configuration must cover ≥ 100 000 users).  The headline figures are
   absolute: ``single_process_s`` (sampled-graph build + the whole pass on
   one core) and ``rows_per_s``.  The sweep's scoring slices are executed
-  one by one and timed individually — exactly the work one
-  :class:`~repro.system.ShardWorkerPool` worker runs against the
-  shared-memory inputs — and combined as the *modeled* **deployment
-  clock** ``deploy_s``: ``sampled-graph build + max(slice) + serial
-  assemble`` (splice + layer pass).  The container pins this harness to
-  one CPU, so wall-clock multi-process numbers would measure the
-  scheduler, not the algorithm; per-slice work timed individually and
-  combined as ``max(slices)`` is what 4 otherwise-idle cores execute (the
-  same convention as ``bench_sharding``).  The ``pool_sweep`` section
-  proves the real forked path bit-exact;
+  one by one and timed individually — exactly the work one forked child
+  of :func:`~repro.system.fork_map` runs — and combined as the *modeled*
+  **deployment clock** ``deploy_s``: ``sampled-graph build + max(slice) +
+  serial assemble`` (splice + layer pass), what 4 otherwise-idle cores
+  would execute.  It is a model, not a wall-clock figure: the measured
+  2-process wall speedup is in ``docs/PERFORMANCE.md``.  The
+  ``pool_sweep`` section proves the real forked path bit-exact;
 * ``state_parity`` — a uniform target sample scored by the scalar serving
   path (:func:`~repro.network.sampling.computation_subgraph` +
   :meth:`~repro.core.hag.HAG.predict_subgraph`, one target at a time): the
   big sweep's scores and subgraph rows for those targets must be
   **byte-identical** (chunk/slice invariance at scale);
-* ``pool_sweep`` — the same sweep sharded across 4 forked workers over
-  shared memory (:func:`~repro.system.publish_materialize_inputs` +
-  :func:`~repro.system.fullgraph_executor`): byte-identical to the
-  in-process sweep, and the :class:`SampledGraph` built off the 4-shard
-  merged index is byte-identical to the single-network build;
+* ``pool_sweep`` — the same sweep forked into 8 slices
+  (``executor=fork_map``; each child inherits the sweep's inputs by fork):
+  byte-identical to the in-process sweep, and the :class:`SampledGraph`
+  built off the 4-shard merged index is byte-identical to the
+  single-network build;
 * ``incremental_refresh`` — a small random delta batch, then the same
   function with the big sweep's state as its prior: scores and subgraph
   CSR must be byte-equal a fresh full pass while only the affected cone
@@ -47,7 +44,7 @@ exit nonzero when a gate regresses):
 
 * covered users ≥ 100 000 (``covered_scale`` = covered / 100 000 ≥ 1);
 * sweep-vs-scalar-path state parity == 1.0 (bit-for-bit);
-* 4-worker pool sweep parity == 1.0 (bit-for-bit);
+* forked sweep parity == 1.0 (bit-for-bit);
 * incremental work reduction ≥ 10× (covered rows / recomputed rows on the
   small delta);
 * incremental parity == 1.0 (scores + subgraph CSR byte-equal the fresh
@@ -63,7 +60,6 @@ from __future__ import annotations
 
 import gc
 import os
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -72,7 +68,6 @@ import numpy as np
 import pytest
 
 from repro.core import HAG, materialize
-from repro.core.lambda_infer import score_slice
 from repro.datagen import ScaleConfig, edge_stream
 from repro.features.pipeline import StandardScaler
 from repro.network import (
@@ -81,12 +76,7 @@ from repro.network import (
     build_sampled_graph,
 )
 from repro.network.sampling import computation_subgraph
-from repro.system import (
-    ShardRouter,
-    ShardWorkerPool,
-    fullgraph_executor,
-    publish_materialize_inputs,
-)
+from repro.system import fork_map
 
 from _shared import Gate, check_gates, emit, emit_header
 
@@ -195,32 +185,21 @@ class Sweep:
         )
 
 
-def timed_slice_executor(sweep: Sweep, sampled, targets, slice_s: list[float]):
+def timed_slice_executor(slice_s: list[float]):
     """Run each scoring slice in-process, timed individually.
 
-    Executes exactly the work one pool worker performs against the
-    shared-memory inputs (same :func:`score_slice`, same arguments the
-    worker's ``materialize`` command passes), appending each slice's
-    seconds to ``slice_s`` so the harness can combine them as the
-    deployment clock (``max`` over slices = concurrent workers on
-    otherwise-idle cores).
+    Executes exactly the work one forked child of :func:`fork_map` runs
+    (the same ``score`` closure), appending each slice's seconds to
+    ``slice_s`` so the harness can combine them as the modeled deployment
+    clock (``max`` over slices = concurrent processes on otherwise-idle
+    cores).
     """
-    uids = np.asarray(targets, dtype=np.int64)
-    mask = sampled.allowed_mask(None)
 
-    def executor(bounds):
+    def executor(score, bounds):
         out = []
-        for lo, hi in bounds:
+        for bound in bounds:
             start = time.perf_counter()
-            out.append(
-                score_slice(
-                    sweep.model, sampled, uids,
-                    np.arange(lo, hi, dtype=np.int64),
-                    sweep.feature_fn,
-                    hops=HOPS, edge_type_order=sweep.types,
-                    allowed_mask=mask, transform=sweep.scaler.transform,
-                )
-            )
+            out.append(score(bound))
             slice_s.append(time.perf_counter() - start)
         return out
 
@@ -264,8 +243,8 @@ def bench_state_parity(sweep: Sweep, big_state, targets) -> dict:
     }
 
 
-def bench_pool_sweep(sweep: Sweep, sharded, sampled, bundle, targets) -> dict:
-    """Shard the sweep across real forked workers; byte-equal in-process."""
+def bench_pool_sweep(sweep: Sweep, sharded, sampled, targets) -> dict:
+    """Fork the sweep's slices into real processes; byte-equal in-process."""
     rng = np.random.default_rng(np.random.SeedSequence([sweep.config.seed, 13]))
     pool_targets = np.sort(
         rng.choice(targets, size=min(POOL_TARGETS, len(targets)), replace=False)
@@ -281,60 +260,21 @@ def bench_pool_sweep(sweep: Sweep, sharded, sampled, bundle, targets) -> dict:
     )
 
     reference, reference_stats, _ = sweep.materialize(pool_targets, sampled=sampled)
-    payload = pickle.dumps(
-        {
-            "model": bundle["model"],
-            "scaler": bundle["scaler"],
-            "edge_type_order": bundle["edge_type_order"],
-        }
+    start = time.perf_counter()
+    pooled, pooled_stats, mstats = sweep.materialize(
+        pool_targets, sampled=sampled, executor=fork_map, slices=POOL_SLICES
     )
-    router = ShardRouter(sharded)
-    try:
-        router.ensure_published()
-        handle = publish_materialize_inputs(
-            router.store,
-            "lambda-mat",
-            sampled,
-            pool_targets.astype(np.int64),
-            sweep.features[sampled.node_ids],
-            sweep.features[pool_targets.astype(np.int64)],
-            hops=HOPS,
-        )
-        with ShardWorkerPool(
-            router.segments, n_workers=POOL_WORKERS, model_payload=payload
-        ) as pool:
-            attached = [
-                pool.materialize_attach(wid, handle.segment)
-                for wid in range(POOL_WORKERS)
-            ]
-            assert all(v == sampled.version for v in attached), (
-                f"worker attach versions {attached} != sampled v{sampled.version}"
-            )
-            start = time.perf_counter()
-            pooled, pooled_stats, mstats = sweep.materialize(
-                pool_targets,
-                sampled=sampled,
-                executor=fullgraph_executor(pool),
-                slices=POOL_SLICES,
-            )
-            pool_s = time.perf_counter() - start
-            workers = pool.alive_count()
-    finally:
-        router.close()
+    pool_s = time.perf_counter() - start
 
     mismatched = state_mismatches(pooled, reference)
     assert pooled_stats == reference_stats, "pool sweep stats diverged"
     return {
         "targets": int(len(pool_targets)),
-        "workers": workers,
         "slices": mstats.slices,
         "pool_sweep_s": pool_s,
         "sampled_graph_bitexact_across_shards": bool(sampled_parity),
         "mismatched_arrays": mismatched,
-        "parity": (
-            1.0 if not mismatched and sampled_parity and workers == POOL_WORKERS
-            else 0.0
-        ),
+        "parity": 1.0 if not mismatched and sampled_parity else 0.0,
     }
 
 
@@ -428,12 +368,12 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         big_state, _, big_mstats = sweep.materialize(
             targets,
             sampled=sampled,
-            executor=timed_slice_executor(sweep, sampled, targets, slice_s),
+            executor=timed_slice_executor(slice_s),
             slices=POOL_WORKERS,
         )
         wall_s = time.perf_counter() - start
-        # Deployment clock: the 4 slices run concurrently on 4 workers
-        # (bit-exactness of that path is pinned by pool_sweep below); the
+        # Modeled deployment clock: the 4 slices run concurrently on 4 cores
+        # (bit-exactness of the forked path is pinned by pool_sweep); the
         # sampled-graph build and the assemble (splice + full-graph layer
         # pass) stay serial.
         assemble_s = max(0.0, wall_s - sum(slice_s))
@@ -454,7 +394,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
             }
         }
         emit(
-            f"full sweep     {covered:,} users in {deploy_s:.1f}s deploy "
+            f"full sweep     {covered:,} users in {deploy_s:.1f}s modeled deploy "
             f"({single_s:.1f}s single-process, {sampled_s:.1f}s sampled-graph "
             f"build, {len(slice_s)} slices, "
             f"{sections['fullgraph_sweep']['rows_per_s']:,.0f} rows/s, "
@@ -474,12 +414,10 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
             )
         )
 
-        sections["pool_sweep"] = bench_pool_sweep(
-            sweep, sharded, sampled, bundle, targets
-        )
+        sections["pool_sweep"] = bench_pool_sweep(sweep, sharded, sampled, targets)
         emit(
-            "pool sweep     {targets} targets through {workers} forked workers "
-            "({slices} slices, {pool_sweep_s:.1f}s) — "
+            "pool sweep     {targets} targets forked into {slices} slices "
+            "({pool_sweep_s:.1f}s) — "
             "{verdict}".format(
                 verdict=(
                     "bit-exact"
@@ -488,7 +426,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
                 ),
                 **{
                     k: sections["pool_sweep"][k]
-                    for k in ("targets", "workers", "slices", "pool_sweep_s")
+                    for k in ("targets", "slices", "pool_sweep_s")
                 },
             )
         )

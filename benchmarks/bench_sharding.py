@@ -26,18 +26,15 @@ parallelizes:
   router tier;
 * **serve** — the batched request stream is partitioned by the owner shard
   of each target and every partition runs the full read path (frontier
-  sampling against the published
-  :class:`~repro.network.sharding.ShardIndex` + one packed HAG forward).
-  Workers share the read-only index (shared-memory CSR snapshots), so the
-  deployment clock is the slowest partition.
+  sampling against the merged
+  :class:`~repro.network.sharding.ShardIndex` + one packed HAG forward),
+  and the modeled deployment clock is the slowest partition.
 
-Why the deployment clock: the container pins this harness to one CPU, so
-wall-clock multi-process numbers would measure the scheduler, not the
-algorithm.  Per-shard work is timed individually and combined as
-``max(shards)`` — exactly what N otherwise-idle cores execute.  A real
-``ShardWorkerPool`` of forked processes additionally serves a verification
-slice through shared memory, asserted bit-equal (correctness of the true
-multi-process path is checked; its wall clock is not gated).
+Every deployment clock here is **modeled**: per-shard work is timed
+individually and combined as ``max(shards)`` — what N otherwise-idle
+cores would execute.  It is not a wall-clock figure.  Serving runs in
+one process: a pool of forked serving workers measured no faster on the
+wall clock (``docs/PERFORMANCE.md``).
 
 Measurements that form a ratio are **paired in time**: a single chunk
 stream feeds every shard count back-to-back (chunk *k* into 1, 2, then 4
@@ -67,7 +64,7 @@ baseline.
 
 Scale knobs (environment variables): ``REPRO_BENCH_SHARD_USERS``,
 ``REPRO_BENCH_SHARD_EDGES``, ``REPRO_BENCH_SHARD_CHUNK``,
-``REPRO_BENCH_SHARD_REQUESTS``, ``REPRO_BENCH_SHARD_POOL_SLICE``.
+``REPRO_BENCH_SHARD_REQUESTS``.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import os
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -92,15 +88,12 @@ from repro.network import (
     computation_subgraphs_batch,
     shard_of,
 )
-from repro.system import ShardRouter, ShardWorkerPool
-
 from _shared import Gate, check_gates, emit, emit_header
 
 N_USERS = int(os.environ.get("REPRO_BENCH_SHARD_USERS", "1000000"))
 N_EDGES = int(os.environ.get("REPRO_BENCH_SHARD_EDGES", "10000000"))
 CHUNK_EDGES = int(os.environ.get("REPRO_BENCH_SHARD_CHUNK", "500000"))
 N_REQUESTS = int(os.environ.get("REPRO_BENCH_SHARD_REQUESTS", "256"))
-POOL_SLICE = int(os.environ.get("REPRO_BENCH_SHARD_POOL_SLICE", "24"))
 SERVE_ROUNDS = int(os.environ.get("REPRO_BENCH_SHARD_SERVE_ROUNDS", "3"))
 SHARD_COUNTS = (1, 2, 4)
 HOPS = 2
@@ -309,9 +302,9 @@ def serve_baseline(bn, targets, bundle, features) -> tuple[dict, dict]:
 def serve_sharded(sbn, targets, bundle, features) -> tuple[dict, dict]:
     """Data-parallel serving: per-shard request partitions over one index.
 
-    Every partition runs sampling + packed inference exactly as one worker
-    process does against the shared snapshot; the deployment clock is the
-    slowest partition (workers run concurrently on separate cores).
+    Every partition runs sampling + packed inference over the one merged
+    index; the modeled deployment clock is the slowest partition (as if
+    each ran on its own otherwise-idle core).
     """
     index_start = time.perf_counter()
     index = sbn.index()
@@ -375,52 +368,6 @@ def assert_serve_parity(baseline: dict, served: dict, label: str) -> None:
                 and np.array_equal(matrix.indptr, other.indptr)
             )
             assert same, f"{label}: {btype} CSR diverged for target {ref.target}"
-
-
-def verify_process_pool(sbn, targets, bundle, features, baseline) -> dict:
-    """Serve a slice through real forked workers over shared memory.
-
-    Bit-equal against the in-process baseline; proves the shm publish /
-    attach / predict plumbing end to end (its wall clock is not gated —
-    one pinned CPU would time the scheduler, not the shards).
-    """
-    router = ShardRouter(sbn)
-    pool = None
-    try:
-        index = router.ensure_published()
-        handle = router.store.publish(
-            "features", {"features": features}, version=index.version
-        )
-        shared = router.store.attachable and handle.shared
-        pool = ShardWorkerPool(
-            router.segments,
-            n_workers=min(sbn.n_shards, 2),
-            model_payload=pickle.dumps(
-                {
-                    "model": bundle["model"],
-                    "scaler": bundle["scaler"],
-                    "edge_type_order": bundle["edge_type_order"],
-                }
-            ),
-        )
-        sliced = targets[:POOL_SLICE]
-        wire_features = handle.segment if shared else features
-        out = pool.predict(0, sliced, wire_features, hops=HOPS, fanout=FANOUT)
-        assert out is not None, "pool worker died during the verification slice"
-        pool_probs, _stats = out
-        assert pool_probs == baseline["probabilities"][: len(sliced)], (
-            "process-pool probabilities diverged from the in-process baseline"
-        )
-        return {
-            "slice": len(sliced),
-            "workers": pool.alive_count(),
-            "shared_memory": bool(shared),
-            "segments": len(router.segments),
-        }
-    finally:
-        if pool is not None:
-            pool.close()
-        router.close()
 
 
 # ----------------------------------------------------------------------
@@ -492,10 +439,6 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
                     best = serve_row
                 best["round_deploy_s"] = rounds
                 serve_rows[n_shards] = best
-
-        pool_check = verify_process_pool(
-            ingested[SHARD_COUNTS[-1]][0], targets, bundle, features, baseline
-        )
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -535,13 +478,6 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
             f"serve speedup {row['serve']['speedup']:.2f}x  "
             f"(balance {row['ingest']['balance']:.2f})"
         )
-    if pool_check is not None:
-        emit(
-            f"process pool: {pool_check['slice']} requests bit-equal through "
-            f"{pool_check['workers']} forked workers "
-            f"(shared memory: {pool_check['shared_memory']}, "
-            f"{pool_check['segments']} segments)"
-        )
 
     result = {
         "n_users": config.n_users,
@@ -552,7 +488,6 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         "fanout": FANOUT,
         "shard_counts": list(SHARD_COUNTS),
         "snapshot_digest": baseline_digest,
-        "pool_check": pool_check,
         "sweep": {str(k): v for k, v in sweep.items()},
     }
     gates = [

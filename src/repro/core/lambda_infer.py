@@ -16,9 +16,8 @@ This module is the batch layer's core: storage- and serving-agnostic.
   tower's layer-``k`` hidden states over the target-induced graph.
   Round-trips losslessly through a flat ``dict[str, np.ndarray]``
   (:meth:`HAGState.to_arrays` / :meth:`HAGState.from_arrays`), which is
-  exactly what :class:`~repro.system.storage.LocalDatabase` checkpoints
-  and :class:`~repro.network.shm.SharedSnapshotStore` publishes; a payload
-  that does not describe a consistent state is rejected with
+  exactly what :class:`~repro.system.storage.LocalDatabase` checkpoints;
+  a payload that does not describe a consistent state is rejected with
   ``ValueError`` at that boundary.
 
 * :func:`materialize` — the one batch pass.  It recomputes the *cone* of
@@ -67,9 +66,7 @@ from .hag import HAG
 __all__ = [
     "HAGState",
     "MaterializeStats",
-    "SliceResult",
     "materialize",
-    "score_slice",
 ]
 
 #: ``meta`` array layout of a serialized state (see :meth:`HAGState.to_arrays`).
@@ -224,16 +221,13 @@ class HAGState:
         )
 
     # ------------------------------------------------------------------
-    # Serialization (storage checkpoints + shared-memory publication)
+    # Serialization (storage checkpoints)
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten to named numpy arrays (lossless; see :meth:`from_arrays`).
 
-        The payload shape is what both backends want: a
-        :class:`~repro.system.storage.LocalDatabase` ``put`` checkpoints
-        the dict as one value, and a
-        :class:`~repro.network.shm.SharedSnapshotStore` publishes each
-        array as one zero-copy shared-memory region.
+        A :class:`~repro.system.storage.LocalDatabase` ``put`` checkpoints
+        the dict as one value.
         """
         arrays = {
             "meta": np.asarray(
@@ -257,7 +251,7 @@ class HAGState:
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "HAGState":
-        """Rebuild a state from :meth:`to_arrays` output (or a shm view).
+        """Rebuild a state from :meth:`to_arrays` output.
 
         Raises ``ValueError`` when an array is missing or the arrays do
         not describe a consistent state (see the class docstring).
@@ -319,7 +313,8 @@ class SliceResult:
     subgraph CSR (node *ids*), ``expanded`` the per-target count of BFS
     frontier nodes expanded (the first ``expanded[k]`` entries of row ``k``
     are exactly the expanded nodes), ``edges`` the induced adjacency
-    entries processed.  Cheap to ship across processes: five flat arrays.
+    entries processed.  Cheap to ship across processes: four flat arrays
+    and an int, pickled over a forked child's pipe.
     """
 
     scores: np.ndarray
@@ -327,25 +322,6 @@ class SliceResult:
     flat_nodes: np.ndarray
     expanded: np.ndarray
     edges: int
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "scores": np.asarray(self.scores, dtype=np.float64),
-            "indptr": np.asarray(self.indptr, dtype=np.int64),
-            "flat_nodes": np.asarray(self.flat_nodes, dtype=np.int64),
-            "expanded": np.asarray(self.expanded, dtype=np.int64),
-            "edges": np.asarray([self.edges], dtype=np.int64),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "SliceResult":
-        return cls(
-            scores=np.asarray(arrays["scores"], dtype=np.float64),
-            indptr=np.asarray(arrays["indptr"], dtype=np.int64),
-            flat_nodes=np.asarray(arrays["flat_nodes"], dtype=np.int64),
-            expanded=np.asarray(arrays["expanded"], dtype=np.int64),
-            edges=int(np.asarray(arrays["edges"])[0]),
-        )
 
 
 def _score_packed_chunk(
@@ -535,7 +511,8 @@ def materialize(
     touched: Mapping[int, int] | None = None,
     layer_row_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     executor: Callable[
-        [Sequence[tuple[int, int]]], Sequence[SliceResult | None]
+        [Callable[[tuple[int, int]], SliceResult], Sequence[tuple[int, int]]],
+        Sequence[SliceResult | None],
     ] | None = None,
     slices: int = 1,
     observer: Callable[[str], None] | None = None,
@@ -578,13 +555,15 @@ def materialize(
       ``layer_row_fn`` the state carries scores only.
 
     ``executor`` (optional) shards the scoring of a sweep whose cone is
-    the whole target range: it receives the ``slices`` contiguous
-    ``(lo, hi)`` bounds over the sorted targets and returns one
-    :class:`SliceResult` per bound (``None`` means that worker died; the
-    slice is recomputed in-process — degrade, don't die).
-    :func:`~repro.system.shard_workers.fullgraph_executor` provides one
-    over a worker pool.  ``observer`` receives stage names (``"scores"``,
-    each recomputed layer, ``"fused"``) as they complete.
+    the whole target range: ``executor(score, bounds)`` receives the
+    closure that scores one ``(lo, hi)`` slice of the sorted targets and
+    the ``slices`` contiguous bounds, and returns one :class:`SliceResult`
+    per bound (``None`` means that slice was lost; it is recomputed
+    in-process — degrade, don't die).
+    :func:`~repro.system.fork_pool.fork_map` is one: it scores the slices
+    in forked children that inherit every input.  ``observer`` receives
+    stage names (``"scores"``, each recomputed layer, ``"fused"``) as they
+    complete.
     """
     if not len(targets) == len(txn_ids) == len(nows):
         raise ValueError("targets, txn_ids and nows must share one length")
@@ -650,30 +629,32 @@ def materialize(
     affected_idx = np.flatnonzero(affected)
     keep_idx = np.flatnonzero(~affected)
 
-    # The executor's wire format is contiguous bounds over the sorted
-    # targets, so it can only take a sweep whose cone is the whole range.
+    def score(bound: tuple[int, int]) -> SliceResult:
+        lo, hi = bound
+        return score_slice(
+            model,
+            sampled,
+            node_ids,
+            affected_idx[lo:hi],
+            feature_fn,
+            hops=hops,
+            edge_type_order=edge_type_order,
+            allowed_mask=allowed_mask,
+            transform=transform,
+        )
+
+    # Only a sweep whose cone is the whole range is sliced for the executor.
     bounds = [(0, len(affected_idx))]
     if executor is not None and slices > 1 and n and len(affected_idx) == n:
         cuts = np.linspace(0, n, slices + 1).astype(np.int64)
         bounds = [
             (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi
         ]
-    results: list[SliceResult | None] = (
-        list(executor(bounds)) if len(bounds) > 1 else [None]
-    )
-    for i, (lo, hi) in enumerate(bounds):
-        if results[i] is None:
-            results[i] = score_slice(
-                model,
-                sampled,
-                node_ids,
-                affected_idx[lo:hi],
-                feature_fn,
-                hops=hops,
-                edge_type_order=edge_type_order,
-                allowed_mask=allowed_mask,
-                transform=transform,
-            )
+    served = list(executor(score, bounds)) if len(bounds) > 1 else [None]
+    results = [
+        score(bound) if result is None else result
+        for bound, result in zip(bounds, served)
+    ]
     if observer is not None:
         observer("scores")
 

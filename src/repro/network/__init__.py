@@ -24,7 +24,6 @@ from .sharding import (
     build_shard_index,
     shard_of,
 )
-from .shm import AttachedSegment, SegmentHandle, SharedSnapshotStore, attach_segment
 from .snapshot import BNSnapshot, TypedEdgeArrays
 from .windows import FAST_WINDOWS, PAPER_WINDOWS, validate_windows
 
@@ -54,10 +53,6 @@ __all__ = [
     "ShardIndex",
     "ShardedBehaviorNetwork",
     "build_shard_index",
-    "SegmentHandle",
-    "AttachedSegment",
-    "SharedSnapshotStore",
-    "attach_segment",
     "PAPER_WINDOWS",
     "FAST_WINDOWS",
     "validate_windows",

@@ -25,10 +25,9 @@ Construction is fully vectorized off the network's read index
 (``bn.index()``, a :class:`ShardIndex` whose bytes do not depend on the
 shard count — see ``network/sharding.py``), so the same ``SampledGraph``
 bits come out of a single :class:`~repro.network.bn.BehaviorNetwork` or a
-:class:`~repro.network.sharding.ShardedBehaviorNetwork`.  The whole
-structure round-trips through flat numpy arrays
-(:meth:`~SampledGraph.to_payload`) for shared-memory publication to
-:class:`~repro.system.shard_workers.ShardWorkerPool` workers.
+:class:`~repro.network.sharding.ShardedBehaviorNetwork`.  The full-graph
+sweep's forked children (:func:`~repro.system.fork_pool.fork_map`) read
+the parent's graph by fork inheritance; nothing is copied to them.
 """
 
 from __future__ import annotations
@@ -387,10 +386,14 @@ class SampledGraph:
         return np.flatnonzero(reached)
 
     # ------------------------------------------------------------------
-    # Shared-memory round trip
+    # Byte digest
     # ------------------------------------------------------------------
     def to_payload(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-        """Flatten to named arrays + JSON-safe meta for shm publication."""
+        """Every array of the graph by name, plus JSON-safe meta.
+
+        The byte-level digest the parity suites compare across shard
+        counts.
+        """
         arrays: dict[str, np.ndarray] = {
             "node_ids": self.node_ids,
             "all_indptr": self.all_indptr,
@@ -411,36 +414,6 @@ class SampledGraph:
             "types": [btype.value for btype in self.types],
         }
         return arrays, meta
-
-    @classmethod
-    def from_payload(
-        cls, arrays: dict[str, np.ndarray], meta: dict[str, Any]
-    ) -> "SampledGraph":
-        """Rebuild from :meth:`to_payload` output (arrays kept as views)."""
-        types = tuple(BehaviorType(value) for value in meta["types"])
-        fanout = int(meta["fanout"])
-        return cls(
-            version=int(meta["version"]),
-            fanout=None if fanout < 0 else fanout,
-            node_ids=np.asarray(arrays["node_ids"], dtype=np.int64),
-            types=types,
-            sel_indptr={
-                t: np.asarray(arrays[f"selp:{t.value}"], dtype=np.int64)
-                for t in types
-            },
-            sel_nbr={
-                t: np.asarray(arrays[f"seln:{t.value}"], dtype=np.int64)
-                for t in types
-            },
-            all_indptr=np.asarray(arrays["all_indptr"], dtype=np.int64),
-            all_nbr=np.asarray(arrays["all_nbr"], dtype=np.int64),
-            inc_indptr=np.asarray(arrays["inc_indptr"], dtype=np.int64),
-            inc_nbr=np.asarray(arrays["inc_nbr"], dtype=np.int64),
-            inc_pair=np.asarray(arrays["inc_pair"], dtype=np.int64),
-            pair_lo_pos=np.asarray(arrays["pair_lo_pos"], dtype=np.int64),
-            pair_hi_pos=np.asarray(arrays["pair_hi_pos"], dtype=np.int64),
-            type_norm={t: np.asarray(arrays[f"norm:{t.value}"]) for t in types},
-        )
 
 
 def build_sampled_graph(bn, fanout: int | None) -> SampledGraph:

@@ -192,7 +192,7 @@ def computation_subgraphs_batch(
 
     The one union-frontier sampler under every serving tier: ``index`` is
     ``bn.index()`` of a plain network (one block) or of a sharded facade
-    (N blocks), or the copy a worker attached from shared memory.  Returns
+    (N blocks).  Returns
     subgraphs that are bit-for-bit what per-target
     :func:`computation_subgraph` calls produce — same node order, same CSR
     bits — but shares work across requests two ways:
@@ -216,8 +216,8 @@ def computation_subgraphs_batch(
     only valid for the index and ``fanout`` they were ranked under, so the
     owner must drop the dict when either changes.
 
-    ``resolve(block_id, keys)`` overrides in-process selection (worker
-    pools, fault gates); returning ``None`` marks the block's shard dead
+    ``resolve(block_id, keys)`` overrides in-process selection (the shard
+    router's fault gates); returning ``None`` marks the block's shard dead
     for this batch — its keys select nothing, its adjacency rows are
     dropped, affected requests are listed in ``stats.partial``, and dead
     selections are **not** written to ``selection_cache`` (a recovered

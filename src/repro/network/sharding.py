@@ -1,4 +1,4 @@
-"""Hash-partitioned sharding of the Behavior Network (ROADMAP item 1).
+"""Hash-partitioned sharding of the Behavior Network.
 
 The deployed Turbo serves hundreds of millions of edges by partitioning the
 BN across machines (PAPER.md Fig. 8b); this module is that substrate in
@@ -13,7 +13,7 @@ shard, so one ingest batch splits into disjoint per-shard sub-batches and
 shard applies scale with the shard count (mirroring every edge on both
 endpoint owners would cap ingest speedup at ~2x).  The price is that no
 single shard can answer a neighbourhood query by itself — reads go through
-a published, merged :class:`ShardIndex` instead (the *publish-time mirror
+a merged, read-only :class:`ShardIndex` instead (the *build-time mirror
 exchange*), which is exactly the read-only-snapshot serving split the
 deployment needs anyway (BRIGHT-style decoupling of graph access from
 scoring, PAPERS.md).
@@ -86,8 +86,8 @@ def shard_of(uids: Sequence[int] | np.ndarray, n_shards: int) -> np.ndarray:
     """Stable ``uid -> shard`` routing (vectorized splitmix64 finalizer).
 
     Pure function of ``(uid, n_shards)`` — the same user lands on the same
-    shard in every process, which is what lets ingest routing, the published
-    index and remote workers agree without coordination.
+    shard in every process, which is what lets ingest routing and the merged
+    index agree without coordination.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -137,11 +137,9 @@ class ShardIndex:
     The pair table (``pair_lo_pos``/``pair_hi_pos`` plus per-type dense
     weight columns) is in global pair-creation order, so per-type masks of
     it are the snapshot's edge arrays (:meth:`snapshot`); the
-    per-shard :class:`ShardBlock` CSRs give each worker creation-order
+    per-shard :class:`ShardBlock` CSRs give each shard creation-order
     neighbour lists for the nodes it owns.  All fields are flat numpy
-    arrays — :meth:`to_payload` / :meth:`from_payload` round-trip the whole
-    index through ``multiprocessing.shared_memory`` segments zero-copy.
-    An index built from a network is immutable: its arrays, and those of
+    arrays (:meth:`to_payload` names them all).  An index built from a network is immutable: its arrays, and those of
     its :meth:`snapshot`, are read-only, because the next version's index
     copies its unchanged rows from them.
     """
@@ -300,10 +298,14 @@ class ShardIndex:
         return self._snapshot
 
     # ------------------------------------------------------------------
-    # Shared-memory round trip
+    # Byte digest
     # ------------------------------------------------------------------
     def to_payload(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-        """Flatten to named arrays + JSON-safe meta for shm publication."""
+        """Every array of the index by name, plus JSON-safe meta.
+
+        The byte-level digest the parity suites compare across shard
+        counts and against a full re-walk of the network.
+        """
         arrays: dict[str, np.ndarray] = {
             "node_ids": self.node_ids,
             "owner_of_pos": self.owner_of_pos,
@@ -326,36 +328,6 @@ class ShardIndex:
             "types": [btype.value for btype in self.types],
         }
         return arrays, meta
-
-    @classmethod
-    def from_payload(
-        cls, arrays: dict[str, np.ndarray], meta: dict[str, Any]
-    ) -> "ShardIndex":
-        """Rebuild from :meth:`to_payload` output (views are kept as-is)."""
-        types = tuple(BehaviorType(value) for value in meta["types"])
-        n_shards = int(meta["n_shards"])
-        return cls(
-            version=int(meta["version"]),
-            n_shards=n_shards,
-            node_ids=arrays["node_ids"],
-            owner_of_pos=arrays["owner_of_pos"],
-            pair_lo_pos=arrays["pair_lo_pos"],
-            pair_hi_pos=arrays["pair_hi_pos"],
-            pair_seq=arrays["pair_seq"],
-            types=types,
-            type_weights={t: arrays[f"w:{t.value}"] for t in types},
-            type_norm_weights={t: arrays[f"wn:{t.value}"] for t in types},
-            type_last_update={t: arrays[f"lu:{t.value}"] for t in types},
-            shards=[
-                ShardBlock(
-                    own_positions=arrays[f"blk{s}:own"],
-                    indptr=arrays[f"blk{s}:indptr"],
-                    nbr_pos=arrays[f"blk{s}:nbr"],
-                    pair_idx=arrays[f"blk{s}:pair"],
-                )
-                for s in range(n_shards)
-            ],
-        )
 
 
 #: ``(lo, hi, seq, weight-by-type, last-update-by-type)`` rows of pairs.
@@ -428,7 +400,7 @@ def build_shard_index(
 ) -> ShardIndex:
     """Merge per-shard pair tables into one :class:`ShardIndex`.
 
-    This is the publish-time mirror exchange: each shard exports only the
+    This is the build-time mirror exchange: each shard exports only the
     pairs it stores (single copy, owner of ``lo``); the merge sorts the
     concatenation by ``(seq, lo, hi)`` — the global pair-creation order —
     and then redistributes *half-edges* to the owner of each endpoint, so

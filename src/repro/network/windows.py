@@ -9,6 +9,8 @@ aggregation of fraud rings.
 
 from __future__ import annotations
 
+import math
+
 from ..datagen.entities import DAY, HOUR
 
 __all__ = ["PAPER_WINDOWS", "FAST_WINDOWS", "validate_windows"]
@@ -22,12 +24,12 @@ FAST_WINDOWS: tuple[float, ...] = (HOUR, 3 * HOUR, 6 * HOUR, 12 * HOUR, DAY)
 
 
 def validate_windows(windows: tuple[float, ...] | list[float]) -> tuple[float, ...]:
-    """Check that ``windows`` is non-empty and strictly increasing."""
+    """Check that ``windows`` is non-empty, finite, positive and strictly increasing."""
     windows = tuple(float(w) for w in windows)
     if not windows:
         raise ValueError("at least one time window is required")
-    if any(w <= 0 for w in windows):
-        raise ValueError("time windows must be positive")
+    if not all(math.isfinite(w) and w > 0 for w in windows):
+        raise ValueError("time windows must be finite and positive")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("time windows must be strictly increasing (W_i < W_i+1)")
     return windows

@@ -29,19 +29,13 @@ from .model_management import ModelManager
 from .monitoring import LatencyHistogram, SystemMonitor
 from .prediction_server import PredictionServer
 from .queue import (
-    Autoscaler,
     QueueConfig,
     QueueFrontend,
     SimulatedWorkerPool,
 )
 from .service import PredictRequest, RequestContext, Sampler, Service
-from .fork_pool import ForkPool
+from .fork_pool import fork_map
 from .shard_router import ShardRouter
-from .shard_workers import (
-    ShardWorkerPool,
-    fullgraph_executor,
-    publish_materialize_inputs,
-)
 from .storage import InMemoryCache, LocalDatabase, ReplicatedStore, StorageError
 from .turbo import Turbo, TurboResponse, deploy_turbo
 
@@ -69,11 +63,8 @@ __all__ = [
     "LocalSampler",
     "LambdaLayer",
     "DeltaSampler",
-    "ForkPool",
+    "fork_map",
     "ShardRouter",
-    "ShardWorkerPool",
-    "fullgraph_executor",
-    "publish_materialize_inputs",
     "FeatureServer",
     "PredictionServer",
     "TrafficPattern",
@@ -84,7 +75,6 @@ __all__ = [
     "bursts_from_drift",
     "QueueConfig",
     "SimulatedWorkerPool",
-    "Autoscaler",
     "QueueFrontend",
     "ModelManager",
     "SystemMonitor",

@@ -165,8 +165,6 @@ class BNServer:
             return None
         router = self._router
         if router is None or router.sharded is not bn:
-            if router is not None:
-                router.close()
             from .faults import CircuitBreaker  # runtime import avoids a cycle
 
             router = ShardRouter(

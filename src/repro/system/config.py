@@ -11,14 +11,33 @@ and the scorecard/block-list fallback ladder armed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from numbers import Integral
+from typing import Any, Sequence
 
-from ..network.windows import FAST_WINDOWS
+from ..network.windows import FAST_WINDOWS, validate_windows
 from .faults import CircuitBreaker, FaultInjector, RetryPolicy
 from .latency import LatencyModel
 
 __all__ = ["TurboConfig"]
+
+
+def _check_count(name: str, value: Any, minimum: int, optional: bool = False) -> None:
+    """``value`` is an integer (not a ``bool``) >= ``minimum``, or ``None``
+    when ``optional``."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}" + (" (or None)" if optional else "")
+        )
+
+
+def _check_duration(name: str, value: Any) -> None:
+    """``value`` is a finite positive number of seconds, or ``None``."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive (or None)")
 
 
 @dataclass(slots=True)
@@ -76,28 +95,21 @@ class TurboConfig:
         """Raise ``ValueError`` on an inconsistent configuration."""
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
-        if self.request_budget is not None and self.request_budget <= 0:
-            raise ValueError("request_budget must be positive (or None)")
-        if self.train_epochs < 1:
-            raise ValueError("train_epochs must be >= 1")
-        if self.hops < 0:
-            raise ValueError("hops must be non-negative")
-        if self.fanout is not None and self.fanout < 0:
-            raise ValueError("fanout must be non-negative (or None)")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.lambda_refresh_period is not None and self.lambda_refresh_period <= 0:
-            raise ValueError("lambda_refresh_period must be positive (or None)")
-        if self.lambda_staleness_budget < 0:
-            raise ValueError("lambda_staleness_budget must be non-negative")
+        _check_duration("request_budget", self.request_budget)
+        _check_count("train_epochs", self.train_epochs, 1)
+        _check_count("hops", self.hops, 0)
+        _check_count("fanout", self.fanout, 0, optional=True)
+        _check_count("shards", self.shards, 1)
+        _check_duration("lambda_refresh_period", self.lambda_refresh_period)
+        _check_count("lambda_staleness_budget", self.lambda_staleness_budget, 0)
         if not self.lambda_tier and (
             self.lambda_refresh_period is not None
             or self.lambda_staleness_budget
         ):
             raise ValueError("lambda_* knobs require lambda_tier=True")
-        if not self.windows:
-            raise ValueError("windows must be non-empty")
+        validate_windows(self.windows)
         if not self.hidden:
             raise ValueError("hidden must name at least one layer width")
-        if self.trace_max is not None and self.trace_max < 1:
-            raise ValueError("trace_max must be positive (or None)")
+        for width in self.hidden:
+            _check_count("each hidden width", width, 1)
+        _check_count("trace_max", self.trace_max, 1, optional=True)

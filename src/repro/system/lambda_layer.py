@@ -7,10 +7,9 @@ over the cone of what changed — and checkpoints the resulting
 half:
 
 * :class:`LambdaLayer` owns the current state — runs batch passes
-  (checkpointed through :class:`~repro.system.storage.LocalDatabase` and
-  published through :class:`~repro.network.shm.SharedSnapshotStore`
-  alongside the shard index), answers point lookups with
-  bounded-staleness accounting, and refreshes on a configured period;
+  (checkpointed through :class:`~repro.system.storage.LocalDatabase`),
+  answers point lookups with bounded-staleness accounting, and refreshes
+  on a configured period;
 * :class:`DeltaSampler` is the :class:`~repro.system.service.Sampler`
   tier a lambda deployment installs on the BN server: cache hits never
   reach it (``Turbo`` serves them before the sampling stage), so every
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from ..network.sampling import BatchSampleStats
 from ..obs.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..network.shm import SegmentHandle, SharedSnapshotStore
     from ..obs.metrics import MetricsRegistry
     from .bn_server import BNServer
     from .feature_server import FeatureServer
@@ -54,8 +52,6 @@ __all__ = ["DeltaSampler", "LambdaLayer"]
 #: Storage coordinates of the batch-layer checkpoint.
 _CHECKPOINT_TABLE = "lambda_state"
 _CHECKPOINT_KEY = "hag_state"
-#: Shared-memory bundle name (published next to the ``bn_shard`` segments).
-_SEGMENT_NAME = "lambda"
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,10 +88,7 @@ class LambdaLayer:
         allowed: set[int] | None = None,
         refresh_period: float | None = None,
         staleness_budget: int = 0,
-        store: "SharedSnapshotStore | None" = None,
         component: str = "lambda_layer",
-        executor: Callable | None = None,
-        slices: int = 1,
     ) -> None:
         self.bn_server = bn_server
         self.feature_server = feature_server
@@ -107,10 +100,7 @@ class LambdaLayer:
         self.allowed = allowed
         self.refresh_period = refresh_period
         self.staleness_budget = staleness_budget
-        self.store = store
         self.component = component
-        self.executor = executor
-        self.slices = slices
         self.metrics: "MetricsRegistry | None" = None
         self.state: HAGState | None = None
         self.last_pass_at: float | None = None
@@ -123,7 +113,6 @@ class LambdaLayer:
         self.fallthrough_requests = 0
         self.fallthrough_nodes = 0
         self._bn: Any = None  # the network object the current state replayed
-        self._segment: "SegmentHandle | None" = None
         self._delta_cache: tuple[tuple[int, int], dict[int, int]] | None = None
 
     # ------------------------------------------------------------------
@@ -170,9 +159,8 @@ class LambdaLayer:
         Computes the exact serving-path score for every target
         (:func:`repro.core.lambda_infer.materialize` without a prior, over
         the version-pinned :class:`SampledGraph`), runs the layer pass,
-        checkpoints the state to storage, publishes it to the snapshot
-        store (when one is wired), and resets delta tracking so staleness
-        counts start from this pass.
+        checkpoints the state to storage, and resets delta tracking so
+        staleness counts start from this pass.
 
         The pass is traced as one ``lambda_batch`` root span with a
         ``lambda_materialize`` child carrying per-stage children; its
@@ -280,32 +268,14 @@ class LambdaLayer:
             prior=prior,
             touched=None if prior is None else self._delta_touched(),
             layer_row_fn=layer_row_fn,
-            executor=self.executor,
-            slices=self.slices,
             observer=observer,
         )
         wall_seconds = time.perf_counter() - wall_start
 
-        arrays = state.to_arrays()
-        if mstats.rows_computed < mstats.total_rows:
-            charged_sizes = computed_sizes
-        else:
-            # A whole-range cone scores every row; with a pool executor the
-            # features are assembled worker-side, so read the sizes off
-            # the assembled state rather than the local feature_fn count.
-            charged_sizes = [int(s) for s in np.diff(state.subgraph_indptr)]
-        charged = sum(latency.charge_model_forward_batch(charged_sizes))
-        charged += self.database.put(_CHECKPOINT_TABLE, _CHECKPOINT_KEY, arrays)
-        if self.store is not None:
-            previous = self._segment
-            self._segment = self.store.publish(
-                _SEGMENT_NAME,
-                arrays,
-                meta={"nodes": state.num_nodes, "bn_version": state.bn_version},
-                version=state.bn_version,
-            )
-            if previous is not None and previous.segment != self._segment.segment:
-                self.store.retire(previous.segment)
+        charged = sum(latency.charge_model_forward_batch(computed_sizes))
+        charged += self.database.put(
+            _CHECKPOINT_TABLE, _CHECKPOINT_KEY, state.to_arrays()
+        )
 
         self.state = state
         self._bn = bn

@@ -26,8 +26,7 @@ simulated clock:
 * **simulated autoscaling** — an :class:`Autoscaler` adds/removes
   prediction workers from queue-depth watermarks with a cooldown, over
   any pool exposing ``scale_to`` (the in-process
-  :class:`SimulatedWorkerPool` here, or the forked
-  :class:`~repro.system.shard_workers.ShardWorkerPool` — both satisfy the
+  :class:`SimulatedWorkerPool` here, which satisfies the
   :class:`~repro.system.service.Service` protocol).
 
 Everything is traced and metered: each arrival opens a ``queued_request``
@@ -59,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = [
     "QueueConfig",
     "SimulatedWorkerPool",
-    "Autoscaler",
     "QueueFrontend",
 ]
 
@@ -193,8 +191,7 @@ class SimulatedWorkerPool:
     runs :meth:`Turbo.predict_batch` and occupies the least-loaded worker
     for the batch's charged wall time.  Satisfies the
     :class:`~repro.system.service.Service` protocol so health checks and
-    the :class:`Autoscaler` see the same surface as the real servers (and
-    as the forked :class:`~repro.system.shard_workers.ShardWorkerPool`).
+    the :class:`Autoscaler` see the same surface as the real servers.
     """
 
     def __init__(

@@ -1,37 +1,31 @@
-"""Index publication and shard-aware serving for the sharded BN.
+"""Shard-aware serving for the sharded BN.
 
 The sampler itself is
 :func:`repro.network.sampling.computation_subgraphs_batch` — the same
 function the unsharded tier calls; a sharded deployment differs only in
-what it passes as ``resolve`` / ``on_exchange`` (ROADMAP item 1,
-InferTurbo-style gather/apply/scatter over a partitioned graph):
+what it passes as ``resolve`` / ``on_exchange`` (InferTurbo-style
+gather/apply/scatter over a partitioned graph, PAPERS.md):
 
 * each hop, the not-yet-ranked ``(node, type)`` keys of the whole batch are
   deduplicated and split by owner shard (the *frontier exchange*);
 * ``resolve`` answers ``None`` for a dead shard's keys (partial serving);
-  every live shard's keys are ranked in-process from the published
+  every live shard's keys are ranked in-process from the merged
   :class:`~repro.network.sharding.ShardIndex`;
 * ``on_exchange`` is where the ``turbo.shard.frontier.*`` series and span
   events are emitted.
 
-:class:`ShardRouter` owns publication (index → shared-memory segments via
-:class:`~repro.network.shm.SharedSnapshotStore`, versioned and retired on
-rebuild), the per-shard fault gates (components ``bn_shard{i}`` registered
-with the deployment's :class:`~repro.system.faults.FaultInjector` and
-optional per-shard :class:`~repro.system.faults.CircuitBreaker`s — a dead
-shard degrades the batch to the surviving shards' partial frontier instead
-of raising), and the ``turbo.shard.*`` metrics.
-
-The OS-level parallel half — forked workers that attach the published
-segments and serve sub-batches — is
-:class:`~repro.system.shard_workers.ShardWorkerPool`; this module is the
-sampling tier :mod:`repro.system.bn_server` imports and stays free of the
-model / lambda / materialization code the workers need.
+:class:`ShardRouter` owns the per-shard fault gates (components
+``bn_shard{i}`` registered with the deployment's
+:class:`~repro.system.faults.FaultInjector` and optional per-shard
+:class:`~repro.system.faults.CircuitBreaker`s — a dead shard degrades the
+batch to the surviving shards' partial frontier instead of raising) and the
+``turbo.shard.*`` metrics.  Serving runs in one process: a pool of forked
+serving workers measured no faster than this in-process path on the wall
+clock (``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from ..network.sampling import (
@@ -40,7 +34,6 @@ from ..network.sampling import (
     computation_subgraphs_batch,
 )
 from ..network.sharding import ShardIndex, ShardedBehaviorNetwork, _shard_of_int
-from ..network.shm import SharedSnapshotStore
 from ..obs.tracing import current_span
 from .storage import StorageError
 
@@ -52,15 +45,15 @@ __all__ = ["ShardRouter"]
 
 
 class ShardRouter:
-    """Publishes the merged shard index and serves batch samples from it.
+    """Serves batch samples from the merged shard index.
 
-    One router fronts one :class:`ShardedBehaviorNetwork`: it re-publishes
-    the read index through a :class:`SharedSnapshotStore` whenever the
-    facade version moves (retiring the previous segments), gates every
-    batch through the per-shard fault components ``bn_shard{i}``, and
-    degrades to the surviving shards' partial frontier when a shard is
-    down.  ``metrics`` may be attached after construction (the Turbo
-    orchestrator wires its registry in at deploy time).
+    One router fronts one :class:`ShardedBehaviorNetwork`: it reads the
+    facade's index (setting the ``turbo.shard.index.*`` / ``owned_*``
+    gauges when the version moves), gates every batch through the
+    per-shard fault components ``bn_shard{i}``, and degrades to the
+    surviving shards' partial frontier when a shard is down.  ``metrics``
+    may be attached after construction (the Turbo orchestrator wires its
+    registry in at deploy time).
     """
 
     #: :class:`~repro.system.service.Sampler` tier name.
@@ -77,60 +70,21 @@ class ShardRouter:
         self.faults = faults
         self.metrics = metrics
         self.breakers = dict(breakers or {})
-        self.store = SharedSnapshotStore()
-        self._published_version: int | None = None
-        self._segments: list[str] = []
+        self._seen_version: int | None = None
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
-    def _observe(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(name).observe(value)
-
     # ------------------------------------------------------------------
-    # Publication
+    # Index
     # ------------------------------------------------------------------
-    def ensure_published(self) -> ShardIndex:
-        """Build/publish the index for the current version; retire the old.
-
-        Zero-copy readers (worker pools) attach the returned
-        :attr:`segments`; publication is observed by
-        ``turbo.shard.publish.*`` and the per-shard ``turbo.shard.owned_*``
-        gauges.
-        """
+    def current_index(self) -> ShardIndex:
+        """The facade's read index; sets the index gauges on a new version."""
         index = self.sharded.index()
-        if self._published_version == index.version:
+        if self._seen_version == index.version:
             return index
-        started = perf_counter()
-        arrays, meta = index.to_payload()
-        global_arrays = {
-            key: value for key, value in arrays.items() if not key.startswith("blk")
-        }
-        handles = [
-            self.store.publish("global", global_arrays, meta, version=index.version)
-        ]
-        for s in range(index.n_shards):
-            prefix = f"blk{s}:"
-            block_arrays = {
-                key: value for key, value in arrays.items() if key.startswith(prefix)
-            }
-            handles.append(
-                self.store.publish(
-                    f"shard{s}",
-                    block_arrays,
-                    {"shard": s, "version": index.version},
-                    version=index.version,
-                )
-            )
-        previous = self._segments
-        self._segments = [handle.segment for handle in handles]
-        self._published_version = index.version
-        for segment in previous:
-            self.store.retire(segment)
-        self._inc("turbo.shard.publish.count")
-        self._observe("turbo.shard.publish.seconds", perf_counter() - started)
+        self._seen_version = index.version
         if self.metrics is not None:
             self.metrics.gauge("turbo.shard.index.pairs").set(index.num_pairs)
             self.metrics.gauge("turbo.shard.index.nodes").set(index.num_nodes)
@@ -142,11 +96,6 @@ class ShardRouter:
                     len(block.nbr_pos)
                 )
         return index
-
-    @property
-    def segments(self) -> list[str]:
-        """Currently-published segment names (global first, then shards)."""
-        return list(self._segments)
 
     # ------------------------------------------------------------------
     # Serving
@@ -197,7 +146,7 @@ class ShardRouter:
         surviving frontier is served and ``stats.partial`` lists the
         affected request indices.
         """
-        index = self.ensure_published()
+        index = self.current_index()
         dead, gate_seconds = self.probe_shards(now=now)
         if dead and selection_cache:
             # A warm cache must not mask a dead shard: selections owned by a
@@ -255,14 +204,3 @@ class ShardRouter:
             if span is not None:
                 span.incr("turbo.shard.partial_requests", len(stats.partial))
         return subgraphs, stats, gate_seconds
-
-    def close(self) -> None:
-        """Retire every published segment (store teardown)."""
-        for segment in self._segments:
-            try:
-                self.store.retire(segment)
-            except KeyError:  # pragma: no cover - already retired
-                pass
-        self._segments = []
-        self._published_version = None
-        self.store.close()

@@ -107,17 +107,31 @@ class LocalDatabase:
         charges the spike)."""
         return self._gate()
 
-    def insert(self, table: str, key: Hashable, row: Any) -> float:
-        """Append a row under ``key``; returns charged seconds."""
-        extra = self._gate()
+    def insert(
+        self, table: str, key: Hashable, row: Any, *, extra: float | None = None
+    ) -> float:
+        """Append a row under ``key``; returns charged seconds.
+
+        ``extra`` (here and on the other writes) is the gate's result when
+        the caller already ran :meth:`_gate` for this write.
+        """
+        if extra is None:
+            extra = self._gate()
         self._table(table).setdefault(key, []).append(row)
         self.write_count += 1
         _stamp("db.writes")
         return self.latency.charge_db_write(1) + extra
 
-    def insert_many(self, table: str, items: Iterable[tuple[Hashable, Any]]) -> float:
+    def insert_many(
+        self,
+        table: str,
+        items: Iterable[tuple[Hashable, Any]],
+        *,
+        extra: float | None = None,
+    ) -> float:
         """Bulk-append rows in one write; returns charged seconds."""
-        extra = self._gate()
+        if extra is None:
+            extra = self._gate()
         count = 0
         tbl = self._table(table)
         for key, row in items:
@@ -127,9 +141,12 @@ class LocalDatabase:
         _stamp("db.writes")
         return self.latency.charge_db_write(count) + extra
 
-    def put(self, table: str, key: Hashable, value: Any) -> float:
+    def put(
+        self, table: str, key: Hashable, value: Any, *, extra: float | None = None
+    ) -> float:
         """Replace the full row-list for ``key`` (single-value semantics)."""
-        extra = self._gate()
+        if extra is None:
+            extra = self._gate()
         self._table(table)[key] = [value]
         self.write_count += 1
         _stamp("db.writes")
@@ -313,10 +330,12 @@ class InMemoryCache:
 class ReplicatedStore:
     """Primary/replica pair with automatic failover (disaster backup).
 
-    Writes go to every available node; reads go to the primary and fail
-    over to the replica when the primary is down (charging one extra
-    network round-trip).  Duck-types ``LocalDatabase``'s read/write surface
-    so the BN and feature servers can run on either.
+    Writes go to every available node, all or nothing: every node's gate
+    runs before any node writes, so a fault on either leaves both as they
+    were.  Reads go to the primary and fail over to the replica when the
+    primary is down (charging one extra network round-trip).  Duck-types
+    ``LocalDatabase``'s read/write surface so the BN and feature servers
+    can run on either.
 
     Counter contract (pinned by tests): :attr:`failovers` is a **lifetime**
     counter of redirected reads — :meth:`promote_replica` does *not* reset
@@ -345,14 +364,13 @@ class ReplicatedStore:
         raise StorageError("no database replica available")
 
     def _write_all(self, op: str, *args: Any) -> float:
-        seconds = 0.0
-        wrote = False
-        for node in (self.primary, self.replica):
-            if node.available:
-                seconds += getattr(node, op)(*args)
-                wrote = True
-        if not wrote:
+        nodes = [node for node in (self.primary, self.replica) if node.available]
+        if not nodes:
             raise StorageError("no database replica available for write")
+        extras = [node._gate() for node in nodes]
+        seconds = 0.0
+        for node, extra in zip(nodes, extras):
+            seconds += getattr(node, op)(*args, extra=extra)
         return seconds
 
     def insert(self, table: str, key: Hashable, row: Any) -> float:

@@ -932,11 +932,9 @@ def deploy_turbo(
     lambda_layer = None
     if config.lambda_tier:
         # Two-tier serving: the batch layer's state is checkpointed to the
-        # deployment database and (on sharded deployments) published into
-        # the router's snapshot store next to the shard index; the speed
-        # layer's DeltaSampler becomes the server's sampling tier so every
-        # batch it sees is, by construction, delta-budget fallthrough.
-        router = bn_server.router
+        # deployment database; the speed layer's DeltaSampler becomes the
+        # server's sampling tier so every batch it sees is, by
+        # construction, delta-budget fallthrough.
         lambda_layer = LambdaLayer(
             bn_server,
             feature_server,
@@ -948,7 +946,6 @@ def deploy_turbo(
             allowed=set(data.nodes),
             refresh_period=config.lambda_refresh_period,
             staleness_budget=config.lambda_staleness_budget,
-            store=router.store if router is not None else None,
         )
         bn_server.set_sampler(DeltaSampler(lambda_layer, bn_server.sampler))
     turbo = Turbo(

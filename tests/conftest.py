@@ -6,9 +6,8 @@ preparation) run once for the whole suite.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from repro.datagen import Dataset, GeneratorConfig, LeasingPlatformSimulator
 from repro.eval.runner import ExperimentData, prepare_experiment
 from repro.network import BehaviorNetwork, BNBuilder, FAST_WINDOWS
-from repro.network.shm import SharedSnapshotStore
 
 
 def tiny_generator_config(**overrides) -> GeneratorConfig:
@@ -63,37 +61,31 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-def repro_segments() -> set[str]:
-    """Names of this package's shared-memory segments currently in /dev/shm."""
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
-    except FileNotFoundError:  # no POSIX shm: stores fall back in-process
-        return set()
+def live_threads() -> set[threading.Thread]:
+    """Every live non-daemon thread other than the main thread."""
+    return {
+        thread
+        for thread in threading.enumerate()
+        if not thread.daemon and thread is not threading.main_thread()
+    }
 
 
-def assert_no_leaks(segments_before: set[str]) -> None:
-    """No forked worker outlives its pool, no segment outlives its store.
+def assert_no_leaks(threads_before: set[threading.Thread] = frozenset()) -> None:
+    """No forked child and no non-daemon thread outlives a test.
 
-    A new segment is fine while a live :class:`SharedSnapshotStore` still
-    owns it (module-scoped deployments publish lazily); the scan for live
-    stores only runs when a new segment shows up.
+    A forked child left running keeps the full-graph sweep's inputs alive
+    and can write to a pipe no one reads; a non-daemon thread keeps the
+    interpreter from exiting and makes every later fork refuse to run.
     """
     children = multiprocessing.active_children()
-    assert not children, f"leaked worker processes: {children}"
-    if repro_segments() - segments_before:
-        owned = {
-            segment
-            for obj in gc.get_objects()
-            if isinstance(obj, SharedSnapshotStore)
-            for segment in obj.segments()
-        }
-        leaked = repro_segments() - segments_before - owned
-        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert not children, f"leaked child processes: {children}"
+    leaked = live_threads() - set(threads_before)
+    assert not leaked, f"leaked threads: {sorted(t.name for t in leaked)}"
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_workers_or_segments():
-    """Hygiene teardown on every test (ROADMAP item 4c)."""
-    before = repro_segments()
+def no_leaked_processes_or_threads():
+    """Hygiene teardown on every test: nothing a test starts outlives it."""
+    before = live_threads()
     yield
     assert_no_leaks(before)

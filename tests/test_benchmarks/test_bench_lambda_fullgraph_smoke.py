@@ -4,7 +4,7 @@ The full harness is a slow-marked test over a 120k-user streamed workload;
 this keeps its plumbing — paired single/sharded ingest, the deployment-clock
 slice executor, the scalar-path replay of a target sample, the
 bit-exactness comparisons inside every section, the pool sweep through real
-forked workers, the shared gate contract, JSON emission — covered by the
+forked children (``fork_map``), the shared gate contract, JSON emission — covered by the
 fast tier.  The work-reduction *value* at toy scale is noise (a 400-user
 graph is dense enough that a 2-hop cone covers most of it), so that gate's
 pass/fail outcome is deliberately not asserted here; the parity gates are
@@ -67,7 +67,7 @@ def test_lambda_fullgraph_harness_smoke(tmp_path, monkeypatch, capsys):
     assert parity["mismatched_arrays"] == []
     assert parity["parity"] == 1.0
     pool = result["sections"]["pool_sweep"]
-    assert pool["workers"] == bench.POOL_WORKERS
+    assert pool["slices"] == bench.POOL_SLICES
     assert pool["sampled_graph_bitexact_across_shards"] is True
     assert pool["mismatched_arrays"] == []
     assert pool["parity"] == 1.0

@@ -10,7 +10,9 @@ Pinned contracts (see ``docs/LAMBDA.md`` — The materializer):
   arrays are byte-identical to :meth:`~repro.core.hag.HAG.layer_states`
   over the target-induced adjacency — at any chunk size and any slice
   split, with or without an executor (a dead executor slot is recomputed
-  in-process), for CFO and CFO(-) models alike;
+  in-process) — including :func:`~repro.system.fork_pool.fork_map` with a
+  child that ``SIGKILL``s itself mid-score — for CFO and CFO(-) models
+  alike;
 * with a prior it recomputes only the delta's affected cone: at zero delta
   the refreshed state is a byte copy of the prior, under randomized delta
   batches the scores are byte-equal to a fresh full pass while untouched
@@ -31,18 +33,21 @@ branch of the packed scoring and of the layer adjacency).
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import HAG, lambda_infer, materialize, prepare_aggregators
-from repro.core.lambda_infer import SliceResult, score_slice
 from repro.datagen import BehaviorType
 from repro.network import BehaviorNetwork, build_sampled_graph, typed_adjacency
 from repro.network.sampling import (
     computation_subgraph,
     computation_subgraphs_batch,
 )
+from repro.system.fork_pool import fork_map
 
 TYPES = (BehaviorType.DEVICE_ID, BehaviorType.IPV4, BehaviorType.WIFI_MAC)
 HOPS, FANOUT = 2, 6
@@ -239,27 +244,12 @@ class TestFullGraphParity:
         """Executor results splice bit-exactly; dead (None) slots recompute."""
         bn, model, features, types, targets = setup
         sampled = build_sampled_graph(bn, FANOUT)
-        node_ids = np.asarray(targets, dtype=np.int64)
         calls = []
 
-        def executor(bounds):
-            # Serve even slices like a worker would, drop odd ones.
+        def executor(score, bounds):
+            # Serve even slices, drop odd ones.
             calls.append(list(bounds))
-            out = []
-            for i, (lo, hi) in enumerate(bounds):
-                if i % 2:
-                    out.append(None)
-                    continue
-                result = score_slice(
-                    model, sampled, node_ids,
-                    np.arange(lo, hi, dtype=np.int64),
-                    feature_fn_for(features),
-                    hops=HOPS, edge_type_order=types,
-                    allowed_mask=sampled.allowed_mask(None),
-                    transform=None,
-                )
-                out.append(SliceResult.from_arrays(result.to_arrays()))
-            return out
+            return [None if i % 2 else score(b) for i, b in enumerate(bounds)]
 
         want, want_stats, _ = run(setup)
         got, got_stats, mstats = run(
@@ -269,6 +259,40 @@ class TestFullGraphParity:
         assert got_stats == want_stats
         assert mstats.slices == 5
         assert len(calls) == 1 and len(calls[0]) == 5
+
+    @pytest.mark.parametrize("slices", (2, 3, 5, 8))
+    def test_fork_map_sweep_survives_a_killed_child(self, setup, slices):
+        """Slices scored in forked children splice bit-exactly; the child
+        scoring the last slice ``SIGKILL``s itself on that slice's last
+        target, and its slice is recomputed in-process."""
+        bn, model, features, types, targets = setup
+        parent = os.getpid()
+        last = len(targets) - 1
+        plain = feature_fn_for(features)
+
+        def feature_fn(k, nodes):
+            if k == last and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return plain(k, nodes)
+
+        forked = []
+
+        def executor(score, bounds):
+            forked.extend(bounds)
+            return fork_map(score, bounds)
+
+        want, want_stats, _ = run(setup)
+        rows = np.asarray(targets, dtype=np.int64)
+        got, got_stats, mstats = materialize(
+            model, bn, targets, [10 * t for t in targets],
+            [float(t) for t in targets], feature_fn,
+            hops=HOPS, fanout=FANOUT, edge_type_order=types,
+            layer_row_fn=lambda idx: features[rows[idx]],
+            executor=executor, slices=slices,
+        )
+        assert_states_bitexact(got, want)
+        assert got_stats == want_stats
+        assert mstats.slices == slices == len(forked)
 
     def test_version_mismatch_rejected(self, setup):
         bn, model, features, types, targets = setup
@@ -286,7 +310,7 @@ class TestFullGraphParity:
         consulted = []
         state, stats, mstats = run(
             (bn, model, features, types, []),
-            executor=consulted.append, slices=4,
+            executor=lambda score, bounds: consulted.append(bounds), slices=4,
         )
         assert state.num_nodes == 0 and state.layers == {}
         assert state.subgraph_indptr.tolist() == [0]
@@ -332,7 +356,7 @@ class TestIncremental:
         fresh, _, _ = run(local)
         state, _, mstats = run(
             local, prior=prior, touched=touched,
-            executor=consulted.append, slices=4,
+            executor=lambda score, bounds: consulted.append(bounds), slices=4,
         )
 
         # Scores and subgraphs: byte-equal the fresh full pass everywhere.
@@ -376,7 +400,7 @@ class TestIncremental:
         prior, _, _ = run((bn, model, features, types, others))
         calls = []
 
-        def executor(bounds):
+        def executor(score, bounds):
             calls.append(list(bounds))
             return [None] * len(bounds)
 

@@ -6,10 +6,10 @@ Pins the lambda tentpole's core guarantees (PR 8):
   per-node columns, answers exact-provenance lookups, and prices
   staleness over the cached subgraph node sets;
 * ``to_arrays``/``from_arrays`` round-trip losslessly (including the
-  layer states), which is what both the storage checkpoint and the
-  shared-memory publication rely on — and a payload that does not describe
-  one consistent state (:data:`CORRUPTIONS`) is a ``ValueError`` naming
-  the array, never a state that serves;
+  layer states), which is what the storage checkpoint relies on — and a
+  payload that does not describe one consistent state
+  (:data:`CORRUPTIONS`) is a ``ValueError`` naming the array, never a
+  state that serves;
 * :func:`~repro.core.lambda_infer.materialize` replays the exact scalar
   serving path — cached scores are bit-for-bit what per-target sampling
   plus :meth:`~repro.core.hag.HAG.predict_subgraph` computes.

@@ -40,7 +40,7 @@ from repro.core import (
 from repro.core import train_engine
 from repro.core.train_engine import PresampledGraph
 from repro.obs.profiling import TrainProfiler
-from repro.system import ForkPool
+from repro.system import fork_map
 from repro import nn
 
 N_TYPES = 2
@@ -444,14 +444,8 @@ class TestPrefetchLifetime:
         monkeypatch.undo()
         assert threading.enumerate() == [threading.main_thread()]
 
-        class Idle(ForkPool):
-            commands = {"idle": lambda state, payload: None}
-
-            def _startup(self):
-                return "idle", None
-
-        with Idle(1, timeout=30.0) as pool:
-            assert pool.call(0, "ping") not in (None, os.getpid())
+        pids = fork_map(lambda _: os.getpid(), [0, 1])
+        assert pids[0] == os.getpid() and pids[1] not in (None, os.getpid())
 
     def test_build_error_reaches_the_consumer(self, monkeypatch):
         adjacencies, features, labels, train_idx, _ = make_problem(60)

@@ -5,10 +5,15 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+#: The plan file's name, spelled so this file does not match itself.
+PLAN = "ROAD" + "MAP"
 
 PACKAGES = [
     "repro",
@@ -77,3 +82,24 @@ def test_public_classes_document_their_methods(module_name):
 
 def test_version_exported():
     assert repro.__version__
+
+
+def test_no_pointers_into_the_plan():
+    """Code and docs state the reason, never an item of the plan file.
+
+    The plan is renumbered as work lands, so such a pointer goes stale
+    silently.  The plan itself, the change log and ``bench/`` are exempt.
+    """
+    files = [ROOT / "DESIGN.md", ROOT / "README.md"] + [
+        path
+        for folder in ("src", "tests", "docs")
+        for path in sorted((ROOT / folder).rglob("*"))
+        if path.suffix in {".py", ".md"}
+    ]
+    found = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if PLAN in line
+    ]
+    assert found == []

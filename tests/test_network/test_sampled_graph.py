@@ -11,7 +11,6 @@ Pinned contracts:
 * per-target BFS over the CSR reproduces the scalar sampler's node
   discovery order and its typed adjacency bit for bit — pinned with every
   other sampling tier in ``test_system/test_sampler_tiers.py``;
-* shared-memory payload round-trips losslessly;
 * ``reverse_reachable`` is a sound cone: it contains every node whose
   forward selection BFS meets a seed within the hop budget.
 """
@@ -27,7 +26,6 @@ from repro.network import (
     ShardedBehaviorNetwork,
     build_sampled_graph,
 )
-from repro.network.sampled_graph import SampledGraph
 from repro.network.sampling import _select_neighbors
 
 from .test_sharding import SHARD_COUNTS, build_pair, contribution_batches
@@ -80,27 +78,6 @@ class TestBFSAndInducedParity:
         np.testing.assert_array_equal(
             sampled.positions_of(np.array([10**9], dtype=np.int64)), [-1]
         )
-
-
-class TestPayloadRoundTrip:
-    def test_round_trip_bytes(self, graph_pairs):
-        bn, _ = graph_pairs[1]
-        sampled = build_sampled_graph(bn, 4)
-        arrays, meta = sampled.to_payload()
-        rebuilt = SampledGraph.from_payload(arrays, meta)
-        assert rebuilt.version == sampled.version
-        assert rebuilt.fanout == sampled.fanout
-        assert tuple(rebuilt.types) == tuple(sampled.types)
-        back, back_meta = rebuilt.to_payload()
-        assert back_meta == meta
-        for name in arrays:
-            assert back[name].tobytes() == arrays[name].tobytes(), name
-
-    def test_none_fanout_round_trips(self, graph_pairs):
-        bn, _ = graph_pairs[1]
-        sampled = build_sampled_graph(bn, None)
-        arrays, meta = sampled.to_payload()
-        assert SampledGraph.from_payload(arrays, meta).fanout is None
 
 
 class TestReverseReachable:

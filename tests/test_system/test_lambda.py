@@ -8,8 +8,8 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
   the request root, tier annotated);
 * the batch-pass state checkpoints through the database and round-trips
   losslessly (disaster recovery without a recompute); a truncated or
-  corrupt checkpoint is rejected at the checkpoint loader and at the
-  worker attach instead of being served;
+  corrupt checkpoint is rejected at the checkpoint loader instead of
+  being served;
 * delta edge touches beyond the staleness budget force fallthrough to the
   exact sampled path; raising the budget serves the stale score and prices
   it honestly in ``TurboResponse.staleness``;
@@ -19,8 +19,6 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
 * score drift under a ``datagen.drift`` replay is quantified and bounded —
   untouched users stay bit-exact, touched users drift by less than the
   pinned envelope;
-* the forked :class:`~repro.system.ShardWorkerPool` can attach the
-  published lambda segment and serve cached lookups zero-copy;
 * refreshes extend the current state only when it is a valid ancestor
   (same BN object, delta tracking on, same hops/fanout, layer arrays
   present) and run a full pass otherwise; errors past that predicate
@@ -42,7 +40,6 @@ from repro.system import (
     DeltaSampler,
     LambdaLayer,
     PredictRequest,
-    ShardWorkerPool,
     TurboConfig,
     deploy_turbo,
 )
@@ -425,55 +422,6 @@ class TestDriftReplay:
         assert stale_count > 0, "drift replay touched no sampled user"
         # The pinned envelope: deterministic under the fixed seeds above.
         assert max(drifts) < 0.35, f"stale-score drift too large: {max(drifts)}"
-
-
-class TestWorkerPoolLambda:
-    def test_pool_serves_cached_lookups_from_published_segment(self, tiny_dataset):
-        turbo, _data = deploy_turbo(tiny_dataset, lambda_config(shards=2))
-        lam = turbo.lambda_layer
-        router = turbo.bn_server.router
-        assert router is not None and lam._segment is not None
-        router.ensure_published()
-        state = lam.state
-        with ShardWorkerPool(router.segments, n_workers=1) as pool:
-            version = pool.lambda_attach(0, lam._segment.segment)
-            assert version == state.bn_version
-            uid = int(state.node_ids[0])
-            triples = [
-                (uid, int(state.txn_ids[0]), float(state.nows[0])),
-                (uid, 10**9, float(state.nows[0])),  # wrong txn -> miss
-            ]
-            scores = pool.lambda_lookup(0, triples)
-            assert scores[0] == float(state.scores[0])
-            assert scores[1] is None
-
-    def test_corrupt_segment_is_rejected_at_attach(self, tiny_dataset):
-        """The worker reports a corrupt state through the error channel and
-        keeps serving; nothing is attached for lookups."""
-        turbo, _data = deploy_turbo(tiny_dataset, lambda_config(shards=2))
-        lam = turbo.lambda_layer
-        router = turbo.bn_server.router
-        router.ensure_published()
-        with ShardWorkerPool(router.segments, n_workers=1) as pool:
-            for name, (mutate, named) in sorted(CORRUPTIONS.items()):
-                arrays = lam.state.to_arrays()
-                mutate(arrays)
-                handle = router.store.publish(
-                    f"lambda-{name}", arrays, meta={}, version=lam.state.bn_version
-                )
-                with pytest.raises(RuntimeError, match=f"failed: .*{named}"):
-                    pool.lambda_attach(0, handle.segment)
-                with pytest.raises(RuntimeError, match="no lambda state attached"):
-                    pool.lambda_lookup(0, [(1, 1, 0.0)])
-            assert pool.lambda_attach(0, lam._segment.segment) == lam.state.bn_version
-
-    def test_lookup_without_attach_is_an_error(self, tiny_dataset):
-        turbo, _data = deploy_turbo(tiny_dataset, lambda_config(shards=2))
-        router = turbo.bn_server.router
-        router.ensure_published()
-        with ShardWorkerPool(router.segments, n_workers=1) as pool:
-            with pytest.raises(RuntimeError):
-                pool.lambda_lookup(0, [(1, 1, 0.0)])
 
 
 class TestIncrementalRefresh:

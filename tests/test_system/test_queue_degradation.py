@@ -29,7 +29,6 @@ from repro.system import (
     Arrival,
     QueueConfig,
     Service,
-    ShardWorkerPool,
     SimulatedWorkerPool,
     StorageError,
     TurboConfig,
@@ -257,13 +256,6 @@ class TestServiceSurface:
         assert pool.peak_size == 3
         with pytest.raises(ValueError):
             pool.scale_to(0)
-
-    def test_shard_worker_pool_exposes_service_surface(self):
-        # checked on the class: forking real shard workers is bench territory
-        for method in ("ping", "stats", "handle", "scale_to"):
-            assert callable(getattr(ShardWorkerPool, method))
-        assert isinstance(ShardWorkerPool.name, property)
-        assert isinstance(ShardWorkerPool.size, property)
 
     def test_empty_pool_ping_raises_storage_error(self, turbo):
         pool = SimulatedWorkerPool(turbo, n_workers=1)

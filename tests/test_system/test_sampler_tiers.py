@@ -10,7 +10,7 @@ same CSR bits, at a binding, a loose and no fanout, with an ``allowed``
 filter, duplicate targets and an isolated target.
 
 Also here, because they are properties of the tier set rather than of one
-tier: the three call sites are the same function object, the selection
+tier: the two call sites are the same function object, the selection
 cache does not survive a BN swap, and a negative ``fanout`` is a typed
 error at every sampler entry point.
 """
@@ -38,10 +38,8 @@ from repro.system import (
     BNServer,
     LatencyModel,
     ShardRouter,
-    ShardWorkerPool,
     bn_server,
     shard_router,
-    shard_workers,
 )
 
 from tests.test_network.test_sampling_batch import (
@@ -62,7 +60,7 @@ ISOLATED = 99_999
 #: duplicates (7 twice), the isolated node, and spread-out ordinary users.
 TARGETS = [7, 31, 7, ISOLATED, 100, 150, 3, 199]
 ALLOWED = set(range(0, 200, 2)) | {ISOLATED}
-TIERS = ["local", *(f"router{n}" for n in SHARD_COUNTS), "worker", "sampled_graph"]
+TIERS = ["local", *(f"router{n}" for n in SHARD_COUNTS), "sampled_graph"]
 
 
 @pytest.fixture(scope="module")
@@ -93,23 +91,10 @@ def sample_tier(tier, graphs, fanout, allowed):
         return subgraphs, stats
     if tier.startswith("router"):
         router = ShardRouter(graphs[int(tier[len("router"):])][1])
-        try:
-            subgraphs, stats, _ = router.sample_batch(
-                TARGETS, hops=2, fanout=fanout, allowed=allowed
-            )
-        finally:
-            router.close()
+        subgraphs, stats, _ = router.sample_batch(
+            TARGETS, hops=2, fanout=fanout, allowed=allowed
+        )
         return subgraphs, stats
-    if tier == "worker":
-        router = ShardRouter(graphs[2][1])
-        try:
-            router.ensure_published()
-            with ShardWorkerPool(router.segments, n_workers=1) as pool:
-                out = pool.sample(0, TARGETS, hops=2, fanout=fanout, allowed=allowed)
-        finally:
-            router.close()
-        assert out is not None
-        return out
     sampled = build_sampled_graph(graphs[1][0], fanout)
     mask = sampled.allowed_mask(allowed)
     subgraphs = []
@@ -158,12 +143,10 @@ def test_tier_matches_scalar_oracle(graphs, tier, fanout):
 
 
 def test_one_sampler_under_every_tier():
-    """Local tier, router and worker commands call the same function object."""
+    """The local tier and the router call the same function object."""
     assert bn_server.computation_subgraphs_batch is computation_subgraphs_batch
     assert shard_router.computation_subgraphs_batch is computation_subgraphs_batch
-    assert shard_workers.computation_subgraphs_batch is computation_subgraphs_batch
-    for module in (shard_router, shard_workers):
-        assert not hasattr(module, "index_sample_batch")
+    assert not hasattr(shard_router, "index_sample_batch")
 
 
 class TestSelectionCacheFollowsTheIndex:

@@ -159,6 +159,20 @@ class TestTurboConfig:
             {"trace_max": 0},
             {"windows": ()},
             {"hidden": ()},
+            {"shards": 2.5},
+            {"shards": float("nan")},
+            {"shards": True},
+            {"hops": 1.5},
+            {"fanout": 2.5},
+            {"trace_max": 2.5},
+            {"train_epochs": 1.5},
+            {"request_budget": float("nan")},
+            {"request_budget": float("inf")},
+            {"hidden": (0,)},
+            {"hidden": (-3,)},
+            {"hidden": (16, 2.5)},
+            {"windows": (-1.0,)},
+            {"windows": (float("nan"),)},
         ],
     )
     def test_validation_rejects(self, bad):
@@ -176,6 +190,9 @@ class TestTurboConfig:
             {"lambda_staleness_budget": 4},
             {"lambda_tier": True, "lambda_refresh_period": -1.0},
             {"lambda_tier": True, "lambda_staleness_budget": -1},
+            {"lambda_tier": True, "lambda_refresh_period": float("nan")},
+            {"lambda_tier": True, "lambda_refresh_period": float("inf")},
+            {"lambda_tier": True, "lambda_staleness_budget": 0.5},
         ],
     )
     def test_lambda_knobs_validated(self, bad):

@@ -1,4 +1,4 @@
-"""Shard router + worker pool: frontier exchange, failover, Turbo serving.
+"""Shard router: frontier exchange, failover, Turbo serving, forked sweep.
 
 Covers the system half of the sharding tentpole:
 
@@ -7,12 +7,11 @@ Covers the system half of the sharding tentpole:
 * a crashed shard degrades sampling to the surviving frontier (requests
   flagged partial, nothing raises, breaker opens) and recovery restores
   bit-exact full serving;
-* :class:`ShardWorkerPool` serves sub-batches bit-identically from forked
-  processes over shared memory, reports a crashed worker dead, and leaks
-  no segments;
 * a sharded :class:`BNServer` mirrors ingest into ``bn.shard.ingest.*``;
 * ``deploy_turbo(..., shards=N)`` serves bit-for-bit what the unsharded
-  deployment serves, and tags shard-down requests ``partial``.
+  deployment serves, and tags shard-down requests ``partial``;
+* a full-graph sweep forked four ways is byte-equal to the in-process
+  sweep.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from repro.system import (
     LatencyModel,
     PredictRequest,
     ShardRouter,
-    ShardWorkerPool,
     TurboConfig,
+    fork_map,
     deploy_turbo,
 )
 
@@ -64,34 +63,29 @@ class TestRouterSampling:
         registry = MetricsRegistry()
         bn, _sharded, router = make_router(rng, metrics=registry)
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
-        try:
-            got, stats, gate_s = router.sample_batch(targets, hops=2, fanout=5)
-            want = scalar_subgraphs(bn, targets, fanout=5)
-            for want_sub, got_sub in zip(want, got):
-                assert_subgraph_equal(got_sub, want_sub)
-            assert stats.partial == ()
-            assert gate_s == 0.0  # healthy path: no probe gate charged
-            counters = registry.snapshot()["counters"]
-            assert counters["turbo.shard.publish.count"] == 1
-            assert counters["turbo.shard.frontier.exchanges"] >= 1
-            assert counters["turbo.shard.frontier.keys"] > 0
-            assert "turbo.shard.frontier.lost" not in counters
-        finally:
-            router.close()
+        got, stats, gate_s = router.sample_batch(targets, hops=2, fanout=5)
+        want = scalar_subgraphs(bn, targets, fanout=5)
+        for want_sub, got_sub in zip(want, got):
+            assert_subgraph_equal(got_sub, want_sub)
+        assert stats.partial == ()
+        assert gate_s == 0.0  # healthy path: no probe gate charged
+        counters = registry.snapshot()["counters"]
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["turbo.shard.index.nodes"] == bn.num_nodes()
+        assert counters["turbo.shard.frontier.exchanges"] >= 1
+        assert counters["turbo.shard.frontier.keys"] > 0
+        assert "turbo.shard.frontier.lost" not in counters
 
     def test_selection_cache_reused_across_calls(self, rng):
         bn, _sharded, router = make_router(rng, n_shards=2)
         cache: dict = {}
-        try:
-            first, _, _ = router.sample_batch([3, 9], fanout=5, selection_cache=cache)
-            cached = len(cache)
-            assert cached > 0
-            again, _, _ = router.sample_batch([3, 9], fanout=5, selection_cache=cache)
-            assert len(cache) == cached
-            for a, b in zip(first, again):
-                assert_subgraph_equal(b, a)
-        finally:
-            router.close()
+        first, _, _ = router.sample_batch([3, 9], fanout=5, selection_cache=cache)
+        cached = len(cache)
+        assert cached > 0
+        again, _, _ = router.sample_batch([3, 9], fanout=5, selection_cache=cache)
+        assert len(cache) == cached
+        for a, b in zip(first, again):
+            assert_subgraph_equal(b, a)
 
 
 class TestShardLoss:
@@ -102,89 +96,35 @@ class TestShardLoss:
         )
         router.faults.add_crash("bn_shard1", 0.0, 1e12)
         targets = [int(t) for t in rng.integers(0, 200, size=32)]
-        try:
-            got, stats, gate_s = router.sample_batch(targets, fanout=5, now=1.0)
-            assert len(got) == len(targets)
-            assert stats.partial, "a crashed shard must flag partial requests"
-            assert gate_s >= 0.0  # crash probes fail fast (no latency charged)
-            counters = registry.snapshot()["counters"]
-            assert counters["turbo.shard.down"] >= 1
-            assert counters["turbo.shard.partial_requests"] == len(stats.partial)
-            # Intact requests are still bit-exact vs the healthy sampler.
-            want = scalar_subgraphs(bn, targets, fanout=5)
-            for i, (want_sub, got_sub) in enumerate(zip(want, got)):
-                if i not in stats.partial:
-                    assert_subgraph_equal(got_sub, want_sub)
-        finally:
-            router.close()
+        got, stats, gate_s = router.sample_batch(targets, fanout=5, now=1.0)
+        assert len(got) == len(targets)
+        assert stats.partial, "a crashed shard must flag partial requests"
+        assert gate_s >= 0.0  # crash probes fail fast (no latency charged)
+        counters = registry.snapshot()["counters"]
+        assert counters["turbo.shard.down"] >= 1
+        assert counters["turbo.shard.partial_requests"] == len(stats.partial)
+        # Intact requests are still bit-exact vs the healthy sampler.
+        want = scalar_subgraphs(bn, targets, fanout=5)
+        for i, (want_sub, got_sub) in enumerate(zip(want, got)):
+            if i not in stats.partial:
+                assert_subgraph_equal(got_sub, want_sub)
 
     def test_breaker_opens_then_recovery_restores_bits(self, rng):
         bn, _sharded, router = make_router(rng, with_faults=True)
         router.faults.add_crash("bn_shard1", 0.0, 1e12)
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
-        try:
-            for _ in range(4):  # past the breaker's failure threshold
-                router.sample_batch(targets, fanout=5, now=1.0)
-            assert not router.breakers[1].allow()
-            # Operator recovery: plans cleared, breakers reset.
-            router.faults.clear_plans()
-            for breaker in router.breakers.values():
-                breaker.reset()
-            got, stats, _ = router.sample_batch(targets, fanout=5, now=2.0)
-            assert stats.partial == ()
-            want = scalar_subgraphs(bn, targets, fanout=5)
-            for want_sub, got_sub in zip(want, got):
-                assert_subgraph_equal(got_sub, want_sub)  # no stale emptiness
-        finally:
-            router.close()
-
-
-class TestWorkerPool:
-    def test_worker_sample_bitexact_and_failover(self, rng):
-        bn, _sharded, router = make_router(rng, n_shards=2)
-        pool = None
-        try:
-            router.ensure_published()
-            pool = ShardWorkerPool(router.segments, n_workers=2)
-            targets = [int(t) for t in rng.integers(0, 200, size=8)]
-            out = pool.sample(0, targets, hops=2, fanout=5)
-            assert out is not None
-            got, stats = out
-            want = scalar_subgraphs(bn, targets, fanout=5)
-            for want_sub, got_sub in zip(want, got):
-                assert_subgraph_equal(got_sub, want_sub)
-            assert stats.partial == ()
-
-            # Hard-kill one worker: the pool reports it dead.
-            pool.crash(0)
-            assert pool.sample(0, targets) is None
-            assert pool.alive_count() == 1
-        finally:
-            if pool is not None:
-                pool.close()
-            router.close()
-
-    def test_reattach_after_republish(self, rng):
-        bn, sharded, router = make_router(rng, n_shards=2)
-        pool = None
-        try:
-            router.ensure_published()
-            pool = ShardWorkerPool(router.segments, n_workers=1)
-            batches = contribution_batches(rng, n_batches=1)
-            u, v, codes, weights, stamps = batches[0]
-            for network in (bn, sharded):
-                network.add_weights(u, v, codes, weights, stamps, btype_table=TYPES)
-            index = router.ensure_published()  # new version, old retired
-            assert pool.reattach(router.segments) == 1
-            out = pool.sample(0, [int(u[0])], fanout=5)
-            assert out is not None
-            want = scalar_subgraphs(bn, [int(u[0])], fanout=5)
-            assert_subgraph_equal(out[0][0], want[0])
-            assert index.version == sharded.version
-        finally:
-            if pool is not None:
-                pool.close()
-            router.close()
+        for _ in range(4):  # past the breaker's failure threshold
+            router.sample_batch(targets, fanout=5, now=1.0)
+        assert not router.breakers[1].allow()
+        # Operator recovery: plans cleared, breakers reset.
+        router.faults.clear_plans()
+        for breaker in router.breakers.values():
+            breaker.reset()
+        got, stats, _ = router.sample_batch(targets, fanout=5, now=2.0)
+        assert stats.partial == ()
+        want = scalar_subgraphs(bn, targets, fanout=5)
+        for want_sub, got_sub in zip(want, got):
+            assert_subgraph_equal(got_sub, want_sub)  # no stale emptiness
 
 
 class TestShardedBNServer:
@@ -302,18 +242,15 @@ class TestTurboSharded:
 
 
 class TestPoolMaterialize:
-    """Full-graph sweep sharded across the worker pool: bit-exact, degradable."""
+    """Full-graph sweep forked across four processes: bit-exact."""
 
-    @pytest.fixture()
-    def sweep(self, rng):
-        import pickle
-
+    def test_four_worker_sweep_bitexact(self, rng):
         from repro.core import HAG
         from repro.core.lambda_infer import materialize
         from repro.features.pipeline import StandardScaler
         from repro.network import build_sampled_graph
 
-        bn, sharded = build_pair(contribution_batches(rng, n_users=160), 4)
+        bn, _sharded = build_pair(contribution_batches(rng, n_users=160), 4)
         types = tuple(sorted(bn.edge_types(), key=lambda t: t.value))
         model_rng = np.random.default_rng(3)
         model = HAG(
@@ -322,88 +259,27 @@ class TestPoolMaterialize:
         features = model_rng.normal(size=(200, 5))
         scaler = StandardScaler().fit(features)
         targets = sorted(int(t) for t in rng.choice(160, size=48, replace=False))
-        sampled = build_sampled_graph(bn, 5)
+        rows = np.asarray(targets, dtype=np.int64)
 
-        def feature_fn(k, nodes):
-            return features[np.asarray(nodes, dtype=np.int64)]
+        sampled = build_sampled_graph(bn, 5)
 
         def run(**kwargs):
             return materialize(
                 model, bn, targets,
                 [10 * t for t in targets], [float(t) for t in targets],
-                feature_fn,
+                lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)],
                 hops=2, fanout=5, edge_type_order=types,
-                transform=scaler.transform, sampled=sampled,
-                layer_row_fn=lambda rows: scaler.transform(
-                    features[np.asarray(targets, dtype=np.int64)[rows]]
-                ),
+                transform=scaler.transform,
+                sampled=sampled,
+                layer_row_fn=lambda idx: scaler.transform(features[rows[idx]]),
                 **kwargs,
             )
 
-        bundle = pickle.dumps(
-            {"model": model, "scaler": scaler, "edge_type_order": types}
-        )
-        router = ShardRouter(sharded)
-        try:
-            router.ensure_published()
-            from repro.system import publish_materialize_inputs
-
-            handle = publish_materialize_inputs(
-                router.store, "mat", sampled,
-                np.asarray(targets, dtype=np.int64),
-                features[sampled.node_ids],
-                features[np.asarray(targets, dtype=np.int64)],
-                hops=2,
-            )
-            yield router, handle, bundle, sampled, run
-        finally:
-            router.close()
-
-    def test_four_worker_sweep_bitexact(self, sweep):
-        from repro.system import fullgraph_executor
-
-        router, handle, bundle, sampled, run = sweep
         want, want_stats, _ = run()
-        with ShardWorkerPool(
-            router.segments, n_workers=4, model_payload=bundle
-        ) as pool:
-            for wid in range(4):
-                assert pool.materialize_attach(wid, handle.segment) == sampled.version
-            got, got_stats, mstats = run(
-                executor=fullgraph_executor(pool), slices=8
-            )
-            assert mstats.slices == 8
-            assert got_stats == want_stats
-            got_arrays, want_arrays = got.to_arrays(), want.to_arrays()
-            assert got_arrays.keys() == want_arrays.keys()
-            for name in want_arrays:
-                assert got_arrays[name].tobytes() == want_arrays[name].tobytes()
-
-            # Worker loss degrades to in-process recompute, still bit-exact.
-            pool.crash(0)
-            pool.crash(2)
-            degraded, degraded_stats, _ = run(
-                executor=fullgraph_executor(pool), slices=8
-            )
-            assert degraded_stats == want_stats
-            for name, arr in degraded.to_arrays().items():
-                assert arr.tobytes() == want_arrays[name].tobytes()
-
-    def test_materialize_without_attach_errors(self, sweep):
-        router, _handle, bundle, _sampled, _run = sweep
-        with ShardWorkerPool(
-            router.segments, n_workers=1, model_payload=bundle
-        ) as pool:
-            with pytest.raises(RuntimeError):
-                pool.materialize_slice(0, 0, 4)
-
-    def test_slice_round_trip(self, sweep):
-        router, handle, bundle, sampled, run = sweep
-        want, _, _ = run()
-        with ShardWorkerPool(
-            router.segments, n_workers=1, model_payload=bundle
-        ) as pool:
-            assert pool.materialize_attach(0, handle.segment) == sampled.version
-            result = pool.materialize_slice(0, 0, 6)
-            assert result is not None
-            assert result.scores.tobytes() == want.scores[:6].tobytes()
+        got, got_stats, mstats = run(executor=fork_map, slices=4)
+        assert mstats.slices == 4
+        assert got_stats == want_stats
+        got_arrays, want_arrays = got.to_arrays(), want.to_arrays()
+        assert got_arrays.keys() == want_arrays.keys()
+        for name in want_arrays:
+            assert got_arrays[name].tobytes() == want_arrays[name].tobytes(), name

@@ -79,7 +79,24 @@ def both_replicas_down():
     return make_server(store, latency), store.crash, store.recover, StorageError
 
 
-@pytest.mark.parametrize("scenario", [crashed_database, injected_fault, both_replicas_down])
+def replica_gate_fault():
+    """The replica's gate fails after the primary's passed: both stay put."""
+    faults = FaultInjector(seed=0)
+    latency = LatencyModel(seed=0)
+    replica = LocalDatabase(latency, faults=faults, component="replica")
+    store = ReplicatedStore(LocalDatabase(latency), replica, latency)
+    return (
+        make_server(store, latency),
+        lambda: faults.add_transient("replica", 1.0, 0.0, 1.0),
+        lambda: faults.clock.advance(2.0),
+        InjectedFault,
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [crashed_database, injected_fault, both_replicas_down, replica_gate_fault],
+)
 class TestIngestIsAllOrNothingUnderAStorageFault:
     def test_failed_batch_is_not_buffered_and_can_be_offered_again(self, scenario):
         server, fail, heal, error = scenario()
@@ -93,6 +110,8 @@ class TestIngestIsAllOrNothingUnderAStorageFault:
         assert server.ingest(pair(10.0)) > 0.0
         rows, _ = server.database.query("logs", 1)
         assert [log.timestamp for log in rows] == [5.0, 10.0]
+        if isinstance(server.database, ReplicatedStore):
+            assert server.database.replica.query("logs", 1)[0] == rows
         assert server.stats()["logs_buffered"] == 4
         server.run_due_jobs(HOUR)
         assert server.bn.weight(1, 2, DEV) == pytest.approx(0.5)
