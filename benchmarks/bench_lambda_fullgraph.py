@@ -354,8 +354,8 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
     targets = np.asarray(sorted(bn.nodes()), dtype=np.int64)
     covered = int(len(targets))
 
-    # Cyclic GC off while measuring (timeit-style, as in bench_sharding):
-    # the heap is acyclic, refcounting reclaims everything.
+    # Cyclic GC off while measuring (timeit-style): the heap is acyclic,
+    # refcounting reclaims everything.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()

@@ -2,18 +2,9 @@
 
 from .cfo import CFOLayer
 from .hag import HAG, prepare_aggregators
-from .influence import (
-    influence_distribution,
-    influence_scores,
-    influence_scores_batch,
-)
+from .influence import influence_distribution, influence_scores
 from .lambda_infer import HAGState, materialize
-from .minibatch import (
-    induced_adjacencies,
-    induced_adjacencies_reference,
-    sample_khop_nodes,
-    sample_khop_nodes_reference,
-)
+from .minibatch import induced_adjacencies, sample_khop_nodes
 from .sao import SAOLayer, neighbor_mean_matrix
 from .train_engine import train_parallel, train_with_neighbor_sampling
 from .trainer import TrainConfig, TrainResult, train_node_classifier
@@ -30,12 +21,9 @@ __all__ = [
     "TrainResult",
     "train_node_classifier",
     "influence_scores",
-    "influence_scores_batch",
     "influence_distribution",
     "sample_khop_nodes",
-    "sample_khop_nodes_reference",
     "induced_adjacencies",
-    "induced_adjacencies_reference",
     "train_with_neighbor_sampling",
     "train_parallel",
 ]

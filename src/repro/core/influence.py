@@ -9,13 +9,13 @@ output coordinate, which is affordable on case-study-sized subgraphs.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..nn import Tensor
 
-__all__ = ["influence_scores", "influence_scores_batch", "influence_distribution"]
+__all__ = ["influence_scores", "influence_distribution"]
 
 
 def influence_scores(
@@ -46,42 +46,6 @@ def influence_scores(
         h.backward(seed)
         scores += np.abs(x.grad).sum(axis=1)
     return scores
-
-
-def influence_scores_batch(
-    forward: Callable[[Tensor], Tensor],
-    features: np.ndarray,
-    nodes: Sequence[int],
-) -> np.ndarray:
-    """``S_node(j)`` rows for several target nodes at once.
-
-    The Jacobian seeds are constants — they do not depend on the forward
-    values — so one forward graph serves every backward pass.  Row ``i``
-    is bit-for-bit :func:`influence_scores` of ``nodes[i]`` (the same
-    backward over the same DAG), but the forward (the expensive half on
-    case-study subgraphs) is paid once instead of ``len(nodes)`` times.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    targets = [int(node) for node in nodes]
-    for node in targets:
-        if not 0 <= node < n:
-            raise ValueError(f"node index {node} out of range")
-    out = np.zeros((len(targets), n))
-    x = Tensor(features, requires_grad=True)
-    h = forward(x)
-    d_out = h.shape[1] if h.ndim > 1 else 1
-    for i, node in enumerate(targets):
-        for c in range(d_out):
-            x.zero_grad()
-            seed = np.zeros(h.shape)
-            if h.ndim > 1:
-                seed[node, c] = 1.0
-            else:
-                seed[node] = 1.0
-            h.backward(seed)
-            out[i] += np.abs(x.grad).sum(axis=1)
-    return out
 
 
 def influence_distribution(

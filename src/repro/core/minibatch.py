@@ -18,9 +18,7 @@ import scipy.sparse as sp
 
 __all__ = [
     "sample_khop_nodes",
-    "sample_khop_nodes_reference",
     "induced_adjacencies",
-    "induced_adjacencies_reference",
 ]
 
 
@@ -33,7 +31,8 @@ def _weighted_keep(
     ``fanout`` entries carry probability mass; in that case keep the whole
     nonzero support and top up deterministically with the first zero-weight
     entries in index order.  Shared by the vectorized sampler and the
-    reference so both consume the rng stream identically.
+    per-node reference loop (``tests/oracles/minibatch.py``) so both
+    consume the rng stream identically.
     """
     if fanout == 0:
         return np.empty(0, dtype=np.int64)
@@ -258,8 +257,9 @@ def sample_khop_nodes(
 
     Returns node indices with the seeds first (order preserved).  The
     expansion is fully vectorized — whole frontiers at a time — and returns
-    node sets *identical* to :func:`sample_khop_nodes_reference`, including
-    order, fanout tie-breaking, and rng stream consumption.
+    node sets *identical* to the per-node reference loop of
+    ``tests/oracles/minibatch.py``, including order, fanout tie-breaking,
+    and rng stream consumption.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
@@ -298,44 +298,6 @@ def sample_khop_nodes(
     return np.concatenate(chunks)
 
 
-def sample_khop_nodes_reference(
-    adjacencies: Sequence[sp.spmatrix],
-    seeds: np.ndarray,
-    hops: int = 2,
-    fanout: int | None = 10,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-node Python-loop sampler; kept to pin :func:`sample_khop_nodes`."""
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    csrs = [a.tocsr() for a in adjacencies]
-    seeds = np.asarray(seeds, dtype=np.int64)
-    selected: list[int] = list(dict.fromkeys(int(s) for s in seeds))
-    seen = set(selected)
-    frontier = list(selected)
-    for _ in range(hops):
-        next_frontier: list[int] = []
-        for node in frontier:
-            for csr in csrs:
-                start, stop = csr.indptr[node], csr.indptr[node + 1]
-                neighbors = csr.indices[start:stop]
-                if fanout is not None and len(neighbors) > fanout:
-                    weights = csr.data[start:stop]
-                    if rng is None:
-                        keep = np.argsort(-weights, kind="stable")[:fanout]
-                    else:
-                        keep = _weighted_keep(weights, fanout, rng)
-                    neighbors = neighbors[keep]
-                for neighbor in neighbors:
-                    v = int(neighbor)
-                    if v not in seen:
-                        seen.add(v)
-                        selected.append(v)
-                        next_frontier.append(v)
-        frontier = next_frontier
-    return np.asarray(selected, dtype=np.int64)
-
-
 def induced_adjacencies(
     adjacencies: Sequence[sp.spmatrix], nodes: np.ndarray
 ) -> list[sp.csr_matrix]:
@@ -367,10 +329,3 @@ def induced_adjacencies(
         wide.indptr = rows.indptr.astype(np.int32, copy=False)
         result.append(wide[:, :k])
     return result
-
-
-def induced_adjacencies_reference(
-    adjacencies: Sequence[sp.spmatrix], nodes: np.ndarray
-) -> list[sp.csr_matrix]:
-    """Double fancy-index induction; kept to pin :func:`induced_adjacencies`."""
-    return [a.tocsr()[np.ix_(nodes, nodes)].tocsr() for a in adjacencies]

@@ -89,10 +89,10 @@ class PresampledGraph:
       induced-subgraph slice, which is *not* fanout-capped.
 
     The layout mirrors :class:`~repro.network.sampled_graph.SampledGraph`'s
-    incidence CSRs (PR 9); this variant differs in keying directly off the
+    incidence CSRs; this variant differs in keying directly off the
     training adjacency matrices (no BN weight masking) because its contract
-    is bit-exactness against :mod:`repro.core.minibatch`'s pinned
-    references.
+    is bit-exactness against :mod:`repro.core.minibatch`'s
+    ``sample_khop_nodes`` and ``induced_adjacencies``.
     """
 
     n: int

@@ -19,7 +19,7 @@ from .drift import (
     generate_drift_scenario,
 )
 from .generator import LeasingPlatformSimulator
-from .scale import ScaleConfig, edge_stream, sample_targets
+from .scale import ScaleConfig, edge_stream
 
 __all__ = [
     "BehaviorType",
@@ -37,7 +37,6 @@ __all__ = [
     "make_d2",
     "ScaleConfig",
     "edge_stream",
-    "sample_targets",
     "FraudBurst",
     "fraud_burst_schedule",
     "generate_drift_scenario",

@@ -1,9 +1,10 @@
 """Chunked edge-stream generator for shard-scale BN workloads.
 
-The sharding benchmarks need a BN of ≥10⁷ typed edges over ≥10⁶ users —
-two orders of magnitude past what :func:`~repro.datagen.datasets.make_d1`
-materializes as per-user ``BehaviorLog`` objects.  This module skips the
-log layer entirely and streams *edge contribution chunks*: columnar
+The full-graph lambda benchmark needs a BN of 10⁵–10⁷ typed edges over
+10⁵–10⁶ users — orders of magnitude past what
+:func:`~repro.datagen.datasets.make_d1` materializes as per-user
+``BehaviorLog`` objects.  This module skips the log layer entirely and
+streams *edge contribution chunks*: columnar
 ``(lo, hi, code, weight)`` arrays ready for one
 :meth:`~repro.network.bn.BehaviorNetwork.add_weights` call each, with a
 scalar per-chunk timestamp (the window-job fast path).  The full edge set
@@ -11,8 +12,8 @@ is never materialized — peak memory is one chunk.
 
 Determinism is *per chunk*, not per stream: chunk ``i`` is drawn from
 ``SeedSequence([seed, i])``, so any slice of the stream can be regenerated
-independently (the benchmark re-streams the same workload once per shard
-count) and the result is independent of how many chunks were consumed
+independently (a benchmark can re-stream the same workload into a second
+network) and the result is independent of how many chunks were consumed
 before.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .behavior_types import BehaviorType
 
-__all__ = ["ScaleConfig", "edge_stream", "sample_targets"]
+__all__ = ["ScaleConfig", "edge_stream"]
 
 _DAY = 86_400.0
 
@@ -111,9 +112,3 @@ def edge_stream(config: ScaleConfig) -> Iterator[EdgeChunk]:
         size = min(config.chunk_edges, remaining)
         remaining -= size
         yield _make_chunk(config, index, size)
-
-
-def sample_targets(config: ScaleConfig, count: int, seed: int = 1) -> list[int]:
-    """Deterministic serve-phase targets drawn from the user population."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, seed, count]))
-    return [int(uid) for uid in rng.integers(0, config.n_users, size=count)]

@@ -9,9 +9,7 @@ from .metrics import (
     precision_score,
     recall_score,
     roc_auc_score,
-    roc_curve,
 )
-from .calibration import threshold_for_fbeta, threshold_for_precision
 from .runner import (
     ExperimentData,
     MethodResult,
@@ -27,13 +25,10 @@ __all__ = [
     "f1_score",
     "fbeta_score",
     "roc_auc_score",
-    "roc_curve",
     "confusion",
     "ClassificationReport",
     "classification_report",
     "split_by_uid",
-    "threshold_for_precision",
-    "threshold_for_fbeta",
     "ExperimentData",
     "MethodResult",
     "prepare_experiment",

@@ -17,7 +17,6 @@ __all__ = [
     "fbeta_score",
     "f1_score",
     "roc_auc_score",
-    "roc_curve",
     "confusion",
     "ClassificationReport",
     "classification_report",
@@ -33,6 +32,10 @@ def _validate(labels: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError("empty inputs")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be binary {0, 1}")
+    # A NaN would otherwise sort above every score and be ranked as the top
+    # one, so a diverged model's AUC would read as a real number.
+    if not np.isfinite(values).all():
+        raise ValueError("scores must be finite")
     return labels.astype(np.int64), values
 
 
@@ -97,25 +100,6 @@ def roc_auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
         i = j + 1
     rank_sum = ranks[labels == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def roc_curve(
-    labels: np.ndarray, scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(fpr, tpr, thresholds)`` at every distinct score."""
-    labels, scores = _validate(labels, scores)
-    order = np.argsort(-scores, kind="mergesort")
-    labels = labels[order]
-    scores = scores[order]
-    distinct = np.r_[np.flatnonzero(np.diff(scores)), labels.size - 1]
-    tps = np.cumsum(labels)[distinct]
-    fps = (distinct + 1) - tps
-    n_pos = labels.sum()
-    n_neg = labels.size - n_pos
-    tpr = np.r_[0.0, tps / max(n_pos, 1)]
-    fpr = np.r_[0.0, fps / max(n_neg, 1)]
-    thresholds = np.r_[np.inf, scores[distinct]]
-    return fpr, tpr, thresholds
 
 
 @dataclass(slots=True)

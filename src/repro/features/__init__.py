@@ -3,12 +3,10 @@
 from .pipeline import FeatureManager, StandardScaler
 from .profile import PROFILE_FEATURE_NAMES, profile_features
 from .statistical import (
-    STAT_WINDOWS,
     UserLogIndex,
     statistical_feature_names,
     statistical_features,
 )
-from .streaming import StreamingAggregator
 from .transaction import TRANSACTION_FEATURE_NAMES, transaction_features
 
 __all__ = [
@@ -21,6 +19,4 @@ __all__ = [
     "statistical_features",
     "statistical_feature_names",
     "UserLogIndex",
-    "STAT_WINDOWS",
-    "StreamingAggregator",
 ]

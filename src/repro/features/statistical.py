@@ -21,7 +21,6 @@ from ..datagen.behavior_types import BehaviorType
 from ..datagen.entities import DAY, HOUR, BehaviorLog
 
 __all__ = [
-    "STAT_WINDOWS",
     "statistical_feature_names",
     "statistical_features",
     "statistical_features_batch",

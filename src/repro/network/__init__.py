@@ -1,15 +1,8 @@
 """Behavior Network (BN): construction, maintenance, export, sampling."""
 
-from .adjacency import (
-    gcn_normalize,
-    merged_adjacency,
-    row_normalize,
-    typed_adjacency,
-    typed_adjacency_reference,
-)
+from .adjacency import row_normalize, typed_adjacency
 from .bn import DEFAULT_EDGE_TTL, BehaviorNetwork, EdgeRecord
 from .builder import BNBuilder
-from .io import load_bn, save_bn
 from .normalize import normalized_weight, type_weighted_degrees
 from .sampling import (
     BatchSampleStats,
@@ -32,15 +25,10 @@ __all__ = [
     "EdgeRecord",
     "DEFAULT_EDGE_TTL",
     "BNBuilder",
-    "save_bn",
-    "load_bn",
     "BNSnapshot",
     "TypedEdgeArrays",
     "typed_adjacency",
-    "merged_adjacency",
-    "typed_adjacency_reference",
     "row_normalize",
-    "gcn_normalize",
     "normalized_weight",
     "type_weighted_degrees",
     "ComputationSubgraph",

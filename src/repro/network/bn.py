@@ -27,7 +27,6 @@ __all__ = [
     "EdgeRecord",
     "BehaviorNetwork",
     "DEFAULT_EDGE_TTL",
-    "WeightGroups",
     "prepare_weight_groups",
 ]
 

@@ -6,28 +6,25 @@ the offline replacement.  It provides:
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autodiff over numpy arrays;
 * :mod:`~repro.nn.layers` — ``Module``/``Linear``/``MLP`` (with dropout);
 * :mod:`~repro.nn.optim` — ``SGD`` and ``Adam``;
-* :mod:`~repro.nn.losses` — BCE-with-logits, hinge, MSE;
+* :mod:`~repro.nn.losses` — BCE-with-logits;
 * :func:`~repro.nn.sparse.spmm` — differentiable sparse @ dense products for
   GNN neighbourhood aggregation.
 """
 
-from .init import kaiming_uniform, normal, xavier_normal, xavier_uniform, zeros
+from .init import normal, xavier_uniform, zeros
 from .layers import MLP, Linear, Module, ModuleList
-from .losses import bce_with_logits, hinge_loss, mse_loss
+from .losses import bce_with_logits
 from .optim import SGD, Adam
 from .sparse import (
     PreparedAggregator,
     as_csr,
     csr_gather_rows,
-    reset_transpose_conversion_count,
     spmm,
     spmm_affine,
-    transpose_conversion_count,
 )
 from .tensor import (
     Tensor,
     addmm,
-    as_tensor,
     concat,
     is_grad_enabled,
     no_grad,
@@ -40,7 +37,6 @@ from .tensor import (
 __all__ = [
     "Tensor",
     "addmm",
-    "as_tensor",
     "concat",
     "stack",
     "segment_sum",
@@ -55,18 +51,12 @@ __all__ = [
     "SGD",
     "Adam",
     "bce_with_logits",
-    "hinge_loss",
-    "mse_loss",
     "spmm",
     "spmm_affine",
     "PreparedAggregator",
     "as_csr",
     "csr_gather_rows",
-    "transpose_conversion_count",
-    "reset_transpose_conversion_count",
     "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
     "normal",
     "zeros",
 ]

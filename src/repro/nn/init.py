@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "normal"]
+__all__ = ["xavier_uniform", "zeros", "normal"]
 
 
 def xavier_uniform(
@@ -15,22 +15,6 @@ def xavier_uniform(
     """Glorot/Xavier uniform initialization for a weight of ``shape``."""
     fan_in, fan_out = _fans(shape)
     limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-
-def xavier_normal(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> Tensor:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
-    """He uniform initialization (suits ReLU networks)."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 

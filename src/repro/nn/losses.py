@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
-__all__ = ["bce_with_logits", "hinge_loss", "mse_loss"]
+__all__ = ["bce_with_logits"]
 
 
 def bce_with_logits(
@@ -31,16 +31,3 @@ def bce_with_logits(
         per_example = per_example * Tensor(weights)
         return per_example.sum() * (1.0 / weights.sum())
     return per_example.mean()
-
-
-def hinge_loss(scores: Tensor, targets: np.ndarray, margin: float = 1.0) -> Tensor:
-    """Mean hinge loss; ``targets`` in {0, 1} are mapped to {-1, +1}."""
-    signs = np.where(np.asarray(targets, dtype=np.float64) > 0.5, 1.0, -1.0)
-    slack = (as_tensor(margin) - scores * Tensor(signs)).relu()
-    return slack.mean()
-
-
-def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean squared error (used by embedding regressors in tests)."""
-    diff = predictions - Tensor(np.asarray(targets, dtype=np.float64))
-    return (diff * diff).mean()

@@ -54,8 +54,6 @@ __all__ = [
     "typed_symmetric_csr",
     "row_mean_csr",
     "sum_csr",
-    "transpose_conversion_count",
-    "reset_transpose_conversion_count",
 ]
 
 

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "addmm",
-    "as_tensor",
     "no_grad",
     "is_grad_enabled",
     "row_blocks",

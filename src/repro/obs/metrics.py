@@ -20,6 +20,8 @@ Metric names are dotted paths (``turbo.requests``,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -32,9 +34,9 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ValueError("counters can only increase")
+        """Add ``amount`` (must be finite and non-negative) to the counter."""
+        if not 0 <= amount < math.inf:  # NaN fails both comparisons
+            raise ValueError("counters only increase, by a finite amount")
         self.value += amount
 
     def as_int(self) -> int:
@@ -69,9 +71,12 @@ class Histogram:
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        """Record one sample (must be non-negative)."""
-        if value < 0:
-            raise ValueError("latency cannot be negative")
+        """Record one sample (must be finite and non-negative).
+
+        One NaN would make every later ``mean`` and percentile NaN.
+        """
+        if not 0 <= value < math.inf:
+            raise ValueError("a sample must be finite and non-negative")
         self.count += 1
         self.total += value
         if len(self._samples) < self.max_samples:

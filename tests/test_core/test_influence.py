@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import influence_distribution, influence_scores, influence_scores_batch
+from repro.core import influence_distribution, influence_scores
 from repro.nn import Linear, Tensor, spmm
 
 
@@ -48,32 +48,3 @@ class TestInfluence:
         forward = lambda x: x * 0.0
         dist = influence_distribution(forward, np.ones((3, 2)), node=0)
         np.testing.assert_allclose(dist, [1.0, 0.0, 0.0])
-
-
-class TestInfluenceBatch:
-    def _forward(self, rng, n=7, d=4):
-        a = sp.csr_matrix(np.random.default_rng(5).random((n, n)))
-        layer = Linear(d, 3, rng)
-        return (lambda x: spmm(a, layer(x)).tanh()), np.random.default_rng(
-            6
-        ).normal(size=(n, d))
-
-    def test_bit_exact_vs_scalar_loop(self, rng):
-        """One shared forward graph reproduces the per-node loop bit-for-bit."""
-        forward, features = self._forward(rng)
-        nodes = [0, 3, 3, 6]  # duplicates allowed: rows are independent
-        batch = influence_scores_batch(forward, features, nodes)
-        assert batch.shape == (len(nodes), features.shape[0])
-        for row, node in zip(batch, nodes):
-            scalar = influence_scores(forward, features, node)
-            assert row.tobytes() == scalar.tobytes()
-
-    def test_empty_batch(self, rng):
-        forward, features = self._forward(rng)
-        batch = influence_scores_batch(forward, features, [])
-        assert batch.shape == (0, features.shape[0])
-
-    def test_out_of_range_node_rejected(self, rng):
-        forward, features = self._forward(rng)
-        with pytest.raises(ValueError):
-            influence_scores_batch(forward, features, [0, 99])

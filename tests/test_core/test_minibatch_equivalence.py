@@ -1,7 +1,7 @@
 """Vectorized sampler/induction equivalence against the pinned references.
 
-The vectorized k-hop sampler promises *bit-exact* equality with the pre-PR
-reference loops — same node sets, same ordering, and (for weighted draws)
+The vectorized k-hop sampler promises *bit-exact* equality with the
+per-node reference loops of ``tests/oracles/minibatch.py`` — same node sets, same ordering, and (for weighted draws)
 the same rng stream consumption.  These property-style tests sweep graph
 shapes chosen to pin every execution branch of the top-k kernel:
 
@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import (
-    induced_adjacencies,
+from repro.core import induced_adjacencies, sample_khop_nodes
+from tests.oracles.minibatch import (
     induced_adjacencies_reference,
-    sample_khop_nodes,
     sample_khop_nodes_reference,
 )
 

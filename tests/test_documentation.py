@@ -1,10 +1,12 @@
-"""Documentation-coverage checks: every public item carries a docstring."""
+"""Documentation checks: every public item carries a docstring, and the
+prose names only code and files that exist."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,74 @@ def test_no_pointers_into_the_plan():
         if PLAN in line
     ]
     assert found == []
+
+
+#: The prose checked for stale names: ``docs/*.md``, DESIGN.md and README.md.
+PROSE = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "DESIGN.md", ROOT / "README.md"]
+#: A path in a backticked span is a repo path when it starts at one of these.
+TOP_DIRS = ("src", "tests", "docs", "benchmarks", "bench", "examples")
+
+
+def backticked_spans() -> list[tuple[str, str]]:
+    """``(file, span)`` for every inline code span outside fenced blocks."""
+    spans = []
+    for path in PROSE:
+        text = re.sub(r"^```.*?^```", "", path.read_text(), flags=re.M | re.S)
+        spans += [(path.name, m.group(2).strip()) for m in re.finditer(r"(`+)(.+?)\1", text)]
+    return spans
+
+
+def defines_member(cls: type, name: str) -> bool:
+    """Whether ``cls`` (or a base) sets ``self.<name>`` or declares a field."""
+    for klass in cls.__mro__:
+        if name in getattr(klass, "__dataclass_fields__", {}):
+            return True
+        try:
+            source = inspect.getsource(klass)
+        except (OSError, TypeError):
+            continue
+        if re.search(rf"self\.{name}\b\s*(:[^=\n]*)?=", source):
+            return True
+    return False
+
+
+def resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+            break
+        except ImportError:
+            continue
+    rest = parts[i:]
+    for j, name in enumerate(rest):
+        if hasattr(obj, name):
+            obj = getattr(obj, name)
+        else:
+            return inspect.isclass(obj) and j == len(rest) - 1 and defines_member(obj, name)
+    return True
+
+
+def test_backticked_names_resolve():
+    """Every backticked ``repro.…`` name imports or resolves as an attribute."""
+    missing = [
+        f"{doc}: {name}"
+        for doc, span in backticked_spans()
+        for name in re.findall(r"(?<![\w/.-])repro(?:\.[A-Za-z_]\w*)+", span)
+        if not resolves(name)
+    ]
+    assert missing == []
+
+
+def test_backticked_paths_exist():
+    """Every backticked repo path exists; a path with ``*`` matches a file."""
+    missing = []
+    for doc, span in backticked_spans():
+        if not re.fullmatch(r"[\w.*-]+(/[\w.*-]*)*", span):
+            continue
+        rooted = "/" in span and span.split("/")[0] in TOP_DIRS
+        if not (rooted or re.fullmatch(r"[A-Z][\w*]*\.(md|json|jsonl)", span)):
+            continue
+        if not (any(ROOT.glob(span)) if "*" in span else (ROOT / span).exists()):
+            missing.append(f"{doc}: {span}")
+    assert missing == []

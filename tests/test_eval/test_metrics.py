@@ -15,7 +15,6 @@ from repro.eval import (
     precision_score,
     recall_score,
     roc_auc_score,
-    roc_curve,
 )
 
 LABELS = np.array([1, 0, 1, 1, 0, 0])
@@ -79,14 +78,14 @@ class TestAUC:
         # pairs: (1a,0a)=0.5, (1a,0b)=1, (1b,0a)=0, (1b,0b)=1 -> 2.5/4
         assert roc_auc_score(labels, scores) == pytest.approx(0.625)
 
-    def test_roc_curve_endpoints(self):
-        fpr, tpr, thresholds = roc_curve(LABELS, np.linspace(0, 1, 6))
-        assert fpr[0] == 0.0 and tpr[0] == 0.0
-        assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-        assert np.all(np.diff(fpr) >= 0)
-        assert np.all(np.diff(tpr) >= 0)
-        assert thresholds[0] == np.inf
-
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "metric", [confusion, roc_auc_score, classification_report], ids=lambda f: f.__name__
+    )
+    def test_nonfinite_scores_rejected(self, metric, bad):
+        """A NaN score used to rank above every other: this AUC read 0.75."""
+        with pytest.raises(ValueError, match="finite"):
+            metric(np.array([0, 1, 0, 1]), np.array([0.1, bad, 0.3, 0.2]))
 
 class TestReport:
     def test_report_fields(self):

@@ -9,8 +9,6 @@ import scipy.sparse as sp
 from repro.datagen import BehaviorType
 from repro.network import (
     BehaviorNetwork,
-    gcn_normalize,
-    merged_adjacency,
     row_normalize,
     typed_adjacency,
 )
@@ -64,15 +62,6 @@ class TestTypedAdjacency:
         assert typed[DEV][1, 2] == pytest.approx(2.0 / np.sqrt(3.0 * 2.0))
 
 
-class TestMergedAdjacency:
-    def test_merged_is_sum_of_types(self):
-        nodes = [10, 20, 30]
-        typed = typed_adjacency(bn_fixture(), nodes)
-        merged = merged_adjacency(bn_fixture(), nodes)
-        expected = (typed[DEV] + typed[IP]).toarray()
-        np.testing.assert_allclose(merged.toarray(), expected)
-
-
 class TestNormalizers:
     def test_row_normalize_rows_sum_to_one(self):
         matrix = sp.csr_matrix(np.array([[0.0, 2.0], [4.0, 4.0]]))
@@ -82,15 +71,3 @@ class TestNormalizers:
     def test_row_normalize_empty_row_stays_zero(self):
         matrix = sp.csr_matrix((2, 2))
         np.testing.assert_allclose(row_normalize(matrix).toarray(), 0.0)
-
-    def test_gcn_normalize_symmetric(self):
-        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        normalized = gcn_normalize(matrix).toarray()
-        np.testing.assert_allclose(normalized, normalized.T)
-        # With self-loops, (A+I) fully regular: rows sum to 1 for this graph.
-        np.testing.assert_allclose(normalized.sum(axis=1), [1.0, 1.0])
-
-    def test_gcn_normalize_without_self_loops(self):
-        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        normalized = gcn_normalize(matrix, add_self_loops=False).toarray()
-        np.testing.assert_allclose(normalized, [[0.0, 1.0], [1.0, 0.0]])

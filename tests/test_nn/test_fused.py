@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from repro import nn
 from repro.nn import Linear, PreparedAggregator, Tensor, addmm, spmm, spmm_affine
+from repro.nn.sparse import reset_transpose_conversion_count, transpose_conversion_count
 
 
 @pytest.fixture()
@@ -162,10 +163,10 @@ class TestSpmmAffine:
         agg = PreparedAggregator(csr)
         h = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        nn.reset_transpose_conversion_count()
+        reset_transpose_conversion_count()
         for _ in range(3):
             spmm_affine(agg, h, w).sum().backward()
-        assert nn.transpose_conversion_count() == 1
+        assert transpose_conversion_count() == 1
 
     def test_rejects_dense_matrix(self, rng):
         with pytest.raises(TypeError):

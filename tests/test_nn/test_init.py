@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import kaiming_uniform, normal, xavier_normal, xavier_uniform, zeros
+from repro.nn import normal, xavier_uniform, zeros
 
 
 class TestInitializers:
@@ -12,16 +12,6 @@ class TestInitializers:
         w = xavier_uniform((100, 50), rng)
         limit = np.sqrt(6.0 / 150)
         assert w.requires_grad
-        assert np.abs(w.numpy()).max() <= limit
-
-    def test_xavier_normal_scale(self, rng):
-        w = xavier_normal((200, 100), rng)
-        expected_std = np.sqrt(2.0 / 300)
-        assert 0.8 * expected_std < w.numpy().std() < 1.2 * expected_std
-
-    def test_kaiming_uniform_bounds(self, rng):
-        w = kaiming_uniform((64, 32), rng)
-        limit = np.sqrt(6.0 / 64)
         assert np.abs(w.numpy()).max() <= limit
 
     def test_zeros(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import Tensor, bce_with_logits, hinge_loss, mse_loss
+from repro.nn import Tensor, bce_with_logits
 
 
 class TestBCEWithLogits:
@@ -31,28 +31,3 @@ class TestBCEWithLogits:
     def test_perfect_prediction_near_zero(self):
         loss = bce_with_logits(Tensor([20.0, -20.0]), np.array([1.0, 0.0]))
         assert loss.item() < 1e-6
-
-
-class TestHingeLoss:
-    def test_correct_side_of_margin_is_zero(self):
-        loss = hinge_loss(Tensor([2.0, -2.0]), np.array([1, 0]))
-        assert loss.item() == 0.0
-
-    def test_wrong_side_penalized(self):
-        loss = hinge_loss(Tensor([-1.0]), np.array([1]))
-        np.testing.assert_allclose(loss.item(), 2.0)
-
-    def test_gradient_flows_only_in_margin(self):
-        scores = Tensor([0.5, 5.0], requires_grad=True)
-        hinge_loss(scores, np.array([1, 1])).backward()
-        assert scores.grad[0] != 0.0
-        assert scores.grad[1] == 0.0
-
-
-class TestMSE:
-    def test_zero_for_exact(self):
-        assert mse_loss(Tensor([1.0, 2.0]), np.array([1.0, 2.0])).item() == 0.0
-
-    def test_mean_of_squares(self):
-        loss = mse_loss(Tensor([0.0, 0.0]), np.array([1.0, 3.0]))
-        np.testing.assert_allclose(loss.item(), 5.0)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.nn import Tensor, spmm
+from repro.nn.sparse import reset_transpose_conversion_count, transpose_conversion_count
 
 
 class TestSpmm:
@@ -83,35 +84,32 @@ class TestTransposeAccounting:
         from repro.nn import PreparedAggregator
 
         aggregator = PreparedAggregator(self.make())
-        nn.reset_transpose_conversion_count()
+        reset_transpose_conversion_count()
         with nn.no_grad():
             for _ in range(4):
                 spmm(aggregator, Tensor(rng.normal(size=(8, 2))))
-        assert nn.transpose_conversion_count() == 0
-        nn.reset_transpose_conversion_count()
+        assert transpose_conversion_count() == 0
+        reset_transpose_conversion_count()
 
     def test_prepared_converts_at_most_once_across_steps(self, rng):
-        from repro import nn
         from repro.nn import PreparedAggregator
 
         aggregators = [PreparedAggregator(self.make(s)) for s in (0, 1, 2)]
-        nn.reset_transpose_conversion_count()
+        reset_transpose_conversion_count()
         for _ in range(5):  # five "training steps" reusing the aggregators
             x = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
             loss = sum(
                 (spmm(a, x).sum() for a in aggregators), start=Tensor(np.zeros(()))
             )
             loss.backward()
-        assert nn.transpose_conversion_count() <= len(aggregators)
-        nn.reset_transpose_conversion_count()
+        assert transpose_conversion_count() <= len(aggregators)
+        reset_transpose_conversion_count()
 
     def test_raw_csr_converts_per_backward_call(self, rng):
-        from repro import nn
-
         matrix = self.make()
-        nn.reset_transpose_conversion_count()
+        reset_transpose_conversion_count()
         for _ in range(3):
             x = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
             spmm(matrix, x).sum().backward()
-        assert nn.transpose_conversion_count() == 3
-        nn.reset_transpose_conversion_count()
+        assert transpose_conversion_count() == 3
+        reset_transpose_conversion_count()

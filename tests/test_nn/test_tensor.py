@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, as_tensor, concat, no_grad, segment_sum, stack, where
+from repro.nn import Tensor, concat, no_grad, segment_sum, stack, where
+from repro.nn.tensor import as_tensor
 
 
 def numerical_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

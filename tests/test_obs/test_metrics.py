@@ -101,6 +101,19 @@ class TestMetricsRegistry:
         assert text.index("a.early") < text.index("z.late")
         assert "3" in text
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_nonfinite_values_refused_before_they_poison_the_snapshot(self, bad):
+        registry = MetricsRegistry()
+        registry.counter("a").inc(2)
+        registry.histogram("c").observe(0.25)
+        with pytest.raises(ValueError):
+            registry.counter("a").inc(bad)
+        with pytest.raises(ValueError):
+            registry.histogram("c").observe(bad)
+        snap = registry.snapshot()
+        assert snap["counters"]["a"] == 2
+        assert snap["histograms"]["c"] == {"count": 1, "mean": 0.25, "p50": 0.25, "p99": 0.25}
+
     def test_histogram_factory_hook(self):
         class Custom(Histogram):
             pass

@@ -6,7 +6,8 @@ its own module (package ``__init__`` re-exports do not count), or from
 ``docs/PAPER_MAP.md``'s "Surface kept for the paper" section.  An export
 that only ``tests/`` reach fails here.  The runtime dependencies in
 ``pyproject.toml`` are exactly the third-party packages ``src/`` imports.
-Only ``system/fork_pool.py`` forks, and no module maps shared memory.
+Only ``system/fork_pool.py`` forks, no module maps shared memory, and no
+``*_reference`` oracle ships.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
-#: the oracles ``benchmarks/bench_perf_hotpaths.py`` still times
-TIMED_REFERENCES = {
-    "typed_adjacency_reference",
-    "sample_khop_nodes_reference",
-    "induced_adjacencies_reference",
-}
 
 
 def words(paths) -> set[str]:
@@ -127,7 +122,8 @@ def test_one_module_forks_and_none_maps_shared_memory():
     assert {(p, m) for p, m in uses if p.startswith(shared)} == set()
 
 
-def test_only_the_timed_oracles_ship():
+def test_no_oracle_ships():
+    """Reference loops live in ``tests/oracles/``, not in ``src/``."""
     shipped = {
         node.name
         for module in MODULES
@@ -135,4 +131,4 @@ def test_only_the_timed_oracles_ship():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.endswith("_reference")
     }
-    assert shipped == TIMED_REFERENCES
+    assert shipped == set()
