@@ -28,41 +28,52 @@ from ..nn.tensor import softmax, stacked_matmul
 __all__ = ["CFOLayer", "cfo_forward_stacked"]
 
 
+#: Rows whose node-wise attention runs in one batch: the intermediates are
+#: ``(|R|, b, |R|, d_a)``, so a whole-graph forward goes through in chunks.
+ROW_CHUNK = 256
+
+
 def cfo_forward_stacked(
     type_embeddings: np.ndarray,
-    w_att: Sequence[np.ndarray],
-    v_att: Sequence[np.ndarray],
-    m_trans: Sequence[np.ndarray],
+    w_att: np.ndarray,
+    v_att: np.ndarray,
+    m_trans: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """:meth:`CFOLayer.forward` on ndarrays: ``(|R|, n, d_k)`` tower-stacked
     embeddings in, ``(n, d_m * |R|)`` out, the loop's op order and bits.
 
-    The node-wise attention (projection, ``tanh``, score, softmax, type mix)
-    runs only on ``rows`` (``None``: every row) — a request reads one node,
-    and this is ``tanh`` of ``|R|² · d_a`` values per node.  Its products are
-    per node, ``(|R|, d_k) @ (d_k, d_a)``, so a node's bits do not depend on
-    how many nodes are computed.  The mixes land in a zeroed ``(n, d_k)``
-    array and ``M_r`` — the one product with rows on its left — runs at the
-    full shape, per request block: a BLAS row's bits depend on the operand
-    shape, not on the other rows' values.  Rows outside ``rows`` come back
-    zero.  The loop over ``r`` stays: batching it needs a ``(b, |R|, |R|,
-    d_a)`` intermediate, which a full-graph call (every row of a validation
-    graph) cannot afford.
+    ``w_att`` ``(|R|, d_k, d_a)``, ``v_att`` ``(|R|, d_a)`` and ``m_trans``
+    ``(|R|, d_k, d_m)`` are the types' parameters stacked.  The node-wise
+    attention (projection, ``tanh``, score, softmax, type mix) of every
+    type ``r`` runs at once, on ``rows`` only (``None``: every row) — a
+    request reads one node — through ``(|R|, b, |R|, ·)`` intermediates,
+    ``b`` rows at a time (:data:`ROW_CHUNK`).  Its products are per node
+    and type, ``(|R|, d_k) @ (d_k, d_a)``, so a node's bits depend neither
+    on how many nodes are computed nor on the batching over ``r``.  The
+    mixes land in a zeroed ``(|R|, n, d_k)`` array and ``M_r`` — the one
+    product with rows on its left — runs at the full shape, one batched
+    call per request block: a BLAS row's bits depend on the operand shape,
+    not on the other rows' values.  Rows outside ``rows`` come back zero.
     """
-    n = type_embeddings.shape[1]
+    towers, n, d_k = type_embeddings.shape
     if rows is None:
-        rows = slice(None)
-    h = np.ascontiguousarray(type_embeddings[:, rows].transpose(1, 0, 2))  # (b, |R|, d_k)
-    mixed = np.zeros((n, h.shape[2]))
-    fused = []
-    for w_r, v_r, m_r in zip(w_att, v_att, m_trans):
-        projected = np.matmul(h, w_r)
+        chunks = [slice(start, start + ROW_CHUNK) for start in range(0, n, ROW_CHUNK)]
+    else:
+        chunks = [rows[start : start + ROW_CHUNK] for start in range(0, len(rows), ROW_CHUNK)]
+    w_att = w_att[:, None]  # (|R|, 1, d_k, d_a): every row's product with W_r
+    v_att = v_att[:, None, :, None]
+    mixed = np.zeros((towers, n, d_k))
+    for chunk in chunks:
+        h = np.ascontiguousarray(type_embeddings[:, chunk].transpose(1, 0, 2))  # (b, |R|, d_k)
+        projected = np.matmul(h, w_att)  # (|R|, b, |R|, d_a)
         np.tanh(projected, out=projected)
-        alpha = softmax(np.matmul(projected, v_r))
-        mixed[rows] = (alpha[..., None] * h).sum(axis=1)
-        fused.append(stacked_matmul(mixed, m_r))
-    return np.concatenate(fused, axis=1)
+        alpha = softmax(np.matmul(projected, v_att)[..., 0])  # (|R|, b, |R|)
+        mixed[:, chunk] = (alpha[..., None] * h).sum(axis=2)
+    fused = stacked_matmul(mixed, m_trans)  # (|R|, n, d_m)
+    # contiguous: with d_m == 1 the reshape alone is a strided view, and the
+    # head's BLAS takes other bits off it
+    return np.ascontiguousarray(fused.transpose(1, 0, 2)).reshape(n, -1)
 
 
 class CFOLayer(nn.Module):

@@ -23,8 +23,9 @@ on the full BN does.  The forward has two spellings: while autograd records,
 the per-type tape forward (``Tensor`` ops, one tower at a time) — the
 definition, and the only path that trains; under ``no_grad``, the same float
 operations on ndarrays (``sao_combine_stacked``: all towers in one batched
-kernel; ``cfo_forward_stacked``) over the request's type-stacked CSR, pinned
-bit-equal to the tape by ``tests/test_core/test_hag_kernels.py``.
+kernel; ``cfo_forward_stacked``: every type's attention in one kernel) over
+one type-stacked CSR built from the requests' sampled entries by one sort,
+pinned bit-equal to the tape by ``tests/test_core/test_hag_kernels.py``.
 
 The forward scores the ``rows`` its caller reads — a request's target, a
 pack's targets — and returns only their logits.  The towers still run on
@@ -292,7 +293,7 @@ class HAG(nn.Module):
     def _stacked_weights(self) -> list[np.ndarray]:
         """Every SAO parameter group as one ``(T, ...)`` array: layer ``k``'s
         ``W_ls, b_ls, W_ln, b_ln[, W_s, W_n, p]`` (discovery order), layer
-        after layer.
+        after layer; then, with CFO, its ``W``, ``v`` and ``M`` over types.
 
         A stack cannot go stale because it is the storage: each
         ``param.data`` is rebound to its slice, so an in-place optimizer step
@@ -306,6 +307,9 @@ class HAG(nn.Module):
                 for depth in zip(*self.towers)
                 for group in zip(*(layer.parameters() for layer in depth))
             ]
+            if self.cfo is not None:
+                cfo = self.cfo
+                self._weights += [[list(g), None] for g in (cfo.w_att, cfo.v_att, cfo.m_trans)]
         for entry in self._weights:
             params, stack = entry
             # C-level all the way: no Python frame per parameter
@@ -365,9 +369,7 @@ class HAG(nn.Module):
         if self.cfo is None:
             logits = self._head_logits(h[0])
         else:
-            groups = (self.cfo.w_att, self.cfo.v_att, self.cfo.m_trans)
-            cfo_weights = ([p.data for p in group] for group in groups)
-            logits = self._head_logits(cfo_forward_stacked(h, *cfo_weights, rows))
+            logits = self._head_logits(cfo_forward_stacked(h, *weights[-3:], rows))
         return logits if rows is None else logits[rows]
 
     def predict_proba(
@@ -389,26 +391,35 @@ class HAG(nn.Module):
     ) -> StackedCSR:
         """The Eq. 6 aggregators of a pack of requests, stacked in tower order.
 
-        Each subgraph's type-stacked adjacency goes in as it is: one gather
-        re-orders its blocks to ``edge_type_order`` (a type the subgraph does
-        not have is an empty block; ``None`` means the subgraph's own types,
-        sorted) and places the requests down each tower's diagonal, one
-        :meth:`~repro.nn.sparse.StackedCSR.row_mean` normalises every row.
-        CFO(-) packs the one-block stack of each ``merged()``.
+        Every request's stored entries (the sampler's typed entries in both
+        directions, a dict's matrices' entries; CFO(-) the entries of its
+        ``merged()``) are shifted down the diagonal by the request's first
+        row and sent to the tower of their type: ``edge_type_order``
+        (``None`` means the subgraph's own types, sorted).  A type with no
+        tower is dropped, and a tower a request lacks stays empty.  One
+        :meth:`~repro.nn.sparse.StackedCSR.from_entries` builds the pack,
+        one :meth:`~repro.nn.sparse.StackedCSR.row_mean` normalises every row.
         """
-        stacks, blocks = [], []
+        empty = np.empty(0, dtype=np.int64)
+        parts = [(empty, empty, np.empty(0), empty)]
+        offset, towers = 0, None
         for subgraph in subgraphs:
             if self.use_cfo:
-                types, stack = subgraph.typed_stack()
-                block_of = {btype: k for k, btype in enumerate(types)}
+                types, rows, cols, data, code = subgraph.stored_entries()
                 order = sorted(types) if edge_type_order is None else edge_type_order
-                blocks.append([block_of.get(btype, -1) for btype in order])
+                tower_of = {btype: t for t, btype in enumerate(order)}
+                tower = np.array([tower_of.get(b, -1) for b in types], dtype=np.int64)[code]
             else:
-                stack = StackedCSR.from_matrices([subgraph.merged()])
-                blocks.append([0])
-            stacks.append(stack)
-        sizes = [subgraph.num_nodes for subgraph in subgraphs]
-        return StackedCSR.block_diagonal(stacks, blocks, sizes).row_mean()
+                merged = subgraph.merged()
+                rows = np.repeat(np.arange(merged.shape[0]), np.diff(merged.indptr))
+                cols, data = merged.indices, merged.data
+                order, tower = [None], np.zeros(len(data), dtype=np.int64)
+            towers = len(order) if towers is None else towers
+            keep = tower >= 0
+            parts.append((rows[keep] + offset, cols[keep] + offset, data[keep], tower[keep]))
+            offset += subgraph.num_nodes
+        rows, cols, data, tower = map(np.concatenate, zip(*parts))
+        return StackedCSR.from_entries(rows, cols, data, tower, towers, offset).row_mean()
 
     def predict_subgraph(
         self,

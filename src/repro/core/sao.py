@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .. import nn
 from ..nn import Tensor
 from ..nn.sparse import row_mean_csr
-from ..nn.tensor import softmax, stacked_matmul
+from ..nn.tensor import stacked_matmul
 
 __all__ = ["SAOLayer", "neighbor_mean_matrix", "sao_combine_stacked"]
 
@@ -63,7 +63,8 @@ def sao_combine_stacked(
     ``t``'s ``combine``: every dense product is that tower's BLAS call
     (:func:`~repro.nn.tensor.stacked_matmul`), the rest is elementwise or a
     last-axis reduction (``tanh`` runs once per projection, not once per
-    concatenation — the same values).
+    concatenation — the same values; the softmax over two scores is
+    written out, the same values as ``softmax`` of the pair).
     """
     w_self, b_self, w_neigh, b_neigh, *gate = weights
     z_self = stacked_matmul(h, w_self) + b_self[:, None, :]
@@ -75,15 +76,14 @@ def sao_combine_stacked(
         np.tanh(proj_self, out=proj_self)
         np.tanh(proj_neigh, out=proj_neigh)
         p = p[:, :, None]
-        scores = np.concatenate(
-            [
-                stacked_matmul(np.concatenate([proj_self, proj_self], axis=-1), p),
-                stacked_matmul(np.concatenate([proj_neigh, proj_self], axis=-1), p),
-            ],
-            axis=-1,
-        )
-        alphas = softmax(scores)
-        out = alphas[..., :1] * z_self + alphas[..., 1:] * z_neigh
+        score_self = stacked_matmul(np.concatenate([proj_self, proj_self], axis=-1), p)
+        score_neigh = stacked_matmul(np.concatenate([proj_neigh, proj_self], axis=-1), p)
+        # softmax over the pair, spelled out: a two-element max and sum
+        # are ``maximum`` and ``+``
+        top = np.maximum(score_self, score_neigh)
+        e_self, e_neigh = np.exp(score_self - top), np.exp(score_neigh - top)
+        total = e_self + e_neigh
+        out = (e_self / total) * z_self + (e_neigh / total) * z_neigh
     else:
         out = z_self + z_neigh
     return out * (out > 0) if activation else out

@@ -92,12 +92,21 @@ def typed_adjacency(
     Section III-A is applied (computed on the *full* BN, so a sampled
     subgraph sees the same edge weights the whole graph would).
     """
-    lookup = _output_index(bn, nodes)
     types = tuple(edge_types) if edge_types is not None else tuple(sorted(bn.edge_types()))
-    stacked = _stack_entries(
-        [_typed_entries(bn, lookup, btype, normalize) for btype in types]
-    )
+    stacked = _induced_entries(bn, nodes, types, normalize)
     return dict(zip(types, typed_symmetric_csr(*stacked, len(types), len(nodes))))
+
+
+def _induced_entries(
+    bn: BehaviorNetwork,
+    nodes: Sequence[int],
+    types: Sequence[BehaviorType],
+    normalize: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(iu, iv, w, type_code)`` over ``nodes`` of every type in ``types``,
+    type after type: what :func:`typed_adjacency` builds its matrices from."""
+    lookup = _output_index(bn, nodes)
+    return _stack_entries([_typed_entries(bn, lookup, btype, normalize) for btype in types])
 
 
 def row_normalize(matrix: sp.spmatrix) -> sp.csr_matrix:

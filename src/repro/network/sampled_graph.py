@@ -273,7 +273,8 @@ class SampledGraph:
         :func:`repro.network.adjacency._typed_entries` masked to the same
         node set: candidate pair ids are deduped on their ``lo`` side and
         sorted ascending, and pair-table order **is** snapshot edge order.
-        Unlike :meth:`ShardIndex.induced_entries` this keeps a reusable
+        Unlike :meth:`ShardIndex.induced_entries`, which binary-searches
+        a request's few union positions, this keeps a reusable
         O(num_nodes) scratch across calls (touched entries are reset on
         exit), so a sweep over 10^5 targets costs O(sum degree), not
         O(targets * num_nodes).  ``positions`` may contain ``-1``

@@ -13,9 +13,10 @@ of a sharded one.  Scalar :func:`computation_subgraph` stays on the dict
 walk and the snapshot mask: it is the rng-capable research sampler and the
 independent oracle the batch sampler is pinned bit-equal to.
 
-A :class:`ComputationSubgraph` carries its ``|R|`` adjacencies as the one
-type-stacked CSR the batch sampler builds (HAG's inference consumes it as
-it is); the per-type scipy matrices are split off it only when read.
+A :class:`ComputationSubgraph` carries its ``|R|`` adjacencies as the typed
+entries the sampler induced (HAG's inference packs them as they are); the
+type-stacked CSR and the per-type scipy matrices are built off them only
+when read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
 from ..nn.sparse import StackedCSR, stacked_symmetric_csr, sum_csr
-from .adjacency import _stack_entries, typed_adjacency
+from .adjacency import _induced_entries
 from .bn import BehaviorNetwork
 from .sharding import ShardIndex, _shard_of_int
 from .snapshot import positions_of
@@ -41,19 +42,24 @@ __all__ = [
 ]
 
 
+_Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 class ComputationSubgraph:
     """A sampled k-hop neighbourhood around ``target``.
 
     ``nodes[0]`` is always the target.  The per-type normalized adjacencies,
     indexed consistently with ``nodes``, live in one of two forms: the
-    serving samplers hand over the type-stacked CSR they built (``types`` +
-    ``stacked``) and ``adjacency`` — the same matrices as a dict of canonical
-    scipy CSRs, bit for bit — is split off it on first access; a subgraph
-    built from an ``adjacency`` dict keeps the dict, and
-    :meth:`typed_stack` stacks it by concatenation.
+    samplers hand over the entries they induced (``types`` + ``entries``:
+    ``(iu, iv, w, type_code)``, each undirected edge once, ``type_code``
+    indexing ``types``); a subgraph built from an ``adjacency`` dict keeps
+    the dict.  :meth:`stored_entries` reads either form as it is — the
+    forward packs requests from it — while :meth:`typed_stack`,
+    ``adjacency`` (the same matrices as a dict of canonical scipy CSRs, bit
+    for bit) and :meth:`merged` are built on first read.
     """
 
-    __slots__ = ("target", "nodes", "_types", "_stacked", "_adjacency")
+    __slots__ = ("target", "nodes", "_types", "_entries", "_adjacency")
 
     def __init__(
         self,
@@ -62,13 +68,13 @@ class ComputationSubgraph:
         adjacency: dict[BehaviorType, sp.csr_matrix] | None = None,
         *,
         types: Sequence[BehaviorType] = (),
-        stacked: StackedCSR | None = None,
+        entries: _Entries | None = None,
     ) -> None:
         self.target = target
         self.nodes = nodes
         self._types = tuple(types)
-        self._stacked = stacked
-        self._adjacency = {} if adjacency is None and stacked is None else adjacency
+        self._entries = entries
+        self._adjacency = {} if adjacency is None and entries is None else adjacency
 
     @property
     def num_nodes(self) -> int:
@@ -76,18 +82,45 @@ class ComputationSubgraph:
 
     @property
     def adjacency(self) -> dict[BehaviorType, sp.csr_matrix]:
-        """Per-type adjacency matrices (split off the stack on first access)."""
+        """Per-type adjacency matrices (split off :meth:`typed_stack` on first access)."""
         if self._adjacency is None:
-            self._adjacency = dict(zip(self._types, self._stacked.split()))
+            types, stack = self.typed_stack()
+            self._adjacency = dict(zip(types, stack.split()))
         return self._adjacency
 
     def typed_stack(self) -> tuple[tuple[BehaviorType, ...], StackedCSR]:
         """``(types, stack)``: block ``k`` of the stack is ``types[k]``'s adjacency."""
-        if self._stacked is not None:
-            return self._types, self._stacked
+        if self._entries is not None:
+            n_types, n = len(self._types), self.num_nodes
+            return self._types, stacked_symmetric_csr(*self._entries, n_types, n)
         return tuple(self._adjacency), StackedCSR.from_matrices(
             list(self._adjacency.values())
         )
+
+    def stored_entries(
+        self,
+    ) -> tuple[tuple[BehaviorType, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(types, rows, cols, data, type_code)``: every stored adjacency entry.
+
+        The sampler's entries in both directions, or a dict's matrices'
+        stored entries; a matrix that is not ``(n, n)`` is a ``ValueError``.
+        """
+        if self._entries is not None:
+            iu, iv, w, code = self._entries
+            return (
+                self._types,
+                np.concatenate([iu, iv]),
+                np.concatenate([iv, iu]),
+                np.concatenate([w, w]),
+                np.concatenate([code, code]),
+            )
+        n = self.num_nodes
+        types, stack = self.typed_stack()
+        if any(shape != (n, n) for shape in stack.shapes):
+            raise ValueError(f"adjacency blocks {stack.shapes} are not all ({n}, {n})")
+        stacked_row = np.repeat(np.arange(len(stack.indptr) - 1), np.diff(stack.indptr))
+        code, rows = np.divmod(stacked_row, max(n, 1))
+        return types, rows, stack.indices, stack.data, code
 
     def merged(self) -> sp.csr_matrix:
         """Sum the typed adjacencies into one homogeneous matrix.
@@ -154,8 +187,8 @@ def computation_subgraph(
                     next_frontier.append(neighbor)
         frontier = next_frontier
 
-    adjacency = typed_adjacency(bn, selected, types, normalize=True)
-    return ComputationSubgraph(target=target, nodes=selected, adjacency=adjacency)
+    entries = _induced_entries(bn, selected, types)
+    return ComputationSubgraph(target=target, nodes=selected, types=types, entries=entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +238,7 @@ def computation_subgraphs_batch(
     * adjacency extraction gathers the *union* node set's index rows once
       (:meth:`ShardIndex.induced_entries`, O(sum deg) over precomputed
       normalized weights), then slices each request's entries out of the
-      union block and builds its ``|R|`` matrices as one type-stacked CSR.
+      union block; its matrices are built only if read.
 
     Weighted sampling (the scalar path's ``rng``) is intentionally not
     offered: random draws are per-request by construction and would defeat
@@ -316,7 +349,7 @@ def computation_subgraphs_batch(
         if not dead_shards
         else [s for s in range(index.n_shards) if s not in dead_shards]
     )
-    typed_entries = index.induced_entries(positions, types, live_shards)
+    entries = index.induced_entries(positions, live_shards)
     if dead_shards:
         # Adjacency rows owned by dead shards were dropped too — flag every
         # request whose subgraph contains such a node.
@@ -330,9 +363,7 @@ def computation_subgraphs_batch(
             if any(dead_row[union_index[uid]] for uid in nodes):
                 partial[i] = True
 
-    subgraphs = slice_union_subgraphs(
-        targets, selected_lists, union_index, typed_entries
-    )
+    subgraphs = slice_union_subgraphs(targets, selected_lists, union_index, types, entries)
 
     stats = BatchSampleStats(
         requests=n_requests,
@@ -349,37 +380,32 @@ def slice_union_subgraphs(
     targets: Sequence[int],
     node_lists: Sequence[list[int]],
     union_index: dict[int, int],
-    typed_entries: dict[
-        BehaviorType, tuple[np.ndarray, np.ndarray, np.ndarray]
-    ],
+    types: Sequence[BehaviorType],
+    entries: _Entries,
 ) -> list[ComputationSubgraph]:
-    """Cut every request's typed adjacency out of one union block.
+    """Cut every request's typed entries out of one union block.
 
-    ``typed_entries[btype]`` holds ``(iu, iv, w)`` indexed into the union
-    node list (``union_index`` maps uid to union row).  The types are
-    stacked once per call; each request masks the stack to its own nodes
-    (O(E_union)) and builds all its matrices as one
-    :func:`~repro.nn.sparse.stacked_symmetric_csr`, which it keeps stacked
-    — bit-identical, once split, to the scalar ``typed_adjacency`` over the
-    same nodes.
+    ``entries`` holds ``(iu, iv, w, type_code)`` indexed into the union
+    node list (``union_index`` maps uid to union row) and into ``types``.
+    Each request masks them to its own nodes (O(E_union)) and keeps its
+    renumbered entries: the forward packs them as they are, and the
+    subgraph's matrices — bit-identical, once built, to the scalar
+    ``typed_adjacency`` over the same nodes — are built only if read.
     """
-    types = list(typed_entries)
-    iu, iv, weights, codes = _stack_entries(list(typed_entries.values()))
+    types = tuple(types)
+    iu, iv, weights, codes = entries
     subgraphs: list[ComputationSubgraph] = []
     request_of_union = np.full(len(union_index), -1, dtype=np.int64)
     for target, nodes in zip(targets, node_lists):
-        n = len(nodes)
         positions = np.asarray([union_index[uid] for uid in nodes], dtype=np.int64)
-        request_of_union[positions] = np.arange(n, dtype=np.int64)
+        request_of_union[positions] = np.arange(len(nodes), dtype=np.int64)
         riu = request_of_union[iu]
         riv = request_of_union[iv]
         keep = (riu >= 0) & (riv >= 0)
-        stacked = stacked_symmetric_csr(
-            riu[keep], riv[keep], weights[keep], codes[keep], len(types), n
-        )
         request_of_union[positions] = -1
+        local = (riu[keep], riv[keep], weights[keep], codes[keep])
         subgraphs.append(
-            ComputationSubgraph(target=target, nodes=nodes, types=types, stacked=stacked)
+            ComputationSubgraph(target=target, nodes=nodes, types=types, entries=local)
         )
     return subgraphs
 

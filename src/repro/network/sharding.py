@@ -153,7 +153,7 @@ class ShardIndex:
     pair_seq: np.ndarray  # int64, len P: creation sequence tags (ascending)
     types: tuple[BehaviorType, ...]
     type_weights: dict[BehaviorType, np.ndarray]  # dense P raw weights
-    type_norm_weights: dict[BehaviorType, np.ndarray]  # dense P normalized
+    norm_weights: np.ndarray  # (len(types), P) normalized, row k of types[k]
     type_last_update: dict[BehaviorType, np.ndarray]  # dense P timestamps
     shards: list[ShardBlock]
     _snapshot: BNSnapshot | None = field(default=None, repr=False, compare=False)
@@ -161,6 +161,11 @@ class ShardIndex:
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def type_norm_weights(self) -> dict[BehaviorType, np.ndarray]:
+        """Dense P normalized weights per type: the rows of ``norm_weights``."""
+        return dict(zip(self.types, self.norm_weights))
 
     @property
     def num_pairs(self) -> int:
@@ -202,26 +207,31 @@ class ShardIndex:
     def induced_entries(
         self,
         union_positions: np.ndarray,
-        types: Sequence[BehaviorType],
         live_shards: Sequence[int] | None = None,
-    ) -> dict[BehaviorType, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-type ``(iu, iv, w)`` entries induced by the union node set.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(iu, iv, w, type_code)`` entries induced by the union node set.
 
         Frontier-local counterpart of
-        :func:`repro.network.adjacency._typed_entries`: instead of masking
+        :func:`repro.network.adjacency._typed_entries` over every type of
+        the index (``type_code`` indexes ``types``): instead of masking
         every edge in the graph (O(E) per batch), gather the union nodes'
         CSR rows (O(sum deg)), dedup pairs on their ``lo`` side, and sort
         the surviving pair indices ascending — pair-table order **is**
-        snapshot edge order, so the kept entries match the full-graph mask
-        in content *and* order, which keeps the downstream per-request CSR
-        construction bit-exact.  ``union_positions`` may contain ``-1``
+        snapshot edge order.  One ``nonzero`` over the candidates' columns
+        of ``norm_weights`` then emits the entries type-major and
+        pair-ascending: the full-graph masks, type after type, in content
+        *and* order, which keeps the downstream per-request CSR
+        construction bit-exact.  Neighbour positions map to union rows by
+        binary search over the sorted union positions, so nothing is sized
+        by the whole network.  ``union_positions`` may contain ``-1``
         (unregistered nodes stay isolated rows, as in the dense path);
         ``live_shards`` drops rows owned by dead shards (partial serving).
         """
-        union_of_pos = np.full(self.num_nodes, -1, dtype=np.int64)
         inside = union_positions >= 0
         inside_pos = union_positions[inside]
-        union_of_pos[inside_pos] = np.flatnonzero(inside)
+        by_pos = np.argsort(inside_pos)
+        sorted_pos = inside_pos[by_pos]
+        union_row = np.flatnonzero(inside)[by_pos]
         live = None if live_shards is None else set(int(s) for s in live_shards)
         owner = self.owner_of_pos[inside_pos]
         # Candidate pair ids are finished with np.unique (sorted), so the
@@ -249,7 +259,8 @@ class ShardIndex:
             )
             nbr = block.nbr_pos[gidx]
             pid = block.pair_idx[gidx]
-            keep = (union_of_pos[nbr] >= 0) & (
+            slot = np.minimum(np.searchsorted(sorted_pos, nbr), len(sorted_pos) - 1)
+            keep = (sorted_pos[slot] == nbr) & (
                 self.pair_lo_pos[pid] == np.repeat(members, lengths)
             )
             if keep.any():
@@ -257,21 +268,15 @@ class ShardIndex:
         candidates = (
             np.unique(np.concatenate(chunks)) if chunks else _EMPTY_I64
         )
-        out: dict[BehaviorType, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for btype in types:
-            norm = self.type_norm_weights.get(btype)
-            if norm is None:
-                out[btype] = (_EMPTY_I64, _EMPTY_I64, np.empty(0))
-                continue
-            w = norm[candidates]
-            mask = w > 0.0
-            kept = candidates[mask]
-            out[btype] = (
-                union_of_pos[self.pair_lo_pos[kept]],
-                union_of_pos[self.pair_hi_pos[kept]],
-                w[mask],
-            )
-        return out
+        weights = self.norm_weights[:, candidates]
+        type_code, column = np.nonzero(weights > 0.0)
+        kept = candidates[column]
+        return (
+            union_row[np.searchsorted(sorted_pos, self.pair_lo_pos[kept])],
+            union_row[np.searchsorted(sorted_pos, self.pair_hi_pos[kept])],
+            weights[type_code, column],
+            type_code,
+        )
 
     def snapshot(self) -> BNSnapshot:
         """The per-type edge-array view (what ``to_arrays()`` returns on
@@ -313,9 +318,9 @@ class ShardIndex:
             "pair_hi_pos": self.pair_hi_pos,
             "pair_seq": self.pair_seq,
         }
-        for btype in self.types:
+        for btype, norm in zip(self.types, self.norm_weights):
             arrays[f"w:{btype.value}"] = self.type_weights[btype]
-            arrays[f"wn:{btype.value}"] = self.type_norm_weights[btype]
+            arrays[f"wn:{btype.value}"] = norm
             arrays[f"lu:{btype.value}"] = self.type_last_update[btype]
         for s, block in enumerate(self.shards):
             arrays[f"blk{s}:own"] = block.own_positions
@@ -450,9 +455,9 @@ def build_shard_index(
     hi_pos = np.searchsorted(node_ids, hi)
     owner_of_pos = shard_of(node_ids, n_shards)
 
-    type_norm: dict[BehaviorType, np.ndarray] = {}
     num_pairs = len(lo)
-    for btype in types:
+    norm_weights = np.zeros((len(types), num_pairs))
+    for dense, btype in zip(norm_weights, types):
         w = type_weights[btype]
         mask = w > 0.0
         idx = np.flatnonzero(mask)
@@ -470,9 +475,7 @@ def build_shard_index(
             out=np.zeros_like(values),
             where=product > 0,
         )
-        dense = np.zeros(num_pairs)
         dense[idx] = normalized
-        type_norm[btype] = dense
 
     pair_range = np.arange(num_pairs, dtype=np.int64)
     node_half = np.concatenate([lo_pos, hi_pos])
@@ -511,11 +514,11 @@ def build_shard_index(
         pair_seq=seq,
         types=types,
         type_weights=type_weights,
-        type_norm_weights=type_norm,
+        norm_weights=norm_weights,
         type_last_update=type_last_update,
         shards=blocks,
     )
-    _frozen(*index.to_payload()[0].values())
+    _frozen(norm_weights, *index.to_payload()[0].values())
     for shard in shards:
         shard._changed, shard._log_base = set(), index
     return index

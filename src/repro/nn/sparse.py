@@ -14,20 +14,25 @@ Two hot-path properties are guaranteed here (and pinned by tests via
   converts each aggregator at most once no matter how many layers, batches,
   or epochs reuse it.
 
-The module is also the CSR toolbox of the BN→GNN path.  A request's ``|R|``
-typed adjacencies are one *type-stacked* CSR (:class:`StackedCSR`) from the
-sampler to the last SAO layer: built by :func:`stacked_symmetric_csr`,
-packed into tower order by :meth:`StackedCSR.block_diagonal`, normalised by
-:meth:`StackedCSR.row_mean` and multiplied as one matrix
-(:meth:`StackedCSR.matmul`).  :func:`typed_symmetric_csr` and
-:func:`row_mean_csr` are ``split()`` of the same builders, bit-identical to
-the per-matrix scipy pipelines frozen in ``tests/oracles/sparse.py`` — see
-"The request's adjacency pipeline" in ``docs/PERFORMANCE.md``.
+The module is also the CSR toolbox of the BN→GNN path.  A pack of
+requests' ``|R|`` typed adjacencies is one *type-stacked* CSR
+(:class:`StackedCSR`) from the forward's first line to the last SAO layer:
+the sampler hands over each request's typed entries, the forward shifts
+them down the diagonal of their towers and builds the pack with one sort
+(:meth:`StackedCSR.from_entries`), normalises it
+(:meth:`StackedCSR.row_mean`) and multiplies it as one matrix
+(:meth:`StackedCSR.matmul`).  :func:`stacked_symmetric_csr` is
+``from_entries`` of both directions of undirected entries;
+:func:`typed_symmetric_csr` and :func:`row_mean_csr` are ``split()`` of the
+same builders, bit-identical to the per-matrix scipy pipelines frozen in
+``tests/oracles/sparse.py`` — see "The request's adjacency pipeline" in
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +68,7 @@ _INT32_MAX = np.iinfo(np.int32).max
 def _indptr(counts: np.ndarray) -> np.ndarray:
     """CSR row pointers of rows holding ``counts[r]`` entries each."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.add.accumulate(counts, out=indptr[1:])
     return indptr
 
 
@@ -133,12 +138,12 @@ class StackedCSR:
     Block ``k`` is a ``shapes[k]`` matrix whose rows are the stacked rows
     ``bounds[k]:bounds[k + 1]``; ``data`` / ``indices`` / ``indptr`` are one
     CSR over all stacked rows, column numbers local to each block.  A
-    request's ``|R|`` typed adjacencies are built (:func:`stacked_symmetric_csr`),
-    packed (:meth:`block_diagonal`), normalised (:meth:`row_mean`) and
-    multiplied (:meth:`matmul`) in this form; :meth:`split` yields the
-    per-block scipy matrices.  ``canonical`` records that every row's
-    columns are sorted and unique: :meth:`split` passes it on to scipy,
-    :meth:`row_mean` checks it without a sort.
+    pack's ``|R|`` typed adjacencies are built (:meth:`from_entries`),
+    normalised (:meth:`row_mean`) and multiplied (:meth:`matmul`) in this
+    form; :meth:`split` yields the per-block scipy matrices.
+    ``canonical`` records that every row's columns are sorted and unique
+    (what :meth:`from_entries` checked): :meth:`split` passes it on to
+    scipy, and :meth:`row_mean` need not check it again.
     """
 
     data: np.ndarray
@@ -165,52 +170,51 @@ class StackedCSR:
         )
 
     @classmethod
-    def block_diagonal(
+    def from_entries(
         cls,
-        stacks: Sequence["StackedCSR"],
-        blocks: Sequence[Sequence[int]],
-        sizes: Sequence[int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        data: np.ndarray,
+        type_code: np.ndarray,
+        n_types: int,
+        n: int,
     ) -> "StackedCSR":
-        """Pack requests block-diagonally, one output block per tower.
+        """``n_types`` ``(n, n)`` blocks, block ``type_code[k]`` holding
+        ``data[k]`` at ``(rows[k], cols[k])``: canonical, built by one sort.
 
-        ``stacks[i]`` holds request ``i``'s ``(sizes[i], sizes[i])`` blocks
-        and ``blocks[i][t]`` names the one that tower ``t`` reads (``-1``:
-        none, an empty block).  Output block ``t`` is the ``(N, N)``
-        block-diagonal matrix of the requests' choices, ``N = sum(sizes)``.
-        A block's entries are contiguous in its stack, so the pack is a
-        concatenation of slices — every row's entries in their stored
-        order — and for one request it is the re-ordering to tower order.
+        The key ``(type * n + row) * n + col`` is sorted once and rows are
+        counted by one ``bincount``, so every row's columns come out sorted.
+        An ``(i, j)`` repeated within a block is rejected: scipy would sum
+        it in an order it does not define.  Keys are therefore unique, so
+        the order does not depend on the sort algorithm.  A request's typed
+        adjacency (:func:`stacked_symmetric_csr`) and a pack's towers
+        (``HAG``'s Eq. 6 aggregator, every request shifted down the
+        diagonal) are both built here.
         """
-        towers = len(blocks[0])
-        total = sum(sizes)
-        no_entries = np.zeros(max(sizes, default=0), dtype=np.int64)
-        data, indices, counts, shifts, lengths = [], [], [], [], []
-        sources = []
-        offset = 0
-        for stack, n in zip(stacks, sizes):
-            if any(shape != (n, n) for shape in stack.shapes):
-                raise ValueError(f"adjacency blocks {stack.shapes} are not all ({n}, {n})")
-            first_entry = stack.indptr[::n].tolist() if n else [0] * (len(stack.shapes) + 1)
-            sources.append((stack, n, offset, first_entry, np.diff(stack.indptr)))
-            offset += n
-        for t in range(towers):
-            for chosen, (stack, n, offset, first_entry, row_counts) in zip(blocks, sources):
-                block = chosen[t]
-                if block < 0:
-                    counts.append(no_entries[:n])
-                    continue
-                lo, hi = first_entry[block], first_entry[block + 1]
-                data.append(stack.data[lo:hi])
-                indices.append(stack.indices[lo:hi])
-                counts.append(row_counts[block * n : (block + 1) * n])
-                shifts.append(offset)
-                lengths.append(hi - lo)
+        data = np.asarray(data)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        type_code = np.asarray(type_code, dtype=np.int64)
+        if rows.ndim != 1 or not rows.shape == cols.shape == data.shape == type_code.shape:
+            raise ValueError("rows, cols, data and type_code must be 1-D and of equal length")
+        if len(rows) and not (
+            0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < n
+        ):
+            raise ValueError(f"node indices must lie in [0, {n})")
+        if len(rows) and not 0 <= type_code.min() <= type_code.max() < n_types:
+            raise ValueError(f"type_code must lie in [0, {n_types})")
+        stacked_row = type_code * n + rows
+        key = stacked_row * n + cols
+        order = np.argsort(key)
+        key = key[order]
+        if (key[1:] == key[:-1]).any():
+            raise ValueError("an (i, j) entry repeats within one edge type")
         return cls(
-            np.concatenate([np.empty(0), *data]),
-            np.concatenate([np.empty(0, np.int64), *indices]) + np.repeat(shifts, lengths),
-            _indptr(np.concatenate([no_entries[:0], *counts])),
-            [(total, total)] * towers,
-            all(stack.canonical for stack in stacks),
+            data[order],
+            cols[order],
+            _indptr(np.bincount(stacked_row, minlength=n_types * n)),
+            [(n, n)] * n_types,
+            canonical=True,
         )
 
     def split(self) -> list[sp.csr_matrix]:
@@ -288,11 +292,7 @@ class StackedCSR:
         indptr, data, indices = self.indptr, self.data, self.indices
         starts, ends = indptr[:-1], indptr[1:]
         counts = ends - starts
-        width = max((cols for _, cols in self.shapes), default=0)
         row = np.repeat(np.arange(len(counts)), counts)
-        key = row * width + indices
-        if not self.canonical:
-            key.sort()
 
         def reject(stacked_row: int, what: str) -> None:
             position = np.searchsorted(self.bounds, stacked_row, side="right") - 1
@@ -301,9 +301,12 @@ class StackedCSR:
         finite = np.isfinite(data)
         if not finite.all():
             reject(row[~finite][0], "non-finite data")
-        repeated = key[1:] == key[:-1]
-        if repeated.any():
-            reject(key[1:][repeated][0] // width, "a column repeats within a row")
+        if not self.canonical:
+            width = max(map(itemgetter(1), self.shapes), default=0)
+            key = np.sort(row * width + indices)
+            repeated = key[1:] == key[:-1]
+            if repeated.any():
+                reject(key[1:][repeated][0] // width, "a column repeats within a row")
         nonempty = counts > 0
         degree = np.zeros(len(counts), dtype=data.dtype)
         degree[nonempty] = np.add.reduceat(data, starts[nonempty])
@@ -331,34 +334,19 @@ def stacked_symmetric_csr(
 
     Block ``t`` is bit-identical (``indptr``, ``indices``, ``data``,
     dtypes once :meth:`~StackedCSR.split`) to ``symmetric_csr`` over the
-    entries with ``type_code == t``.  All types are built as one
-    type-stacked CSR of ``n_types * n`` rows — one sort of the key
-    ``(type * n + row) * n + col``, one ``bincount``.  An ``(i, j)``
-    repeated within a type (a self-loop included) is rejected: scipy would
-    sum it in an order it does not define.  Keys are therefore unique, so
-    the order does not depend on the sort algorithm.
+    entries with ``type_code == t``: :meth:`StackedCSR.from_entries` of
+    both directions of every entry, so a self-loop is a repeated entry.
     """
-    w = np.asarray(w)
-    iu, iv, type_code = (np.asarray(a, dtype=np.int64) for a in (iu, iv, type_code))
+    w, iu, iv, type_code = map(np.asarray, (w, iu, iv, type_code))
     if iu.ndim != 1 or not iu.shape == iv.shape == w.shape == type_code.shape:
         raise ValueError("iu, iv, w and type_code must be 1-D and of equal length")
-    if len(iu) and not (0 <= min(iu.min(), iv.min()) and max(iu.max(), iv.max()) < n):
-        raise ValueError(f"node indices must lie in [0, {n})")
-    if len(iu) and not 0 <= type_code.min() <= type_code.max() < n_types:
-        raise ValueError(f"type_code must lie in [0, {n_types})")
-    stacked_row = np.concatenate([type_code * n + iu, type_code * n + iv])
-    col = np.concatenate([iv, iu])
-    key = stacked_row * n + col
-    order = np.argsort(key)
-    key = key[order]
-    if (key[1:] == key[:-1]).any():
-        raise ValueError("an (i, j) entry repeats within one edge type")
-    return StackedCSR(
-        np.concatenate([w, w])[order],
-        col[order],
-        _indptr(np.bincount(stacked_row, minlength=n_types * n)),
-        [(n, n)] * n_types,
-        canonical=True,
+    return StackedCSR.from_entries(
+        np.concatenate([iu, iv]),
+        np.concatenate([iv, iu]),
+        np.concatenate([w, w]),
+        np.concatenate([type_code, type_code]),
+        n_types,
+        n,
     )
 
 

@@ -122,7 +122,7 @@ def build_shard_index_walk(
         pair_seq=seq,
         types=types,
         type_weights=type_weights,
-        type_norm_weights=type_norm,
+        norm_weights=np.array([type_norm[t] for t in types]).reshape(len(types), num_pairs),
         type_last_update=type_last_update,
         shards=blocks,
     )

@@ -7,7 +7,7 @@ between the two over random typed graphs (``n = 1``, an isolated target,
 empty types, every ablation, ``activation=False``), over what
 ``predict_subgraph(s)`` adds on top (a type the sampler does not have, a
 permuted ``edge_type_order``, packs of 1–8 requests under ``row_blocks``,
-subgraphs built from a dict and from the stacked form), ``forward(rows=)``
+subgraphs built from a dict and from entries), ``forward(rows=)``
 against the full forward indexed, the numpy / scipy facts the equality
 rests on (``docs/PERFORMANCE.md``) — among them the two that let CFO's
 attention run on the read rows only — the lazy
@@ -94,10 +94,11 @@ def tape_probability(model, subgraph, features, order):
 
 
 def subgraph_pair(rng, n, types, density):
-    """The same sampled subgraph built from the stack and from a dict."""
-    stacked = stacked_symmetric_csr(*typed_entries(rng, n, len(types), density))
+    """The same sampled subgraph built from entries and from a dict."""
+    iu, iv, w, codes, n_types, _ = typed_entries(rng, n, len(types), density)
+    stacked = stacked_symmetric_csr(iu, iv, w, codes, n_types, n)
     nodes = list(range(n))
-    from_stack = ComputationSubgraph(0, nodes, types=types, stacked=stacked)
+    from_stack = ComputationSubgraph(0, nodes, types=types, entries=(iu, iv, w, codes))
     from_dict = ComputationSubgraph(0, nodes, dict(zip(types, stacked.split())))
     return from_stack, from_dict
 
@@ -340,9 +341,7 @@ class TestLazyAdjacency:
     def test_split_equals_the_per_type_scipy_build(self, seed, n, n_types, density):
         args = typed_entries(np.random.default_rng(seed), n, n_types, density)
         types = TYPES[:n_types]
-        subgraph = ComputationSubgraph(
-            0, list(range(n)), types=types, stacked=stacked_symmetric_csr(*args)
-        )
+        subgraph = ComputationSubgraph(0, list(range(n)), types=types, entries=args[:4])
         assert tuple(subgraph.adjacency) == types
         assert subgraph.adjacency is subgraph.adjacency  # split once
         for actual, expected in zip(

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.datagen import BehaviorType
-from repro.network import BehaviorNetwork, ComputationSubgraph, computation_subgraph
+from repro.network import (
+    BehaviorNetwork,
+    ComputationSubgraph,
+    computation_subgraph,
+    computation_subgraphs_batch,
+)
 
 DEV = BehaviorType.DEVICE_ID
 IP = BehaviorType.IPV4
@@ -84,3 +91,26 @@ class TestComputationSubgraph:
     def test_num_nodes(self):
         sg = ComputationSubgraph(target=5, nodes=[5, 6, 7])
         assert sg.num_nodes == 3
+
+
+class TestSamplingCostIsLocal:
+    def test_a_request_allocates_for_its_subgraph_not_for_the_network(self):
+        """Union rows are found by binary search over the union's own
+        positions: no array sized by the network is allocated per call (a
+        200k-node ``np.full`` alone peaks at 1.6 MB)."""
+        bn = BehaviorNetwork()
+        for uid in range(3, 200_003):
+            bn.add_node(uid)
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            bn.add_weight(u, v, DEV, 1.0, 0.0)
+        index = bn.index()
+        computation_subgraphs_batch(index, [0])  # the index's memos are built
+        tracemalloc.start()
+        try:
+            (subgraph,), _ = computation_subgraphs_batch(index, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(subgraph.nodes) == [0, 1, 2]
+        assert subgraph.adjacency[DEV].nnz == 6
+        assert peak < 64 * 1024, peak

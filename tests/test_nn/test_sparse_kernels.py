@@ -25,6 +25,7 @@ from scipy.sparse._sparsetools import csr_matvecs  # noqa: F401  (see the docstr
 from repro.nn.sparse import StackedCSR, row_mean_csr, typed_symmetric_csr
 from tests.oracles.sparse import (
     assert_same_csr,
+    block_diagonal,
     row_mean_csr_oracle,
     typed_symmetric_csr_oracle,
 )
@@ -162,7 +163,7 @@ class TestRowMeanCsr:
             for k, n in enumerate(sizes)
         ]
         stacks = [StackedCSR.from_matrices(matrices) for matrices in per_request]
-        packed = StackedCSR.block_diagonal(stacks, [range(3)] * 8, sizes).split()
+        packed = block_diagonal(stacks, [range(3)] * 8, sizes).split()
         assert_normalised_like_oracle(packed, seed)
         # ... and each request's block of the pack is its own normalisation
         offsets = np.concatenate(([0], np.cumsum(sizes)))

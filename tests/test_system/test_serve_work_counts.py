@@ -16,7 +16,10 @@ Beside them, the request's Python-level calls (``sys.setprofile`` ``call``
 events: every Python function, method, property and generator entered) per
 warm ``Turbo.predict`` and per request of a warm ``predict_batch`` of 8 —
 the figure a serve PR quotes as "calls per request N → M" when the wall
-clock reads unresolved.  The counting pass is never timed.
+clock reads unresolved — and the C-level calls (``c_call`` events: every
+numpy function and builtin called from Python) per warm ``Turbo.predict``.
+The counting pass is never timed.  The request's adjacency is built once,
+as the forward's pack: the sampler hands over entries, not a CSR.
 
 And the node rows whose CFO attention is evaluated: a request reads one
 probability, so the forward runs the node-wise attention on the target
@@ -43,6 +46,7 @@ import repro.network.sharding as sharding
 from repro.datagen import DAY, HOUR
 from repro.network import FAST_WINDOWS
 from repro.nn import Tensor
+from repro.nn.sparse import StackedCSR
 from repro.system import PredictRequest, TurboConfig, deploy_turbo
 
 
@@ -66,14 +70,14 @@ def counted(cls, counts, key):
     return undo
 
 
-def python_calls(fn) -> int:
-    """Python-level calls ``fn()`` makes (the previous profiler is restored)."""
-    calls = 0
+def profiled_calls(fn) -> tuple[int, int]:
+    """Python- and C-level calls ``fn()`` makes (the previous profiler is
+    restored)."""
+    calls = {"call": 0, "c_call": 0}
 
     def count(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
+        if event in calls:
+            calls[event] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -81,15 +85,19 @@ def python_calls(fn) -> int:
         fn()
     finally:
         sys.setprofile(previous)
-    return calls
+    return calls["call"], calls["c_call"]
 
 
-#: measured 838.8 and 500.6 on this deployment (962.7 and 516.1 while the
+#: measured 750.8 and 458.1 Python-level calls on this deployment (838.8 and
+#: 500.6 while the sampler built every request's stacked CSR, the forward
+#: re-packed it and CFO looped over the types; 962.7 and 516.1 while the
 #: stacked-weight staleness check entered a generator per parameter; 1,503.3
 #: and 771.8 while every storage op drew its own jitter and the product went
-#: through two scipy objects); about 3 % of headroom.
-SCALAR_CALLS_CEILING = 864
-BATCHED_CALLS_CEILING = 516
+#: through two scipy objects), and 935.1 C-level calls per warm
+#: ``Turbo.predict`` (1,067.1 before the one-sort pack); about 3 % of headroom.
+SCALAR_CALLS_CEILING = 773
+BATCHED_CALLS_CEILING = 472
+SCALAR_C_CALLS_CEILING = 963
 
 
 class CountedRng:
@@ -154,15 +162,44 @@ def test_warm_request_constructs_two_tensors_and_no_csr_matrix(deployed):
     finally:
         restore()
     assert counts["batched csr"] == 0
-    scalar_calls = python_calls(lambda: [turbo.predict(r) for r in requests]) / len(requests)
-    batched_calls = python_calls(lambda: [turbo.predict_batch(b) for b in batches]) / 16
+    scalar_calls, scalar_c_calls = (
+        calls / len(requests)
+        for calls in profiled_calls(lambda: [turbo.predict(r) for r in requests])
+    )
+    batched_calls = profiled_calls(lambda: [turbo.predict_batch(b) for b in batches])[0] / 16
     assert sys.getprofile() is None or sys.getprofile().__name__ != "count"
     print(
         f"warm request, Python-level calls: Turbo.predict {scalar_calls:.1f}, "
-        f"predict_batch of 8 {batched_calls:.1f} per request"
+        f"predict_batch of 8 {batched_calls:.1f} per request; C-level calls: "
+        f"Turbo.predict {scalar_c_calls:.1f}"
     )
     assert scalar_calls <= SCALAR_CALLS_CEILING
     assert batched_calls <= BATCHED_CALLS_CEILING
+    assert scalar_c_calls <= SCALAR_C_CALLS_CEILING
+
+
+def test_a_warm_request_builds_its_adjacency_once(deployed, monkeypatch):
+    """The sampler hands the forward entries, so the pack's one
+    ``StackedCSR.from_entries`` is the only CSR a request builds: no
+    per-request ``stacked_symmetric_csr`` (which builds through it too)."""
+    turbo, requests, expected = deployed
+    built: list[int] = []  # the blocks of every CSR built
+    from_entries = StackedCSR.from_entries.__func__
+
+    def counted(cls, rows, cols, data, type_code, n_types, n):
+        built.append(n_types)
+        return from_entries(cls, rows, cols, data, type_code, n_types, n)
+
+    monkeypatch.setattr(StackedCSR, "from_entries", classmethod(counted))
+    towers = len(turbo.prediction_server.edge_type_order)
+    for request, probability in zip(requests, expected):
+        built.clear()
+        assert turbo.predict(request).probability == probability
+        assert built == [towers]
+    built.clear()
+    batch = turbo.predict_batch(requests[:8])
+    assert [response.probability for response in batch] == expected[:8]
+    assert built == [towers]
 
 
 def test_cfo_attention_runs_on_the_request_targets_only(deployed, monkeypatch):
@@ -171,8 +208,9 @@ def test_cfo_attention_runs_on_the_request_targets_only(deployed, monkeypatch):
     attention_rows, tower_rows = [], []
     softmax, forward = cfo.softmax, hag.cfo_forward_stacked
 
-    def counted_softmax(scores, axis=-1):  # once per edge type, on the rows it attends
-        attention_rows.append(scores.shape[0])
+    def counted_softmax(scores, axis=-1):  # the (|R|, b, |R|) scores of every type
+        assert scores.shape[0] == scores.shape[2] == towers
+        attention_rows.append(scores.shape[1])
         return softmax(scores, axis)
 
     def counted_forward(type_embeddings, *args):
@@ -187,7 +225,7 @@ def test_cfo_attention_runs_on_the_request_targets_only(deployed, monkeypatch):
         tower_rows.clear()
         served = [response.probability for call in calls for response in serve(call)]
         assert len(tower_rows) == len(calls)  # one forward per call
-        return served, sum(attention_rows) / towers / len(calls), sum(tower_rows) / len(calls)
+        return served, sum(attention_rows) / len(calls), sum(tower_rows) / len(calls)
 
     scalar, scalar_rows, nodes = per_call(lambda r: [turbo.predict(r)], requests)
     batches = [requests[k : k + 8] for k in range(0, 16, 8)]
