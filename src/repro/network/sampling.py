@@ -244,10 +244,12 @@ def computation_subgraphs_batch(
     offered: random draws are per-request by construction and would defeat
     the memoization; the serving path uses deterministic top-k.
 
-    ``selection_cache`` lets a caller serving many batches against one
-    index carry the rankings across calls (the BN server does); entries are
-    only valid for the index and ``fanout`` they were ranked under, so the
-    owner must drop the dict when either changes.
+    ``selection_cache`` lets a caller serving many batches carry the
+    rankings across calls (the BN server does).  An entry is valid for the
+    ``fanout`` it was ranked under and for as long as no pair incident to
+    its node changes: the owner drops the dict when the fanout or the
+    network changes, and the keys of an index's ``touched`` nodes when it
+    moves to an index patched from the one the dict was ranked under.
 
     ``resolve(block_id, keys)`` overrides in-process selection (the shard
     router's fault gates); returning ``None`` marks the block's shard dead

@@ -55,6 +55,7 @@ The registration order of an *unsharded* network stays state (it is what
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Collection, Iterator, Sequence
@@ -138,9 +139,11 @@ class ShardIndex:
     weight columns) is in global pair-creation order, so per-type masks of
     it are the snapshot's edge arrays (:meth:`snapshot`); the
     per-shard :class:`ShardBlock` CSRs give each shard creation-order
-    neighbour lists for the nodes it owns.  All fields are flat numpy
-    arrays (:meth:`to_payload` names them all).  An index built from a network is immutable: its arrays, and those of
-    its :meth:`snapshot`, are read-only, because the next version's index
+    neighbour lists for the nodes it owns.  :meth:`to_payload` names every
+    array of the view; ``degrees``, ``touched`` and ``base`` are what the
+    next build and the readers' version-keyed state patch from.  An index
+    built from a network is immutable: its arrays, and those of its
+    :meth:`snapshot`, are read-only, because the next version's index
     copies its unchanged rows from them.
     """
 
@@ -156,7 +159,27 @@ class ShardIndex:
     norm_weights: np.ndarray  # (len(types), P) normalized, row k of types[k]
     type_last_update: dict[BehaviorType, np.ndarray]  # dense P timestamps
     shards: list[ShardBlock]
+    #: ``(len(types), num_nodes)`` weighted degree per type, the folds the
+    #: normalisation divides by; the next patch keeps its untouched columns.
+    degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: sorted uids whose rows this build re-derived (every node after a patch
+    #: of the empty base): the endpoints of the pairs written since ``base``
+    #: and the nodes registered since.
+    touched: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: registered nodes summed over the shards (a node count that only grows).
+    _registered: int = field(default=0, repr=False, compare=False)
+    _base_ref: "weakref.ref[ShardIndex] | None" = field(default=None, repr=False, compare=False)
+    #: ``(3, len(types), P)``: the raw weights, timestamps and normalised
+    #: weights whose rows the three per-type views are.
+    _columns: np.ndarray | None = field(default=None, repr=False, compare=False)
     _snapshot: BNSnapshot | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def base(self) -> "ShardIndex | None":
+        """The index this one was patched from, while that one is alive
+        (``None`` after a first build); the two differ only around the
+        ``touched`` nodes, and in positions a new node shifted."""
+        return None if self._base_ref is None else self._base_ref()
 
     @property
     def num_nodes(self) -> int:
@@ -378,23 +401,124 @@ def _export_pair_table(bn: BehaviorNetwork, pairs: Collection[tuple[int, int]]) 
     return lo, hi, seq, w_by, lu_by
 
 
-def _unchanged_rows(base: ShardIndex, changed: set[tuple[int, int]]) -> _PairTable:
-    """``base``'s rows of the pairs not in ``changed``, as a pair table.
-
-    Types that no kept row carries are left out, as a walk leaves them out.
-    """
-    node_ids, n = base.node_ids, base.num_nodes
-    pairs = np.fromiter(chain.from_iterable(changed), np.int64, 2 * len(changed))
-    lo_pos, hi_pos = positions_of(node_ids, pairs.reshape(-1, 2).T)
-    known = (lo_pos >= 0) & (hi_pos >= 0)
-    keep = np.flatnonzero(
-        ~np.isin(base.pair_lo_pos * n + base.pair_hi_pos, lo_pos[known] * n + hi_pos[known])
+def _empty_index(n_shards: int) -> ShardIndex:
+    """What a first build patches: no node, no pair, ``n_shards`` empty blocks."""
+    empty = _EMPTY_I64
+    return ShardIndex(
+        version=-1,
+        n_shards=n_shards,
+        node_ids=empty,
+        owner_of_pos=empty,
+        pair_lo_pos=empty,
+        pair_hi_pos=empty,
+        pair_seq=empty,
+        types=(),
+        type_weights={},
+        norm_weights=np.zeros((0, 0)),
+        type_last_update={},
+        shards=[ShardBlock(empty, np.zeros(1, dtype=np.int64), empty, empty)] * n_shards,
+        degrees=np.zeros((0, 0)),
+        _columns=np.zeros((3, 0, 0)),
     )
-    w_by = {t: base.type_weights[t][keep] for t in base.types}
-    w_by = {t: w for t, w in w_by.items() if w.any()}
-    lu_by = {t: base.type_last_update[t][keep] for t in w_by}
-    lo_pos, hi_pos = base.pair_lo_pos[keep], base.pair_hi_pos[keep]
-    return node_ids[lo_pos], node_ids[hi_pos], base.pair_seq[keep], w_by, lu_by
+
+
+def _merged(
+    old: np.ndarray, new: np.ndarray, source: np.ndarray, new_slots: np.ndarray
+) -> np.ndarray:
+    """Pair columns (the last axis): ``old``'s in ``source`` order, and
+    ``new``'s at ``new_slots`` (where ``source`` holds any index)."""
+    out = np.empty((*old.shape[:-1], len(source)), dtype=old.dtype)
+    if old.shape[-1]:
+        old.take(source, axis=-1, out=out, mode="clip")
+    out[..., new_slots] = new
+    return out
+
+
+def _retyped(matrix: np.ndarray, rows: np.ndarray, n_types: int) -> np.ndarray:
+    """A per-type ``matrix`` (types on axis -2) with its rows at ``rows`` of
+    ``n_types``; a type it lacks is a row of zeros."""
+    if len(rows) == n_types:
+        return matrix
+    out = np.zeros((*matrix.shape[:-2], n_types, matrix.shape[-1]))
+    out[..., rows, :] = matrix
+    return out
+
+
+def _insertion_points(
+    base: ShardIndex,
+    seq: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    again: np.ndarray,
+    own_row: np.ndarray,
+) -> np.ndarray:
+    """``searchsorted`` of rows keyed ``(seq, lo, hi)`` (uids) over all three
+    keys of ``base``'s rows.
+
+    Rows ``again`` are re-read pairs still in ``base`` at ``own_row``: one
+    that kept its tag is found at its own row.  Any other row searches the
+    run of base rows that share its tag; a new tag's run is empty.
+    """
+    ins = np.searchsorted(base.pair_seq, seq)
+    stop = np.searchsorted(base.pair_seq, seq, side="right")
+    kept_tag = base.pair_seq[own_row] == seq[again]
+    ins[again[kept_tag]] = stop[again[kept_tag]] = own_row[kept_tag]
+    while (searching := ins < stop).any():
+        mid = np.where(searching, (ins + stop) // 2, 0)
+        mid_lo = base.node_ids[base.pair_lo_pos[mid]]
+        mid_hi = base.node_ids[base.pair_hi_pos[mid]]
+        before = (mid_lo < lo) | ((mid_lo == lo) & (mid_hi < hi))
+        ins = np.where(searching & before, mid + 1, ins)
+        stop = np.where(searching & ~before, mid, stop)
+    return ins
+
+
+def _normalised(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """``w / sqrt(deg[lo] * deg[hi])`` per type (rows), 0.0 where the product
+    is not positive: the walk's arithmetic, pair by pair."""
+    product = degrees[:, lo] * degrees[:, hi]
+    positive = product > 0
+    return np.divide(
+        w,
+        np.sqrt(product, out=np.zeros_like(product), where=positive),
+        out=np.zeros_like(w),
+        where=positive,
+    )
+
+
+def _spliced_block(
+    old: ShardBlock,
+    own: np.ndarray,
+    rebuilt: np.ndarray,
+    halves: tuple[np.ndarray, np.ndarray, np.ndarray],
+    node_map: np.ndarray | None,
+    pair_map: np.ndarray,
+) -> ShardBlock:
+    """The block of positions ``own``: its ``rebuilt`` rows are ``halves``
+    (``(node, nbr, pair)``, sorted by node then pair), and every other row is
+    ``old``'s, its positions mapped by ``node_map`` and its pairs by
+    ``pair_map``."""
+    node_h, nbr_h, pair_h = halves
+    first, counts = old.indptr[:-1], old.indptr[1:] - old.indptr[:-1]
+    nbr_old = old.nbr_pos
+    if node_map is not None:
+        nbr_old = node_map[nbr_old]
+        at = np.searchsorted(own, node_map[old.own_positions])
+        first, counts = np.zeros((2, len(own)), dtype=np.int64)
+        first[at], counts[at] = old.indptr[:-1], old.indptr[1:] - old.indptr[:-1]
+    first_h = np.searchsorted(node_h, own)
+    first = np.where(rebuilt, len(nbr_old) + first_h, first)
+    counts = np.where(rebuilt, np.searchsorted(node_h, own, side="right") - first_h, counts)
+    indptr = np.zeros(len(own) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # Element k of a row is element first + k of old's arrays, then the halves.
+    gather = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
+    return ShardBlock(
+        own_positions=own,
+        indptr=indptr,
+        nbr_pos=np.concatenate([nbr_old, nbr_h])[gather],
+        pair_idx=np.concatenate([pair_map[old.pair_idx], pair_h])[gather],
+    )
 
 
 def build_shard_index(
@@ -403,107 +527,178 @@ def build_shard_index(
     version: int,
     base: ShardIndex | None = None,
 ) -> ShardIndex:
-    """Merge per-shard pair tables into one :class:`ShardIndex`.
+    """Patch ``base`` with the shards' change logs into one :class:`ShardIndex`.
 
     This is the build-time mirror exchange: each shard exports only the
-    pairs it stores (single copy, owner of ``lo``); the merge sorts the
-    concatenation by ``(seq, lo, hi)`` — the global pair-creation order —
-    and then redistributes *half-edges* to the owner of each endpoint, so
-    every shard block can serve creation-order neighbour lists for all the
-    nodes it owns, including those whose pairs live elsewhere.
+    pairs it stores (single copy, owner of ``lo``); the pair table is in
+    global pair-creation order, ``(seq, lo, hi)``; and *half-edges* go to
+    the owner of each endpoint, so every shard block serves creation-order
+    neighbour lists for all the nodes it owns, including those whose pairs
+    live elsewhere.
 
-    A write changes few pairs, so the exported pairs are only those in the
-    shards' change logs when ``base`` is the index those logs were last
-    drained into; every other row is copied from ``base``, which is never
-    written.  The sort then places each row where a walk of every pair
-    would: a re-read pair that kept its tag keeps its place, a removed one
-    is gone, and one created (or re-created) since carries a newer tag.
+    A build pays for the **touched nodes** — the endpoints of the pairs in
+    the change logs, plus any node registered since — when ``base`` is the
+    index the logs were last drained into:
+
+    * only the logged pairs are read from the dicts.  Every other row is
+      copied from ``base`` (which is never written) in its order, and the
+      re-read rows go in by ``searchsorted`` on ``(seq, lo, hi)``: a pair
+      that kept its tag goes back to its row, a removed one is gone, and
+      one created (or re-created) since carries a newer tag;
+    * ``node_ids`` and the owners are the base's unless a node was
+      registered (nodes are never removed, so the registration count
+      decides); then the base's positions are remapped in one pass;
+    * only touched nodes re-fold their per-type degrees, over their pairs
+      in pair order, lo side then hi side — the order of the walk's two
+      ``np.add.at`` passes — and only the pairs incident to them are
+      re-normalised.  Every other degree is ``base.degrees``';
+    * only the touched nodes' half-edge rows are rebuilt; every other row
+      is spliced in from ``base`` with its ids remapped.
+
     Without such a base — a first build, a dropped log, a log drained into
-    another index — it is the same patch of an empty base in which every
-    pair changed.  Either way the logs are drained into the new index.
+    another index — it is the same patch of an empty base, in which every
+    node is new and so touched.  The new index carries its touched uids
+    (``touched``) and, while that one is alive, the index it was patched
+    from (``base``; ``None`` after a patch of the empty base), so that
+    version-keyed state derived from the base can follow it.  Either way
+    the logs are drained into the new index.
     """
     if base is not None and all(s._changed is not None and s._log_base is base for s in shards):
-        tables = [_unchanged_rows(base, set().union(*(s._changed for s in shards)))]
+        logs: list[Collection[tuple[int, int]]] = [s._changed for s in shards]
         reads = [[pair for pair in s._changed if pair in s._edges] for s in shards]
+        parent = weakref.ref(base)
     else:
-        tables, reads = [], [s._edges for s in shards]
-    tables += [_export_pair_table(shard, pairs) for shard, pairs in zip(shards, reads)]
-    lo = np.concatenate([t[0] for t in tables])
-    hi = np.concatenate([t[1] for t in tables])
-    seq = np.concatenate([t[2] for t in tables])
-    order = np.lexsort((hi, lo, seq))
-    lo, hi, seq = lo[order], hi[order], seq[order]
-    types = tuple(sorted(set().union(*(t[3].keys() for t in tables))))
+        logs = reads = [s._edges for s in shards]
+        base, parent = _empty_index(n_shards), None
+    tables = [_export_pair_table(shard, pairs) for shard, pairs in zip(shards, reads)]
 
-    def column(by_type: int, btype: BehaviorType) -> np.ndarray:
-        """One type's dense column over every shard, in merged pair order."""
-        parts = [
-            t[by_type][btype] if btype in t[by_type] else np.zeros(len(t[0]))
-            for t in tables
-        ]
-        return np.concatenate(parts)[order]
-
-    type_weights = {btype: column(3, btype) for btype in types}
-    type_last_update = {btype: column(4, btype) for btype in types}
-
-    node_arrays = [
-        np.fromiter(shard._adjacency.keys(), dtype=np.int64, count=len(shard._adjacency))
-        for shard in shards
-    ]
-    node_ids = np.unique(np.concatenate(node_arrays)) if node_arrays else _EMPTY_I64
-    lo_pos = np.searchsorted(node_ids, lo)
-    hi_pos = np.searchsorted(node_ids, hi)
-    owner_of_pos = shard_of(node_ids, n_shards)
-
-    num_pairs = len(lo)
-    norm_weights = np.zeros((len(types), num_pairs))
-    for dense, btype in zip(norm_weights, types):
-        w = type_weights[btype]
-        mask = w > 0.0
-        idx = np.flatnonzero(mask)
-        rows, cols, values = lo_pos[idx], hi_pos[idx], w[idx]
-        # Replays BNSnapshot.weighted_degrees' two np.add.at passes over the
-        # same arrays in the same order, so degrees (and the normalized
-        # weights below) match adjacency._typed_entries' to the last ulp.
-        degrees = np.zeros(len(node_ids))
-        np.add.at(degrees, rows, values)
-        np.add.at(degrees, cols, values)
-        product = degrees[rows] * degrees[cols]
-        normalized = np.divide(
-            values,
-            np.sqrt(product, out=np.zeros_like(product), where=product > 0),
-            out=np.zeros_like(values),
-            where=product > 0,
-        )
-        dense[idx] = normalized
-
-    pair_range = np.arange(num_pairs, dtype=np.int64)
-    node_half = np.concatenate([lo_pos, hi_pos])
-    nbr_half = np.concatenate([hi_pos, lo_pos])
-    pair_half = np.concatenate([pair_range, pair_range])
-    owner_half = owner_of_pos[node_half] if len(node_half) else _EMPTY_I64
-    half_order = np.lexsort((pair_half, node_half, owner_half))
-    node_half = node_half[half_order]
-    nbr_half = nbr_half[half_order]
-    pair_half = pair_half[half_order]
-    owner_half = owner_half[half_order]
-    bounds = np.searchsorted(owner_half, np.arange(n_shards + 1))
-    blocks: list[ShardBlock] = []
-    for s in range(n_shards):
-        start, end = int(bounds[s]), int(bounds[s + 1])
-        own_positions = np.flatnonzero(owner_of_pos == s).astype(np.int64)
-        local = np.searchsorted(own_positions, node_half[start:end])
-        counts = np.bincount(local, minlength=len(own_positions))
-        indptr = np.zeros(len(own_positions) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        blocks.append(
-            ShardBlock(
-                own_positions=own_positions,
-                indptr=indptr,
-                nbr_pos=np.ascontiguousarray(nbr_half[start:end]),
-                pair_idx=np.ascontiguousarray(pair_half[start:end]),
+    # Nodes: the base's, unless one was registered since.  Touched: every
+    # new node and every endpoint of a logged pair.
+    registered = sum(len(shard._adjacency) for shard in shards)
+    node_ids, owner_of_pos, node_map = base.node_ids, base.owner_of_pos, None
+    if registered != base._registered:
+        ids = np.unique(
+            np.concatenate(
+                [np.fromiter(s._adjacency, np.int64, len(s._adjacency)) for s in shards]
             )
         )
+        if len(ids) != base.num_nodes:
+            node_ids, owner_of_pos = ids, shard_of(ids, n_shards)
+            node_map = np.searchsorted(node_ids, base.node_ids)
+    n = len(node_ids)
+    base_lo, base_hi = base.pair_lo_pos, base.pair_hi_pos
+    touched = np.zeros(n, dtype=bool)
+    if node_map is not None:
+        base_lo, base_hi = node_map[base_lo], node_map[base_hi]
+        touched[:] = True
+        touched[node_map] = False
+    logged = sum(map(len, logs))
+    ends = np.searchsorted(
+        node_ids,
+        np.fromiter(chain.from_iterable(chain.from_iterable(logs)), np.int64, 2 * logged),
+    )
+    touched[ends] = True
+    touched_pos = touched.nonzero()[0]
+
+    # The base rows of logged pairs leave; a re-read one goes back in below.
+    around = (touched[base_lo] | touched[base_hi]).nonzero()[0]
+    codes = base_lo[around] * n + base_hi[around]
+    logged_out = positions_of(np.sort(ends[0::2] * n + ends[1::2]), codes) >= 0
+    dropped, dropped_codes = around[logged_out], codes[logged_out]
+
+    # The re-read rows in (seq, lo, hi) order, and their places.
+    lo_uid = np.concatenate([t[0] for t in tables])
+    hi_uid = np.concatenate([t[1] for t in tables])
+    seq_new = np.concatenate([t[2] for t in tables])
+    order = np.lexsort((hi_uid, lo_uid, seq_new))
+    lo_uid, hi_uid, seq_new = lo_uid[order], hi_uid[order], seq_new[order]
+    lo_new, hi_new = np.searchsorted(node_ids, lo_uid), np.searchsorted(node_ids, hi_uid)
+    by_code = np.argsort(dropped_codes)
+    was = positions_of(dropped_codes[by_code], lo_new * n + hi_new)
+    again = (was >= 0).nonzero()[0]
+    ins = _insertion_points(
+        base, seq_new, lo_uid, hi_uid, again, dropped[by_code[was[again]]]
+    )
+
+    # The merged pair table: a kept base row goes from ``source`` to its new
+    # row, and ``pair_map`` takes it back.
+    keep = np.ones(base.num_pairs, dtype=bool)
+    keep[dropped] = False
+    kept = keep.nonzero()[0]
+    new_slots = ins - np.searchsorted(dropped, ins) + np.arange(len(ins))
+    is_new = np.zeros(len(kept) + len(ins), dtype=bool)
+    is_new[new_slots] = True
+    old_slots = (~is_new).nonzero()[0]
+    source = np.zeros(len(is_new), dtype=np.int64)
+    source[old_slots] = kept
+    pair_map = np.full(base.num_pairs, -1, dtype=np.int64)
+    pair_map[kept] = old_slots
+    lo_pos = _merged(base_lo, lo_new, source, new_slots)
+    hi_pos = _merged(base_hi, hi_new, source, new_slots)
+    seq = _merged(base.pair_seq, seq_new, source, new_slots)
+
+    # Per-type columns: raw weights, timestamps and normalised weights.
+    types = tuple(sorted(set(base.types).union(*(t[3].keys() for t in tables))))
+    rows = np.array([types.index(btype) for btype in base.types], dtype=np.int64)
+
+    def typed_rows(table: _PairTable) -> np.ndarray:
+        """``(3, types, pairs)`` of a re-read table; absent types are 0.0."""
+        lo, _, _, w_by, lu_by = table
+        absent = np.zeros(len(lo))
+        stacked = [[by.get(btype, absent) for btype in types] for by in (w_by, lu_by, {})]
+        return np.array(stacked).reshape(3, len(types), len(lo))
+
+    fresh = np.concatenate([typed_rows(table) for table in tables], axis=-1)
+    columns = _merged(
+        _retyped(base._columns, rows, len(types)), fresh[:, :, order], source, new_slots
+    )
+    weights, _, norm_weights = columns
+
+    # Degrees and normalised weights, at the touched nodes only.
+    degrees = _retyped(base.degrees, rows, len(types))
+    if node_map is None:
+        degrees = degrees.copy()
+    else:
+        grown = np.zeros((len(types), n))
+        grown[:, node_map] = degrees
+        degrees = grown
+    incident = (touched[lo_pos] | touched[hi_pos]).nonzero()[0]
+    lo_j, hi_j = lo_pos[incident], hi_pos[incident]
+    w_j = weights[:, incident]
+    cells = np.arange(len(types))[:, None] * n
+    folds = np.bincount(  # one sequential sum per cell: the lo side, then the hi side
+        np.concatenate([(cells + lo_j).ravel(), (cells + hi_j).ravel()]),
+        weights=np.concatenate([w_j.ravel(), w_j.ravel()]),
+        minlength=len(types) * n,
+    ).reshape(len(types), n)
+    degrees[:, touched_pos] = folds[:, touched_pos]
+    norm_weights[:, incident] = _normalised(w_j, lo_j, hi_j, degrees)
+    alive = degrees.any(axis=1)
+    if not alive.all():  # a type no pair carries any more leaves
+        types = tuple(btype for btype, live in zip(types, alive) if live)
+        columns, degrees = columns[:, alive], degrees[alive]
+
+    # The half-edge CSR: the touched nodes' rows are rebuilt from their
+    # pairs, and each block's other rows are spliced in from the base's.
+    from_lo, from_hi = touched[lo_j], touched[hi_j]
+    node_h = np.concatenate([lo_j[from_lo], hi_j[from_hi]])
+    nbr_h = np.concatenate([hi_j[from_lo], lo_j[from_hi]])
+    pair_h = np.concatenate([incident[from_lo], incident[from_hi]])
+    half = np.lexsort((pair_h, node_h, owner_of_pos[node_h]))
+    node_h, nbr_h, pair_h = node_h[half], nbr_h[half], pair_h[half]
+    bounds = np.searchsorted(owner_of_pos[node_h], np.arange(n_shards + 1)).tolist()
+    blocks: list[ShardBlock] = []
+    for s, old in enumerate(base.shards):
+        own = old.own_positions if node_map is None else (owner_of_pos == s).nonzero()[0]
+        part = slice(bounds[s], bounds[s + 1])
+        halves = (node_h[part], nbr_h[part], pair_h[part])
+        blocks.append(_spliced_block(old, own, touched[own], halves, node_map, pair_map))
+
+    touched_ids = node_ids[touched_pos]
+    _frozen(columns, degrees, touched_ids, node_ids, owner_of_pos, lo_pos, hi_pos, seq)
+    for block in blocks:
+        _frozen(block.own_positions, block.indptr, block.nbr_pos, block.pair_idx)
+    weights, last_update, norm_weights = columns
     index = ShardIndex(
         version=version,
         n_shards=n_shards,
@@ -513,12 +708,16 @@ def build_shard_index(
         pair_hi_pos=hi_pos,
         pair_seq=seq,
         types=types,
-        type_weights=type_weights,
+        type_weights=dict(zip(types, weights)),
         norm_weights=norm_weights,
-        type_last_update=type_last_update,
+        type_last_update=dict(zip(types, last_update)),
         shards=blocks,
+        degrees=degrees,
+        touched=touched_ids,
+        _registered=registered,
+        _base_ref=parent,
+        _columns=columns,
     )
-    _frozen(norm_weights, *index.to_payload()[0].values())
     for shard in shards:
         shard._changed, shard._log_base = set(), index
     return index

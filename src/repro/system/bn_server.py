@@ -133,9 +133,10 @@ class BNServer:
         self._next_epoch: dict[float, int] = {w: 0 for w in builder.windows}
         self._last_ttl_sweep = 0.0
         self.jobs_run = 0
-        # Per-(node, type) neighbour rankings carried across micro-batches;
-        # only valid for the (read index, fanout) they were ranked from,
-        # dropped when either changes.
+        # Per-(node, type) neighbour rankings carried across micro-batches
+        # and version bumps: valid for the (read index, fanout) they were
+        # ranked under, carried to an index patched from that one minus its
+        # touched nodes' keys (see _batch_selection_cache).
         self._selection_cache: dict = {}
         self._selection_state: tuple[ShardIndex, int | None] | None = None
         # Whether the most recent scalar sample was served from a frontier
@@ -374,12 +375,28 @@ class BNServer:
         networks at the same version (``server.bn = other``) do not share
         rankings.  The state tuple keeps the index alive, so its identity
         cannot be reused while the cache is.
+
+        A version bump costs the cache what it changed: a node's ranking
+        reads only the pairs incident to it, so when the new index was
+        patched from the one the cache was ranked under, at the same
+        fanout, the cache keeps its dict and drops only the keys of the
+        index's ``touched`` nodes (``touched x |R|`` pops).  Otherwise —
+        another network, another fanout, or an index built from another
+        base — it starts empty.
         """
         state = self._selection_state
         index = self.bn.index()
-        if state is None or state[0] is not index or state[1] != fanout:
-            self._selection_state = (index, fanout)
+        if state is not None and state[0] is index and state[1] == fanout:
+            return self._selection_cache
+        if state is not None and state[1] == fanout and index.base is state[0]:
+            cache = self._selection_cache
+            types = set(state[0].types).union(index.types)
+            for uid in index.touched.tolist():
+                for btype in types:
+                    cache.pop((uid, btype), None)
+        else:
             self._selection_cache = {}
+        self._selection_state = (index, fanout)
         return self._selection_cache
 
     def _charge_adjacency(

@@ -71,6 +71,9 @@ class ShardRouter:
         self.metrics = metrics
         self.breakers = dict(breakers or {})
         self._seen_version: int | None = None
+        # The selection cache last served and the dead shards whose keys
+        # have been evicted from it since they went down.
+        self._evicted: tuple[dict, set[int]] = ({}, set())
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -130,6 +133,29 @@ class ShardRouter:
                 breaker.record_success()
         return dead, gate_seconds
 
+    def _evict_dead(self, selection_cache: dict, dead: set[int], n_shards: int) -> None:
+        """Evict a newly dead shard's selections from ``selection_cache``.
+
+        A warm cache must not mask a dead shard: selections owned by a
+        downed shard are evicted so resolution re-runs (and fails) for
+        them, surfacing partial degradation.  The mirror rule of "a
+        recovered shard must not serve stale emptiness" — a dead shard must
+        not serve stale fullness.  Dead selections are never cached, so one
+        scan per outage is enough: a shard is evicted from a cache object
+        once while it stays down, and again only after it recovered and
+        died again.
+        """
+        cache, evicted = self._evicted
+        if cache is not selection_cache:
+            evicted = set()
+            self._evicted = (selection_cache, evicted)
+        evicted &= dead
+        doomed = dead - evicted
+        if doomed and selection_cache:
+            for key in [k for k in selection_cache if _shard_of_int(k[0], n_shards) in doomed]:
+                del selection_cache[key]
+        evicted |= doomed
+
     def sample_batch(
         self,
         targets: Sequence[int],
@@ -148,19 +174,8 @@ class ShardRouter:
         """
         index = self.current_index()
         dead, gate_seconds = self.probe_shards(now=now)
-        if dead and selection_cache:
-            # A warm cache must not mask a dead shard: selections owned by a
-            # downed shard are evicted so resolution re-runs (and fails) for
-            # them, surfacing partial degradation.  The mirror rule of "a
-            # recovered shard must not serve stale emptiness" — a dead shard
-            # must not serve stale fullness.
-            doomed = [
-                key
-                for key in selection_cache
-                if _shard_of_int(key[0], index.n_shards) in dead
-            ]
-            for key in doomed:
-                del selection_cache[key]
+        if selection_cache is not None:
+            self._evict_dead(selection_cache, dead, index.n_shards)
 
         resolve = None
         if dead:

@@ -176,3 +176,15 @@ def test_backticked_paths_exist():
         if not (any(ROOT.glob(span)) if "*" in span else (ROOT / span).exists()):
             missing.append(f"{doc}: {span}")
     assert missing == []
+
+
+#: ``docs/PERFORMANCE.md`` may not grow: each section keeps its contract, its
+#: current figure and one line naming the change that set it, and the history
+#: lives in the change log.  A change may lower the ceiling; one that raises it
+#: says why in the change log.
+PERFORMANCE_MD_MAX_LINES = 2015
+
+
+def test_performance_doc_stays_under_its_line_ceiling():
+    lines = len((ROOT / "docs" / "PERFORMANCE.md").read_text().splitlines())
+    assert lines <= PERFORMANCE_MD_MAX_LINES, lines

@@ -29,7 +29,11 @@ the towers still run on every node of the subgraph.
 And what a write costs the next read: the edge records ``index()`` reads
 from the network's dicts after a one-hour write are those of the pairs the
 write touched — the rest of the index is copied from the last one — where
-a build used to read every record.
+a build used to read every record.  The same build re-normalises only the
+pairs incident to the touched nodes (the endpoints of those pairs) and
+rebuilds only their half-edge rows, and the warm requests after it re-rank
+at most touched nodes x edge types neighbour selections, where dropping the
+ranking cache on every version bump re-ranked every frontier.
 """
 
 from __future__ import annotations
@@ -248,13 +252,18 @@ def edge_records(bn) -> dict:
 
 
 def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, monkeypatch):
-    turbo, _ = deploy_turbo(
+    turbo, data = deploy_turbo(
         tiny_dataset, TurboConfig(windows=FAST_WINDOWS, train_epochs=1, hidden=(8, 4), seed=0)
     )
     server, end = turbo.bn_server, tiny_dataset.end_time
     server.run_due_jobs(end)
     bn = server.bn
     bn.index()
+    requests = [
+        PredictRequest(txn=txn, now=txn.audit_at) for txn in data.dataset.transactions[:20]
+    ]
+    for request in requests:  # ranks their frontiers under this index
+        turbo.predict(request)
     before = edge_records(bn)
     start = end - 2 * DAY  # an hour of the dataset's logs, replayed two days later
     hour = [
@@ -266,23 +275,72 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
     server.run_due_jobs(end + HOUR)
     after = edge_records(bn)
     touched = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+    touched_nodes = {uid for pair in bn._changed for uid in pair}
 
     read: list[int] = []
-    export = sharding._export_pair_table
+    renormalised: list[int] = []
+    rebuilt: list[tuple[int, int]] = []  # (rows, half-edges) per block
+    export, normalised, spliced = (
+        sharding._export_pair_table, sharding._normalised, sharding._spliced_block
+    )
 
     def counted(shard, pairs):
         read.append(sum(len(shard._edges[pair]) for pair in pairs))
         return export(shard, pairs)
 
+    def counted_normalised(w, lo, hi, degrees):
+        renormalised.append(w.shape[1])
+        return normalised(w, lo, hi, degrees)
+
+    def counted_splice(old, own, rows, halves, node_map, pair_map):
+        rebuilt.append((int(rows.sum()), len(halves[0])))
+        return spliced(old, own, rows, halves, node_map, pair_map)
+
     monkeypatch.setattr(sharding, "_export_pair_table", counted)
-    bn.index()
+    monkeypatch.setattr(sharding, "_normalised", counted_normalised)
+    monkeypatch.setattr(sharding, "_spliced_block", counted_splice)
+    index = bn.index()
     expected = sum(len(after[pair]) for pair in touched if pair in after)
+    incident = [p for p in after if touched_nodes.intersection(p)]
     print(
         f"\nafter a one-hour write ({len(hour)} logs, {len(touched)} of "
         f"{bn.num_pairs()} pairs touched): index() read {sum(read)} edge records "
         f"from the dicts; a full walk reads every one, {bn.num_edges()}"
     )
     assert touched and sum(read) == expected < bn.num_edges()
+    print(
+        f"the same index() re-normalised {sum(renormalised)} of {index.num_pairs} pairs "
+        f"and rebuilt {sum(r for r, _ in rebuilt)} of {index.num_nodes} half-edge rows "
+        f"({sum(h for _, h in rebuilt)} of {2 * index.num_pairs} half-edges): those "
+        f"of the {len(touched_nodes)} touched nodes; every one before"
+    )
+    assert set(index.touched.tolist()) == touched_nodes
+    assert sum(renormalised) == len(incident) < index.num_pairs
+    assert sum(r for r, _ in rebuilt) == len(touched_nodes) < index.num_nodes
+    assert sum(h for _, h in rebuilt) == sum(bn.degree(uid) for uid in touched_nodes)
+
+    ranked: list[int] = []
+    select = sharding.ShardIndex.select_neighbors
+
+    def counted_select(self, keys, fanout):
+        ranked.append(len(keys))
+        return select(self, keys, fanout)
+
+    monkeypatch.setattr(sharding.ShardIndex, "select_neighbors", counted_select)
+    served = [turbo.predict(requests[0]).probability]
+    first = sum(ranked)
+    served += [turbo.predict(request).probability for request in requests[1:]]
+    carried = sum(ranked)
+    ranked.clear()
+    server._selection_state = None  # what a dropped cache re-ranks
+    assert [turbo.predict(request).probability for request in requests] == served
+    bound = len(touched_nodes) * len(index.types)
+    print(
+        f"the next warm request re-ranked {first} keys and the next {len(requests)} "
+        f"together {carried}, at most {len(touched_nodes)} touched x {len(index.types)} "
+        f"types = {bound}; with the cache dropped they re-rank {sum(ranked)}"
+    )
+    assert first <= carried <= bound < sum(ranked)
 
     # Written ten times over without a read, the log stops at num_pairs.
     rows = list(bn.iter_edges())

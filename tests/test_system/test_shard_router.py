@@ -27,6 +27,7 @@ from repro.network import (
     ShardedBehaviorNetwork,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.system import shard_router
 from repro.system import (
     BNServer,
     CircuitBreaker,
@@ -108,6 +109,44 @@ class TestShardLoss:
         for i, (want_sub, got_sub) in enumerate(zip(want, got)):
             if i not in stats.partial:
                 assert_subgraph_equal(got_sub, want_sub)
+
+    def test_a_dead_shard_is_evicted_from_a_warm_cache_once_per_outage(
+        self, rng, monkeypatch
+    ):
+        """Dead selections are never cached, so a shard down for five batches
+        costs one scan of the cache, not five; decisions are those of a
+        router that ranks every batch afresh."""
+        _bn, sharded = build_pair(contribution_batches(rng), 4)
+        faults = FaultInjector()
+        router, afresh = ShardRouter(sharded, faults=faults), ShardRouter(sharded, faults=faults)
+        targets = [int(t) for t in rng.integers(0, 200, size=16)]
+        cache: dict = {}
+        router.sample_batch(targets, fanout=5, selection_cache=cache, now=0.0)
+        scanned: list[int] = []
+        shard_of_int = shard_router._shard_of_int
+
+        def counted(uid, n_shards):
+            scanned.append(uid)
+            return shard_of_int(uid, n_shards)
+
+        monkeypatch.setattr(shard_router, "_shard_of_int", counted)
+        for outage in range(2):
+            start = 10.0 * (outage + 1)
+            faults.add_crash("bn_shard1", start, start + 5.0)
+            warm, scanned[:] = len(cache), []
+            for k in range(5):
+                now = start + k
+                got, stats, _ = router.sample_batch(
+                    targets, fanout=5, selection_cache=cache, now=now
+                )
+                want, want_stats, _ = afresh.sample_batch(targets, fanout=5, now=now)
+                assert stats.partial == want_stats.partial != ()
+                for got_sub, want_sub in zip(got, want):
+                    assert_subgraph_equal(got_sub, want_sub)
+            assert len(scanned) == warm  # one scan of the warm cache
+            # Recovered: the shard's keys are ranked and cached again.
+            router.sample_batch(targets, fanout=5, selection_cache=cache, now=start + 6.0)
+            assert len(cache) == warm
 
     def test_breaker_opens_then_recovery_restores_bits(self, rng):
         bn, _sharded, router = make_router(rng, with_faults=True)
