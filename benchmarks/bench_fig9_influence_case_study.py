@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core import HAG, TrainConfig, prepare_aggregators, train_node_classifier
 from repro.core.influence import influence_distribution
-from repro.network import computation_subgraph
+from repro.network import computation_subgraphs_batch
 
 from _shared import SCALE, d1_experiment, emit, emit_header, once
 
@@ -47,9 +47,8 @@ def run_case_study():
         if user.ring_id is not None and user.is_fraud:
             rings.setdefault(user.ring_id, []).append(user.uid)
     ring_id, members = max(rings.items(), key=lambda kv: len(kv[1]))
-    subgraph = computation_subgraph(
-        data.bn, members[0], hops=2, fanout=6, allowed=set(data.nodes),
-        edge_types=data.edge_types,
+    (subgraph,), _stats = computation_subgraphs_batch(
+        data.bn.index(), [members[0]], hops=2, fanout=6, allowed=set(data.nodes)
     )
     index = {uid: i for i, uid in enumerate(data.nodes)}
     features = data.features[[index[v] for v in subgraph.nodes]]

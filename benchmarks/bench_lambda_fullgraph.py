@@ -19,8 +19,8 @@ repository root:
   would execute.  It is a model, not a wall-clock figure: the measured
   2-process wall speedup is in ``docs/PERFORMANCE.md``.  The
   ``pool_sweep`` section proves the real forked path bit-exact;
-* ``state_parity`` — a uniform target sample scored by the scalar serving
-  path (:func:`~repro.network.sampling.computation_subgraph` +
+* ``state_parity`` — a uniform target sample scored by the serving path
+  (:func:`~repro.network.sampling.computation_subgraphs_batch` +
   :meth:`~repro.core.hag.HAG.predict_subgraph`, one target at a time): the
   big sweep's scores and subgraph rows for those targets must be
   **byte-identical** (chunk/slice invariance at scale);
@@ -75,7 +75,7 @@ from repro.network import (
     ShardedBehaviorNetwork,
     build_sampled_graph,
 )
-from repro.network.sampling import computation_subgraph
+from repro.network.sampling import computation_subgraphs_batch
 from repro.system import fork_map
 
 from _shared import Gate, check_gates, emit, emit_header
@@ -219,14 +219,16 @@ def state_mismatches(got, want) -> list[str]:
 
 
 def bench_state_parity(sweep: Sweep, big_state, targets) -> dict:
-    """The big sweep's rows against the scalar serving path, bit for bit."""
+    """The big sweep's rows against the serving path, bit for bit."""
     rng = np.random.default_rng(np.random.SeedSequence([sweep.config.seed, 7]))
     sample = np.sort(
         rng.choice(targets, size=min(REPLAY_SAMPLE, len(targets)), replace=False)
     )
     mismatched = []
     for uid, row in zip(sample, np.searchsorted(big_state.node_ids, sample)):
-        subgraph = computation_subgraph(sweep.bn, int(uid), hops=HOPS, fanout=FANOUT)
+        (subgraph,), _stats = computation_subgraphs_batch(
+            sweep.bn.index(), [int(uid)], hops=HOPS, fanout=FANOUT
+        )
         score = sweep.model.predict_subgraph(
             subgraph,
             sweep.scaler.transform(sweep.feature_fn(None, subgraph.nodes)),

@@ -16,7 +16,7 @@ from repro.core import TrainConfig, train_node_classifier
 from repro.core.influence import influence_distribution
 from repro.datagen import DAY
 from repro.eval.empirical import hop_fraud_ratios, time_burst_summary
-from repro.network import FAST_WINDOWS, computation_subgraph
+from repro.network import FAST_WINDOWS, computation_subgraphs_batch
 
 
 def main() -> None:
@@ -63,9 +63,8 @@ def main() -> None:
         f" {(max(apps) - min(apps)) / DAY:.1f} days"
     )
     member = members[0]
-    subgraph = computation_subgraph(
-        data.bn, member, hops=2, fanout=None, allowed=set(data.nodes),
-        edge_types=data.edge_types,
+    (subgraph,), _stats = computation_subgraphs_batch(
+        data.bn.index(), [member], hops=2, fanout=None, allowed=set(data.nodes)
     )
     in_ring = sum(1 for v in subgraph.nodes if v in set(members))
     print(

@@ -11,13 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    computation_subgraph,
     get_method,
     make_d1,
     prepare_experiment,
     run_method,
 )
-from repro.network import FAST_WINDOWS
+from repro.network import FAST_WINDOWS, computation_subgraphs_batch
 
 
 def main() -> None:
@@ -51,9 +50,8 @@ def main() -> None:
     # 4. Inductive prediction: score one user from their sampled
     #    computation subgraph, exactly like the online BN server does.
     target = data.nodes[int(data.test_idx[0])]
-    subgraph = computation_subgraph(
-        data.bn, target, hops=2, fanout=25, allowed=set(data.nodes),
-        edge_types=data.edge_types,
+    (subgraph,), _stats = computation_subgraphs_batch(
+        data.bn.index(), [target], hops=2, fanout=25, allowed=set(data.nodes)
     )
     print(
         f"Sampled computation subgraph for user {target}: "

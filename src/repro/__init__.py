@@ -38,7 +38,7 @@ from .eval import (
     run_method,
 )
 from .baselines import get_method, method_names
-from .network import BehaviorNetwork, BNBuilder, computation_subgraph
+from .network import BehaviorNetwork, BNBuilder
 from .system import Turbo, deploy_turbo
 
 __version__ = "1.0.0"
@@ -53,7 +53,6 @@ __all__ = [
     "make_d2",
     "BehaviorNetwork",
     "BNBuilder",
-    "computation_subgraph",
     "HAG",
     "SAOLayer",
     "CFOLayer",

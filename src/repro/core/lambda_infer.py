@@ -28,7 +28,7 @@ This module is the batch layer's core: storage- and serving-agnostic.
   serving path per target off one global
   :class:`~repro.network.sampled_graph.SampledGraph` (InferTurbo-style,
   PAPERS.md) through :func:`score_slice` — pinned bit-for-bit equal to
-  :func:`~repro.network.sampling.computation_subgraph` +
+  :func:`~repro.network.sampling.computation_subgraphs_batch` +
   :meth:`~repro.core.hag.HAG.predict_subgraph`, so a cached score is
   *bit-exact* with what the fresh sampled path would compute.  A
   full-graph embedding cache could not promise that, because the sampled
@@ -60,7 +60,7 @@ from ..nn.sparse import (
 )
 from ..network.adjacency import typed_adjacency
 from ..network.sampled_graph import SampledGraph, build_sampled_graph
-from ..network.sampling import BatchSampleStats
+from ..network.sampling import BatchSampleStats, _bfs_positions
 from .hag import HAG
 
 __all__ = [
@@ -381,17 +381,18 @@ def score_slice(
     *,
     hops: int,
     edge_type_order: Sequence,
-    allowed_mask: np.ndarray | None,
+    allowed: set[int] | None,
     transform: Callable[[np.ndarray], np.ndarray] | None,
 ) -> SliceResult:
     """Replay the per-target serving path for ``uids[indices]`` off the
     sampled-adjacency CSR.
 
-    Per-request semantics are identical to the scalar sampler
-    (:func:`~repro.network.sampling.computation_subgraph` +
-    :meth:`~repro.core.hag.HAG.predict_subgraph`): same BFS discovery
-    order over the same selections, same induced normalized adjacency
-    bits, same forward per request block — but each target costs
+    Per-request semantics are identical to the serving path
+    (:func:`~repro.network.sampling.computation_subgraphs_batch` +
+    :meth:`~repro.core.hag.HAG.predict_subgraph`): the same BFS
+    (:func:`~repro.network.sampling._bfs_positions`) over the same
+    selections, same induced normalized adjacency bits, same forward per
+    request block — but each target costs
     O(its subgraph) gathers and :data:`SCORE_CHUNK` targets share one packed
     forward, which is what makes the sweep scale.  ``feature_fn`` is
     called with the *global* sorted-target index (``indices[k]``).
@@ -399,6 +400,7 @@ def score_slice(
     indices = np.asarray(indices, dtype=np.int64)
     n = len(indices)
     positions = sampled.positions_of(uids[indices])
+    selection = (sampled.all_indptr, sampled.all_nbr)
     types = sampled.types
     scores = np.zeros(n, dtype=np.float64)
     expanded = np.zeros(n, dtype=np.int64)
@@ -412,22 +414,20 @@ def score_slice(
         parts: dict = {btype: [] for btype in types}
         offset = 0
         for k in range(start, stop):
-            pos = int(positions[k])
-            if pos < 0:
-                plist = np.asarray([-1], dtype=np.int64)
-                nodes = np.asarray([int(uids[indices[k]])], dtype=np.int64)
-                expanded[k] = 1 if expand_types else 0
+            plist, levels = _bfs_positions(
+                selection, sampled.node_ids, int(positions[k]), hops, allowed
+            )
+            if plist[0] < 0:
+                nodes = uids[indices[k : k + 1]]
             else:
-                plist, exp = sampled.subgraph_positions(pos, hops, allowed_mask)
                 nodes = sampled.node_ids[plist]
-                expanded[k] = exp if expand_types else 0
-            entries = sampled.induced_entries(plist, types)
-            for btype in types:
-                iu, iv, w = entries[btype]
-                edges += len(w)
-                if len(w):
-                    # induced_entries reuses scratch: copy now.
-                    parts[btype].append((iu + offset, iv + offset, w.copy()))
+            expanded[k] = levels[hops] if expand_types else 0
+            iu, iv, w, code = sampled.induced_entries(plist)
+            edges += len(w)
+            for type_code, btype in enumerate(types):
+                mine = code == type_code
+                if mine.any():
+                    parts[btype].append((iu[mine] + offset, iv[mine] + offset, w[mine]))
             offset += len(plist)
             sizes.append(len(plist))
             matrix = feature_fn(int(indices[k]), nodes)
@@ -582,7 +582,6 @@ def materialize(
         raise ValueError("sampled graph version does not match bn.version")
     if sampled.fanout != fanout:
         raise ValueError("sampled graph fanout does not match the request")
-    allowed_mask = sampled.allowed_mask(allowed)
 
     want_layers = layer_row_fn is not None and n > 0
     layer_names = _layer_names(model)
@@ -639,7 +638,7 @@ def materialize(
             feature_fn,
             hops=hops,
             edge_type_order=edge_type_order,
-            allowed_mask=allowed_mask,
+            allowed=allowed,
             transform=transform,
         )
 

@@ -7,7 +7,6 @@ from .normalize import normalized_weight, type_weighted_degrees
 from .sampling import (
     BatchSampleStats,
     ComputationSubgraph,
-    computation_subgraph,
     computation_subgraphs_batch,
 )
 from .sampled_graph import SampledGraph, build_sampled_graph
@@ -32,7 +31,6 @@ __all__ = [
     "normalized_weight",
     "type_weighted_degrees",
     "ComputationSubgraph",
-    "computation_subgraph",
     "computation_subgraphs_batch",
     "BatchSampleStats",
     "shard_of",

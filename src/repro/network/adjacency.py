@@ -5,10 +5,10 @@ The exports are the first leg of the BN→GNN hot path, so they run on the
 per-type view of the network's memoized read index) instead of per-edge
 Python iteration, and all edge types are built in one pass
 (:func:`~repro.nn.sparse.typed_symmetric_csr`).  This full-edge mask is the
-whole-graph export (training, ``typed_adjacency``) and the scalar
-sampler's induction; the serving tiers induce from the index's rows
-instead (:meth:`~repro.network.sharding.ShardIndex.induced_entries`,
-O(sum deg)) and are pinned bit-equal to it.
+whole-graph export (training, ``typed_adjacency``); the sampler induces
+from the index's rows instead
+(:meth:`~repro.network.sharding.ShardIndex.induced_entries`, O(sum deg))
+and is pinned bit-equal to it.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ compute the target's representation — instead of the entire BN (the
 GraphSAGE-style inductive setting).  The BN server samples ``G_v`` when a
 detection request arrives.
 
-Two samplers, one contract.  :func:`computation_subgraphs_batch` is what
-every serving tier runs: it reads the network's one flat read index
-(``bn.index()``), so an unsharded deployment is simply the one-block case
-of a sharded one.  Scalar :func:`computation_subgraph` stays on the dict
-walk and the snapshot mask: it is the rng-capable research sampler and the
-independent oracle the batch sampler is pinned bit-equal to.
+One sampler: :func:`computation_subgraphs_batch` is what every serving
+tier and the full-graph sweep run.  It reads the network's one flat read
+index (``bn.index()``, so an unsharded deployment is simply the one-block
+case of a sharded one), whose fanout-capped neighbour selection is ranked
+once per BN version (:meth:`~repro.network.sharding.ShardIndex.selection`);
+a request's BFS walks that CSR.  The dict walk it replaced lives on in
+``tests/oracles/sampling.py`` as the independent oracle.
 
 A :class:`ComputationSubgraph` carries its ``|R|`` adjacencies as the typed
 entries the sampler induced (HAG's inference packs them as they are); the
@@ -22,27 +23,26 @@ when read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..datagen.behavior_types import BehaviorType
 from ..nn.sparse import StackedCSR, stacked_symmetric_csr, sum_csr
-from .adjacency import _induced_entries
-from .bn import BehaviorNetwork
-from .sharding import ShardIndex, _shard_of_int
+from .sharding import ShardIndex, shard_of
 from .snapshot import positions_of
 
 __all__ = [
     "ComputationSubgraph",
-    "computation_subgraph",
     "computation_subgraphs_batch",
     "BatchSampleStats",
 ]
 
 
 _Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class ComputationSubgraph:
@@ -132,65 +132,6 @@ class ComputationSubgraph:
         return sum_csr(list(self.adjacency.values()), len(self.nodes))
 
 
-def computation_subgraph(
-    bn: BehaviorNetwork,
-    target: int,
-    hops: int = 2,
-    fanout: int | None = 25,
-    allowed: set[int] | None = None,
-    edge_types: Sequence[BehaviorType] | None = None,
-    rng: np.random.Generator | None = None,
-) -> ComputationSubgraph:
-    """Sample the computation subgraph ``G_v`` for ``target``.
-
-    Parameters
-    ----------
-    bn:
-        The behavior network to sample from.
-    target:
-        The user the detection request targets; included even if isolated.
-    hops:
-        Neighbourhood radius ``k`` (the paper uses 2-layer GNNs).
-    fanout:
-        Per-node, per-type neighbour cap.  ``None`` keeps every neighbour;
-        otherwise the top-``fanout`` by edge weight are kept (or sampled
-        proportionally to weight when ``rng`` is supplied), which bounds the
-        subgraph size in the presence of public-resource cliques.
-    allowed:
-        If given, restrict expansion to these nodes (the paper's ``G_v`` only
-        contains users having transactions).
-    edge_types:
-        Edge types to traverse and export (defaults to all types in BN).
-    rng:
-        Optional generator enabling weighted sampling instead of top-k.
-    """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    _check_fanout(fanout)
-    types = tuple(edge_types) if edge_types is not None else tuple(sorted(bn.edge_types()))
-
-    selected: list[int] = [target]
-    seen: set[int] = {target}
-    frontier = [target]
-    for _ in range(hops):
-        next_frontier: list[int] = []
-        for node in frontier:
-            for btype in types:
-                neighbors = _select_neighbors(bn, node, btype, fanout, rng)
-                for neighbor in neighbors:
-                    if neighbor in seen:
-                        continue
-                    if allowed is not None and neighbor not in allowed:
-                        continue
-                    seen.add(neighbor)
-                    selected.append(neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-
-    entries = _induced_entries(bn, selected, types)
-    return ComputationSubgraph(target=target, nodes=selected, types=types, entries=entries)
-
-
 @dataclass(frozen=True, slots=True)
 class BatchSampleStats:
     """Coalescing accounting for one :func:`computation_subgraphs_batch` call."""
@@ -216,230 +157,176 @@ def computation_subgraphs_batch(
     hops: int = 2,
     fanout: int | None = 25,
     allowed: set[int] | None = None,
-    selection_cache: dict[tuple[int, BehaviorType], list[int]] | None = None,
-    resolve: Callable[[int, list[tuple[int, BehaviorType]]], list[list[int]] | None]
-    | None = None,
-    on_exchange: Callable[[int, dict[int, list], int], None] | None = None,
+    dead_shards: Collection[int] = (),
+    on_exchange: Callable[[int, dict[int, int], int], None] | None = None,
 ) -> tuple[list[ComputationSubgraph], BatchSampleStats]:
-    """Sample every target's ``G_v`` off a read index, frontiers in lockstep.
+    """Sample every target's ``G_v`` off a read index.
 
-    The one union-frontier sampler under every serving tier: ``index`` is
-    ``bn.index()`` of a plain network (one block) or of a sharded facade
-    (N blocks).  Returns
-    subgraphs that are bit-for-bit what per-target
-    :func:`computation_subgraph` calls produce — same node order, same CSR
-    bits — but shares work across requests two ways:
+    The one sampler under every serving tier: ``index`` is ``bn.index()`` of
+    a plain network (one block) or of a sharded facade (N blocks).  Each
+    target's ``hops``-hop BFS walks the index's selection CSR for
+    ``fanout`` (:meth:`ShardIndex.selection`, ranked once per BN version):
+    per frontier node in order, its selection row in order, first
+    occurrence wins, and a candidate joins only if ``allowed`` (``None``
+    admits all) holds it.  The adjacency is gathered once for the union
+    of the batch's nodes (:meth:`ShardIndex.induced_entries`, O(sum deg))
+    and each request's typed entries are cut out of it: the forward packs
+    them as they are, and the matrices are built only if read.  Node order
+    and entry bits equal the dict walk's (``tests/oracles/sampling.py``).
+    Nothing here allocates an array sized by the network: the BFS marks
+    what it saw in scratch that every call reuses.
 
-    * neighbour selection is memoized per ``(node, type)``: deterministic
-      top-``fanout`` selection depends only on the node, so each hop ranks
-      the batch's outstanding keys once, grouped by owner block (the
-      *frontier exchange*), and every request replays the cached lists
-      through its own BFS bookkeeping;
-    * adjacency extraction gathers the *union* node set's index rows once
-      (:meth:`ShardIndex.induced_entries`, O(sum deg) over precomputed
-      normalized weights), then slices each request's entries out of the
-      union block; its matrices are built only if read.
-
-    Weighted sampling (the scalar path's ``rng``) is intentionally not
-    offered: random draws are per-request by construction and would defeat
-    the memoization; the serving path uses deterministic top-k.
-
-    ``selection_cache`` lets a caller serving many batches carry the
-    rankings across calls (the BN server does).  An entry is valid for the
-    ``fanout`` it was ranked under and for as long as no pair incident to
-    its node changes: the owner drops the dict when the fanout or the
-    network changes, and the keys of an index's ``touched`` nodes when it
-    moves to an index patched from the one the dict was ranked under.
-
-    ``resolve(block_id, keys)`` overrides in-process selection (the shard
-    router's fault gates); returning ``None`` marks the block's shard dead
-    for this batch — its keys select nothing, its adjacency rows are
-    dropped, affected requests are listed in ``stats.partial``, and dead
-    selections are **not** written to ``selection_cache`` (a recovered
-    shard must not serve stale emptiness).
-    ``on_exchange(hop, groups_by_block, lost_keys)`` observes each
-    exchange for metrics/spans.
+    ``dead_shards`` are the shards that cannot serve: their rows select
+    nothing.  A dead shard a walk tried to expand also loses its adjacency
+    rows for the whole batch, and every request that expanded or holds
+    one of its nodes is listed in ``stats.partial``.
+    ``on_exchange(hop, rows_by_shard, lost)`` observes each hop's union
+    frontier: its rows per owner shard and how many of them are on dead
+    shards.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    _check_fanout(fanout)
-    types = index.types
-    if selection_cache is None:
-        selection_cache = {}
-    targets = [int(t) for t in targets]
-    n_requests = len(targets)
-    selected_lists: list[list[int]] = [[t] for t in targets]
-    seen_sets: list[set[int]] = [{t} for t in targets]
-    frontiers: list[list[int]] = [[t] for t in targets]
-    dead_keys: set[tuple[int, BehaviorType]] = set()
-    dead_shards: set[int] = set()
-    partial = [False] * n_requests
-    expansions = 0
-    touched: set[tuple[int, BehaviorType]] = set()
-
-    for hop in range(hops):
-        pending: list[tuple[int, BehaviorType]] = []
-        pending_set: set[tuple[int, BehaviorType]] = set()
-        for frontier in frontiers:
-            for node in frontier:
-                for btype in types:
-                    key = (node, btype)
-                    if (
-                        key in selection_cache
-                        or key in pending_set
-                        or key in dead_keys
-                    ):
-                        continue
-                    pending_set.add(key)
-                    pending.append(key)
-        groups: dict[int, list[tuple[int, BehaviorType]]] = {}
-        for key in pending:
-            groups.setdefault(_shard_of_int(key[0], index.n_shards), []).append(key)
-        lost = 0
-        for shard_id in sorted(groups):
-            keys = groups[shard_id]
-            selections: list[list[int]] | None
-            if resolve is not None:
-                selections = resolve(shard_id, keys)
-            else:
-                selections = index.select_neighbors(keys, fanout)
-            if selections is None:
-                dead_keys.update(keys)
-                dead_shards.add(shard_id)
-                lost += len(keys)
-                continue
-            for key, neighbors in zip(keys, selections):
-                selection_cache[key] = neighbors
-        if on_exchange is not None and pending:
-            on_exchange(hop, groups, lost)
-
-        for i in range(n_requests):
-            frontier = frontiers[i]
-            if not frontier:
-                continue
-            selected = selected_lists[i]
-            seen = seen_sets[i]
-            next_frontier: list[int] = []
-            for node in frontier:
-                for btype in types:
-                    expansions += 1
-                    key = (node, btype)
-                    touched.add(key)
-                    if key in dead_keys:
-                        partial[i] = True
-                        continue
-                    for neighbor in selection_cache[key]:
-                        if neighbor in seen:
-                            continue
-                        if allowed is not None and neighbor not in allowed:
-                            continue
-                        seen.add(neighbor)
-                        selected.append(neighbor)
-                        next_frontier.append(neighbor)
-            frontiers[i] = next_frontier
-
-    union_nodes: list[int] = []
-    union_index: dict[int, int] = {}
-    for nodes in selected_lists:
-        for uid in nodes:
-            if uid not in union_index:
-                union_index[uid] = len(union_nodes)
-                union_nodes.append(uid)
-    positions = positions_of(index.node_ids, union_nodes)
-    live_shards = (
-        None
-        if not dead_shards
-        else [s for s in range(index.n_shards) if s not in dead_shards]
-    )
-    entries = index.induced_entries(positions, live_shards)
+    selection = index.selection(fanout)
+    node_ids, owner, n_shards = index.node_ids, index.owner_of_pos, index.n_shards
+    n_types = len(index.types)
+    targets = list(map(int, targets))
+    dead = None
     if dead_shards:
-        # Adjacency rows owned by dead shards were dropped too — flag every
-        # request whose subgraph contains such a node.
-        owner = np.full(len(union_nodes), -1, dtype=np.int64)
-        inside = positions >= 0
-        owner[inside] = index.owner_of_pos[positions[inside]]
-        dead_row = np.isin(owner, list(dead_shards))
-        for i, nodes in enumerate(selected_lists):
-            if partial[i]:
-                continue
-            if any(dead_row[union_index[uid]] for uid in nodes):
-                partial[i] = True
+        dead = np.zeros(n_shards, dtype=bool)
+        dead[list(dead_shards)] = True
+    found, levels_of, node_lists, expanded = [], [], [], []
+    for target, root in zip(targets, positions_of(node_ids, targets).tolist()):
+        positions, levels = _bfs_positions(selection, node_ids, root, hops, allowed, owner, dead)
+        nodes = node_ids[positions].tolist() if root >= 0 else [target]
+        found.append(positions)
+        levels_of.append(levels)
+        node_lists.append(nodes)
+        # The first levels[hops] nodes were expanded, once per type.
+        expanded.append(nodes[: levels[hops]] if n_types else [])
 
-    subgraphs = slice_union_subgraphs(targets, selected_lists, union_index, types, entries)
+    partial = [False] * len(targets)
+    live_shards = None
+    if dead is not None:
+        hit: set[int] = set()
+        for i, nodes in enumerate(expanded):
+            shards = shard_of(nodes, n_shards)  # an unregistered uid's too
+            lost = shards[dead[shards]].tolist()
+            partial[i] = bool(lost)
+            hit.update(lost)
+        if hit:
+            live_shards = [s for s in range(n_shards) if s not in hit]
+            gone = np.zeros(n_shards, dtype=bool)
+            gone[list(hit)] = True
+            for i, positions in enumerate(found):
+                partial[i] = partial[i] or bool(gone[owner[positions[positions >= 0]]].any())
+    if on_exchange is not None:
+        for hop in range(hops):
+            frontier: set[int] = set()
+            for nodes, levels in zip(node_lists, levels_of):
+                frontier.update(nodes[levels[hop] : levels[hop + 1]])
+            if frontier:
+                counts = np.bincount(shard_of(list(frontier), n_shards)).tolist()
+                rows = {s: count for s, count in enumerate(counts) if count}
+                on_exchange(hop, rows, sum(rows.get(s, 0) for s in dead_shards))
 
+    union = np.concatenate(found) if found else _EMPTY_I64
+    union.sort()
+    first = np.empty(len(union), dtype=bool)
+    first[:1] = True
+    np.not_equal(union[1:], union[:-1], out=first[1:])
+    union = union[first]
+    # Each request keeps the union entries between two of its nodes,
+    # renumbered to its own rows.
+    iu, iv, weights, codes = index.induced_entries(union, live_shards)
+    subgraphs: list[ComputationSubgraph] = []
+    row_of = np.full(len(union), -1, dtype=np.int64)
+    for target, nodes, positions in zip(targets, node_lists, found):
+        rows = union.searchsorted(positions)
+        row_of[rows] = np.arange(len(nodes), dtype=np.int64)
+        riu, riv = row_of[iu], row_of[iv]
+        keep = (riu >= 0) & (riv >= 0)
+        row_of[rows] = -1
+        entries = (riu[keep], riv[keep], weights[keep], codes[keep])
+        subgraphs.append(
+            ComputationSubgraph(target=target, nodes=nodes, types=index.types, entries=entries)
+        )
     stats = BatchSampleStats(
-        requests=n_requests,
-        sampled_nodes=sum(len(nodes) for nodes in selected_lists),
-        unique_nodes=len(union_nodes),
-        expansions=expansions,
-        unique_expansions=len(touched),
-        partial=tuple(i for i in range(n_requests) if partial[i]),
+        requests=len(targets),
+        sampled_nodes=sum(map(len, node_lists)),
+        unique_nodes=len(set().union(*node_lists)),
+        expansions=sum(map(len, expanded)) * n_types,
+        unique_expansions=len(set().union(*expanded)) * n_types,
+        partial=tuple(compress(range(len(targets)), partial)),
     )
     return subgraphs, stats
 
 
-def slice_union_subgraphs(
-    targets: Sequence[int],
-    node_lists: Sequence[list[int]],
-    union_index: dict[int, int],
-    types: Sequence[BehaviorType],
-    entries: _Entries,
-) -> list[ComputationSubgraph]:
-    """Cut every request's typed entries out of one union block.
+#: ``[marks, stamp]``: per-position marks every BFS reuses, grown with the
+#: network.  Each walk takes a new stamp, so ``marks[p] == stamp`` means
+#: "discovered by this walk" and nothing is ever cleared; a hop's first
+#: occurrences are found with negative marks, which no stamp equals.  What
+#: an earlier walk left in it never matches, so no call can see another's.
+_MARKS: list = [_EMPTY_I64, 0]
 
-    ``entries`` holds ``(iu, iv, w, type_code)`` indexed into the union
-    node list (``union_index`` maps uid to union row) and into ``types``.
-    Each request masks them to its own nodes (O(E_union)) and keeps its
-    renumbered entries: the forward packs them as they are, and the
-    subgraph's matrices — bit-identical, once built, to the scalar
-    ``typed_adjacency`` over the same nodes — are built only if read.
+
+def _marks(n: int) -> tuple[np.ndarray, int]:
+    """``(marks, stamp)`` covering ``n`` positions, with a fresh stamp."""
+    marks, stamp = _MARKS
+    if len(marks) < n:
+        marks = _MARKS[0] = np.zeros(max(n, 2 * len(marks)), dtype=np.int64)
+    _MARKS[1] = stamp = stamp + 1
+    return marks, stamp
+
+
+def _bfs_positions(
+    selection: tuple[np.ndarray, np.ndarray],
+    node_ids: np.ndarray,
+    root: int,
+    hops: int,
+    allowed: set[int] | None = None,
+    owner: np.ndarray | None = None,
+    dead: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[int]]:
+    """``root``'s ``hops``-hop BFS over a selection CSR: ``(positions, levels)``.
+
+    ``positions`` in discovery order — per frontier node in order, its
+    selection row in order, first occurrence wins — and the ones found at
+    hop ``h`` are ``positions[levels[h]:levels[h + 1]]`` (``hops + 2``
+    bounds: the first ``levels[hops]`` were expanded).  A candidate joins
+    only if ``allowed`` (uids; ``None`` admits all) holds its uid.  An
+    unregistered root (``-1``) selects nothing, and with ``dead`` (a mask
+    over shards, read through ``owner``) neither does a dead shard's row.
     """
-    types = tuple(types)
-    iu, iv, weights, codes = entries
-    subgraphs: list[ComputationSubgraph] = []
-    request_of_union = np.full(len(union_index), -1, dtype=np.int64)
-    for target, nodes in zip(targets, node_lists):
-        positions = np.asarray([union_index[uid] for uid in nodes], dtype=np.int64)
-        request_of_union[positions] = np.arange(len(nodes), dtype=np.int64)
-        riu = request_of_union[iu]
-        riv = request_of_union[iv]
-        keep = (riu >= 0) & (riv >= 0)
-        request_of_union[positions] = -1
-        local = (riu[keep], riv[keep], weights[keep], codes[keep])
-        subgraphs.append(
-            ComputationSubgraph(target=target, nodes=nodes, types=types, entries=local)
-        )
-    return subgraphs
-
-
-def _check_fanout(fanout: int | None) -> None:
-    """A negative cap would slice "all but the lightest" neighbours."""
-    if fanout is not None and fanout < 0:
-        raise ValueError("fanout must be non-negative or None")
-
-
-def _select_neighbors(
-    bn: BehaviorNetwork,
-    node: int,
-    btype: BehaviorType,
-    fanout: int | None,
-    rng: np.random.Generator | None,
-) -> list[int]:
-    neighbors = bn.neighbors(node, btype)
-    if fanout is None or len(neighbors) <= fanout:
-        return neighbors
-    weights = np.asarray([bn.weight(node, v, btype) for v in neighbors])
-    if rng is None:
-        order = np.argsort(-weights, kind="stable")[:fanout]
-        return [neighbors[i] for i in order]
-    support = np.flatnonzero(weights > 0)
-    if len(support) < fanout:
-        # Too few neighbours carry probability mass for a ``replace=False``
-        # draw: keep the whole support and top up deterministically with the
-        # first zero-weight neighbours in index order.
-        zero = np.flatnonzero(weights <= 0)[: fanout - len(support)]
-        chosen = np.concatenate([support, zero])
-    else:
-        probabilities = weights / weights.sum()
-        chosen = rng.choice(len(neighbors), size=fanout, replace=False, p=probabilities)
-    return [neighbors[i] for i in chosen]
+    indptr, nbr = selection
+    marks, stamp = _marks(len(node_ids))
+    frontier = np.array([root], dtype=np.int64)
+    found, levels = [frontier], [0, 1]
+    if root < 0:
+        frontier = frontier[:0]
+    for hop in range(hops):
+        if not len(frontier):
+            levels += [levels[-1]] * (hops - hop)
+            break
+        marks[frontier] = stamp
+        rows = frontier if dead is None else frontier[~dead[owner[frontier]]]
+        if len(rows) == 1:
+            candidates = nbr[indptr[rows[0]] : indptr[rows[0] + 1]]
+        else:  # the rows' entries, end to end
+            starts = indptr[rows]
+            lengths = indptr[rows + 1] - starts
+            ends = lengths.cumsum()
+            total = ends[-1] if len(ends) else 0
+            candidates = nbr[np.arange(total) + (starts - ends + lengths).repeat(lengths)]
+        candidates = candidates[marks[candidates] != stamp]
+        if len(candidates) > 1:
+            # Marked back to front, a node keeps its first occurrence's mark.
+            order = -1 - np.arange(len(candidates))
+            marks[candidates[::-1]] = order[::-1]
+            candidates = candidates[marks[candidates] == order]
+        if allowed is not None and len(candidates):
+            uids = node_ids[candidates].tolist()
+            candidates = candidates[np.fromiter(map(allowed.__contains__, uids), bool, len(uids))]
+        found.append(candidates)
+        levels.append(levels[-1] + len(candidates))
+        frontier = candidates
+    return np.concatenate(found), levels

@@ -35,9 +35,9 @@ aside) and reproduces, bit for bit, what the network's dicts expose —
   straight walk of ``iter_edges``, and the normalized weights equal
   :func:`repro.network.adjacency._typed_entries`' including its
   ``np.add.at`` degree accumulation order;
-* per-``(node, type)`` neighbour selection replays the exact
-  creation-order neighbour lists and stable top-``fanout`` ranking of
-  :func:`repro.network.sampling._select_neighbors`.
+* each node's fanout-capped neighbour selection (:meth:`ShardIndex.selection`)
+  replays the creation-order neighbour lists and stable top-``fanout``
+  ranking of the dict walk in ``tests/oracles/sampling.py``.
 
 ``tests/test_network/test_sharding.py`` and
 ``tests/test_system/test_sampler_tiers.py`` pin all three for shard counts
@@ -63,6 +63,7 @@ from typing import Any, Collection, Iterator, Sequence
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
+from ..nn.sparse import csr_topk_rows
 from .bn import (
     DEFAULT_EDGE_TTL,
     BehaviorNetwork,
@@ -81,6 +82,15 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+#: ``(indptr, nbr)``: a selection CSR, rows and neighbours as positions.
+_Selection = tuple[np.ndarray, np.ndarray]
+
+
+def _check_fanout(fanout: int | None) -> None:
+    """A negative cap would slice "all but the lightest" neighbours."""
+    if fanout is not None and fanout < 0:
+        raise ValueError("fanout must be non-negative or None")
 
 
 def shard_of(uids: Sequence[int] | np.ndarray, n_shards: int) -> np.ndarray:
@@ -124,12 +134,6 @@ class ShardBlock:
     nbr_pos: np.ndarray  # int64 neighbour snapshot positions
     pair_idx: np.ndarray  # int64 indices into the global pair table
 
-    def row(self, position: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(nbr_pos, pair_idx)`` slices of one owned node's half-edges."""
-        local = int(np.searchsorted(self.own_positions, position))
-        start, end = int(self.indptr[local]), int(self.indptr[local + 1])
-        return self.nbr_pos[start:end], self.pair_idx[start:end]
-
 
 @dataclass
 class ShardIndex:
@@ -139,12 +143,13 @@ class ShardIndex:
     weight columns) is in global pair-creation order, so per-type masks of
     it are the snapshot's edge arrays (:meth:`snapshot`); the
     per-shard :class:`ShardBlock` CSRs give each shard creation-order
-    neighbour lists for the nodes it owns.  :meth:`to_payload` names every
+    neighbour lists for the nodes it owns, and :meth:`selection` each
+    node's fanout-capped top-k of them.  :meth:`to_payload` names every
     array of the view; ``degrees``, ``touched`` and ``base`` are what the
     next build and the readers' version-keyed state patch from.  An index
     built from a network is immutable: its arrays, and those of its
-    :meth:`snapshot`, are read-only, because the next version's index
-    copies its unchanged rows from them.
+    :meth:`snapshot` and its selections, are read-only, because the next
+    version's index copies its unchanged rows from them.
     """
 
     version: int
@@ -173,6 +178,10 @@ class ShardIndex:
     #: weights whose rows the three per-type views are.
     _columns: np.ndarray | None = field(default=None, repr=False, compare=False)
     _snapshot: BNSnapshot | None = field(default=None, repr=False, compare=False)
+    #: :meth:`selection` per fanout.
+    _selections: dict[int | None, _Selection] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def base(self) -> "ShardIndex | None":
@@ -186,46 +195,37 @@ class ShardIndex:
         return len(self.node_ids)
 
     @property
-    def type_norm_weights(self) -> dict[BehaviorType, np.ndarray]:
-        """Dense P normalized weights per type: the rows of ``norm_weights``."""
-        return dict(zip(self.types, self.norm_weights))
-
-    @property
     def num_pairs(self) -> int:
         return len(self.pair_lo_pos)
 
-    def select_neighbors(
-        self, keys: Sequence[tuple[int, BehaviorType]], fanout: int | None
-    ) -> list[list[int]]:
-        """Deterministic top-``fanout`` selection for ``(uid, type)`` keys.
+    def selection(self, fanout: int | None) -> _Selection:
+        """Every node's fanout-capped neighbour selection, as one CSR.
 
-        Each list is bit-exact against
-        :func:`repro.network.sampling._select_neighbors` on the equivalent
-        network (same creation-order candidate list, same stable
-        ``argsort(-weights)`` ranking).  A frontier exchange asks for every
-        type of a node at once, so positions are looked up in one
-        vectorized call and a node's half-edge row is sliced once for all
-        its keys.
+        ``(indptr, nbr)``, positions both: row ``p`` is ``node_ids[p]``'s
+        selection for ``types[0]``, then ``types[1]``, and so on — the
+        candidate stream one BFS hop enumerates for the node.  A type's
+        selection lists the neighbours the type's pair weight is positive
+        for, in pair-creation order, capped at their top ``fanout`` by raw
+        weight (stable, so ties keep creation order); ``None`` keeps all.
+        Memoized per fanout, and read-only: the next version's index
+        carries it, re-ranked at its touched rows only
+        (:func:`build_shard_index`).
         """
-        positions = positions_of(self.node_ids, [uid for uid, _ in keys]).tolist()
-        rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        selections: list[list[int]] = []
-        for (_, btype), pos in zip(keys, positions):
-            weights = self.type_weights.get(btype)
-            if pos < 0 or weights is None:
-                selections.append([])
-                continue
-            row = rows.get(pos)
-            if row is None:
-                row = rows[pos] = self.shards[int(self.owner_of_pos[pos])].row(pos)
-            nbr, pid = row
-            w = weights[pid]
-            mask = w > 0.0
-            candidates = self.node_ids[nbr[mask]]
-            if fanout is not None and len(candidates) > fanout:
-                candidates = candidates[np.argsort(-w[mask], kind="stable")[:fanout]]
-            selections.append(candidates.tolist())
-        return selections
+        selection = self._selections.get(fanout)
+        if selection is None:  # the patch of an empty selection: every row is ranked
+            _check_fanout(fanout)
+            weights = np.array([self.type_weights[btype] for btype in self.types])
+            empty = (np.zeros(1, dtype=np.int64), _EMPTY_I64)
+            ranked = _ranked(
+                empty,
+                _EMPTY_I64,
+                np.ones(self.num_nodes, dtype=bool),
+                _half_edges(self.shards),
+                weights.reshape(len(self.types), self.num_pairs),
+                fanout,
+            )
+            selection = self._selections[fanout] = _frozen(*ranked)
+        return selection
 
     def induced_entries(
         self,
@@ -246,21 +246,22 @@ class ShardIndex:
         *and* order, which keeps the downstream per-request CSR
         construction bit-exact.  Neighbour positions map to union rows by
         binary search over the sorted union positions, so nothing is sized
-        by the whole network.  ``union_positions`` may contain ``-1``
-        (unregistered nodes stay isolated rows, as in the dense path);
-        ``live_shards`` drops rows owned by dead shards (partial serving).
+        by the whole network.  ``union_positions`` are distinct, and may
+        contain ``-1`` (unregistered nodes stay isolated rows, as in the
+        dense path); ``live_shards`` drops rows owned by dead shards
+        (partial serving).
         """
         inside = union_positions >= 0
         inside_pos = union_positions[inside]
-        by_pos = np.argsort(inside_pos)
+        by_pos = inside_pos.argsort()
         sorted_pos = inside_pos[by_pos]
-        union_row = np.flatnonzero(inside)[by_pos]
+        union_row = inside.nonzero()[0][by_pos]
         live = None if live_shards is None else set(int(s) for s in live_shards)
         owner = self.owner_of_pos[inside_pos]
-        # Candidate pair ids are finished with np.unique (sorted), so the
-        # gather order is free — group union members by owner shard and
-        # slice every member's CSR row in one vectorized gather instead of
-        # a per-node Python loop (the serve-path hot spot at 10^6 nodes).
+        # Candidate pair ids are sorted at the end, so the gather order is
+        # free — group union members by owner shard and slice every
+        # member's CSR row in one vectorized gather instead of a per-node
+        # Python loop (the serve-path hot spot at 10^6 nodes).
         chunks: list[np.ndarray] = []
         for s, block in enumerate(self.shards):
             if live is not None and s not in live:
@@ -268,35 +269,27 @@ class ShardIndex:
             members = inside_pos[owner == s]
             if not len(members):
                 continue
-            local = np.searchsorted(block.own_positions, members)
+            local = block.own_positions.searchsorted(members)
             starts = block.indptr[local]
             lengths = block.indptr[local + 1] - starts
-            total = int(lengths.sum())
-            if not total:
+            ends = lengths.cumsum()
+            if not ends[-1]:
                 continue
-            bounds = np.cumsum(lengths)
-            gidx = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(bounds - lengths, lengths)
-                + np.repeat(starts, lengths)
-            )
+            gidx = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
             nbr = block.nbr_pos[gidx]
             pid = block.pair_idx[gidx]
-            slot = np.minimum(np.searchsorted(sorted_pos, nbr), len(sorted_pos) - 1)
-            keep = (sorted_pos[slot] == nbr) & (
-                self.pair_lo_pos[pid] == np.repeat(members, lengths)
-            )
-            if keep.any():
-                chunks.append(pid[keep])
-        candidates = (
-            np.unique(np.concatenate(chunks)) if chunks else _EMPTY_I64
-        )
+            slot = np.minimum(sorted_pos.searchsorted(nbr), len(sorted_pos) - 1)
+            keep = (sorted_pos[slot] == nbr) & (self.pair_lo_pos[pid] == members.repeat(lengths))
+            chunks.append(pid[keep])
+        # A pair is gathered once, from its lo endpoint's row.
+        candidates = np.concatenate([_EMPTY_I64, *chunks])
+        candidates.sort()
         weights = self.norm_weights[:, candidates]
-        type_code, column = np.nonzero(weights > 0.0)
+        type_code, column = (weights > 0.0).nonzero()
         kept = candidates[column]
         return (
-            union_row[np.searchsorted(sorted_pos, self.pair_lo_pos[kept])],
-            union_row[np.searchsorted(sorted_pos, self.pair_hi_pos[kept])],
+            union_row[sorted_pos.searchsorted(self.pair_lo_pos[kept])],
+            union_row[sorted_pos.searchsorted(self.pair_hi_pos[kept])],
             weights[type_code, column],
             type_code,
         )
@@ -486,6 +479,32 @@ def _normalised(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, degrees: np.ndarr
     )
 
 
+def _spliced(
+    old_indptr: np.ndarray,
+    at: np.ndarray | None,
+    rebuilt: np.ndarray,
+    first_new: np.ndarray,
+    counts_new: np.ndarray,
+    columns: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, ...]:
+    """``(indptr, *columns)`` of a CSR whose ``rebuilt`` rows are
+    ``counts_new`` entries from ``first_new`` of the new columns, and whose
+    other rows are the old rows landing on them (old row ``i`` on row
+    ``at[i]``, or on row ``i`` when ``at`` is ``None``); ``columns`` pairs
+    each old column with its new one."""
+    first, counts = old_indptr[:-1], old_indptr[1:] - old_indptr[:-1]
+    if at is not None:
+        first, counts = np.zeros((2, len(rebuilt)), dtype=np.int64)
+        first[at], counts[at] = old_indptr[:-1], old_indptr[1:] - old_indptr[:-1]
+    first = np.where(rebuilt, old_indptr[-1] + first_new, first)
+    counts = np.where(rebuilt, counts_new, counts)
+    indptr = np.zeros(len(rebuilt) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # Element k of a row is element first + k of the old columns, then the new.
+    gather = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
+    return indptr, *(np.concatenate([old, new])[gather] for old, new in columns)
+
+
 def _spliced_block(
     old: ShardBlock,
     own: np.ndarray,
@@ -499,26 +518,63 @@ def _spliced_block(
     ``old``'s, its positions mapped by ``node_map`` and its pairs by
     ``pair_map``."""
     node_h, nbr_h, pair_h = halves
-    first, counts = old.indptr[:-1], old.indptr[1:] - old.indptr[:-1]
-    nbr_old = old.nbr_pos
+    nbr_old, at = old.nbr_pos, None
     if node_map is not None:
-        nbr_old = node_map[nbr_old]
-        at = np.searchsorted(own, node_map[old.own_positions])
-        first, counts = np.zeros((2, len(own)), dtype=np.int64)
-        first[at], counts[at] = old.indptr[:-1], old.indptr[1:] - old.indptr[:-1]
-    first_h = np.searchsorted(node_h, own)
-    first = np.where(rebuilt, len(nbr_old) + first_h, first)
-    counts = np.where(rebuilt, np.searchsorted(node_h, own, side="right") - first_h, counts)
-    indptr = np.zeros(len(own) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # Element k of a row is element first + k of old's arrays, then the halves.
-    gather = np.arange(indptr[-1]) + np.repeat(first - indptr[:-1], counts)
-    return ShardBlock(
-        own_positions=own,
-        indptr=indptr,
-        nbr_pos=np.concatenate([nbr_old, nbr_h])[gather],
-        pair_idx=np.concatenate([pair_map[old.pair_idx], pair_h])[gather],
+        nbr_old, at = node_map[nbr_old], np.searchsorted(own, node_map[old.own_positions])
+    first = np.searchsorted(node_h, own)
+    counts = np.searchsorted(node_h, own, side="right") - first
+    indptr, nbr, pair = _spliced(
+        old.indptr, at, rebuilt, first, counts,
+        [(nbr_old, nbr_h), (pair_map[old.pair_idx], pair_h)],
     )
+    return ShardBlock(own_positions=own, indptr=indptr, nbr_pos=nbr, pair_idx=pair)
+
+
+def _half_edges(blocks: Sequence[ShardBlock]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(node, nbr, pair)`` of every half-edge of ``blocks``, sorted by node
+    then pair (a node's half-edges are one row of its owner's block)."""
+    node = np.concatenate([np.repeat(b.own_positions, np.diff(b.indptr)) for b in blocks])
+    by_node = node.argsort(kind="stable")
+    nbr = np.concatenate([b.nbr_pos for b in blocks])
+    pair = np.concatenate([b.pair_idx for b in blocks])
+    return node[by_node], nbr[by_node], pair[by_node]
+
+
+def _ranked(
+    base: _Selection,
+    at: np.ndarray | None,
+    rebuilt: np.ndarray,
+    halves: tuple[np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    fanout: int | None,
+) -> _Selection:
+    """The selection CSR whose ``rebuilt`` rows are ranked from ``halves``
+    (their half-edges ``(node, nbr, pair)``, sorted by node then pair) under
+    the ``(types, pairs)`` raw ``weights``, and whose other rows are
+    ``base``'s, moved as :func:`_spliced` moves them.
+
+    One rank for every type of every rebuilt row: a ``(row, type)`` segment
+    lists the row's neighbours the type's weight is positive for, in pair
+    order, and :func:`~repro.nn.sparse.csr_topk_rows` caps it; a row is
+    its segments in type order.
+    """
+    node, nbr, pair = halves
+    rows = rebuilt.nonzero()[0]
+    n_types = len(weights)
+    w = weights[:, pair]
+    code, half = (w > 0.0).nonzero()
+    by_node = node[half].argsort(kind="stable")  # node, then type, then pair
+    code, half = code[by_node], half[by_node]
+    segment = np.searchsorted(rows, node[half]) * n_types + code
+    indptr = np.zeros(len(rows) * n_types + 1, dtype=np.int64)
+    np.cumsum(np.bincount(segment, minlength=len(rows) * n_types), out=indptr[1:])
+    if fanout is not None:
+        indptr, kept = csr_topk_rows(indptr, w[code, half], fanout)
+        half = half[kept]
+    bounds = indptr[np.arange(len(rows) + 1) * n_types]
+    first, counts = np.zeros((2, len(rebuilt)), dtype=np.int64)
+    first[rows], counts[rows] = bounds[:-1], bounds[1:] - bounds[:-1]
+    return _spliced(base[0], at, rebuilt, first, counts, [(base[1], nbr[half])])
 
 
 def build_shard_index(
@@ -553,7 +609,11 @@ def build_shard_index(
       ``np.add.at`` passes — and only the pairs incident to them are
       re-normalised.  Every other degree is ``base.degrees``';
     * only the touched nodes' half-edge rows are rebuilt; every other row
-      is spliced in from ``base`` with its ids remapped.
+      is spliced in from ``base`` with its ids remapped;
+    * every neighbour selection ``base`` carries (:meth:`ShardIndex.selection`,
+      one per fanout) is re-ranked at the touched rows only, in one pass
+      over all types, and its other rows are spliced in the same way: a
+      selection ranks by raw weight, which changes only on logged pairs.
 
     Without such a base — a first build, a dropped log, a log drained into
     another index — it is the same patch of an empty base, in which every
@@ -561,7 +621,8 @@ def build_shard_index(
     (``touched``) and, while that one is alive, the index it was patched
     from (``base``; ``None`` after a patch of the empty base), so that
     version-keyed state derived from the base can follow it.  Either way
-    the logs are drained into the new index.
+    the logs are drained into the new index.  A selection the base lacked
+    is ranked on first read, as the same patch of an empty base.
     """
     if base is not None and all(s._changed is not None and s._log_base is base for s in shards):
         logs: list[Collection[tuple[int, int]]] = [s._changed for s in shards]
@@ -694,6 +755,18 @@ def build_shard_index(
         halves = (node_h[part], nbr_h[part], pair_h[part])
         blocks.append(_spliced_block(old, own, touched[own], halves, node_map, pair_map))
 
+    # Every selection the base carried: re-ranked at the touched rows, and
+    # spliced from the base's everywhere else.
+    selections: dict[int | None, _Selection] = {}
+    if parent is not None and base._selections:
+        by_node = node_h.argsort(kind="stable")
+        halves = (node_h[by_node], nbr_h[by_node], pair_h[by_node])
+        for fanout, (indptr, nbr) in base._selections.items():
+            moved = (indptr, nbr if node_map is None else node_map[nbr])
+            selections[fanout] = _frozen(
+                *_ranked(moved, node_map, touched, halves, columns[0], fanout)
+            )
+
     touched_ids = node_ids[touched_pos]
     _frozen(columns, degrees, touched_ids, node_ids, owner_of_pos, lo_pos, hi_pos, seq)
     for block in blocks:
@@ -717,6 +790,7 @@ def build_shard_index(
         _registered=registered,
         _base_ref=parent,
         _columns=columns,
+        _selections=selections,
     )
     for shard in shards:
         shard._changed, shard._log_base = set(), index

@@ -28,10 +28,9 @@ from ..network.builder import BNBuilder, LogTable
 from ..network.sampling import (
     BatchSampleStats,
     ComputationSubgraph,
-    _check_fanout,
     computation_subgraphs_batch,
 )
-from ..network.sharding import ShardIndex, ShardedBehaviorNetwork
+from ..network.sharding import ShardedBehaviorNetwork, _check_fanout
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, current_span
 from .latency import LatencyModel
@@ -54,8 +53,8 @@ class LocalSampler:
     paths can run ``self.sampler.sample_batch(...)`` uniformly instead of
     branching on the deployment shape inline.  Runs the one union-frontier
     batch sampler over the in-process network's read index — the router's
-    call with one block, nothing to resolve remotely and no shard that can
-    be down; no probes, so the batch-level gate cost is always zero.
+    call with one block and no shard that can be down; no probes, so the
+    batch-level gate cost is always zero.
     """
 
     tier = "local"
@@ -69,17 +68,11 @@ class LocalSampler:
         hops: int = 2,
         fanout: int | None = 25,
         allowed: set[int] | None = None,
-        selection_cache: dict | None = None,
         now: float = 0.0,
     ) -> tuple[list[ComputationSubgraph], BatchSampleStats, float]:
         """Batch-sample every target's ``G_v``; ``(subgraphs, stats, 0.0)``."""
         subgraphs, stats = computation_subgraphs_batch(
-            self._server.bn.index(),
-            targets,
-            hops=hops,
-            fanout=fanout,
-            allowed=allowed,
-            selection_cache=selection_cache,
+            self._server.bn.index(), targets, hops=hops, fanout=fanout, allowed=allowed
         )
         return subgraphs, stats, 0.0
 
@@ -133,12 +126,6 @@ class BNServer:
         self._next_epoch: dict[float, int] = {w: 0 for w in builder.windows}
         self._last_ttl_sweep = 0.0
         self.jobs_run = 0
-        # Per-(node, type) neighbour rankings carried across micro-batches
-        # and version bumps: valid for the (read index, fanout) they were
-        # ranked under, carried to an index patched from that one minus its
-        # touched nodes' keys (see _batch_selection_cache).
-        self._selection_cache: dict = {}
-        self._selection_state: tuple[ShardIndex, int | None] | None = None
         # Whether the most recent scalar sample was served from a frontier
         # missing a downed shard (handle() copies it onto the context).
         self._last_sample_partial = False
@@ -367,38 +354,6 @@ class BNServer:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _batch_selection_cache(self, fanout: int | None) -> dict:
-        """The per-(node, type) ranking cache for the current read index.
-
-        Keyed on the index *object*, not ``bn.version``: indices are
-        memoized per network per version, so identity is exact, and two
-        networks at the same version (``server.bn = other``) do not share
-        rankings.  The state tuple keeps the index alive, so its identity
-        cannot be reused while the cache is.
-
-        A version bump costs the cache what it changed: a node's ranking
-        reads only the pairs incident to it, so when the new index was
-        patched from the one the cache was ranked under, at the same
-        fanout, the cache keeps its dict and drops only the keys of the
-        index's ``touched`` nodes (``touched x |R|`` pops).  Otherwise —
-        another network, another fanout, or an index built from another
-        base — it starts empty.
-        """
-        state = self._selection_state
-        index = self.bn.index()
-        if state is not None and state[0] is index and state[1] == fanout:
-            return self._selection_cache
-        if state is not None and state[1] == fanout and index.base is state[0]:
-            cache = self._selection_cache
-            types = set(state[0].types).union(index.types)
-            for uid in index.touched.tolist():
-                for btype in types:
-                    cache.pop((uid, btype), None)
-        else:
-            self._selection_cache = {}
-        self._selection_state = (index, fanout)
-        return self._selection_cache
-
     def _charge_adjacency(
         self, seconds: float, nodes: Sequence[int], now: float, charged: set[int]
     ) -> float:
@@ -473,7 +428,6 @@ class BNServer:
             hops=hops,
             fanout=fanout,
             allowed=allowed,
-            selection_cache=self._batch_selection_cache(fanout),
             now=now,
         )
         subgraph = sampled[0]
@@ -528,13 +482,11 @@ class BNServer:
             if uid not in self.bn:
                 self.bn.add_node(uid)
             alive.append(i)
-        selection_cache = self._batch_selection_cache(fanout)
         sampled, stats, gate_seconds = self.sampler.sample_batch(
             [uids[i] for i in alive],
             hops=hops,
             fanout=fanout,
             allowed=allowed,
-            selection_cache=selection_cache,
             now=max(nows, default=0.0),
         )
         # Tier indices are relative to the alive sublist; callers see batch

@@ -487,17 +487,11 @@ class DeltaSampler:
         hops: int = 2,
         fanout: int | None = 25,
         allowed: set[int] | None = None,
-        selection_cache: dict | None = None,
         now: float = 0.0,
     ):
         """Forward to the wrapped tier, metering the fallthrough work."""
         subgraphs, stats, gate_seconds = self.inner.sample_batch(
-            targets,
-            hops=hops,
-            fanout=fanout,
-            allowed=allowed,
-            selection_cache=selection_cache,
-            now=now,
+            targets, hops=hops, fanout=fanout, allowed=allowed, now=now
         )
         self.layer.record_fallthrough(stats)
         return subgraphs, stats, gate_seconds

@@ -99,10 +99,8 @@ class Sampler(Protocol):
     ``stats`` is a :class:`~repro.network.sampling.BatchSampleStats`
     (``stats.partial`` lists request indices served from an incomplete
     frontier) and ``gate_seconds`` is batch-level probe cost charged to the
-    first request.  ``selection_cache`` carries per-``(node, type)``
-    neighbour rankings across batches; it is only valid for one
-    ``(read index, fanout)`` pair and the owner must drop it when either
-    changes.
+    first request.  Neighbour selection is the read index's, ranked once
+    per BN version, so a tier carries no ranking state of its own.
     """
 
     tier: str
@@ -113,7 +111,6 @@ class Sampler(Protocol):
         hops: int = 2,
         fanout: int | None = 25,
         allowed: set[int] | None = None,
-        selection_cache: dict | None = None,
         now: float = 0.0,
     ) -> tuple[list, Any, float]:
         """Sample every target's ``G_v``; ``(subgraphs, stats, gate_s)``."""

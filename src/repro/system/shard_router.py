@@ -2,17 +2,16 @@
 
 The sampler itself is
 :func:`repro.network.sampling.computation_subgraphs_batch` — the same
-function the unsharded tier calls; a sharded deployment differs only in
-what it passes as ``resolve`` / ``on_exchange`` (InferTurbo-style
-gather/apply/scatter over a partitioned graph, PAPERS.md):
+function the unsharded tier calls, over the merged
+:class:`~repro.network.sharding.ShardIndex`; a sharded deployment differs
+only in what it passes as ``dead_shards`` / ``on_exchange``
+(InferTurbo-style gather/apply/scatter over a partitioned graph, PAPERS.md):
 
-* each hop, the not-yet-ranked ``(node, type)`` keys of the whole batch are
-  deduplicated and split by owner shard (the *frontier exchange*);
-* ``resolve`` answers ``None`` for a dead shard's keys (partial serving);
-  every live shard's keys are ranked in-process from the merged
-  :class:`~repro.network.sharding.ShardIndex`;
-* ``on_exchange`` is where the ``turbo.shard.frontier.*`` series and span
-  events are emitted.
+* ``dead_shards`` are the shards whose probe failed: their rows select
+  nothing (partial serving);
+* ``on_exchange`` sees each hop's union frontier split by owner shard (the
+  *frontier exchange*), and is where the ``turbo.shard.frontier.*`` series
+  and span events are emitted.
 
 :class:`ShardRouter` owns the per-shard fault gates (components
 ``bn_shard{i}`` registered with the deployment's
@@ -33,7 +32,7 @@ from ..network.sampling import (
     ComputationSubgraph,
     computation_subgraphs_batch,
 )
-from ..network.sharding import ShardIndex, ShardedBehaviorNetwork, _shard_of_int
+from ..network.sharding import ShardIndex, ShardedBehaviorNetwork
 from ..obs.tracing import current_span
 from .storage import StorageError
 
@@ -71,9 +70,6 @@ class ShardRouter:
         self.metrics = metrics
         self.breakers = dict(breakers or {})
         self._seen_version: int | None = None
-        # The selection cache last served and the dead shards whose keys
-        # have been evicted from it since they went down.
-        self._evicted: tuple[dict, set[int]] = ({}, set())
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -133,36 +129,12 @@ class ShardRouter:
                 breaker.record_success()
         return dead, gate_seconds
 
-    def _evict_dead(self, selection_cache: dict, dead: set[int], n_shards: int) -> None:
-        """Evict a newly dead shard's selections from ``selection_cache``.
-
-        A warm cache must not mask a dead shard: selections owned by a
-        downed shard are evicted so resolution re-runs (and fails) for
-        them, surfacing partial degradation.  The mirror rule of "a
-        recovered shard must not serve stale emptiness" — a dead shard must
-        not serve stale fullness.  Dead selections are never cached, so one
-        scan per outage is enough: a shard is evicted from a cache object
-        once while it stays down, and again only after it recovered and
-        died again.
-        """
-        cache, evicted = self._evicted
-        if cache is not selection_cache:
-            evicted = set()
-            self._evicted = (selection_cache, evicted)
-        evicted &= dead
-        doomed = dead - evicted
-        if doomed and selection_cache:
-            for key in [k for k in selection_cache if _shard_of_int(k[0], n_shards) in doomed]:
-                del selection_cache[key]
-        evicted |= doomed
-
     def sample_batch(
         self,
         targets: Sequence[int],
         hops: int = 2,
         fanout: int | None = 25,
         allowed: set[int] | None = None,
-        selection_cache: dict | None = None,
         now: float = 0.0,
     ) -> tuple[list[ComputationSubgraph], BatchSampleStats, float]:
         """Frontier-exchange batch sampling; ``(subgraphs, stats, gate_s)``.
@@ -174,33 +146,22 @@ class ShardRouter:
         """
         index = self.current_index()
         dead, gate_seconds = self.probe_shards(now=now)
-        if selection_cache is not None:
-            self._evict_dead(selection_cache, dead, index.n_shards)
-
-        resolve = None
-        if dead:
-
-            def resolve(shard_id: int, keys: list) -> list[list[int]] | None:
-                if shard_id in dead:
-                    return None
-                return index.select_neighbors(keys, fanout)
-
         span = current_span()
 
-        def on_exchange(hop: int, groups: dict[int, list], lost: int) -> None:
-            keys = sum(len(g) for g in groups.values())
-            self._inc("turbo.shard.frontier.exchanges", len(groups))
-            self._inc("turbo.shard.frontier.keys", keys)
+        def on_exchange(hop: int, rows_by_shard: dict[int, int], lost: int) -> None:
+            rows = sum(rows_by_shard.values())
+            self._inc("turbo.shard.frontier.exchanges", len(rows_by_shard))
+            self._inc("turbo.shard.frontier.keys", rows)
             if lost:
                 self._inc("turbo.shard.frontier.lost", lost)
             if span is not None:
-                span.incr("turbo.shard.frontier.exchanges", len(groups))
+                span.incr("turbo.shard.frontier.exchanges", len(rows_by_shard))
                 span.add_event(
                     "shard.frontier.exchange",
                     at=now,
                     hop=hop,
-                    shards=len(groups),
-                    keys=keys,
+                    shards=len(rows_by_shard),
+                    keys=rows,
                     lost=lost,
                 )
 
@@ -210,8 +171,7 @@ class ShardRouter:
             hops=hops,
             fanout=fanout,
             allowed=allowed,
-            selection_cache=selection_cache,
-            resolve=resolve,
+            dead_shards=dead,
             on_exchange=on_exchange,
         )
         if stats.partial:

@@ -8,8 +8,10 @@ import scipy.sparse as sp
 
 from repro.core import HAG, prepare_aggregators
 from repro.datagen import BehaviorType
-from repro.network import BehaviorNetwork, computation_subgraph
+from repro.network import BehaviorNetwork
 from repro.nn import Tensor
+
+from tests.oracles.sampling import computation_subgraph
 
 
 def random_adjacencies(n: int, n_types: int, rng) -> list[sp.csr_matrix]:

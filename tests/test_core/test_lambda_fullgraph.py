@@ -43,11 +43,10 @@ from repro import nn
 from repro.core import HAG, lambda_infer, materialize, prepare_aggregators
 from repro.datagen import BehaviorType
 from repro.network import BehaviorNetwork, build_sampled_graph, typed_adjacency
-from repro.network.sampling import (
-    computation_subgraph,
-    computation_subgraphs_batch,
-)
+from repro.network.sampling import computation_subgraphs_batch
 from repro.system.fork_pool import fork_map
+
+from tests.oracles.sampling import computation_subgraph
 
 TYPES = (BehaviorType.DEVICE_ID, BehaviorType.IPV4, BehaviorType.WIFI_MAC)
 HOPS, FANOUT = 2, 6

@@ -22,7 +22,8 @@ import pytest
 
 from repro.core import HAG, HAGState, lambda_infer, materialize
 from repro.datagen import BehaviorType
-from repro.network.sampling import computation_subgraph
+
+from tests.oracles.sampling import computation_subgraph
 
 TYPES = (BehaviorType.DEVICE_ID, BehaviorType.IPV4, BehaviorType.WIFI_MAC)
 

@@ -9,7 +9,6 @@ from repro import (
     HAG,
     BNBuilder,
     classification_report,
-    computation_subgraph,
     get_method,
     make_d1,
     prepare_aggregators,
@@ -18,6 +17,8 @@ from repro import (
 )
 from repro.core import TrainConfig, train_node_classifier
 from repro.network import FAST_WINDOWS
+
+from tests.oracles.sampling import computation_subgraph
 
 
 class TestOfflinePipeline:

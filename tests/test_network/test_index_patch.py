@@ -46,8 +46,12 @@ def network(n_shards: int | None):
 def assert_read_matches_walk(net, plain: BehaviorNetwork) -> None:
     index = net.index()
     assert payload_bytes(index) == payload_bytes(full_walk(net))
-    keys = [(uid, btype) for uid in plain.nodes() for btype in (*TYPES, RARE)]
-    assert index.select_neighbors(keys, None) == [plain.neighbors(u, t) for u, t in keys]
+    indptr, nbr = index.selection(None)  # every neighbour, type by type
+    rows = np.split(index.node_ids[nbr], indptr[1:-1])
+    assert [row.tolist() for row in rows] == [
+        [v for btype in index.types for v in plain.neighbors(uid, btype)]
+        for uid in index.node_ids.tolist()
+    ]
 
 
 def random_step(rng, nets, now: float, fresh: list[int]) -> None:

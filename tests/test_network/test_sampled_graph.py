@@ -2,15 +2,18 @@
 
 Pinned contracts:
 
-* per-``(node, type)`` selection rows equal the memoized scalar
-  :func:`repro.network.sampling._select_neighbors` ranking — same
-  neighbours, same order — at every fanout including ``None``;
+* the read index's selection (``ShardIndex.selection``, which the graph
+  carries) equals the dict walk's per-``(node, type)`` ranking
+  (``tests/oracles/sampling.py``), types in order — same neighbours, same
+  order — at every fanout including ``None``, on uids that are nothing
+  like positions (negative, sparse, above 2**31), so reading a position
+  as a uid, or a uid as a position, fails;
 * the graph built off a :class:`ShardedBehaviorNetwork`'s merged index is
   byte-identical across shard counts {1, 2, 4, 8} to the single-network
   build (the sweep's inputs cannot depend on the partitioning);
-* per-target BFS over the CSR reproduces the scalar sampler's node
-  discovery order and its typed adjacency bit for bit — pinned with every
-  other sampling tier in ``test_system/test_sampler_tiers.py``;
+* per-target BFS over the CSR reproduces the dict walk's node discovery
+  order and its typed adjacency bit for bit — pinned with every other
+  sampling tier in ``test_system/test_sampler_tiers.py``;
 * ``reverse_reachable`` is a sound cone: it contains every node whose
   forward selection BFS meets a seed within the hop budget.
 """
@@ -21,12 +24,10 @@ import numpy as np
 import pytest
 
 from repro.datagen import BehaviorType
-from repro.network import (
-    BehaviorNetwork,
-    ShardedBehaviorNetwork,
-    build_sampled_graph,
-)
-from repro.network.sampling import _select_neighbors
+from repro.network import build_sampled_graph
+from repro.network.sampling import _bfs_positions
+
+from tests.oracles.sampling import _select_neighbors
 
 from .test_sharding import SHARD_COUNTS, build_pair, contribution_batches
 
@@ -35,27 +36,56 @@ pytestmark = pytest.mark.sharding
 FANOUTS = (None, 3, 8)
 
 
+def far_uids(rng, n: int) -> np.ndarray:
+    """``n`` distinct uids, shuffled: negative, sparse below 2**31, and above."""
+    thirds = [n // 3, n // 3, n - 2 * (n // 3)]
+    negative = -1 - rng.choice(10**6, thirds[0], replace=False)
+    sparse = 7919 * rng.choice(2**31 // 7919, thirds[1], replace=False)
+    large = 2**31 + rng.choice(2**40, thirds[2], replace=False)
+    return rng.permutation(np.concatenate([negative, sparse, large]))
+
+
 @pytest.fixture(scope="module")
 def graph_pairs():
     rng = np.random.default_rng(99)
-    batches = contribution_batches(rng, n_users=150, n_batches=4, rows=300)
+    uids = far_uids(rng, 150)
+    batches = [
+        (uids[u], uids[v], codes, weights, stamps)
+        for u, v, codes, weights, stamps in contribution_batches(
+            rng, n_users=150, n_batches=4, rows=300
+        )
+    ]
     return {n: build_pair(batches, n) for n in SHARD_COUNTS}
+
+
+def selection_rows(index, fanout) -> list[list[int]]:
+    """``index.selection(fanout)``, one uid list per node."""
+    indptr, nbr = index.selection(fanout)
+    return [row.tolist() for row in np.split(index.node_ids[nbr], indptr[1:-1])]
+
+
+def oracle_rows(bn, index, fanout) -> list[list[int]]:
+    """The dict walk's ranking of every node, types in the index's order."""
+    return [
+        [v for btype in index.types for v in _select_neighbors(bn, uid, btype, fanout, None)]
+        for uid in index.node_ids.tolist()
+    ]
 
 
 class TestSelectionParity:
     @pytest.mark.parametrize("fanout", FANOUTS)
     def test_rows_equal_scalar_selection(self, graph_pairs, fanout):
-        bn, _ = graph_pairs[1]
+        bn, sharded = graph_pairs[1]
+        index = bn.index()
+        assert index.node_ids.min() < 0 < 2**31 < index.node_ids.max()
+        assert tuple(index.types) == tuple(sorted(bn.edge_types(), key=lambda t: t.value))
+        want = oracle_rows(bn, index, fanout)
+        assert selection_rows(index, fanout) == want
+        assert selection_rows(sharded.index(), fanout) == want
         sampled = build_sampled_graph(bn, fanout)
-        assert sampled.version == int(bn.version)
-        assert tuple(sampled.types) == tuple(
-            sorted(bn.edge_types(), key=lambda t: t.value)
-        )
-        for btype in sampled.types:
-            for pos, uid in enumerate(sampled.node_ids):
-                assert sampled.selected(pos, btype) == _select_neighbors(
-                    bn, int(uid), btype, fanout, None
-                )
+        assert sampled.version == int(bn.version) and sampled.types == index.types
+        assert sampled.all_indptr is index.selection(fanout)[0]
+        assert sampled.all_nbr is index.selection(fanout)[1]
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_bitexact_across_shard_counts(self, graph_pairs, n_shards):
@@ -91,8 +121,8 @@ class TestReverseReachable:
         cone = np.zeros(sampled.num_nodes, dtype=bool)
         cone[sampled.reverse_reachable(seeds.astype(np.int64), hops)] = True
         seed_set = set(int(s) for s in seeds)
-        allowed = sampled.allowed_mask(None)
+        selection = (sampled.all_indptr, sampled.all_nbr)
         for pos in range(sampled.num_nodes):
-            positions, _ = sampled.subgraph_positions(pos, hops, allowed)
+            positions, _ = _bfs_positions(selection, sampled.node_ids, pos, hops)
             if seed_set & set(int(p) for p in positions):
                 assert cone[pos], pos

@@ -11,9 +11,10 @@ from repro.datagen import BehaviorType
 from repro.network import (
     BehaviorNetwork,
     ComputationSubgraph,
-    computation_subgraph,
     computation_subgraphs_batch,
 )
+
+from tests.oracles.sampling import computation_subgraph
 
 DEV = BehaviorType.DEVICE_ID
 IP = BehaviorType.IPV4

@@ -3,8 +3,9 @@
 ``scalar_subgraphs`` / ``assert_subgraph_equal`` are the oracle every
 sampling tier is tested against (``test_system/test_sampler_tiers.py``,
 the sharding and router suites): per-target scalar
-:func:`computation_subgraph`, the dict-walk sampler that shares no code
-with the index-reading batch sampler.
+:func:`computation_subgraph` of ``tests/oracles/sampling.py``, the
+dict-walk sampler that shares no code with the index-reading batch
+sampler.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ import numpy as np
 import pytest
 
 from repro.datagen import BehaviorType
-from repro.network import (
-    BehaviorNetwork,
-    computation_subgraph,
-    computation_subgraphs_batch,
-)
+from repro.network import BehaviorNetwork, computation_subgraphs_batch
+
+from tests.oracles.sampling import computation_subgraph
 
 DEV = BehaviorType.DEVICE_ID
 IP = BehaviorType.IPV4

@@ -228,9 +228,11 @@ class TestReadIndex:
                 if name.startswith("blk") or name == "owner_of_pos":
                     continue
                 assert got[name].tobytes() == array.tobytes(), name
-            keys = [(uid, btype) for uid in bn.nodes() for btype in TYPES]
-            assert index.select_neighbors(keys, None) == [
-                bn.neighbors(uid, btype) for uid, btype in keys
+            indptr, nbr = index.selection(None)  # every neighbour, type by type
+            rows = np.split(index.node_ids[nbr], indptr[1:-1])
+            assert [row.tolist() for row in rows] == [
+                [v for btype in index.types for v in bn.neighbors(uid, btype)]
+                for uid in index.node_ids.tolist()
             ]
 
     def test_one_uid_to_position_lookup(self, rng):

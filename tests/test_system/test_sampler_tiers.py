@@ -3,16 +3,17 @@
 All serving tiers run one function —
 :func:`repro.network.sampling.computation_subgraphs_batch` over a read
 index — so comparing them with each other would compare a function with
-itself.  The independent implementation is scalar
-:func:`~repro.network.sampling.computation_subgraph` (dict walk + snapshot
-mask); this module pins each tier to it on one graph: same node order,
-same CSR bits, at a binding, a loose and no fanout, with an ``allowed``
-filter, duplicate targets and an isolated target.
+itself.  The independent implementation is the scalar dict walk of
+``tests/oracles/sampling.py`` (dict walk + snapshot mask); this module
+pins each tier to it on one graph: same node order, same CSR bits, at a
+binding, a loose and no fanout, with an ``allowed`` filter, duplicate
+targets and an isolated target.  The full-graph sweep's walk over a
+:class:`SampledGraph` is the last tier.
 
 Also here, because they are properties of the tier set rather than of one
-tier: the two call sites are the same function object, the selection
-cache does not survive a BN swap, and a negative ``fanout`` is a typed
-error at every sampler entry point.
+tier: the two call sites are the same function object, a selection does
+not survive a BN swap, and a negative ``fanout`` is a typed error at every
+sampler entry point.
 """
 
 from __future__ import annotations
@@ -27,21 +28,21 @@ from repro.network import (
     BNBuilder,
     BehaviorNetwork,
     build_sampled_graph,
-    computation_subgraph,
     computation_subgraphs_batch,
 )
-from repro.network.adjacency import _stack_entries
 from repro.network.sampled_graph import SampledGraph
-from repro.network.sampling import ComputationSubgraph
+from repro.network.sampling import ComputationSubgraph, _bfs_positions
 from repro.nn.sparse import typed_symmetric_csr
 from repro.system import (
     BNServer,
+    DeltaSampler,
     LatencyModel,
     ShardRouter,
     bn_server,
     shard_router,
 )
 
+from tests.oracles.sampling import computation_subgraph
 from tests.test_network.test_sampling_batch import (
     assert_subgraph_equal,
     scalar_subgraphs,
@@ -96,22 +97,19 @@ def sample_tier(tier, graphs, fanout, allowed):
         )
         return subgraphs, stats
     sampled = build_sampled_graph(graphs[1][0], fanout)
-    mask = sampled.allowed_mask(allowed)
+    selection = (sampled.all_indptr, sampled.all_nbr)
     subgraphs = []
     for target in TARGETS:
-        positions, _expanded = sampled.subgraph_positions(
-            sampled.position_of(target), 2, mask
+        positions, _levels = _bfs_positions(
+            selection, sampled.node_ids, sampled.position_of(target), 2, allowed
         )
-        entries = sampled.induced_entries(positions, sampled.types)
         matrices = typed_symmetric_csr(
-            *_stack_entries([entries[t] for t in sampled.types]),
-            len(sampled.types),
-            len(positions),
+            *sampled.induced_entries(positions), len(sampled.types), len(positions)
         )
         subgraphs.append(
             ComputationSubgraph(
                 target=target,
-                nodes=sampled.node_ids[positions].tolist(),
+                nodes=[target] if positions[0] < 0 else sampled.node_ids[positions].tolist(),
                 adjacency=dict(zip(sampled.types, matrices)),
             )
         )
@@ -150,6 +148,8 @@ def test_one_sampler_under_every_tier():
 
 
 class TestSelectionCacheFollowsTheIndex:
+    """The selection lives on the read index: one per (index, fanout)."""
+
     def test_bn_swap_does_not_serve_the_old_networks_selection(self):
         """``server.bn = other`` at an equal version must re-rank."""
         a, b = BehaviorNetwork(), BehaviorNetwork()
@@ -169,9 +169,12 @@ class TestSelectionCacheFollowsTheIndex:
         server = make_server()
         server.bn = graphs[1][0]
         server.sample(7, fanout=5)
-        cache = server._batch_selection_cache(5)
-        assert cache and server._batch_selection_cache(5) is cache
-        assert server._batch_selection_cache(6) is not cache
+        index = server.bn.index()
+        selection = index.selection(5)
+        server.sample(31, fanout=5)
+        server.sample_batch([7, 100], [0.0, 0.0], fanout=5)
+        assert server.bn.index() is index and index.selection(5) is selection
+        assert index.selection(6) is not selection
 
 
 class TestNegativeFanoutRejected:
@@ -204,10 +207,11 @@ class TestNegativeFanoutRejected:
                 return 0.0
 
         def observed(server):
+            index = server.bn.index()
             return (
                 server.bn.version,
-                server._selection_state,
-                dict(server._selection_cache),
+                index,
+                dict(index._selections),
                 copy.deepcopy(server.latency._rng.bit_generator.state),
                 server.faults.calls,
             )
@@ -240,6 +244,15 @@ class TestRemovedCapabilities:
             server.sample(7, rng=np.random.default_rng(0))
         with pytest.raises(TypeError):
             computation_subgraphs_batch(bn.index(), [7], edge_types=TYPES)
+        tiers = [server.sampler, ShardRouter(graphs[2][1])]
+        tiers.append(DeltaSampler(None, tiers[0]))
+        for call in (
+            lambda: computation_subgraphs_batch(bn.index(), [7], selection_cache={}),
+            lambda: server.sample_batch([7], [0.0], selection_cache={}),
+            *(lambda tier=tier: tier.sample_batch([7], selection_cache={}) for tier in tiers),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
     def test_one_memoized_view_per_network(self):
         bn = BehaviorNetwork()

@@ -30,10 +30,10 @@ And what a write costs the next read: the edge records ``index()`` reads
 from the network's dicts after a one-hour write are those of the pairs the
 write touched — the rest of the index is copied from the last one — where
 a build used to read every record.  The same build re-normalises only the
-pairs incident to the touched nodes (the endpoints of those pairs) and
-rebuilds only their half-edge rows, and the warm requests after it re-rank
-at most touched nodes x edge types neighbour selections, where dropping the
-ranking cache on every version bump re-ranked every frontier.
+pairs incident to the touched nodes (the endpoints of those pairs),
+rebuilds only their half-edge rows and re-ranks only their neighbour
+selections (the index carries its selection to the next version), and the
+warm requests after it rank nothing.
 """
 
 from __future__ import annotations
@@ -92,16 +92,18 @@ def profiled_calls(fn) -> tuple[int, int]:
     return calls["call"], calls["c_call"]
 
 
-#: measured 750.8 and 458.1 Python-level calls on this deployment (838.8 and
-#: 500.6 while the sampler built every request's stacked CSR, the forward
-#: re-packed it and CFO looped over the types; 962.7 and 516.1 while the
-#: stacked-weight staleness check entered a generator per parameter; 1,503.3
-#: and 771.8 while every storage op drew its own jitter and the product went
-#: through two scipy objects), and 935.1 C-level calls per warm
-#: ``Turbo.predict`` (1,067.1 before the one-sort pack); about 3 % of headroom.
-SCALAR_CALLS_CEILING = 773
-BATCHED_CALLS_CEILING = 472
-SCALAR_C_CALLS_CEILING = 963
+#: measured 697.7 and 452.3 Python-level calls on this deployment and 781.5
+#: C-level calls per warm ``Turbo.predict`` since the sampler walks the read
+#: index's selection CSR (750.8, 458.1 and 935.1 while it walked a dict of
+#: per-(node, type) rankings; 838.8, 500.6 and 1,067.1 while the sampler
+#: built every request's stacked CSR, the forward re-packed it and CFO looped
+#: over the types; 962.7 and 516.1 while the stacked-weight staleness check
+#: entered a generator per parameter; 1,503.3 and 771.8 while every storage
+#: op drew its own jitter and the product went through two scipy objects);
+#: about 3 % of headroom.
+SCALAR_CALLS_CEILING = 719
+BATCHED_CALLS_CEILING = 466
+SCALAR_C_CALLS_CEILING = 805
 
 
 class CountedRng:
@@ -262,7 +264,7 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
     requests = [
         PredictRequest(txn=txn, now=txn.audit_at) for txn in data.dataset.transactions[:20]
     ]
-    for request in requests:  # ranks their frontiers under this index
+    for request in requests:  # the index ranks its selection
         turbo.predict(request)
     before = edge_records(bn)
     start = end - 2 * DAY  # an hour of the dataset's logs, replayed two days later
@@ -280,8 +282,12 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
     read: list[int] = []
     renormalised: list[int] = []
     rebuilt: list[tuple[int, int]] = []  # (rows, half-edges) per block
-    export, normalised, spliced = (
-        sharding._export_pair_table, sharding._normalised, sharding._spliced_block
+    ranked: list[int] = []  # selection rows ranked per call
+    export, normalised, spliced, rank = (
+        sharding._export_pair_table,
+        sharding._normalised,
+        sharding._spliced_block,
+        sharding._ranked,
     )
 
     def counted(shard, pairs):
@@ -296,10 +302,17 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
         rebuilt.append((int(rows.sum()), len(halves[0])))
         return spliced(old, own, rows, halves, node_map, pair_map)
 
+    def counted_rank(base, at, rows, halves, weights, fanout):
+        ranked.append(int(rows.sum()))
+        return rank(base, at, rows, halves, weights, fanout)
+
     monkeypatch.setattr(sharding, "_export_pair_table", counted)
     monkeypatch.setattr(sharding, "_normalised", counted_normalised)
     monkeypatch.setattr(sharding, "_spliced_block", counted_splice)
+    monkeypatch.setattr(sharding, "_ranked", counted_rank)
     index = bn.index()
+    patched = sum(ranked)
+    ranked.clear()
     expected = sum(len(after[pair]) for pair in touched if pair in after)
     incident = [p for p in after if touched_nodes.intersection(p)]
     print(
@@ -319,28 +332,16 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
     assert sum(r for r, _ in rebuilt) == len(touched_nodes) < index.num_nodes
     assert sum(h for _, h in rebuilt) == sum(bn.degree(uid) for uid in touched_nodes)
 
-    ranked: list[int] = []
-    select = sharding.ShardIndex.select_neighbors
-
-    def counted_select(self, keys, fanout):
-        ranked.append(len(keys))
-        return select(self, keys, fanout)
-
-    monkeypatch.setattr(sharding.ShardIndex, "select_neighbors", counted_select)
-    served = [turbo.predict(requests[0]).probability]
-    first = sum(ranked)
-    served += [turbo.predict(request).probability for request in requests[1:]]
-    carried = sum(ranked)
-    ranked.clear()
-    server._selection_state = None  # what a dropped cache re-ranks
+    served = [turbo.predict(request).probability for request in requests]
+    assert ranked == []  # warm requests rank nothing
+    index._selections.clear()  # what a full rank ranks
     assert [turbo.predict(request).probability for request in requests] == served
-    bound = len(touched_nodes) * len(index.types)
     print(
-        f"the next warm request re-ranked {first} keys and the next {len(requests)} "
-        f"together {carried}, at most {len(touched_nodes)} touched x {len(index.types)} "
-        f"types = {bound}; with the cache dropped they re-rank {sum(ranked)}"
+        f"and re-ranked {patched} of {index.num_nodes} neighbour selection rows, "
+        f"those of the touched nodes; the next {len(requests)} warm requests rank "
+        f"none, and a full rank ranks {sum(ranked)}"
     )
-    assert first <= carried <= bound < sum(ranked)
+    assert patched == len(touched_nodes) < sum(ranked) == index.num_nodes
 
     # Written ten times over without a read, the log stops at num_pairs.
     rows = list(bn.iter_edges())

@@ -3,10 +3,13 @@
 Covers the system half of the sharding tentpole:
 
 * :meth:`ShardRouter.sample_batch` is bit-exact vs the scalar sampler on
-  the unsharded network and emits the ``turbo.shard.*`` series;
+  the unsharded network and emits the ``turbo.shard.*`` series: each hop's
+  union frontier, its rows per owner shard (``frontier.exchanges`` counts
+  the shards, ``frontier.keys`` the rows, ``frontier.lost`` the rows on
+  dead shards);
 * a crashed shard degrades sampling to the surviving frontier (requests
-  flagged partial, nothing raises, breaker opens) and recovery restores
-  bit-exact full serving;
+  flagged partial, nothing raises, breaker opens, the index's selection
+  is not ranked again) and recovery restores bit-exact full serving;
 * a sharded :class:`BNServer` mirrors ingest into ``bn.shard.ingest.*``;
 * ``deploy_turbo(..., shards=N)`` serves bit-for-bit what the unsharded
   deployment serves, and tags shard-down requests ``partial``;
@@ -26,8 +29,9 @@ from repro.network import (
     BehaviorNetwork,
     ShardedBehaviorNetwork,
 )
+from repro.network import sharding
+from repro.network.sharding import shard_of
 from repro.obs.metrics import MetricsRegistry
-from repro.system import shard_router
 from repro.system import (
     BNServer,
     CircuitBreaker,
@@ -73,18 +77,24 @@ class TestRouterSampling:
         counters = registry.snapshot()["counters"]
         gauges = registry.snapshot()["gauges"]
         assert gauges["turbo.shard.index.nodes"] == bn.num_nodes()
-        assert counters["turbo.shard.frontier.exchanges"] >= 1
-        assert counters["turbo.shard.frontier.keys"] > 0
+        # Hop 0's union frontier is the distinct targets, hop 1's every
+        # node one hop out; each is split by owner shard.
+        hop1 = scalar_subgraphs(bn, targets, hops=1, fanout=5)
+        frontiers = [set(targets), {uid for sub in hop1 for uid in sub.nodes[1:]}]
+        owners = [set(shard_of(sorted(rows), 4).tolist()) for rows in frontiers]
+        assert counters["turbo.shard.frontier.keys"] == sum(map(len, frontiers))
+        assert counters["turbo.shard.frontier.exchanges"] == sum(map(len, owners))
         assert "turbo.shard.frontier.lost" not in counters
 
-    def test_selection_cache_reused_across_calls(self, rng):
-        bn, _sharded, router = make_router(rng, n_shards=2)
-        cache: dict = {}
-        first, _, _ = router.sample_batch([3, 9], fanout=5, selection_cache=cache)
-        cached = len(cache)
-        assert cached > 0
-        again, _, _ = router.sample_batch([3, 9], fanout=5, selection_cache=cache)
-        assert len(cache) == cached
+    def test_selection_cache_reused_across_calls(self, rng, monkeypatch):
+        """The read index ranks its selection once; later batches re-rank nothing."""
+        _bn, sharded, router = make_router(rng, n_shards=2)
+        first, _, _ = router.sample_batch([3, 9], fanout=5)
+        selection = sharded.index().selection(5)
+        ranked: list[int] = []
+        monkeypatch.setattr(sharding, "_ranked", lambda *args: ranked.append(1))
+        again, _, _ = router.sample_batch([3, 9], fanout=5)
+        assert ranked == [] and sharded.index().selection(5) is selection
         for a, b in zip(first, again):
             assert_subgraph_equal(b, a)
 
@@ -104,49 +114,42 @@ class TestShardLoss:
         counters = registry.snapshot()["counters"]
         assert counters["turbo.shard.down"] >= 1
         assert counters["turbo.shard.partial_requests"] == len(stats.partial)
+        # Hop 0's frontier is the targets: those on shard 1 are lost.
+        assert counters["turbo.shard.frontier.lost"] >= sum(
+            shard_of(sorted(set(targets)), 4) == 1
+        ) > 0
         # Intact requests are still bit-exact vs the healthy sampler.
         want = scalar_subgraphs(bn, targets, fanout=5)
         for i, (want_sub, got_sub) in enumerate(zip(want, got)):
             if i not in stats.partial:
                 assert_subgraph_equal(got_sub, want_sub)
 
-    def test_a_dead_shard_is_evicted_from_a_warm_cache_once_per_outage(
-        self, rng, monkeypatch
-    ):
-        """Dead selections are never cached, so a shard down for five batches
-        costs one scan of the cache, not five; decisions are those of a
-        router that ranks every batch afresh."""
-        _bn, sharded = build_pair(contribution_batches(rng), 4)
+    def test_a_dead_shard_selects_nothing_when_warm(self, rng, monkeypatch):
+        """A shard down for five batches: its rows select nothing although
+        the index's selection is warm, the requests it touches are partial,
+        the others keep their bits, and nothing is ranked again — during the
+        outage or after it."""
+        bn, sharded = build_pair(contribution_batches(rng), 4)
         faults = FaultInjector()
-        router, afresh = ShardRouter(sharded, faults=faults), ShardRouter(sharded, faults=faults)
+        router = ShardRouter(sharded, faults=faults)
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
-        cache: dict = {}
-        router.sample_batch(targets, fanout=5, selection_cache=cache, now=0.0)
-        scanned: list[int] = []
-        shard_of_int = shard_router._shard_of_int
-
-        def counted(uid, n_shards):
-            scanned.append(uid)
-            return shard_of_int(uid, n_shards)
-
-        monkeypatch.setattr(shard_router, "_shard_of_int", counted)
-        for outage in range(2):
-            start = 10.0 * (outage + 1)
-            faults.add_crash("bn_shard1", start, start + 5.0)
-            warm, scanned[:] = len(cache), []
-            for k in range(5):
-                now = start + k
-                got, stats, _ = router.sample_batch(
-                    targets, fanout=5, selection_cache=cache, now=now
-                )
-                want, want_stats, _ = afresh.sample_batch(targets, fanout=5, now=now)
-                assert stats.partial == want_stats.partial != ()
-                for got_sub, want_sub in zip(got, want):
+        want = scalar_subgraphs(bn, targets, fanout=5)
+        router.sample_batch(targets, fanout=5, now=0.0)
+        ranked: list[int] = []
+        monkeypatch.setattr(sharding, "_ranked", lambda *args: ranked.append(1))
+        faults.add_crash("bn_shard1", 10.0, 15.0)
+        for now in range(10, 15):
+            got, stats, _ = router.sample_batch(targets, fanout=5, now=float(now))
+            assert stats.partial
+            for i, (got_sub, want_sub) in enumerate(zip(got, want)):
+                if i not in stats.partial:
                     assert_subgraph_equal(got_sub, want_sub)
-            assert len(scanned) == warm  # one scan of the warm cache
-            # Recovered: the shard's keys are ranked and cached again.
-            router.sample_batch(targets, fanout=5, selection_cache=cache, now=start + 6.0)
-            assert len(cache) == warm
+                elif shard_of([targets[i]], 4)[0] == 1:
+                    assert got_sub.nodes == [targets[i]]  # its row selects nothing
+        got, stats, _ = router.sample_batch(targets, fanout=5, now=16.0)
+        assert stats.partial == () and ranked == []
+        for got_sub, want_sub in zip(got, want):
+            assert_subgraph_equal(got_sub, want_sub)
 
     def test_breaker_opens_then_recovery_restores_bits(self, rng):
         bn, _sharded, router = make_router(rng, with_faults=True)
