@@ -7,16 +7,17 @@ materializer (:func:`~repro.core.lambda_infer.materialize`) end to end.
 Four sections, written to ``BENCH_lambda_fullgraph.json`` in the
 repository root:
 
-* ``fullgraph_sweep`` — one :class:`~repro.network.sampled_graph.SampledGraph`
-  build plus one full pass (no prior) over every covered user (the gated
-  configuration must cover ≥ 100 000 users).  The headline figures are
-  absolute: ``single_process_s`` (sampled-graph build + the whole pass on
-  one core) and ``rows_per_s``.  The sweep's scoring slices are executed
-  one by one and timed individually — exactly the work one forked child
-  of :func:`~repro.system.fork_map` runs — and combined as the *modeled*
-  **deployment clock** ``deploy_s``: ``sampled-graph build + max(slice) +
-  serial assemble`` (splice + layer pass), what 4 otherwise-idle cores
-  would execute.  It is a model, not a wall-clock figure: the measured
+* ``fullgraph_sweep`` — the read index and its neighbour selection for
+  the sweep's fanout (``bn.index().selection(FANOUT)``, timed as
+  ``selection_s``) plus one full pass (no prior) over every covered user
+  (the gated configuration must cover ≥ 100 000 users).  The headline
+  figures are absolute: ``single_process_s`` (selection + the whole pass
+  on one core) and ``rows_per_s``.  The sweep's scoring slices are
+  executed one by one and timed individually — exactly the work one
+  forked child of :func:`~repro.system.fork_map` runs — and combined as
+  the *modeled* **deployment clock** ``deploy_s``: ``selection +
+  max(slice) + serial assemble`` (splice + layer pass), what 4
+  otherwise-idle cores would execute.  It is a model, not a wall-clock figure: the measured
   2-process wall speedup is in ``docs/PERFORMANCE.md``.  The
   ``pool_sweep`` section proves the real forked path bit-exact;
 * ``state_parity`` — a uniform target sample scored by the serving path
@@ -26,9 +27,9 @@ repository root:
   **byte-identical** (chunk/slice invariance at scale);
 * ``pool_sweep`` — the same sweep forked into 8 slices
   (``executor=fork_map``; each child inherits the sweep's inputs by fork):
-  byte-identical to the in-process sweep, and the :class:`SampledGraph`
-  built off the 4-shard merged index is byte-identical to the
-  single-network build;
+  byte-identical to the in-process sweep, and what the sweep reads off
+  the 4-shard merged index (node ids, selection, pair table, normalized
+  weights) is byte-identical to the single network's index;
 * ``incremental_refresh`` — a small random delta batch, then the same
   function with the big sweep's state as its prior: scores and subgraph
   CSR must be byte-equal a fresh full pass while only the affected cone
@@ -70,11 +71,7 @@ import pytest
 from repro.core import HAG, materialize
 from repro.datagen import ScaleConfig, edge_stream
 from repro.features.pipeline import StandardScaler
-from repro.network import (
-    BehaviorNetwork,
-    ShardedBehaviorNetwork,
-    build_sampled_graph,
-)
+from repro.network import BehaviorNetwork, ShardedBehaviorNetwork
 from repro.network.sampling import computation_subgraphs_batch
 from repro.system import fork_map
 
@@ -245,26 +242,35 @@ def bench_state_parity(sweep: Sweep, big_state, targets) -> dict:
     }
 
 
-def bench_pool_sweep(sweep: Sweep, sharded, sampled, targets) -> dict:
+def sweep_inputs(index) -> dict:
+    """What the sweep reads off a read index: its arrays by name, and types."""
+    indptr, nbr = index.selection(FANOUT)
+    return {
+        "node_ids": index.node_ids.tobytes(),
+        "selection_indptr": indptr.tobytes(),
+        "selection_nbr": nbr.tobytes(),
+        "pair_lo_pos": index.pair_lo_pos.tobytes(),
+        "pair_hi_pos": index.pair_hi_pos.tobytes(),
+        "norm_weights": index.norm_weights.tobytes(),
+        "types": index.types,
+    }
+
+
+def bench_pool_sweep(sweep: Sweep, sharded, targets) -> dict:
     """Fork the sweep's slices into real processes; byte-equal in-process."""
     rng = np.random.default_rng(np.random.SeedSequence([sweep.config.seed, 13]))
     pool_targets = np.sort(
         rng.choice(targets, size=min(POOL_TARGETS, len(targets)), replace=False)
     )
 
-    # The sampled graph the workers score against must not depend on the
-    # partitioning: the 4-shard merged-index build carries the same bytes.
-    sharded_arrays, sharded_meta = build_sampled_graph(sharded, FANOUT).to_payload()
-    base_arrays, base_meta = sampled.to_payload()
-    sampled_parity = sharded_meta == base_meta and all(
-        sharded_arrays[name].tobytes() == base_arrays[name].tobytes()
-        for name in base_arrays
-    )
+    # What the workers score against must not depend on the partitioning:
+    # the 4-shard merged index carries the same bytes.
+    shard_parity = sweep_inputs(sharded.index()) == sweep_inputs(sweep.bn.index())
 
-    reference, reference_stats, _ = sweep.materialize(pool_targets, sampled=sampled)
+    reference, reference_stats, _ = sweep.materialize(pool_targets)
     start = time.perf_counter()
     pooled, pooled_stats, mstats = sweep.materialize(
-        pool_targets, sampled=sampled, executor=fork_map, slices=POOL_SLICES
+        pool_targets, executor=fork_map, slices=POOL_SLICES
     )
     pool_s = time.perf_counter() - start
 
@@ -274,9 +280,9 @@ def bench_pool_sweep(sweep: Sweep, sharded, sampled, targets) -> dict:
         "targets": int(len(pool_targets)),
         "slices": mstats.slices,
         "pool_sweep_s": pool_s,
-        "sampled_graph_bitexact_across_shards": bool(sampled_parity),
+        "sampled_graph_bitexact_across_shards": bool(shard_parity),
         "mismatched_arrays": mismatched,
-        "parity": 1.0 if not mismatched and sampled_parity else 0.0,
+        "parity": 1.0 if not mismatched and shard_parity else 0.0,
     }
 
 
@@ -295,15 +301,12 @@ def bench_incremental(sweep: Sweep, prior, targets) -> dict:
         touched[u] = touched.get(u, 0) + 1
         touched[v] = touched.get(v, 0) + 1
 
-    sampled = build_sampled_graph(sweep.bn, FANOUT)
     start = time.perf_counter()
-    fresh, _, _ = sweep.materialize(targets, sampled=sampled)
+    fresh, _, _ = sweep.materialize(targets)
     fresh_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    state, _, mstats = sweep.materialize(
-        targets, sampled=sampled, prior=prior, touched=touched
-    )
+    state, _, mstats = sweep.materialize(targets, prior=prior, touched=touched)
     incremental_s = time.perf_counter() - start
 
     mismatched = []
@@ -363,29 +366,28 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
     gc.disable()
     try:
         start = time.perf_counter()
-        sampled = build_sampled_graph(bn, FANOUT)
-        sampled_s = time.perf_counter() - start
+        bn.index().selection(FANOUT)
+        selection_s = time.perf_counter() - start
         slice_s: list[float] = []
         start = time.perf_counter()
         big_state, _, big_mstats = sweep.materialize(
             targets,
-            sampled=sampled,
             executor=timed_slice_executor(slice_s),
             slices=POOL_WORKERS,
         )
         wall_s = time.perf_counter() - start
         # Modeled deployment clock: the 4 slices run concurrently on 4 cores
         # (bit-exactness of the forked path is pinned by pool_sweep); the
-        # sampled-graph build and the assemble (splice + full-graph layer
-        # pass) stay serial.
+        # selection and the assemble (splice + full-graph layer pass) stay
+        # serial.
         assemble_s = max(0.0, wall_s - sum(slice_s))
-        deploy_s = sampled_s + max(slice_s) + assemble_s
-        single_s = sampled_s + wall_s
+        deploy_s = selection_s + max(slice_s) + assemble_s
+        single_s = selection_s + wall_s
 
         sections = {
             "fullgraph_sweep": {
                 "covered_users": covered,
-                "sampled_graph_s": sampled_s,
+                "selection_s": selection_s,
                 "slice_s": slice_s,
                 "assemble_s": assemble_s,
                 "deploy_s": deploy_s,
@@ -397,8 +399,8 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         }
         emit(
             f"full sweep     {covered:,} users in {deploy_s:.1f}s modeled deploy "
-            f"({single_s:.1f}s single-process, {sampled_s:.1f}s sampled-graph "
-            f"build, {len(slice_s)} slices, "
+            f"({single_s:.1f}s single-process, {selection_s:.1f}s index and "
+            f"selection, {len(slice_s)} slices, "
             f"{sections['fullgraph_sweep']['rows_per_s']:,.0f} rows/s, "
             f"{big_mstats.edges_touched:,} induced entries)"
         )
@@ -416,7 +418,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
             )
         )
 
-        sections["pool_sweep"] = bench_pool_sweep(sweep, sharded, sampled, targets)
+        sections["pool_sweep"] = bench_pool_sweep(sweep, sharded, targets)
         emit(
             "pool sweep     {targets} targets forked into {slices} slices "
             "({pool_sweep_s:.1f}s) — "

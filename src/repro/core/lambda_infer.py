@@ -24,16 +24,14 @@ This module is the batch layer's core: storage- and serving-agnostic.
   its seeds (nodes touched since a ``prior`` state, targets whose feature
   provenance moved, targets new to the sweep) and byte-copies every other
   row from the prior; with no prior every target is a seed, the cone is
-  everything and the pass is a full sweep.  Scores replay the exact
-  serving path per target off one global
-  :class:`~repro.network.sampled_graph.SampledGraph` (InferTurbo-style,
-  PAPERS.md) through :func:`score_slice` — pinned bit-for-bit equal to
-  :func:`~repro.network.sampling.computation_subgraphs_batch` +
-  :meth:`~repro.core.hag.HAG.predict_subgraph`, so a cached score is
-  *bit-exact* with what the fresh sampled path would compute.  A
-  full-graph embedding cache could not promise that, because the sampled
-  path's aggregation is row-normalized within each target's own
-  fanout-truncated subgraph.
+  everything and the pass is a full sweep.  :func:`score_slice` scores
+  each target through the serving path itself: the BFS over the read
+  index's selection (``bn.index().selection(fanout)``, ranked once per BN
+  version), the index's one inducer and :meth:`~repro.core.hag.HAG.predict_subgraphs`,
+  so a cached score is *bit-exact* with what the fresh sampled path would
+  compute.  A full-graph embedding cache could not promise that, because
+  the sampled path's aggregation is row-normalized within each target's
+  own fanout-truncated subgraph.
 
 The speed layer that serves from this state lives in
 :mod:`repro.system.lambda_layer`; staleness accounting rides on
@@ -50,17 +48,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import nn
-from ..nn.sparse import (
-    StackedCSR,
-    csr_gather_rows,
-    csr_gather_rows_with_counts,
-    row_mean_csr,
-    sum_csr,
-    symmetric_csr,
-)
+from ..nn.sparse import csr_gather_rows, row_mean_csr, sum_csr
 from ..network.adjacency import typed_adjacency
-from ..network.sampled_graph import SampledGraph, build_sampled_graph
-from ..network.sampling import BatchSampleStats, _bfs_positions
+from ..network.sampling import BatchSampleStats, ComputationSubgraph, _bfs_positions
+from ..network.sharding import ShardIndex
+from ..network.snapshot import positions_of
 from .hag import HAG
 
 __all__ = [
@@ -83,10 +75,11 @@ _COLUMNS = (
 )
 #: Prefix separating layer-state arrays from the fixed per-node columns.
 _LAYER_PREFIX = "state:"
-#: Targets that share one packed forward in :func:`score_slice`.  Scores do
-#: not depend on it (dense products run per request block under
-#: ``nn.row_blocks``), so a larger pack buys no larger GEMM, only a larger
-#: block-diagonal adjacency: 32 measured fastest (``docs/PERFORMANCE.md``).
+#: Targets that share one :meth:`~repro.core.hag.HAG.predict_subgraphs` in
+#: :func:`score_slice`.  Scores do not depend on it (dense products run per
+#: request block under ``nn.row_blocks``), so a larger pack buys no larger
+#: GEMM, only a larger block-diagonal adjacency: 32 measured fastest
+#: (``docs/PERFORMANCE.md``).
 SCORE_CHUNK = 32
 
 
@@ -310,139 +303,69 @@ class SliceResult:
 
     Arrays are aligned with the slice's targets in sorted-target order:
     ``scores`` per target, ``indptr``/``flat_nodes`` the per-target sampled
-    subgraph CSR (node *ids*), ``expanded`` the per-target count of BFS
-    frontier nodes expanded (the first ``expanded[k]`` entries of row ``k``
-    are exactly the expanded nodes), ``edges`` the induced adjacency
-    entries processed.  Cheap to ship across processes: four flat arrays
-    and an int, pickled over a forked child's pipe.
+    subgraph CSR (node *ids*), ``edges`` the induced adjacency entries
+    processed.  Cheap to ship across processes: three flat arrays and an
+    int, pickled over a forked child's pipe.
     """
 
     scores: np.ndarray
     indptr: np.ndarray
     flat_nodes: np.ndarray
-    expanded: np.ndarray
     edges: int
-
-
-def _score_packed_chunk(
-    model: HAG,
-    matrices: Sequence[np.ndarray],
-    sizes: Sequence[int],
-    parts: Mapping,
-    edge_type_order: Sequence,
-) -> np.ndarray:
-    """One packed forward over a chunk's pre-offset typed COO triples.
-
-    Equivalent to stacking each target's canonical per-type CSR
-    block-diagonally (:meth:`~repro.core.hag.HAG.predict_subgraphs`), but
-    the conversion to canonical CSR happens once per ``(chunk, type)``
-    instead of once per ``(target, type)`` — the dominant cost of the
-    sweep.  Bit-exact because the triples carry no duplicate coordinates
-    (the incidence pairs are deduplicated and loop-free) — construction is
-    placement, not summation — and every dense op downstream is row-local
-    under ``nn.row_blocks``.  The CFO(-) ablation's single merged
-    adjacency is the :func:`~repro.nn.sparse.sum_csr` of those typed
-    matrices in the graph's type order (``parts``' key order), which is
-    what :meth:`ComputationSubgraph.merged
-    <repro.network.sampling.ComputationSubgraph.merged>` computes per
-    subgraph and is independent of the packing.
-    """
-    boundaries = np.concatenate(
-        ([0], np.cumsum(np.asarray(sizes, dtype=np.int64)))
-    )
-    total = int(boundaries[-1])
-
-    def typed(btype) -> sp.csr_matrix:
-        triples = parts.get(btype, ())
-        if not triples:
-            return sp.csr_matrix((total, total))
-        return symmetric_csr(
-            *(np.concatenate([t[i] for t in triples]) for i in range(3)), total
-        )
-
-    if model.use_cfo:
-        adjacencies = [typed(btype) for btype in edge_type_order]
-    else:
-        adjacencies = [sum_csr([typed(btype) for btype in parts], total)]
-    with nn.row_blocks(boundaries):
-        return model.predict_proba(
-            np.vstack(matrices),
-            StackedCSR.from_matrices(adjacencies).row_mean(),
-            boundaries[:-1],
-        )
 
 
 def score_slice(
     model: HAG,
-    sampled: SampledGraph,
+    index: ShardIndex,
     uids: np.ndarray,
     indices: np.ndarray,
     feature_fn: Callable[[int, Sequence[int]], np.ndarray],
     *,
     hops: int,
+    fanout: int | None,
     edge_type_order: Sequence,
     allowed: set[int] | None,
     transform: Callable[[np.ndarray], np.ndarray] | None,
 ) -> SliceResult:
-    """Replay the per-target serving path for ``uids[indices]`` off the
-    sampled-adjacency CSR.
+    """Score ``uids[indices]`` through the serving path, one target at a time.
 
-    Per-request semantics are identical to the serving path
-    (:func:`~repro.network.sampling.computation_subgraphs_batch` +
-    :meth:`~repro.core.hag.HAG.predict_subgraph`): the same BFS
-    (:func:`~repro.network.sampling._bfs_positions`) over the same
-    selections, same induced normalized adjacency bits, same forward per
-    request block — but each target costs
-    O(its subgraph) gathers and :data:`SCORE_CHUNK` targets share one packed
-    forward, which is what makes the sweep scale.  ``feature_fn`` is
-    called with the *global* sorted-target index (``indices[k]``).
+    Each target is a request of its own, as the paper serves it: its BFS
+    (:func:`~repro.network.sampling._bfs_positions`) over
+    ``index.selection(fanout)``, its adjacency from the index's one
+    inducer (:meth:`~repro.network.sharding.ShardIndex.induced_entries`),
+    and :data:`SCORE_CHUNK` targets share one
+    :meth:`~repro.core.hag.HAG.predict_subgraphs`, bit for bit what each
+    would score alone.  ``feature_fn`` is called with the *global*
+    sorted-target index (``indices[k]``).
     """
     indices = np.asarray(indices, dtype=np.int64)
-    n = len(indices)
-    positions = sampled.positions_of(uids[indices])
-    selection = (sampled.all_indptr, sampled.all_nbr)
-    types = sampled.types
-    scores = np.zeros(n, dtype=np.float64)
-    expanded = np.zeros(n, dtype=np.int64)
+    selection = index.selection(fanout)
+    roots = positions_of(index.node_ids, uids[indices]).tolist()
+    scores: list[float] = []
     node_arrays: list[np.ndarray] = []
     edges = 0
-    expand_types = len(types) if hops >= 1 else 0
-    for start in range(0, n, SCORE_CHUNK):
-        stop = min(start + SCORE_CHUNK, n)
-        matrices: list[np.ndarray] = []
-        sizes: list[int] = []
-        parts: dict = {btype: [] for btype in types}
-        offset = 0
-        for k in range(start, stop):
-            plist, levels = _bfs_positions(
-                selection, sampled.node_ids, int(positions[k]), hops, allowed
+    for start in range(0, len(indices), SCORE_CHUNK):
+        subgraphs, matrices = [], []
+        chunk = slice(start, start + SCORE_CHUNK)
+        for k, root in zip(indices[chunk].tolist(), roots[chunk]):
+            positions, _ = _bfs_positions(selection, index.node_ids, root, hops, allowed)
+            nodes = index.node_ids[positions] if root >= 0 else uids[k : k + 1]
+            entries = index.induced_entries(positions)
+            edges += len(entries[2])
+            subgraphs.append(
+                ComputationSubgraph(int(uids[k]), nodes, types=index.types, entries=entries)
             )
-            if plist[0] < 0:
-                nodes = uids[indices[k : k + 1]]
-            else:
-                nodes = sampled.node_ids[plist]
-            expanded[k] = levels[hops] if expand_types else 0
-            iu, iv, w, code = sampled.induced_entries(plist)
-            edges += len(w)
-            for type_code, btype in enumerate(types):
-                mine = code == type_code
-                if mine.any():
-                    parts[btype].append((iu[mine] + offset, iv[mine] + offset, w[mine]))
-            offset += len(plist)
-            sizes.append(len(plist))
-            matrix = feature_fn(int(indices[k]), nodes)
+            matrix = feature_fn(k, nodes)
             matrices.append(matrix if transform is None else transform(matrix))
             node_arrays.append(nodes)
-        scores[start:stop] = _score_packed_chunk(
-            model, matrices, sizes, parts, edge_type_order
-        )
-    indptr = np.zeros(n + 1, dtype=np.int64)
+        scores += model.predict_subgraphs(subgraphs, matrices, edge_type_order)
+    indptr = np.zeros(len(indices) + 1, dtype=np.int64)
     np.cumsum([len(a) for a in node_arrays], out=indptr[1:])
-    flat = (
-        np.concatenate(node_arrays) if node_arrays else np.empty(0, dtype=np.int64)
-    )
     return SliceResult(
-        scores=scores, indptr=indptr, flat_nodes=flat, expanded=expanded, edges=edges
+        scores=np.asarray(scores, dtype=np.float64),
+        indptr=indptr,
+        flat_nodes=np.concatenate([np.empty(0, dtype=np.int64), *node_arrays]),
+        edges=edges,
     )
 
 
@@ -462,35 +385,61 @@ def _layer_adjacency(
     return [sum_csr([adjacency[t] for t in types], len(node_ids))]
 
 
-def _sample_stats(
-    results: Sequence[SliceResult], n_types: int, requests: int
-) -> BatchSampleStats:
-    """Scalar-path-equivalent :class:`BatchSampleStats` for a sweep.
-
-    ``expansions`` counts ``(node, type)`` frontier expansions exactly like
-    the union sampler (every expanded node costs one per traversed type);
-    ``unique_expansions`` counts distinct such pairs across the sweep.
-    """
-    flats = [r.flat_nodes for r in results if len(r.flat_nodes)]
-    sampled_nodes = int(sum(len(f) for f in flats))
-    unique_nodes = int(len(np.unique(np.concatenate(flats)))) if flats else 0
-    expansions = 0
-    expanded_parts: list[np.ndarray] = []
-    for r in results:
-        expansions += int(r.expanded.sum()) * n_types
-        if len(r.expanded):
-            _, gidx = csr_gather_rows_with_counts(r.indptr, r.expanded)
-            expanded_parts.append(r.flat_nodes[gidx])
-    unique_expanded = (
-        int(len(np.unique(np.concatenate(expanded_parts)))) if expanded_parts else 0
-    )
+def _sample_stats(results: Sequence[SliceResult], requests: int) -> BatchSampleStats:
+    """Scalar-path-equivalent :class:`BatchSampleStats` for a sweep."""
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *(r.flat_nodes for r in results)])
     return BatchSampleStats(
-        requests=requests,
-        sampled_nodes=sampled_nodes,
-        unique_nodes=unique_nodes,
-        expansions=expansions,
-        unique_expansions=unique_expanded * n_types,
+        requests=requests, sampled_nodes=len(flat), unique_nodes=len(np.unique(flat))
     )
+
+
+def _score_cone(
+    selection: tuple[np.ndarray, np.ndarray], seeds: np.ndarray, hops: int
+) -> np.ndarray:
+    """Mask of the positions that can reach a seed within ``hops`` selection steps.
+
+    This is the *score cone*: a target whose BFS tree cannot reach any
+    touched node within ``hops`` hops of the current selection graph has a
+    subgraph made entirely of untouched nodes — whose selection rows,
+    induced entries (degrees included) and feature rows are all unchanged
+    — so its replayed score is bit-identical.  Seeds themselves are
+    included.  The walk runs over the selection reversed (who selects me).
+    """
+    indptr, nbr = selection
+    n = len(indptr) - 1
+    by_nbr = np.argsort(nbr, kind="stable")
+    selector = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))[by_nbr]
+    rev_indptr = np.searchsorted(nbr[by_nbr], np.arange(n + 1, dtype=np.int64))
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.unique(seeds)
+    reached[frontier] = True
+    for _ in range(hops):
+        frontier = np.unique(selector[csr_gather_rows(rev_indptr, frontier)[1]])
+        frontier = frontier[~reached[frontier]]
+        reached[frontier] = True
+    return reached
+
+
+def _layer_cone(
+    index: ShardIndex, seeds: np.ndarray, hops: int, members: np.ndarray
+) -> np.ndarray:
+    """Mask of the positions within ``hops`` undirected edges of ``seeds``,
+    walking only through the ``members`` mask.
+
+    This is the *layer cone* over the target-induced full adjacency: the
+    walk reads the index's half-edge rows through the inducer's row gather
+    (:meth:`~repro.network.sharding.ShardIndex.row_gather`), a superset
+    of any normalized typed adjacency, so the cone is conservative.
+    """
+    reached = np.zeros(index.num_nodes, dtype=bool)
+    frontier = np.unique(seeds)
+    frontier = frontier[members[frontier]]
+    reached[frontier] = True
+    for _ in range(hops):
+        frontier = np.unique(index.row_gather(frontier)[1])
+        frontier = frontier[~reached[frontier] & members[frontier]]
+        reached[frontier] = True
+    return reached
 
 
 def materialize(
@@ -506,7 +455,6 @@ def materialize(
     edge_type_order: Sequence,
     allowed: set[int] | None = None,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    sampled: SampledGraph | None = None,
     prior: HAGState | None = None,
     touched: Mapping[int, int] | None = None,
     layer_row_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -525,8 +473,8 @@ def materialize(
     ``nodes`` — exactly what the feature module would assemble for a live
     request on that transaction at that time; ``transform`` is the serving
     scaler (applied here so the replay matches the prediction server
-    bit-for-bit).  ``sampled`` is the :class:`SampledGraph` of ``bn``'s
-    current version under ``fanout`` (built when omitted).
+    bit-for-bit).  The pass reads ``bn.index()``, the network's read index
+    of its current version, and its selection for ``fanout``.
 
     **Seeds** are the nodes ``touched`` since ``prior`` was computed
     (:meth:`~repro.network.bn.BehaviorNetwork.delta_touched`) plus every
@@ -534,12 +482,14 @@ def materialize(
     time.  Without a ``prior`` every target is a seed, both cones are the
     whole target set and the pass is a full sweep (``mode == "full"``).
     ``prior`` must be the state of an *ancestor* version of ``bn`` under
-    the same ``hops`` / ``fanout`` (``ValueError`` otherwise, and when it
-    lacks the model's layer arrays while ``layer_row_fn`` asks for them).
+    the same ``hops`` / ``fanout`` (``ValueError`` for a different
+    ``hops`` / ``fanout``, for a version ``bn`` has not reached, and when
+    it lacks the model's layer arrays while ``layer_row_fn`` asks for
+    them).
 
     * The **score cone** is every target that can reach a seed within
       ``hops`` steps of the current selection graph (reverse BFS over
-      ``sampled``).  Those targets are rescored through
+      the index's selection).  Those targets are rescored through
       :func:`score_slice`; anything outside kept its selection rows,
       induced adjacency (weights *and* degrees) and feature rows, so its
       score and subgraph row are copied from ``prior`` bit-for-bit.
@@ -576,12 +526,8 @@ def materialize(
     now_arr = np.asarray(nows, dtype=np.float64)[order]
     n = len(node_ids)
 
-    if sampled is None:
-        sampled = build_sampled_graph(bn, fanout)
-    if sampled.version != int(bn.version):
-        raise ValueError("sampled graph version does not match bn.version")
-    if sampled.fanout != fanout:
-        raise ValueError("sampled graph fanout does not match the request")
+    index = bn.index()
+    selection = index.selection(fanout)
 
     want_layers = layer_row_fn is not None and n > 0
     layer_names = _layer_names(model)
@@ -589,6 +535,8 @@ def materialize(
     if prior is not None:
         if int(prior.hops) != int(hops) or prior.fanout != fanout:
             raise ValueError("prior state hops/fanout do not match the request")
+        if int(prior.bn_version) > int(bn.version):
+            raise ValueError("prior state's bn_version is newer than bn.version")
         if want_layers:
             if not prior.has_layers_of(model):
                 raise ValueError("prior state lacks the model's layer arrays")
@@ -611,18 +559,18 @@ def materialize(
         target_seeds = np.ones(n, dtype=bool)
 
     # --- score cone over the current selection graph -----------------------
-    target_positions = sampled.positions_of(node_ids)
+    target_positions = positions_of(index.node_ids, node_ids)
     registered = target_positions >= 0
     seed_positions = np.concatenate(
         [
-            sampled.positions_of(np.fromiter(touched or (), dtype=np.int64)),
+            positions_of(index.node_ids, np.fromiter(touched or (), dtype=np.int64)),
             target_positions[target_seeds],
         ]
     )
     seed_positions = seed_positions[seed_positions >= 0]
-    cone_mask = np.zeros(sampled.num_nodes, dtype=bool)
+    cone_mask = np.zeros(index.num_nodes, dtype=bool)
     if len(seed_positions):
-        cone_mask[sampled.reverse_reachable(seed_positions, hops)] = True
+        cone_mask = _score_cone(selection, seed_positions, hops)
     affected = target_seeds.copy()
     affected[registered] |= cone_mask[target_positions[registered]]
     affected_idx = np.flatnonzero(affected)
@@ -632,11 +580,12 @@ def materialize(
         lo, hi = bound
         return score_slice(
             model,
-            sampled,
+            index,
             node_ids,
             affected_idx[lo:hi],
             feature_fn,
             hops=hops,
+            fanout=fanout,
             edge_type_order=edge_type_order,
             allowed=allowed,
             transform=transform,
@@ -678,7 +627,7 @@ def materialize(
         flat_nodes[csr_gather_rows(indptr, keep_idx)[1]] = prior.subgraph_nodes[
             csr_gather_rows(prior.subgraph_indptr, kept_prior)[1]
         ]
-    stats = _sample_stats(results, len(sampled.types), len(affected_idx))
+    stats = _sample_stats(results, len(affected_idx))
 
     # --- splice layer states ------------------------------------------------
     layers: dict[str, np.ndarray] = {}
@@ -688,17 +637,13 @@ def materialize(
         # through other targets (the layer pass runs on the target-induced
         # adjacency).  Seeds without a graph position have no neighbours
         # but still need fresh (isolated) rows.
-        member_mask = np.zeros(sampled.num_nodes, dtype=bool)
+        member_mask = np.zeros(index.num_nodes, dtype=bool)
         member_mask[target_positions[registered]] = True
-        row_of_position = np.full(sampled.num_nodes, -1, dtype=np.int64)
+        row_of_position = np.full(index.num_nodes, -1, dtype=np.int64)
         row_of_position[target_positions[registered]] = np.flatnonzero(registered)
         rows_mask = target_seeds & ~registered
         rows_mask[
-            row_of_position[
-                sampled.undirected_reachable(
-                    seed_positions, len(model.hidden), member_mask
-                )
-            ]
+            row_of_position[_layer_cone(index, seed_positions, len(model.hidden), member_mask)]
         ] = True
         rows = np.flatnonzero(rows_mask)
 

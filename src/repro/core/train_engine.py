@@ -88,10 +88,10 @@ class PresampledGraph:
     * ``adjacencies`` — the original CSRs, referenced (not copied) for the
       induced-subgraph slice, which is *not* fanout-capped.
 
-    The layout mirrors :class:`~repro.network.sampled_graph.SampledGraph`'s
-    incidence CSRs; this variant differs in keying directly off the
-    training adjacency matrices (no BN weight masking) because its contract
-    is bit-exactness against :mod:`repro.core.minibatch`'s
+    The layout mirrors the read index's selection
+    (:meth:`~repro.network.sharding.ShardIndex.selection`); this variant
+    differs in keying directly off the training adjacency matrices (no BN
+    weight masking) because its contract is bit-exactness against :mod:`repro.core.minibatch`'s
     ``sample_khop_nodes`` and ``induced_adjacencies``.
     """
 

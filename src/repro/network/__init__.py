@@ -9,7 +9,6 @@ from .sampling import (
     ComputationSubgraph,
     computation_subgraphs_batch,
 )
-from .sampled_graph import SampledGraph, build_sampled_graph
 from .sharding import (
     ShardIndex,
     ShardedBehaviorNetwork,
@@ -34,8 +33,6 @@ __all__ = [
     "computation_subgraphs_batch",
     "BatchSampleStats",
     "shard_of",
-    "SampledGraph",
-    "build_sampled_graph",
     "ShardIndex",
     "ShardedBehaviorNetwork",
     "build_shard_index",

@@ -701,8 +701,8 @@ class BehaviorNetwork:
         next call rebuilds — from the previous index, re-reading only the
         pairs in the change log.  A whole ``add_weights`` batch bumps the
         version once, so one window job costs at most one rebuild.  The
-        batch sampler, :class:`~repro.network.sampled_graph.SampledGraph`
-        and :meth:`to_arrays` all read it; a
+        batch sampler, the lambda sweep and :meth:`to_arrays` all read
+        it; a
         :class:`~repro.network.sharding.ShardedBehaviorNetwork` provides
         the same arrays through its own ``index()``.
         """

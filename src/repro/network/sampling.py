@@ -7,11 +7,15 @@ GraphSAGE-style inductive setting).  The BN server samples ``G_v`` when a
 detection request arrives.
 
 One sampler: :func:`computation_subgraphs_batch` is what every serving
-tier and the full-graph sweep run.  It reads the network's one flat read
-index (``bn.index()``, so an unsharded deployment is simply the one-block
-case of a sharded one), whose fanout-capped neighbour selection is ranked
-once per BN version (:meth:`~repro.network.sharding.ShardIndex.selection`);
-a request's BFS walks that CSR.  The dict walk it replaced lives on in
+tier runs.  It reads the network's one flat read index (``bn.index()``,
+so an unsharded deployment is simply the one-block case of a sharded
+one), whose fanout-capped neighbour selection is ranked once per BN
+version (:meth:`~repro.network.sharding.ShardIndex.selection`): a
+request's BFS (:func:`_bfs_positions`) walks that CSR, and the index's
+one inducer (:meth:`~repro.network.sharding.ShardIndex.induced_entries`)
+gives its adjacency.  The lambda sweep
+(:func:`repro.core.lambda_infer.score_slice`) runs the same two per
+target.  The dict walk they replaced lives on in
 ``tests/oracles/sampling.py`` as the independent oracle.
 
 A :class:`ComputationSubgraph` carries its ``|R|`` adjacencies as the typed
@@ -139,8 +143,6 @@ class BatchSampleStats:
     requests: int
     sampled_nodes: int  # sum of per-request subgraph sizes
     unique_nodes: int  # size of the union node set
-    expansions: int  # (node, type) frontier expansions requested
-    unique_expansions: int  # distinct (node, type) pairs actually expanded
     #: Request indices served from an incomplete frontier because one or
     #: more shards were down (always empty on a plain network's one block).
     partial: tuple[int, ...] = ()
@@ -188,28 +190,27 @@ def computation_subgraphs_batch(
         raise ValueError("hops must be non-negative")
     selection = index.selection(fanout)
     node_ids, owner, n_shards = index.node_ids, index.owner_of_pos, index.n_shards
-    n_types = len(index.types)
     targets = list(map(int, targets))
     dead = None
     if dead_shards:
         dead = np.zeros(n_shards, dtype=bool)
         dead[list(dead_shards)] = True
-    found, levels_of, node_lists, expanded = [], [], [], []
+    found, levels_of, node_lists = [], [], []
     for target, root in zip(targets, positions_of(node_ids, targets).tolist()):
         positions, levels = _bfs_positions(selection, node_ids, root, hops, allowed, owner, dead)
         nodes = node_ids[positions].tolist() if root >= 0 else [target]
         found.append(positions)
         levels_of.append(levels)
         node_lists.append(nodes)
-        # The first levels[hops] nodes were expanded, once per type.
-        expanded.append(nodes[: levels[hops]] if n_types else [])
 
     partial = [False] * len(targets)
     live_shards = None
     if dead is not None:
         hit: set[int] = set()
-        for i, nodes in enumerate(expanded):
-            shards = shard_of(nodes, n_shards)  # an unregistered uid's too
+        for i, (nodes, levels) in enumerate(zip(node_lists, levels_of)):
+            # The first levels[hops] nodes were expanded (if a type was).
+            expanded = nodes[: levels[hops]] if index.types else []
+            shards = shard_of(expanded, n_shards)  # an unregistered uid's too
             lost = shards[dead[shards]].tolist()
             partial[i] = bool(lost)
             hit.update(lost)
@@ -254,8 +255,6 @@ def computation_subgraphs_batch(
         requests=len(targets),
         sampled_nodes=sum(map(len, node_lists)),
         unique_nodes=len(set().union(*node_lists)),
-        expansions=sum(map(len, expanded)) * n_types,
-        unique_expansions=len(set().union(*expanded)) * n_types,
         partial=tuple(compress(range(len(targets)), partial)),
     )
     return subgraphs, stats

@@ -86,6 +86,12 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 #: ``(indptr, nbr)``: a selection CSR, rows and neighbours as positions.
 _Selection = tuple[np.ndarray, np.ndarray]
 
+#: ``[lookup]``: the position -> union-row map of
+#: :meth:`ShardIndex.induced_entries`, grown with the network and reused by
+#: every call.  A call marks its members, reads, and resets them in a
+#: ``finally``, so between calls every entry is ``-1``.
+_ROWS: list = [np.empty(0, dtype=np.int64)]
+
 
 def _check_fanout(fanout: int | None) -> None:
     """A negative cap would slice "all but the lightest" neighbours."""
@@ -244,55 +250,62 @@ class ShardIndex:
         of ``norm_weights`` then emits the entries type-major and
         pair-ascending: the full-graph masks, type after type, in content
         *and* order, which keeps the downstream per-request CSR
-        construction bit-exact.  Neighbour positions map to union rows by
-        binary search over the sorted union positions, so nothing is sized
-        by the whole network.  ``union_positions`` are distinct, and may
-        contain ``-1`` (unregistered nodes stay isolated rows, as in the
-        dense path); ``live_shards`` drops rows owned by dead shards
-        (partial serving).
+        construction bit-exact.  Neighbour positions map to union rows
+        through a position lookup every call reuses and resets
+        (:data:`_ROWS`), so a call costs O(sum deg) and allocates nothing
+        sized by the network.  ``union_positions`` are distinct, in any
+        order, and may contain ``-1`` (unregistered nodes stay isolated
+        rows, as in the dense path); ``live_shards`` drops rows owned by
+        dead shards (partial serving).
         """
         inside = union_positions >= 0
         inside_pos = union_positions[inside]
-        by_pos = inside_pos.argsort()
-        sorted_pos = inside_pos[by_pos]
-        union_row = inside.nonzero()[0][by_pos]
-        live = None if live_shards is None else set(int(s) for s in live_shards)
-        owner = self.owner_of_pos[inside_pos]
-        # Candidate pair ids are sorted at the end, so the gather order is
-        # free — group union members by owner shard and slice every
-        # member's CSR row in one vectorized gather instead of a per-node
-        # Python loop (the serve-path hot spot at 10^6 nodes).
-        chunks: list[np.ndarray] = []
+        n, lookup = len(self.node_ids), _ROWS[0]
+        if len(lookup) < n:
+            lookup = _ROWS[0] = np.full(max(n, 2 * len(lookup)), -1, dtype=np.int64)
+        try:
+            lookup[inside_pos] = inside.nonzero()[0]
+            node, nbr, pair = self.row_gather(inside_pos, live_shards)
+            # The gather order is free, as the pair ids are sorted below; a
+            # pair is kept once, from its lo endpoint's row.
+            candidates = pair[(lookup[nbr] >= 0) & (self.pair_lo_pos[pair] == node)]
+            candidates.sort()
+            weights = self.norm_weights[:, candidates]
+            type_code, column = (weights > 0.0).nonzero()
+            kept = candidates[column]
+            return (
+                lookup[self.pair_lo_pos[kept]],
+                lookup[self.pair_hi_pos[kept]],
+                weights[type_code, column],
+                type_code,
+            )
+        finally:
+            lookup[inside_pos] = -1
+
+    def row_gather(
+        self, positions: np.ndarray, live_shards: Sequence[int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(node, nbr, pair)`` of every half-edge in the rows of ``positions``.
+
+        Each block slices its members' rows in one vectorized gather, so
+        the half-edges come block by block, each member's in pair order.
+        ``live_shards`` leaves out the rows of the blocks it does not name.
+        """
+        owner = self.owner_of_pos[positions] if self.n_shards > 1 else None
+        parts = [(_EMPTY_I64, _EMPTY_I64, _EMPTY_I64)]
         for s, block in enumerate(self.shards):
-            if live is not None and s not in live:
-                continue
-            members = inside_pos[owner == s]
-            if not len(members):
+            members = positions if owner is None else positions[owner == s]
+            if not len(members) or (live_shards is not None and s not in live_shards):
                 continue
             local = block.own_positions.searchsorted(members)
             starts = block.indptr[local]
             lengths = block.indptr[local + 1] - starts
             ends = lengths.cumsum()
-            if not ends[-1]:
-                continue
-            gidx = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
-            nbr = block.nbr_pos[gidx]
-            pid = block.pair_idx[gidx]
-            slot = np.minimum(sorted_pos.searchsorted(nbr), len(sorted_pos) - 1)
-            keep = (sorted_pos[slot] == nbr) & (self.pair_lo_pos[pid] == members.repeat(lengths))
-            chunks.append(pid[keep])
-        # A pair is gathered once, from its lo endpoint's row.
-        candidates = np.concatenate([_EMPTY_I64, *chunks])
-        candidates.sort()
-        weights = self.norm_weights[:, candidates]
-        type_code, column = (weights > 0.0).nonzero()
-        kept = candidates[column]
-        return (
-            union_row[sorted_pos.searchsorted(self.pair_lo_pos[kept])],
-            union_row[sorted_pos.searchsorted(self.pair_hi_pos[kept])],
-            weights[type_code, column],
-            type_code,
-        )
+            gather = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
+            parts.append((members.repeat(lengths), block.nbr_pos[gather], block.pair_idx[gather]))
+        if len(parts) == 2:
+            return parts[1]
+        return tuple(map(np.concatenate, zip(*parts)))
 
     def snapshot(self) -> BNSnapshot:
         """The per-type edge-array view (what ``to_arrays()`` returns on

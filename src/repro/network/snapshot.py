@@ -42,10 +42,9 @@ __all__ = ["TypedEdgeArrays", "BNSnapshot", "positions_of"]
 def positions_of(sorted_ids: np.ndarray, uids: np.ndarray | int) -> np.ndarray:
     """Position of each uid in ``sorted_ids`` (-1 where it is absent).
 
-    The one uid -> position lookup under :class:`BNSnapshot`,
-    :class:`~repro.network.sharding.ShardIndex` and
-    :class:`~repro.network.sampled_graph.SampledGraph`, which share one
-    sorted ``node_ids`` position space; int64 out, shaped like ``uids``.
+    The one uid -> position lookup under :class:`BNSnapshot` and
+    :class:`~repro.network.sharding.ShardIndex`, which share one sorted
+    ``node_ids`` position space; int64 out, shaped like ``uids``.
     """
     uids = np.asarray(uids, dtype=np.int64)
     if not len(sorted_ids):

@@ -50,10 +50,8 @@ __all__ = [
     "PreparedAggregator",
     "as_csr",
     "csr_gather_rows",
-    "csr_gather_rows_with_counts",
     "csr_interleave",
     "csr_topk_rows",
-    "symmetric_csr",
     "StackedCSR",
     "stacked_symmetric_csr",
     "typed_symmetric_csr",
@@ -104,31 +102,6 @@ def csr_gather_rows(
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     return _ragged_gather(starts, indptr[rows + 1] - starts)
-
-
-def csr_gather_rows_with_counts(
-    indptr: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the first ``counts[r]`` entries of every CSR row ``r``."""
-    counts = np.minimum(np.asarray(counts, dtype=np.int64), np.diff(indptr))
-    return _ragged_gather(indptr[:-1], counts)
-
-
-def symmetric_csr(
-    iu: np.ndarray, iv: np.ndarray, w: np.ndarray, n: int
-) -> sp.csr_matrix:
-    """Symmetric ``(n, n)`` CSR holding ``w[k]`` at ``(iu[k], iv[k])`` and
-    ``(iv[k], iu[k])``.
-
-    The scipy spelling of the undirected-edge build (duplicates summed):
-    the merged export and the lambda sweep's packed chunks construct here;
-    per-type exports and both batch samplers use the bit-identical
-    :func:`typed_symmetric_csr`.
-    """
-    return sp.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([iu, iv]), np.concatenate([iv, iu]))),
-        shape=(n, n),
-    )
 
 
 @dataclass(slots=True)
@@ -330,12 +303,12 @@ def stacked_symmetric_csr(
     n_types: int,
     n: int,
 ) -> StackedCSR:
-    """:func:`symmetric_csr` of every edge type in one pass, kept stacked.
+    """Every edge type's symmetric ``(n, n)`` CSR in one pass, kept stacked.
 
-    Block ``t`` is bit-identical (``indptr``, ``indices``, ``data``,
-    dtypes once :meth:`~StackedCSR.split`) to ``symmetric_csr`` over the
-    entries with ``type_code == t``: :meth:`StackedCSR.from_entries` of
-    both directions of every entry, so a self-loop is a repeated entry.
+    Block ``t`` holds ``w[k]`` at ``(iu[k], iv[k])`` and ``(iv[k], iu[k])``
+    for the entries with ``type_code == t``, duplicates summed:
+    :meth:`StackedCSR.from_entries` of both directions of every entry, so
+    a self-loop is a repeated entry.
     """
     w, iu, iv, type_code = map(np.asarray, (w, iu, iv, type_code))
     if iu.ndim != 1 or not iu.shape == iv.shape == w.shape == type_code.shape:

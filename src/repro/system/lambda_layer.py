@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.lambda_infer import HAGState, MaterializeStats, materialize
-from ..network.sampled_graph import SampledGraph
 from ..network.sampling import BatchSampleStats
 from ..obs.tracing import Tracer
 
@@ -107,7 +106,6 @@ class LambdaLayer:
         self.batch_passes = 0
         self.incremental_passes = 0
         self.last_materialize: MaterializeStats | None = None
-        self._sampled: tuple[Any, SampledGraph] | None = None
         self.hits = 0
         self.misses = {"uncovered": 0, "stale": 0, "unbound": 0}
         self.fallthrough_requests = 0
@@ -138,27 +136,12 @@ class LambdaLayer:
             rows.append((uid, int(txn.txn_id), float(txn.audit_at)))
         return rows
 
-    def _sampled_graph(self, bn) -> SampledGraph:
-        """The deployment's :class:`SampledGraph`, memoized per read index.
-
-        Keyed on the index *object* it was built from (indices are memoized
-        per network per version, so identity is exact), not ``bn.version``:
-        two networks at the same version (``server.bn = other``) do not
-        share a graph.  The cached tuple keeps the index alive, so its
-        identity cannot be reused while the graph is.
-        """
-        index = bn.index()
-        cached = self._sampled
-        if cached is None or cached[0] is not index or cached[1].fanout != self.fanout:
-            cached = self._sampled = (index, SampledGraph.from_index(index, self.fanout))
-        return cached[1]
-
     def run_batch_pass(self, now: float) -> tuple[HAGState, BatchSampleStats]:
         """One full batch pass at simulated time ``now``.
 
         Computes the exact serving-path score for every target
         (:func:`repro.core.lambda_infer.materialize` without a prior, over
-        the version-pinned :class:`SampledGraph`), runs the layer pass,
+        the live network's read index), runs the layer pass,
         checkpoints the state to storage, and resets delta tracking so
         staleness counts start from this pass.
 
@@ -192,8 +175,7 @@ class LambdaLayer:
         ``hops`` / ``fanout``, and carries the model's layer arrays (the
         splice copies untouched rows out of them).  Everything
         :func:`~repro.core.lambda_infer.materialize` can still raise with
-        such a prior is a bug or a stale :class:`SampledGraph`, and
-        propagates.
+        such a prior is a bug, and propagates.
         """
         state = self.state
         bn = self.bn_server.bn
@@ -264,7 +246,6 @@ class LambdaLayer:
             edge_type_order=self.prediction_server.edge_type_order,
             allowed=self.allowed,
             transform=scaler.transform,
-            sampled=self._sampled_graph(bn),
             prior=prior,
             touched=None if prior is None else self._delta_touched(),
             layer_row_fn=layer_row_fn,

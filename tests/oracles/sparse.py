@@ -1,7 +1,7 @@
 """The per-matrix scipy pipelines ``repro.nn.sparse``'s stacked kernels replaced.
 
 The first two are copied unchanged from the commit before the kernels
-landed (``nn.sparse.symmetric_csr`` per edge type,
+landed (one scipy COO build per edge type,
 ``core.sao.neighbor_mean_matrix`` per tower).  They are the definition of
 "right" for :func:`~repro.nn.sparse.typed_symmetric_csr` and
 :func:`~repro.nn.sparse.row_mean_csr`: equal ``indptr`` / ``indices`` /

@@ -22,9 +22,12 @@ Pinned contracts (see ``docs/LAMBDA.md`` — The materializer):
 * a prior that shares nothing with the request degenerates to the full
   pass byte for byte; the executor is consulted only when the cone is the
   whole target range; zero targets is an empty state;
-* an incompatible prior (hops/fanout drift, missing layer arrays) and a
-  stale :class:`~repro.network.sampled_graph.SampledGraph` raise
-  ``ValueError``.
+* an incompatible prior (hops/fanout drift, missing layer arrays, a
+  version the network has not reached) raises ``ValueError``.
+
+Features depend on the sorted-target index ``k`` the sweep hands
+``feature_fn`` (the target's row carries it, as a transaction's features
+would), so a sweep that hands the wrong target's ``k`` fails here.
 
 Every class runs twice: as written (CFO model) and through its ``NoCFO``
 subclass (the CFO(-) ablation, whose single merged tower takes the other
@@ -42,7 +45,7 @@ import pytest
 from repro import nn
 from repro.core import HAG, lambda_infer, materialize, prepare_aggregators
 from repro.datagen import BehaviorType
-from repro.network import BehaviorNetwork, build_sampled_graph, typed_adjacency
+from repro.network import BehaviorNetwork, typed_adjacency
 from repro.network.sampling import computation_subgraphs_batch
 from repro.system.fork_pool import fork_map
 
@@ -109,7 +112,14 @@ def setup(request):
 
 
 def feature_fn_for(features):
-    return lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)]
+    """``feature_fn(k, nodes)``: the nodes' rows, the target's shifted by ``k``."""
+
+    def feature_fn(k, nodes):
+        rows = features[np.asarray(nodes, dtype=np.int64)]
+        rows[0] += 0.01 * k
+        return rows
+
+    return feature_fn
 
 
 def run(setup_tuple, **kwargs):
@@ -135,13 +145,12 @@ def scalar_oracle(setup_tuple):
     batch sampler the live server runs.
     """
     bn, model, features, types, targets = setup_tuple
+    feature_fn = feature_fn_for(features)
     scores, nodes = [], []
-    for uid in targets:
+    for k, uid in enumerate(targets):
         subgraph = computation_subgraph(bn, uid, hops=HOPS, fanout=FANOUT)
         scores.append(model.predict_subgraph(
-            subgraph,
-            features[np.asarray(subgraph.nodes, dtype=np.int64)],
-            edge_type_order=types,
+            subgraph, feature_fn(k, subgraph.nodes), edge_type_order=types
         ))
         nodes.append(np.asarray(subgraph.nodes, dtype=np.int64))
     adjacency = typed_adjacency(bn, targets, types, normalize=True)
@@ -209,9 +218,10 @@ class TestFullGraphParity:
         subgraphs, _ = computation_subgraphs_batch(
             bn.index(), targets, hops=HOPS, fanout=FANOUT
         )
+        feature_fn = feature_fn_for(features)
         packed = model.predict_subgraphs(
             subgraphs,
-            [features[np.asarray(s.nodes, dtype=np.int64)] for s in subgraphs],
+            [feature_fn(k, s.nodes) for k, s in enumerate(subgraphs)],
             edge_type_order=types,
         )
         assert np.asarray(packed).tobytes() == oracle[0].tobytes()
@@ -241,8 +251,6 @@ class TestFullGraphParity:
 
     def test_slices_and_dead_executor_slots(self, setup):
         """Executor results splice bit-exactly; dead (None) slots recompute."""
-        bn, model, features, types, targets = setup
-        sampled = build_sampled_graph(bn, FANOUT)
         calls = []
 
         def executor(score, bounds):
@@ -251,9 +259,7 @@ class TestFullGraphParity:
             return [None if i % 2 else score(b) for i, b in enumerate(bounds)]
 
         want, want_stats, _ = run(setup)
-        got, got_stats, mstats = run(
-            setup, sampled=sampled, executor=executor, slices=5
-        )
+        got, got_stats, mstats = run(setup, executor=executor, slices=5)
         assert_states_bitexact(got, want)
         assert got_stats == want_stats
         assert mstats.slices == 5
@@ -294,15 +300,11 @@ class TestFullGraphParity:
         assert mstats.slices == slices == len(forked)
 
     def test_version_mismatch_rejected(self, setup):
-        bn, model, features, types, targets = setup
-        sampled = build_sampled_graph(bn, FANOUT)
-        other = build_bn(seed=9)
-        with pytest.raises(ValueError):
-            materialize(
-                model, other, targets[:4], [1, 2, 3, 4], [0.0] * 4,
-                feature_fn_for(features),
-                hops=HOPS, fanout=FANOUT, edge_type_order=types, sampled=sampled,
-            )
+        """A prior of a version the network has not reached is no ancestor."""
+        prior, _, _ = run(setup)
+        prior.bn_version = int(setup[0].version) + 1
+        with pytest.raises(ValueError, match="bn_version"):
+            run(setup, prior=prior, touched={})
 
     def test_zero_targets(self, setup):
         bn, model, features, types, _ = setup

@@ -1,21 +1,23 @@
-"""SampledGraph: the version-pinned global selection CSR (lambda full-graph).
+"""The sampled graph the full-graph sweep reads: the index's selection.
 
-Pinned contracts:
+The lambda sweep (``repro.core.lambda_infer``) samples every target off
+the read index of one BN version, as serving does.  Pinned contracts:
 
-* the read index's selection (``ShardIndex.selection``, which the graph
-  carries) equals the dict walk's per-``(node, type)`` ranking
-  (``tests/oracles/sampling.py``), types in order — same neighbours, same
-  order — at every fanout including ``None``, on uids that are nothing
-  like positions (negative, sparse, above 2**31), so reading a position
-  as a uid, or a uid as a position, fails;
-* the graph built off a :class:`ShardedBehaviorNetwork`'s merged index is
+* the read index's selection (``ShardIndex.selection``) equals the dict
+  walk's per-``(node, type)`` ranking (``tests/oracles/sampling.py``),
+  types in order — same neighbours, same order — at every fanout
+  including ``None``, on uids that are nothing like positions (negative,
+  sparse, above 2**31), so reading a position as a uid, or a uid as a
+  position, fails;
+* what the sweep reads off a :class:`ShardedBehaviorNetwork`'s merged
+  index — node ids, selection, pair table, normalized weights — is
   byte-identical across shard counts {1, 2, 4, 8} to the single-network
-  build (the sweep's inputs cannot depend on the partitioning);
-* per-target BFS over the CSR reproduces the dict walk's node discovery
-  order and its typed adjacency bit for bit — pinned with every other
-  sampling tier in ``test_system/test_sampler_tiers.py``;
-* ``reverse_reachable`` is a sound cone: it contains every node whose
-  forward selection BFS meets a seed within the hop budget.
+  index (the sweep's inputs cannot depend on the partitioning);
+* per-target BFS over the selection reproduces the dict walk's node
+  discovery order and its typed adjacency bit for bit — pinned with every
+  other sampling tier in ``test_system/test_sampler_tiers.py``;
+* the score cone is sound: it contains every node whose forward selection
+  BFS meets a seed within the hop budget.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datagen import BehaviorType
-from repro.network import build_sampled_graph
+from repro.core.lambda_infer import _score_cone
 from repro.network.sampling import _bfs_positions
+from repro.network.snapshot import positions_of
 
 from tests.oracles.sampling import _select_neighbors
 
@@ -82,47 +84,58 @@ class TestSelectionParity:
         want = oracle_rows(bn, index, fanout)
         assert selection_rows(index, fanout) == want
         assert selection_rows(sharded.index(), fanout) == want
-        sampled = build_sampled_graph(bn, fanout)
-        assert sampled.version == int(bn.version) and sampled.types == index.types
-        assert sampled.all_indptr is index.selection(fanout)[0]
-        assert sampled.all_nbr is index.selection(fanout)[1]
+        # Ranked once per version: every pass over this index reads it.
+        assert index.selection(fanout) is index.selection(fanout)
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_bitexact_across_shard_counts(self, graph_pairs, n_shards):
         bn, sharded = graph_pairs[n_shards]
-        want = build_sampled_graph(bn, 5)
-        got = build_sampled_graph(sharded, 5)
-        want_arrays, want_meta = want.to_payload()
-        got_arrays, got_meta = got.to_payload()
-        assert got_meta == want_meta
-        assert got_arrays.keys() == want_arrays.keys()
-        for name in want_arrays:
-            assert got_arrays[name].tobytes() == want_arrays[name].tobytes(), name
+        want, got = sweep_inputs(bn.index(), 5), sweep_inputs(sharded.index(), 5)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert sharded.index().types == bn.index().types
+        assert sharded.version == bn.version
+
+
+def sweep_inputs(index, fanout) -> dict[str, np.ndarray]:
+    """Every array the sweep reads off ``index``, by name."""
+    indptr, nbr = index.selection(fanout)
+    return {
+        "node_ids": index.node_ids,
+        "selection_indptr": indptr,
+        "selection_nbr": nbr,
+        "pair_lo_pos": index.pair_lo_pos,
+        "pair_hi_pos": index.pair_hi_pos,
+        "norm_weights": index.norm_weights,
+    }
 
 
 class TestBFSAndInducedParity:
     def test_missing_target_position(self, graph_pairs):
+        """An unregistered target is one isolated row: position -1, a BFS
+        that selects nothing, and no induced entry."""
         bn, _ = graph_pairs[1]
-        sampled = build_sampled_graph(bn, 5)
-        assert sampled.position_of(10**9) == -1
-        np.testing.assert_array_equal(
-            sampled.positions_of(np.array([10**9], dtype=np.int64)), [-1]
-        )
+        index = bn.index()
+        (root,) = positions_of(index.node_ids, np.array([10**9], dtype=np.int64))
+        assert root == -1
+        positions, levels = _bfs_positions(index.selection(5), index.node_ids, root, 2)
+        assert positions.tolist() == [-1] and levels == [0, 1, 1, 1]
+        assert all(len(part) == 0 for part in index.induced_entries(positions))
 
 
 class TestReverseReachable:
     def test_cone_is_sound(self, graph_pairs):
         """Every node whose forward BFS meets a seed lies in the cone."""
         bn, _ = graph_pairs[1]
-        sampled = build_sampled_graph(bn, 4)
+        index = bn.index()
         rng = np.random.default_rng(11)
-        seeds = rng.choice(sampled.num_nodes, size=5, replace=False)
+        seeds = rng.choice(index.num_nodes, size=5, replace=False)
         hops = 2
-        cone = np.zeros(sampled.num_nodes, dtype=bool)
-        cone[sampled.reverse_reachable(seeds.astype(np.int64), hops)] = True
+        selection = index.selection(4)
+        cone = _score_cone(selection, seeds.astype(np.int64), hops)
         seed_set = set(int(s) for s in seeds)
-        selection = (sampled.all_indptr, sampled.all_nbr)
-        for pos in range(sampled.num_nodes):
-            positions, _ = _bfs_positions(selection, sampled.node_ids, pos, hops)
+        for pos in range(index.num_nodes):
+            positions, _ = _bfs_positions(selection, index.node_ids, pos, hops)
             if seed_set & set(int(p) for p in positions):
                 assert cone[pos], pos

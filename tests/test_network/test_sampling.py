@@ -96,8 +96,8 @@ class TestComputationSubgraph:
 
 class TestSamplingCostIsLocal:
     def test_a_request_allocates_for_its_subgraph_not_for_the_network(self):
-        """Union rows are found by binary search over the union's own
-        positions: no array sized by the network is allocated per call (a
+        """Union rows are found through a position lookup every call reuses
+        and resets: no array sized by the network is allocated per call (a
         200k-node ``np.full`` alone peaks at 1.6 MB)."""
         bn = BehaviorNetwork()
         for uid in range(3, 200_003):

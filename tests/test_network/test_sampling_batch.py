@@ -109,11 +109,11 @@ class TestCoalescingAccounting:
     def test_overlap_is_coalesced(self, rng):
         bn = ring_bn(rng)
         targets = list(range(20))  # dense hub overlap
-        _subgraphs, stats = computation_subgraphs_batch(
+        subgraphs, stats = computation_subgraphs_batch(
             bn.index(), targets, hops=2, fanout=25
         )
         assert stats.coalescing > 1.5  # shared hubs counted once
-        assert stats.unique_expansions < stats.expansions
+        assert stats.unique_nodes == len({u for sub in subgraphs for u in sub.nodes})
         assert stats.unique_nodes <= stats.sampled_nodes
 
     def test_disjoint_targets_do_not_coalesce(self):

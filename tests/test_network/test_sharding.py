@@ -236,8 +236,7 @@ class TestReadIndex:
             ]
 
     def test_one_uid_to_position_lookup(self, rng):
-        """Snapshot, sampler and sampled graph share ``snapshot.positions_of``."""
-        from repro.network import build_sampled_graph
+        """Snapshot, sampler and full-graph sweep share ``snapshot.positions_of``."""
         from repro.network.snapshot import positions_of
 
         ids = np.array([2, 5, 7, 9], dtype=np.int64)
@@ -249,9 +248,6 @@ class TestReadIndex:
         assert positions_of(ids, []).shape == (0,)
 
         bn, _ = build_pair(contribution_batches(rng, n_batches=1), 1)
-        sampled = build_sampled_graph(bn, 5)
         uids = np.array([3, 10**9, 3, 0], dtype=np.int64)
         want = positions_of(bn.index().node_ids, uids)
         np.testing.assert_array_equal(bn.to_arrays().positions_of(uids), want)
-        np.testing.assert_array_equal(sampled.positions_of(uids), want)
-        assert [sampled.position_of(int(u)) for u in uids] == want.tolist()

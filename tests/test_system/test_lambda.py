@@ -35,7 +35,7 @@ import pytest
 from repro.datagen import BehaviorLog, GeneratorConfig
 from repro.datagen.drift import generate_drift_scenario
 from repro.datagen.entities import HOUR
-from repro.network import FAST_WINDOWS, build_sampled_graph
+from repro.network import FAST_WINDOWS
 from repro.system import (
     DeltaSampler,
     LambdaLayer,
@@ -479,17 +479,18 @@ class TestIncrementalRefresh:
         lam.run_incremental_pass(refreshable.clock.now())
         assert lam.last_materialize.mode == "incremental"
 
-    def test_stale_sampled_graph_propagates(self, refreshable, monkeypatch):
-        """Past the ancestor predicate nothing is swallowed: a SampledGraph
-        of another BN version is an error, not a silent full sweep."""
+    def test_stale_sampled_graph_propagates(self, refreshable):
+        """Past the ancestor predicate nothing is swallowed: a state whose
+        sampled subgraphs claim a BN version the network has not reached is
+        an error, not a silent full sweep."""
         lam = refreshable.lambda_layer
-        stale = build_sampled_graph(lam._bn, lam.fanout)
-        stale.version -= 1
-        monkeypatch.setattr(lam, "_sampled_graph", lambda bn: stale)
+        lam.state.bn_version = int(lam._bn.version) + 1
+        assert lam._ancestor() is lam.state
         passes = lam.batch_passes
         with pytest.raises(ValueError, match="version"):
             lam.run_incremental_pass(refreshable.clock.now())
         assert lam.batch_passes == passes
+        lam.run_batch_pass(refreshable.clock.now())  # leave a valid state behind
 
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_passes_leave_the_model_mode_alone(self, refreshable, mode):

@@ -14,23 +14,31 @@ some walk of the batch tried to expand loses, for the whole batch, the
 adjacency entries whose ``lo`` endpoint it owns; and a request is partial
 when it expanded a dead shard's node or holds a node of a shard that lost
 its entries.
+
+The full-graph sweep hands the same inducer one target's BFS-ordered
+positions at a time, ``-1`` standing for an unregistered uid; that input
+is drawn here too, against the dense inducer of the oracle.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import computation_subgraphs_batch
-from repro.network.sampling import ComputationSubgraph
+from repro.network import computation_subgraphs_batch, sharding
+from repro.network.adjacency import _induced_entries
+from repro.network.sampling import ComputationSubgraph, _bfs_positions
 from repro.network.sharding import shard_of
+from repro.network.snapshot import positions_of
 from repro.system import FaultInjector, ShardRouter
 
 from tests.oracles.sampling import computation_subgraph
 from tests.test_network.test_sampling_batch import assert_subgraph_equal
-from tests.test_network.test_sharding import SHARD_COUNTS, build_pair
+from tests.test_network.test_sharding import SHARD_COUNTS, build_pair, contribution_batches
 
 pytestmark = pytest.mark.sharding
 
@@ -143,3 +151,56 @@ def test_every_subgraph_is_the_dict_walks(n_shards, network, data, hops, fanout)
         )
         for got_sub, want_sub in zip(plain, want, strict=True):
             assert_subgraph_equal(got_sub, want_sub)
+
+
+@pytest.mark.parametrize("n_shards", SHARD_COUNTS)
+@settings(max_examples=25, deadline=None)
+@given(
+    network=batches(),
+    data=st.data(),
+    hops=st.integers(0, 3),
+    fanout=st.sampled_from([None, 0, 1, 2, 5]),
+)
+def test_sweep_positions_induce_the_dense_entries(n_shards, network, data, hops, fanout):
+    """One target's BFS-ordered positions with a ``-1`` among them, the
+    sweep's input to the inducer, give the dense inducer's entries bit for
+    bit; a dead shard's rows drop the entries whose ``lo`` endpoint it owns."""
+    uids, contributions = network
+    bn, sharded = build_pair(contributions, n_shards)
+    index = sharded.index()
+    target = data.draw(st.sampled_from(uids), label="target")
+    root = int(positions_of(index.node_ids, target))
+    positions, _ = _bfs_positions(index.selection(fanout), index.node_ids, root, hops)
+    nodes = [target] if root < 0 else index.node_ids[positions].tolist()
+    if root >= 0:  # an unregistered uid, somewhere after the target
+        at = data.draw(st.integers(1, len(positions)), label="at")
+        positions = np.insert(positions, at, -1)
+        nodes.insert(at, max(uids) + 1)
+    dead = data.draw(st.sets(st.integers(0, n_shards - 1)), label="dead")
+    live = [s for s in range(n_shards) if s not in dead] if dead else None
+
+    got = index.induced_entries(positions, live)
+    iu, iv, w, code = _induced_entries(bn, nodes, index.types)
+    lo = np.minimum(np.asarray(nodes)[iu], np.asarray(nodes)[iv])
+    keep = ~np.isin(shard_of(lo, n_shards), list(dead))
+    for got_part, want_part in zip(got, (iu[keep], iv[keep], w[keep], code[keep]), strict=True):
+        assert got_part.dtype == want_part.dtype
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+def test_a_call_that_raises_leaves_the_lookup_clean(monkeypatch):
+    """The inducer's position lookup is reset even when a call raises after
+    marking its members: the next call equals one on a fresh lookup."""
+    bn, _ = build_pair(contribution_batches(np.random.default_rng(3), n_batches=2), 1)
+    index = bn.index()
+    evens = np.arange(0, index.num_nodes, 2)
+    odds = np.arange(1, index.num_nodes, 2)
+    broken = dataclasses.replace(index, shards=[None])  # raises once marked
+    with pytest.raises(AttributeError):
+        broken.induced_entries(evens)
+    got = index.induced_entries(odds)
+    monkeypatch.setattr(sharding, "_ROWS", [np.empty(0, dtype=np.int64)])
+    want = index.induced_entries(odds)
+    assert len(want[0]) and len(index.induced_entries(np.arange(index.num_nodes))[0]) > len(want[0])
+    for got_part, want_part in zip(got, want, strict=True):
+        assert got_part.tobytes() == want_part.tobytes()

@@ -7,8 +7,10 @@ itself.  The independent implementation is the scalar dict walk of
 ``tests/oracles/sampling.py`` (dict walk + snapshot mask); this module
 pins each tier to it on one graph: same node order, same CSR bits, at a
 binding, a loose and no fanout, with an ``allowed`` filter, duplicate
-targets and an isolated target.  The full-graph sweep's walk over a
-:class:`SampledGraph` is the last tier.
+targets and an isolated target.  The full-graph sweep's per-target walk
+(``lambda_infer.score_slice``: one BFS over the index's selection, one
+call of the index's inducer per target) is the last tier,
+``sampled_graph``.
 
 Also here, because they are properties of the tier set rather than of one
 tier: the two call sites are the same function object, a selection does
@@ -24,15 +26,10 @@ import numpy as np
 import pytest
 
 from repro.datagen import DAY, HOUR
-from repro.network import (
-    BNBuilder,
-    BehaviorNetwork,
-    build_sampled_graph,
-    computation_subgraphs_batch,
-)
-from repro.network.sampled_graph import SampledGraph
+from repro.core import materialize
+from repro.network import BNBuilder, BehaviorNetwork, computation_subgraphs_batch
 from repro.network.sampling import ComputationSubgraph, _bfs_positions
-from repro.nn.sparse import typed_symmetric_csr
+from repro.network.snapshot import positions_of
 from repro.system import (
     BNServer,
     DeltaSampler,
@@ -96,21 +93,17 @@ def sample_tier(tier, graphs, fanout, allowed):
             TARGETS, hops=2, fanout=fanout, allowed=allowed
         )
         return subgraphs, stats
-    sampled = build_sampled_graph(graphs[1][0], fanout)
-    selection = (sampled.all_indptr, sampled.all_nbr)
+    index = graphs[1][0].index()
+    selection = index.selection(fanout)
     subgraphs = []
-    for target in TARGETS:
-        positions, _levels = _bfs_positions(
-            selection, sampled.node_ids, sampled.position_of(target), 2, allowed
-        )
-        matrices = typed_symmetric_csr(
-            *sampled.induced_entries(positions), len(sampled.types), len(positions)
-        )
+    for target, root in zip(TARGETS, positions_of(index.node_ids, TARGETS).tolist()):
+        positions, _levels = _bfs_positions(selection, index.node_ids, root, 2, allowed)
         subgraphs.append(
             ComputationSubgraph(
                 target=target,
-                nodes=[target] if positions[0] < 0 else sampled.node_ids[positions].tolist(),
-                adjacency=dict(zip(sampled.types, matrices)),
+                nodes=[target] if root < 0 else index.node_ids[positions].tolist(),
+                types=index.types,
+                entries=index.induced_entries(positions),
             )
         )
     return subgraphs, None
@@ -129,14 +122,10 @@ def test_tier_matches_scalar_oracle(graphs, tier, fanout):
         assert got[3].nodes == [ISOLATED]
         if stats is None:
             continue
-        # Every expanded frontier node is within hops - 1 of its target, and
-        # BFS discovery order is prefix-stable, so the scalar sampler counts
-        # the batch's expansions too.
-        inner = scalar_subgraphs(bn, TARGETS, hops=1, fanout=fanout, allowed=allowed)
         assert stats.requests == len(TARGETS)
         assert stats.sampled_nodes == sum(len(sub.nodes) for sub in want)
         assert stats.unique_nodes == len({u for sub in want for u in sub.nodes})
-        assert stats.expansions == len(TYPES) * sum(len(sub.nodes) for sub in inner)
+        assert stats.coalescing > 1.0  # target 7 is sampled twice, stored once
         assert stats.partial == ()
 
 
@@ -191,7 +180,9 @@ class TestNegativeFanoutRejected:
         calls = {
             "scalar": lambda: computation_subgraph(bn, 7, fanout=-1),
             "batch": lambda: computation_subgraphs_batch(bn.index(), [7], fanout=-1),
-            "from_index": lambda: SampledGraph.from_index(bn.index(), -1),
+            "from_index": lambda: materialize(
+                None, bn, [], [], [], None, hops=2, fanout=-1, edge_type_order=()
+            ),
             "server_sample": lambda: server.sample(7, fanout=-1),
             "server_sample_batch": lambda: server.sample_batch([7], [0.0], fanout=-1),
         }

@@ -92,9 +92,10 @@ def profiled_calls(fn) -> tuple[int, int]:
     return calls["call"], calls["c_call"]
 
 
-#: measured 697.7 and 452.3 Python-level calls on this deployment and 781.5
-#: C-level calls per warm ``Turbo.predict`` since the sampler walks the read
-#: index's selection CSR (750.8, 458.1 and 935.1 while it walked a dict of
+#: measured 697.7 and 452.3 Python-level calls on this deployment and 774.5
+#: C-level calls per warm ``Turbo.predict`` since the sampler stopped
+#: counting expansions (781.5 before; it walks the read index's selection
+#: CSR: 750.8, 458.1 and 935.1 while it walked a dict of
 #: per-(node, type) rankings; 838.8, 500.6 and 1,067.1 while the sampler
 #: built every request's stacked CSR, the forward re-packed it and CFO looped
 #: over the types; 962.7 and 516.1 while the stacked-weight staleness check
@@ -103,7 +104,7 @@ def profiled_calls(fn) -> tuple[int, int]:
 #: about 3 % of headroom.
 SCALAR_CALLS_CEILING = 719
 BATCHED_CALLS_CEILING = 466
-SCALAR_C_CALLS_CEILING = 805
+SCALAR_C_CALLS_CEILING = 798
 
 
 class CountedRng:

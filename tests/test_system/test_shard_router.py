@@ -290,7 +290,6 @@ class TestPoolMaterialize:
         from repro.core import HAG
         from repro.core.lambda_infer import materialize
         from repro.features.pipeline import StandardScaler
-        from repro.network import build_sampled_graph
 
         bn, _sharded = build_pair(contribution_batches(rng, n_users=160), 4)
         types = tuple(sorted(bn.edge_types(), key=lambda t: t.value))
@@ -303,8 +302,6 @@ class TestPoolMaterialize:
         targets = sorted(int(t) for t in rng.choice(160, size=48, replace=False))
         rows = np.asarray(targets, dtype=np.int64)
 
-        sampled = build_sampled_graph(bn, 5)
-
         def run(**kwargs):
             return materialize(
                 model, bn, targets,
@@ -312,7 +309,6 @@ class TestPoolMaterialize:
                 lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)],
                 hops=2, fanout=5, edge_type_order=types,
                 transform=scaler.transform,
-                sampled=sampled,
                 layer_row_fn=lambda idx: scaler.transform(features[rows[idx]]),
                 **kwargs,
             )
