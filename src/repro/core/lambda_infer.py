@@ -340,16 +340,16 @@ def score_slice(
     """
     indices = np.asarray(indices, dtype=np.int64)
     selection = index.selection(fanout)
-    roots = positions_of(index.node_ids, uids[indices]).tolist()
+    roots = positions_of(index.node_ids, uids[indices])
     scores: list[float] = []
     node_arrays: list[np.ndarray] = []
     edges = 0
     for start in range(0, len(indices), SCORE_CHUNK):
         subgraphs, matrices = [], []
-        chunk = slice(start, start + SCORE_CHUNK)
-        for k, root in zip(indices[chunk].tolist(), roots[chunk]):
+        for i, k in enumerate(indices[start : start + SCORE_CHUNK].tolist(), start):
+            root = roots[i : i + 1]
             positions, _ = _bfs_positions(selection, index.node_ids, root, hops, allowed)
-            nodes = index.node_ids[positions] if root >= 0 else uids[k : k + 1]
+            nodes = index.node_ids[positions] if root[0] >= 0 else uids[k : k + 1]
             entries = index.induced_entries(positions)
             edges += len(entries[2])
             subgraphs.append(
@@ -379,7 +379,7 @@ def _layer_adjacency(
     merged graph — their sum, so the layer pass matches its forward.
     """
     types = tuple(edge_type_order)
-    adjacency = typed_adjacency(bn, node_ids.tolist(), types, normalize=True)
+    adjacency = typed_adjacency(bn, node_ids.tolist(), types)
     if model.use_cfo:
         return [adjacency[t] for t in types]
     return [sum_csr([adjacency[t] for t in types], len(node_ids))]
@@ -480,7 +480,8 @@ def materialize(
     (:meth:`~repro.network.bn.BehaviorNetwork.delta_touched`) plus every
     target ``prior`` does not cover with the same transaction and as-of
     time.  Without a ``prior`` every target is a seed, both cones are the
-    whole target set and the pass is a full sweep (``mode == "full"``).
+    whole target set and the pass is a full sweep (``mode == "full"``):
+    a pass whose targets are all seeds builds neither cone.
     ``prior`` must be the state of an *ancestor* version of ``bn`` under
     the same ``hops`` / ``fanout`` (``ValueError`` for a different
     ``hops`` / ``fanout``, for a version ``bn`` has not reached, and when
@@ -568,11 +569,13 @@ def materialize(
         ]
     )
     seed_positions = seed_positions[seed_positions >= 0]
-    cone_mask = np.zeros(index.num_nodes, dtype=bool)
-    if len(seed_positions):
-        cone_mask = _score_cone(selection, seed_positions, hops)
+    # With every target a seed (a full pass) both cones are every target:
+    # neither is built.
+    every_target = bool(target_seeds.all())
     affected = target_seeds.copy()
-    affected[registered] |= cone_mask[target_positions[registered]]
+    if len(seed_positions) and not every_target:
+        cone_mask = _score_cone(selection, seed_positions, hops)
+        affected[registered] |= cone_mask[target_positions[registered]]
     affected_idx = np.flatnonzero(affected)
     keep_idx = np.flatnonzero(~affected)
 
@@ -637,15 +640,16 @@ def materialize(
         # through other targets (the layer pass runs on the target-induced
         # adjacency).  Seeds without a graph position have no neighbours
         # but still need fresh (isolated) rows.
-        member_mask = np.zeros(index.num_nodes, dtype=bool)
-        member_mask[target_positions[registered]] = True
-        row_of_position = np.full(index.num_nodes, -1, dtype=np.int64)
-        row_of_position[target_positions[registered]] = np.flatnonzero(registered)
-        rows_mask = target_seeds & ~registered
-        rows_mask[
-            row_of_position[_layer_cone(index, seed_positions, len(model.hidden), member_mask)]
-        ] = True
-        rows = np.flatnonzero(rows_mask)
+        rows = np.arange(n)
+        if not every_target:
+            member_mask = np.zeros(index.num_nodes, dtype=bool)
+            member_mask[target_positions[registered]] = True
+            row_of_position = np.full(index.num_nodes, -1, dtype=np.int64)
+            row_of_position[target_positions[registered]] = np.flatnonzero(registered)
+            rows_mask = target_seeds & ~registered
+            cone = _layer_cone(index, seed_positions, len(model.hidden), member_mask)
+            rows_mask[row_of_position[cone]] = True
+            rows = np.flatnonzero(rows_mask)
 
         def spliced(name: str, fresh: np.ndarray) -> np.ndarray:
             """``fresh`` in the cone ``rows``, the prior's rows elsewhere."""

@@ -4,22 +4,57 @@ Full-graph training touches every node each step; the deployment-faithful
 alternative — and the only one that scales past memory — is GraphSAGE-style
 neighbor sampling: each step draws a batch of target nodes, expands a
 fanout-capped k-hop frontier, and trains on the induced subgraph only.
-This module holds the two kernels of that protocol — the one-shot,
-rng-capable k-hop sampler and the one subgraph inducer; the epoch loop
+This module holds the kernels of that protocol: the k-hop sampler, whose
+deterministic (top-k) policy is a :class:`PresampledGraph` replay — one
+:func:`~repro.nn.sparse.csr_topk_rows` selection walked by serving's BFS
+(:func:`~repro.network.sampling._bfs_positions`) — and whose weighted
+policy draws per batch; and the one subgraph inducer.  The epoch loop
 that drives them lives in :mod:`repro.core.train_engine`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..network.sampling import _bfs_positions
+from ..nn.sparse import csr_interleave, csr_topk_rows
+
 __all__ = [
     "sample_khop_nodes",
     "induced_adjacencies",
 ]
+
+
+def _check_graph(csrs: Sequence[sp.csr_matrix], fanout: int | None) -> int:
+    """Node count of square, same-shape adjacencies under a legal fanout."""
+    if not csrs:
+        raise ValueError("sampling requires at least one adjacency")
+    n = csrs[0].shape[0]
+    if any(c.shape != (n, n) for c in csrs):
+        raise ValueError(
+            f"adjacencies must be square and same-shape, got {[c.shape for c in csrs]}"
+        )
+    if fanout is not None and fanout < 0:
+        raise ValueError("fanout must be non-negative or None")
+    return n
+
+
+def _check_indices(name: str, idx: np.ndarray, n: int) -> np.ndarray:
+    """``idx`` as int64 node indices, all inside ``[0, n)``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name} must lie in [0, {n})")
+    return idx
+
+
+def _roots(seeds: np.ndarray) -> np.ndarray:
+    """``seeds`` without repeats, each at its first occurrence."""
+    _, first = np.unique(seeds, return_index=True)
+    return seeds[np.sort(first)]
 
 
 def _weighted_keep(
@@ -44,111 +79,18 @@ def _weighted_keep(
     return rng.choice(len(weights), size=fanout, replace=False, p=p)
 
 
-def _topk_rank_group(
-    data: np.ndarray,
-    flat: np.ndarray,
-    counts: np.ndarray,
-    excl: np.ndarray,
-    segs: np.ndarray,
-    fanout: int,
-    keep: np.ndarray,
-    key: np.ndarray,
-) -> None:
-    """Write top-``fanout`` survivors and their ranks for oversized segments.
-
-    Each segment's elements are ranked by (weight desc, CSR position asc) —
-    identical to the reference's stable argsort — with survivors marked in
-    ``keep`` and their selection order in ``key``.  Two execution shapes:
-
-    * a per-segment O(c) argpartition loop, used for few segments or for
-      groups so skewed that padding to the longest segment would waste the
-      batched work;
-    * a padded ``(n_seg, max_count)`` batch (+inf padding sorts last): one
-      stable row argsort when rows are narrow — dispatch-cheap and exact on
-      ties — or an O(w) row partition plus explicit boundary-tie resolution
-      in column order when rows are wide.
-
-    Callers split mixed degree distributions into narrow/wide groups first
-    so hub segments never inflate the padding of the bulk.
-    """
-    n_seg = len(segs)
-    gcounts = counts[segs]
-    gmax = int(gcounts.max())
-    gtotal = int(gcounts.sum())
-    wide = gmax > max(64, 2 * fanout)
-    if n_seg <= 16 or (
-        wide and (n_seg <= 256 or n_seg * gmax > 4 * gtotal)
-    ):
-        for s in segs:
-            lo = int(excl[s])
-            hi = lo + int(counts[s])
-            w = data[flat[lo:hi]]
-            top = np.argpartition(-w, fanout - 1)[:fanout]
-            vstar = w[top].min()
-            strict = np.flatnonzero(w > vstar)
-            ties = np.flatnonzero(w == vstar)
-            kept_idx = np.concatenate([strict, ties[: fanout - len(strict)]])
-            order = kept_idx[np.argsort(-w[kept_idx], kind="stable")]
-            keep[lo:hi] = False
-            keep[lo + order] = True
-            key[lo + order] = np.arange(fanout)
-        return
-
-    gexcl = np.concatenate(([0], np.cumsum(gcounts)[:-1]))
-    gidx = np.repeat(excl[segs] - gexcl, gcounts) + np.arange(gtotal)
-    w = data[flat[gidx]]
-    brow = np.repeat(np.arange(n_seg), gcounts)
-    bcol = np.arange(gtotal) - np.repeat(gexcl, gcounts)
-    pad = np.full((n_seg, gmax), np.inf)
-    pad[brow, bcol] = -w
-    if not wide:
-        order = np.argsort(pad, axis=1, kind="stable")
-        ranks = np.empty((n_seg, gmax), dtype=np.int64)
-        np.put_along_axis(
-            ranks,
-            order,
-            np.broadcast_to(np.arange(gmax), (n_seg, gmax)),
-            axis=1,
-        )
-        rflat = ranks[brow, bcol]
-        keep[gidx] = rflat < fanout
-        key[gidx] = rflat
-    else:
-        top = np.partition(pad, fanout - 1, axis=1)[:, fanout - 1]
-        strict = pad < top[:, None]
-        tie = pad == top[:, None]
-        n_strict = strict.sum(axis=1)
-        tie_rank = np.cumsum(tie, axis=1)
-        kept2d = strict | (tie & (tie_rank <= (fanout - n_strict)[:, None]))
-        # Rank the fanout survivors of each row by (weight desc, column
-        # asc).  Extracting with the boolean mask walks rows in column
-        # order, so a stable small argsort inherits the tie order.
-        vals = pad[kept2d].reshape(n_seg, fanout)
-        order = np.argsort(vals, axis=1, kind="stable")
-        ranks = np.empty((n_seg, fanout), dtype=np.int64)
-        np.put_along_axis(
-            ranks,
-            order,
-            np.broadcast_to(np.arange(fanout), (n_seg, fanout)),
-            axis=1,
-        )
-        kept_flat = kept2d[brow, bcol]
-        keep[gidx] = kept_flat
-        key[gidx[kept_flat]] = ranks.ravel()
-
-
 def _expand_frontier(
     csrs: Sequence[sp.csr_matrix],
     frontier: np.ndarray,
-    fanout: int | None,
-    rng: np.random.Generator | None,
+    fanout: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """One hop of whole-frontier expansion via ``indptr``/``indices`` slicing.
+    """One hop of weighted fanout draws over the whole frontier.
 
     Returns candidate neighbour ids (duplicates included) ordered exactly
     like the reference loop: frontier-node-major, adjacency-matrix-inner,
     and within each (node, matrix) segment either the CSR's stored order
-    (small segments) or the fanout selection order (capped segments).
+    (segments within the fanout) or the draw order (oversized segments).
 
     Each kept element's within-segment ranks are contiguous from zero, so
     its output position is ``base[segment] + type_offset + rank`` where the
@@ -176,45 +118,21 @@ def _expand_frontier(
             continue
         excl = np.concatenate(([0], np.cumsum(counts)[:-1]))
         flat = np.repeat(starts - excl, counts) + np.arange(total)
-        kept_counts[ti] = counts if fanout is None else np.minimum(counts, fanout)
+        kept_counts[ti] = np.minimum(counts, fanout)
         seg = key = keep = None
-
-        if fanout is not None:
-            big = counts > fanout
-            if np.any(big):
-                seg = np.repeat(np.arange(n_front), counts)
-                key = np.arange(total) - np.repeat(excl, counts)
-                keep = np.ones(total, dtype=bool)
-                if rng is None:
-                    # Segment-wise top-k over the oversized segments only.
-                    # Hub-style segments (wide) and bulk segments (narrow)
-                    # get ranked as separate groups so a handful of
-                    # hot-spot nodes never dictates the padding of the
-                    # thousands of ordinary ones.
-                    big_segs = np.flatnonzero(big)
-                    bcounts = counts[big_segs]
-                    wide = bcounts > max(64, 2 * fanout)
-                    if wide.any() and not wide.all():
-                        groups = (big_segs[~wide], big_segs[wide])
-                    else:
-                        groups = (big_segs,)
-                    for group in groups:
-                        _topk_rank_group(
-                            csr.data, flat, counts, excl, group,
-                            fanout, keep, key,
-                        )
-                else:
-                    # Weighted draws consume the rng stream per oversized
-                    # segment; queue them so the draws happen in the
-                    # reference's (node, matrix) order across all matrices.
-                    keep = ~big[seg]
-                    part = len(parts)
-                    for s in np.flatnonzero(big):
-                        lo = int(excl[s])
-                        hi = lo + int(counts[s])
-                        pending.append(
-                            (int(s), ti, part, lo, hi, csr.data[flat[lo:hi]])
-                        )
+        big = counts > fanout
+        if np.any(big):
+            seg = np.repeat(np.arange(n_front), counts)
+            key = np.arange(total) - np.repeat(excl, counts)
+            # Weighted draws consume the rng stream per oversized segment;
+            # queue them so the draws happen in the reference's (node,
+            # matrix) order across all matrices.
+            keep = ~big[seg]
+            part = len(parts)
+            for s in np.flatnonzero(big):
+                lo = int(excl[s])
+                hi = lo + int(counts[s])
+                pending.append((int(s), ti, part, lo, hi, csr.data[flat[lo:hi]]))
         parts.append((ti, csr.indices[flat], counts, excl, seg, key, keep))
 
     if not parts:
@@ -255,24 +173,25 @@ def sample_khop_nodes(
 ) -> np.ndarray:
     """Union k-hop node set around ``seeds`` with per-type fanout caps.
 
-    Returns node indices with the seeds first (order preserved).  The
-    expansion is fully vectorized — whole frontiers at a time — and returns
-    node sets *identical* to the per-node reference loop of
+    Returns node indices with the seeds first (order preserved, repeats
+    dropped).  Without an ``rng`` (or without a cap) every row keeps its
+    top-``fanout`` neighbours by weight, and the call is one
+    :class:`PresampledGraph` replay; with an ``rng`` each oversized row
+    draws its neighbours weighted, whole frontiers at a time.  Either way
+    the node set is *identical* to the per-node reference loop of
     ``tests/oracles/minibatch.py``, including order, fanout tie-breaking,
-    and rng stream consumption.
+    and rng stream consumption.  A seed outside ``[0, n)`` is a
+    ``ValueError``.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
+    if rng is None or fanout is None:
+        return PresampledGraph.build(adjacencies, fanout).sample(seeds, hops)
     csrs = [a.tocsr() for a in adjacencies]
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.size == 0:
-        return seeds.copy()
-    _, first = np.unique(seeds, return_index=True)
-    frontier = seeds[np.sort(first)]
-    if not csrs:
-        return frontier
+    n = _check_graph(csrs, fanout)
+    frontier = _roots(_check_indices("seeds", seeds, n))
     chunks = [frontier]
-    seen = np.zeros(csrs[0].shape[0], dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     seen[frontier] = True
     for _ in range(hops):
         if frontier.size == 0:
@@ -284,7 +203,7 @@ def sample_khop_nodes(
         # vectorized equivalent of the reference's sequential `seen` check.
         # Scattering positions in reverse makes the earliest occurrence the
         # surviving write, so no sort is needed.
-        stamp = np.full(seen.shape[0], -1, dtype=np.int32)
+        stamp = np.full(n, -1, dtype=np.int32)
         stamp[candidates[::-1]] = np.arange(
             candidates.size - 1, -1, -1, dtype=np.int32
         )
@@ -329,3 +248,74 @@ def induced_adjacencies(
         wide.indptr = rows.indptr.astype(np.int32, copy=False)
         result.append(wide[:, :k])
     return result
+
+
+@dataclass(slots=True, eq=False)
+class PresampledGraph:
+    """Epoch-invariant sampling structure: fanout selection + BFS CSR.
+
+    The deterministic fanout policy (weight-descending, CSR-position
+    tie-break) is a pure function of the adjacency, so it is computed
+    **once** per training run instead of once per (batch, epoch):
+
+    * ``all_*`` — every type's fanout-capped rows
+      (:func:`~repro.nn.sparse.csr_topk_rows`) interleaved node-major /
+      type-inner into one CSR: the same shape as the read index's
+      selection (:meth:`~repro.network.sharding.ShardIndex.selection`),
+      so serving's BFS (:func:`~repro.network.sampling._bfs_positions`)
+      walks it;
+    * ``adjacencies`` — the original CSRs, referenced (not copied) for the
+      induced-subgraph slice, which is *not* fanout-capped.
+
+    It keys directly off the training adjacency matrices (no BN weight
+    masking): its contract is bit-exactness against the per-node loops of
+    ``tests/oracles/minibatch.py``.
+    """
+
+    n: int
+    fanout: int | None
+    all_indptr: np.ndarray
+    all_indices: np.ndarray
+    adjacencies: list[sp.csr_matrix]
+    #: ``[marks, stamp]`` of this graph's walks.  Its own, not serving's
+    #: module scratch: training walks run on the prefetch thread.
+    _scratch: list = field(
+        default_factory=lambda: [np.empty(0, dtype=np.int64), 0], init=False, repr=False
+    )
+
+    @classmethod
+    def build(
+        cls, adjacencies: Sequence[sp.spmatrix], fanout: int | None
+    ) -> "PresampledGraph":
+        """Precompute the interleaved selection CSR for ``adjacencies``."""
+        csrs = [a.tocsr() for a in adjacencies]
+        n = _check_graph(csrs, fanout)
+        sel_indptr: list[np.ndarray] = []
+        sel_indices: list[np.ndarray] = []
+        for csr in csrs:
+            indptr = np.asarray(csr.indptr, dtype=np.int64)
+            indices = np.asarray(csr.indices, dtype=np.int64)
+            if fanout is not None:
+                indptr, order = csr_topk_rows(indptr, csr.data, fanout)
+                indices = indices[order]
+            sel_indptr.append(indptr)
+            sel_indices.append(indices)
+        all_indptr, all_indices = csr_interleave(n, sel_indptr, sel_indices)
+        return cls(n, fanout, all_indptr, all_indices, csrs)
+
+    def sample(self, seeds: np.ndarray, hops: int) -> np.ndarray:
+        """k-hop node set of ``seeds``: one BFS over the selection CSR.
+
+        The roots are the seeds without repeats; each hop enumerates the
+        frontier's selection rows in order, first occurrence wins.  Inputs
+        are checked before the walk takes a stamp.
+        """
+        if hops < 0:
+            raise ValueError("hops must be non-negative")
+        seeds = _check_indices("seeds", seeds, self.n)
+        selection = (self.all_indptr, self.all_indices)
+        return _bfs_positions(selection, None, _roots(seeds), hops, scratch=self._scratch)[0]
+
+    def induced(self, nodes: np.ndarray) -> list[sp.csr_matrix]:
+        """Induced sub-CSRs over the *original* adjacency (fanout-free)."""
+        return induced_adjacencies(self.adjacencies, nodes)

@@ -9,8 +9,8 @@ closure they hand the driver:
 
 * :func:`train_parallel` — **presampled top-k replay**: the deterministic
   fanout policy (``rng=None``) is a pure function of the adjacency, so
-  :class:`PresampledGraph` selects once per run and every minibatch is a
-  BFS replay;
+  :class:`~repro.core.minibatch.PresampledGraph` selects once per run and
+  every minibatch is a walk of serving's BFS over it;
 * :func:`train_with_neighbor_sampling` — **per-batch weighted draws** from
   ``sample_khop_nodes(..., rng)`` over the config's ``sample`` stream,
   which depend on the stream position and so stay in the loop.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,145 +40,18 @@ import scipy.sparse as sp
 
 from .. import nn
 from ..nn import Tensor
-from ..nn.sparse import csr_gather_rows, csr_interleave, csr_topk_rows
 from ..obs.profiling import NullProfiler, TrainProfiler
 from .hag import prepare_aggregators
-from .minibatch import induced_adjacencies, sample_khop_nodes
+from .minibatch import (
+    PresampledGraph,
+    _check_graph,
+    _check_indices,
+    induced_adjacencies,
+    sample_khop_nodes,
+)
 from .trainer import TrainConfig, TrainResult, _prepare, _run_protocol
 
 __all__ = ["train_parallel", "train_with_neighbor_sampling"]
-
-
-def _check_graph(csrs: Sequence[sp.csr_matrix], fanout: int | None) -> int:
-    """Node count of square, same-shape adjacencies under a legal fanout."""
-    if not csrs:
-        raise ValueError("sampled training requires at least one adjacency")
-    n = csrs[0].shape[0]
-    if any(c.shape != (n, n) for c in csrs):
-        raise ValueError(
-            f"adjacencies must be square and same-shape, got {[c.shape for c in csrs]}"
-        )
-    if fanout is not None and fanout < 0:
-        raise ValueError("fanout must be non-negative or None")
-    return n
-
-
-def _check_indices(name: str, idx: np.ndarray, n: int) -> np.ndarray:
-    """``idx`` as int64 node indices, all inside ``[0, n)``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"{name} must lie in [0, {n})")
-    return idx
-
-
-@dataclass(slots=True, eq=False)
-class PresampledGraph:
-    """Epoch-invariant sampling structure: fanout selection + BFS CSR.
-
-    Deterministic fanout selection (weight-descending, CSR-position
-    tie-break — exactly ``sample_khop_nodes``'s ``rng=None`` policy) is a
-    pure function of the adjacency, so it is computed **once** per training
-    run instead of once per (batch, epoch):
-
-    * ``all_*`` — every type's fanout-capped rows
-      (:func:`~repro.nn.sparse.csr_topk_rows`) interleaved node-major /
-      type-inner into one CSR, so one
-      :func:`~repro.nn.sparse.csr_gather_rows` call per hop replays the
-      whole frontier expansion;
-    * ``adjacencies`` — the original CSRs, referenced (not copied) for the
-      induced-subgraph slice, which is *not* fanout-capped.
-
-    The layout mirrors the read index's selection
-    (:meth:`~repro.network.sharding.ShardIndex.selection`); this variant
-    differs in keying directly off the training adjacency matrices (no BN
-    weight masking) because its contract is bit-exactness against :mod:`repro.core.minibatch`'s
-    ``sample_khop_nodes`` and ``induced_adjacencies``.
-    """
-
-    n: int
-    fanout: int | None
-    all_indptr: np.ndarray
-    all_indices: np.ndarray
-    adjacencies: list[sp.csr_matrix]
-    # Persistent scratch (allocated lazily, reset after each use) so the
-    # per-batch hot path allocates O(batch) not O(graph).
-    _seen: np.ndarray | None = field(default=None, init=False, repr=False)
-    _stamp: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @classmethod
-    def build(
-        cls, adjacencies: Sequence[sp.spmatrix], fanout: int | None
-    ) -> "PresampledGraph":
-        """Precompute the interleaved selection CSR for ``adjacencies``."""
-        csrs = [a.tocsr() for a in adjacencies]
-        n = _check_graph(csrs, fanout)
-        sel_indptr: list[np.ndarray] = []
-        sel_indices: list[np.ndarray] = []
-        for csr in csrs:
-            indptr = np.asarray(csr.indptr, dtype=np.int64)
-            indices = np.asarray(csr.indices, dtype=np.int64)
-            if fanout is not None:
-                indptr, order = csr_topk_rows(indptr, csr.data, fanout)
-                indices = indices[order]
-            sel_indptr.append(indptr)
-            sel_indices.append(indices)
-        all_indptr, all_indices = csr_interleave(n, sel_indptr, sel_indices)
-        return cls(n, fanout, all_indptr, all_indices, csrs)
-
-    # ------------------------------------------------------------------
-    # Per-batch replay (the hot path)
-    # ------------------------------------------------------------------
-    def sample(self, seeds: np.ndarray, hops: int) -> np.ndarray:
-        """k-hop node set — bit-exact vs ``sample_khop_nodes(..., rng=None)``.
-
-        One ``csr_gather_rows`` over the interleaved CSR replays a whole
-        frontier expansion: the gather is frontier-node-major and each
-        node's span is type-inner in selection order, exactly the candidate
-        order ``_expand_frontier`` emits.  Inputs are checked before the
-        persistent scratch is touched, so a rejected call leaves it clean.
-        """
-        if hops < 0:
-            raise ValueError("hops must be non-negative")
-        seeds = _check_indices("seeds", seeds, self.n)
-        if seeds.size == 0:
-            return seeds.copy()
-        _, first = np.unique(seeds, return_index=True)
-        frontier = seeds[np.sort(first)]
-        seen = self._seen
-        if seen is None:
-            seen = self._seen = np.zeros(self.n, dtype=bool)
-        stamp = self._stamp
-        if stamp is None:
-            stamp = self._stamp = np.full(self.n, -1, dtype=np.int64)
-        seen[frontier] = True
-        chunks = [frontier]
-        for _ in range(hops):
-            if frontier.size == 0:
-                break
-            _, gidx = csr_gather_rows(self.all_indptr, frontier)
-            candidates = self.all_indices[gidx]
-            if candidates.size == 0:
-                break
-            # Reverse scatter -> earliest occurrence wins (first-occurrence
-            # dedupe without a sort), then drop already-selected nodes.
-            stamp[candidates[::-1]] = np.arange(
-                candidates.size - 1, -1, -1, dtype=np.int64
-            )
-            ordered = candidates[stamp[candidates] == np.arange(candidates.size)]
-            stamp[candidates] = -1
-            fresh = ordered[~seen[ordered]]
-            if fresh.size == 0:
-                break
-            seen[fresh] = True
-            chunks.append(fresh)
-            frontier = fresh
-        out = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        seen[out] = False
-        return out
-
-    def induced(self, nodes: np.ndarray) -> list[sp.csr_matrix]:
-        """Induced sub-CSRs over the *original* adjacency (fanout-free)."""
-        return induced_adjacencies(self.adjacencies, nodes)
 
 
 # ----------------------------------------------------------------------

@@ -23,14 +23,16 @@ def type_weighted_degrees(
 ) -> dict[int, float]:
     """Weighted degree ``deg'_r(u)`` for every node with type-``r`` edges.
 
-    Accumulated on the cached CSR snapshot (one ``np.add.at`` pass) rather
-    than per-edge Python iteration; the dict return type is kept for
-    callers that look degrees up by user id.
+    Read off the degrees the read index keeps for its normalization
+    (``bn.index().degrees``); the dict return type is kept for callers
+    that look degrees up by user id.
     """
-    snapshot = bn.to_arrays()
-    degrees = snapshot.weighted_degrees(btype)
+    index = bn.index()
+    if btype not in index.types:
+        return {}
+    degrees = index.degrees[index.types.index(btype)]
     populated = np.flatnonzero(degrees)
-    node_ids = snapshot.node_ids
+    node_ids = index.node_ids
     return {int(node_ids[i]): float(degrees[i]) for i in populated}
 
 

@@ -15,7 +15,9 @@ request's BFS (:func:`_bfs_positions`) walks that CSR, and the index's
 one inducer (:meth:`~repro.network.sharding.ShardIndex.induced_entries`)
 gives its adjacency.  The lambda sweep
 (:func:`repro.core.lambda_infer.score_slice`) runs the same two per
-target.  The dict walk they replaced lives on in
+target, and sampled training walks its own selection of the training
+matrices (:class:`~repro.core.minibatch.PresampledGraph`) with the same
+BFS.  The dict walk they replaced lives on in
 ``tests/oracles/sampling.py`` as the independent oracle.
 
 A :class:`ComputationSubgraph` carries its ``|R|`` adjacencies as the typed
@@ -196,9 +198,11 @@ def computation_subgraphs_batch(
         dead = np.zeros(n_shards, dtype=bool)
         dead[list(dead_shards)] = True
     found, levels_of, node_lists = [], [], []
-    for target, root in zip(targets, positions_of(node_ids, targets).tolist()):
+    roots = positions_of(node_ids, targets)
+    for i, target in enumerate(targets):
+        root = roots[i : i + 1]
         positions, levels = _bfs_positions(selection, node_ids, root, hops, allowed, owner, dead)
-        nodes = node_ids[positions].tolist() if root >= 0 else [target]
+        nodes = node_ids[positions].tolist() if root[0] >= 0 else [target]
         found.append(positions)
         levels_of.append(levels)
         node_lists.append(nodes)
@@ -260,48 +264,53 @@ def computation_subgraphs_batch(
     return subgraphs, stats
 
 
-#: ``[marks, stamp]``: per-position marks every BFS reuses, grown with the
-#: network.  Each walk takes a new stamp, so ``marks[p] == stamp`` means
-#: "discovered by this walk" and nothing is ever cleared; a hop's first
-#: occurrences are found with negative marks, which no stamp equals.  What
-#: an earlier walk left in it never matches, so no call can see another's.
+#: ``[marks, stamp]``: per-position marks every serving BFS reuses, grown
+#: with the network.  Each walk takes a new stamp, so ``marks[p] == stamp``
+#: means "discovered by this walk" and nothing is ever cleared; a hop's
+#: first occurrences are found with negative marks, which no stamp equals.
+#: What an earlier walk left in it never matches, so no call can see
+#: another's.  A walker on another thread passes its own pair.
 _MARKS: list = [_EMPTY_I64, 0]
 
 
-def _marks(n: int) -> tuple[np.ndarray, int]:
-    """``(marks, stamp)`` covering ``n`` positions, with a fresh stamp."""
-    marks, stamp = _MARKS
+def _marks(n: int, scratch: list) -> tuple[np.ndarray, int]:
+    """``(marks, stamp)`` of ``scratch`` covering ``n`` positions, with a fresh stamp."""
+    marks, stamp = scratch
     if len(marks) < n:
-        marks = _MARKS[0] = np.zeros(max(n, 2 * len(marks)), dtype=np.int64)
-    _MARKS[1] = stamp = stamp + 1
+        marks = scratch[0] = np.zeros(max(n, 2 * len(marks)), dtype=np.int64)
+    scratch[1] = stamp = stamp + 1
     return marks, stamp
 
 
 def _bfs_positions(
     selection: tuple[np.ndarray, np.ndarray],
-    node_ids: np.ndarray,
-    root: int,
+    node_ids: np.ndarray | None,
+    roots: np.ndarray,
     hops: int,
     allowed: set[int] | None = None,
     owner: np.ndarray | None = None,
     dead: np.ndarray | None = None,
+    scratch: list | None = None,
 ) -> tuple[np.ndarray, list[int]]:
-    """``root``'s ``hops``-hop BFS over a selection CSR: ``(positions, levels)``.
+    """``roots``' ``hops``-hop BFS over a selection CSR: ``(positions, levels)``.
 
-    ``positions`` in discovery order — per frontier node in order, its
-    selection row in order, first occurrence wins — and the ones found at
-    hop ``h`` are ``positions[levels[h]:levels[h + 1]]`` (``hops + 2``
-    bounds: the first ``levels[hops]`` were expanded).  A candidate joins
-    only if ``allowed`` (uids; ``None`` admits all) holds its uid.  An
-    unregistered root (``-1``) selects nothing, and with ``dead`` (a mask
-    over shards, read through ``owner``) neither does a dead shard's row.
+    ``positions`` in discovery order — the roots (distinct), then per
+    frontier node in order, its selection row in order, first occurrence
+    wins — and the ones found at hop ``h`` are
+    ``positions[levels[h]:levels[h + 1]]`` (``hops + 2`` bounds: the first
+    ``levels[hops]`` were expanded).  A candidate joins only if ``allowed``
+    (uids, read through ``node_ids``; ``None`` admits all) holds its uid.
+    An unregistered root (``-1``) selects nothing, and with ``dead`` (a
+    mask over shards, read through ``owner``) neither does a dead shard's
+    row.  ``scratch`` is the ``[marks, stamp]`` pair the walk marks in
+    (:data:`_MARKS` by default): the serving thread's own.  This is the
+    one selection-CSR BFS: requests walk the read index's selection
+    with it, and training walks :class:`~repro.core.minibatch.PresampledGraph`'s.
     """
     indptr, nbr = selection
-    marks, stamp = _marks(len(node_ids))
-    frontier = np.array([root], dtype=np.int64)
-    found, levels = [frontier], [0, 1]
-    if root < 0:
-        frontier = frontier[:0]
+    marks, stamp = _marks(len(indptr) - 1, _MARKS if scratch is None else scratch)
+    found, levels = [roots], [0, len(roots)]
+    frontier = roots[roots >= 0]
     for hop in range(hops):
         if not len(frontier):
             levels += [levels[-1]] * (hops - hop)

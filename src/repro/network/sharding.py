@@ -32,9 +32,9 @@ aside) and reproduces, bit for bit, what the network's dicts expose —
   shares a tag and creates its pairs in ``(lo, hi)`` order, so sorting by
   ``(seq, lo, hi)`` is the global ``_edges`` insertion order);
 * per-type edge arrays, and therefore :class:`BNSnapshot` exports, equal a
-  straight walk of ``iter_edges``, and the normalized weights equal
-  :func:`repro.network.adjacency._typed_entries`' including its
-  ``np.add.at`` degree accumulation order;
+  straight walk of ``iter_edges``, and the normalized weights equal the
+  whole-graph snapshot mask's of ``tests/oracles/sampling.py``, including
+  its ``np.add.at`` degree accumulation order;
 * each node's fanout-capped neighbour selection (:meth:`ShardIndex.selection`)
   replays the creation-order neighbour lists and stable top-``fanout``
   ranking of the dict walk in ``tests/oracles/sampling.py``.
@@ -240,13 +240,13 @@ class ShardIndex:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(iu, iv, w, type_code)`` entries induced by the union node set.
 
-        Frontier-local counterpart of
-        :func:`repro.network.adjacency._typed_entries` over every type of
-        the index (``type_code`` indexes ``types``): instead of masking
-        every edge in the graph (O(E) per batch), gather the union nodes'
-        CSR rows (O(sum deg)), dedup pairs on their ``lo`` side, and sort
-        the surviving pair indices ascending — pair-table order **is**
-        snapshot edge order.  One ``nonzero`` over the candidates' columns
+        The one BN inducer — serving's batches, the sweep's targets and
+        :func:`~repro.network.adjacency.typed_adjacency` — over every
+        type of the index (``type_code`` indexes ``types``): instead of
+        masking every edge in the graph (O(E) per batch), gather the union
+        nodes' CSR rows (O(sum deg)), dedup pairs on their ``lo`` side, and
+        sort the surviving pair indices ascending — pair-table order
+        **is** snapshot edge order.  One ``nonzero`` over the candidates' columns
         of ``norm_weights`` then emits the entries type-major and
         pair-ascending: the full-graph masks, type after type, in content
         *and* order, which keeps the downstream per-request CSR

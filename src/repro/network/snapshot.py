@@ -6,9 +6,11 @@ the serving/training hot path, which wants whole-graph array operations:
 adjacency export, degree normalization, frontier sampling.  The network's
 one memoized flat view is its read index
 (:class:`~repro.network.sharding.ShardIndex`, one pass over the edge
-dict); a :class:`BNSnapshot` is the per-type edge-array view *of that
-index* (:meth:`ShardIndex.snapshot`, a mask per type, no second walk) that
-adjacency exports slice instead of re-iterating Python objects.
+dict), and those operations read it.  A :class:`BNSnapshot` is the
+per-type edge-array view *of that index* (:meth:`ShardIndex.snapshot`, a
+mask per type, no second walk) for readers that want each type's edge
+list: digests of a network's content, and the whole-graph mask that
+pins the index's inducer in the tests.
 
 Caching contract (see ``docs/PERFORMANCE.md``):
 
@@ -30,7 +32,7 @@ Caching contract (see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +85,6 @@ class BNSnapshot:
     node_ids: np.ndarray  # sorted int64 user ids
     edges: dict[BehaviorType, TypedEdgeArrays]
     version: int = 0
-    _degrees: dict[BehaviorType, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def num_nodes(self) -> int:
@@ -106,21 +105,3 @@ class BNSnapshot:
     def positions_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Map raw user ids to snapshot positions (-1 when not registered)."""
         return positions_of(self.node_ids, node_ids)
-
-    def weighted_degrees(self, btype: BehaviorType) -> np.ndarray:
-        """Weighted degree per snapshot position (Section III-A's ``deg'_r``).
-
-        Memoized per type: repeated adjacency exports against the same
-        snapshot pay for the accumulation once.
-        """
-        cached = self._degrees.get(btype)
-        if cached is not None:
-            return cached
-        degrees = np.zeros(self.num_nodes, dtype=np.float64)
-        arrays = self.edges.get(btype)
-        if arrays is not None and arrays.num_edges:
-            np.add.at(degrees, arrays.rows, arrays.weights)
-            np.add.at(degrees, arrays.cols, arrays.weights)
-        degrees.flags.writeable = False
-        self._degrees[btype] = degrees
-        return degrees

@@ -153,7 +153,7 @@ def scalar_oracle(setup_tuple):
             subgraph, feature_fn(k, subgraph.nodes), edge_type_order=types
         ))
         nodes.append(np.asarray(subgraph.nodes, dtype=np.int64))
-    adjacency = typed_adjacency(bn, targets, types, normalize=True)
+    adjacency = typed_adjacency(bn, targets, types)
     matrices = [adjacency[t] for t in types]
     if not model.use_cfo:
         merged = matrices[0]
@@ -210,6 +210,16 @@ class TestFullGraphParity:
         assert mstats.mode == "full"
         assert mstats.rows_computed == mstats.layer_rows == len(setup[4])
         assert mstats.edges_touched > 0
+
+    def test_full_pass_builds_no_cone(self, setup, oracle, monkeypatch):
+        """Every target of a full pass is a seed, so neither cone can add a
+        row: the pass runs without them and its state is the replay's."""
+        for cone in ("_score_cone", "_layer_cone"):
+            monkeypatch.setattr(lambda_infer, cone, lambda *a: pytest.fail(cone))
+        got, got_stats, mstats = run(setup)
+        assert_matches_oracle(got, oracle)
+        assert got_stats == oracle[3]
+        assert mstats.rows_computed == mstats.layer_rows == len(setup[4])
 
     def test_scalar_packed_and_materialized_scores_agree(self, setup, oracle):
         """``predict_subgraph`` == ``predict_subgraphs`` == ``materialize``,

@@ -47,6 +47,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_khop_nodes([chain_adjacency(5)], np.array([0]), hops=-1)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["top-k", "weighted"])
+    @pytest.mark.parametrize("hops", [0, 2])
+    @pytest.mark.parametrize("seeds", [[-1], [5], [0, 7], [2, -3]])
+    def test_out_of_range_seeds_rejected(self, weighted, hops, seeds):
+        # A seed outside [0, n) used to come back as a node at hops=0 and
+        # fail deep in the expansion otherwise.
+        rng = np.random.default_rng(0) if weighted else None
+        with pytest.raises(ValueError, match="seeds"):
+            sample_khop_nodes([chain_adjacency(5)], np.array(seeds), hops, 1, rng)
+
     def test_induced_adjacency_indexing(self):
         adjacency = chain_adjacency(6)
         nodes = np.array([2, 3, 4])

@@ -3,13 +3,12 @@
 The vectorized k-hop sampler promises *bit-exact* equality with the
 per-node reference loops of ``tests/oracles/minibatch.py`` — same node sets, same ordering, and (for weighted draws)
 the same rng stream consumption.  These property-style tests sweep graph
-shapes chosen to pin every execution branch of the top-k kernel:
+shapes chosen to stress the fanout rank-select and the weighted draws:
 
-* hub graphs → the per-segment argpartition loop (few wide segments);
-* clique-like graphs with tied integer weights → the padded stable-argsort
-  path (many narrow segments, heavy boundary ties);
-* uniform wide-degree graphs → the padded row-partition path with explicit
-  boundary-tie resolution.
+* hub graphs → few wide rows far over the fanout;
+* clique-like graphs with tied integer weights → many narrow rows with
+  heavy ties at the fanout boundary;
+* uniform wide-degree graphs → every row over the fanout, ties included.
 """
 
 from __future__ import annotations
@@ -64,10 +63,10 @@ def random_adjacencies(
 GRAPH_CASES = {
     # name: (n, density, hubs, hub_degree, zero_fraction, integer_weights)
     "sparse": (120, 2.0, 0, 0, 0.0, False),
-    "hubs": (300, 1.0, 3, 120, 0.0, False),  # argpartition-loop branch
+    "hubs": (300, 1.0, 3, 120, 0.0, False),  # few wide rows
     "zero_weights": (200, 3.0, 0, 0, 0.4, False),
-    "narrow_tied": (400, 6.0, 0, 0, 0.0, True),  # padded-argsort branch
-    "wide_tied": (300, 40.0, 0, 0, 0.0, True),  # padded-partition branch
+    "narrow_tied": (400, 6.0, 0, 0, 0.0, True),  # narrow rows, boundary ties
+    "wide_tied": (300, 40.0, 0, 0, 0.0, True),  # every row capped, ties
 }
 
 

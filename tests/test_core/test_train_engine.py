@@ -4,8 +4,9 @@ Four guarantees are pinned here:
 
 * **Presample bit-exactness** — :class:`PresampledGraph` replays the
   deterministic (``rng=None``) fanout policy exactly: ``sample`` matches
-  ``sample_khop_nodes`` and ``induced`` matches ``induced_adjacencies``
-  bit-for-bit, across fanouts, hop counts, ties and duplicate seeds.
+  the per-node loops of ``tests/oracles/minibatch.py`` bit-for-bit, across
+  fanouts, hop counts, ties and duplicate seeds, and walks its own scratch,
+  never serving's.
 * **One loop** — :func:`train_with_neighbor_sampling` and
   :func:`train_parallel` are each other's oracle: bit-identical trained
   models wherever the fanout cap does not bind.
@@ -30,18 +31,21 @@ import scipy.sparse as sp
 from repro.core import (
     HAG,
     TrainConfig,
-    induced_adjacencies,
     prepare_aggregators,
-    sample_khop_nodes,
     train_node_classifier,
     train_parallel,
     train_with_neighbor_sampling,
 )
 from repro.core import train_engine
 from repro.core.train_engine import PresampledGraph
+from repro.network import sampling
 from repro.obs.profiling import TrainProfiler
 from repro.system import fork_map
 from repro import nn
+from tests.oracles.minibatch import (
+    induced_adjacencies_reference,
+    sample_khop_nodes_reference,
+)
 
 N_TYPES = 2
 
@@ -111,12 +115,12 @@ class TestPresampledGraph:
             rng = np.random.default_rng(seed + 10)
             seeds = rng.choice(150, size=12, replace=False)
             seeds = np.concatenate([seeds, seeds[:4]])  # duplicates
-            expected_nodes = sample_khop_nodes(
+            expected_nodes = sample_khop_nodes_reference(
                 adjacencies, seeds, hops, fanout, None
             )
             got_nodes = pre.sample(seeds, hops)
             assert np.array_equal(got_nodes, expected_nodes)
-            expected_subs = induced_adjacencies(adjacencies, expected_nodes)
+            expected_subs = induced_adjacencies_reference(adjacencies, expected_nodes)
             got_subs = pre.induced(got_nodes)
             for got, expected in zip(got_subs, expected_subs):
                 assert np.array_equal(got.indptr, expected.indptr)
@@ -159,8 +163,37 @@ class TestPresampledGraph:
             pre.sample(np.array(seeds), hops)
         assert np.array_equal(pre.sample(valid, 2), expected)
         assert np.array_equal(
-            expected, sample_khop_nodes(adjacencies, valid, 2, 3, None)
+            expected, sample_khop_nodes_reference(adjacencies, valid, 2, 3, None)
         )
+
+    def test_walks_never_touch_the_serving_scratch(self, monkeypatch):
+        # Training walks run on the prefetch thread: a walk that marked in
+        # serving's module scratch could corrupt a concurrent request's BFS.
+        class Untouchable:
+            def __getattr__(self, name):
+                pytest.fail("the serving scratch was read")
+
+            def __getitem__(self, key):
+                pytest.fail("the serving scratch was read")
+
+            def __iter__(self):
+                pytest.fail("the serving scratch was read")
+
+        adjacencies, features, labels, train_idx, val_idx = make_problem(120)
+        expected = sample_khop_nodes_reference(adjacencies, train_idx[:20], 2, 3)
+        pre = PresampledGraph.build(adjacencies, 3)
+        monkeypatch.setattr(sampling, "_MARKS", Untouchable())
+        with pytest.raises(pytest.fail.Exception):  # serving's walk does read it
+            sampling._bfs_positions(
+                (pre.all_indptr, pre.all_indices), None, train_idx[:1], 1
+            )
+        assert np.array_equal(pre.sample(train_idx[:20], 2), expected)
+        result = train_parallel(
+            make_model(), adjacencies, features, labels, train_idx, val_idx,
+            config=TrainConfig(epochs=1, batch_size=32, seed=0, min_epochs=1, patience=50),
+            hops=2, fanout=3,
+        )
+        assert len(result.train_losses) == 1
 
     def test_build_rejects_malformed_inputs(self):
         adjacencies = random_adjacencies(40, density=3.0)

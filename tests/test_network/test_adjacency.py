@@ -35,11 +35,6 @@ class TestTypedAdjacency:
             dense = matrix.toarray()
             np.testing.assert_allclose(dense, dense.T)
 
-    def test_unnormalized_weights_preserved(self):
-        typed = typed_adjacency(bn_fixture(), [10, 20, 30], normalize=False)
-        assert typed[DEV][0, 1] == pytest.approx(1.0)
-        assert typed[DEV][1, 2] == pytest.approx(2.0)
-
     def test_normalization_uses_full_graph_degrees(self):
         """Degrees come from the whole BN even when exporting a subset."""
         bn = bn_fixture()

@@ -119,7 +119,7 @@ class TestBFSAndInducedParity:
         index = bn.index()
         (root,) = positions_of(index.node_ids, np.array([10**9], dtype=np.int64))
         assert root == -1
-        positions, levels = _bfs_positions(index.selection(5), index.node_ids, root, 2)
+        positions, levels = _bfs_positions(index.selection(5), index.node_ids, np.array([root]), 2)
         assert positions.tolist() == [-1] and levels == [0, 1, 1, 1]
         assert all(len(part) == 0 for part in index.induced_entries(positions))
 
@@ -136,6 +136,6 @@ class TestReverseReachable:
         cone = _score_cone(selection, seeds.astype(np.int64), hops)
         seed_set = set(int(s) for s in seeds)
         for pos in range(index.num_nodes):
-            positions, _ = _bfs_positions(selection, index.node_ids, pos, hops)
+            positions, _ = _bfs_positions(selection, index.node_ids, np.array([pos]), hops)
             if seed_set & set(int(p) for p in positions):
                 assert cone[pos], pos

@@ -53,8 +53,8 @@ class TestLayout:
         )
 
     def test_weighted_degrees_match_edge_sums(self):
-        snapshot = small_bn().to_arrays()
-        degrees = snapshot.weighted_degrees(DEV)
+        index = small_bn().index()
+        degrees = index.degrees[index.types.index(DEV)]
         # node 2 touches (2,5) w=1.5 and (2,9) w=2.0; node 7 is isolated.
         np.testing.assert_allclose(degrees, [3.5, 1.5, 0.0, 2.0])
 

@@ -30,13 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import computation_subgraphs_batch, sharding
-from repro.network.adjacency import _induced_entries
 from repro.network.sampling import ComputationSubgraph, _bfs_positions
 from repro.network.sharding import shard_of
 from repro.network.snapshot import positions_of
 from repro.system import FaultInjector, ShardRouter
 
-from tests.oracles.sampling import computation_subgraph
+from tests.oracles.sampling import _induced_entries, computation_subgraph
 from tests.test_network.test_sampling_batch import assert_subgraph_equal
 from tests.test_network.test_sharding import SHARD_COUNTS, build_pair, contribution_batches
 
@@ -170,7 +169,7 @@ def test_sweep_positions_induce_the_dense_entries(n_shards, network, data, hops,
     index = sharded.index()
     target = data.draw(st.sampled_from(uids), label="target")
     root = int(positions_of(index.node_ids, target))
-    positions, _ = _bfs_positions(index.selection(fanout), index.node_ids, root, hops)
+    positions, _ = _bfs_positions(index.selection(fanout), index.node_ids, np.array([root]), hops)
     nodes = [target] if root < 0 else index.node_ids[positions].tolist()
     if root >= 0:  # an unregistered uid, somewhere after the target
         at = data.draw(st.integers(1, len(positions)), label="at")

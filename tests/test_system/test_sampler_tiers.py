@@ -97,7 +97,7 @@ def sample_tier(tier, graphs, fanout, allowed):
     selection = index.selection(fanout)
     subgraphs = []
     for target, root in zip(TARGETS, positions_of(index.node_ids, TARGETS).tolist()):
-        positions, _levels = _bfs_positions(selection, index.node_ids, root, 2, allowed)
+        positions, _levels = _bfs_positions(selection, index.node_ids, np.array([root]), 2, allowed)
         subgraphs.append(
             ComputationSubgraph(
                 target=target,

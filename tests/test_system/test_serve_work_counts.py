@@ -92,9 +92,10 @@ def profiled_calls(fn) -> tuple[int, int]:
     return calls["call"], calls["c_call"]
 
 
-#: measured 697.7 and 452.3 Python-level calls on this deployment and 774.5
-#: C-level calls per warm ``Turbo.predict`` since the sampler stopped
-#: counting expansions (781.5 before; it walks the read index's selection
+#: measured 697.7 and 452.3 Python-level calls on this deployment and 773.5
+#: C-level calls per warm ``Turbo.predict`` since the BFS takes its roots as
+#: a slice of the batch's positions (774.5 before, 781.5 while the sampler
+#: counted expansions; it walks the read index's selection
 #: CSR: 750.8, 458.1 and 935.1 while it walked a dict of
 #: per-(node, type) rankings; 838.8, 500.6 and 1,067.1 while the sampler
 #: built every request's stacked CSR, the forward re-packed it and CFO looped
