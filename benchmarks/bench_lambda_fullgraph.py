@@ -16,7 +16,9 @@ repository root:
   executed one by one and timed individually — exactly the work one
   forked child of :func:`~repro.system.fork_map` runs — and combined as
   the *modeled* **deployment clock** ``deploy_s``: ``selection +
-  max(slice) + serial assemble`` (splice + layer pass), what 4
+  max(slice) + serial assemble`` (``assemble_s``: the pass outside its
+  scoring slices — sorting the targets and splicing the slices' scores
+  and subgraph rows into one state), what 4
   otherwise-idle cores would execute.  It is a model, not a wall-clock figure: the measured
   2-process wall speedup is in ``docs/PERFORMANCE.md``.  The
   ``pool_sweep`` section proves the real forked path bit-exact;
@@ -31,8 +33,8 @@ repository root:
   the 4-shard merged index (node ids, selection, pair table, normalized
   weights) is byte-identical to the single network's index;
 * ``incremental_refresh`` — a small random delta batch, then the same
-  function with the big sweep's state as its prior: scores and subgraph
-  CSR must be byte-equal a fresh full pass while only the affected cone
+  function with the big sweep's state as its prior: every state array
+  must be byte-equal a fresh full pass while only the affected cone
   is recomputed (``incremental_s`` against ``fresh_fullpass_s``).
 
 Run it either way::
@@ -48,8 +50,8 @@ exit nonzero when a gate regresses):
 * forked sweep parity == 1.0 (bit-for-bit);
 * incremental work reduction ≥ 10× (covered rows / recomputed rows on the
   small delta);
-* incremental parity == 1.0 (scores + subgraph CSR byte-equal the fresh
-  full pass; layer rows equal within numerics, untouched rows byte-copied).
+* incremental parity == 1.0 (every state array byte-equal the fresh full
+  pass).
 
 Scale knobs (environment variables): ``REPRO_BENCH_LFG_USERS``,
 ``REPRO_BENCH_LFG_EDGES``, ``REPRO_BENCH_LFG_CHUNK``,
@@ -156,10 +158,6 @@ class Sweep:
     def feature_fn(self, _k, nodes):
         return self.features[np.asarray(nodes, dtype=np.int64)]
 
-    def rows(self, targets: np.ndarray) -> np.ndarray:
-        """Scaled per-target feature rows (the layer pass input)."""
-        return self.scaler.transform(self.features[targets])
-
     def ids(self, targets) -> tuple[list[int], list[int], list[float]]:
         targets = [int(t) for t in targets]
         return targets, [7 * t + 1 for t in targets], [self.now] * len(targets)
@@ -168,16 +166,10 @@ class Sweep:
         """One pass over ``targets``: full by default, a cone refresh when
         ``prior`` / ``touched`` are passed."""
         uids, txn_ids, nows = self.ids(targets)
-        target_arr = np.asarray(uids, dtype=np.int64)
-
-        def layer_row_fn(rows):
-            return self.rows(target_arr[np.asarray(rows, dtype=np.int64)])
-
         return materialize(
             self.model, self.bn, uids, txn_ids, nows, self.feature_fn,
             hops=HOPS, fanout=FANOUT, edge_type_order=self.types,
             transform=self.scaler.transform,
-            layer_row_fn=layer_row_fn,
             **kwargs,
         )
 
@@ -309,27 +301,13 @@ def bench_incremental(sweep: Sweep, prior, targets) -> dict:
     state, _, mstats = sweep.materialize(targets, prior=prior, touched=touched)
     incremental_s = time.perf_counter() - start
 
-    mismatched = []
-    if state.scores.tobytes() != fresh.scores.tobytes():
-        mismatched.append("scores")
-    if state.subgraph_indptr.tobytes() != fresh.subgraph_indptr.tobytes():
-        mismatched.append("subgraph_indptr")
-    if state.subgraph_nodes.tobytes() != fresh.subgraph_nodes.tobytes():
-        mismatched.append("subgraph_nodes")
-    # Layer rows: untouched rows are byte copies of the prior (pinned by the
-    # core tests); against the *fresh* full pass they are equal within
-    # numerics only — GEMM reduction order depends on batch shape.
-    for name, want in fresh.layers.items():
-        if not np.allclose(state.layers[name], want, rtol=1e-9, atol=1e-12):
-            mismatched.append(f"layer:{name}")
-
+    mismatched = state_mismatches(state, fresh)
     work_reduction = mstats.total_rows / max(1, mstats.rows_computed)
     return {
         "delta_edges": DELTA_EDGES,
         "touched_uids": len(touched),
         "rows_computed": mstats.rows_computed,
         "cone_rows": mstats.cone_rows,
-        "layer_rows": mstats.layer_rows,
         "total_rows": mstats.total_rows,
         "fresh_fullpass_s": fresh_s,
         "incremental_s": incremental_s,
@@ -378,8 +356,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
         wall_s = time.perf_counter() - start
         # Modeled deployment clock: the 4 slices run concurrently on 4 cores
         # (bit-exactness of the forked path is pinned by pool_sweep); the
-        # selection and the assemble (splice + full-graph layer pass) stay
-        # serial.
+        # selection and the assemble (the splice) stay serial.
         assemble_s = max(0.0, wall_s - sum(slice_s))
         deploy_s = selection_s + max(slice_s) + assemble_s
         single_s = selection_s + wall_s

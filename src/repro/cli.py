@@ -272,7 +272,6 @@ def cmd_lambda(args) -> int:
         print(
             f"{label}: mode={last.mode}  rows={last.rows_computed}/{last.total_rows}"
             f"  edges={last.edges_touched}  cone={last.cone_rows}"
-            f"  layer rows={last.layer_rows}"
         )
 
     report_materialize("deploy pass")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import operator
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,109 +156,22 @@ class HAG(nn.Module):
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def layer_states(
-        self,
-        x: Tensor,
-        aggregators: Sequence[sp.csr_matrix],
-        observer: Callable[[str], None] | None = None,
-    ) -> tuple[Tensor, list[list[Tensor]]]:
-        """Fused representation plus every tower's per-layer hidden states.
-
-        ``states[t][k]`` is tower ``t``'s output after SAO layer ``k`` —
-        the layer-``k`` aggregation state the lambda batch layer
-        checkpoints (:mod:`repro.core.lambda_infer`).  The computation is
-        exactly :meth:`embeddings`; the intermediate tensors are simply
-        kept instead of discarded.
-
-        ``observer`` (if given) is called with a stage name after each SAO
-        layer (``"tower{t}.layer{k}"``) and after fusion (``"fused"``) —
-        the lambda batch tier derives per-layer span timings from the call
-        sequence.
-        """
-        if len(aggregators) != self.n_types:
-            raise ValueError(
-                f"expected {self.n_types} aggregators, got {len(aggregators)}"
-            )
-        type_embeddings: list[Tensor] = []
-        states: list[list[Tensor]] = []
-        for t, (tower, aggregator) in enumerate(zip(self.towers, aggregators)):
-            h = x
-            tower_states: list[Tensor] = []
-            for k, layer in enumerate(tower):
-                h = layer(h, aggregator)
-                tower_states.append(h)
-                if observer is not None:
-                    observer(f"tower{t}.layer{k}")
-            states.append(tower_states)
-            type_embeddings.append(h)
-        fused = self.cfo(type_embeddings) if self.cfo is not None else type_embeddings[0]
-        if observer is not None:
-            observer("fused")
-        return fused, states
-
-    def layer_states_rows(
-        self,
-        rows: np.ndarray,
-        inputs_fn: Callable[[int, int, np.ndarray | None], np.ndarray],
-        aggregators: Sequence[sp.csr_matrix],
-        observer: Callable[[str], None] | None = None,
-    ) -> tuple[Tensor, list[list[Tensor]]]:
-        """:meth:`layer_states` restricted to ``rows`` of the output.
-
-        The incremental rematerialization path: each aggregator is the
-        *rectangular* slice ``A_mean[rows]`` of the full Eq. 6 aggregation
-        matrix, and ``inputs_fn(t, k, fresh_prev)`` returns the **full**
-        layer-``k`` input matrix for tower ``t`` — prior-state rows outside
-        the cone, freshly computed rows (``fresh_prev``, aligned with
-        ``rows``; ``None`` for ``k == 0``) inside it.  Because
-        :meth:`SAOLayer.combine <repro.core.sao.SAOLayer.combine>` is
-        row-local and a CSR row slice preserves each kept row's entries
-        bit-for-bit, every ``spmm``/``combine`` here reproduces exactly the
-        cone rows the full pass would compute (up to BLAS reduction order
-        in the dense products, which is why untouched rows are *copied*
-        from the prior state rather than recomputed).
-        """
-        if len(aggregators) != self.n_types:
-            raise ValueError(
-                f"expected {self.n_types} aggregators, got {len(aggregators)}"
-            )
-        type_embeddings: list[Tensor] = []
-        states: list[list[Tensor]] = []
-        for t, (tower, aggregator) in enumerate(zip(self.towers, aggregators)):
-            fresh_prev: np.ndarray | None = None
-            tower_states: list[Tensor] = []
-            for k, layer in enumerate(tower):
-                full_prev = inputs_fn(t, k, fresh_prev)
-                h = layer.combine(
-                    Tensor(full_prev[rows]),
-                    nn.spmm(aggregator, Tensor(full_prev)),
-                )
-                tower_states.append(h)
-                fresh_prev = h.numpy()
-                if observer is not None:
-                    observer(f"tower{t}.layer{k}")
-            states.append(tower_states)
-            type_embeddings.append(tower_states[-1])
-        fused = self.cfo(type_embeddings) if self.cfo is not None else type_embeddings[0]
-        if observer is not None:
-            observer("fused")
-        return fused, states
-
     def embeddings(
         self, x: Tensor, aggregators: Sequence[sp.csr_matrix]
     ) -> Tensor:
-        """Fused node representation before the MLP head."""
-        return self.layer_states(x, aggregators)[0]
-
-    def head_proba(self, embedding: np.ndarray) -> np.ndarray:
-        """Fraud probabilities from an already-fused node representation.
-
-        Scores nodes whose fused embeddings were precomputed by a batch pass
-        (the lambda batch layer's full-graph materialization) without
-        re-running the towers.
-        """
-        logits = self._head_logits(np.asarray(embedding, dtype=np.float64))
-        return 1.0 / (1.0 + np.exp(-logits))
+        """Fused node representation before the MLP head: the per-type tape
+        forward, one SAO tower per aggregator, fused by CFO."""
+        if len(aggregators) != self.n_types:
+            raise ValueError(
+                f"expected {self.n_types} aggregators, got {len(aggregators)}"
+            )
+        type_embeddings: list[Tensor] = []
+        for tower, aggregator in zip(self.towers, aggregators):
+            h = x
+            for layer in tower:
+                h = layer(h, aggregator)
+            type_embeddings.append(h)
+        return self.cfo(type_embeddings) if self.cfo is not None else type_embeddings[0]
 
     def forward(
         self,
@@ -342,8 +255,7 @@ class HAG(nn.Module):
         with one block-diagonal ``(T·n, T·n)`` product over the same row
         entries, every SAO dense product is batched over ``T``.  That is
         ``|R|`` times the per-type working set — right for a request or a
-        packed chunk of them, not for the whole-graph layer pass, which
-        stays on :meth:`layer_states`.  The towers run on every row (the
+        packed chunk of them.  The towers run on every row (the
         last layer's neighbour sums read them all); only CFO's node-wise
         attention is cut to ``rows``, and ``M_r`` and the head keep the
         full shape, so every logit keeps the tape's bits.

@@ -1,4 +1,4 @@
-"""Lambda-architecture batch layer: checkpointable HAG aggregation state.
+"""Lambda-architecture batch layer: checkpointable per-target HAG scores.
 
 Turbo's paper serves every request by sampling a fresh k-hop subgraph and
 running full HAG inference.  *BRIGHT* and *GNNs in Real-Time Fraud Detection
@@ -11,10 +11,9 @@ This module is the batch layer's core: storage- and serving-agnostic.
 
 * :class:`HAGState` — the versioned, serializable per-node state one batch
   pass produces: exact replayed scores, the feature provenance that gates
-  cache hits (which transaction/time each score was computed for), the
-  sampled-subgraph membership CSR that prices staleness, and every SAO
-  tower's layer-``k`` hidden states over the target-induced graph.
-  Round-trips losslessly through a flat ``dict[str, np.ndarray]``
+  cache hits (which transaction/time each score was computed for) and the
+  sampled-subgraph membership CSR that prices staleness.  Round-trips
+  losslessly through a flat ``dict[str, np.ndarray]``
   (:meth:`HAGState.to_arrays` / :meth:`HAGState.from_arrays`), which is
   exactly what :class:`~repro.system.storage.LocalDatabase` checkpoints;
   a payload that does not describe a consistent state is rejected with
@@ -45,11 +44,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-import scipy.sparse as sp
-
-from .. import nn
-from ..nn.sparse import csr_gather_rows, row_mean_csr, sum_csr
-from ..network.adjacency import typed_adjacency
+from ..nn.sparse import csr_gather_rows
 from ..network.sampling import BatchSampleStats, ComputationSubgraph, _bfs_positions
 from ..network.sharding import ShardIndex
 from ..network.snapshot import positions_of
@@ -63,7 +58,7 @@ __all__ = [
 
 #: ``meta`` array layout of a serialized state (see :meth:`HAGState.to_arrays`).
 _META_LEN = 3
-#: The fixed arrays of a serialized state; layer arrays ride next to them.
+#: The arrays of a serialized state.
 _COLUMNS = (
     "meta",
     "node_ids",
@@ -73,8 +68,6 @@ _COLUMNS = (
     "subgraph_indptr",
     "subgraph_nodes",
 )
-#: Prefix separating layer-state arrays from the fixed per-node columns.
-_LAYER_PREFIX = "state:"
 #: Targets that share one :meth:`~repro.core.hag.HAG.predict_subgraphs` in
 #: :func:`score_slice`.  Scores do not depend on it (dense products run per
 #: request block under ``nn.row_blocks``), so a larger pack buys no larger
@@ -83,18 +76,10 @@ _LAYER_PREFIX = "state:"
 SCORE_CHUNK = 32
 
 
-def _layer_names(model: HAG) -> list[str]:
-    """``HAGState.layers`` keys of ``model``'s layer pass, in pass order."""
-    return [
-        f"tower{t}.layer{k}"
-        for t in range(model.n_types)
-        for k in range(len(model.hidden))
-    ] + ["fused"]
-
-
 @dataclass(slots=True)
 class HAGState:
-    """Versioned per-node aggregation state of one lambda batch pass.
+    """Versioned per-node state of one lambda batch pass: scores, provenance
+    and sampled subgraphs.
 
     Keyed on ``bn_version`` — the facade version of the BN the pass ran
     against; a served score is only meaningful relative to that graph
@@ -114,10 +99,6 @@ class HAGState:
       conservative superset of what could have changed the score, and
       exactly zero when no edges arrived.
 
-    ``layers`` holds the layer pass artifacts: every SAO tower's
-    layer-``k`` hidden state and the fused (CFO) embedding, keyed
-    ``tower{t}.layer{k}`` / ``fused``, one row per ``node_ids`` entry.
-
     Construction validates that the columns describe one consistent state
     (``ValueError`` naming the offending array otherwise) — a truncated or
     corrupt checkpoint must not come back as a state whose empty subgraph
@@ -133,7 +114,6 @@ class HAGState:
     nows: np.ndarray
     subgraph_indptr: np.ndarray
     subgraph_nodes: np.ndarray
-    layers: dict[str, np.ndarray] = field(default_factory=dict)
     _positions: dict[int, int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -155,20 +135,11 @@ class HAGState:
         scores = np.asarray(self.scores, dtype=np.float64)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails both
             raise ValueError("scores must be probabilities in [0, 1]")
-        for name, value in self.layers.items():
-            if np.ndim(value) != 2 or len(value) != n:
-                raise ValueError(
-                    f"layer array {name!r} must have one row per node_ids entry"
-                )
 
     @property
     def num_nodes(self) -> int:
         """Targets covered by this state."""
         return len(self.node_ids)
-
-    def has_layers_of(self, model: HAG) -> bool:
-        """Whether ``layers`` holds every array ``model``'s layer pass writes."""
-        return all(name in self.layers for name in _layer_names(model))
 
     def position_of(self, uid: int) -> int | None:
         """Row of ``uid`` in the per-node columns (``None`` if uncovered)."""
@@ -222,7 +193,7 @@ class HAGState:
         A :class:`~repro.system.storage.LocalDatabase` ``put`` checkpoints
         the dict as one value.
         """
-        arrays = {
+        return {
             "meta": np.asarray(
                 [
                     self.bn_version,
@@ -238,20 +209,22 @@ class HAGState:
             "subgraph_indptr": np.asarray(self.subgraph_indptr, dtype=np.int64),
             "subgraph_nodes": np.asarray(self.subgraph_nodes, dtype=np.int64),
         }
-        for name, value in self.layers.items():
-            arrays[_LAYER_PREFIX + name] = np.asarray(value)
-        return arrays
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "HAGState":
         """Rebuild a state from :meth:`to_arrays` output.
 
-        Raises ``ValueError`` when an array is missing or the arrays do
-        not describe a consistent state (see the class docstring).
+        Raises ``ValueError`` when an array is missing, when one is not a
+        state column (an older checkpoint's ``state:*`` layer arrays), or
+        when the arrays do not describe a consistent state (see the class
+        docstring).
         """
         missing = [name for name in _COLUMNS if name not in arrays]
         if missing:
             raise ValueError(f"HAGState payload lacks array(s) {missing}")
+        unknown = next((name for name in arrays if name not in _COLUMNS), None)
+        if unknown is not None:
+            raise ValueError(f"HAGState payload carries array {unknown!r}, not a state column")
         meta = np.asarray(arrays["meta"], dtype=np.int64)
         if len(meta) != _META_LEN:
             raise ValueError("malformed HAGState meta array")
@@ -266,11 +239,6 @@ class HAGState:
             nows=np.asarray(arrays["nows"], dtype=np.float64),
             subgraph_indptr=np.asarray(arrays["subgraph_indptr"], dtype=np.int64),
             subgraph_nodes=np.asarray(arrays["subgraph_nodes"], dtype=np.int64),
-            layers={
-                name[len(_LAYER_PREFIX):]: np.asarray(value)
-                for name, value in arrays.items()
-                if name.startswith(_LAYER_PREFIX)
-            },
         )
 
 
@@ -283,9 +251,8 @@ class MaterializeStats:
     scores actually recomputed (all ``total_rows`` without a prior, only
     the affected cone with one).  ``edges_touched`` counts induced
     per-target adjacency entries processed by the scoring replay.
-    ``cone_rows`` is the score cone's size in target rows, ``layer_rows``
-    the layer-state rows recomputed (0 when the layer pass is skipped).
-    ``slices`` is how many executor slices scored the sweep.
+    ``cone_rows`` is the score cone's size in target rows.  ``slices`` is
+    how many executor slices scored the sweep.
     """
 
     mode: str
@@ -293,7 +260,6 @@ class MaterializeStats:
     rows_computed: int
     edges_touched: int
     cone_rows: int
-    layer_rows: int
     slices: int = 1
 
 
@@ -369,22 +335,6 @@ def score_slice(
     )
 
 
-def _layer_adjacency(
-    model: HAG, bn, node_ids: np.ndarray, edge_type_order: Sequence
-) -> list[sp.csr_matrix]:
-    """Raw per-aggregator adjacency of the layer pass over the targets.
-
-    One matrix per SAO tower: the induced normalized typed adjacencies in
-    ``edge_type_order``, or — the CFO(-) ablation runs one tower on the
-    merged graph — their sum, so the layer pass matches its forward.
-    """
-    types = tuple(edge_type_order)
-    adjacency = typed_adjacency(bn, node_ids.tolist(), types)
-    if model.use_cfo:
-        return [adjacency[t] for t in types]
-    return [sum_csr([adjacency[t] for t in types], len(node_ids))]
-
-
 def _sample_stats(results: Sequence[SliceResult], requests: int) -> BatchSampleStats:
     """Scalar-path-equivalent :class:`BatchSampleStats` for a sweep."""
     flat = np.concatenate([np.empty(0, dtype=np.int64), *(r.flat_nodes for r in results)])
@@ -420,28 +370,6 @@ def _score_cone(
     return reached
 
 
-def _layer_cone(
-    index: ShardIndex, seeds: np.ndarray, hops: int, members: np.ndarray
-) -> np.ndarray:
-    """Mask of the positions within ``hops`` undirected edges of ``seeds``,
-    walking only through the ``members`` mask.
-
-    This is the *layer cone* over the target-induced full adjacency: the
-    walk reads the index's half-edge rows through the inducer's row gather
-    (:meth:`~repro.network.sharding.ShardIndex.row_gather`), a superset
-    of any normalized typed adjacency, so the cone is conservative.
-    """
-    reached = np.zeros(index.num_nodes, dtype=bool)
-    frontier = np.unique(seeds)
-    frontier = frontier[members[frontier]]
-    reached[frontier] = True
-    for _ in range(hops):
-        frontier = np.unique(index.row_gather(frontier)[1])
-        frontier = frontier[~reached[frontier] & members[frontier]]
-        reached[frontier] = True
-    return reached
-
-
 def materialize(
     model: HAG,
     bn,
@@ -457,13 +385,11 @@ def materialize(
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
     prior: HAGState | None = None,
     touched: Mapping[int, int] | None = None,
-    layer_row_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     executor: Callable[
         [Callable[[tuple[int, int]], SliceResult], Sequence[tuple[int, int]]],
         Sequence[SliceResult | None],
     ] | None = None,
     slices: int = 1,
-    observer: Callable[[str], None] | None = None,
 ) -> tuple[HAGState, BatchSampleStats, MaterializeStats]:
     """One batch pass: recompute the cone of the seeds, copy the rest.
 
@@ -479,31 +405,19 @@ def materialize(
     **Seeds** are the nodes ``touched`` since ``prior`` was computed
     (:meth:`~repro.network.bn.BehaviorNetwork.delta_touched`) plus every
     target ``prior`` does not cover with the same transaction and as-of
-    time.  Without a ``prior`` every target is a seed, both cones are the
+    time.  Without a ``prior`` every target is a seed, the cone is the
     whole target set and the pass is a full sweep (``mode == "full"``):
-    a pass whose targets are all seeds builds neither cone.
+    a pass whose targets are all seeds builds no cone.
     ``prior`` must be the state of an *ancestor* version of ``bn`` under
     the same ``hops`` / ``fanout`` (``ValueError`` for a different
-    ``hops`` / ``fanout``, for a version ``bn`` has not reached, and when
-    it lacks the model's layer arrays while ``layer_row_fn`` asks for
-    them).
+    ``hops`` / ``fanout`` and for a version ``bn`` has not reached).
 
-    * The **score cone** is every target that can reach a seed within
-      ``hops`` steps of the current selection graph (reverse BFS over
-      the index's selection).  Those targets are rescored through
-      :func:`score_slice`; anything outside kept its selection rows,
-      induced adjacency (weights *and* degrees) and feature rows, so its
-      score and subgraph row are copied from ``prior`` bit-for-bit.
-    * The **layer cone** (only with ``layer_row_fn``, which returns the
-      scaled layer-0 feature rows of the given sorted-target rows) is every
-      target within SAO depth undirected hops of a seed over the
-      target-induced adjacency.  Those rows of every tower's layer-``k``
-      state and of the fused embedding are recomputed through
-      :meth:`~repro.core.hag.HAG.layer_states_rows`; all other rows are
-      byte copies of ``prior``.  Recomputed rows agree with a fresh full
-      pass to ``allclose(rtol=1e-9)`` only — dense GEMM reduction order
-      depends on the number of rows in the product.  Without
-      ``layer_row_fn`` the state carries scores only.
+    The **score cone** is every target that can reach a seed within
+    ``hops`` steps of the current selection graph (reverse BFS over the
+    index's selection).  Those targets are rescored through
+    :func:`score_slice`; anything outside kept its selection rows,
+    induced adjacency (weights *and* degrees) and feature rows, so its
+    score and subgraph row are copied from ``prior`` bit-for-bit.
 
     ``executor`` (optional) shards the scoring of a sweep whose cone is
     the whole target range: ``executor(score, bounds)`` receives the
@@ -512,9 +426,7 @@ def materialize(
     per bound (``None`` means that slice was lost; it is recomputed
     in-process — degrade, don't die).
     :func:`~repro.system.fork_pool.fork_map` is one: it scores the slices
-    in forked children that inherit every input.  ``observer`` receives
-    stage names (``"scores"``, each recomputed layer, ``"fused"``) as they
-    complete.
+    in forked children that inherit every input.
     """
     if not len(targets) == len(txn_ids) == len(nows):
         raise ValueError("targets, txn_ids and nows must share one length")
@@ -530,18 +442,11 @@ def materialize(
     index = bn.index()
     selection = index.selection(fanout)
 
-    want_layers = layer_row_fn is not None and n > 0
-    layer_names = _layer_names(model)
-    prior_layers: Mapping[str, np.ndarray] = {}
     if prior is not None:
         if int(prior.hops) != int(hops) or prior.fanout != fanout:
             raise ValueError("prior state hops/fanout do not match the request")
         if int(prior.bn_version) > int(bn.version):
             raise ValueError("prior state's bn_version is newer than bn.version")
-        if want_layers:
-            if not prior.has_layers_of(model):
-                raise ValueError("prior state lacks the model's layer arrays")
-            prior_layers = prior.layers
 
     # --- seeds: targets the prior does not cover with this provenance -----
     if prior is not None and prior.num_nodes:
@@ -556,7 +461,6 @@ def materialize(
         )
     else:
         prior_rows = np.zeros(n, dtype=np.int64)
-        has_prior = np.zeros(n, dtype=bool)
         target_seeds = np.ones(n, dtype=bool)
 
     # --- score cone over the current selection graph -----------------------
@@ -569,11 +473,10 @@ def materialize(
         ]
     )
     seed_positions = seed_positions[seed_positions >= 0]
-    # With every target a seed (a full pass) both cones are every target:
-    # neither is built.
-    every_target = bool(target_seeds.all())
+    # With every target a seed (a full pass) the cone is every target: it
+    # is not built.
     affected = target_seeds.copy()
-    if len(seed_positions) and not every_target:
+    if len(seed_positions) and not target_seeds.all():
         cone_mask = _score_cone(selection, seed_positions, hops)
         affected[registered] |= cone_mask[target_positions[registered]]
     affected_idx = np.flatnonzero(affected)
@@ -606,8 +509,6 @@ def materialize(
         score(bound) if result is None else result
         for bound, result in zip(bounds, served)
     ]
-    if observer is not None:
-        observer("scores")
 
     # --- splice scores + subgraph CSR --------------------------------------
     kept_prior = prior_rows[keep_idx]
@@ -632,72 +533,6 @@ def materialize(
         ]
     stats = _sample_stats(results, len(affected_idx))
 
-    # --- splice layer states ------------------------------------------------
-    layers: dict[str, np.ndarray] = {}
-    rows = np.empty(0, dtype=np.int64)
-    if want_layers:
-        # Layer cone: targets within SAO depth of a seed, walking only
-        # through other targets (the layer pass runs on the target-induced
-        # adjacency).  Seeds without a graph position have no neighbours
-        # but still need fresh (isolated) rows.
-        rows = np.arange(n)
-        if not every_target:
-            member_mask = np.zeros(index.num_nodes, dtype=bool)
-            member_mask[target_positions[registered]] = True
-            row_of_position = np.full(index.num_nodes, -1, dtype=np.int64)
-            row_of_position[target_positions[registered]] = np.flatnonzero(registered)
-            rows_mask = target_seeds & ~registered
-            cone = _layer_cone(index, seed_positions, len(model.hidden), member_mask)
-            rows_mask[row_of_position[cone]] = True
-            rows = np.flatnonzero(rows_mask)
-
-        def spliced(name: str, fresh: np.ndarray) -> np.ndarray:
-            """``fresh`` in the cone ``rows``, the prior's rows elsewhere."""
-            out = np.zeros((n, fresh.shape[1]), dtype=fresh.dtype)
-            if name in prior_layers:
-                out[has_prior] = prior_layers[name][prior_rows[has_prior]]
-            out[rows] = fresh
-            return out
-
-        if len(rows):
-            aggregators = [
-                nn.PreparedAggregator(mean[rows])
-                for mean in row_mean_csr(
-                    _layer_adjacency(model, bn, node_ids, edge_type_order)
-                )
-            ]
-            need = np.zeros(n, dtype=bool)
-            need[rows] = True
-            for aggregator in aggregators:
-                need[np.unique(aggregator.matrix.indices)] = True
-            need_rows = np.flatnonzero(need)
-            x_full = np.zeros((n, model.in_dim), dtype=np.float64)
-            x_full[need_rows] = layer_row_fn(need_rows)
-
-            def inputs_fn(t: int, k: int, fresh_prev: np.ndarray | None):
-                if k == 0:
-                    return x_full
-                name = f"tower{t}.layer{k - 1}"
-                layers[name] = spliced(name, fresh_prev)
-                return layers[name]
-
-            with nn.no_grad():
-                fused, states = model.layer_states_rows(
-                    rows, inputs_fn, aggregators, observer
-                )
-            for t, tower_states in enumerate(states):
-                name = f"tower{t}.layer{len(tower_states) - 1}"
-                layers[name] = spliced(name, tower_states[-1].numpy())
-            layers["fused"] = spliced("fused", fused.numpy())
-            layers = {name: layers[name] for name in layer_names}
-        else:
-            # Empty cone (only reachable with a prior): every row carries over.
-            layers = {
-                name: spliced(name, prior_layers[name][:0]) for name in layer_names
-            }
-            if observer is not None:
-                observer("fused")
-
     state = HAGState(
         bn_version=int(bn.version),
         hops=int(hops),
@@ -708,7 +543,6 @@ def materialize(
         nows=now_arr,
         subgraph_indptr=indptr,
         subgraph_nodes=flat_nodes,
-        layers=layers,
     )
     mstats = MaterializeStats(
         mode="full" if prior is None else "incremental",
@@ -716,7 +550,6 @@ def materialize(
         rows_computed=len(affected_idx),
         edges_touched=int(sum(r.edges for r in results)),
         cone_rows=len(affected_idx),
-        layer_rows=len(rows),
         slices=len(bounds),
     )
     return state, stats, mstats

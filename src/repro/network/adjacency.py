@@ -1,6 +1,6 @@
 """Export BN (sub)graphs as per-type sparse adjacency matrices for GNNs.
 
-The whole-graph export (training, the lambda layer pass) reads the
+The whole-graph export that training reads comes from the
 network's memoized read index (``bn.index()``): its one inducer
 (:meth:`~repro.network.sharding.ShardIndex.induced_entries`, O(sum deg))
 gives every type's normalized entries over the nodes, and all edge types

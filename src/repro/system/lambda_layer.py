@@ -141,12 +141,11 @@ class LambdaLayer:
 
         Computes the exact serving-path score for every target
         (:func:`repro.core.lambda_infer.materialize` without a prior, over
-        the live network's read index), runs the layer pass,
-        checkpoints the state to storage, and resets delta tracking so
-        staleness counts start from this pass.
+        the live network's read index), checkpoints the state to storage,
+        and resets delta tracking so staleness counts start from this pass.
 
         The pass is traced as one ``lambda_batch`` root span with a
-        ``lambda_materialize`` child carrying per-stage children; its
+        ``lambda_materialize`` child timed on the wall clock; its
         charged duration (the packed model forwards plus the checkpoint
         write) is metered under ``turbo.lambda.*`` but never billed to any
         request.
@@ -160,8 +159,7 @@ class LambdaLayer:
         (:meth:`_ancestor`); anything else runs a full pass, so the call
         always leaves a fresh state behind.  Work is O(affected): only
         targets within ``hops`` of a touched node (plus targets whose
-        feature provenance changed) are rescored, and only layer rows
-        within SAO depth of a seed are recomputed — everything else is a
+        feature provenance changed) are rescored — everything else is a
         byte-copy of the prior state.
         """
         return self._run_pass(now, prior=self._ancestor())
@@ -172,8 +170,7 @@ class LambdaLayer:
         A valid ancestor was computed against the live BN *object* with
         delta tracking on ever since (so ``delta_touched`` accounts for
         every change between the two versions), under this layer's
-        ``hops`` / ``fanout``, and carries the model's layer arrays (the
-        splice copies untouched rows out of them).  Everything
+        ``hops`` / ``fanout``.  Everything
         :func:`~repro.core.lambda_infer.materialize` can still raise with
         such a prior is a bug, and propagates.
         """
@@ -182,8 +179,6 @@ class LambdaLayer:
         if state is None or self._bn is not bn or not bn.delta_tracking():
             return None
         if state.hops != self.hops or state.fanout != self.fanout:
-            return None
-        if not state.has_layers_of(self.prediction_server.model):
             return None
         return state
 
@@ -221,19 +216,7 @@ class LambdaLayer:
             matrix_rows.extend(context_row(uid) for uid in nodes[1:])
             return np.stack(matrix_rows)
 
-        def layer_row_fn(idx: np.ndarray) -> np.ndarray:
-            return scaler.transform(
-                np.stack([context_row(targets[int(i)]) for i in idx])
-            )
-
-        # Wall-clock stage marks from the materializer's observer; turned
-        # into lambda_materialize child spans after the pass.
-        marks: list[tuple[str, float]] = []
         wall_start = time.perf_counter()
-
-        def observer(name: str) -> None:
-            marks.append((name, time.perf_counter()))
-
         state, stats, mstats = materialize(
             self.prediction_server.model,
             bn,
@@ -248,8 +231,6 @@ class LambdaLayer:
             transform=scaler.transform,
             prior=prior,
             touched=None if prior is None else self._delta_touched(),
-            layer_row_fn=layer_row_fn,
-            observer=observer,
         )
         wall_seconds = time.perf_counter() - wall_start
 
@@ -297,13 +278,7 @@ class LambdaLayer:
             mat_span.annotate("rows_computed", mstats.rows_computed)
             mat_span.annotate("edges_touched", mstats.edges_touched)
             mat_span.annotate("cone_rows", mstats.cone_rows)
-            mat_span.annotate("layer_rows", mstats.layer_rows)
             mat_span.annotate("slices", mstats.slices)
-            previous_mark = wall_start
-            for stage, at_mark in marks:
-                child = mat_span.child(stage, now)
-                child.finish(at_mark - previous_mark)
-                previous_mark = at_mark
             mat_span.finish(wall_seconds)
             self.tracer.finish_trace(root, charged)
         return state, stats
@@ -325,10 +300,12 @@ class LambdaLayer:
     def load_checkpoint(self) -> HAGState | None:
         """Rebuild the last checkpointed state from storage (recovery path).
 
-        Installs it as the serving state only when it still matches the
-        live BN version *and* delta tracking survived (otherwise staleness
-        since the pass is unaccountable and serving it would be unsafe);
-        the deserialized state is returned either way.  A payload
+        Installs it as the serving state only when it was computed under
+        this layer's ``hops`` / ``fanout`` (otherwise its scores are not
+        what this layer's fresh path computes), still matches the live BN
+        version *and* delta tracking survived (otherwise staleness since
+        the pass is unaccountable and serving it would be unsafe); the
+        deserialized state is returned either way.  A payload
         :meth:`HAGState.from_arrays` rejects (truncated or corrupt
         checkpoint) is no checkpoint: ``None``, nothing installed.
         """
@@ -340,7 +317,12 @@ class LambdaLayer:
         except ValueError:
             return None
         bn = self.bn_server.bn
-        if state.bn_version == int(bn.version) and bn.delta_tracking():
+        if (
+            state.hops == self.hops
+            and state.fanout == self.fanout
+            and state.bn_version == int(bn.version)
+            and bn.delta_tracking()
+        ):
             self.state = state
             self._bn = bn
             self._delta_cache = None

@@ -167,15 +167,10 @@ class TestPredictionLeavesModeAlone:
         training = model.predict_proba(x, aggs)
         model.eval()
         assert np.array_equal(model.predict_proba(x, aggs), training)
-        embedding = np.random.default_rng(1).normal(size=(6, 4))
-        evaluated = model.head_proba(embedding)
-        model.train()
-        assert np.array_equal(model.head_proba(embedding), evaluated)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_mode_is_what_the_caller_left(self, training):
         model, x, aggs = self.build()
         model.train() if training else model.eval()
         model.predict_proba(x, aggs)
-        model.head_proba(np.zeros((6, 4)))
         assert model.training is training and model.head.training is training

@@ -6,24 +6,21 @@ Pinned contracts (see ``docs/LAMBDA.md`` — The materializer):
   :class:`~repro.core.lambda_infer.HAGState` whose scores and subgraph
   rows are **byte-identical** to the scalar serving path
   (:func:`~repro.network.sampling.computation_subgraph` +
-  :meth:`~repro.core.hag.HAG.predict_subgraph` per target) and whose layer
-  arrays are byte-identical to :meth:`~repro.core.hag.HAG.layer_states`
-  over the target-induced adjacency — at any chunk size and any slice
-  split, with or without an executor (a dead executor slot is recomputed
+  :meth:`~repro.core.hag.HAG.predict_subgraph` per target) — at any chunk
+  size and any slice split, with or without an executor (a dead executor slot is recomputed
   in-process) — including :func:`~repro.system.fork_pool.fork_map` with a
   child that ``SIGKILL``s itself mid-score — for CFO and CFO(-) models
   alike;
 * with a prior it recomputes only the delta's affected cone: at zero delta
   the refreshed state is a byte copy of the prior, under randomized delta
-  batches the scores are byte-equal to a fresh full pass while untouched
-  layer rows are byte copies of the prior (only ``layer_rows`` rows may
-  differ), and provenance changes (new transaction / as-of) force a
+  batches the scores and subgraph rows are byte-equal to a fresh full
+  pass, and provenance changes (new transaction / as-of) force a
   recompute of exactly those targets;
 * a prior that shares nothing with the request degenerates to the full
   pass byte for byte; the executor is consulted only when the cone is the
   whole target range; zero targets is an empty state;
-* an incompatible prior (hops/fanout drift, missing layer arrays, a
-  version the network has not reached) raises ``ValueError``.
+* an incompatible prior (hops/fanout drift, a version the network has
+  not reached) raises ``ValueError``.
 
 Features depend on the sorted-target index ``k`` the sweep hands
 ``feature_fn`` (the target's row carries it, as a transaction's features
@@ -31,7 +28,7 @@ would), so a sweep that hands the wrong target's ``k`` fails here.
 
 Every class runs twice: as written (CFO model) and through its ``NoCFO``
 subclass (the CFO(-) ablation, whose single merged tower takes the other
-branch of the packed scoring and of the layer adjacency).
+branch of the packed scoring).
 """
 
 from __future__ import annotations
@@ -42,10 +39,9 @@ import signal
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core import HAG, lambda_infer, materialize, prepare_aggregators
+from repro.core import HAG, lambda_infer, materialize
 from repro.datagen import BehaviorType
-from repro.network import BehaviorNetwork, typed_adjacency
+from repro.network import BehaviorNetwork
 from repro.network.sampling import computation_subgraphs_batch
 from repro.system.fork_pool import fork_map
 
@@ -125,8 +121,6 @@ def feature_fn_for(features):
 def run(setup_tuple, **kwargs):
     """One :func:`materialize` call over the setup (full pass by default)."""
     bn, model, features, types, targets = setup_tuple
-    rows = np.asarray(targets, dtype=np.int64)
-    kwargs.setdefault("layer_row_fn", lambda idx: features[rows[idx]])
     kwargs.setdefault("txn_ids", [10 * t for t in targets])
     return materialize(
         model, bn, targets, kwargs.pop("txn_ids"), [float(t) for t in targets],
@@ -140,9 +134,8 @@ def scalar_oracle(setup_tuple):
     """What the serving path computes, one target at a time.
 
     Scores and subgraph rows from ``computation_subgraph`` +
-    ``HAG.predict_subgraph``; layer arrays from ``HAG.layer_states`` over
-    the target-induced ``typed_adjacency``; sampling stats from the union
-    batch sampler the live server runs.
+    ``HAG.predict_subgraph``; sampling stats from the union batch sampler
+    the live server runs.
     """
     bn, model, features, types, targets = setup_tuple
     feature_fn = feature_fn_for(features)
@@ -153,40 +146,17 @@ def scalar_oracle(setup_tuple):
             subgraph, feature_fn(k, subgraph.nodes), edge_type_order=types
         ))
         nodes.append(np.asarray(subgraph.nodes, dtype=np.int64))
-    adjacency = typed_adjacency(bn, targets, types)
-    matrices = [adjacency[t] for t in types]
-    if not model.use_cfo:
-        merged = matrices[0]
-        for matrix in matrices[1:]:
-            merged = merged + matrix
-        matrices = [merged.tocsr()]
-    model.eval()
-    with nn.no_grad():
-        fused, states = model.layer_states(
-            nn.Tensor(features[np.asarray(targets, dtype=np.int64)]),
-            prepare_aggregators(matrices),
-        )
-    model.train()
-    layers = {
-        f"tower{t}.layer{k}": hidden.numpy()
-        for t, tower in enumerate(states)
-        for k, hidden in enumerate(tower)
-    }
-    layers["fused"] = fused.numpy()
     _, stats = computation_subgraphs_batch(
         bn.index(), targets, hops=HOPS, fanout=FANOUT
     )
-    return np.asarray(scores), nodes, layers, stats
+    return np.asarray(scores), nodes, stats
 
 
 def assert_matches_oracle(state, oracle):
-    scores, nodes, layers, _ = oracle
+    scores, nodes, _ = oracle
     assert state.scores.tobytes() == scores.tobytes()
     assert state.subgraph_nodes.tobytes() == np.concatenate(nodes).tobytes()
     assert np.diff(state.subgraph_indptr).tolist() == [len(n) for n in nodes]
-    assert state.layers.keys() == layers.keys()
-    for name, want in layers.items():
-        assert state.layers[name].tobytes() == want.tobytes(), name
 
 
 def assert_states_bitexact(got, want):
@@ -206,20 +176,21 @@ class TestFullGraphParity:
     def test_bitexact_vs_replay(self, setup, oracle):
         got, got_stats, mstats = run(setup)
         assert_matches_oracle(got, oracle)
-        assert got_stats == oracle[3]
+        assert got_stats == oracle[2]
         assert mstats.mode == "full"
-        assert mstats.rows_computed == mstats.layer_rows == len(setup[4])
+        assert mstats.rows_computed == len(setup[4])
         assert mstats.edges_touched > 0
 
     def test_full_pass_builds_no_cone(self, setup, oracle, monkeypatch):
-        """Every target of a full pass is a seed, so neither cone can add a
-        row: the pass runs without them and its state is the replay's."""
-        for cone in ("_score_cone", "_layer_cone"):
-            monkeypatch.setattr(lambda_infer, cone, lambda *a: pytest.fail(cone))
+        """Every target of a full pass is a seed, so the cone cannot add a
+        row: the pass runs without it and its state is the replay's."""
+        monkeypatch.setattr(
+            lambda_infer, "_score_cone", lambda *a: pytest.fail("_score_cone")
+        )
         got, got_stats, mstats = run(setup)
         assert_matches_oracle(got, oracle)
-        assert got_stats == oracle[3]
-        assert mstats.rows_computed == mstats.layer_rows == len(setup[4])
+        assert got_stats == oracle[2]
+        assert mstats.rows_computed == len(setup[4])
 
     def test_scalar_packed_and_materialized_scores_agree(self, setup, oracle):
         """``predict_subgraph`` == ``predict_subgraphs`` == ``materialize``,
@@ -297,12 +268,10 @@ class TestFullGraphParity:
             return fork_map(score, bounds)
 
         want, want_stats, _ = run(setup)
-        rows = np.asarray(targets, dtype=np.int64)
         got, got_stats, mstats = materialize(
             model, bn, targets, [10 * t for t in targets],
             [float(t) for t in targets], feature_fn,
             hops=HOPS, fanout=FANOUT, edge_type_order=types,
-            layer_row_fn=lambda idx: features[rows[idx]],
             executor=executor, slices=slices,
         )
         assert_states_bitexact(got, want)
@@ -323,10 +292,10 @@ class TestFullGraphParity:
             (bn, model, features, types, []),
             executor=lambda score, bounds: consulted.append(bounds), slices=4,
         )
-        assert state.num_nodes == 0 and state.layers == {}
+        assert state.num_nodes == 0
         assert state.subgraph_indptr.tolist() == [0]
         assert stats.requests == stats.sampled_nodes == 0
-        assert mstats.rows_computed == mstats.layer_rows == 0
+        assert mstats.rows_computed == 0
         assert consulted == []
 
 
@@ -342,13 +311,12 @@ class TestIncremental:
         state, _, mstats = run(setup, prior=prior, touched={})
         assert mstats.mode == "incremental"
         assert mstats.rows_computed == 0
-        assert mstats.layer_rows == 0
         assert_states_bitexact(state, prior)
 
     @pytest.mark.parametrize("delta_seed", (1, 2, 3))
     def test_randomized_delta_cone(self, delta_seed):
-        """Cone property: scores byte-equal a fresh full pass; untouched
-        layer rows are byte copies of the prior."""
+        """Cone property: scores and subgraph rows byte-equal a fresh full
+        pass while only the cone is rescored."""
         # Sparse on purpose: with mean degree ~2 a two-hop reverse cone
         # around a couple of touched edges stays far from covering the
         # whole target set, so the O(affected) claim is actually exercised.
@@ -378,18 +346,6 @@ class TestIncremental:
         # A partial cone is not a contiguous range: never handed to the
         # executor, scored in-process as one slice.
         assert consulted == [] and mstats.slices == 1
-
-        # Layers: equal to fresh within numerics everywhere; rows that are
-        # not byte copies of the prior are exactly the recomputed cone.
-        recomputed = np.zeros(len(targets), dtype=bool)
-        for name, want in fresh.layers.items():
-            got = state.layers[name]
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-            prior_arr = prior.layers[name]
-            for row in range(len(targets)):
-                if got[row].tobytes() != prior_arr[row].tobytes():
-                    recomputed[row] = True
-        assert int(recomputed.sum()) <= mstats.layer_rows
 
     def test_provenance_change_recomputes_target(self, setup):
         targets = setup[4]
@@ -423,19 +379,12 @@ class TestIncremental:
         assert got_stats == want_stats
         assert mstats.mode == "incremental"
         assert mstats.rows_computed == want_mstats.rows_computed == len(targets)
-        assert mstats.layer_rows == len(targets)
         assert len(calls) == 1 and len(calls[0]) == 3
 
     def test_hops_mismatch_rejected(self, setup):
         prior, _, _ = run(setup)
         with pytest.raises(ValueError):
             run(setup, prior=prior, hops=HOPS + 1)
-
-    def test_missing_layer_arrays_rejected(self, setup):
-        prior, _, _ = run(setup)
-        prior.layers.pop("fused")
-        with pytest.raises(ValueError):
-            run(setup, prior=prior)
 
 
 class TestIncrementalNoCFO(TestIncremental):

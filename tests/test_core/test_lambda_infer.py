@@ -5,9 +5,8 @@ Pins the lambda tentpole's core guarantees (PR 8):
 * :class:`~repro.core.lambda_infer.HAGState` validates its aligned
   per-node columns, answers exact-provenance lookups, and prices
   staleness over the cached subgraph node sets;
-* ``to_arrays``/``from_arrays`` round-trip losslessly (including the
-  layer states), which is what the storage checkpoint relies on — and a
-  payload that does not describe one consistent state
+* ``to_arrays``/``from_arrays`` round-trip losslessly, which is what the
+  storage checkpoint relies on — and a payload that does not describe one consistent state
   (:data:`CORRUPTIONS`) is a ``ValueError`` naming the array, never a
   state that serves;
 * :func:`~repro.core.lambda_infer.materialize` replays the exact scalar
@@ -47,7 +46,14 @@ CORRUPTIONS = {
         _set("subgraph_indptr", lambda a: np.concatenate([a[:1], a[2:0:-1], a[3:]])),
         "subgraph_indptr",
     ),
-    "short_layer_array": (_set("state:fused", lambda a: a[:-1]), "fused"),
+    # An older checkpoint format's layer array (one row per node) is
+    # refused, not half-read.
+    "layer_array": (
+        lambda arrays: arrays.__setitem__(
+            "state:fused", np.zeros((len(arrays["node_ids"]), 2))
+        ),
+        "state:fused",
+    ),
     "nan_score": (
         _set("scores", lambda a: np.where(np.arange(len(a)) == 0, np.nan, a)),
         "scores",
@@ -57,7 +63,7 @@ CORRUPTIONS = {
 }
 
 
-def small_state(layers: dict | None = None) -> HAGState:
+def small_state() -> HAGState:
     return HAGState(
         bn_version=7,
         hops=2,
@@ -68,7 +74,6 @@ def small_state(layers: dict | None = None) -> HAGState:
         nows=np.array([1.0, 2.0, 3.0]),
         subgraph_indptr=np.array([0, 2, 3, 6], dtype=np.int64),
         subgraph_nodes=np.array([3, 4, 5, 9, 4, 11], dtype=np.int64),
-        layers=layers or {},
     )
 
 
@@ -137,15 +142,9 @@ class TestHAGState:
         assert state.staleness_of(2, touched) == 3  # nodes 4 and 11
         assert state.staleness_of(2, {}) == 0
 
-    def test_round_trip_including_layers(self):
-        rng = np.random.default_rng(0)
-        layers = {
-            "tower0.layer0": rng.normal(size=(3, 4)),
-            "fused": rng.normal(size=(3, 2)),
-        }
-        state = small_state(layers=layers)
-        arrays = state.to_arrays()
-        back = HAGState.from_arrays(arrays)
+    def test_round_trip_is_lossless(self):
+        state = small_state()
+        back = HAGState.from_arrays(state.to_arrays())
         assert back.bn_version == state.bn_version
         assert back.hops == state.hops
         assert back.fanout == state.fanout
@@ -155,9 +154,6 @@ class TestHAGState:
         np.testing.assert_array_equal(back.nows, state.nows)
         np.testing.assert_array_equal(back.subgraph_indptr, state.subgraph_indptr)
         np.testing.assert_array_equal(back.subgraph_nodes, state.subgraph_nodes)
-        assert set(back.layers) == set(layers)
-        for name in layers:
-            np.testing.assert_array_equal(back.layers[name], layers[name])
 
     def test_round_trip_none_fanout(self):
         state = small_state()
@@ -174,7 +170,7 @@ class TestHAGState:
     def test_corrupt_payload_rejected(self, corruption):
         """A truncated/corrupt payload is a ValueError naming the array."""
         mutate, named = CORRUPTIONS[corruption]
-        arrays = small_state(layers={"fused": np.zeros((3, 2))}).to_arrays()
+        arrays = small_state().to_arrays()
         HAGState.from_arrays(arrays)  # sane before the corruption
         mutate(arrays)
         with pytest.raises(ValueError, match=named):
@@ -216,7 +212,6 @@ class TestMaterialize:
         assert stats.requests == len(targets)
         assert state.bn_version == int(tiny_bn.version)
         assert mstats.mode == "full" and mstats.rows_computed == len(targets)
-        assert state.layers == {}  # no layer_row_fn: a scores-only state
 
         for uid in targets:
             position = state.position_of(uid)
@@ -248,25 +243,6 @@ class TestMaterialize:
             hops=2, fanout=10, edge_type_order=types,
         )
         np.testing.assert_array_equal(one.scores, big.scores)
-
-    def test_layer_pass_shapes(self, tiny_bn, model_and_features):
-        model, features, types = model_and_features
-        targets = sorted(tiny_bn.nodes())[:8]
-        fn = lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)]
-        rows = np.asarray(sorted(targets), dtype=np.int64)
-        state, _, mstats = materialize(
-            model, tiny_bn, targets, [1] * 8, [0.0] * 8, fn,
-            hops=2, fanout=10, edge_type_order=types,
-            layer_row_fn=lambda idx: features[rows[idx]],
-        )
-        assert mstats.layer_rows == len(targets)
-        assert "fused" in state.layers
-        assert state.layers["fused"].shape[0] == len(targets)
-        # One hidden state per SAO layer per tower, rows aligned to targets.
-        for tower in range(len(types)):
-            for k in range(2):
-                hidden = state.layers[f"tower{tower}.layer{k}"]
-                assert hidden.shape[0] == len(targets)
 
     def test_duplicate_targets_rejected(self, tiny_bn, model_and_features):
         model, features, types = model_and_features

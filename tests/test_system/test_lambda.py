@@ -20,9 +20,9 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
   untouched users stay bit-exact, touched users drift by less than the
   pinned envelope;
 * refreshes extend the current state only when it is a valid ancestor
-  (same BN object, delta tracking on, same hops/fanout, layer arrays
-  present) and run a full pass otherwise; errors past that predicate
-  propagate.
+  (same BN object, delta tracking on, same hops/fanout) and run a full
+  pass otherwise; errors past that predicate propagate; a checkpoint
+  computed under another hops/fanout is never installed.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.scores, live.scores)
         np.testing.assert_array_equal(loaded.txn_ids, live.txn_ids)
         np.testing.assert_array_equal(loaded.nows, live.nows)
+        np.testing.assert_array_equal(loaded.subgraph_indptr, live.subgraph_indptr)
         np.testing.assert_array_equal(loaded.subgraph_nodes, live.subgraph_nodes)
-        assert set(loaded.layers) == set(live.layers)
 
     def test_fresh_layer_recovers_from_checkpoint(self, turbo):
         """A rebuilt speed layer serves the checkpointed scores (recovery)."""
@@ -204,6 +204,24 @@ class TestCheckpoint:
         assert hit is not None
         assert hit.score == float(state.scores[0])
 
+    @pytest.mark.parametrize("policy", [{"hops": 1}, {"fanout": 3}], ids=["hops", "fanout"])
+    def test_other_sampling_policy_is_not_installed(self, turbo, policy):
+        """A checkpoint scored under another hops/fanout is not what this
+        layer's fresh path computes: returned, never installed or served."""
+        lam = turbo.lambda_layer
+        kwargs = dict(hops=lam.hops, fanout=lam.fanout, allowed=lam.allowed)
+        rebuilt = LambdaLayer(
+            turbo.bn_server,
+            turbo.feature_server,
+            turbo.prediction_server,
+            lam.database,
+            **{**kwargs, **policy},
+        )
+        state = rebuilt.load_checkpoint()
+        assert state is not None and (state.hops, state.fanout) == (lam.hops, lam.fanout)
+        assert rebuilt.state is None
+        uid = int(state.node_ids[0])
+        assert rebuilt.lookup(uid, int(state.txn_ids[0]), float(state.nows[0])) is None
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_corrupt_checkpoint_is_not_installed(self, turbo, corruption):
@@ -458,10 +476,10 @@ class TestIncrementalRefresh:
         [
             lambda lam: setattr(lam, "hops", lam.hops - 1),
             lambda lam: setattr(lam, "fanout", lam.fanout - 1),
-            lambda lam: lam.state.layers.pop("fused"),
+            lambda lam: setattr(lam, "_bn", object()),
             lambda lam: setattr(lam._bn, "_delta", None),
         ],
-        ids=["hops", "fanout", "missing-layer", "tracking-off"],
+        ids=["hops", "fanout", "bn", "tracking-off"],
     )
     def test_invalid_ancestor_runs_a_full_pass(self, refreshable, invalidate):
         """A state the refresh cannot extend is not passed as the prior."""
@@ -495,7 +513,7 @@ class TestIncrementalRefresh:
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_passes_leave_the_model_mode_alone(self, refreshable, mode):
         """``model.training`` is the caller's: a full pass and a cone refresh
-        that both run the layer pass leave it as it was set."""
+        that rescores a target leave it as it was set."""
         lam = refreshable.lambda_layer
         model = lam.prediction_server.model
         getattr(model, mode)()
@@ -506,7 +524,7 @@ class TestIncrementalRefresh:
         lam._bn.add_weight(u, v, sorted(lam._bn.edge_types())[0], 1.0, now)
         lam.run_incremental_pass(now)
         assert lam.last_materialize.mode == "incremental"
-        assert lam.last_materialize.layer_rows > 0
+        assert lam.last_materialize.rows_computed > 0
         assert model.training is (mode == "train")
 
     def test_incremental_refresh_after_delta_matches_full(self, tiny_dataset):
@@ -538,17 +556,14 @@ class TestIncrementalRefresh:
 
         lam.run_batch_pass(turbo.clock.now())
         full = lam.state
-        # Scores and subgraphs must be byte-equal the fresh full sweep;
-        # layer rows recomputed through the rectangular path are equal
-        # within numerics (BLAS shape-dependence), untouched rows exactly.
+        # Scores and subgraphs must be byte-equal the fresh full sweep.
         assert incremental.scores.tobytes() == full.scores.tobytes()
+        assert (
+            incremental.subgraph_indptr.tobytes() == full.subgraph_indptr.tobytes()
+        )
         assert (
             incremental.subgraph_nodes.tobytes() == full.subgraph_nodes.tobytes()
         )
-        for name, want in full.layers.items():
-            np.testing.assert_allclose(
-                incremental.layers[name], want, rtol=1e-9, atol=1e-12
-            )
 
     def test_materialize_metrics_and_span(self, tiny_dataset):
         turbo, _data = deploy_turbo(tiny_dataset, lambda_config())
@@ -568,9 +583,6 @@ class TestIncrementalRefresh:
         mat = next(s for s in trace.children if s.name == "lambda_materialize")
         assert mat.attributes["mode"] == "incremental"
         assert mat.closed
-        stages = [child.name for child in mat.children]
-        assert "scores" in stages
-        assert "fused" in stages
 
     def test_stats_expose_materialize_counters(self, lambda_deployed):
         turbo, _ = lambda_deployed
@@ -660,7 +672,12 @@ class TestContextRowStore:
         server.observe([newer])  # refresh() rebuilds from the dataset: back to old
         server.refresh()
         lam.run_batch_pass(now)
-        assert sorted(context_computes) == sorted(int(u) for u in lam.state.node_ids)
+        # The pass reads the context rows of its subgraphs' non-target
+        # nodes: each one computed once.
+        context_nodes = {
+            int(u) for row in range(lam.state.num_nodes) for u in lam.state.subgraph_of(row)[1:]
+        }
+        assert sorted(context_computes) == sorted(context_nodes)
         assert lam.state.num_nodes == covered
         check_bytes()
 

@@ -300,7 +300,6 @@ class TestPoolMaterialize:
         features = model_rng.normal(size=(200, 5))
         scaler = StandardScaler().fit(features)
         targets = sorted(int(t) for t in rng.choice(160, size=48, replace=False))
-        rows = np.asarray(targets, dtype=np.int64)
 
         def run(**kwargs):
             return materialize(
@@ -309,7 +308,6 @@ class TestPoolMaterialize:
                 lambda k, nodes: features[np.asarray(nodes, dtype=np.int64)],
                 hops=2, fanout=5, edge_type_order=types,
                 transform=scaler.transform,
-                layer_row_fn=lambda idx: scaler.transform(features[rows[idx]]),
                 **kwargs,
             )
 
