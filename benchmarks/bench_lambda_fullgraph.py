@@ -307,7 +307,6 @@ def bench_incremental(sweep: Sweep, prior, targets) -> dict:
         "delta_edges": DELTA_EDGES,
         "touched_uids": len(touched),
         "rows_computed": mstats.rows_computed,
-        "cone_rows": mstats.cone_rows,
         "total_rows": mstats.total_rows,
         "fresh_fullpass_s": fresh_s,
         "incremental_s": incremental_s,

@@ -271,7 +271,7 @@ def cmd_lambda(args) -> int:
         last = lam.last_materialize
         print(
             f"{label}: mode={last.mode}  rows={last.rows_computed}/{last.total_rows}"
-            f"  edges={last.edges_touched}  cone={last.cone_rows}"
+            f"  edges={last.edges_touched}"
         )
 
     report_materialize("deploy pass")

@@ -39,6 +39,7 @@ The speed layer that serves from this state lives in
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -61,6 +62,7 @@ _META_LEN = 3
 #: The arrays of a serialized state.
 _COLUMNS = (
     "meta",
+    "allowed",
     "node_ids",
     "scores",
     "txn_ids",
@@ -74,6 +76,15 @@ _COLUMNS = (
 #: GEMM, only a larger block-diagonal adjacency: 32 measured fastest
 #: (``docs/PERFORMANCE.md``).
 SCORE_CHUNK = 32
+
+
+def allowed_digest(allowed: set[int] | None) -> str | None:
+    """sha256 of a sampling policy's ``allowed`` set as sorted int64 uids
+    (``None`` for no restriction): what a :class:`HAGState` records of it."""
+    if allowed is None:
+        return None
+    uids = np.sort(np.fromiter(allowed, dtype=np.int64, count=len(allowed)))
+    return hashlib.sha256(uids.tobytes()).hexdigest()
 
 
 @dataclass(slots=True)
@@ -99,6 +110,11 @@ class HAGState:
       conservative superset of what could have changed the score, and
       exactly zero when no edges arrived.
 
+    ``allowed`` is the :func:`allowed_digest` of the sampling policy's
+    ``allowed`` set: the BFS skips every node outside it, so a state
+    scored under another set is not what this policy's fresh path
+    computes, however equal ``hops`` / ``fanout`` are.
+
     Construction validates that the columns describe one consistent state
     (``ValueError`` naming the offending array otherwise) — a truncated or
     corrupt checkpoint must not come back as a state whose empty subgraph
@@ -114,6 +130,7 @@ class HAGState:
     nows: np.ndarray
     subgraph_indptr: np.ndarray
     subgraph_nodes: np.ndarray
+    allowed: str | None = None
     _positions: dict[int, int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -202,6 +219,11 @@ class HAGState:
                 ],
                 dtype=np.int64,
             ),
+            # The digest's 32 bytes; empty for an unrestricted policy.
+            "allowed": np.frombuffer(
+                b"" if self.allowed is None else bytes.fromhex(self.allowed),
+                dtype=np.uint8,
+            ),
             "node_ids": np.asarray(self.node_ids, dtype=np.int64),
             "scores": np.asarray(self.scores, dtype=np.float64),
             "txn_ids": np.asarray(self.txn_ids, dtype=np.int64),
@@ -214,10 +236,11 @@ class HAGState:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "HAGState":
         """Rebuild a state from :meth:`to_arrays` output.
 
-        Raises ``ValueError`` when an array is missing, when one is not a
-        state column (an older checkpoint's ``state:*`` layer arrays), or
-        when the arrays do not describe a consistent state (see the class
-        docstring).
+        Raises ``ValueError`` when an array is missing (an older checkpoint
+        without the ``allowed`` digest, whose policy is unknown), when one
+        is not a state column (an older checkpoint's ``state:*`` layer
+        arrays), or when the arrays do not describe a consistent state
+        (see the class docstring).
         """
         missing = [name for name in _COLUMNS if name not in arrays]
         if missing:
@@ -229,6 +252,9 @@ class HAGState:
         if len(meta) != _META_LEN:
             raise ValueError("malformed HAGState meta array")
         fanout = int(meta[2])
+        digest = np.asarray(arrays["allowed"], dtype=np.uint8)
+        if len(digest) not in (0, 32):
+            raise ValueError("malformed HAGState allowed digest")
         return cls(
             bn_version=int(meta[0]),
             hops=int(meta[1]),
@@ -239,6 +265,7 @@ class HAGState:
             nows=np.asarray(arrays["nows"], dtype=np.float64),
             subgraph_indptr=np.asarray(arrays["subgraph_indptr"], dtype=np.int64),
             subgraph_nodes=np.asarray(arrays["subgraph_nodes"], dtype=np.int64),
+            allowed=digest.tobytes().hex() if len(digest) else None,
         )
 
 
@@ -251,15 +278,13 @@ class MaterializeStats:
     scores actually recomputed (all ``total_rows`` without a prior, only
     the affected cone with one).  ``edges_touched`` counts induced
     per-target adjacency entries processed by the scoring replay.
-    ``cone_rows`` is the score cone's size in target rows.  ``slices`` is
-    how many executor slices scored the sweep.
+    ``slices`` is how many executor slices scored the sweep.
     """
 
     mode: str
     total_rows: int
     rows_computed: int
     edges_touched: int
-    cone_rows: int
     slices: int = 1
 
 
@@ -409,8 +434,8 @@ def materialize(
     whole target set and the pass is a full sweep (``mode == "full"``):
     a pass whose targets are all seeds builds no cone.
     ``prior`` must be the state of an *ancestor* version of ``bn`` under
-    the same ``hops`` / ``fanout`` (``ValueError`` for a different
-    ``hops`` / ``fanout`` and for a version ``bn`` has not reached).
+    the same ``hops`` / ``fanout`` / ``allowed`` (``ValueError`` for a
+    different policy and for a version ``bn`` has not reached).
 
     The **score cone** is every target that can reach a seed within
     ``hops`` steps of the current selection graph (reverse BFS over the
@@ -441,10 +466,13 @@ def materialize(
 
     index = bn.index()
     selection = index.selection(fanout)
+    digest = allowed_digest(allowed)
 
     if prior is not None:
         if int(prior.hops) != int(hops) or prior.fanout != fanout:
             raise ValueError("prior state hops/fanout do not match the request")
+        if prior.allowed != digest:
+            raise ValueError("prior state's allowed set does not match the request")
         if int(prior.bn_version) > int(bn.version):
             raise ValueError("prior state's bn_version is newer than bn.version")
 
@@ -543,13 +571,13 @@ def materialize(
         nows=now_arr,
         subgraph_indptr=indptr,
         subgraph_nodes=flat_nodes,
+        allowed=digest,
     )
     mstats = MaterializeStats(
         mode="full" if prior is None else "incremental",
         total_rows=n,
         rows_computed=len(affected_idx),
         edges_touched=int(sum(r.edges for r in results)),
-        cone_rows=len(affected_idx),
         slices=len(bounds),
     )
     return state, stats, mstats

@@ -153,7 +153,9 @@ class Tensor:
     data:
         Array-like payload; converted to ``float64`` ndarray.
     requires_grad:
-        Whether gradients should be accumulated into ``self.grad``.
+        Whether gradients flow to this tensor.  Only a *leaf* (a tensor no
+        recorded op produced: parameters, inputs the caller creates)
+        accumulates them into ``self.grad``; an op's output keeps ``None``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
@@ -228,8 +230,8 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
+        if not self.requires_grad or self._backward is not None:
+            return  # only a leaf keeps its gradient
         if self.grad is None:
             self.grad = np.array(grad, dtype=np.float64, copy=True)
         else:
@@ -239,10 +241,12 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, adding into every leaf's ``.grad``.
 
         If ``grad`` is omitted the tensor must be scalar and a seed gradient
-        of 1.0 is used.
+        of 1.0 is used.  Intermediate gradients live only in the pass's
+        ``grads`` dict, until their node has propagated them.  The graph
+        survives, so a second call adds to the leaves again.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor without grad")
@@ -646,7 +650,7 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused ``x @ weight + bias`` as a single autograd node.
 
     One graph node instead of two kills the intermediate activation tensor
-    and one ``_accumulate`` pass per training step.  Bit-exact with the
+    and one propagation step per training step.  Bit-exact with the
     unfused pair: the forward is the same ``_blocked_matmul`` followed by
     the same broadcast add, and the unfused add's backward passes the
     incoming gradient through unchanged (``_unbroadcast`` to an identical

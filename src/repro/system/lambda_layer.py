@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..core.lambda_infer import HAGState, MaterializeStats, materialize
+from ..core.lambda_infer import HAGState, MaterializeStats, allowed_digest, materialize
 from ..network.sampling import BatchSampleStats
 from ..obs.tracing import Tracer
 
@@ -170,7 +170,7 @@ class LambdaLayer:
         A valid ancestor was computed against the live BN *object* with
         delta tracking on ever since (so ``delta_touched`` accounts for
         every change between the two versions), under this layer's
-        ``hops`` / ``fanout``.  Everything
+        ``hops`` / ``fanout`` / ``allowed``.  Everything
         :func:`~repro.core.lambda_infer.materialize` can still raise with
         such a prior is a bug, and propagates.
         """
@@ -178,9 +178,15 @@ class LambdaLayer:
         bn = self.bn_server.bn
         if state is None or self._bn is not bn or not bn.delta_tracking():
             return None
-        if state.hops != self.hops or state.fanout != self.fanout:
-            return None
-        return state
+        return state if self._same_policy(state) else None
+
+    def _same_policy(self, state: HAGState) -> bool:
+        """Whether ``state`` was scored under this layer's sampling policy."""
+        return (
+            state.hops == self.hops
+            and state.fanout == self.fanout
+            and state.allowed == allowed_digest(self.allowed)
+        )
 
     def _run_pass(
         self, now: float, *, prior: HAGState | None
@@ -266,9 +272,6 @@ class LambdaLayer:
             self.metrics.histogram(
                 "turbo.lambda.materialize.clock_seconds"
             ).observe(charged)
-            self.metrics.histogram("turbo.lambda.materialize.cone_rows").observe(
-                float(mstats.cone_rows)
-            )
         if root is not None:
             root.annotate("bn_version", state.bn_version)
             root.annotate("covered_nodes", state.num_nodes)
@@ -277,7 +280,6 @@ class LambdaLayer:
             mat_span.annotate("mode", mstats.mode)
             mat_span.annotate("rows_computed", mstats.rows_computed)
             mat_span.annotate("edges_touched", mstats.edges_touched)
-            mat_span.annotate("cone_rows", mstats.cone_rows)
             mat_span.annotate("slices", mstats.slices)
             mat_span.finish(wall_seconds)
             self.tracer.finish_trace(root, charged)
@@ -301,13 +303,13 @@ class LambdaLayer:
         """Rebuild the last checkpointed state from storage (recovery path).
 
         Installs it as the serving state only when it was computed under
-        this layer's ``hops`` / ``fanout`` (otherwise its scores are not
-        what this layer's fresh path computes), still matches the live BN
-        version *and* delta tracking survived (otherwise staleness since
-        the pass is unaccountable and serving it would be unsafe); the
-        deserialized state is returned either way.  A payload
-        :meth:`HAGState.from_arrays` rejects (truncated or corrupt
-        checkpoint) is no checkpoint: ``None``, nothing installed.
+        this layer's ``hops`` / ``fanout`` / ``allowed`` (otherwise its
+        scores are not what this layer's fresh path computes), still
+        matches the live BN version *and* delta tracking survived
+        (otherwise staleness since the pass is unaccountable and serving
+        it would be unsafe); the deserialized state is returned either
+        way.  A payload :meth:`HAGState.from_arrays` rejects (truncated or
+        corrupt checkpoint) is no checkpoint: ``None``, nothing installed.
         """
         rows, _seconds = self.database.query(_CHECKPOINT_TABLE, _CHECKPOINT_KEY)
         if not rows or rows[0] is None:
@@ -318,8 +320,7 @@ class LambdaLayer:
             return None
         bn = self.bn_server.bn
         if (
-            state.hops == self.hops
-            and state.fanout == self.fanout
+            self._same_policy(state)
             and state.bn_version == int(bn.version)
             and bn.delta_tracking()
         ):

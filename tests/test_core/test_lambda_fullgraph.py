@@ -19,8 +19,8 @@ Pinned contracts (see ``docs/LAMBDA.md`` — The materializer):
 * a prior that shares nothing with the request degenerates to the full
   pass byte for byte; the executor is consulted only when the cone is the
   whole target range; zero targets is an empty state;
-* an incompatible prior (hops/fanout drift, a version the network has
-  not reached) raises ``ValueError``.
+* an incompatible prior (hops/fanout/allowed drift, a version the
+  network has not reached) raises ``ValueError``.
 
 Features depend on the sorted-target index ``k`` the sweep hands
 ``feature_fn`` (the target's row carries it, as a transaction's features
@@ -385,6 +385,12 @@ class TestIncremental:
         prior, _, _ = run(setup)
         with pytest.raises(ValueError):
             run(setup, prior=prior, hops=HOPS + 1)
+
+    def test_allowed_mismatch_rejected(self, setup):
+        """A prior scored over every node is no ancestor of a restricted sweep."""
+        prior, _, _ = run(setup)
+        with pytest.raises(ValueError, match="allowed"):
+            run(setup, prior=prior, touched={}, allowed=set(setup[4]))
 
 
 class TestIncrementalNoCFO(TestIncremental):

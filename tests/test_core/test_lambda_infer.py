@@ -60,6 +60,9 @@ CORRUPTIONS = {
     ),
     "score_out_of_range": (_set("scores", lambda a: a + 1.0), "scores"),
     "missing_array": (_drop("txn_ids"), "txn_ids"),
+    # A checkpoint without the ``allowed`` digest was scored under an
+    # unknown policy.
+    "missing_allowed": (_drop("allowed"), "allowed"),
 }
 
 
@@ -144,10 +147,12 @@ class TestHAGState:
 
     def test_round_trip_is_lossless(self):
         state = small_state()
+        state.allowed = lambda_infer.allowed_digest({9, 3, 5, 4, 11})
         back = HAGState.from_arrays(state.to_arrays())
         assert back.bn_version == state.bn_version
         assert back.hops == state.hops
         assert back.fanout == state.fanout
+        assert back.allowed == state.allowed
         np.testing.assert_array_equal(back.node_ids, state.node_ids)
         np.testing.assert_array_equal(back.scores, state.scores)
         np.testing.assert_array_equal(back.txn_ids, state.txn_ids)
@@ -158,7 +163,8 @@ class TestHAGState:
     def test_round_trip_none_fanout(self):
         state = small_state()
         state.fanout = None
-        assert HAGState.from_arrays(state.to_arrays()).fanout is None
+        back = HAGState.from_arrays(state.to_arrays())
+        assert back.fanout is None and back.allowed is None
 
     def test_malformed_meta_rejected(self):
         arrays = small_state().to_arrays()

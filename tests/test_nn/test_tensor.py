@@ -246,6 +246,40 @@ class TestGraphMechanics:
         y.sum().backward()
         np.testing.assert_allclose(t.grad, [5.0])
 
+    @staticmethod
+    def shared_graph():
+        """``loss = sum(h * a + 3 h)`` with ``h = a * w``: the intermediate
+        ``h`` feeds two consumers and the leaf ``a`` is reached along three
+        paths (through ``h`` twice, and directly)."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([3.0, 4.0], requires_grad=True)
+        h = a * w
+        u = h * a
+        v = h * 3.0
+        s = u + v
+        loss = s.sum()
+        return (a, w), (h, u, v, s, loss)
+
+    def test_only_leaves_accumulate_grad(self):
+        (a, w), inner = self.shared_graph()
+        inner[-1].backward()
+        assert all(t._backward is not None for t in inner)
+        assert all(t.grad is None for t in inner)
+        # d/da (a^2 w + 3 a w) = 2 a w + 3 w; d/dw = a^2 + 3 a.
+        np.testing.assert_array_equal(a.grad, [15.0, 28.0])
+        np.testing.assert_array_equal(w.grad, [4.0, 10.0])
+
+    def test_second_backward_adds_to_leaf_grads(self):
+        """The graph survives ``backward``; without ``zero_grad`` a second
+        pass adds to the leaves (what ``influence_scores`` relies on)."""
+        (a, w), inner = self.shared_graph()
+        inner[-1].backward()
+        first = a.grad.copy(), w.grad.copy()
+        inner[-1].backward()
+        np.testing.assert_array_equal(a.grad, first[0] + first[0])
+        np.testing.assert_array_equal(w.grad, first[1] + first[1])
+        assert all(t.grad is None for t in inner)
+
     def test_as_tensor_idempotent(self):
         t = Tensor([1.0])
         assert as_tensor(t) is t

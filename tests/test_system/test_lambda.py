@@ -20,9 +20,9 @@ Contracts pinned here (see ``docs/LAMBDA.md``):
   untouched users stay bit-exact, touched users drift by less than the
   pinned envelope;
 * refreshes extend the current state only when it is a valid ancestor
-  (same BN object, delta tracking on, same hops/fanout) and run a full
-  pass otherwise; errors past that predicate propagate; a checkpoint
-  computed under another hops/fanout is never installed.
+  (same BN object, delta tracking on, same hops/fanout/allowed) and run a
+  full pass otherwise; errors past that predicate propagate; a checkpoint
+  computed under another hops/fanout/allowed is never installed.
 """
 
 from __future__ import annotations
@@ -204,10 +204,19 @@ class TestCheckpoint:
         assert hit is not None
         assert hit.score == float(state.scores[0])
 
-    @pytest.mark.parametrize("policy", [{"hops": 1}, {"fanout": 3}], ids=["hops", "fanout"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            lambda state: {"hops": 1},
+            lambda state: {"fanout": 3},
+            # Every other covered user: the BFS skips the rest.
+            lambda state: {"allowed": {int(u) for u in state.node_ids[::2]}},
+        ],
+        ids=["hops", "fanout", "allowed"],
+    )
     def test_other_sampling_policy_is_not_installed(self, turbo, policy):
-        """A checkpoint scored under another hops/fanout is not what this
-        layer's fresh path computes: returned, never installed or served."""
+        """A checkpoint scored under another hops/fanout/allowed is not what
+        this layer's fresh path computes: returned, never installed or served."""
         lam = turbo.lambda_layer
         kwargs = dict(hops=lam.hops, fanout=lam.fanout, allowed=lam.allowed)
         rebuilt = LambdaLayer(
@@ -215,7 +224,7 @@ class TestCheckpoint:
             turbo.feature_server,
             turbo.prediction_server,
             lam.database,
-            **{**kwargs, **policy},
+            **{**kwargs, **policy(lam.state)},
         )
         state = rebuilt.load_checkpoint()
         assert state is not None and (state.hops, state.fanout) == (lam.hops, lam.fanout)
@@ -575,7 +584,7 @@ class TestIncrementalRefresh:
         histograms = turbo.metrics.snapshot()["histograms"]
         assert "turbo.lambda.materialize.wall_seconds" in histograms
         assert "turbo.lambda.materialize.clock_seconds" in histograms
-        assert "turbo.lambda.materialize.cone_rows" in histograms
+        assert "turbo.lambda.batch_seconds" in histograms
 
         trace = next(
             t for t in reversed(turbo.tracer.traces) if t.name == "lambda_batch"
