@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from repro.core import HAG, prepare_aggregators
 from repro.datagen import BehaviorType
 from repro.network import BehaviorNetwork
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 
 from tests.oracles.sampling import computation_subgraph
 
@@ -174,3 +174,20 @@ class TestPredictionLeavesModeAlone:
         model.train() if training else model.eval()
         model.predict_proba(x, aggs)
         assert model.training is training and model.head.training is training
+
+
+class TestBuiltUnderNoGrad:
+    """``no_grad`` stops recording ops, not parameters: a HAG built inside
+    it (as a model manager materializes one) loads a trained state."""
+
+    def test_has_every_parameter_and_loads_a_state(self):
+        kwargs = dict(hidden=(32, 16), att_dim=32, cfo_att_dim=32, cfo_out_dim=8, mlp_hidden=(16,))
+        trained = HAG(6, 2, np.random.default_rng(0), **kwargs)
+        with no_grad():
+            built = HAG(6, 2, np.random.default_rng(1), **kwargs)
+        assert len(built.parameters()) == len(trained.parameters()) == 38
+        built.load_state_dict(trained.state_dict())
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(5, 6))
+        aggs = prepare_aggregators(random_adjacencies(5, 2, rng))
+        assert np.array_equal(built.predict_proba(x, aggs), trained.predict_proba(x, aggs))

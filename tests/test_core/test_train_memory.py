@@ -1,13 +1,13 @@
 """Transient memory of one training step: decided by traced bytes, not a clock.
 
-The forward of a training step records an autograd tape — every
-intermediate tensor with its inputs, ~25 MB for HAG at the deployed shape
-on the tiny dataset.  Backward used to keep a private copy of the gradient
-on every node of that tape, so its peak rose as far again above its start
-and the step's transient memory was twice the tape.  Only leaves (the
-parameters and the caller's inputs) accumulate ``.grad`` now; the gradients
-in flight are the ones the propagation still has to read, and backward's
-peak is a small fraction of the tape.
+The forward of a training step records an autograd tape.  It holds only
+the arrays backward reads (the operands of products, the outputs of
+``tanh``/``softmax``, masks, shapes): 10.7 MiB for HAG at the deployed
+shape on the tiny dataset, where holding every intermediate tensor took
+23.6 MiB.  Only leaves (the parameters and the caller's inputs)
+accumulate ``.grad``; the gradients in flight are the ones the
+propagation still has to read, so backward's peak is a fraction of the
+tape (it was the whole tape again while every node kept its gradient).
 
 ``tracemalloc`` counts the bytes numpy asks for, which does not depend on
 the host: the ceiling is asserted, the figures printed.
@@ -85,5 +85,5 @@ def test_backward_peak_is_a_fraction_of_the_forward_tape(tiny_dataset):
         f"forward tape {tape / 2**20:.2f} MiB, backward peak "
         f"{backward / 2**20:.2f} MiB above its start ({backward / tape:.1%} of the tape)"
     )
-    assert tape > 2**20
+    assert 2**20 < tape <= 13 * 2**20
     assert backward <= 0.25 * tape
