@@ -13,12 +13,11 @@ union-frontier adjacency gather) and score it through one packed
 ``predict_subgraphs`` forward, amortized per request.  The batched results
 are asserted bit-for-bit equal to the scalar ones at every scale.
 
-Since the sharding PR the table additionally carries a shard-count column:
-the same requests served data-parallel off a hash-partitioned BN facade
-(``SHARDS`` request partitions over one merged shard index), reported on
-the deployment clock (slowest partition — partitions run on separate
-cores in production).  Sharded results are asserted bit-for-bit equal to
-the batched ones at every scale.
+The table also carries a shard-count column: the same requests served
+data-parallel in ``SHARDS`` partitions by owner shard (``shard_of``) over
+the network's one read index, reported on the deployment clock (slowest
+partition — partitions run on separate cores in production).  Sharded
+results are asserted bit-for-bit equal to the batched ones at every scale.
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ import numpy as np
 from repro.core import HAG, TrainConfig, prepare_aggregators, train_node_classifier
 from repro.datagen import make_d1
 from repro.eval.runner import prepare_experiment
-from repro.network import (
-    BNBuilder,
-    ShardedBehaviorNetwork,
-    computation_subgraphs_batch,
-    shard_of,
-)
+from repro.network import BNBuilder, computation_subgraphs_batch, shard_of
 
 from _shared import SCALE, WINDOWS, emit, emit_header, once
 
@@ -117,11 +111,10 @@ def measure_at_scale(scale: float) -> dict[str, float]:
     batch_predict_s = time.perf_counter() - start
     assert batch_probs == scalar_probs, "batched predictions diverged from scalar"
 
-    # Sharded mode: the same requests partitioned by owner shard over one
-    # merged shard index, each partition sampled + scored independently.
+    # Sharded mode: the same requests partitioned by owner shard over the
+    # one read index, each partition sampled + scored independently.
     # Deployment clock = slowest partition; bit-exact vs the batched path.
-    sharded = ShardedBehaviorNetwork.from_network(data.bn, SHARDS)
-    shard_index = sharded.index()
+    shard_index = data.bn.index()
     owners = shard_of(np.asarray(uids, dtype=np.int64), SHARDS)
     partition_s = []
     sharded_probs: dict[int, float] = {}
@@ -194,8 +187,8 @@ def test_fig8b_scalability(benchmark):
     emit("and prediction latencies grow slowly (inductive, subgraph-bounded).")
     emit("b.sample / b.predict: the same 20 requests through the batched path")
     emit("(union-frontier sampling, one packed forward), amortized per request.")
-    emit("sh.serve: the same requests partitioned across BN shards and served")
-    emit("data-parallel off the merged shard index, deployment clock (slowest")
+    emit("sh.serve: the same requests partitioned by owner shard and served")
+    emit("data-parallel off the one read index, deployment clock (slowest")
     emit("partition), amortized per request — bit-exact vs the batched path.")
 
     small, large = sweep[SCALES[0]], sweep[SCALES[-1]]

@@ -29,9 +29,7 @@ repository root:
   **byte-identical** (chunk/slice invariance at scale);
 * ``pool_sweep`` — the same sweep forked into 8 slices
   (``executor=fork_map``; each child inherits the sweep's inputs by fork):
-  byte-identical to the in-process sweep, and what the sweep reads off
-  the 4-shard merged index (node ids, selection, pair table, normalized
-  weights) is byte-identical to the single network's index;
+  byte-identical to the in-process sweep;
 * ``incremental_refresh`` — a small random delta batch, then the same
   function with the big sweep's state as its prior: every state array
   must be byte-equal a fresh full pass while only the affected cone
@@ -73,7 +71,7 @@ import pytest
 from repro.core import HAG, materialize
 from repro.datagen import ScaleConfig, edge_stream
 from repro.features.pipeline import StandardScaler
-from repro.network import BehaviorNetwork, ShardedBehaviorNetwork
+from repro.network import BehaviorNetwork
 from repro.network.sampling import computation_subgraphs_batch
 from repro.system import fork_map
 
@@ -126,21 +124,19 @@ def model_bundle(config: ScaleConfig, features: np.ndarray) -> dict:
     }
 
 
-def ingest_paired(config: ScaleConfig) -> tuple[BehaviorNetwork, ShardedBehaviorNetwork]:
-    """Stream the workload into the single BN and the 4-shard BN at once."""
+def ingest(config: ScaleConfig) -> BehaviorNetwork:
+    """Stream the workload into one BN."""
     bn = BehaviorNetwork()
-    sharded = ShardedBehaviorNetwork(POOL_WORKERS)
     for chunk in edge_stream(config):
-        for network in (bn, sharded):
-            network.add_weights(
-                chunk.lo,
-                chunk.hi,
-                chunk.codes,
-                chunk.weights,
-                chunk.timestamp,
-                btype_table=config.edge_types,
-            )
-    return bn, sharded
+        bn.add_weights(
+            chunk.lo,
+            chunk.hi,
+            chunk.codes,
+            chunk.weights,
+            chunk.timestamp,
+            btype_table=config.edge_types,
+        )
+    return bn
 
 
 class Sweep:
@@ -234,30 +230,12 @@ def bench_state_parity(sweep: Sweep, big_state, targets) -> dict:
     }
 
 
-def sweep_inputs(index) -> dict:
-    """What the sweep reads off a read index: its arrays by name, and types."""
-    indptr, nbr = index.selection(FANOUT)
-    return {
-        "node_ids": index.node_ids.tobytes(),
-        "selection_indptr": indptr.tobytes(),
-        "selection_nbr": nbr.tobytes(),
-        "pair_lo_pos": index.pair_lo_pos.tobytes(),
-        "pair_hi_pos": index.pair_hi_pos.tobytes(),
-        "norm_weights": index.norm_weights.tobytes(),
-        "types": index.types,
-    }
-
-
-def bench_pool_sweep(sweep: Sweep, sharded, targets) -> dict:
+def bench_pool_sweep(sweep: Sweep, targets) -> dict:
     """Fork the sweep's slices into real processes; byte-equal in-process."""
     rng = np.random.default_rng(np.random.SeedSequence([sweep.config.seed, 13]))
     pool_targets = np.sort(
         rng.choice(targets, size=min(POOL_TARGETS, len(targets)), replace=False)
     )
-
-    # What the workers score against must not depend on the partitioning:
-    # the 4-shard merged index carries the same bytes.
-    shard_parity = sweep_inputs(sharded.index()) == sweep_inputs(sweep.bn.index())
 
     reference, reference_stats, _ = sweep.materialize(pool_targets)
     start = time.perf_counter()
@@ -272,9 +250,8 @@ def bench_pool_sweep(sweep: Sweep, sharded, targets) -> dict:
         "targets": int(len(pool_targets)),
         "slices": mstats.slices,
         "pool_sweep_s": pool_s,
-        "sampled_graph_bitexact_across_shards": bool(shard_parity),
         "mismatched_arrays": mismatched,
-        "parity": 1.0 if not mismatched and shard_parity else 0.0,
+        "parity": 1.0 if not mismatched else 0.0,
     }
 
 
@@ -327,10 +304,10 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
     bundle = model_bundle(config, features)
 
     ingest_start = time.perf_counter()
-    bn, sharded = ingest_paired(config)
+    bn = ingest(config)
     emit(
-        f"ingested {config.n_edges:,} contributions into 1 and "
-        f"{POOL_WORKERS} shards in {time.perf_counter() - ingest_start:.1f}s"
+        f"ingested {config.n_edges:,} contributions in "
+        f"{time.perf_counter() - ingest_start:.1f}s"
     )
     sweep = Sweep(bn, config, bundle, features)
     targets = np.asarray(sorted(bn.nodes()), dtype=np.int64)
@@ -394,7 +371,7 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
             )
         )
 
-        sections["pool_sweep"] = bench_pool_sweep(sweep, sharded, targets)
+        sections["pool_sweep"] = bench_pool_sweep(sweep, targets)
         emit(
             "pool sweep     {targets} targets forked into {slices} slices "
             "({pool_sweep_s:.1f}s) — "
@@ -410,9 +387,6 @@ def run_harness(result_path: Path = RESULT_PATH) -> dict:
                 },
             )
         )
-        del sharded
-        gc.collect()
-
         sections["incremental_refresh"] = bench_incremental(
             sweep, big_state, targets
         )

@@ -92,7 +92,7 @@ class HAGState:
     """Versioned per-node state of one lambda batch pass: scores, provenance
     and sampled subgraphs.
 
-    Keyed on ``bn_version`` — the facade version of the BN the pass ran
+    Keyed on ``bn_version`` — the version of the BN the pass ran
     against; a served score is only meaningful relative to that graph
     state plus whatever delta the speed layer accounts on top.
 

@@ -1,5 +1,6 @@
 """Evaluation: metrics, splits, experiment running, empirical analyses."""
 
+from .bootstrap import paired_bootstrap_ci
 from .metrics import (
     ClassificationReport,
     classification_report,
@@ -28,6 +29,7 @@ __all__ = [
     "confusion",
     "ClassificationReport",
     "classification_report",
+    "paired_bootstrap_ci",
     "split_by_uid",
     "ExperimentData",
     "MethodResult",

@@ -1,7 +1,7 @@
 """Behavior Network (BN): construction, maintenance, export, sampling."""
 
 from .adjacency import row_normalize, typed_adjacency
-from .bn import DEFAULT_EDGE_TTL, BehaviorNetwork, EdgeRecord
+from .bn import DEFAULT_EDGE_TTL, BehaviorNetwork
 from .builder import BNBuilder
 from .normalize import normalized_weight, type_weighted_degrees
 from .sampling import (
@@ -11,7 +11,6 @@ from .sampling import (
 )
 from .sharding import (
     ShardIndex,
-    ShardedBehaviorNetwork,
     build_shard_index,
     shard_of,
 )
@@ -20,7 +19,6 @@ from .windows import FAST_WINDOWS, PAPER_WINDOWS, validate_windows
 
 __all__ = [
     "BehaviorNetwork",
-    "EdgeRecord",
     "DEFAULT_EDGE_TTL",
     "BNBuilder",
     "BNSnapshot",
@@ -34,7 +32,6 @@ __all__ = [
     "BatchSampleStats",
     "shard_of",
     "ShardIndex",
-    "ShardedBehaviorNetwork",
     "build_shard_index",
     "PAPER_WINDOWS",
     "FAST_WINDOWS",

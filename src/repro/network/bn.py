@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, sharding imports this modul
     from .sharding import ShardIndex
 
 __all__ = [
-    "EdgeRecord",
     "BehaviorNetwork",
     "DEFAULT_EDGE_TTL",
     "prepare_weight_groups",
@@ -69,10 +68,7 @@ class WeightGroups:
     that reads no network state (validation, lo/hi canonicalization, stable
     grouping, key boxing).  :meth:`BehaviorNetwork.apply_weight_groups`
     folds each segment onto its record; the two together are bit-for-bit
-    the original ``add_weights``.  A
-    :class:`~repro.network.sharding.ShardedBehaviorNetwork` prepares a batch
-    once and hands each owner shard its segments (:meth:`take`), all in one
-    process.
+    the original ``add_weights``.
     """
 
     n: int  # contributions in the batch
@@ -85,33 +81,6 @@ class WeightGroups:
     ts_scalar: float  # shared stamp when ``latest`` is None
     latest: list[float] | None  # per-segment max timestamp (None: scalar ts)
     bucket_ids: list[int] | None  # per-segment expiry bucket (None: scalar ts)
-
-    def take(self, segments: np.ndarray) -> "WeightGroups":
-        """The sub-batch made of ``segments`` (ascending segment indices).
-
-        Segments are in ``(lo, hi, type)`` order and everything but ``n`` and
-        ``w_s`` is per segment, so the selection is what preparing only those
-        pairs' rows would have produced (``w_s`` is shared; ``starts`` and
-        ``ends`` index it).
-        """
-        picked = segments.tolist()
-
-        def pick(column: list | None) -> list | None:
-            return None if column is None else [column[k] for k in picked]
-
-        starts, ends = pick(self.starts), pick(self.ends)
-        return WeightGroups(
-            n=sum(ends) - sum(starts),
-            w_s=self.w_s,
-            starts=starts,
-            ends=ends,
-            key_lo=pick(self.key_lo),
-            key_hi=pick(self.key_hi),
-            key_types=pick(self.key_types),
-            ts_scalar=self.ts_scalar,
-            latest=pick(self.latest),
-            bucket_ids=pick(self.bucket_ids),
-        )
 
 
 def prepare_weight_groups(
@@ -261,9 +230,8 @@ class BehaviorNetwork:
         self.ttl = ttl
         self._edges: dict[tuple[int, int], dict[BehaviorType, EdgeRecord]] = {}
         # Insertion-ordered neighbour index (dict-as-ordered-set): neighbour
-        # iteration order equals pair-creation order, which is what lets a
-        # sharded deployment reconstruct the exact same order from flat
-        # arrays (see repro.network.sharding).
+        # iteration order equals pair-creation order, which the read index
+        # reconstructs from flat arrays (see repro.network.sharding).
         self._adjacency: dict[int, dict[int, None]] = {}
         # Pair-creation sequence tags: ``(lo, hi) -> seq`` stamped when the
         # pair first appears (and re-stamped on re-creation after expiry).
@@ -338,12 +306,10 @@ class BehaviorNetwork:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def _take_seq(self, seq: int | None) -> int:
-        """Claim a pair-creation sequence value, keeping the counter monotone."""
-        if seq is None:
-            seq = self._next_seq
-        self._next_seq = max(self._next_seq, seq + 1)
-        return seq
+    def _take_seq(self) -> int:
+        """Claim the next pair-creation sequence tag."""
+        self._next_seq += 1
+        return self._next_seq - 1
 
     def add_weight(
         self,
@@ -352,15 +318,12 @@ class BehaviorNetwork:
         btype: BehaviorType,
         weight: float,
         timestamp: float,
-        seq: int | None = None,
     ) -> None:
         """Accumulate ``weight`` onto the typed edge ``(u, v, btype)``.
 
         Thin scalar wrapper over the same record-update core as
         :meth:`add_weights`; every call bumps the snapshot version (batch
-        callers should use :meth:`add_weights`, which bumps once).  ``seq``
-        overrides the pair-creation sequence tag (sharded deployments pass
-        one global value so shards agree on creation order).
+        callers should use :meth:`add_weights`, which bumps once).
         """
         _check_contribution(u, v, weight, timestamp)
         key = _key(u, v)
@@ -368,7 +331,7 @@ class BehaviorNetwork:
         if records is None:
             records = {}
             self._edges[key] = records
-            self._pair_seq[key] = self._take_seq(seq)
+            self._pair_seq[key] = self._take_seq()
         record = records.get(btype)
         if record is None:
             record = EdgeRecord()
@@ -392,7 +355,6 @@ class BehaviorNetwork:
         weights: Sequence[float] | np.ndarray,
         timestamps: Sequence[float] | np.ndarray,
         btype_table: Sequence[BehaviorType] | None = None,
-        seq: int | None = None,
     ) -> int:
         """Apply a batch of weight contributions with **one** version bump.
 
@@ -427,9 +389,9 @@ class BehaviorNetwork:
         )
         if groups is None:
             return 0
-        return self.apply_weight_groups(groups, seq=seq)
+        return self.apply_weight_groups(groups)
 
-    def apply_weight_groups(self, groups: WeightGroups, seq: int | None = None) -> int:
+    def apply_weight_groups(self, groups: WeightGroups) -> int:
         """Apply a prepared batch (see :func:`prepare_weight_groups`).
 
         The stateful half of :meth:`add_weights`: walks the batch's typed-edge
@@ -456,7 +418,7 @@ class BehaviorNetwork:
         # Pairs created by this batch share one sequence tag; within the
         # batch they are created in (lo, hi) order, so ``(seq, lo, hi)``
         # totally orders pair creation across batches.
-        batch_seq = self._take_seq(seq)
+        batch_seq = self._take_seq()
         created = 0
         reg_keys: list[tuple[int, int, BehaviorType]] = []
         reg_buckets: list[int] | None = None if scalar_ts else []
@@ -691,8 +653,8 @@ class BehaviorNetwork:
         return self._version
 
     def index(self) -> ShardIndex:
-        """The network's read index — a one-block
-        :class:`~repro.network.sharding.ShardIndex` — memoized against
+        """The network's read index
+        (:class:`~repro.network.sharding.ShardIndex`), memoized against
         :attr:`version`.
 
         This is the network's only memoized flat view: repeated calls
@@ -702,15 +664,13 @@ class BehaviorNetwork:
         pairs in the change log.  A whole ``add_weights`` batch bumps the
         version once, so one window job costs at most one rebuild.  The
         batch sampler, the lambda sweep and :meth:`to_arrays` all read
-        it; a
-        :class:`~repro.network.sharding.ShardedBehaviorNetwork` provides
-        the same arrays through its own ``index()``.
+        it.
         """
         from .sharding import build_shard_index
 
         cached = self._index
         if cached is None or cached.version != self._version:
-            cached = build_shard_index([self], 1, self._version, base=cached)
+            cached = build_shard_index(self, self._version, base=cached)
             self._index = cached
         return cached
 

@@ -7,12 +7,12 @@ GraphSAGE-style inductive setting).  The BN server samples ``G_v`` when a
 detection request arrives.
 
 One sampler: :func:`computation_subgraphs_batch` is what every serving
-tier runs.  It reads the network's one flat read index (``bn.index()``,
-so an unsharded deployment is simply the one-block case of a sharded
-one), whose fanout-capped neighbour selection is ranked once per BN
-version (:meth:`~repro.network.sharding.ShardIndex.selection`): a
-request's BFS (:func:`_bfs_positions`) walks that CSR, and the index's
-one inducer (:meth:`~repro.network.sharding.ShardIndex.induced_entries`)
+tier runs.  It reads the network's one flat read index (``bn.index()``;
+a sharded deployment partitions the reads of the same index), whose
+fanout-capped neighbour selection is ranked once per BN version
+(:meth:`~repro.network.sharding.ShardIndex.selection`): a request's
+BFS (:func:`_bfs_positions`) walks that CSR, and the index's one
+inducer (:meth:`~repro.network.sharding.ShardIndex.induced_entries`)
 gives its adjacency.  The lambda sweep
 (:func:`repro.core.lambda_infer.score_slice`) runs the same two per
 target, and sampled training walks its own selection of the training
@@ -146,7 +146,7 @@ class BatchSampleStats:
     sampled_nodes: int  # sum of per-request subgraph sizes
     unique_nodes: int  # size of the union node set
     #: Request indices served from an incomplete frontier because one or
-    #: more shards were down (always empty on a plain network's one block).
+    #: more shards were down (always empty without a partition).
     partial: tuple[int, ...] = ()
 
     @property
@@ -161,14 +161,15 @@ def computation_subgraphs_batch(
     hops: int = 2,
     fanout: int | None = 25,
     allowed: set[int] | None = None,
+    owner: np.ndarray | None = None,
+    n_shards: int = 1,
     dead_shards: Collection[int] = (),
     on_exchange: Callable[[int, dict[int, int], int], None] | None = None,
 ) -> tuple[list[ComputationSubgraph], BatchSampleStats]:
     """Sample every target's ``G_v`` off a read index.
 
-    The one sampler under every serving tier: ``index`` is ``bn.index()`` of
-    a plain network (one block) or of a sharded facade (N blocks).  Each
-    target's ``hops``-hop BFS walks the index's selection CSR for
+    The one sampler under every serving tier; ``index`` is ``bn.index()``.
+    Each target's ``hops``-hop BFS walks the index's selection CSR for
     ``fanout`` (:meth:`ShardIndex.selection`, ranked once per BN version):
     per frontier node in order, its selection row in order, first
     occurrence wins, and a candidate joins only if ``allowed`` (``None``
@@ -180,18 +181,21 @@ def computation_subgraphs_batch(
     Nothing here allocates an array sized by the network: the BFS marks
     what it saw in scratch that every call reuses.
 
+    A sharded tier partitions the reads: ``owner`` is the owner shard of
+    every index position, ``shard_of(index.node_ids, n_shards)`` (a uid
+    the index lacks is owned by its ``shard_of``), and
     ``dead_shards`` are the shards that cannot serve: their rows select
     nothing.  A dead shard a walk tried to expand also loses its adjacency
     rows for the whole batch, and every request that expanded or holds
     one of its nodes is listed in ``stats.partial``.
     ``on_exchange(hop, rows_by_shard, lost)`` observes each hop's union
     frontier: its rows per owner shard and how many of them are on dead
-    shards.
+    shards.  Without ``owner`` the index is one shard that is never down.
     """
     if hops < 0:
         raise ValueError("hops must be non-negative")
     selection = index.selection(fanout)
-    node_ids, owner, n_shards = index.node_ids, index.owner_of_pos, index.n_shards
+    node_ids = index.node_ids
     targets = list(map(int, targets))
     dead = None
     if dead_shards:
@@ -208,7 +212,7 @@ def computation_subgraphs_batch(
         node_lists.append(nodes)
 
     partial = [False] * len(targets)
-    live_shards = None
+    gone = None
     if dead is not None:
         hit: set[int] = set()
         for i, (nodes, levels) in enumerate(zip(node_lists, levels_of)):
@@ -219,7 +223,6 @@ def computation_subgraphs_batch(
             partial[i] = bool(lost)
             hit.update(lost)
         if hit:
-            live_shards = [s for s in range(n_shards) if s not in hit]
             gone = np.zeros(n_shards, dtype=bool)
             gone[list(hit)] = True
             for i, positions in enumerate(found):
@@ -241,8 +244,9 @@ def computation_subgraphs_batch(
     np.not_equal(union[1:], union[:-1], out=first[1:])
     union = union[first]
     # Each request keeps the union entries between two of its nodes,
-    # renumbered to its own rows.
-    iu, iv, weights, codes = index.induced_entries(union, live_shards)
+    # renumbered to its own rows; a shard that lost its rows reads none.
+    live = None if gone is None else ~gone[owner[union]]
+    iu, iv, weights, codes = index.induced_entries(union, live)
     subgraphs: list[ComputationSubgraph] = []
     row_of = np.full(len(union), -1, dtype=np.int64)
     for target, nodes, positions in zip(targets, node_lists, found):

@@ -1,36 +1,28 @@
-"""Hash-partitioned sharding of the Behavior Network.
+"""The read index of the Behavior Network, and the hash partition over it.
 
 The deployed Turbo serves hundreds of millions of edges by partitioning the
-BN across machines (PAPER.md Fig. 8b); this module is that substrate in
-reproduction form.  Users are routed to shards by a stable integer hash
-(:func:`shard_of`), every shard holds an ordinary
-:class:`~repro.network.bn.BehaviorNetwork`, and
-:class:`ShardedBehaviorNetwork` presents the union as one network with a
-single cross-shard mutation counter (the *version barrier*).
+BN across machines (PAPER.md Fig. 8b).  Here the partition is a read-side
+fault domain only: one :class:`~repro.network.bn.BehaviorNetwork` takes
+every write, and a serving tier that partitions its reads maps each index
+position to an owner shard with the stable integer hash :func:`shard_of`
+(``shard_of(index.node_ids, n_shards)``, derived once per node set by
+:class:`~repro.system.shard_router.ShardRouter`).  A shard whose gate
+fails then selects nothing and loses its rows of the inducer (partial
+serving); the index itself does not depend on the shard count.
 
-Storage is **single-copy**: a pair ``(lo, hi)`` lives only on ``lo``'s owner
-shard, so one ingest batch splits into disjoint per-shard sub-batches and
-shard applies scale with the shard count (mirroring every edge on both
-endpoint owners would cap ingest speedup at ~2x).  The price is that no
-single shard can answer a neighbourhood query by itself — reads go through
-a merged, read-only :class:`ShardIndex` instead (the *build-time mirror
-exchange*), which is exactly the read-only-snapshot serving split the
-deployment needs anyway (BRIGHT-style decoupling of graph access from
-scoring, PAPERS.md).
+:class:`ShardIndex` is the network's one memoized flat view, the read-only
+snapshot that sampling and the lambda sweep read (BRIGHT-style decoupling
+of graph access from scoring, PAPERS.md): ``BehaviorNetwork.index()`` is
+:func:`build_shard_index` of the network, and ``to_arrays()`` is
+``index().snapshot()``.
 
-Every array reader reads the index, sharded or not: a plain
-:class:`~repro.network.bn.BehaviorNetwork`'s own ``index()`` is
-:func:`build_shard_index` over one shard, and ``to_arrays()`` on either
-class is ``index().snapshot()``.
-
-Bit-exactness is the contract that makes all of this testable: the merged
-index holds the same bytes at every shard count (the per-shard blocks
-aside) and reproduces, bit for bit, what the network's dicts expose —
+Bit-exactness is the contract that makes this testable: the index
+reproduces, bit for bit, what the network's dicts expose —
 
 * pair-creation order is reconstructed from per-pair sequence tags
   (``BehaviorNetwork`` stamps ``_pair_seq`` at creation; one ingest batch
   shares a tag and creates its pairs in ``(lo, hi)`` order, so sorting by
-  ``(seq, lo, hi)`` is the global ``_edges`` insertion order);
+  ``(seq, lo, hi)`` is the ``_edges`` insertion order);
 * per-type edge arrays, and therefore :class:`BNSnapshot` exports, equal a
   straight walk of ``iter_edges``, and the normalized weights equal the
   whole-graph snapshot mask's of ``tests/oracles/sampling.py``, including
@@ -39,18 +31,10 @@ aside) and reproduces, bit for bit, what the network's dicts expose —
   replays the creation-order neighbour lists and stable top-``fanout``
   ranking of the dict walk in ``tests/oracles/sampling.py``.
 
-``tests/test_network/test_sharding.py`` and
-``tests/test_system/test_sampler_tiers.py`` pin all three for shard counts
-{1, 2, 4, 8}.
-
-What is *not* state: the order in which a shard's own network registered
-its nodes (the key order of its ``_adjacency``).  A routed batch reaches a
-shard as a sub-batch sorted by ``(lo, hi)``, so that order depends on the
-shard count and on which entrance of the window job ran; nothing reads it —
-the index sorts the node ids, :meth:`ShardedBehaviorNetwork.nodes` sorts,
-``num_nodes`` builds a set — and tests compare a shard's nodes as a set.
-The registration order of an *unsharded* network stays state (it is what
-``from_network`` replays).
+``tests/test_network/test_index_patch.py`` pins the index against the
+every-pair walk of ``tests/oracles/read_index.py``, and
+``tests/test_system/test_sampler_fuzz.py`` pins partitioned reads at shard
+counts {1, 2, 4, 8} against the dict walk.
 """
 
 from __future__ import annotations
@@ -58,29 +42,21 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Collection, Iterator, Sequence
+from typing import Any, Collection, Sequence
 
 import numpy as np
 
 from ..datagen.behavior_types import BehaviorType
 from ..nn.sparse import csr_topk_rows
-from .bn import (
-    DEFAULT_EDGE_TTL,
-    BehaviorNetwork,
-    EdgeRecord,
-    _check_contribution,
-    prepare_weight_groups,
-)
+from .bn import BehaviorNetwork
 from .snapshot import BNSnapshot, TypedEdgeArrays, positions_of
 
 __all__ = [
     "shard_of",
     "ShardIndex",
     "build_shard_index",
-    "ShardedBehaviorNetwork",
 ]
 
-_MASK64 = (1 << 64) - 1
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 #: ``(indptr, nbr)``: a selection CSR, rows and neighbours as positions.
@@ -102,9 +78,8 @@ def _check_fanout(fanout: int | None) -> None:
 def shard_of(uids: Sequence[int] | np.ndarray, n_shards: int) -> np.ndarray:
     """Stable ``uid -> shard`` routing (vectorized splitmix64 finalizer).
 
-    Pure function of ``(uid, n_shards)`` — the same user lands on the same
-    shard in every process, which is what lets ingest routing and the merged
-    index agree without coordination.
+    Pure function of ``(uid, n_shards)``: the same user lands on the same
+    shard in every process and at every version of the network.
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -116,52 +91,27 @@ def shard_of(uids: Sequence[int] | np.ndarray, n_shards: int) -> np.ndarray:
     return (z % np.uint64(n_shards)).astype(np.int64)
 
 
-def _shard_of_int(uid: int, n_shards: int) -> int:
-    """Scalar twin of :func:`shard_of` (bit-identical, no array overhead)."""
-    z = (int(uid) + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return int(z % n_shards)
-
-
-@dataclass(slots=True)
-class ShardBlock:
-    """One shard's slice of the merged neighbour index.
-
-    ``own_positions`` are the snapshot positions this shard owns (sorted);
-    row ``i`` of the CSR (``indptr[i]:indptr[i+1]``) lists the half-edges of
-    ``own_positions[i]`` in pair-creation order: neighbour positions in
-    ``nbr_pos`` and the global pair-table index in ``pair_idx``.
-    """
-
-    own_positions: np.ndarray  # int64, sorted snapshot positions
-    indptr: np.ndarray  # int64, len(own_positions) + 1
-    nbr_pos: np.ndarray  # int64 neighbour snapshot positions
-    pair_idx: np.ndarray  # int64 indices into the global pair table
 
 
 @dataclass
 class ShardIndex:
-    """The merged, read-only flat view of a BN (one block when unsharded).
+    """The read-only flat view of a BN.
 
     The pair table (``pair_lo_pos``/``pair_hi_pos`` plus per-type dense
-    weight columns) is in global pair-creation order, so per-type masks of
-    it are the snapshot's edge arrays (:meth:`snapshot`); the
-    per-shard :class:`ShardBlock` CSRs give each shard creation-order
-    neighbour lists for the nodes it owns, and :meth:`selection` each
-    node's fanout-capped top-k of them.  :meth:`to_payload` names every
-    array of the view; ``degrees``, ``touched`` and ``base`` are what the
-    next build and the readers' version-keyed state patch from.  An index
-    built from a network is immutable: its arrays, and those of its
-    :meth:`snapshot` and its selections, are read-only, because the next
-    version's index copies its unchanged rows from them.
+    weight columns) is in pair-creation order, so per-type masks of it are
+    the snapshot's edge arrays (:meth:`snapshot`); the half-edge CSR
+    (``indptr``/``nbr``/``pair``) gives each node, by position, its
+    creation-order neighbour list, and :meth:`selection` each node's
+    fanout-capped top-k of it.  :meth:`to_payload` names every array of the
+    view; ``degrees``, ``touched`` and ``base`` are what the next build and
+    the readers' version-keyed state patch from.  An index built from a
+    network is immutable: its arrays, and those of its :meth:`snapshot` and
+    its selections, are read-only, because the next version's index copies
+    its unchanged rows from them.
     """
 
     version: int
-    n_shards: int
     node_ids: np.ndarray  # sorted int64 user ids
-    owner_of_pos: np.ndarray  # int64 owner shard per snapshot position
     pair_lo_pos: np.ndarray  # int64, len P
     pair_hi_pos: np.ndarray  # int64, len P
     pair_seq: np.ndarray  # int64, len P: creation sequence tags (ascending)
@@ -169,7 +119,12 @@ class ShardIndex:
     type_weights: dict[BehaviorType, np.ndarray]  # dense P raw weights
     norm_weights: np.ndarray  # (len(types), P) normalized, row k of types[k]
     type_last_update: dict[BehaviorType, np.ndarray]  # dense P timestamps
-    shards: list[ShardBlock]
+    #: Row ``p`` (``indptr[p]:indptr[p + 1]``) lists the half-edges of
+    #: position ``p`` in pair-creation order: neighbour positions in ``nbr``
+    #: and pair-table indices in ``pair``.
+    indptr: np.ndarray  # int64, num_nodes + 1
+    nbr: np.ndarray  # int64, 2 P
+    pair: np.ndarray  # int64, 2 P
     #: ``(len(types), num_nodes)`` weighted degree per type, the folds the
     #: normalisation divides by; the next patch keeps its untouched columns.
     degrees: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -177,7 +132,7 @@ class ShardIndex:
     #: of the empty base): the endpoints of the pairs written since ``base``
     #: and the nodes registered since.
     touched: np.ndarray | None = field(default=None, repr=False, compare=False)
-    #: registered nodes summed over the shards (a node count that only grows).
+    #: the network's registered-node count at this build (it only grows).
     _registered: int = field(default=0, repr=False, compare=False)
     _base_ref: "weakref.ref[ShardIndex] | None" = field(default=None, repr=False, compare=False)
     #: ``(3, len(types), P)``: the raw weights, timestamps and normalised
@@ -222,11 +177,12 @@ class ShardIndex:
             _check_fanout(fanout)
             weights = np.array([self.type_weights[btype] for btype in self.types])
             empty = (np.zeros(1, dtype=np.int64), _EMPTY_I64)
+            node = np.arange(self.num_nodes).repeat(np.diff(self.indptr))
             ranked = _ranked(
                 empty,
                 _EMPTY_I64,
                 np.ones(self.num_nodes, dtype=bool),
-                _half_edges(self.shards),
+                (node, self.nbr, self.pair),
                 weights.reshape(len(self.types), self.num_pairs),
                 fanout,
             )
@@ -234,9 +190,7 @@ class ShardIndex:
         return selection
 
     def induced_entries(
-        self,
-        union_positions: np.ndarray,
-        live_shards: Sequence[int] | None = None,
+        self, union_positions: np.ndarray, live: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(iu, iv, w, type_code)`` entries induced by the union node set.
 
@@ -255,8 +209,9 @@ class ShardIndex:
         (:data:`_ROWS`), so a call costs O(sum deg) and allocates nothing
         sized by the network.  ``union_positions`` are distinct, in any
         order, and may contain ``-1`` (unregistered nodes stay isolated
-        rows, as in the dense path); ``live_shards`` drops rows owned by
-        dead shards (partial serving).
+        rows, as in the dense path); ``live``, a mask over them, leaves
+        out the rows it is ``False`` for (partial serving: the rows of the
+        shards that are down), so a pair whose ``lo`` row is left out goes.
         """
         inside = union_positions >= 0
         inside_pos = union_positions[inside]
@@ -265,7 +220,8 @@ class ShardIndex:
             lookup = _ROWS[0] = np.full(max(n, 2 * len(lookup)), -1, dtype=np.int64)
         try:
             lookup[inside_pos] = inside.nonzero()[0]
-            node, nbr, pair = self.row_gather(inside_pos, live_shards)
+            rows = inside_pos if live is None else union_positions[inside & live]
+            node, nbr, pair = self.row_gather(rows)
             # The gather order is free, as the pair ids are sorted below; a
             # pair is kept once, from its lo endpoint's row.
             candidates = pair[(lookup[nbr] >= 0) & (self.pair_lo_pos[pair] == node)]
@@ -282,37 +238,20 @@ class ShardIndex:
         finally:
             lookup[inside_pos] = -1
 
-    def row_gather(
-        self, positions: np.ndarray, live_shards: Sequence[int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(node, nbr, pair)`` of every half-edge in the rows of ``positions``.
-
-        Each block slices its members' rows in one vectorized gather, so
-        the half-edges come block by block, each member's in pair order.
-        ``live_shards`` leaves out the rows of the blocks it does not name.
-        """
-        owner = self.owner_of_pos[positions] if self.n_shards > 1 else None
-        parts = [(_EMPTY_I64, _EMPTY_I64, _EMPTY_I64)]
-        for s, block in enumerate(self.shards):
-            members = positions if owner is None else positions[owner == s]
-            if not len(members) or (live_shards is not None and s not in live_shards):
-                continue
-            local = block.own_positions.searchsorted(members)
-            starts = block.indptr[local]
-            lengths = block.indptr[local + 1] - starts
-            ends = lengths.cumsum()
-            gather = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
-            parts.append((members.repeat(lengths), block.nbr_pos[gather], block.pair_idx[gather]))
-        if len(parts) == 2:
-            return parts[1]
-        return tuple(map(np.concatenate, zip(*parts)))
+    def row_gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(node, nbr, pair)`` of every half-edge in the rows of ``positions``:
+        one vectorized gather, row after row, each row in pair order."""
+        starts = self.indptr[positions]
+        lengths = self.indptr[positions + 1] - starts
+        ends = lengths.cumsum()
+        total = ends[-1] if len(ends) else 0
+        gather = np.arange(total) + (starts - ends + lengths).repeat(lengths)
+        return positions.repeat(lengths), self.nbr[gather], self.pair[gather]
 
     def snapshot(self) -> BNSnapshot:
-        """The per-type edge-array view (what ``to_arrays()`` returns on
-        either network class), memoized: sorted node ids, and per type the
-        pairs carrying it in pair-creation order — so the degree
-        accumulation memoized inside the snapshot is partition-independent
-        too."""
+        """The per-type edge-array view (what ``to_arrays()`` returns),
+        memoized: sorted node ids, and per type the pairs carrying it in
+        pair-creation order."""
         if self._snapshot is None:
             edges: dict[BehaviorType, TypedEdgeArrays] = {}
             for btype in self.types:
@@ -337,12 +276,11 @@ class ShardIndex:
     def to_payload(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         """Every array of the index by name, plus JSON-safe meta.
 
-        The byte-level digest the parity suites compare across shard
-        counts and against a full re-walk of the network.
+        The byte-level digest the parity suites compare against a full
+        re-walk of the network.
         """
         arrays: dict[str, np.ndarray] = {
             "node_ids": self.node_ids,
-            "owner_of_pos": self.owner_of_pos,
             "pair_lo_pos": self.pair_lo_pos,
             "pair_hi_pos": self.pair_hi_pos,
             "pair_seq": self.pair_seq,
@@ -351,16 +289,8 @@ class ShardIndex:
             arrays[f"w:{btype.value}"] = self.type_weights[btype]
             arrays[f"wn:{btype.value}"] = norm
             arrays[f"lu:{btype.value}"] = self.type_last_update[btype]
-        for s, block in enumerate(self.shards):
-            arrays[f"blk{s}:own"] = block.own_positions
-            arrays[f"blk{s}:indptr"] = block.indptr
-            arrays[f"blk{s}:nbr"] = block.nbr_pos
-            arrays[f"blk{s}:pair"] = block.pair_idx
-        meta = {
-            "version": self.version,
-            "n_shards": self.n_shards,
-            "types": [btype.value for btype in self.types],
-        }
+        arrays["indptr"], arrays["nbr"], arrays["pair"] = self.indptr, self.nbr, self.pair
+        meta = {"version": self.version, "types": [btype.value for btype in self.types]}
         return arrays, meta
 
 
@@ -382,7 +312,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _export_pair_table(bn: BehaviorNetwork, pairs: Collection[tuple[int, int]]) -> _PairTable:
-    """One pass over ``pairs`` of a shard's edge dict, rows in ``pairs`` order.
+    """One pass over ``pairs`` of the network's edge dict, rows in ``pairs`` order.
 
     Per-type dense columns carry 0.0 where the pair lacks the type (edge
     weights are strictly positive, so 0.0 unambiguously means "absent").
@@ -407,14 +337,12 @@ def _export_pair_table(bn: BehaviorNetwork, pairs: Collection[tuple[int, int]]) 
     return lo, hi, seq, w_by, lu_by
 
 
-def _empty_index(n_shards: int) -> ShardIndex:
-    """What a first build patches: no node, no pair, ``n_shards`` empty blocks."""
+def _empty_index() -> ShardIndex:
+    """What a first build patches: no node, no pair."""
     empty = _EMPTY_I64
     return ShardIndex(
         version=-1,
-        n_shards=n_shards,
         node_ids=empty,
-        owner_of_pos=empty,
         pair_lo_pos=empty,
         pair_hi_pos=empty,
         pair_seq=empty,
@@ -422,7 +350,9 @@ def _empty_index(n_shards: int) -> ShardIndex:
         type_weights={},
         norm_weights=np.zeros((0, 0)),
         type_last_update={},
-        shards=[ShardBlock(empty, np.zeros(1, dtype=np.int64), empty, empty)] * n_shards,
+        indptr=np.zeros(1, dtype=np.int64),
+        nbr=empty,
+        pair=empty,
         degrees=np.zeros((0, 0)),
         _columns=np.zeros((3, 0, 0)),
     )
@@ -518,41 +448,6 @@ def _spliced(
     return indptr, *(np.concatenate([old, new])[gather] for old, new in columns)
 
 
-def _spliced_block(
-    old: ShardBlock,
-    own: np.ndarray,
-    rebuilt: np.ndarray,
-    halves: tuple[np.ndarray, np.ndarray, np.ndarray],
-    node_map: np.ndarray | None,
-    pair_map: np.ndarray,
-) -> ShardBlock:
-    """The block of positions ``own``: its ``rebuilt`` rows are ``halves``
-    (``(node, nbr, pair)``, sorted by node then pair), and every other row is
-    ``old``'s, its positions mapped by ``node_map`` and its pairs by
-    ``pair_map``."""
-    node_h, nbr_h, pair_h = halves
-    nbr_old, at = old.nbr_pos, None
-    if node_map is not None:
-        nbr_old, at = node_map[nbr_old], np.searchsorted(own, node_map[old.own_positions])
-    first = np.searchsorted(node_h, own)
-    counts = np.searchsorted(node_h, own, side="right") - first
-    indptr, nbr, pair = _spliced(
-        old.indptr, at, rebuilt, first, counts,
-        [(nbr_old, nbr_h), (pair_map[old.pair_idx], pair_h)],
-    )
-    return ShardBlock(own_positions=own, indptr=indptr, nbr_pos=nbr, pair_idx=pair)
-
-
-def _half_edges(blocks: Sequence[ShardBlock]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(node, nbr, pair)`` of every half-edge of ``blocks``, sorted by node
-    then pair (a node's half-edges are one row of its owner's block)."""
-    node = np.concatenate([np.repeat(b.own_positions, np.diff(b.indptr)) for b in blocks])
-    by_node = node.argsort(kind="stable")
-    nbr = np.concatenate([b.nbr_pos for b in blocks])
-    pair = np.concatenate([b.pair_idx for b in blocks])
-    return node[by_node], nbr[by_node], pair[by_node]
-
-
 def _ranked(
     base: _Selection,
     at: np.ndarray | None,
@@ -591,32 +486,26 @@ def _ranked(
 
 
 def build_shard_index(
-    shards: Sequence[BehaviorNetwork],
-    n_shards: int,
-    version: int,
-    base: ShardIndex | None = None,
+    bn: BehaviorNetwork, version: int, base: ShardIndex | None = None
 ) -> ShardIndex:
-    """Patch ``base`` with the shards' change logs into one :class:`ShardIndex`.
+    """Patch ``base`` with the network's change log into one :class:`ShardIndex`.
 
-    This is the build-time mirror exchange: each shard exports only the
-    pairs it stores (single copy, owner of ``lo``); the pair table is in
-    global pair-creation order, ``(seq, lo, hi)``; and *half-edges* go to
-    the owner of each endpoint, so every shard block serves creation-order
-    neighbour lists for all the nodes it owns, including those whose pairs
-    live elsewhere.
+    The pair table is in pair-creation order, ``(seq, lo, hi)``, and every
+    pair has a *half-edge* in the row of each endpoint, so the CSR serves
+    creation-order neighbour lists for every node.
 
     A build pays for the **touched nodes** — the endpoints of the pairs in
-    the change logs, plus any node registered since — when ``base`` is the
-    index the logs were last drained into:
+    the change log, plus any node registered since — when ``base`` is the
+    index the log was last drained into:
 
     * only the logged pairs are read from the dicts.  Every other row is
       copied from ``base`` (which is never written) in its order, and the
       re-read rows go in by ``searchsorted`` on ``(seq, lo, hi)``: a pair
       that kept its tag goes back to its row, a removed one is gone, and
       one created (or re-created) since carries a newer tag;
-    * ``node_ids`` and the owners are the base's unless a node was
-      registered (nodes are never removed, so the registration count
-      decides); then the base's positions are remapped in one pass;
+    * ``node_ids`` are the base's unless a node was registered (nodes are
+      never removed, so the registration count decides); then the base's
+      positions are remapped in one pass;
     * only touched nodes re-fold their per-type degrees, over their pairs
       in pair order, lo side then hi side — the order of the walk's two
       ``np.add.at`` passes — and only the pairs incident to them are
@@ -634,30 +523,26 @@ def build_shard_index(
     (``touched``) and, while that one is alive, the index it was patched
     from (``base``; ``None`` after a patch of the empty base), so that
     version-keyed state derived from the base can follow it.  Either way
-    the logs are drained into the new index.  A selection the base lacked
+    the log is drained into the new index.  A selection the base lacked
     is ranked on first read, as the same patch of an empty base.
     """
-    if base is not None and all(s._changed is not None and s._log_base is base for s in shards):
-        logs: list[Collection[tuple[int, int]]] = [s._changed for s in shards]
-        reads = [[pair for pair in s._changed if pair in s._edges] for s in shards]
+    if base is not None and bn._changed is not None and bn._log_base is base:
+        log: Collection[tuple[int, int]] = bn._changed
+        reads: Collection[tuple[int, int]] = [pair for pair in log if pair in bn._edges]
         parent = weakref.ref(base)
     else:
-        logs = reads = [s._edges for s in shards]
-        base, parent = _empty_index(n_shards), None
-    tables = [_export_pair_table(shard, pairs) for shard, pairs in zip(shards, reads)]
+        log = reads = bn._edges
+        base, parent = _empty_index(), None
+    table = _export_pair_table(bn, reads)
 
     # Nodes: the base's, unless one was registered since.  Touched: every
     # new node and every endpoint of a logged pair.
-    registered = sum(len(shard._adjacency) for shard in shards)
-    node_ids, owner_of_pos, node_map = base.node_ids, base.owner_of_pos, None
+    registered = len(bn._adjacency)
+    node_ids, node_map = base.node_ids, None
     if registered != base._registered:
-        ids = np.unique(
-            np.concatenate(
-                [np.fromiter(s._adjacency, np.int64, len(s._adjacency)) for s in shards]
-            )
-        )
+        ids = np.unique(np.fromiter(bn._adjacency, np.int64, registered))
         if len(ids) != base.num_nodes:
-            node_ids, owner_of_pos = ids, shard_of(ids, n_shards)
+            node_ids = ids
             node_map = np.searchsorted(node_ids, base.node_ids)
     n = len(node_ids)
     base_lo, base_hi = base.pair_lo_pos, base.pair_hi_pos
@@ -666,10 +551,8 @@ def build_shard_index(
         base_lo, base_hi = node_map[base_lo], node_map[base_hi]
         touched[:] = True
         touched[node_map] = False
-    logged = sum(map(len, logs))
     ends = np.searchsorted(
-        node_ids,
-        np.fromiter(chain.from_iterable(chain.from_iterable(logs)), np.int64, 2 * logged),
+        node_ids, np.fromiter(chain.from_iterable(log), np.int64, 2 * len(log))
     )
     touched[ends] = True
     touched_pos = touched.nonzero()[0]
@@ -681,9 +564,7 @@ def build_shard_index(
     dropped, dropped_codes = around[logged_out], codes[logged_out]
 
     # The re-read rows in (seq, lo, hi) order, and their places.
-    lo_uid = np.concatenate([t[0] for t in tables])
-    hi_uid = np.concatenate([t[1] for t in tables])
-    seq_new = np.concatenate([t[2] for t in tables])
+    lo_uid, hi_uid, seq_new, w_by, lu_by = table
     order = np.lexsort((hi_uid, lo_uid, seq_new))
     lo_uid, hi_uid, seq_new = lo_uid[order], hi_uid[order], seq_new[order]
     lo_new, hi_new = np.searchsorted(node_ids, lo_uid), np.searchsorted(node_ids, hi_uid)
@@ -711,18 +592,14 @@ def build_shard_index(
     hi_pos = _merged(base_hi, hi_new, source, new_slots)
     seq = _merged(base.pair_seq, seq_new, source, new_slots)
 
-    # Per-type columns: raw weights, timestamps and normalised weights.
-    types = tuple(sorted(set(base.types).union(*(t[3].keys() for t in tables))))
+    # Per-type columns: raw weights, timestamps and normalised weights; a
+    # re-read pair lacking a type is 0.0 there.
+    types = tuple(sorted(set(base.types).union(w_by)))
     rows = np.array([types.index(btype) for btype in base.types], dtype=np.int64)
-
-    def typed_rows(table: _PairTable) -> np.ndarray:
-        """``(3, types, pairs)`` of a re-read table; absent types are 0.0."""
-        lo, _, _, w_by, lu_by = table
-        absent = np.zeros(len(lo))
-        stacked = [[by.get(btype, absent) for btype in types] for by in (w_by, lu_by, {})]
-        return np.array(stacked).reshape(3, len(types), len(lo))
-
-    fresh = np.concatenate([typed_rows(table) for table in tables], axis=-1)
+    absent = np.zeros(len(lo_uid))
+    fresh = np.array(
+        [[by.get(btype, absent) for btype in types] for by in (w_by, lu_by, {})]
+    ).reshape(3, len(types), len(lo_uid))
     columns = _merged(
         _retyped(base._columns, rows, len(types)), fresh[:, :, order], source, new_slots
     )
@@ -753,43 +630,37 @@ def build_shard_index(
         columns, degrees = columns[:, alive], degrees[alive]
 
     # The half-edge CSR: the touched nodes' rows are rebuilt from their
-    # pairs, and each block's other rows are spliced in from the base's.
+    # pairs, sorted by node then pair, and the other rows are spliced in
+    # from the base's.
     from_lo, from_hi = touched[lo_j], touched[hi_j]
     node_h = np.concatenate([lo_j[from_lo], hi_j[from_hi]])
     nbr_h = np.concatenate([hi_j[from_lo], lo_j[from_hi]])
     pair_h = np.concatenate([incident[from_lo], incident[from_hi]])
-    half = np.lexsort((pair_h, node_h, owner_of_pos[node_h]))
-    node_h, nbr_h, pair_h = node_h[half], nbr_h[half], pair_h[half]
-    bounds = np.searchsorted(owner_of_pos[node_h], np.arange(n_shards + 1)).tolist()
-    blocks: list[ShardBlock] = []
-    for s, old in enumerate(base.shards):
-        own = old.own_positions if node_map is None else (owner_of_pos == s).nonzero()[0]
-        part = slice(bounds[s], bounds[s + 1])
-        halves = (node_h[part], nbr_h[part], pair_h[part])
-        blocks.append(_spliced_block(old, own, touched[own], halves, node_map, pair_map))
+    half = np.lexsort((pair_h, node_h))
+    halves = node_h[half], nbr_h[half], pair_h[half]
+    counts = np.bincount(halves[0], minlength=n)
+    nbr_old = base.nbr if node_map is None else node_map[base.nbr]
+    indptr, nbr, pair = _spliced(
+        base.indptr, node_map, touched, counts.cumsum() - counts, counts,
+        [(nbr_old, halves[1]), (pair_map[base.pair], halves[2])],
+    )
 
     # Every selection the base carried: re-ranked at the touched rows, and
     # spliced from the base's everywhere else.
     selections: dict[int | None, _Selection] = {}
-    if parent is not None and base._selections:
-        by_node = node_h.argsort(kind="stable")
-        halves = (node_h[by_node], nbr_h[by_node], pair_h[by_node])
-        for fanout, (indptr, nbr) in base._selections.items():
-            moved = (indptr, nbr if node_map is None else node_map[nbr])
+    if parent is not None:
+        for fanout, (sel_indptr, sel_nbr) in base._selections.items():
+            moved = (sel_indptr, sel_nbr if node_map is None else node_map[sel_nbr])
             selections[fanout] = _frozen(
                 *_ranked(moved, node_map, touched, halves, columns[0], fanout)
             )
 
     touched_ids = node_ids[touched_pos]
-    _frozen(columns, degrees, touched_ids, node_ids, owner_of_pos, lo_pos, hi_pos, seq)
-    for block in blocks:
-        _frozen(block.own_positions, block.indptr, block.nbr_pos, block.pair_idx)
+    _frozen(columns, degrees, touched_ids, node_ids, lo_pos, hi_pos, seq, indptr, nbr, pair)
     weights, last_update, norm_weights = columns
     index = ShardIndex(
         version=version,
-        n_shards=n_shards,
         node_ids=node_ids,
-        owner_of_pos=owner_of_pos,
         pair_lo_pos=lo_pos,
         pair_hi_pos=hi_pos,
         pair_seq=seq,
@@ -797,7 +668,9 @@ def build_shard_index(
         type_weights=dict(zip(types, weights)),
         norm_weights=norm_weights,
         type_last_update=dict(zip(types, last_update)),
-        shards=blocks,
+        indptr=indptr,
+        nbr=nbr,
+        pair=pair,
         degrees=degrees,
         touched=touched_ids,
         _registered=registered,
@@ -805,279 +678,5 @@ def build_shard_index(
         _columns=columns,
         _selections=selections,
     )
-    for shard in shards:
-        shard._changed, shard._log_base = set(), index
+    bn._changed, bn._log_base = set(), index
     return index
-
-
-class ShardedBehaviorNetwork:
-    """N hash-partitioned :class:`BehaviorNetwork` shards behind one facade.
-
-    Copies this much of the ``BehaviorNetwork`` surface and no more — what
-    ``BNBuilder.run_window_job``, ``BNServer`` and the lambda layer call,
-    plus the scalar ``add_weight`` and ``iter_edges`` the parity oracles
-    replay: the writes ``add_weights`` / ``add_weight`` / ``add_node`` /
-    ``expire_edges``, the delta tracking of the lambda speed layer, and the
-    reads ``ttl``, ``version``, ``index`` / ``to_arrays``, membership,
-    ``nodes`` / ``num_nodes`` / ``num_edges`` (plus its ``num_edges_scan``
-    check), ``edge_types``, ``degree`` and ``iter_edges``.  Mutations route
-    by the owner of the pair's ``lo`` endpoint and bump **one** facade
-    version per batch (the cross-shard version barrier); reads that need
-    cross-shard order (neighbour lists, snapshots, sampling) go through the
-    memoized :meth:`index`.
-    """
-
-    def __init__(self, n_shards: int, ttl: float = DEFAULT_EDGE_TTL) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = n_shards
-        self.ttl = ttl
-        self.shards = [BehaviorNetwork(ttl) for _ in range(n_shards)]
-        self._version = 0
-        self._next_seq = 0
-        self._index: ShardIndex | None = None
-        self._stats = {"batches": 0, "rows": 0, "cross_shard": 0}
-        self._shard_rows = [0] * n_shards
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def owner_of(self, uid: int) -> int:
-        """Owner shard of ``uid`` (stable hash routing)."""
-        return _shard_of_int(uid, self.n_shards)
-
-    def claim_seq(self, seq: int | None = None) -> int:
-        """Claim the next global pair-creation sequence tag."""
-        if seq is None:
-            seq = self._next_seq
-        self._next_seq = max(self._next_seq, seq + 1)
-        return seq
-
-    # ------------------------------------------------------------------
-    # Mutation (BehaviorNetwork surface)
-    # ------------------------------------------------------------------
-    def add_weight(
-        self,
-        u: int,
-        v: int,
-        btype: BehaviorType,
-        weight: float,
-        timestamp: float,
-        seq: int | None = None,
-    ) -> None:
-        """Scalar contribution, routed to the owner of ``min(u, v)``."""
-        _check_contribution(u, v, weight, timestamp)
-        lo, hi = (u, v) if u < v else (v, u)
-        owner = self.owner_of(lo)
-        self.shards[owner].add_weight(
-            u, v, btype, weight, timestamp, seq=self.claim_seq(seq)
-        )
-        self._stats["rows"] += 1
-        if owner != self.owner_of(hi):
-            self._stats["cross_shard"] += 1
-        self._shard_rows[owner] += 1
-        self._version += 1
-
-    def add_weights(
-        self,
-        u: Sequence[int] | np.ndarray,
-        v: Sequence[int] | np.ndarray,
-        btypes: BehaviorType | Sequence[BehaviorType] | np.ndarray,
-        weights: Sequence[float] | np.ndarray,
-        timestamps: Sequence[float] | np.ndarray,
-        btype_table: Sequence[BehaviorType] | None = None,
-        seq: int | None = None,
-    ) -> int:
-        """Batched contributions with one cross-shard version barrier.
-
-        Same contract as :meth:`BehaviorNetwork.add_weights` — per-record
-        results are bit-for-bit identical because every pair's rows land on
-        one shard as an order-preserving subsequence of the batch, and all
-        shards stamp created pairs with the same global sequence tag.
-        """
-        # The stateless preparation (validate, canonicalize, group, box keys)
-        # runs once for the batch and every owner gets its segments, so a
-        # shard's apply is only its state-mutation and fold walk.
-        groups = prepare_weight_groups(
-            u,
-            v,
-            btypes,
-            weights,
-            timestamps,
-            btype_table,
-            expiry_width=self.shards[0]._expiry_width,
-        )
-        if groups is None:
-            return 0
-        owner = shard_of(groups.key_lo, self.n_shards)
-        cross = owner != shard_of(groups.key_hi, self.n_shards)
-        batch_seq = self.claim_seq(seq)
-        for s in np.unique(owner).tolist():
-            sub = groups.take(np.flatnonzero(owner == s))
-            self.shards[s].apply_weight_groups(sub, seq=batch_seq)
-            self._shard_rows[s] += sub.n
-        self._stats["batches"] += 1
-        self._stats["rows"] += groups.n
-        lengths = np.subtract(groups.ends, groups.starts)
-        self._stats["cross_shard"] += int(lengths[cross].sum())
-        self._version += 1
-        return groups.n
-
-    def add_node(self, uid: int) -> None:
-        """Register a node on its owner shard."""
-        shard = self.shards[self.owner_of(uid)]
-        if uid not in shard._adjacency:
-            shard.add_node(uid)
-            self._version += 1
-
-    def expire_edges(self, now: float) -> int:
-        """TTL sweep on every shard under one version barrier."""
-        removed = sum(shard.expire_edges(now) for shard in self.shards)
-        if removed:
-            self._version += 1
-        return removed
-
-    # ------------------------------------------------------------------
-    # Delta tracking (lambda speed layer) — forwarded to every shard
-    # ------------------------------------------------------------------
-    def track_deltas(self) -> None:
-        """Enable (or reset) per-node touch counting on every shard."""
-        for shard in self.shards:
-            shard.track_deltas()
-
-    def delta_tracking(self) -> bool:
-        """Whether delta tracking is enabled (on every shard)."""
-        return all(shard.delta_tracking() for shard in self.shards)
-
-    def delta_touched(self) -> dict[int, int]:
-        """Merged per-node touch counts across shards.
-
-        A pair lives on exactly one shard (its lo-endpoint's owner), but a
-        node can be an endpoint of pairs on several shards, so counts are
-        summed per node.
-        """
-        merged: dict[int, int] = {}
-        for shard in self.shards:
-            for uid, count in shard.delta_touched().items():
-                merged[uid] = merged.get(uid, 0) + count
-        return merged
-
-    def delta_size(self) -> int:
-        """Total edge touches across all shards since tracking started."""
-        return sum(shard.delta_size() for shard in self.shards)
-
-    def drain_route_stats(self) -> dict[str, Any]:
-        """Return and reset accumulated routing counters (BNServer drains
-        these into the ``bn.shard.ingest.*`` metrics)."""
-        stats = dict(self._stats)
-        stats["shard_rows"] = tuple(self._shard_rows)
-        self._stats = {"batches": 0, "rows": 0, "cross_shard": 0}
-        self._shard_rows = [0] * self.n_shards
-        return stats
-
-    # ------------------------------------------------------------------
-    # Queries (BehaviorNetwork surface)
-    # ------------------------------------------------------------------
-    def __contains__(self, uid: int) -> bool:
-        return any(uid in shard._adjacency for shard in self.shards)
-
-    def nodes(self) -> list[int]:
-        """All registered node ids (sorted — cross-shard order is hash
-        noise, so the facade canonicalizes)."""
-        seen: set[int] = set()
-        for shard in self.shards:
-            seen.update(shard._adjacency)
-        return sorted(seen)
-
-    def num_nodes(self) -> int:
-        """Distinct registered users across all shards."""
-        seen: set[int] = set()
-        for shard in self.shards:
-            seen.update(shard._adjacency)
-        return len(seen)
-
-    def num_edges(self) -> int:
-        """Live typed edges (pairs stored once, so shard sums are exact)."""
-        return sum(shard.num_edges() for shard in self.shards)
-
-    def num_edges_scan(self) -> int:
-        """Full-scan edge count (diagnostic twin of :meth:`num_edges`)."""
-        return sum(shard.num_edges_scan() for shard in self.shards)
-
-    def edge_types(self) -> set[BehaviorType]:
-        """Union of behavior types present on any shard."""
-        types: set[BehaviorType] = set()
-        for shard in self.shards:
-            types.update(shard.edge_types())
-        return types
-
-    def degree(self, uid: int, btype: BehaviorType | None = None) -> int:
-        """Neighbour count of ``uid`` (optionally restricted to one type)."""
-        # A node's pairs are spread across shards (each stored once), so
-        # the per-shard degrees are disjoint and sum exactly.
-        return sum(shard.degree(uid, btype) for shard in self.shards)
-
-    def iter_edges(
-        self, btype: BehaviorType | None = None
-    ) -> Iterator[tuple[int, int, BehaviorType, EdgeRecord]]:
-        """Yield ``(u, v, type, record)`` in global pair-creation order."""
-        pairs: list[tuple[int, int, int, dict[BehaviorType, EdgeRecord]]] = []
-        for shard in self.shards:
-            for (a, b), records in shard._edges.items():
-                pairs.append((shard._pair_seq[(a, b)], a, b, records))
-        pairs.sort(key=lambda item: item[:3])
-        for _, a, b, records in pairs:
-            for t, record in records.items():
-                if btype is None or t == btype:
-                    yield a, b, t, record
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Facade mutation counter (one bump per cross-shard barrier)."""
-        return self._version
-
-    def index(self) -> ShardIndex:
-        """The merged read index, memoized against :attr:`version` and
-        patched from the last one with the shards' merged change logs."""
-        cached = self._index
-        if cached is None or cached.version != self._version:
-            cached = build_shard_index(
-                self.shards, self.n_shards, self._version, base=cached
-            )
-            self._index = cached
-        return cached
-
-    def to_arrays(self) -> BNSnapshot:
-        """Merged snapshot (bit-exact vs the unsharded ``to_arrays``)."""
-        return self.index().snapshot()
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_network(
-        cls, bn: BehaviorNetwork, n_shards: int
-    ) -> "ShardedBehaviorNetwork":
-        """Partition an existing network, preserving pair-creation order.
-
-        Each pair is replayed onto its owner shard tagged with its rank in
-        the source's ``_edges`` insertion order, so the sharded index (and
-        every sample taken from it) is bit-exact against the source.
-        """
-        sharded = cls(n_shards, ttl=bn.ttl)
-        for uid in bn._adjacency:
-            shard = sharded.shards[sharded.owner_of(uid)]
-            if uid not in shard._adjacency:
-                shard.add_node(uid)
-        for rank, ((a, b), records) in enumerate(bn._edges.items()):
-            shard = sharded.shards[sharded.owner_of(a)]
-            for btype, record in records.items():
-                shard.add_weight(
-                    a, b, btype, record.weight, record.last_update, seq=rank
-                )
-        sharded._next_seq = len(bn._edges)
-        sharded._version += 1
-        return sharded

@@ -30,7 +30,7 @@ from ..network.sampling import (
     ComputationSubgraph,
     computation_subgraphs_batch,
 )
-from ..network.sharding import ShardedBehaviorNetwork, _check_fanout
+from ..network.sharding import _check_fanout
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Span, current_span
 from .latency import LatencyModel
@@ -45,7 +45,7 @@ __all__ = ["BNServer", "LocalSampler"]
 
 
 class LocalSampler:
-    """The single-network sampling tier (the unsharded default).
+    """The unpartitioned sampling tier (the unsharded default).
 
     One of the three :class:`~repro.system.service.Sampler` conformers —
     alongside :class:`~repro.system.shard_router.ShardRouter` and
@@ -53,7 +53,7 @@ class LocalSampler:
     paths can run ``self.sampler.sample_batch(...)`` uniformly instead of
     branching on the deployment shape inline.  Runs the one union-frontier
     batch sampler over the in-process network's read index — the router's
-    call with one block and no shard that can be down; no probes, so the
+    call without a partition, so no shard can be down; no probes, so the
     batch-level gate cost is always zero.
     """
 
@@ -109,11 +109,10 @@ class BNServer:
         self.metrics = metrics
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        self.bn: BehaviorNetwork | ShardedBehaviorNetwork = (
-            ShardedBehaviorNetwork(shards, ttl=builder.ttl)
-            if shards > 1
-            else BehaviorNetwork(ttl=builder.ttl)
-        )
+        #: Read partitions: with more than one, :attr:`router` serves the
+        #: network's reads as that many fault domains.
+        self.shards = shards
+        self.bn = BehaviorNetwork(ttl=builder.ttl)
         self._router: ShardRouter | None = None
         self._local_sampler: LocalSampler | None = None
         # Explicit tier override (e.g. the lambda layer's DeltaSampler);
@@ -134,32 +133,27 @@ class BNServer:
     # Sharding
     # ------------------------------------------------------------------
     @property
-    def sharded(self) -> bool:
-        """Whether the server maintains a hash-partitioned BN."""
-        return isinstance(self.bn, ShardedBehaviorNetwork)
-
-    @property
     def router(self) -> ShardRouter | None:
-        """The shard router fronting :attr:`bn` (``None`` when unsharded).
+        """The shard router fronting :attr:`bn` (``None`` at one shard).
 
         Built lazily against the *current* ``bn`` object so the bootstrap
-        idiom (``server.bn = ShardedBehaviorNetwork.from_network(...)``)
-        re-points it, with one circuit breaker per shard; the metrics
-        registry is re-synced on every access because the Turbo
-        orchestrator wires :attr:`metrics` after construction.
+        idiom (``server.bn = data.bn``) re-points it, with one circuit
+        breaker per shard; the metrics registry is re-synced on every
+        access because the Turbo orchestrator wires :attr:`metrics` after
+        construction.
         """
-        bn = self.bn
-        if not isinstance(bn, ShardedBehaviorNetwork):
+        if self.shards == 1:
             return None
-        router = self._router
-        if router is None or router.sharded is not bn:
+        bn, router = self.bn, self._router
+        if router is None or router.bn is not bn:
             from .faults import CircuitBreaker  # runtime import avoids a cycle
 
             router = ShardRouter(
                 bn,
+                self.shards,
                 faults=self.faults,
                 metrics=self.metrics,
-                breakers={s: CircuitBreaker() for s in range(bn.n_shards)},
+                breakers={s: CircuitBreaker() for s in range(self.shards)},
             )
             self._router = router
         router.metrics = self.metrics
@@ -172,7 +166,7 @@ class BNServer:
         An explicit override (:meth:`set_sampler` — how a lambda
         deployment installs its :class:`~repro.system.lambda_layer.DeltaSampler`)
         wins; otherwise the tier follows the deployment shape — the shard
-        router when the BN is partitioned, the in-process
+        router when the reads are partitioned, the in-process
         :class:`LocalSampler` otherwise.
         """
         if self._sampler is not None:
@@ -257,9 +251,6 @@ class BNServer:
         if jobs:
             self._count("bn.ingest.jobs", jobs)
             self._count("bn.ingest.contributions", contributions_total)
-            if self.sharded:
-                self._count("bn.shard.ingest.jobs", jobs)
-                self._count("bn.shard.ingest.contributions", contributions_total)
         # Every pending job of window ``w`` ends after ``now`` and reads
         # ``(job_end - w, job_end]``: rows at or before ``now - max(W)`` can
         # never contribute again.
@@ -279,21 +270,6 @@ class BNServer:
             self._table.compact()
             if removed:
                 self._count("bn.ingest.expired_edges", removed)
-                if self.sharded:
-                    self._count("bn.shard.ingest.expired_edges", removed)
-
-        if self.sharded:
-            # Mirror the routing economics of the window jobs just applied:
-            # batches are the cross-shard version barriers (one bump per
-            # mutation batch regardless of how many shards it touched).
-            routed = self.bn.drain_route_stats()
-            if routed["batches"] or routed["rows"]:
-                self._count("bn.shard.ingest.barriers", routed["batches"])
-                self._count("bn.shard.ingest.rows", routed["rows"])
-                self._count("bn.shard.ingest.cross_shard", routed["cross_shard"])
-                for s, shard_rows in enumerate(routed["shard_rows"]):
-                    if shard_rows:
-                        self._count(f"bn.shard.ingest.shard{s}.rows", shard_rows)
 
         self._observe("bn.ingest.maintenance_seconds", seconds)
         return jobs, seconds
@@ -316,17 +292,12 @@ class BNServer:
         ``logs_buffered`` counts the log-table rows pending window jobs can
         still read; logs of non-edge types are persisted, never buffered.
         """
-        out = {
+        return {
             "jobs_run": float(self.jobs_run),
             "logs_buffered": float(len(self._table.keys)),
             "bn_nodes": float(self.bn.num_nodes()),
             "bn_edges": float(self.bn.num_edges()),
         }
-        if self.sharded:
-            out["shards"] = float(self.bn.n_shards)
-            for s, shard in enumerate(self.bn.shards):
-                out[f"shard{s}_nodes"] = float(shard.num_nodes())
-        return out
 
     def handle(
         self, request: "RequestContext", span: Span | None = None

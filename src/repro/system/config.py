@@ -49,8 +49,9 @@ class TurboConfig:
     (computation-subgraph sampling), ``request_budget`` (seconds; ``None``
     disables).  Infrastructure: ``windows`` (BN window hierarchy),
     ``use_cache``, ``replicated`` (primary/replica database),
-    ``with_fallbacks``, ``shards`` (hash-partition the BN across this many
-    shards; 1 keeps the single-network server).  Lambda tier:
+    ``with_fallbacks``, ``shards`` (hash-partition the BN's reads into this
+    many fault domains over the one network: a shard whose gate fails is
+    served around as "partial"; 1 serves unpartitioned).  Lambda tier:
     ``lambda_tier`` arms the two-tier batch/speed serving path
     (:mod:`repro.system.lambda_layer`), ``lambda_refresh_period``
     (simulated seconds between automatic batch passes; ``None`` = manual

@@ -1,12 +1,16 @@
-"""Shard-aware serving for the sharded BN.
+"""Shard-aware serving: a hash partition of the BN's reads.
 
-The sampler itself is
+A sharded deployment holds one :class:`~repro.network.bn.BehaviorNetwork`
+like any other; its shards are fault domains over the network's one read
+index.  The sampler itself is
 :func:`repro.network.sampling.computation_subgraphs_batch` — the same
-function the unsharded tier calls, over the merged
+function the unsharded tier calls, over the same
 :class:`~repro.network.sharding.ShardIndex`; a sharded deployment differs
-only in what it passes as ``dead_shards`` / ``on_exchange``
+only in what it passes as ``owner`` / ``dead_shards`` / ``on_exchange``
 (InferTurbo-style gather/apply/scatter over a partitioned graph, PAPERS.md):
 
+* ``owner`` is the owner shard of every index position,
+  :func:`~repro.network.sharding.shard_of` of its uid;
 * ``dead_shards`` are the shards whose probe failed: their rows select
   nothing (partial serving);
 * ``on_exchange`` sees each hop's union frontier split by owner shard (the
@@ -27,16 +31,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from ..network.sampling import (
     BatchSampleStats,
     ComputationSubgraph,
     computation_subgraphs_batch,
 )
-from ..network.sharding import ShardIndex, ShardedBehaviorNetwork
+from ..network.sharding import ShardIndex, shard_of
 from ..obs.tracing import current_span
 from .storage import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..network.bn import BehaviorNetwork
     from ..obs.metrics import MetricsRegistry
     from .faults import CircuitBreaker, FaultInjector
 
@@ -44,15 +51,15 @@ __all__ = ["ShardRouter"]
 
 
 class ShardRouter:
-    """Serves batch samples from the merged shard index.
+    """Serves batch samples from ``n_shards`` hash partitions of one network.
 
-    One router fronts one :class:`ShardedBehaviorNetwork`: it reads the
-    facade's index (setting the ``turbo.shard.index.*`` / ``owned_*``
-    gauges when the version moves), gates every batch through the
-    per-shard fault components ``bn_shard{i}``, and degrades to the
-    surviving shards' partial frontier when a shard is down.  ``metrics``
-    may be attached after construction (the Turbo orchestrator wires its
-    registry in at deploy time).
+    One router fronts one :class:`~repro.network.bn.BehaviorNetwork`: it
+    reads the network's index (setting the ``turbo.shard.index.*`` /
+    ``owned_*`` gauges when the version moves), derives the owner map once
+    per node set, gates every batch through the per-shard fault components
+    ``bn_shard{i}``, and degrades to the surviving shards' partial frontier
+    when a shard is down.  ``metrics`` may be attached after construction
+    (the Turbo orchestrator wires its registry in at deploy time).
     """
 
     #: :class:`~repro.system.service.Sampler` tier name.
@@ -60,16 +67,23 @@ class ShardRouter:
 
     def __init__(
         self,
-        sharded: ShardedBehaviorNetwork,
+        bn: "BehaviorNetwork",
+        n_shards: int,
         faults: "FaultInjector | None" = None,
         metrics: "MetricsRegistry | None" = None,
         breakers: dict[int, "CircuitBreaker"] | None = None,
     ) -> None:
-        self.sharded = sharded
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        self.bn = bn
+        self.n_shards = n_shards
         self.faults = faults
         self.metrics = metrics
         self.breakers = dict(breakers or {})
         self._seen_version: int | None = None
+        #: ``(node_ids, owner)``: the owner shard of every position of the
+        #: node set it was derived from.
+        self._owner: tuple[np.ndarray, np.ndarray] | None = None
 
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
@@ -78,23 +92,28 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Index
     # ------------------------------------------------------------------
-    def current_index(self) -> ShardIndex:
-        """The facade's read index; sets the index gauges on a new version."""
-        index = self.sharded.index()
+    def current_index(self) -> tuple[ShardIndex, np.ndarray]:
+        """The network's read index and its owner map; sets the index gauges
+        on a new version."""
+        index = self.bn.index()
+        if self._owner is None or self._owner[0] is not index.node_ids:
+            # Node ids are carried by identity until a node is registered.
+            self._owner = (index.node_ids, shard_of(index.node_ids, self.n_shards))
+        owner = self._owner[1]
         if self._seen_version == index.version:
-            return index
+            return index, owner
         self._seen_version = index.version
         if self.metrics is not None:
             self.metrics.gauge("turbo.shard.index.pairs").set(index.num_pairs)
             self.metrics.gauge("turbo.shard.index.nodes").set(index.num_nodes)
-            for s, block in enumerate(index.shards):
-                self.metrics.gauge(f"turbo.shard.owned_nodes.shard{s}").set(
-                    len(block.own_positions)
-                )
-                self.metrics.gauge(f"turbo.shard.owned_half_edges.shard{s}").set(
-                    len(block.nbr_pos)
-                )
-        return index
+            nodes = np.bincount(owner, minlength=self.n_shards).tolist()
+            half_edges = np.bincount(
+                owner, weights=np.diff(index.indptr), minlength=self.n_shards
+            )
+            for s, half in enumerate(half_edges.astype(np.int64).tolist()):
+                self.metrics.gauge(f"turbo.shard.owned_nodes.shard{s}").set(nodes[s])
+                self.metrics.gauge(f"turbo.shard.owned_half_edges.shard{s}").set(half)
+        return index, owner
 
     # ------------------------------------------------------------------
     # Serving
@@ -111,7 +130,7 @@ class ShardRouter:
         gate_seconds = 0.0
         if self.faults is None and not self.breakers:
             return dead, gate_seconds
-        for s in range(self.sharded.n_shards):
+        for s in range(self.n_shards):
             breaker = self.breakers.get(s)
             if breaker is not None and not breaker.allow():
                 dead.add(s)
@@ -139,12 +158,11 @@ class ShardRouter:
     ) -> tuple[list[ComputationSubgraph], BatchSampleStats, float]:
         """Frontier-exchange batch sampling; ``(subgraphs, stats, gate_s)``.
 
-        Bit-exact against the same sampler over the equivalent unsharded
-        network's index while every shard is healthy; with dead shards the
-        surviving frontier is served and ``stats.partial`` lists the
-        affected request indices.
+        Bit-exact against the unsharded sampler over the same index while
+        every shard is healthy; with dead shards the surviving frontier is
+        served and ``stats.partial`` lists the affected request indices.
         """
-        index = self.current_index()
+        index, owner = self.current_index()
         dead, gate_seconds = self.probe_shards(now=now)
         span = current_span()
 
@@ -171,6 +189,8 @@ class ShardRouter:
             hops=hops,
             fanout=fanout,
             allowed=allowed,
+            owner=owner,
+            n_shards=self.n_shards,
             dead_shards=dead,
             on_exchange=on_exchange,
         )

@@ -900,15 +900,9 @@ def deploy_turbo(
         shards=config.shards,
     )
     # Bootstrap the server with the offline-built BN (production would have
-    # replayed the log history through the window jobs).  A sharded
-    # deployment partitions it pair-order-preserving, so the served
-    # subgraphs stay bit-exact against the single-network deployment.
-    if config.shards > 1:
-        from ..network.sharding import ShardedBehaviorNetwork
-
-        bn_server.bn = ShardedBehaviorNetwork.from_network(data.bn, config.shards)
-    else:
-        bn_server.bn = data.bn
+    # replayed the log history through the window jobs); at any shard count
+    # it is the one network, whose reads the router partitions.
+    bn_server.bn = data.bn
     feature_server = FeatureServer(
         data.feature_manager, latency, database=database, cache=cache, faults=faults
     )

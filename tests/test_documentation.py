@@ -182,7 +182,7 @@ def test_backticked_paths_exist():
 #: current figure and one line naming the change that set it, and the history
 #: lives in the change log.  A change may lower the ceiling; one that raises it
 #: says why in the change log.
-PERFORMANCE_MD_MAX_LINES = 1923
+PERFORMANCE_MD_MAX_LINES = 1880
 
 
 def test_performance_doc_stays_under_its_line_ceiling():

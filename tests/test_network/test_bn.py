@@ -126,15 +126,3 @@ class TestEdgeTypesMemo:
         bn.add_weight(4, 5, DEV, 1.0, 0.0)
         bn.edge_types()
         assert bn._edge_types is not memo
-
-    def test_sharded_union_of_shard_memos(self):
-        from repro.network import ShardedBehaviorNetwork
-
-        sharded = ShardedBehaviorNetwork.from_network(small_bn(), 3)
-        assert sharded.edge_types() == {DEV, IP}
-        sharded.edge_types().clear()
-        assert sharded.edge_types() == {DEV, IP}
-        assert sharded.expire_edges(10 * DAY + 151.0) == 1  # the IP edge (t=150)
-        scans = [self.scan(shard) for shard in sharded.shards]
-        assert sharded.edge_types() == set().union(*scans) == {DEV}
-

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
-from repro.network import BehaviorNetwork, BNBuilder, ShardedBehaviorNetwork
+from repro.network import BehaviorNetwork, BNBuilder
 from tests.oracles.bn_builder import (
     build_reference,
     expire_edges_scan,
@@ -137,18 +137,17 @@ class TestAddWeightsContract:
             ),
         ]
         for u, v, codes in inputs:
-            for make in (BehaviorNetwork, lambda: ShardedBehaviorNetwork(2)):
-                scalar, batch, precoded = make(), make(), make()
-                for _ in ("cold", "warm"):
-                    w = rng.uniform(0.01, 1.0, size=len(u))
-                    ts = rng.uniform(0.0, 1e6, size=len(u))
-                    for i in range(len(u)):
-                        scalar.add_weight(
-                            int(u[i]), int(v[i]), TYPES[codes[i]], float(w[i]), float(ts[i])
-                        )
-                    batch.add_weights(u, v, [TYPES[c] for c in codes], w, ts)
-                    precoded.add_weights(u, v, codes, w, ts, btype_table=TYPES)
-                    assert edge_state(scalar) == edge_state(batch) == edge_state(precoded)
+            scalar, batch, precoded = BehaviorNetwork(), BehaviorNetwork(), BehaviorNetwork()
+            for _ in ("cold", "warm"):
+                w = rng.uniform(0.01, 1.0, size=len(u))
+                ts = rng.uniform(0.0, 1e6, size=len(u))
+                for i in range(len(u)):
+                    scalar.add_weight(
+                        int(u[i]), int(v[i]), TYPES[codes[i]], float(w[i]), float(ts[i])
+                    )
+                batch.add_weights(u, v, [TYPES[c] for c in codes], w, ts)
+                precoded.add_weights(u, v, codes, w, ts, btype_table=TYPES)
+                assert edge_state(scalar) == edge_state(batch) == edge_state(precoded)
 
     def test_scalar_timestamp_broadcast(self):
         """A scalar timestamp applies to every contribution, bit-exactly."""
@@ -190,7 +189,6 @@ class TestAddWeightsContract:
         assert edge_state(bn) == snapshot
         assert bn.version == version
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
     @pytest.mark.parametrize(
         "entrance,field",
         [
@@ -202,8 +200,8 @@ class TestAddWeightsContract:
         ],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_rejected_before_mutation(self, n_shards, entrance, field, bad):
-        bn = BehaviorNetwork() if n_shards == 1 else ShardedBehaviorNetwork(n_shards)
+    def test_non_finite_input_rejected_before_mutation(self, entrance, field, bad):
+        bn = BehaviorNetwork()
         bn.add_weights([1, 3], [2, 4], TYPES[0], [1.0, 0.5], [5.0, 6.0])
         version, edges, index, state = bn.version, bn.num_edges(), bn.index(), edge_state(bn)
         weight = bad if field == "weight" else 0.5

@@ -8,10 +8,10 @@ oracle — through the scalar loops of ``run_window_job_reference``
 
 * objects ≡ server columns on **everything**: ``_edges`` and adjacency
   iteration order, ``_pair_seq``, weight bits, ``last_update``,
-  ``num_edges``, ``version`` and the read index's bytes, shard by shard;
+  ``num_edges``, ``version`` and the read index's bytes — whatever number
+  of shards the server partitions its reads into;
 * both ≡ the reference on what the scalar path defines: the typed-edge set
-  with weight bits and ``last_update``, node registration order (per-shard
-  node *sets* when sharded — shard-internal node order is not state) and
+  with weight bits and ``last_update``, node registration order and
   ``num_edges`` (the reference bumps the version and claims a sequence tag
   per pair, so those two differ by construction).
 """
@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
-from repro.network import BehaviorNetwork, BNBuilder, ShardedBehaviorNetwork
+from repro.network import BehaviorNetwork, BNBuilder
 from repro.network.builder import LogColumns, LogTable
 from repro.system import BNServer, LatencyModel
 from tests.oracles.bn_builder import run_window_job_reference
@@ -38,7 +38,7 @@ WIDE_UIDS = (-(2**61), -5, 3, 2**61, 2**62)
 
 
 def network_bits(bn: BehaviorNetwork) -> dict:
-    """Everything one shard holds, order and bits included."""
+    """Everything the network holds, order and bits included."""
     return {
         "edges": [
             (pair, [(t, rec.weight.hex(), rec.last_update) for t, rec in records.items()])
@@ -54,51 +54,39 @@ def network_bits(bn: BehaviorNetwork) -> dict:
 def kernel_bits(bn) -> dict:
     """What two entrances of the one kernel must agree on."""
     arrays, meta = bn.index().to_payload()
-    shards = bn.shards if isinstance(bn, ShardedBehaviorNetwork) else [bn]
     return {
-        "shards": [network_bits(shard) for shard in shards],
-        "version": bn.version,
+        "network": network_bits(bn),
         "index": {name: (a.dtype.str, a.tobytes()) for name, a in arrays.items()},
         "index_meta": meta,
     }
 
 
 def reference_bits(bn) -> dict:
-    """What the scalar reference defines.
-
-    Node registration order is state of an unsharded network only; inside
-    a shard it is not (``network/sharding.py``: the kernel registers a
-    shard's sub-batch in ``(lo, hi)`` order, the reference in
-    first-appearance order, and every reader through the facade sorts or
-    builds a set), so a sharded network is compared on each shard's node
-    *set*.
-    """
-    if isinstance(bn, ShardedBehaviorNetwork):
-        nodes = [sorted(shard._adjacency) for shard in bn.shards]
-    else:
-        nodes = [list(bn._adjacency)]
+    """What the scalar reference defines."""
     return {
         "edges": {
             (u, v, t): (rec.weight.hex(), rec.last_update) for u, v, t, rec in bn.iter_edges()
         },
-        "nodes": nodes,
+        "nodes": list(bn._adjacency),
         "num_edges": bn.num_edges(),
     }
 
 
-def new_network(shards: int | None, ttl: float):
-    return BehaviorNetwork(ttl=ttl) if shards is None else ShardedBehaviorNetwork(shards, ttl=ttl)
-
-
 def assert_three_entrances(logs, ticks, shards=None, **builder_args):
-    """Deliver ``logs`` to a server tick by tick; replay its jobs the other two ways."""
+    """Deliver ``logs`` to a server tick by tick; replay its jobs the other two ways.
+
+    ``shards`` is the server's read partition (``None``: the default); the
+    write path never reads it.
+    """
     builder = BNBuilder(windows=WINDOWS, edge_types=TYPES, ttl=365 * DAY, **builder_args)
     logs = sorted(logs, key=lambda log: log.timestamp)
     # Sweeping every tick re-interns the table between jobs.
-    server = BNServer(builder, LatencyModel(seed=0), ttl_sweep_interval=HOUR)
-    server.bn = new_network(shards, builder.ttl)
-    objects = new_network(shards, builder.ttl)
-    reference = new_network(shards, builder.ttl)
+    server = BNServer(
+        builder, LatencyModel(seed=0), ttl_sweep_interval=HOUR, shards=shards or 1
+    )
+    assert isinstance(server.bn, BehaviorNetwork)
+    objects = BehaviorNetwork(ttl=builder.ttl)
+    reference = BehaviorNetwork(ttl=builder.ttl)
 
     next_epoch = dict.fromkeys(WINDOWS, 0)
     delivered = total = 0
@@ -155,7 +143,7 @@ class TestOneKernelThreeEntrances:
     )
     @example(
         # One job's groups in first-appearance order (IP, then DEV) against
-        # the kernel's per-shard (lo, hi) order: shard node order differs.
+        # the kernel's (lo, hi) order.
         logs=[
             BehaviorLog(0, DEV, "a", 0),
             BehaviorLog(1, IP, "a", 11700),

@@ -9,10 +9,9 @@ the read index of one BN version, as serving does.  Pinned contracts:
   including ``None``, on uids that are nothing like positions (negative,
   sparse, above 2**31), so reading a position as a uid, or a uid as a
   position, fails;
-* what the sweep reads off a :class:`ShardedBehaviorNetwork`'s merged
-  index — node ids, selection, pair table, normalized weights — is
-  byte-identical across shard counts {1, 2, 4, 8} to the single-network
-  index (the sweep's inputs cannot depend on the partitioning);
+* the sweep and a sharded router read one index: serving it partitioned
+  into {1, 2, 4, 8} shards, one of them down, changes none of the bytes
+  the sweep reads (node ids, selection, pair table, normalized weights);
 * per-target BFS over the selection reproduces the dict walk's node
   discovery order and its typed adjacency bit for bit — pinned with every
   other sampling tier in ``test_system/test_sampler_tiers.py``;
@@ -28,10 +27,11 @@ import pytest
 from repro.core.lambda_infer import _score_cone
 from repro.network.sampling import _bfs_positions
 from repro.network.snapshot import positions_of
+from repro.system import FaultInjector, ShardRouter
 
 from tests.oracles.sampling import _select_neighbors
 
-from .test_sharding import SHARD_COUNTS, build_pair, contribution_batches
+from .test_sharding import SHARD_COUNTS, build_network, contribution_batches
 
 pytestmark = pytest.mark.sharding
 
@@ -48,7 +48,7 @@ def far_uids(rng, n: int) -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def graph_pairs():
+def bn():
     rng = np.random.default_rng(99)
     uids = far_uids(rng, 150)
     batches = [
@@ -57,7 +57,7 @@ def graph_pairs():
             rng, n_users=150, n_batches=4, rows=300
         )
     ]
-    return {n: build_pair(batches, n) for n in SHARD_COUNTS}
+    return build_network(batches)
 
 
 def selection_rows(index, fanout) -> list[list[int]]:
@@ -76,26 +76,30 @@ def oracle_rows(bn, index, fanout) -> list[list[int]]:
 
 class TestSelectionParity:
     @pytest.mark.parametrize("fanout", FANOUTS)
-    def test_rows_equal_scalar_selection(self, graph_pairs, fanout):
-        bn, sharded = graph_pairs[1]
+    def test_rows_equal_scalar_selection(self, bn, fanout):
         index = bn.index()
         assert index.node_ids.min() < 0 < 2**31 < index.node_ids.max()
         assert tuple(index.types) == tuple(sorted(bn.edge_types(), key=lambda t: t.value))
         want = oracle_rows(bn, index, fanout)
         assert selection_rows(index, fanout) == want
-        assert selection_rows(sharded.index(), fanout) == want
         # Ranked once per version: every pass over this index reads it.
         assert index.selection(fanout) is index.selection(fanout)
 
+
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-    def test_bitexact_across_shard_counts(self, graph_pairs, n_shards):
-        bn, sharded = graph_pairs[n_shards]
-        want, got = sweep_inputs(bn.index(), 5), sweep_inputs(sharded.index(), 5)
+    def test_bitexact_across_shard_counts(self, bn, n_shards):
+        """The sweep and a sharded router read one index: serving it in
+        ``n_shards`` partitions, one of them down, leaves every array the
+        sweep reads byte for byte."""
+        want = sweep_inputs(bn.index(), 5)
+        faults = FaultInjector()
+        faults.add_crash("bn_shard0", 0.0, 10.0)
+        router = ShardRouter(bn, n_shards, faults=faults)
+        router.sample_batch(bn.index().node_ids[:8].tolist(), fanout=5, now=1.0)
+        got = sweep_inputs(bn.index(), 5)
         assert got.keys() == want.keys()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
-        assert sharded.index().types == bn.index().types
-        assert sharded.version == bn.version
 
 
 def sweep_inputs(index, fanout) -> dict[str, np.ndarray]:
@@ -112,10 +116,9 @@ def sweep_inputs(index, fanout) -> dict[str, np.ndarray]:
 
 
 class TestBFSAndInducedParity:
-    def test_missing_target_position(self, graph_pairs):
+    def test_missing_target_position(self, bn):
         """An unregistered target is one isolated row: position -1, a BFS
         that selects nothing, and no induced entry."""
-        bn, _ = graph_pairs[1]
         index = bn.index()
         (root,) = positions_of(index.node_ids, np.array([10**9], dtype=np.int64))
         assert root == -1
@@ -125,9 +128,8 @@ class TestBFSAndInducedParity:
 
 
 class TestReverseReachable:
-    def test_cone_is_sound(self, graph_pairs):
+    def test_cone_is_sound(self, bn):
         """Every node whose forward BFS meets a seed lies in the cone."""
-        bn, _ = graph_pairs[1]
         index = bn.index()
         rng = np.random.default_rng(11)
         seeds = rng.choice(index.num_nodes, size=5, replace=False)

@@ -35,7 +35,7 @@ def ring_bn(rng: np.random.Generator, n_users: int = 60, n_hubs: int = 4):
 
 
 def scalar_subgraphs(bn, targets, hops=2, fanout=25, allowed=None):
-    """Per-target scalar oracle subgraphs (``bn`` may be a sharded facade)."""
+    """Per-target scalar oracle subgraphs."""
     return [
         computation_subgraph(bn, int(t), hops=hops, fanout=fanout, allowed=allowed)
         for t in targets

@@ -6,8 +6,8 @@ its own module (package ``__init__`` re-exports do not count), or from
 ``docs/PAPER_MAP.md``'s "Surface kept for the paper" section.  An export
 that only ``tests/`` reach fails here.  The runtime dependencies in
 ``pyproject.toml`` are exactly the third-party packages ``src/`` imports.
-Only ``system/fork_pool.py`` forks, no module maps shared memory, and no
-``*_reference`` oracle ships.
+Only ``system/fork_pool.py`` forks, no module maps shared memory, no
+``*_reference`` oracle ships, and one network class takes the writes.
 """
 
 from __future__ import annotations
@@ -132,3 +132,24 @@ def test_no_oracle_ships():
         and node.name.endswith("_reference")
     }
     assert shipped == set()
+
+
+def test_one_network_class_takes_the_writes():
+    """Shards partition the reads only: one class defines ``add_weights``,
+    and the write-side facade and its per-shard index blocks stay out."""
+    classes = [
+        node
+        for module in MODULES
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.ClassDef)
+    ]
+    writers = [
+        node.name
+        for node in classes
+        if any(
+            isinstance(item, ast.FunctionDef) and item.name == "add_weights"
+            for item in node.body
+        )
+    ]
+    assert writers == ["BehaviorNetwork"]
+    assert {node.name for node in classes} & {"ShardBlock", "ShardedBehaviorNetwork"} == set()

@@ -11,8 +11,8 @@ walk of ``tests/oracles/sampling.py`` ranks.
 
 Random write/read mixes (``test_index_patch.py``'s steps: batches, scalar
 writes, lone nodes, TTL sweeps, pairs that expire and come back, a type
-that appears and vanishes) run through a BN server on a plain network and
-on the facade at {1, 2, 4, 8} shards, with shards down for some reads and
+that appears and vanishes) run through a BN server, unsharded and reading
+in {1, 2, 4, 8} shards, with shards down for some reads and
 samples for uids the network has not seen, whose ``add_node`` bumps the
 version.  Every uid is moved far from its position (negative, sparse, above
 2**31), so a position read as a uid cannot pass.  A deployed ``Turbo``
@@ -39,7 +39,7 @@ from repro.system import (
 )
 from tests.oracles.read_index import full_walk
 from tests.oracles.sampling import _select_neighbors
-from tests.test_network.test_index_patch import SHARDINGS, TTL, USERS, network, random_step
+from tests.test_network.test_index_patch import SHARDINGS, USERS, network, random_step
 
 FANOUT = 3
 DEV = BehaviorType.DEVICE_ID
@@ -92,17 +92,16 @@ def test_carried_rankings_equal_the_current_index(n_shards, seed):
         BNBuilder(windows=(HOUR, DAY)),
         LatencyModel(jitter_sigma=0.0, seed=0),
         faults=FaultInjector(),
+        shards=n_shards or 1,
     )
-    server.bn = network(n_shards)
-    plain = server.bn if n_shards is None else BehaviorNetwork(ttl=TTL)
-    nets = [Far(server.bn)] if plain is server.bn else [Far(server.bn), Far(plain)]
+    server.bn = network()
     fresh: list[int] = []
     now, unseen = 10 * HOUR, 5000
     carried = reads = 0
     previous = None
     for _ in range(150):
         now += float(rng.uniform(0.01, 0.5)) * HOUR
-        random_step(rng, nets, now, fresh)
+        random_step(rng, Far(server.bn), now, fresh)
         if rng.random() < 0.6:
             continue
         if n_shards is not None and rng.random() < 0.3:
@@ -112,8 +111,6 @@ def test_carried_rankings_equal_the_current_index(n_shards, seed):
         if rng.random() < 0.25:
             unseen += 1
             targets.append(int(far(unseen)))  # registered by the read: a new node
-            if plain is not server.bn:
-                plain.add_node(targets[-1])
         if rng.random() < 0.5:
             server.sample(targets[-1], now=now, fanout=FANOUT)
         else:
@@ -123,7 +120,7 @@ def test_carried_rankings_equal_the_current_index(n_shards, seed):
             carried += 1
         previous = index
         reads += 1
-        assert_selection_is_current(server.bn, plain, FANOUT)
+        assert_selection_is_current(server.bn, server.bn, FANOUT)
     assert reads > 40 and carried > reads // 2
 
 

@@ -6,7 +6,8 @@ the same node order and the same entry bits, for every target of a batch.
 Hypothesis draws the network (uids far from any position: negative, sparse
 and above 2**31; few distinct weights, so rankings tie), the batch
 (duplicates and an unregistered uid included), ``hops``, ``fanout``, an
-``allowed`` set and the shards that are down.
+``allowed`` set and the shards that are down; the partition of the one
+network into {1, 2, 4, 8} shards is the input the router reads it with.
 
 Shards down are the contract of partial serving, spelled out here on top
 of the dict walk: a dead shard's nodes select nothing; a dead shard that
@@ -37,7 +38,7 @@ from repro.system import FaultInjector, ShardRouter
 
 from tests.oracles.sampling import _induced_entries, computation_subgraph
 from tests.test_network.test_sampling_batch import assert_subgraph_equal
-from tests.test_network.test_sharding import SHARD_COUNTS, build_pair, contribution_batches
+from tests.test_network.test_sharding import SHARD_COUNTS, build_network, contribution_batches
 
 pytestmark = pytest.mark.sharding
 
@@ -123,7 +124,7 @@ def oracle_batch(bn, targets, hops, fanout, allowed, dead, n_shards):
 )
 def test_every_subgraph_is_the_dict_walks(n_shards, network, data, hops, fanout):
     uids, contributions = network
-    bn, sharded = build_pair(contributions, n_shards)
+    bn = build_network(contributions)
     unseen = max(uids) + 1
     targets = data.draw(
         st.lists(st.sampled_from([*uids, unseen]), min_size=1, max_size=6), label="targets"
@@ -136,7 +137,7 @@ def test_every_subgraph_is_the_dict_walks(n_shards, network, data, hops, fanout)
     faults = FaultInjector()
     for s in dead:
         faults.add_crash(f"bn_shard{s}", 0.0, 10.0)
-    got, stats, _ = ShardRouter(sharded, faults=faults).sample_batch(
+    got, stats, _ = ShardRouter(bn, n_shards, faults=faults).sample_batch(
         targets, hops=hops, fanout=fanout, allowed=allowed, now=1.0
     )
     want, partial = oracle_batch(bn, targets, hops, fanout, allowed, dead, n_shards)
@@ -165,8 +166,8 @@ def test_sweep_positions_induce_the_dense_entries(n_shards, network, data, hops,
     sweep's input to the inducer, give the dense inducer's entries bit for
     bit; a dead shard's rows drop the entries whose ``lo`` endpoint it owns."""
     uids, contributions = network
-    bn, sharded = build_pair(contributions, n_shards)
-    index = sharded.index()
+    bn = build_network(contributions)
+    index = bn.index()
     target = data.draw(st.sampled_from(uids), label="target")
     root = int(positions_of(index.node_ids, target))
     positions, _ = _bfs_positions(index.selection(fanout), index.node_ids, np.array([root]), hops)
@@ -176,7 +177,7 @@ def test_sweep_positions_induce_the_dense_entries(n_shards, network, data, hops,
         positions = np.insert(positions, at, -1)
         nodes.insert(at, max(uids) + 1)
     dead = data.draw(st.sets(st.integers(0, n_shards - 1)), label="dead")
-    live = [s for s in range(n_shards) if s not in dead] if dead else None
+    live = ~np.isin(shard_of(nodes, n_shards), list(dead)) if dead else None
 
     got = index.induced_entries(positions, live)
     iu, iv, w, code = _induced_entries(bn, nodes, index.types)
@@ -190,12 +191,12 @@ def test_sweep_positions_induce_the_dense_entries(n_shards, network, data, hops,
 def test_a_call_that_raises_leaves_the_lookup_clean(monkeypatch):
     """The inducer's position lookup is reset even when a call raises after
     marking its members: the next call equals one on a fresh lookup."""
-    bn, _ = build_pair(contribution_batches(np.random.default_rng(3), n_batches=2), 1)
+    bn = build_network(contribution_batches(np.random.default_rng(3), n_batches=2))
     index = bn.index()
     evens = np.arange(0, index.num_nodes, 2)
     odds = np.arange(1, index.num_nodes, 2)
-    broken = dataclasses.replace(index, shards=[None])  # raises once marked
-    with pytest.raises(AttributeError):
+    broken = dataclasses.replace(index, indptr=None)  # raises once marked
+    with pytest.raises(TypeError):
         broken.induced_entries(evens)
     got = index.induced_entries(odds)
     monkeypatch.setattr(sharding, "_ROWS", [np.empty(0, dtype=np.int64)])

@@ -47,7 +47,7 @@ from tests.test_network.test_sampling_batch import (
 from tests.test_network.test_sharding import (
     SHARD_COUNTS,
     TYPES,
-    build_pair,
+    build_network,
     contribution_batches,
 )
 
@@ -62,25 +62,22 @@ TIERS = ["local", *(f"router{n}" for n in SHARD_COUNTS), "sampled_graph"]
 
 
 @pytest.fixture(scope="module")
-def graphs():
-    """The same mutation stream as a plain BN and as {1, 2, 4, 8}-shard facades."""
-    batches = contribution_batches(np.random.default_rng(7))
-    pairs = {n: build_pair(batches, n) for n in SHARD_COUNTS}
-    for bn, sharded in pairs.values():
-        bn.add_node(ISOLATED)
-        sharded.add_node(ISOLATED)
-    return pairs
+def graph():
+    """One network; the routers read it in {1, 2, 4, 8} partitions."""
+    bn = build_network(contribution_batches(np.random.default_rng(7)))
+    bn.add_node(ISOLATED)
+    return bn
 
 
 def make_server() -> BNServer:
     return BNServer(BNBuilder(windows=(HOUR, DAY)), LatencyModel(jitter_sigma=0.0, seed=0))
 
 
-def sample_tier(tier, graphs, fanout, allowed):
+def sample_tier(tier, graph, fanout, allowed):
     """``(subgraphs, stats-or-None)`` of ``TARGETS`` from one tier."""
     if tier == "local":
         server = make_server()
-        server.bn = graphs[1][0]
+        server.bn = graph
         assert server.sampler.tier == "local"
         subgraphs, stats, gate_s = server.sampler.sample_batch(
             TARGETS, hops=2, fanout=fanout, allowed=allowed
@@ -88,12 +85,12 @@ def sample_tier(tier, graphs, fanout, allowed):
         assert gate_s == 0.0
         return subgraphs, stats
     if tier.startswith("router"):
-        router = ShardRouter(graphs[int(tier[len("router"):])][1])
+        router = ShardRouter(graph, int(tier[len("router"):]))
         subgraphs, stats, _ = router.sample_batch(
             TARGETS, hops=2, fanout=fanout, allowed=allowed
         )
         return subgraphs, stats
-    index = graphs[1][0].index()
+    index = graph.index()
     selection = index.selection(fanout)
     subgraphs = []
     for target, root in zip(TARGETS, positions_of(index.node_ids, TARGETS).tolist()):
@@ -111,11 +108,11 @@ def sample_tier(tier, graphs, fanout, allowed):
 
 @pytest.mark.parametrize("fanout", [3, 25, None])
 @pytest.mark.parametrize("tier", TIERS)
-def test_tier_matches_scalar_oracle(graphs, tier, fanout):
-    bn = graphs[1][0]
+def test_tier_matches_scalar_oracle(graph, tier, fanout):
+    bn = graph
     for allowed in (None, ALLOWED):
         want = scalar_subgraphs(bn, TARGETS, hops=2, fanout=fanout, allowed=allowed)
-        got, stats = sample_tier(tier, graphs, fanout, allowed)
+        got, stats = sample_tier(tier, graph, fanout, allowed)
         for want_sub, got_sub in zip(want, got, strict=True):
             assert_subgraph_equal(got_sub, want_sub)
         assert got[0] is not got[2]  # duplicate targets get their own subgraph
@@ -154,9 +151,9 @@ class TestSelectionCacheFollowsTheIndex:
         assert server.sample(1)[0].nodes == [1, 3]
         assert server.sample_batch([1], [0.0])[0][0].nodes == [1, 3]
 
-    def test_cache_kept_while_index_and_fanout_hold(self, graphs):
+    def test_cache_kept_while_index_and_fanout_hold(self, graph):
         server = make_server()
-        server.bn = graphs[1][0]
+        server.bn = graph
         server.sample(7, fanout=5)
         index = server.bn.index()
         selection = index.selection(5)
@@ -173,8 +170,8 @@ class TestNegativeFanoutRejected:
         "entry",
         ["scalar", "batch", "from_index", "server_sample", "server_sample_batch"],
     )
-    def test_typed_error_at_every_entry_point(self, graphs, entry):
-        bn = graphs[1][0]
+    def test_typed_error_at_every_entry_point(self, graph, entry):
+        bn = graph
         server = make_server()
         server.bn = bn
         calls = {
@@ -189,7 +186,7 @@ class TestNegativeFanoutRejected:
         with pytest.raises(ValueError, match="fanout must be non-negative or None"):
             calls[entry]()
 
-    def test_rejection_leaves_the_server_untouched(self, graphs):
+    def test_rejection_leaves_the_server_untouched(self, graph):
         class CountingGate:
             calls = 0
 
@@ -212,7 +209,7 @@ class TestNegativeFanoutRejected:
             LatencyModel(jitter_sigma=0.3, seed=0),
             faults=CountingGate(),
         )
-        server.bn = copy.deepcopy(graphs[1][0])
+        server.bn = copy.deepcopy(graph)
         server.sample(7, fanout=5)  # warm a cache the rejection must keep
         unknown = 123_456
         before = observed(server)
@@ -227,15 +224,15 @@ class TestNegativeFanoutRejected:
 
 
 class TestRemovedCapabilities:
-    def test_removed_parameters_raise_type_error(self, graphs):
-        bn = graphs[1][0]
+    def test_removed_parameters_raise_type_error(self, graph):
+        bn = graph
         server = make_server()
         server.bn = bn
         with pytest.raises(TypeError):
             server.sample(7, rng=np.random.default_rng(0))
         with pytest.raises(TypeError):
             computation_subgraphs_batch(bn.index(), [7], edge_types=TYPES)
-        tiers = [server.sampler, ShardRouter(graphs[2][1])]
+        tiers = [server.sampler, ShardRouter(graph, 2)]
         tiers.append(DeltaSampler(None, tiers[0]))
         for call in (
             lambda: computation_subgraphs_batch(bn.index(), [7], selection_cache={}),

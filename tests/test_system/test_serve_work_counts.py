@@ -34,6 +34,10 @@ pairs incident to the touched nodes (the endpoints of those pairs),
 rebuilds only their half-edge rows and re-ranks only their neighbour
 selections (the index carries its selection to the next version), and the
 warm requests after it rank nothing.
+
+And what a shard count costs the inducer: with one shard down, one node
+list's ``ShardIndex.induced_entries`` makes the same C-level calls at 2, 4
+and 8 shards — the partition is one row mask over one half-edge CSR.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import scipy.sparse as sp
 
@@ -48,10 +53,12 @@ import repro.core.cfo as cfo
 import repro.core.hag as hag
 import repro.network.sharding as sharding
 from repro.datagen import DAY, HOUR
-from repro.network import FAST_WINDOWS
+from repro.network import FAST_WINDOWS, shard_of
+from repro.network.sampling import _bfs_positions
 from repro.nn import Tensor
 from repro.nn.sparse import StackedCSR
 from repro.system import PredictRequest, TurboConfig, deploy_turbo
+from tests.test_network.test_sharding import build_network, contribution_batches
 
 
 def counted(cls, counts, key):
@@ -283,12 +290,12 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
 
     read: list[int] = []
     renormalised: list[int] = []
-    rebuilt: list[tuple[int, int]] = []  # (rows, half-edges) per block
+    rebuilt: list[tuple[int, int]] = []  # (rows, half-edges) of the half-edge CSR
     ranked: list[int] = []  # selection rows ranked per call
     export, normalised, spliced, rank = (
         sharding._export_pair_table,
         sharding._normalised,
-        sharding._spliced_block,
+        sharding._spliced,
         sharding._ranked,
     )
 
@@ -300,9 +307,10 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
         renormalised.append(w.shape[1])
         return normalised(w, lo, hi, degrees)
 
-    def counted_splice(old, own, rows, halves, node_map, pair_map):
-        rebuilt.append((int(rows.sum()), len(halves[0])))
-        return spliced(old, own, rows, halves, node_map, pair_map)
+    def counted_splice(old_indptr, at, rows, first, counts, columns):
+        if len(columns) == 2:  # the half-edge CSR; a selection splices one column
+            rebuilt.append((int(rows.sum()), int(counts.sum())))
+        return spliced(old_indptr, at, rows, first, counts, columns)
 
     def counted_rank(base, at, rows, halves, weights, fanout):
         ranked.append(int(rows.sum()))
@@ -310,7 +318,7 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
 
     monkeypatch.setattr(sharding, "_export_pair_table", counted)
     monkeypatch.setattr(sharding, "_normalised", counted_normalised)
-    monkeypatch.setattr(sharding, "_spliced_block", counted_splice)
+    monkeypatch.setattr(sharding, "_spliced", counted_splice)
     monkeypatch.setattr(sharding, "_ranked", counted_rank)
     index = bn.index()
     patched = sum(ranked)
@@ -354,3 +362,18 @@ def test_the_next_index_reads_only_the_records_a_write_touched(tiny_dataset, mon
         )
         assert len(bn._changed or ()) <= bn.num_pairs()
     assert bn._changed is None
+
+
+def test_the_inducer_makes_the_same_calls_at_every_shard_count():
+    """One BFS node list, shard 1 down: the C-level calls of the inducer do
+    not depend on how many shards partition the index."""
+    bn = build_network(contribution_batches(np.random.default_rng(5)))
+    index = bn.index()
+    positions, _ = _bfs_positions(index.selection(5), index.node_ids, np.array([0]), 2)
+    calls = {}
+    for n_shards in (2, 4, 8):
+        live = shard_of(index.node_ids[positions], n_shards) != 1
+        assert live.any() and not live.all()
+        calls[n_shards] = profiled_calls(lambda: index.induced_entries(positions, live))[1]
+    print(f"\ninducer C-level calls by shard count: {calls}")
+    assert len(set(calls.values())) == 1

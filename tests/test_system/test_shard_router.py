@@ -10,7 +10,8 @@ Covers the system half of the sharding tentpole:
 * a crashed shard degrades sampling to the surviving frontier (requests
   flagged partial, nothing raises, breaker opens, the index's selection
   is not ranked again) and recovery restores bit-exact full serving;
-* a sharded :class:`BNServer` mirrors ingest into ``bn.shard.ingest.*``;
+* a sharded :class:`BNServer` holds one network and partitions only its
+  reads;
 * ``deploy_turbo(..., shards=N)`` serves bit-for-bit what the unsharded
   deployment serves, and tags shard-down requests ``partial``;
 * a full-graph sweep forked four ways is byte-equal to the in-process
@@ -23,12 +24,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import DAY, HOUR, BehaviorLog, BehaviorType
-from repro.network import (
-    FAST_WINDOWS,
-    BNBuilder,
-    BehaviorNetwork,
-    ShardedBehaviorNetwork,
-)
+from repro.network import FAST_WINDOWS, BNBuilder, BehaviorNetwork
 from repro.network import sharding
 from repro.network.sharding import shard_of
 from repro.obs.metrics import MetricsRegistry
@@ -48,7 +44,7 @@ from tests.test_network.test_sampling_batch import (
     assert_subgraph_equal,
     scalar_subgraphs,
 )
-from tests.test_network.test_sharding import TYPES, contribution_batches, build_pair
+from tests.test_network.test_sharding import build_network, contribution_batches
 
 pytestmark = pytest.mark.sharding
 
@@ -56,17 +52,17 @@ DEV = BehaviorType.DEVICE_ID
 
 
 def make_router(rng, n_shards=4, with_faults=False, metrics=None):
-    bn, sharded = build_pair(contribution_batches(rng), n_shards)
+    bn = build_network(contribution_batches(rng))
     faults = FaultInjector() if with_faults else None
     breakers = {s: CircuitBreaker() for s in range(n_shards)} if with_faults else None
-    router = ShardRouter(sharded, faults=faults, metrics=metrics, breakers=breakers)
-    return bn, sharded, router
+    router = ShardRouter(bn, n_shards, faults=faults, metrics=metrics, breakers=breakers)
+    return bn, router
 
 
 class TestRouterSampling:
     def test_bitexact_and_observable(self, rng):
         registry = MetricsRegistry()
-        bn, _sharded, router = make_router(rng, metrics=registry)
+        bn, router = make_router(rng, metrics=registry)
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
         got, stats, gate_s = router.sample_batch(targets, hops=2, fanout=5)
         want = scalar_subgraphs(bn, targets, fanout=5)
@@ -77,6 +73,18 @@ class TestRouterSampling:
         counters = registry.snapshot()["counters"]
         gauges = registry.snapshot()["gauges"]
         assert gauges["turbo.shard.index.nodes"] == bn.num_nodes()
+        # The owned_* gauges come from the owner map: every node and every
+        # half-edge is owned by exactly one shard.
+        index = bn.index()
+        owner = shard_of(index.node_ids, 4)
+        for s in range(4):
+            assert gauges[f"turbo.shard.owned_nodes.shard{s}"] == int((owner == s).sum())
+            assert gauges[f"turbo.shard.owned_half_edges.shard{s}"] == int(
+                np.diff(index.indptr)[owner == s].sum()
+            )
+        assert sum(gauges[f"turbo.shard.owned_half_edges.shard{s}"] for s in range(4)) == (
+            2 * index.num_pairs
+        )
         # Hop 0's union frontier is the distinct targets, hop 1's every
         # node one hop out; each is split by owner shard.
         hop1 = scalar_subgraphs(bn, targets, hops=1, fanout=5)
@@ -88,13 +96,13 @@ class TestRouterSampling:
 
     def test_selection_cache_reused_across_calls(self, rng, monkeypatch):
         """The read index ranks its selection once; later batches re-rank nothing."""
-        _bn, sharded, router = make_router(rng, n_shards=2)
+        bn, router = make_router(rng, n_shards=2)
         first, _, _ = router.sample_batch([3, 9], fanout=5)
-        selection = sharded.index().selection(5)
+        selection = bn.index().selection(5)
         ranked: list[int] = []
         monkeypatch.setattr(sharding, "_ranked", lambda *args: ranked.append(1))
         again, _, _ = router.sample_batch([3, 9], fanout=5)
-        assert ranked == [] and sharded.index().selection(5) is selection
+        assert ranked == [] and bn.index().selection(5) is selection
         for a, b in zip(first, again):
             assert_subgraph_equal(b, a)
 
@@ -102,9 +110,7 @@ class TestRouterSampling:
 class TestShardLoss:
     def test_dead_shard_degrades_not_raises(self, rng):
         registry = MetricsRegistry()
-        bn, _sharded, router = make_router(
-            rng, with_faults=True, metrics=registry
-        )
+        bn, router = make_router(rng, with_faults=True, metrics=registry)
         router.faults.add_crash("bn_shard1", 0.0, 1e12)
         targets = [int(t) for t in rng.integers(0, 200, size=32)]
         got, stats, gate_s = router.sample_batch(targets, fanout=5, now=1.0)
@@ -129,9 +135,9 @@ class TestShardLoss:
         the index's selection is warm, the requests it touches are partial,
         the others keep their bits, and nothing is ranked again — during the
         outage or after it."""
-        bn, sharded = build_pair(contribution_batches(rng), 4)
+        bn = build_network(contribution_batches(rng))
         faults = FaultInjector()
-        router = ShardRouter(sharded, faults=faults)
+        router = ShardRouter(bn, 4, faults=faults)
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
         want = scalar_subgraphs(bn, targets, fanout=5)
         router.sample_batch(targets, fanout=5, now=0.0)
@@ -152,7 +158,7 @@ class TestShardLoss:
             assert_subgraph_equal(got_sub, want_sub)
 
     def test_breaker_opens_then_recovery_restores_bits(self, rng):
-        bn, _sharded, router = make_router(rng, with_faults=True)
+        bn, router = make_router(rng, with_faults=True)
         router.faults.add_crash("bn_shard1", 0.0, 1e12)
         targets = [int(t) for t in rng.integers(0, 200, size=16)]
         for _ in range(4):  # past the breaker's failure threshold
@@ -177,48 +183,31 @@ class TestShardedBNServer:
             BehaviorLog(3, DEV, "d0", 180.0),
         ]
 
-    def test_shard_ingest_metrics_mirrored(self):
-        registry = MetricsRegistry()
-        server = BNServer(
-            BNBuilder(windows=(HOUR, DAY)),
-            LatencyModel(jitter_sigma=0.0, seed=0),
-            metrics=registry,
-            shards=2,
-        )
-        assert isinstance(server.bn, ShardedBehaviorNetwork)
-        server.ingest(self.logs())
-        jobs, _ = server.run_due_jobs(now=HOUR)
-        assert jobs >= 1
-        counters = registry.snapshot()["counters"]
-        assert counters["bn.shard.ingest.jobs"] == counters["bn.ingest.jobs"]
-        assert (
-            counters["bn.shard.ingest.contributions"]
-            == counters["bn.ingest.contributions"]
-        )
-        assert counters["bn.shard.ingest.barriers"] >= 1
-        assert counters["bn.shard.ingest.rows"] == 3  # pairs (1,2) (1,3) (2,3)
-        per_shard = sum(
-            counters.get(f"bn.shard.ingest.shard{s}.rows", 0) for s in range(2)
-        )
-        assert per_shard == counters["bn.shard.ingest.rows"]
-        assert "bn.shard.ingest.cross_shard" in counters
-
     def test_sharded_stats_and_unsharded_default(self):
-        latency = LatencyModel(jitter_sigma=0.0, seed=0)
-        sharded = BNServer(BNBuilder(windows=(HOUR, DAY)), latency, shards=2)
-        sharded.ingest(self.logs())
-        sharded.run_due_jobs(now=HOUR)
-        stats = sharded.stats()
-        assert stats["shards"] == 2
-        # Boundary nodes appear in every shard holding one of their pairs,
-        # so the per-shard counts sum to at least the global node count.
-        assert stats["shard0_nodes"] + stats["shard1_nodes"] >= stats["bn_nodes"]
-        assert max(stats["shard0_nodes"], stats["shard1_nodes"]) <= stats["bn_nodes"]
-        plain = BNServer(BNBuilder(windows=(HOUR, DAY)), latency)
-        assert isinstance(plain.bn, BehaviorNetwork)
+        """Shards partition the reads only: a sharded server writes the one
+        network, its ingest counters and stats are the unsharded server's,
+        and its router fronts that network."""
+        servers = []
+        for shards in (2, 1):
+            registry = MetricsRegistry()
+            server = BNServer(
+                BNBuilder(windows=(HOUR, DAY)),
+                LatencyModel(jitter_sigma=0.0, seed=0),
+                metrics=registry,
+                shards=shards,
+            )
+            server.ingest(self.logs())
+            assert server.run_due_jobs(now=HOUR)[0] >= 1
+            assert isinstance(server.bn, BehaviorNetwork)
+            servers.append((server, registry.snapshot()["counters"]))
+        (sharded, counters), (plain, plain_counters) = servers
+        assert counters == plain_counters
+        assert not any(name.startswith("bn.shard.") for name in counters)
+        assert sharded.stats() == plain.stats()
+        assert sharded.router.bn is sharded.bn and sharded.router.n_shards == 2
         assert plain.router is None
         with pytest.raises(ValueError):
-            BNServer(BNBuilder(windows=(HOUR, DAY)), latency, shards=0)
+            BNServer(BNBuilder(windows=(HOUR, DAY)), LatencyModel(seed=0), shards=0)
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +280,7 @@ class TestPoolMaterialize:
         from repro.core.lambda_infer import materialize
         from repro.features.pipeline import StandardScaler
 
-        bn, _sharded = build_pair(contribution_batches(rng, n_users=160), 4)
+        bn = build_network(contribution_batches(rng, n_users=160))
         types = tuple(sorted(bn.edge_types(), key=lambda t: t.value))
         model_rng = np.random.default_rng(3)
         model = HAG(
